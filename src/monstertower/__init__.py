@@ -53,18 +53,13 @@ from .tower import (
     LiftTrace,
     chart_equations,
     curve_from_chart_data,
-    curve_word,
-    curvilinear_data_point,
     lift_once,
     lift_to_regularization,
     lift_trace,
-    nash_multiplicities,
-    nash_order_profile,
     parse_curve,
-    point_word_at_level,
-    vertical_orders_from_curve,
 )
 from .blowup import (
+    BlowupName,
     BlowupState,
     BlowupStep,
     BlowupTrace,
@@ -77,4 +72,21 @@ from .corpus import CurveSpec, generate_corpus, with_precision_retry
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DEFAULT_PRECISION", "TruncatedSeries", "parse_series",
+    "GoursatWord", "RvtWord", "WordDecomposition", "count_words", "enumerate_words",
+    "is_critical", "is_entirely_critical", "parse_word",
+    "CaseTag", "EPair", "PuiseuxCharacteristic", "TRIVIAL_PC", "classify_case", "e_value",
+    "essential_characteristic", "euclid", "is_restricted", "parse_pc", "pc_from_word_back",
+    "pc_from_word_front", "peel_case", "restrict_pc", "word_from_pc",
+    "word_from_pc_front_inverse",
+    "InvariantPanel", "ProximityDiagram", "VerticalOrders", "invariant_panel",
+    "multiplicity_sequence", "proximity_diagram", "restricted_vertical_orders",
+    "vertical_orders",
+    "DEFAULT_MAX_LEVEL", "CurveGerm", "LiftStep", "LiftTrace", "chart_equations",
+    "curve_from_chart_data", "lift_once", "lift_to_regularization", "lift_trace",
+    "parse_curve",
+    "BlowupName", "BlowupState", "BlowupStep", "BlowupTrace", "CrossCheckReport",
+    "blowup_once", "blowup_resolve", "cross_check",
+    "CurveSpec", "generate_corpus", "with_precision_retry",
+]

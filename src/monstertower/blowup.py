@@ -9,9 +9,10 @@ the Nash engine); the denominator slot picks up the fresh exceptional
 divisor, and the quotient inherits the numerator's flag exactly when the
 numerator vanished at the center.
 
-The symbols read off the flags reproduce the RVT code word, and the whole
-trace is cross-checked against the Nash engine: words, order profiles and
-multiplicity sequences must agree.
+Coordinates are a base letter and a blowup index (``y_1``).  The symbols read
+off the flags reproduce the RVT code word, and the whole trace is
+cross-checked against one Nash lift: words, order profiles and multiplicity
+sequences must agree.
 """
 
 from __future__ import annotations
@@ -24,12 +25,20 @@ from .invariants import multiplicity_sequence
 from .series import TruncatedSeries
 from .tower import (
     DEFAULT_MAX_LEVEL,
+    CoordName,
     CurveGerm,
     lift_to_regularization,
-    nash_multiplicities,
-    nash_order_profile,
+    pair_multiplicity,
 )
 from .words import RvtWord
+
+
+@dataclass(frozen=True)
+class BlowupName(CoordName):
+    """Base letter and the number of blowups behind the coordinate: ``y_1``."""
+
+    def __str__(self) -> str:
+        return f"{self.base}_{self.order}"
 
 
 @dataclass(frozen=True)
@@ -43,8 +52,8 @@ class BlowupState:
 
     a: TruncatedSeries
     b: TruncatedSeries
-    a_name: str
-    b_name: str
+    a_name: BlowupName
+    b_name: BlowupName
     a_flag: int | None
     b_flag: int | None
     level: int
@@ -55,7 +64,7 @@ class BlowupStep:
     level: int
     chart_letter: str          # "o" when the y-like coordinate was divided
     new_coord: TruncatedSeries
-    new_name: str
+    new_name: BlowupName
     symbol: str
     divisor_flag: int | None   # flag inherited by the new coordinate
 
@@ -79,7 +88,7 @@ class BlowupTrace:
                     "level": s.level,
                     "chart": s.chart_letter,
                     "symbol": s.symbol,
-                    "new_coordinate": s.new_name,
+                    "new_coordinate": str(s.new_name),
                     "valuation": s.new_coord.valuation_or_none(),
                     "constant_term": str(s.new_coord.constant_term()),
                     "chain_origin": s.divisor_flag,
@@ -90,11 +99,6 @@ class BlowupTrace:
             "chart_path": self.chart_path,
             "regularization_level": self.regularity_level,
         }
-
-
-def _bump(name: str) -> str:
-    base, _, idx = name.partition("_")
-    return f"{base}_{int(idx or 0) + 1}"
 
 
 def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
@@ -117,7 +121,7 @@ def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
             a=a,
             b=quotient,
             a_name=state.a_name,
-            b_name=_bump(state.b_name),
+            b_name=state.b_name.bump(),
             a_flag=level,
             b_flag=inherited,
             level=level,
@@ -129,7 +133,7 @@ def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
             a=b_rec,
             b=quotient,
             a_name=state.b_name,
-            b_name=_bump(state.a_name),
+            b_name=state.a_name.bump(),
             a_flag=level,
             b_flag=inherited,
             level=level,
@@ -141,7 +145,7 @@ def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
         symbol = "R"
     step = BlowupStep(
         level=level,
-        chart_letter="o" if new_state.b_name.startswith("y") else "i",
+        chart_letter="o" if new_state.b_name.base == "y" else "i",
         new_coord=quotient,
         new_name=new_state.b_name,
         symbol=symbol,
@@ -166,12 +170,18 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
     """Iterate point blowups until the strict transform is regular."""
     c.check_primitive()
     state = BlowupState(
-        a=c.x, b=c.y, a_name="x_0", b_name="y_0", a_flag=None, b_flag=None, level=0
+        a=c.x, b=c.y, a_name=BlowupName("x", 0), b_name=BlowupName("y", 0),
+        a_flag=None, b_flag=None, level=0,
     )
     steps: list[BlowupStep] = []
-    mults: list[int] = [_multiplicity(state)]
-    regular_at: int | None = None
-    while regular_at is None:
+    mults: list[int] = []
+    while True:
+        m = pair_multiplicity(state.a, state.b)
+        if m is None:
+            raise InsufficientPrecision("blowup pair constant to precision")
+        mults.append(m)
+        if steps and _is_regular(state, steps[-1].symbol):
+            break
         if state.level >= max_level:
             raise MaxLevelExceeded(
                 f"no regular strict transform within {max_level} blowups"
@@ -181,34 +191,17 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
         except IndeterminateValuation as exc:
             raise InsufficientPrecision(str(exc)) from exc
         steps.append(step)
-        mults.append(_multiplicity(state))
-        if _is_regular(state, step.symbol):
-            regular_at = state.level
     profile: list[int | None] = [c.x.valuation_or_none(), c.y.valuation_or_none()]
     profile.extend(s.new_coord.valuation_or_none() for s in steps)
     return BlowupTrace(
         steps=tuple(steps),
-        regularity_level=regular_at,
+        regularity_level=state.level,
         word=RvtWord("".join(s.symbol for s in steps)),
         chart_path="".join(s.chart_letter for s in steps),
         base_point=c.base_point,
         profile=tuple(profile),
         multiplicities=tuple(mults),
     )
-
-
-def _multiplicity(state: BlowupState) -> int:
-    vals = []
-    for s in (state.a, state.b):
-        if s.precision == 0:
-            continue
-        _, tail = s.recenter()
-        v = tail.valuation_or_none()
-        if v is not None:
-            vals.append(v)
-    if not vals:
-        raise InsufficientPrecision("blowup pair constant to precision")
-    return min(vals)
 
 
 @dataclass(frozen=True)
@@ -240,20 +233,19 @@ class CrossCheckReport:
 
 def cross_check(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> CrossCheckReport:
     """Run both engines and require identical words, order profiles, and
-    multiplicity sequences (also against the word-derived sequence).
+    multiplicity sequences (also against the word-derived sequence).  The
+    germ is lifted once; every Nash value is read off that trace.
     Raises MismatchReport carrying the report when anything differs."""
     nash = lift_to_regularization(c, max_level)
     blow = blowup_resolve(c, max_level)
-    nash_mults = nash_multiplicities(c, max_level)
-    word_mults = multiplicity_sequence(nash.word)
     report = CrossCheckReport(
         nash_word=nash.word.symbols,
         blowup_word=blow.word.symbols,
-        nash_profile=nash_order_profile(c, max_level),
+        nash_profile=nash.order_profile(),
         blowup_profile=blow.profile,
-        nash_multiplicities=nash_mults,
+        nash_multiplicities=nash.multiplicities(),
         blowup_multiplicities=blow.multiplicities,
-        word_multiplicities=word_mults,
+        word_multiplicities=multiplicity_sequence(nash.word),
         ok=True,
     )
     ok = (

@@ -19,7 +19,7 @@ import sys
 
 from .blowup import blowup_resolve, cross_check
 from .corpus import generate_corpus, with_precision_retry
-from .errors import MismatchReport, MonsterTowerError
+from .errors import MismatchReport, MonsterTowerError, ParseError
 from .invariants import (
     invariant_panel,
     multiplicity_sequence,
@@ -36,17 +36,16 @@ from .series import DEFAULT_PRECISION
 from .tower import (
     DEFAULT_MAX_LEVEL,
     chart_equations,
-    curve_word,
     lift_to_regularization,
     lift_trace,
     parse_curve,
-    vertical_orders_from_curve,
 )
 from .words import count_words, enumerate_words, parse_word
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MISMATCH = 2
+FORMATS = ("text", "json", "dot")
 
 
 def _env_default(name: str, fallback, cast):
@@ -55,8 +54,14 @@ def _env_default(name: str, fallback, cast):
         return fallback
     try:
         return cast(raw)
-    except ValueError:
-        return fallback
+    except ValueError as exc:
+        raise ParseError(f"environment variable {name}={raw!r} is invalid: {exc}") from exc
+
+
+def _format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"choose from {', '.join(FORMATS)}")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--format",
         "-f",
-        choices=("text", "json", "dot"),
+        choices=FORMATS,
         default=argparse.SUPPRESS,
         help="output format (default text; env MONSTERTOWER_FORMAT)",
     )
@@ -139,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fill_defaults(args) -> None:
     if not hasattr(args, "format"):
-        args.format = _env_default("MONSTERTOWER_FORMAT", "text", str)
+        args.format = _env_default("MONSTERTOWER_FORMAT", "text", _format)
     if not hasattr(args, "precision"):
         args.precision = _env_default("MONSTERTOWER_PRECISION", DEFAULT_PRECISION, int)
     if not hasattr(args, "max_level"):
@@ -173,7 +178,6 @@ def _cmd_pc(args) -> int:
 
 def _cmd_curve(args) -> int:
     germ, presented_level = parse_curve(args.text, args.precision)
-    word = curve_word(germ, presented_level, args.max_level)
     if args.engine == "both":
         report = cross_check(germ, args.max_level)
         payload = report.to_json_dict()
@@ -185,6 +189,9 @@ def _cmd_curve(args) -> int:
             )
         )
         return _emit(args, payload, text)
+    # The Nash lift runs first for every engine, so a germ that neither
+    # engine can resolve reports the Nash engine's error.
+    regular = lift_to_regularization(germ, args.max_level)
     if args.engine == "blowup":
         trace = blowup_resolve(germ, args.max_level)
         payload = trace.to_json_dict()
@@ -198,17 +205,16 @@ def _cmd_curve(args) -> int:
             ]
         )
         return _emit(args, payload, text)
-    if args.level is not None:
-        trace = lift_trace(germ, levels=args.level, max_level=max(args.max_level, args.level))
-    else:
-        trace = lift_to_regularization(germ, args.max_level)
-    k = args.level if args.level is not None else trace.regularization_level
+    r = regular.regularization_level
+    k = args.level if args.level is not None else r
+    trace = regular.prefix(k) if k <= r else lift_trace(germ, levels=k)
+    word = regular.curve_word(presented_level)
     panel_word = word.normalize()
     payload = trace.to_json_dict()
     payload["curve_word"] = word.symbols
     payload["point_word"] = trace.word.symbols[:k]
     payload["panel"] = invariant_panel(word=panel_word).to_json_dict()
-    vo = vertical_orders_from_curve(germ, args.max_level)
+    vo = regular.vertical_orders()
     payload["vertical_orders"] = vo.to_json_dict()
     data = ",".join(str(c) for c in trace.data_point[: k + 2])
     text = "\n".join(
@@ -355,8 +361,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    _fill_defaults(args)
     try:
+        _fill_defaults(args)
         return _HANDLERS[args.command](args)
     except MismatchReport as exc:
         print(f"consistency mismatch: {exc}", file=sys.stderr)

@@ -116,20 +116,26 @@ class VerticalOrders:
     def __iter__(self):
         return iter(self.values)
 
+    def restricted(self) -> "VerticalOrders":
+        """Orders from the next level on: the restricted vertical orders."""
+        return VerticalOrders(self.values[1:], self.first_level + 1)
+
     def to_json_dict(self) -> dict:
         return {"first_level": self.first_level, "values": list(self.values)}
+
+
+def _orders_from_multiplicities(m: tuple[int, ...]) -> VerticalOrders:
+    return VerticalOrders(tuple(m[j] - m[j + 1] for j in range(max(len(m) - 2, 0))))
 
 
 def vertical_orders(word: RvtWord | str) -> VerticalOrders:
     """VO_(j+2) = m_j - m_(j+1) along the multiplicity sequence, for levels
     2..r where r is the word length."""
-    m = multiplicity_sequence(word)
-    return VerticalOrders(tuple(m[j] - m[j + 1] for j in range(max(len(m) - 2, 0))))
+    return _orders_from_multiplicities(multiplicity_sequence(word))
 
 
 def restricted_vertical_orders(word: RvtWord | str) -> VerticalOrders:
-    vo = vertical_orders(word)
-    return VerticalOrders(vo.values[1:], vo.first_level + 1)
+    return vertical_orders(word).restricted()
 
 
 @dataclass(frozen=True)
@@ -209,13 +215,15 @@ def invariant_panel(
     diagram = proximity_diagram(w)
     if not diagram.check_sums():
         raise MismatchReport(f"proximity sums do not balance for {w}")
+    multiplicities = diagram.multiplicities()
+    orders = _orders_from_multiplicities(multiplicities)
     return InvariantPanel(
         word=w,
         goursat_word=RvtWord(goursat.symbols),
         pc=front,
         restricted_pc=restricted,
-        multiplicities=multiplicity_sequence(w),
+        multiplicities=multiplicities,
         proximity=diagram,
-        orders=vertical_orders(w),
-        restricted_orders=restricted_vertical_orders(w),
+        orders=orders,
+        restricted_orders=orders.restricted(),
     )

@@ -14,12 +14,14 @@ the new level, so the code-word symbol there is V.  An ordinary step whose
 new coordinate vanishes at t=0 while a V/T chain is alive continues the
 chain with a T; everything else is an R.  Coordinates are named with the
 calculus convention x, y, y', x', x'', ... in the chart family that retains
-x first.
+x first, and carried as structured ``CoordName``s.  A germ is lifted once
+into a ``LiftTrace``; its word, data point and every Nash-derived invariant
+(order profile, multiplicities, vertical orders, curve words) are views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -28,6 +30,7 @@ from .errors import (
     IndeterminateValuation,
     InsufficientPrecision,
     IntegrationMismatch,
+    LevelOutOfRange,
     MaxLevelExceeded,
     NonPrimitiveParameterization,
     ParseError,
@@ -45,7 +48,7 @@ class CoordName:
     order: int  # number of primes
 
     def bump(self) -> "CoordName":
-        return CoordName(self.base, self.order + 1)
+        return replace(self, order=self.order + 1)
 
     def __str__(self) -> str:
         if self.order == 0:
@@ -96,28 +99,91 @@ class LiftStep:
     chart_letter: str              # "o" or "i"
     retained: TruncatedSeries
     new_coord: TruncatedSeries
-    retained_name: str
-    new_name: str
-    deactivated: str               # name of the coordinate that went passive
+    retained_name: CoordName
+    new_name: CoordName
+    deactivated: CoordName         # the coordinate that went passive
     symbol: str                    # R, V, or T
     chain_origin: int | None       # level of the divisor whose chain is alive
 
 
 @dataclass(frozen=True)
 class LiftTrace:
+    """One lift of a germ.  Word, chart path and data point cover every level
+    lifted; the invariant views read only ``steps[:regularization_level]``,
+    so they work on any trace that reached the regularization level."""
+
+    germ: CurveGerm
     steps: tuple[LiftStep, ...]
     regularization_level: int | None
-    word: RvtWord                             # one symbol per step
-    chart_path: str
-    data_point: tuple[Fraction, ...]          # x0, y0, then new-coordinate values
-    base_point: tuple[Fraction, Fraction]
+
+    @property
+    def word(self) -> RvtWord:
+        """Full incidence word: one symbol per step, chains from every origin."""
+        return RvtWord("".join(s.symbol for s in self.steps))
+
+    @property
+    def chart_path(self) -> str:
+        return "".join(s.chart_letter for s in self.steps)
+
+    @property
+    def base_point(self) -> tuple[Fraction, Fraction]:
+        return self.germ.base_point
+
+    @property
+    def data_point(self) -> tuple[Fraction, ...]:
+        """x0, y0, then the value of each new coordinate at t=0."""
+        return (*self.germ.base_point, *(s.new_coord.constant_term() for s in self.steps))
+
+    def prefix(self, levels: int) -> "LiftTrace":
+        """The trace ``lift_trace(self.germ, levels=levels)`` returns, cut
+        from this one instead of lifted again."""
+        k = max(levels, 0)
+        if k > len(self.steps):
+            raise LevelOutOfRange(f"level {k} beyond a trace of {len(self.steps)} levels")
+        r = self.regularization_level
+        return LiftTrace(self.germ, self.steps[:k], r if r is not None and r <= k else None)
+
+    def _regular_steps(self) -> tuple[LiftStep, ...]:
+        if self.regularization_level is None:
+            raise MaxLevelExceeded(f"trace stops at level {len(self.steps)}, before regularity")
+        return self.steps[: self.regularization_level]
 
     def order_profile(self) -> tuple[int | None, ...]:
-        """Valuations of x, y and every new coordinate, in creation order.
-        None marks a coordinate that is zero to its stored precision."""
-        out: list[int | None] = [None, None]
-        out.extend(s.new_coord.valuation_or_none() for s in self.steps)
-        return tuple(out)
+        """Valuations of x, y and the new coordinate of every level up to
+        regularization.  None marks a coordinate that is zero to its stored
+        precision."""
+        return (
+            self.germ.x.valuation_or_none(),
+            self.germ.y.valuation_or_none(),
+            *(s.new_coord.valuation_or_none() for s in self._regular_steps()),
+        )
+
+    def multiplicities(self) -> tuple[int, ...]:
+        """Multiplicity of each lift: the smaller valuation of the recentered
+        active pair, level by level from the base germ to regularization."""
+        pairs = [(self.germ.x, self.germ.y)]
+        pairs.extend((s.retained, s.new_coord) for s in self._regular_steps())
+        mults = tuple(pair_multiplicity(r, n) for r, n in pairs)
+        if None in mults:
+            raise InsufficientPrecision("active pair constant to precision")
+        return mults
+
+    def vertical_orders(self) -> VerticalOrders:
+        """Orders of vanishing of the divisor equations along the lift: at an
+        inverted level the new coordinate cuts the divisor at infinity, so its
+        valuation is the vertical order; ordinary levels contribute zero."""
+        return VerticalOrders(tuple(
+            s.new_coord.valuation() if s.chart_letter == "i" else 0
+            for s in self._regular_steps()[1:]
+        ))
+
+    def curve_word(self, k: int = 0) -> RvtWord:
+        """Code word of the germ lifted k times: length r - k, with chains that
+        started at level k+1 or below flattened to R's."""
+        steps = self._regular_steps()
+        if k >= len(steps):
+            return RvtWord("")
+        return RvtWord("".join(s.symbol for s in steps)).split_at_level(k)[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,9 +194,9 @@ class LiftTrace:
                     "level": s.level,
                     "chart": s.chart_letter,
                     "symbol": s.symbol,
-                    "new_coordinate": s.new_name,
-                    "retained_coordinate": s.retained_name,
-                    "deactivated_coordinate": s.deactivated,
+                    "new_coordinate": str(s.new_name),
+                    "retained_coordinate": str(s.retained_name),
+                    "deactivated_coordinate": str(s.deactivated),
                     "valuation": s.new_coord.valuation_or_none(),
                     "constant_term": str(s.new_coord.constant_term()),
                     "chain_origin": s.chain_origin,
@@ -142,6 +208,14 @@ class LiftTrace:
             "regularization_level": self.regularization_level,
             "data_point": [str(c) for c in self.data_point],
         }
+
+
+def pair_multiplicity(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
+    """Multiplicity of the curve point with local coordinates (a, b): the
+    smaller valuation of the two recentered series, or None when both are
+    constant to their stored precision."""
+    vals = [s.recenter()[1].valuation_or_none() for s in (a, b) if s.precision]
+    return min((v for v in vals if v is not None), default=None)
 
 
 def lift_once(
@@ -172,9 +246,9 @@ def lift_once(
             chart_letter="i",
             retained=new_coord,
             new_coord=fresh,
-            retained_name=str(new_name),
-            new_name=str(retained_name.bump()),
-            deactivated=str(retained_name),
+            retained_name=new_name,
+            new_name=retained_name.bump(),
+            deactivated=retained_name,
             symbol="V",
             chain_origin=level,
         )
@@ -185,9 +259,9 @@ def lift_once(
         chart_letter="o",
         retained=retained,
         new_coord=fresh,
-        retained_name=str(retained_name),
-        new_name=str(new_name.bump()),
-        deactivated=str(new_name),
+        retained_name=retained_name,
+        new_name=new_name.bump(),
+        deactivated=new_name,
         symbol="T" if on_prolongation else "R",
         chain_origin=chain_origin if on_prolongation else None,
     )
@@ -212,13 +286,6 @@ def _is_regular(step: LiftStep) -> bool:
     return step.new_coord.derivative().valuation_or_none() == 0
 
 
-def _name_from_str(text: str) -> CoordName:
-    base = text[0]
-    if "^" in text:
-        return CoordName(base, int(text.split("(")[1].rstrip(")")))
-    return CoordName(base, text.count("'"))
-
-
 def lift_trace(
     c: CurveGerm,
     *,
@@ -235,7 +302,6 @@ def lift_trace(
     c.check_primitive()
     (r_name, r_series), (n_name, n_series) = _initial_actives(c)
     steps: list[LiftStep] = []
-    data = [c.base_point[0], c.base_point[1]]
     chain: int | None = None
     regular_at: int | None = None
     level = 0
@@ -263,106 +329,17 @@ def lift_trace(
         except IndeterminateValuation as exc:
             raise InsufficientPrecision(str(exc)) from exc
         steps.append(step)
-        data.append(step.new_coord.constant_term())
         chain = step.chain_origin
         r_series, n_series = step.retained, step.new_coord
-        r_name, n_name = _name_from_str(step.retained_name), _name_from_str(step.new_name)
+        r_name, n_name = step.retained_name, step.new_name
         if regular_at is None and _is_regular(step):
             regular_at = level
-    return LiftTrace(
-        steps=tuple(steps),
-        regularization_level=regular_at,
-        word=RvtWord("".join(s.symbol for s in steps)),
-        chart_path="".join(s.chart_letter for s in steps),
-        data_point=tuple(data),
-        base_point=c.base_point,
-    )
+    return LiftTrace(germ=c, steps=tuple(steps), regularization_level=regular_at)
 
 
 def lift_to_regularization(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> LiftTrace:
     """Trace ending exactly at the regularization level."""
-    trace = lift_trace(c, max_level=max_level)
-    r = trace.regularization_level
-    return LiftTrace(
-        steps=trace.steps[:r],
-        regularization_level=r,
-        word=RvtWord(trace.word.symbols[:r]),
-        chart_path=trace.chart_path[:r],
-        data_point=trace.data_point[: r + 2],
-        base_point=trace.base_point,
-    )
-
-
-def point_word_at_level(c: CurveGerm, k: int, max_level: int = DEFAULT_MAX_LEVEL) -> RvtWord:
-    """First k symbols of the full incidence word (chains from every origin
-    level count)."""
-    trace = lift_trace(c, levels=k, max_level=max(max_level, k))
-    return RvtWord(trace.word.symbols[:k])
-
-
-def curve_word(c: CurveGerm, k: int = 0, max_level: int = DEFAULT_MAX_LEVEL) -> RvtWord:
-    """Code word of the germ lifted k times: length r - k, with chains that
-    started at level k+1 or below flattened to R's."""
-    trace = lift_to_regularization(c, max_level)
-    r = trace.regularization_level
-    if k >= r:
-        return RvtWord("")
-    return trace.word.split_at_level(k)[1]
-
-
-def curvilinear_data_point(
-    c: CurveGerm, k: int, max_level: int = DEFAULT_MAX_LEVEL
-) -> tuple[str, tuple[Fraction, ...]]:
-    """Chart path of length k and the k+2 coordinate values in chart order."""
-    trace = lift_trace(c, levels=k, max_level=max(max_level, k))
-    return trace.chart_path[:k], trace.data_point[: k + 2]
-
-
-def nash_order_profile(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> tuple[int | None, ...]:
-    """Valuations of x, y and the new coordinate of every lift level."""
-    trace = lift_to_regularization(c, max_level)
-    out: list[int | None] = [c.x.valuation_or_none(), c.y.valuation_or_none()]
-    out.extend(s.new_coord.valuation_or_none() for s in trace.steps)
-    return tuple(out)
-
-
-def nash_multiplicities(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> tuple[int, ...]:
-    """Multiplicity of each lift: the smaller valuation of the recentered
-    active pair, level by level from the base germ to regularization."""
-    trace = lift_to_regularization(c, max_level)
-    (_, r0), (_, n0) = _initial_actives(c)
-    pairs = [(r0, n0)]
-    pairs.extend((s.retained, s.new_coord) for s in trace.steps)
-    out = []
-    for r_series, n_series in pairs:
-        vals = []
-        for s in (r_series, n_series):
-            if s.precision == 0:
-                continue
-            _, tail = s.recenter()
-            v = tail.valuation_or_none()
-            if v is not None:
-                vals.append(v)
-        if not vals:
-            raise InsufficientPrecision("active pair constant to precision")
-        out.append(min(vals))
-    return tuple(out)
-
-
-def vertical_orders_from_curve(
-    c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL
-) -> VerticalOrders:
-    """Orders of vanishing of the divisor equations along the lift: at an
-    inverted level the new coordinate cuts the divisor at infinity, so its
-    valuation is the vertical order; ordinary levels contribute zero."""
-    trace = lift_to_regularization(c, max_level)
-    values = []
-    for step in trace.steps[1:]:
-        if step.chart_letter == "i":
-            values.append(step.new_coord.valuation())
-        else:
-            values.append(0)
-    return VerticalOrders(tuple(values))
+    return lift_trace(c, max_level=max_level)
 
 
 # -- charts in the opposite direction -----------------------------------------
@@ -508,6 +485,8 @@ def _split_fields(text: str) -> dict[str, str | list[str]]:
         if "=" in chunk:
             name, value = chunk.split("=", 1)
             name = name.strip()
+            if name in fields:
+                raise ParseError(f"field {name!r} given more than once")
             fields[name] = [value.strip()] if name == "constants" else value.strip()
         elif name == "constants":
             fields[name].append(chunk.strip())

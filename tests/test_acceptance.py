@@ -27,15 +27,7 @@ from monstertower.puiseux import (
     word_from_pc_front_inverse,
 )
 from monstertower.series import parse_series
-from monstertower.tower import (
-    curve_word,
-    curvilinear_data_point,
-    lift_to_regularization,
-    lift_trace,
-    nash_order_profile,
-    parse_curve,
-    point_word_at_level,
-)
+from monstertower.tower import lift_to_regularization, lift_trace, parse_curve
 from monstertower.words import enumerate_words, parse_word
 
 
@@ -96,8 +88,8 @@ def test_criterion_04_quintic_lift():
     for step, series in zip(trace.steps, golden):
         assert step.new_coord.agrees_with(parse_series(series))
     assert trace.chart_path == "oioio"
-    assert point_word_at_level(c, 5).symbols == "RVTVR"
-    assert curve_word(c, 0).symbols == "RVTV"
+    assert trace.word.symbols == "RVTVR"
+    assert lift_to_regularization(c).curve_word(0).symbols == "RVTV"
     assert lift_to_regularization(c).regularization_level == 4
     w = parse_word("RVTV")
     chain = []
@@ -110,11 +102,11 @@ def test_criterion_04_quintic_lift():
 
 def test_criterion_05_level_seven_germ():
     c, _ = parse_curve("x=t^14, y=14*t^18+14*t^19", precision=96)
-    assert curve_word(c, 2).symbols == "RRVRV"
-    path, data = curvilinear_data_point(c, 7)
-    assert path == "oiooioi"
-    assert data == (0, 0, 0, 0, 0, 0, 0, F(8707129344, 1225), 0)
-    assert point_word_at_level(c, 7).symbols == "RVTTVRV"
+    assert lift_to_regularization(c).curve_word(2).symbols == "RRVRV"
+    trace = lift_trace(c, levels=7)
+    assert trace.chart_path == "oiooioi"
+    assert trace.data_point == (0, 0, 0, 0, 0, 0, 0, F(8707129344, 1225), 0)
+    assert trace.word.symbols == "RVTTVRV"
     _ok(5, "level-7 germ: word RRVRV at k=2, data point 8707129344/1225 in oiooioi")
 
 
@@ -124,7 +116,7 @@ def test_criterion_06_invariant_examples():
     assert tuple(vertical_orders("RRVVRVT")) == (0, 3, 3, 0, 2, 0)
     profile = (15, 24, 9, 6, 3, 3, 0, 2, 1)
     c, _ = parse_curve("x=t^15, y=t^24+t^25", precision=96)
-    assert nash_order_profile(c) == profile
+    assert lift_to_regularization(c).order_profile() == profile
     assert blowup_resolve(c).profile == profile
     _ok(6, "multiplicities of RVTVV, VO vectors, and the order profile by both engines")
 
@@ -207,7 +199,7 @@ def test_criterion_11_direct_puiseux_oracle():
     for spec in specs:
         direct = essential_characteristic(spec.n, spec.exponents)
         via_word = with_precision_retry(
-            lambda c: pc_from_word_front(curve_word(c, 0)), spec
+            lambda c: pc_from_word_front(lift_to_regularization(c).curve_word(0)), spec
         )
         assert direct == via_word, str(spec)
     _ok(11, f"essential-exponent scan equals the word route on all {len(specs)} "

@@ -1,6 +1,7 @@
 import pytest
 
 from monstertower.blowup import (
+    BlowupName,
     BlowupState,
     blowup_once,
     blowup_resolve,
@@ -10,7 +11,7 @@ from monstertower.corpus import generate_corpus, with_precision_retry
 from monstertower.errors import MaxLevelExceeded, MismatchReport, NonPrimitiveParameterization
 from monstertower.invariants import multiplicity_sequence
 from monstertower.series import parse_series
-from monstertower.tower import lift_to_regularization, nash_order_profile, parse_curve
+from monstertower.tower import lift_to_regularization, parse_curve
 
 
 def germ(text, precision=64):
@@ -20,18 +21,18 @@ def germ(text, precision=64):
 class TestBlowupOnce:
     def test_first_quotient(self):
         c = germ("x=t^5, y=t^7")
-        state = BlowupState(c.x, c.y, "x_0", "y_0", None, None, 0)
+        state = BlowupState(c.x, c.y, BlowupName("x", 0), BlowupName("y", 0), None, None, 0)
         state, step = blowup_once(state)
         assert step.new_coord.agrees_with(parse_series("t^2"))
-        assert (step.new_name, step.symbol) == ("y_1", "R")
+        assert (str(step.new_name), step.symbol) == ("y_1", "R")
 
     def test_full_coordinate_chain(self):
         c = germ("x=t^5, y=t^7")
-        state = BlowupState(c.x, c.y, "x_0", "y_0", None, None, 0)
+        state = BlowupState(c.x, c.y, BlowupName("x", 0), BlowupName("y", 0), None, None, 0)
         seen = []
         for _ in range(5):
             state, step = blowup_once(state)
-            seen.append((step.new_name, str(step.new_coord).split(" + O")[0]))
+            seen.append((str(step.new_name), str(step.new_coord).split(" + O")[0]))
         assert seen == [
             ("y_1", "t^2"),
             ("x_1", "t^3"),
@@ -66,7 +67,8 @@ class TestBlowupResolve:
     def test_order_profile_example(self):
         trace = blowup_resolve(germ("x=t^15, y=t^24+t^25", 96))
         assert trace.word.symbols == "RVVVRVT"
-        assert trace.profile == nash_order_profile(germ("x=t^15, y=t^24+t^25", 96))
+        nash = lift_to_regularization(germ("x=t^15, y=t^24+t^25", 96))
+        assert trace.profile == nash.order_profile()
 
     def test_non_primitive_rejected(self):
         with pytest.raises(NonPrimitiveParameterization):
@@ -109,16 +111,20 @@ class TestCrossCheck:
         # divisor-intersection orders along the lift vs multiplicity
         # differences read off the word
         from monstertower.invariants import vertical_orders
-        from monstertower.tower import curve_word, vertical_orders_from_curve
 
         def check(c):
-            assert tuple(vertical_orders_from_curve(c)) == tuple(
-                vertical_orders(curve_word(c, 0))
+            trace = lift_to_regularization(c)
+            assert tuple(trace.vertical_orders()) == tuple(
+                vertical_orders(trace.curve_word(0))
             )
             return True
 
         for spec in generate_corpus(25, seed=7):
             assert with_precision_retry(check, spec)
+
+    def test_lifts_once(self, lift_calls):
+        assert cross_check(germ("x=t^15, y=t^24+t^25", 96)).ok
+        assert lift_calls == [None]
 
     def test_mismatch_raises_with_report(self):
         # sanity: cross_check raising is observable via a doctored comparison

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from jsonschema import validate
 
 from monstertower.cli import main
@@ -97,6 +98,22 @@ class TestCurveCommand:
         assert code == 0
 
 
+class TestCurveLiftsOnce:
+    @pytest.mark.parametrize(
+        "extra",
+        [(), ("--level", "2"), ("--level", "4"), ("--engine", "both"), ("--engine", "blowup")],
+    )
+    def test_one_nash_lift(self, capsys, lift_calls, extra):
+        code, _, _ = run(capsys, "curve", "x=t^5, y=t^7", *extra)
+        assert code == 0
+        assert lift_calls == [None]
+
+    def test_level_past_regularization_lifts_again(self, capsys, lift_calls):
+        code, _, _ = run(capsys, "curve", "x=t^5, y=t^7", "--level", "6")
+        assert code == 0
+        assert lift_calls == [None, 6]
+
+
 class TestLiftPreimages:
     def test_four_words(self, capsys):
         code, out, _ = run(capsys, "lift-preimages", "RRRVRVRV")
@@ -160,3 +177,23 @@ class TestDeterminismAndEnv:
         monkeypatch.setenv("MONSTERTOWER_MAX_LEVEL", "2")
         code, _, err = run(capsys, "curve", "x=t^5, y=t^7")
         assert code == 1 and "levels" in err
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("MONSTERTOWER_PRECISION", "abc"),
+            ("MONSTERTOWER_MAX_LEVEL", "1.5"),
+            ("MONSTERTOWER_FORMAT", "xml"),
+        ],
+    )
+    def test_malformed_env_exits_1(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, "word", "RV")
+        assert code == 1
+        assert out == ""
+        assert name in err
+
+    def test_flag_wins_over_malformed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONSTERTOWER_PRECISION", "abc")
+        code, _, _ = run(capsys, "--precision", "64", "word", "RV")
+        assert code == 0

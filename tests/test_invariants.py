@@ -134,6 +134,23 @@ class TestPanel:
         assert payload["multiplicity_sequence"] == [8, 3, 3, 2, 1, 1]
         assert payload["vertical_orders"]["first_level"] == 2
 
+    def test_one_multiplicity_sequence_per_panel(self, monkeypatch):
+        from monstertower import invariants
+
+        calls = []
+        original = invariants.multiplicity_sequence
+
+        def counting(word):
+            calls.append(word)
+            return original(word)
+
+        monkeypatch.setattr(invariants, "multiplicity_sequence", counting)
+        panel = invariant_panel(word="RVVVRVT")
+        assert len(calls) == 1
+        assert panel.multiplicities == original("RVVVRVT")
+        assert panel.orders == vertical_orders("RVVVRVT")
+        assert panel.restricted_orders == restricted_vertical_orders("RVVVRVT")
+
     def test_requires_exactly_one_input(self):
         with pytest.raises(ValueError):
             invariant_panel()

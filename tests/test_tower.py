@@ -5,6 +5,7 @@ import pytest
 from monstertower.errors import (
     ConstantParameterization,
     IntegrationMismatch,
+    LevelOutOfRange,
     MaxLevelExceeded,
     NonPrimitiveParameterization,
     ParseError,
@@ -15,16 +16,10 @@ from monstertower.tower import (
     CurveGerm,
     chart_equations,
     curve_from_chart_data,
-    curve_word,
-    curvilinear_data_point,
     lift_once,
     lift_to_regularization,
     lift_trace,
-    nash_multiplicities,
-    nash_order_profile,
     parse_curve,
-    point_word_at_level,
-    vertical_orders_from_curve,
 )
 from monstertower.invariants import vertical_orders
 from monstertower.words import parse_word
@@ -53,7 +48,7 @@ class TestLiftOnce:
         )
         assert (step.chart_letter, step.symbol) == ("i", "V")
         assert step.new_coord.agrees_with(parse_series("25/14*t^3"))
-        assert step.new_name == "x'"
+        assert str(step.new_name) == "x'"
 
     def test_tangency_step(self):
         step = lift_once(
@@ -75,7 +70,7 @@ class TestQuinticGolden:
         names = ["y'", "x'", "x''", "y''", "y^(3)"]
         for step, series, name in zip(trace.steps, expect, names):
             assert step.new_coord.agrees_with(parse_series(series))
-            assert step.new_name == name
+            assert str(step.new_name) == name
         assert trace.chart_path == "oioio"
         assert trace.word.symbols == "RVTVR"
         assert trace.data_point == (0, 0, 0, 0, 0, 0, F(537824, 703125))
@@ -86,8 +81,8 @@ class TestQuinticGolden:
         assert trace.word.symbols == "RVTV"
 
     def test_curve_words_down_the_chain(self):
-        c = germ(QUINTIC)
-        assert [curve_word(c, k).symbols for k in range(6)] == [
+        trace = lift_to_regularization(germ(QUINTIC))
+        assert [trace.curve_word(k).symbols for k in range(6)] == [
             "RVTV", "RRV", "RV", "R", "", "",
         ]
 
@@ -100,14 +95,14 @@ class TestQuinticGolden:
         assert chain == ["RRV", "RV", "R", ""]
 
     def test_data_point_convenience(self):
-        path, data = curvilinear_data_point(germ(QUINTIC), 5)
-        assert path == "oioio"
-        assert data[-1] == F(537824, 703125)
+        trace = lift_trace(germ(QUINTIC), levels=5)
+        assert trace.chart_path == "oioio"
+        assert trace.data_point[-1] == F(537824, 703125)
 
 
 class TestRamphoid:
     def test_word(self):
-        assert curve_word(germ("x=t^2, y=t^4+t^5"), 0).symbols == "RRV"
+        assert lift_to_regularization(germ("x=t^2, y=t^4+t^5")).curve_word(0).symbols == "RRV"
 
     def test_lift_series(self):
         trace = lift_trace(germ("x=t^2, y=t^4+t^5"), levels=3)
@@ -123,10 +118,10 @@ class TestLevelledGermExample:
     CURVE = "x=t^14, y=14*t^18+14*t^19"
 
     def test_point_word(self):
-        assert point_word_at_level(germ(self.CURVE, 96), 7).symbols == "RVTTVRV"
+        assert lift_trace(germ(self.CURVE, 96), levels=7).word.symbols == "RVTTVRV"
 
     def test_curve_word_at_level_two(self):
-        assert curve_word(germ(self.CURVE, 96), 2).symbols == "RRVRV"
+        assert lift_to_regularization(germ(self.CURVE, 96)).curve_word(2).symbols == "RRVRV"
 
     def test_level_two_actives(self):
         trace = lift_trace(germ(self.CURVE, 96), levels=2)
@@ -135,9 +130,9 @@ class TestLevelledGermExample:
         assert trace.steps[1].new_coord.agrees_with(x_prime)
 
     def test_data_point_level_seven(self):
-        path, data = curvilinear_data_point(germ(self.CURVE, 96), 7)
-        assert path == "oiooioi"
-        assert data == (0, 0, 0, 0, 0, 0, 0, F(8707129344, 1225), 0)
+        trace = lift_trace(germ(self.CURVE, 96), levels=7)
+        assert trace.chart_path == "oiooioi"
+        assert trace.data_point == (0, 0, 0, 0, 0, 0, 0, F(8707129344, 1225), 0)
 
 
 class TestTrivialGerms:
@@ -145,10 +140,10 @@ class TestTrivialGerms:
         trace = lift_to_regularization(germ("x=t, y=t^2"))
         assert trace.regularization_level == 1
         assert trace.word.symbols == "R"
-        assert curve_word(germ("x=t, y=t^2"), 0).normalize().symbols == ""
+        assert trace.curve_word(0).normalize().symbols == ""
 
     def test_point_word_all_r(self):
-        assert point_word_at_level(germ("x=t, y=t^3"), 5).symbols == "RRRRR"
+        assert lift_trace(germ("x=t, y=t^3"), levels=5).word.symbols == "RRRRR"
 
     def test_vertical_line(self):
         trace = lift_to_regularization(germ("x=0*t, y=t"))
@@ -162,50 +157,74 @@ class TestWordConsistency:
     )
     def test_split_recovers_curve_words(self, curve, precision):
         c = germ(curve, precision)
-        r = lift_to_regularization(c).regularization_level
-        full = point_word_at_level(c, r)
+        trace = lift_to_regularization(c)
+        r = trace.regularization_level
+        full = lift_trace(c, levels=r).word
         for k in range(r + 1):
             point, tail = full.split_at_level(k)
-            assert point == point_word_at_level(c, k)
+            assert point == lift_trace(c, levels=k).word
             if k < r:
-                assert tail == curve_word(c, k)
-        assert curve_word(c, 0) == full.split_at_level(0)[1]
+                assert tail == trace.curve_word(k)
+        assert trace.curve_word(0) == full.split_at_level(0)[1]
+
+    def test_prefix_equals_shorter_lift(self):
+        c = germ("x=t^14, y=14*t^18+14*t^19", 96)
+        trace = lift_trace(c, levels=9)
+        for k in range(-1, 10):
+            assert trace.prefix(k) == lift_trace(c, levels=k)
+        with pytest.raises(LevelOutOfRange):
+            trace.prefix(10)
+
+    def test_views_need_regularization(self):
+        c = germ(QUINTIC)
+        short = lift_trace(c, levels=3)
+        assert short.regularization_level is None
+        for view in (short.order_profile, short.multiplicities, short.vertical_orders,
+                     short.curve_word):
+            with pytest.raises(MaxLevelExceeded):
+                view()
+        longer = lift_trace(c, levels=7)
+        regular = lift_to_regularization(c)
+        assert longer.order_profile() == regular.order_profile()
+        assert longer.multiplicities() == regular.multiplicities()
+        assert longer.vertical_orders() == regular.vertical_orders()
+        assert longer.curve_word(1) == regular.curve_word(1)
 
     def test_word_lengths(self, curve=QUINTIC):
-        c = germ(curve)
-        r = lift_to_regularization(c).regularization_level
+        trace = lift_to_regularization(germ(curve))
+        r = trace.regularization_level
         for k in range(r + 1):
-            assert len(curve_word(c, k)) == r - k
+            assert len(trace.curve_word(k)) == r - k
 
     def test_pc_leading_entry(self):
         from monstertower.puiseux import pc_from_word_front
 
         for curve in (QUINTIC, "x=t^2, y=t^4+t^5", "x=t^15, y=t^24+t^25"):
             c = germ(curve, 96)
-            pc = pc_from_word_front(curve_word(c, 0))
+            pc = pc_from_word_front(lift_to_regularization(c).curve_word(0))
             assert pc.leading == min(c.x.valuation(), c.y.valuation())
 
 
 class TestVerticalOrdersFromCurve:
     def test_worked_example(self):
-        c = germ("x=t^15, y=t^24+t^25", 96)
-        assert nash_order_profile(c) == (15, 24, 9, 6, 3, 3, 0, 2, 1)
-        assert tuple(vertical_orders_from_curve(c)) == (6, 3, 3, 0, 2, 0)
+        trace = lift_to_regularization(germ("x=t^15, y=t^24+t^25", 96))
+        assert trace.order_profile() == (15, 24, 9, 6, 3, 3, 0, 2, 1)
+        assert tuple(trace.vertical_orders()) == (6, 3, 3, 0, 2, 0)
 
     def test_immersed_all_zero(self):
-        assert tuple(vertical_orders_from_curve(germ("x=t, y=t^3"))) == ()
+        assert tuple(lift_to_regularization(germ("x=t, y=t^3")).vertical_orders()) == ()
 
     def test_matches_word_differences(self):
         for curve in (QUINTIC, "x=t^2, y=t^4+t^5", "x=t^15, y=t^24+t^25"):
-            c = germ(curve, 96)
-            assert tuple(vertical_orders_from_curve(c)) == tuple(
-                vertical_orders(curve_word(c, 0))
+            trace = lift_to_regularization(germ(curve, 96))
+            assert tuple(trace.vertical_orders()) == tuple(
+                vertical_orders(trace.curve_word(0))
             )
 
 
 class TestMultiplicities:
     def test_quintic(self):
-        assert nash_multiplicities(germ(QUINTIC)) == (5, 2, 2, 1, 1)
+        assert lift_to_regularization(germ(QUINTIC)).multiplicities() == (5, 2, 2, 1, 1)
 
 
 class TestErrors:
@@ -298,7 +317,14 @@ class TestCurveGrammar:
 
     @pytest.mark.parametrize(
         "bad",
-        ["x=t^5", "y=t^7", "@level 2 chart=o, r=t, n=t", "@level x chart=o, r=t, n=t", "z=t"],
+        [
+            "x=t^5",
+            "y=t^7",
+            "@level 2 chart=o, r=t, n=t",
+            "@level x chart=o, r=t, n=t",
+            "z=t",
+            "x=t^2, y=t^3, y=t^5",
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
