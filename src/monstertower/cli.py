@@ -3,8 +3,9 @@
 Subcommands: word, pc, curve, lift-preimages, proximity, enumerate, check.
 Global flags --format {text,json,dot}, --precision N, --max-level N, with
 environment overrides MONSTERTOWER_FORMAT, MONSTERTOWER_PRECISION and
-MONSTERTOWER_MAX_LEVEL.  Exit codes: 0 success, 1 input error, 2 internal
-consistency mismatch, so CI can gate on the invariants.
+MONSTERTOWER_MAX_LEVEL.  Exit codes: 0 success, 1 input error (or output
+closed by the reader), 2 internal consistency mismatch, so CI can gate on
+the invariants.
 
 Every command is deterministic: identical invocations produce byte-identical
 output.  Rationals are serialized as "p/q" strings in JSON.
@@ -54,8 +55,26 @@ def _env_default(name: str, fallback, cast):
         return fallback
     try:
         return cast(raw)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ParseError(f"environment variable {name}={raw!r} is invalid: {exc}") from exc
+
+
+def _int_at_least(minimum: int):
+    """Integer cast for a flag and its environment variable, refusing values
+    below ``minimum``."""
+
+    def cast(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    cast.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return cast
+
+
+_precision = _int_at_least(1)
+_max_level = _int_at_least(0)
 
 
 def _format(text: str) -> str:
@@ -83,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--precision",
-        type=int,
+        type=_precision,
         default=argparse.SUPPRESS,
         help="series precision in terms (env MONSTERTOWER_PRECISION)",
     )
     shared.add_argument(
         "--max-level",
-        type=int,
+        type=_max_level,
         default=argparse.SUPPRESS,
         help="lifting level budget (env MONSTERTOWER_MAX_LEVEL)",
     )
@@ -146,9 +165,9 @@ def _fill_defaults(args) -> None:
     if not hasattr(args, "format"):
         args.format = _env_default("MONSTERTOWER_FORMAT", "text", _format)
     if not hasattr(args, "precision"):
-        args.precision = _env_default("MONSTERTOWER_PRECISION", DEFAULT_PRECISION, int)
+        args.precision = _env_default("MONSTERTOWER_PRECISION", DEFAULT_PRECISION, _precision)
     if not hasattr(args, "max_level"):
-        args.max_level = _env_default("MONSTERTOWER_MAX_LEVEL", DEFAULT_MAX_LEVEL, int)
+        args.max_level = _env_default("MONSTERTOWER_MAX_LEVEL", DEFAULT_MAX_LEVEL, _max_level)
 
 
 def _emit(args, payload: dict, text: str, dot: str | None = None) -> int:
@@ -363,7 +382,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         _fill_defaults(args)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop without a traceback,
+        # and point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except MismatchReport as exc:
         print(f"consistency mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

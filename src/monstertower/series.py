@@ -1,12 +1,21 @@
 """Exact truncated formal power series in one parameter t.
 
 Coefficients are ``fractions.Fraction`` values, so every operation is exact;
-there is no floating point anywhere in the package.  A series stores the
-coefficients of t^0 .. t^(precision-1); terms of degree >= precision are
-unknown, *not* zero.  Keeping the two notions separate is what lets the
-lifting engines compare valuations honestly: a window of stored zeros is
-reported as :class:`~monstertower.errors.IndeterminateValuation` instead of
-being silently treated as the zero series.
+there is no floating point anywhere in the package.  A series is known
+modulo t^precision: the coefficients of t^0 .. t^(precision-1) are
+determined, terms of degree >= precision are unknown, *not* zero.  Keeping
+the two notions separate is what lets the lifting engines compare
+valuations honestly: a window of zeros is reported as
+:class:`~monstertower.errors.IndeterminateValuation` instead of being
+silently treated as the zero series.
+
+An operation fixes the precision of its result and checks its arguments
+when it is called, but computes coefficients only when they are read, from
+the front (online recurrences, as in McIlroy, "Power series, power serious",
+1999).  The lifting engines read valuations and constant terms, so they
+compute the leading terms they decide on and their cost does not grow with
+the window.  Reading a whole window (``coefficients``, ``support``,
+``agrees_with``, equality, printing) computes all of it.
 
 Only the operations needed by the chart and blowup recursions are provided:
 ring arithmetic, d/dt, series quotient, recentering, and integration against
@@ -16,7 +25,6 @@ another series.  There is deliberately no composition or substitution.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -31,22 +39,102 @@ DEFAULT_PRECISION = 64
 _TERM_RE = re.compile(
     r"([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(\d+))?)?\s*$"
 )
+_ZERO = Fraction(0)
 
 
 def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
+def _term_text(coeff: Fraction, exponent: int) -> str:
+    if exponent == 0:
+        return str(coeff)
+    t = "t" if exponent == 1 else f"t^{exponent}"
+    if coeff == 1:
+        return t
+    if coeff == -1:
+        return f"-{t}"
+    return f"{coeff}*{t}"
+
+
 class TruncatedSeries:
-    """Immutable exact power series known modulo t^precision."""
+    """Immutable exact power series known modulo t^precision.
 
-    coefficients: tuple[Fraction, ...]
+    ``TruncatedSeries(coefficients)`` holds the given window.  A series made
+    by an operation starts with no coefficients computed:
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(_as_fraction(c) for c in self.coefficients)
-        )
+    * ``_known`` is the prefix computed so far;
+    * ``_zeros`` counts leading coefficients known to be zero from the
+      valuations of the operands (val(a*b) = val(a) + val(b), val(a/b) =
+      val(a) - val(b), one less for d/dt); they are filled in without
+      computing anything, and the count becomes the valuation once that is
+      read;
+    * ``_operands`` holds ``(series, offset)`` pairs: the first m
+      coefficients need the first ``m + offset`` of that operand, clipped to
+      its window;
+    * ``_extend(known, m)`` appends coefficients up to m once those are there.
+
+    The operands and ``_extend`` are dropped when the window is complete.
+    """
+
+    __slots__ = ("_precision", "_zeros", "_known", "_operands", "_extend")
+
+    def __init__(self, coefficients):
+        known = [_as_fraction(c) for c in coefficients]
+        self._precision = len(known)
+        self._zeros = next((i for i, c in enumerate(known) if c), len(known))
+        self._known = known
+        self._operands = ()
+        self._extend = None
+
+    @classmethod
+    def _lazy(cls, precision: int, zeros: int, operands, extend) -> "TruncatedSeries":
+        series = cls.__new__(cls)
+        series._precision = precision
+        series._zeros = min(zeros, precision)
+        series._known = []
+        series._operands = operands
+        series._extend = extend
+        return series
+
+    @classmethod
+    def _termwise(cls, precision: int, zeros: int, operands, term) -> "TruncatedSeries":
+        """Series whose coefficient i is ``term(i)``."""
+
+        def extend(known, n):
+            known.extend(map(term, range(len(known), n)))
+
+        return cls._lazy(precision, zeros, operands, extend)
+
+    def _force(self, n: int) -> list[Fraction]:
+        """Compute the first n coefficients (at most the window) and return
+        the computed prefix.  Pending operands are worked off with an
+        explicit stack, so a series at the end of a chain of thousands of
+        operations is computed without one recursion per ancestor."""
+        known = self._known
+        if len(known) >= n or self._extend is None:
+            return known
+        stack = [(self, min(n, self._precision))]
+        while stack:
+            series, want = stack[-1]
+            done = series._known
+            if len(done) < series._zeros:
+                done.extend([_ZERO] * (min(want, series._zeros) - len(done)))
+            if len(done) < want:
+                ready = True
+                for operand, offset in series._operands:
+                    need = min(want + offset, operand._precision)
+                    if len(operand._known) < need:
+                        stack.append((operand, need))
+                        ready = False
+                if not ready:
+                    continue
+                series._extend(done, want)
+            stack.pop()
+            if len(done) == series._precision:
+                series._operands = ()
+                series._extend = None
+        return known
 
     # -- construction ------------------------------------------------------
 
@@ -55,15 +143,23 @@ class TruncatedSeries:
         """Build a series from (coefficient, exponent) pairs.
 
         Polynomials are embedded at the full requested precision, not at
-        degree + 1, so later quotients keep headroom.
+        degree + 1, so later quotients keep headroom.  A nonzero term of
+        degree >= precision raises InsufficientPrecision: dropping it would
+        make the window describe a different curve.
         """
         coeffs = [Fraction(0)] * precision
         for coeff, exponent in terms:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
+            coeff = _as_fraction(coeff)
             if exponent < precision:
-                coeffs[exponent] += _as_fraction(coeff)
-        return TruncatedSeries(tuple(coeffs))
+                coeffs[exponent] += coeff
+            elif coeff:
+                raise InsufficientPrecision(
+                    f"term {_term_text(coeff, exponent)} does not fit in a "
+                    f"window of precision {precision}"
+                )
+        return TruncatedSeries(coeffs)
 
     @staticmethod
     def zero(precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
@@ -81,16 +177,26 @@ class TruncatedSeries:
 
     @property
     def precision(self) -> int:
-        return len(self.coefficients)
+        return self._precision
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The whole window."""
+        return tuple(self._force(self._precision))
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coefficients) if c)
 
     def valuation_or_none(self) -> int | None:
-        for i, c in enumerate(self.coefficients):
-            if c:
+        known = self._known
+        for i in range(self._zeros, self._precision):
+            if i >= len(known):
+                self._force(i + 1)
+            if known[i]:
+                self._zeros = i
                 return i
+        self._zeros = self._precision
         return None
 
     def valuation(self) -> int:
@@ -110,58 +216,102 @@ class TruncatedSeries:
     def constant_term(self) -> Fraction:
         if self.precision == 0:
             raise InsufficientPrecision("no stored coefficients")
-        return self.coefficients[0]
+        return self._force(1)[0]
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Coefficient-wise equality up to the common precision."""
         n = min(self.precision, other.precision)
-        return self.coefficients[:n] == other.coefficients[:n]
+        return self._force(n)[:n] == other._force(n)[:n]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.precision == other.precision and self.agrees_with(other)
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients,))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            tuple(self.coefficients[i] + other.coefficients[i] for i in range(n))
+        a, b = self._known, other._known
+        return self._termwise(
+            min(self.precision, other.precision),
+            min(self._zeros, other._zeros),
+            ((self, 0), (other, 0)),
+            lambda i: a[i] + b[i],
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            tuple(self.coefficients[i] - other.coefficients[i] for i in range(n))
+        a, b = self._known, other._known
+        return self._termwise(
+            min(self.precision, other.precision),
+            min(self._zeros, other._zeros),
+            ((self, 0), (other, 0)),
+            lambda i: a[i] - b[i],
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coefficients))
+        a = self._known
+        return self._termwise(self.precision, self._zeros, ((self, 0),), lambda i: -a[i])
 
     def scale(self, value) -> "TruncatedSeries":
         k = _as_fraction(value)
-        return TruncatedSeries(tuple(k * c for c in self.coefficients))
+        a = self._known
+        return self._termwise(
+            self.precision, self._zeros, ((self, 0),), lambda i: k * a[i]
+        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # a is exact mod t^pa, so a*b is exact mod t^min(pa+val(b), pb+val(a));
         # an all-zero window contributes its full precision as the bound.
         va = self.valuation_or_none()
         vb = other.valuation_or_none()
-        bound_a = self.precision if va is None else va
-        bound_b = other.precision if vb is None else vb
-        n = min(self.precision + bound_b, other.precision + bound_a)
-        out = [Fraction(0)] * n
-        for i in self.support:
-            ci = self.coefficients[i]
-            top = min(other.precision, n - i)
-            for j in range(top):
-                cj = other.coefficients[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncatedSeries(tuple(out))
+        pa, pb = self.precision, other.precision
+        bound_a = pa if va is None else va
+        bound_b = pb if vb is None else vb
+        n = min(pa + bound_b, pb + bound_a)
+        a, b = self._known, other._known
+        # nonzero indices of a and b below ``scanned``
+        support_a: list[int] = []
+        support_b: list[int] = []
+        scanned = 0
+
+        def extend(out, m):
+            nonlocal scanned
+            for k in range(len(out), m):
+                while scanned <= k:
+                    if scanned < pa and a[scanned]:
+                        support_a.append(scanned)
+                    if scanned < pb and b[scanned]:
+                        support_b.append(scanned)
+                    scanned += 1
+                acc = _ZERO
+                if len(support_a) <= len(support_b):
+                    for i in support_a:
+                        j = k - i
+                        if j < pb and b[j]:
+                            acc += a[i] * b[j]
+                else:
+                    for j in support_b:
+                        i = k - j
+                        if i < pa and a[i]:
+                            acc += a[i] * b[j]
+                out.append(acc)
+
+        zeros = n if va is None or vb is None else va + vb
+        return self._lazy(n, zeros, ((self, 0), (other, 0)), extend)
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/dt; costs one term of precision."""
         if self.precision < 1:
             raise InsufficientPrecision("cannot differentiate an empty window")
-        return TruncatedSeries(
-            tuple(i * self.coefficients[i] for i in range(1, self.precision))
+        a = self._known
+        return self._termwise(
+            self.precision - 1,
+            max(self._zeros - 1, 0),
+            ((self, 1),),
+            lambda i: (i + 1) * a[i + 1],
         )
 
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
@@ -184,54 +334,59 @@ class TruncatedSeries:
                 "numerator window too short to clear the denominator valuation"
             )
         n = min(self.precision, den.precision) - vd
-        num_shift = self.coefficients[vd : vd + n]
-        den_shift = den.coefficients[vd : vd + n]
         if n <= 0:
             return TruncatedSeries(())
-        lead = den_shift[0]
-        den_support = [j for j in range(1, n) if den_shift[j]]
-        out: list[Fraction] = []
-        for k in range(n):
-            acc = num_shift[k] if k < len(num_shift) else Fraction(0)
-            for j in den_support:
-                if j > k:
-                    break
-                acc -= den_shift[j] * out[k - j]
-            out.append(acc / lead)
-        return TruncatedSeries(tuple(out))
+        num, dc = self._known, den._known
+        lead = dc[vd]
+        # j >= 1 below ``scanned`` with den[vd + j] != 0
+        den_support: list[int] = []
+        scanned = 1
+
+        def extend(out, m):
+            nonlocal scanned
+            for k in range(len(out), m):
+                while scanned <= k:
+                    if dc[vd + scanned]:
+                        den_support.append(scanned)
+                    scanned += 1
+                acc = num[vd + k]
+                for j in den_support:
+                    acc -= dc[vd + j] * out[k - j]
+                out.append(acc / lead)
+
+        zeros = n if vn is None else vn - vd
+        return self._lazy(n, zeros, ((self, vd), (den, vd)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant)."""
         c = self.constant_term()
-        tail = (Fraction(0),) + self.coefficients[1:]
-        return c, TruncatedSeries(tail)
+        a = self._known
+        tail = self._termwise(
+            self.precision,
+            max(self._zeros, 1),
+            ((self, 0),),
+            lambda i: a[i] if i else _ZERO,
+        )
+        return c, tail
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant."""
         if wrt.valuation_or_none() is None:
             raise IndeterminateValuation("integration variable is zero to precision")
         g = self * wrt.derivative()
-        out = [_as_fraction(constant)]
-        for k in range(g.precision):
-            out.append(g.coefficients[k] / (k + 1))
-        return TruncatedSeries(tuple(out))
+        c = _as_fraction(constant)
+        gc = g._known
+        return self._termwise(
+            g.precision + 1,
+            0 if c else g._zeros + 1,
+            ((g, -1),),
+            lambda i: gc[i - 1] / i if i else c,
+        )
 
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        for i in self.support:
-            c = self.coefficients[i]
-            if i == 0:
-                parts.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    parts.append(t)
-                elif c == -1:
-                    parts.append(f"-{t}")
-                else:
-                    parts.append(f"{c}*{t}")
+        parts = [_term_text(c, i) for i, c in enumerate(self.coefficients) if c]
         body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
         return f"{body} + O(t^{self.precision})"
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
+import monstertower
 from monstertower.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -197,3 +201,61 @@ class TestDeterminismAndEnv:
         monkeypatch.setenv("MONSTERTOWER_PRECISION", "abc")
         code, _, _ = run(capsys, "--precision", "64", "word", "RV")
         assert code == 0
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--precision", "0", "curve", "x=t^2, y=t^3"), "--precision: must be at least 1, got 0"),
+            (("--precision", "-5", "word", "RV"), "--precision: must be at least 1, got -5"),
+            (("--max-level", "-1", "curve", "x=t^2, y=t^3"), "--max-level: must be at least 0, got -1"),
+        ],
+    )
+    def test_out_of_range_flag_exits_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"error: argument {message}\n" in err
+
+    def test_zero_precision_env_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONSTERTOWER_PRECISION", "0")
+        code, out, err = run(capsys, "word", "RV")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: environment variable MONSTERTOWER_PRECISION='0' is invalid: "
+            "must be at least 1, got 0\n"
+        )
+
+    def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
+        # dropping t^3 used to leave x = t^2, y = 0 and blame the curve
+        code, out, err = run(capsys, "--precision", "3", "curve", "x=t^2, y=t^3")
+        assert code == 1 and out == ""
+        assert err == "error: term t^3 does not fit in a window of precision 3\n"
+
+
+ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--format", "json", "enumerate", "12"),
+            ("curve", "x=t^15, y=t^24+t^25"),
+        ],
+    )
+    def test_reader_gone_prints_nothing(self, argv):
+        # the read end is closed before the command starts, as after ``| head``
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(monstertower.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", ENTRY, *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1

@@ -230,3 +230,158 @@ class TestParse:
 
     def test_polynomials_embed_at_full_precision(self):
         assert parse_series("t^2", 50).precision == 50
+
+
+class TestTermsOutsideTheWindow:
+    def test_nonzero_term_at_precision_raises(self):
+        message = r"^term t\^3 does not fit in a window of precision 3$"
+        with pytest.raises(InsufficientPrecision, match=message):
+            TruncatedSeries.from_terms([(1, 2), (1, 3)], 3)
+
+    def test_coefficient_is_named(self):
+        with pytest.raises(InsufficientPrecision, match=r"term 7/5\*t\^70 .* precision 64"):
+            parse_series("t^2 + 7/5*t^70", 64)
+
+    def test_zero_term_outside_is_harmless(self):
+        assert TruncatedSeries.from_terms([(1, 2), (0, 70)], 64).agrees_with(S("t^2"))
+
+
+# -- eager reference ------------------------------------------------------------
+#
+# Each operation computed over its whole window at once, on plain coefficient
+# tuples, with the straightforward loops.  Series, which compute coefficients
+# on demand, must match them in precision, coefficients, valuation and raised
+# errors.
+
+
+def ref_valuation(a):
+    return next((i for i, c in enumerate(a) if c), None)
+
+
+def ref_add(a, b):
+    return tuple(a[i] + b[i] for i in range(min(len(a), len(b))))
+
+
+def ref_sub(a, b):
+    return tuple(a[i] - b[i] for i in range(min(len(a), len(b))))
+
+
+def ref_mul(a, b):
+    va, vb = ref_valuation(a), ref_valuation(b)
+    bound_a = len(a) if va is None else va
+    bound_b = len(b) if vb is None else vb
+    n = min(len(a) + bound_b, len(b) + bound_a)
+    out = [F(0)] * n
+    for i in (i for i, c in enumerate(a) if c):
+        for j in range(min(len(b), n - i)):
+            if b[j]:
+                out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def ref_derivative(a):
+    if len(a) < 1:
+        raise InsufficientPrecision("cannot differentiate an empty window")
+    return tuple(i * a[i] for i in range(1, len(a)))
+
+
+def ref_quotient(num, den):
+    vd = ref_valuation(den)
+    if vd is None:
+        raise IndeterminateValuation("denominator is zero to stored precision")
+    vn = ref_valuation(num)
+    if vn is not None and vn < vd:
+        raise NegativeValuation(
+            f"valuation {vn} of numerator below valuation {vd} of denominator"
+        )
+    if vn is None and len(num) < vd:
+        raise IndeterminateValuation(
+            "numerator window too short to clear the denominator valuation"
+        )
+    n = min(len(num), len(den)) - vd
+    if n <= 0:
+        return ()
+    num_shift, den_shift = num[vd : vd + n], den[vd : vd + n]
+    den_support = [j for j in range(1, n) if den_shift[j]]
+    out = []
+    for k in range(n):
+        acc = num_shift[k]
+        for j in den_support:
+            if j > k:
+                break
+            acc -= den_shift[j] * out[k - j]
+        out.append(acc / den_shift[0])
+    return tuple(out)
+
+
+def ref_recenter_tail(a):
+    if not a:
+        raise InsufficientPrecision("no stored coefficients")
+    return (F(0),) + a[1:]
+
+
+def ref_integrate(a, wrt, constant):
+    if ref_valuation(wrt) is None:
+        raise IndeterminateValuation("integration variable is zero to precision")
+    g = ref_mul(a, ref_derivative(wrt))
+    return (F(constant),) + tuple(g[k] / (k + 1) for k in range(len(g)))
+
+
+# name -> (on-demand operation, reference operation) of operands a, b and a
+# fraction k; unary operations ignore b, and k is read by scale and integrate
+OPERATIONS = {
+    "add": (lambda a, b, k: a + b, lambda a, b, k: ref_add(a, b)),
+    "sub": (lambda a, b, k: a - b, lambda a, b, k: ref_sub(a, b)),
+    "neg": (lambda a, b, k: -a, lambda a, b, k: tuple(-c for c in a)),
+    "scale": (lambda a, b, k: a.scale(k), lambda a, b, k: tuple(k * c for c in a)),
+    "mul": (lambda a, b, k: a * b, lambda a, b, k: ref_mul(a, b)),
+    "derivative": (lambda a, b, k: a.derivative(), lambda a, b, k: ref_derivative(a)),
+    "quotient": (lambda a, b, k: a.quotient(b), lambda a, b, k: ref_quotient(a, b)),
+    "recenter": (lambda a, b, k: a.recenter()[1], lambda a, b, k: ref_recenter_tail(a)),
+    "integrate": (lambda a, b, k: a.integrate(b, k), lambda a, b, k: ref_integrate(a, b, k)),
+}
+
+# a window of 0-12 coefficients, often with a run of leading zeros
+window = st.tuples(
+    st.sampled_from([0, 0, 0, 1, 2, 4]),
+    st.lists(st.sampled_from([F(0), F(1), F(-2), F(3, 4), F(-7, 5), F(5)]), max_size=8),
+).map(lambda zeros_coeffs: (F(0),) * zeros_coeffs[0] + tuple(zeros_coeffs[1]))
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except (IndeterminateValuation, InsufficientPrecision, NegativeValuation) as exc:
+        return "raised", (type(exc), str(exc))
+
+
+class TestEagerReference:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chains_match_eager_loops(self, data):
+        # pool of (on-demand series, reference tuple); results join the pool,
+        # so later operations read partly computed operands
+        starts = data.draw(st.lists(window, min_size=1, max_size=3))
+        pool = [(TruncatedSeries(w), w) for w in starts]
+        for _ in range(data.draw(st.integers(1, 4))):
+            name = data.draw(st.sampled_from(sorted(OPERATIONS)))
+            lazy_op, ref_op = OPERATIONS[name]
+            (a, ra), (b, rb) = (data.draw(st.sampled_from(pool)) for _ in range(2))
+            k = data.draw(st.sampled_from([F(0), F(2), F(-1, 3)]))
+            kind, lazy = _outcome(lambda: lazy_op(a, b, k))
+            ref_kind, ref = _outcome(lambda: ref_op(ra, rb, k))
+            assert kind == ref_kind, name
+            if kind == "raised":
+                assert lazy == ref
+                continue
+            assert lazy.precision == len(ref)
+            # read the leading terms first on some results, the whole window
+            # later or never, so operands are at every stage of completion
+            if data.draw(st.booleans()):
+                assert lazy.valuation_or_none() == ref_valuation(ref)
+            if data.draw(st.booleans()):
+                assert lazy.coefficients == ref
+            pool.append((lazy, ref))
+        for lazy, ref in pool:
+            assert lazy.valuation_or_none() == ref_valuation(ref)
+            assert lazy.coefficients == ref

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -10,7 +11,7 @@ from monstertower.errors import (
     NonPrimitiveParameterization,
     ParseError,
 )
-from monstertower.series import parse_series
+from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import (
     CoordName,
     CurveGerm,
@@ -334,3 +335,33 @@ class TestCurveGrammar:
         c, _ = parse_curve("x=1+t^2, y=2+t^3")
         assert c.base_point == (1, 2)
         assert c.x.valuation() == 2
+
+
+class TestOnDemandCoefficients:
+    """Lifts and rebuilds that read few coefficients of deep or wide series."""
+
+    def test_level_400_chart_rebuilds_without_recursion(self):
+        # Rebuilding integrates 400 times and the check re-lifts 400 levels;
+        # reading the result walks all of them.  With r = t and n = t along
+        # o^400 the curve is x = t, y = t^401/401!, one term of window per
+        # integration.
+        c, level = parse_curve("@level 400 chart=" + "o" * 400 + ", r=t, n=t", 420)
+        assert level == 400
+        assert c.x.coefficients == parse_series("t", 420).coefficients
+        expected_y = TruncatedSeries.from_terms([(F(1, factorial(401)), 401)], 820)
+        assert c.y.coefficients == expected_y.coefficients
+        assert c.base_point == (0, 0)
+
+    def test_wide_gap_lifts_to_level_301(self):
+        c = CurveGerm.from_series(parse_series("t^2", 700), parse_series("t^601", 700))
+        trace = lift_trace(c, max_level=1000)
+        assert trace.regularization_level == 301
+        assert trace.word.symbols == "R" * 300 + "V"
+
+    def test_trace_does_not_depend_on_the_window(self):
+        traces = [
+            lift_to_regularization(germ("x=t^15, y=t^24+t^25", p)).to_json_dict()
+            for p in (64, 192, 1536)
+        ]
+        assert traces[0]["word"] == "RVVVRVT"
+        assert traces[1] == traces[0] and traces[2] == traces[0]
