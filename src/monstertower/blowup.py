@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .defaults import DEFAULT_MAX_LEVEL
 from .errors import IndeterminateValuation, InsufficientPrecision, MaxLevelExceeded, MismatchReport
 from .invariants import multiplicity_sequence
 from .series import TruncatedSeries
 from .tower import (
-    DEFAULT_MAX_LEVEL,
     CoordName,
     CurveGerm,
     lift_to_regularization,

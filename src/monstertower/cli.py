@@ -18,30 +18,19 @@ import json
 import os
 import sys
 
-from .blowup import blowup_resolve, cross_check
-from .corpus import generate_corpus, with_precision_retry
+from .defaults import DEFAULT_MAX_LEVEL, DEFAULT_PRECISION
 from .errors import MismatchReport, MonsterTowerError, ParseError
-from .invariants import (
-    invariant_panel,
-    multiplicity_sequence,
-    proximity_diagram,
-    vertical_orders,
-)
+from .invariants import invariant_panel, proximity_diagram
 from .puiseux import (
     parse_pc,
     pc_from_word_back,
     pc_from_word_front,
     word_from_pc,
 )
-from .series import DEFAULT_PRECISION
-from .tower import (
-    DEFAULT_MAX_LEVEL,
-    chart_equations,
-    lift_to_regularization,
-    lift_trace,
-    parse_curve,
-)
 from .words import count_words, enumerate_words, parse_word
+
+# The series arithmetic, the engines and the corpus are imported by the
+# handlers that run them, so a word-layer command never loads them.
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,8 +49,8 @@ def _env_default(name: str, fallback, cast):
 
 
 def _int_at_least(minimum: int):
-    """Integer cast for a flag and its environment variable, refusing values
-    below ``minimum``."""
+    """Integer cast for an argument (and the environment variable of a
+    global flag), refusing values below ``minimum``."""
 
     def cast(text: str) -> int:
         value = int(text)
@@ -74,7 +63,7 @@ def _int_at_least(minimum: int):
 
 
 _precision = _int_at_least(1)
-_max_level = _int_at_least(0)
+_nonnegative = _int_at_least(0)
 
 
 def _format(text: str) -> str:
@@ -108,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--max-level",
-        type=_max_level,
+        type=_nonnegative,
         default=argparse.SUPPRESS,
         help="lifting level budget (env MONSTERTOWER_MAX_LEVEL)",
     )
@@ -132,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = add("curve", help="lift a parameterized curve germ")
     p_curve.add_argument("text", help="'x=t^5, y=t^7' or '@level k chart=... r=..., n=...'")
-    p_curve.add_argument("--level", type=int, default=None, help="tower level for the data point")
+    p_curve.add_argument(
+        "--level", type=_nonnegative, default=None, help="tower level for the data point"
+    )
     p_curve.add_argument(
         "--engine", choices=("nash", "blowup", "both"), default="nash",
         help="lifting engine; 'both' cross-checks them",
@@ -145,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prox.add_argument("text")
 
     p_enum = add("enumerate", help="all valid words up to a length")
-    p_enum.add_argument("max_len", type=int)
+    p_enum.add_argument("max_len", type=_nonnegative)
     p_enum.add_argument(
         "--check",
         action="append",
@@ -155,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_check = add("check", help="run the full consistency suite")
-    p_check.add_argument("--max-len", type=int, default=10, help="word length bound")
-    p_check.add_argument("--corpus-size", type=int, default=60)
+    p_check.add_argument("--max-len", type=_nonnegative, default=10, help="word length bound")
+    p_check.add_argument("--corpus-size", type=_nonnegative, default=60)
     p_check.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -167,7 +158,7 @@ def _fill_defaults(args) -> None:
     if not hasattr(args, "precision"):
         args.precision = _env_default("MONSTERTOWER_PRECISION", DEFAULT_PRECISION, _precision)
     if not hasattr(args, "max_level"):
-        args.max_level = _env_default("MONSTERTOWER_MAX_LEVEL", DEFAULT_MAX_LEVEL, _max_level)
+        args.max_level = _env_default("MONSTERTOWER_MAX_LEVEL", DEFAULT_MAX_LEVEL, _nonnegative)
 
 
 def _emit(args, payload: dict, text: str, dot: str | None = None) -> int:
@@ -196,8 +187,12 @@ def _cmd_pc(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .tower import chart_equations, lift_to_regularization, lift_trace, parse_curve
+
     germ, presented_level = parse_curve(args.text, args.precision)
     if args.engine == "both":
+        from .blowup import cross_check
+
         report = cross_check(germ, args.max_level)
         payload = report.to_json_dict()
         text = "engines agree\n" + "\n".join(
@@ -212,6 +207,8 @@ def _cmd_curve(args) -> int:
     # engine can resolve reports the Nash engine's error.
     regular = lift_to_regularization(germ, args.max_level)
     if args.engine == "blowup":
+        from .blowup import blowup_resolve
+
         trace = blowup_resolve(germ, args.max_level)
         payload = trace.to_json_dict()
         text = "\n".join(
@@ -281,9 +278,15 @@ def _cmd_proximity(args) -> int:
 ENUMERATION_BOUND = 14
 
 
-def _cmd_enumerate(args) -> int:
-    if args.max_len > ENUMERATION_BOUND:
+def _over_enumeration_bound(max_len: int) -> bool:
+    if max_len > ENUMERATION_BOUND:
         print(f"enumeration bound is {ENUMERATION_BOUND}", file=sys.stderr)
+        return True
+    return False
+
+
+def _cmd_enumerate(args) -> int:
+    if _over_enumeration_bound(args.max_len):
         return EXIT_INPUT
     words = list(enumerate_words(args.max_len))
     counts = {n: count_words(n) for n in range(1, args.max_len + 1)}
@@ -331,6 +334,11 @@ def _run_word_check(name: str, words) -> list[str]:
 
 
 def _cmd_check(args) -> int:
+    from .blowup import cross_check
+    from .corpus import generate_corpus, with_precision_retry
+
+    if _over_enumeration_bound(args.max_len):
+        return EXIT_INPUT
     words = list(enumerate_words(args.max_len))
     suites = ("pc-agreement", "round-trip", "proximity-sum", "preimage-duality")
     failures: list[str] = []

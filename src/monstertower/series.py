@@ -27,14 +27,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .defaults import DEFAULT_PRECISION
 from .errors import (
     IndeterminateValuation,
     InsufficientPrecision,
     NegativeValuation,
     ParseError,
 )
-
-DEFAULT_PRECISION = 64
 
 _TERM_RE = re.compile(
     r"([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(\d+))?)?\s*$"

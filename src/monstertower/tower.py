@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
+from .defaults import DEFAULT_MAX_LEVEL, DEFAULT_PRECISION
 from .errors import (
     ConstantParameterization,
     IndeterminateValuation,
@@ -36,10 +37,8 @@ from .errors import (
     ParseError,
 )
 from .invariants import VerticalOrders
-from .series import DEFAULT_PRECISION, TruncatedSeries, parse_series
+from .series import TruncatedSeries, parse_series
 from .words import RvtWord
-
-DEFAULT_MAX_LEVEL = 64
 
 
 @dataclass(frozen=True)

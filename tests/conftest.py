@@ -1,6 +1,6 @@
 import pytest
 
-from monstertower import cli, tower
+from monstertower import tower
 
 
 @pytest.fixture
@@ -14,5 +14,4 @@ def lift_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tower, "lift_trace", counting)
-    monkeypatch.setattr(cli, "lift_trace", counting)
     return calls

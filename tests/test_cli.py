@@ -159,6 +159,11 @@ class TestCheck:
         assert "engine-equivalence" in out
         assert "0 failures" in out
 
+    def test_max_len_has_the_enumeration_bound(self, capsys):
+        code, out, err = run(capsys, "check", "--max-len", "15")
+        assert code == 1 and out == ""
+        assert err == "enumeration bound is 14\n"
+
 
 class TestDeterminismAndEnv:
     def test_byte_identical_runs(self, capsys):
@@ -210,6 +215,10 @@ class TestInputValidation:
             (("--precision", "0", "curve", "x=t^2, y=t^3"), "--precision: must be at least 1, got 0"),
             (("--precision", "-5", "word", "RV"), "--precision: must be at least 1, got -5"),
             (("--max-level", "-1", "curve", "x=t^2, y=t^3"), "--max-level: must be at least 0, got -1"),
+            (("curve", "x=t^2, y=t^3", "--level", "-1"), "--level: must be at least 0, got -1"),
+            (("enumerate", "-1"), "max_len: must be at least 0, got -1"),
+            (("check", "--max-len", "-1"), "--max-len: must be at least 0, got -1"),
+            (("check", "--corpus-size", "-3"), "--corpus-size: must be at least 0, got -3"),
         ],
     )
     def test_out_of_range_flag_exits_1(self, capsys, argv, message):
@@ -234,6 +243,34 @@ class TestInputValidation:
 
 
 ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"
+SRC = str(Path(monstertower.__file__).resolve().parents[1])
+ENGINES = ("series", "tower", "blowup", "corpus")
+LOADED_AFTER = (
+    "import sys; from monstertower.cli import main; main(sys.argv[1:]); "
+    "print(*sorted(m for m in sys.modules if m.startswith('monstertower.')))"
+)
+
+
+class TestImportIsolation:
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            (("word", "RV"), ()),
+            (("curve", "x=t^2, y=t^3"), ("series", "tower")),
+            (("curve", "x=t^2, y=t^3", "--engine", "both"), ("series", "tower", "blowup")),
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, loaded):
+        # a fresh interpreter, so no other test's imports count
+        done = subprocess.run(
+            [sys.executable, "-c", LOADED_AFTER, *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120, check=True,
+        )
+        modules = set(done.stdout.splitlines()[-1].split())
+        assert {f"monstertower.{m}" for m in ENGINES} & modules == {
+            f"monstertower.{m}" for m in loaded
+        }
 
 
 class TestClosedOutput:

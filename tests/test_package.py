@@ -1,4 +1,11 @@
+import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import monstertower
 
@@ -8,3 +15,51 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in monstertower.__all__:
         value = getattr(monstertower, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from monstertower import *", namespace)
+    assert set(monstertower.__all__) <= set(namespace)
+    for name in monstertower.__all__:
+        assert namespace[name] is getattr(monstertower, name), name
+
+
+def test_each_name_is_its_defining_modules_object():
+    for name in monstertower.__all__:
+        value = getattr(monstertower, name)
+        home = getattr(value, "__module__", None)
+        if home is None:  # a constant: look it up where the table says it lives
+            home = f"monstertower.{monstertower._SUBMODULE[name]}"
+        assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(monstertower.__all__) <= set(dir(monstertower))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'monstertower' has no attribute 'nope'"):
+        monstertower.nope
+    assert not hasattr(monstertower, "nope")
+
+
+def test_errors_is_a_module_attribute():
+    assert monstertower.errors is importlib.import_module("monstertower.errors")
+
+
+def test_submodules_import_from_the_package():
+    from monstertower import cli, tower
+
+    assert (cli.__name__, tower.__name__) == ("monstertower.cli", "monstertower.tower")
+
+
+def test_import_loads_only_errors():
+    src = str(Path(monstertower.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, monstertower; "
+         "print(*sorted(m for m in sys.modules if m.startswith('monstertower.')))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["monstertower.errors"]
