@@ -229,7 +229,8 @@ def _cmd_curve(args) -> int:
     payload = trace.to_json_dict()
     payload["curve_word"] = word.symbols
     payload["point_word"] = trace.word.symbols[:k]
-    payload["panel"] = invariant_panel(word=panel_word).to_json_dict()
+    panel = invariant_panel(word=panel_word)
+    payload["panel"] = panel.to_json_dict()
     vo = regular.vertical_orders()
     payload["vertical_orders"] = vo.to_json_dict()
     data = ",".join(str(c) for c in trace.data_point[: k + 2])
@@ -245,20 +246,20 @@ def _cmd_curve(args) -> int:
             "chart equations        " + "; ".join(chart_equations(trace.chart_path[:k])),
         ]
     )
-    dot = proximity_diagram(panel_word).to_dot()
-    return _emit(args, payload, text, dot)
+    return _emit(args, payload, text, panel.proximity.to_dot())
 
 
 def _cmd_lift_preimages(args) -> int:
     word = parse_word(args.text)
-    preimages = sorted(word.lift_preimages(), key=lambda w: w.sort_key())
+    preimages = [
+        (u, pc_from_word_front(u))
+        for u in sorted(word.lift_preimages(), key=lambda w: w.sort_key())
+    ]
     payload = {
         "word": word.symbols,
-        "preimages": [
-            {"word": u.symbols, "pc": str(pc_from_word_front(u))} for u in preimages
-        ],
+        "preimages": [{"word": u.symbols, "pc": str(pc)} for u, pc in preimages],
     }
-    text = "\n".join(f"{u.symbols}  {pc_from_word_front(u)}" for u in preimages)
+    text = "\n".join(f"{u.symbols}  {pc}" for u, pc in preimages)
     return _emit(args, payload, text)
 
 

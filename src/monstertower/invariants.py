@@ -17,8 +17,8 @@ from .errors import MismatchReport, RemainderInvalid
 from .puiseux import (
     PuiseuxCharacteristic,
     front_chain,
+    front_r_step,
     pc_from_word_back,
-    pc_from_word_front,
     restrict_pc,
     word_from_pc,
 )
@@ -30,8 +30,14 @@ def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
     the multiplicity of the j-fold lift, one entry per symbol plus the germ
     itself.  The tail of the chain confirms the final 1."""
     w = word if isinstance(word, RvtWord) else RvtWord(str(word))
-    leads = [pc[0] for pc in front_chain(w)]
-    leads.extend([1] * (len(w.symbols) + 1 - len(leads)))
+    return _leading_entries(front_chain(w), len(w.symbols))
+
+
+def _leading_entries(chain: list[tuple[int, ...]], length: int) -> tuple[int, ...]:
+    """Multiplicity sequence of a word of the given length from its front
+    chain; the lifts past the end of the chain are smooth (multiplicity 1)."""
+    leads = [pc[0] for pc in chain]
+    leads.extend([1] * (length + 1 - len(leads)))
     return tuple(leads)
 
 
@@ -55,13 +61,16 @@ class ProximityDiagram:
 
     def check_sums(self) -> bool:
         """Proximity sum rule: each multiplicity is the sum of the
-        multiplicities proximate to it (checkable below the last vertex)."""
+        multiplicities proximate to it (checkable below the last vertex).
+
+        The sums are accumulated in one pass over the edges; an edge into
+        an index that is not a vertex counts towards no sum."""
         m = self.multiplicities()
-        for i in range(len(m) - 1):
-            total = sum(m[j] for j, i2 in self.edges if i2 == i)
-            if total != m[i]:
-                return False
-        return True
+        sums = [0] * len(m)
+        for j, i in self.edges:
+            if 0 <= i < len(m):
+                sums[i] += m[j]
+        return sums[:-1] == list(m[:-1])
 
     def to_dot(self) -> str:
         # left-to-right layout is a free choice; only vertices, labels and
@@ -87,7 +96,12 @@ class ProximityDiagram:
 
 def proximity_diagram(word: RvtWord | str) -> ProximityDiagram:
     w = word if isinstance(word, RvtWord) else RvtWord(str(word))
-    mults = multiplicity_sequence(w)
+    return _build_proximity(w, multiplicity_sequence(w))
+
+
+def _build_proximity(w: RvtWord, mults: tuple[int, ...]) -> ProximityDiagram:
+    """Diagram of ``w`` whose vertices carry the multiplicity sequence
+    ``mults`` of ``w``."""
     vertices = tuple(
         ProximityVertex(j, w.symbols[j - 1] if j else None, mults[j])
         for j in range(len(w.symbols) + 1)
@@ -186,9 +200,16 @@ def invariant_panel(
 ) -> InvariantPanel:
     """Assemble all invariants from a word or from a characteristic.
 
-    The two Puiseux recursions are required to agree, the proximity sums
-    must balance, and when the direct restriction of the characteristic is
-    defined it must match the Goursat-word route.
+    One front chain of the word gives them all: the characteristic is its
+    first entry, the multiplicity sequence its leading entries, and the
+    proximity diagram is built on those multiplicities.  The Goursat word
+    differs from the word only when its second symbol is V, and then both
+    lift to the same word, so its characteristic is the front step for a
+    second symbol R applied to the chain's second entry.
+
+    Every panel checks itself: the back recursion must agree with the front
+    one, the proximity sums must balance, and when the direct restriction
+    of the characteristic is defined it must match the Goursat-word route.
     """
     if (word is None) == (pc is None):
         raise ValueError("give exactly one of word, pc")
@@ -196,14 +217,18 @@ def invariant_panel(
         w = word_from_pc(pc)
     else:
         w = word if isinstance(word, RvtWord) else RvtWord(str(word))
-    front = pc_from_word_front(w)
+    chain = front_chain(w)
+    front = PuiseuxCharacteristic(chain[0])
     back = pc_from_word_back(w)
     if front != back:
         raise MismatchReport(f"recursions disagree on {w}: {front} vs {back}")
     if pc is not None and front != pc:
         raise MismatchReport(f"CW({pc}) = {w} has characteristic {front}")
     goursat = w.goursat_word()
-    restricted = pc_from_word_front(goursat)
+    if w.symbols[1:2] == "V":
+        restricted = PuiseuxCharacteristic(front_r_step(chain[1]))
+    else:
+        restricted = front
     try:
         direct = restrict_pc(front)
     except RemainderInvalid:
@@ -212,10 +237,10 @@ def invariant_panel(
         raise MismatchReport(
             f"restriction mismatch on {w}: {direct} vs Goursat route {restricted}"
         )
-    diagram = proximity_diagram(w)
+    multiplicities = _leading_entries(chain, len(w.symbols))
+    diagram = _build_proximity(w, multiplicities)
     if not diagram.check_sums():
         raise MismatchReport(f"proximity sums do not balance for {w}")
-    multiplicities = diagram.multiplicities()
     orders = _orders_from_multiplicities(multiplicities)
     return InvariantPanel(
         word=w,

@@ -137,6 +137,12 @@ def essential_characteristic(leading: int, exponents) -> PuiseuxCharacteristic:
 # -- front-end recursion -------------------------------------------------------
 
 
+def front_r_step(sub: tuple[int, ...]) -> tuple[int, ...]:
+    """Front-end step for a word R W' whose lift W' starts with R: the raw
+    characteristic of R W' from the raw characteristic ``sub`` of W'."""
+    return (sub[0], *(x + sub[0] for x in sub[1:]))
+
+
 def front_chain(word: RvtWord | str) -> list[tuple[int, ...]]:
     """Raw characteristic tuples of the word and all its lifted words, down
     to the first lift with no critical symbol.
@@ -156,7 +162,7 @@ def front_chain(word: RvtWord | str) -> list[tuple[int, ...]]:
     for w in reversed(suffixes):
         sub = chain[-1]
         if w[1] == "R":
-            chain.append((sub[0], *(x + sub[0] for x in sub[1:])))
+            chain.append(front_r_step(sub))
             continue
         tau = 0
         i = 2

@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monstertower.invariants import (
+    ProximityDiagram,
+    ProximityVertex,
     invariant_panel,
     multiplicity_sequence,
     proximity_diagram,
@@ -61,6 +65,31 @@ class TestProximityDiagram:
     def test_sum_rule_to_length_10(self):
         for w in enumerate_words(10):
             assert proximity_diagram(w).check_sums()
+
+    def test_unbalanced_sums_fail(self):
+        def diagram(mults, edges):
+            vertices = tuple(ProximityVertex(j, None, m) for j, m in enumerate(mults))
+            return ProximityDiagram(vertices, edges)
+
+        edges = ((1, 0), (2, 0), (2, 1))
+        assert diagram((2, 1, 1), edges).check_sums() is True
+        assert diagram((3, 1, 1), edges).check_sums() is False
+        assert diagram((2, 2, 1), edges).check_sums() is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pass_sums_match_quadratic_rule(self, data):
+        mults = data.draw(st.lists(st.integers(0, 4), max_size=7))
+        n = len(mults)
+        # sources are vertices; targets may miss the vertex set on both sides
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(-2, n + 1)), max_size=12,
+        )) if n else []
+        vertices = tuple(ProximityVertex(j, None, m) for j, m in enumerate(mults))
+        quadratic = all(
+            sum(mults[j] for j, i2 in edges if i2 == i) == mults[i] for i in range(n - 1)
+        )
+        assert ProximityDiagram(vertices, tuple(edges)).check_sums() is quadratic
 
     def test_dot_output(self):
         dot = proximity_diagram("RV").to_dot()
@@ -134,22 +163,41 @@ class TestPanel:
         assert payload["multiplicity_sequence"] == [8, 3, 3, 2, 1, 1]
         assert payload["vertical_orders"]["first_level"] == 2
 
-    def test_one_multiplicity_sequence_per_panel(self, monkeypatch):
+    def test_one_front_chain_per_panel(self, monkeypatch):
         from monstertower import invariants
 
         calls = []
-        original = invariants.multiplicity_sequence
+        original = invariants.front_chain
 
         def counting(word):
-            calls.append(word)
+            calls.append(str(word))
             return original(word)
 
-        monkeypatch.setattr(invariants, "multiplicity_sequence", counting)
+        monkeypatch.setattr(invariants, "front_chain", counting)
         panel = invariant_panel(word="RVVVRVT")
-        assert len(calls) == 1
-        assert panel.multiplicities == original("RVVVRVT")
+        assert calls == ["RVVVRVT"]
+        invariant_panel(pc=parse_pc("[27;63,83]"))
+        assert calls == ["RVVVRVT", "RRVTRRRVTTTV"]
+        assert panel.multiplicities == multiplicity_sequence("RVVVRVT")
         assert panel.orders == vertical_orders("RVVVRVT")
         assert panel.restricted_orders == restricted_vertical_orders("RVVVRVT")
+
+    def test_equals_panel_from_public_pieces(self):
+        # reference: the panel assembled from one public call per invariant
+        for w in enumerate_words(10, min_len=0):
+            goursat = w.goursat_word()
+            orders = vertical_orders(w)
+            reference = {
+                "word": w.symbols,
+                "goursat_word": goursat.symbols,
+                "pc": str(pc_from_word_front(w)),
+                "restricted_pc": str(pc_from_word_front(goursat)),
+                "multiplicity_sequence": list(multiplicity_sequence(w)),
+                "proximity_diagram": proximity_diagram(w).to_json_dict(),
+                "vertical_orders": orders.to_json_dict(),
+                "restricted_vertical_orders": orders.restricted().to_json_dict(),
+            }
+            assert invariant_panel(word=w).to_json_dict() == reference, w.symbols
 
     def test_requires_exactly_one_input(self):
         with pytest.raises(ValueError):
