@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .defaults import DEFAULT_MAX_LEVEL
-from .errors import IndeterminateValuation, InsufficientPrecision, MaxLevelExceeded, MismatchReport
+from .errors import InsufficientPrecision, MaxLevelExceeded, MismatchReport
 from .invariants import multiplicity_sequence
 from .series import TruncatedSeries
 from .tower import (
@@ -101,6 +101,14 @@ class BlowupTrace:
         }
 
 
+def _constant_pair_error(state: BlowupState, blowup: int) -> InsufficientPrecision:
+    budget = max(state.a.precision, state.b.precision)
+    return InsufficientPrecision(
+        f"both coordinates {state.a_name} and {state.b_name} constant to the "
+        f"term budget {budget} at blowup {blowup}"
+    )
+
+
 def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
     """Blow up the current point of the curve and restrict to the chart the
     strict transform passes through."""
@@ -110,9 +118,7 @@ def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
     va = a.valuation_or_none()
     vb = b_rec.valuation_or_none()
     if va is None and vb is None:
-        raise InsufficientPrecision(
-            f"both coordinates constant to precision at blowup {level}"
-        )
+        raise _constant_pair_error(state, level)
     divide_b = va is not None and (vb is None or vb >= va)
     if divide_b:
         quotient = b_rec.quotient(a)
@@ -178,7 +184,7 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
     while True:
         m = pair_multiplicity(state.a, state.b)
         if m is None:
-            raise InsufficientPrecision("blowup pair constant to precision")
+            raise _constant_pair_error(state, state.level)
         mults.append(m)
         if steps and _is_regular(state, steps[-1].symbol):
             break
@@ -186,10 +192,7 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
             raise MaxLevelExceeded(
                 f"no regular strict transform within {max_level} blowups"
             )
-        try:
-            state, step = blowup_once(state)
-        except IndeterminateValuation as exc:
-            raise InsufficientPrecision(str(exc)) from exc
+        state, step = blowup_once(state)
         steps.append(step)
     profile: list[int | None] = [c.x.valuation_or_none(), c.y.valuation_or_none()]
     profile.extend(s.new_coord.valuation_or_none() for s in steps)

@@ -1,11 +1,11 @@
 """Command-line surface.
 
 Subcommands: word, pc, curve, lift-preimages, proximity, enumerate, check.
-Global flags --format {text,json,dot}, --precision N, --max-level N, with
-environment overrides MONSTERTOWER_FORMAT, MONSTERTOWER_PRECISION and
-MONSTERTOWER_MAX_LEVEL.  Exit codes: 0 success, 1 input error (or output
-closed by the reader), 2 internal consistency mismatch, so CI can gate on
-the invariants.
+Global flags --format {text,json,dot}, --precision N (the term budget of
+series reads), --max-level N, with environment overrides MONSTERTOWER_FORMAT,
+MONSTERTOWER_PRECISION and MONSTERTOWER_MAX_LEVEL.  Exit codes: 0 success,
+1 input error (or output closed by the reader), 2 internal consistency
+mismatch, so CI can gate on the invariants.
 
 Every command is deterministic: identical invocations produce byte-identical
 output.  Rationals are serialized as "p/q" strings in JSON.
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=_precision,
         default=argparse.SUPPRESS,
-        help="series precision in terms (env MONSTERTOWER_PRECISION)",
+        help="term budget of series reads (env MONSTERTOWER_PRECISION)",
     )
     shared.add_argument(
         "--max-level",
@@ -336,7 +336,7 @@ def _run_word_check(name: str, words) -> list[str]:
 
 def _cmd_check(args) -> int:
     from .blowup import cross_check
-    from .corpus import generate_corpus, with_precision_retry
+    from .corpus import generate_corpus
 
     if _over_enumeration_bound(args.max_len):
         return EXIT_INPUT
@@ -355,7 +355,7 @@ def _cmd_check(args) -> int:
     engine_failures = 0
     for spec in specs:
         try:
-            with_precision_retry(cross_check, spec)
+            cross_check(spec.curve(args.precision))
         except MismatchReport:
             engine_failures += 1
             failures.append(f"engine-equivalence {spec}")

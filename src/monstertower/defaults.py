@@ -1,4 +1,4 @@
-"""Default series window and lifting budget.
+"""Default term budget of series reads and lifting budget.
 
 Kept apart from ``series`` and ``tower`` so that the CLI can fill in its
 defaults without importing the engines.

@@ -1,25 +1,22 @@
-"""Exact truncated formal power series in one parameter t.
+"""Exact formal power series in one parameter t, read up to a term budget.
 
-Coefficients are ``fractions.Fraction`` values, so every operation is exact;
-there is no floating point anywhere in the package.  A series is known
-modulo t^precision: the coefficients of t^0 .. t^(precision-1) are
-determined, terms of degree >= precision are unknown, *not* zero.  Keeping
-the two notions separate is what lets the lifting engines compare
-valuations honestly: a window of zeros is reported as
-:class:`~monstertower.errors.IndeterminateValuation` instead of being
-silently treated as the zero series.
+Coefficients are ``fractions.Fraction`` values.  A series built from finitely
+many terms is the polynomial it names, zero beyond its last term, and knows
+its degree; derivative, recentering, product and integral of polynomials are
+polynomials, and a quotient is an exact stream.  Nothing is ever truncated.
 
-An operation fixes the precision of its result and checks its arguments
-when it is called, but computes coefficients only when they are read, from
-the front (online recurrences, as in McIlroy, "Power series, power serious",
-1999).  The lifting engines read valuations and constant terms, so they
-compute the leading terms they decide on and their cost does not grow with
-the window.  Reading a whole window (``coefficients``, ``support``,
-``agrees_with``, equality, printing) computes all of it.
+``precision`` is a term budget: the number of leading coefficients that a
+valuation search and the whole-series reads (``coefficients``, ``agrees_with``,
+equality, printing) read.  It covers a polynomial's degree and a stream's
+known leading zeros, and an operation's result takes the largest budget of
+its operands.  A search that finds nothing within the budget answers None
+(``valuation`` raises IndeterminateValuation): a polynomial is then zero, a
+stream only zero to the budget.
 
-Only the operations needed by the chart and blowup recursions are provided:
-ring arithmetic, d/dt, series quotient, recentering, and integration against
-another series.  There is deliberately no composition or substitution.
+Coefficients are computed when read, from the front (McIlroy, "Power series,
+power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002),
+so the engines, which read valuations and constant terms, pay only for the
+leading terms they decide on.
 """
 
 from __future__ import annotations
@@ -28,12 +25,7 @@ import re
 from fractions import Fraction
 
 from .defaults import DEFAULT_PRECISION
-from .errors import (
-    IndeterminateValuation,
-    InsufficientPrecision,
-    NegativeValuation,
-    ParseError,
-)
+from .errors import IndeterminateValuation, NegativeValuation, ParseError
 
 _TERM_RE = re.compile(
     r"([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(\d+))?)?\s*$"
@@ -57,116 +49,107 @@ def _term_text(coeff: Fraction, exponent: int) -> str:
 
 
 class TruncatedSeries:
-    """Immutable exact power series known modulo t^precision.
+    """Immutable exact power series read up to a budget of ``precision`` terms.
 
-    ``TruncatedSeries(coefficients)`` holds the given window.  A series made
-    by an operation starts with no coefficients computed:
+    ``TruncatedSeries(coefficients)`` is the polynomial with those
+    coefficients, with a budget of their number.  A series made by an
+    operation starts with no coefficients computed:
 
     * ``_known`` is the prefix computed so far;
+    * ``_degree`` is a polynomial's degree (-1 for zero), None for a stream;
     * ``_zeros`` counts leading coefficients known to be zero from the
-      valuations of the operands (val(a*b) = val(a) + val(b), val(a/b) =
-      val(a) - val(b), one less for d/dt); they are filled in without
-      computing anything, and the count becomes the valuation once that is
-      read;
+      operands' valuations; it becomes the valuation once that is read;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
-      coefficients need the first ``m + offset`` of that operand, clipped to
-      its window;
+      coefficients need the first ``m + offset`` of that operand;
     * ``_extend(known, m)`` appends coefficients up to m once those are there.
 
-    The operands and ``_extend`` are dropped when the window is complete.
-    """
+    Zeros, leading or past the degree, cost no arithmetic; the operands and
+    ``_extend`` are dropped once a polynomial is complete."""
 
-    __slots__ = ("_precision", "_zeros", "_known", "_operands", "_extend")
+    __slots__ = ("_precision", "_degree", "_zeros", "_known", "_operands", "_extend")
 
     def __init__(self, coefficients):
         known = [_as_fraction(c) for c in coefficients]
         self._precision = len(known)
+        while known and not known[-1]:
+            known.pop()
+        self._degree = len(known) - 1
         self._zeros = next((i for i, c in enumerate(known) if c), len(known))
         self._known = known
         self._operands = ()
         self._extend = None
 
     @classmethod
-    def _lazy(cls, precision: int, zeros: int, operands, extend) -> "TruncatedSeries":
+    def _lazy(cls, precision: int, degree, zeros: int, operands, extend) -> "TruncatedSeries":
         series = cls.__new__(cls)
-        series._precision = precision
-        series._zeros = min(zeros, precision)
+        series._precision = max(precision, (zeros if degree is None else degree) + 1)
+        series._degree = degree
+        series._zeros = zeros
         series._known = []
         series._operands = operands
         series._extend = extend
         return series
 
     @classmethod
-    def _termwise(cls, precision: int, zeros: int, operands, term) -> "TruncatedSeries":
+    def _termwise(cls, precision: int, degree, zeros: int, operands, term) -> "TruncatedSeries":
         """Series whose coefficient i is ``term(i)``."""
-
-        def extend(known, n):
-            known.extend(map(term, range(len(known), n)))
-
-        return cls._lazy(precision, zeros, operands, extend)
+        return cls._lazy(
+            precision, degree, zeros, operands,
+            lambda known, n: known.extend(map(term, range(len(known), n))),
+        )
 
     def _force(self, n: int) -> list[Fraction]:
-        """Compute the first n coefficients (at most the window) and return
-        the computed prefix.  Pending operands are worked off with an
-        explicit stack, so a series at the end of a chain of thousands of
-        operations is computed without one recursion per ancestor."""
+        """Compute the first n coefficients and return the computed prefix,
+        working pending operands off an explicit stack, so that a chain of
+        thousands of operations needs no recursion per ancestor."""
         known = self._known
-        if len(known) >= n or self._extend is None:
+        if len(known) >= n:
             return known
-        stack = [(self, min(n, self._precision))]
+        stack = [(self, n)]
         while stack:
             series, want = stack[-1]
             done = series._known
-            if len(done) < series._zeros:
-                done.extend([_ZERO] * (min(want, series._zeros) - len(done)))
-            if len(done) < want:
-                ready = True
-                for operand, offset in series._operands:
-                    need = min(want + offset, operand._precision)
-                    if len(operand._known) < need:
-                        stack.append((operand, need))
-                        ready = False
-                if not ready:
-                    continue
-                series._extend(done, want)
+            degree = series._degree
+            if series._extend is not None:
+                upto = want if degree is None else min(want, degree + 1)
+                if len(done) < series._zeros:
+                    done.extend([_ZERO] * (min(upto, series._zeros) - len(done)))
+                if len(done) < upto:
+                    ready = True
+                    for operand, offset in series._operands:
+                        if len(operand._known) < upto + offset:
+                            stack.append((operand, upto + offset))
+                            ready = False
+                    if not ready:
+                        continue
+                    series._extend(done, upto)
+                if degree is not None and len(done) > degree:
+                    series._operands = ()
+                    series._extend = None
+            if len(done) < want:  # past the degree of a complete polynomial
+                done.extend([_ZERO] * (want - len(done)))
             stack.pop()
-            if len(done) == series._precision:
-                series._operands = ()
-                series._extend = None
         return known
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_terms(terms, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        """Build a series from (coefficient, exponent) pairs.
-
-        Polynomials are embedded at the full requested precision, not at
-        degree + 1, so later quotients keep headroom.  A nonzero term of
-        degree >= precision raises InsufficientPrecision: dropping it would
-        make the window describe a different curve.
-        """
-        coeffs = [Fraction(0)] * precision
+        """The polynomial with the given (coefficient, exponent) terms, with a
+        budget of ``precision`` terms, raised to reach its last term."""
+        terms = list(terms)
+        coeffs = [_ZERO] * max([0, *(e + 1 for _, e in terms)])
         for coeff, exponent in terms:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
-            coeff = _as_fraction(coeff)
-            if exponent < precision:
-                coeffs[exponent] += coeff
-            elif coeff:
-                raise InsufficientPrecision(
-                    f"term {_term_text(coeff, exponent)} does not fit in a "
-                    f"window of precision {precision}"
-                )
-        return TruncatedSeries(coeffs)
+            coeffs[exponent] += coeff
+        series = TruncatedSeries(coeffs)
+        series._precision = max(series._precision, precision)
+        return series
 
     @staticmethod
     def zero(precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        return TruncatedSeries((Fraction(0),) * precision)
-
-    @staticmethod
-    def constant(value, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        return TruncatedSeries.from_terms([(value, 0)], precision)
+        return TruncatedSeries((_ZERO,) * precision)
 
     @staticmethod
     def monomial(coeff, exponent: int, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
@@ -175,51 +158,46 @@ class TruncatedSeries:
     # -- basic queries -------------------------------------------------------
 
     @property
-    def precision(self) -> int:
+    def precision(self) -> int:  # the term budget
         return self._precision
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """The whole window."""
-        return tuple(self._force(self._precision))
+        """The first ``precision`` coefficients."""
+        n = self._precision
+        return tuple(self._force(n)[:n])
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coefficients) if c)
+        n = self._precision if self._degree is None else self._degree + 1
+        return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
 
     def valuation_or_none(self) -> int | None:
         known = self._known
-        for i in range(self._zeros, self._precision):
+        end = self._precision if self._degree is None else self._degree + 1
+        for i in range(self._zeros, end):
             if i >= len(known):
                 self._force(i + 1)
             if known[i]:
                 self._zeros = i
                 return i
-        self._zeros = self._precision
+        self._zeros = max(self._zeros, end)
         return None
 
     def valuation(self) -> int:
-        """Index of the first nonzero coefficient.
-
-        Raises IndeterminateValuation when the series is zero to its stored
-        precision; callers must never read a valuation out of truncated
-        zeros.
-        """
+        """Index of the first nonzero coefficient; IndeterminateValuation when
+        the budget runs out first, which is never a property of the series."""
         v = self.valuation_or_none()
         if v is None:
-            raise IndeterminateValuation(
-                f"series is zero to precision {self.precision}"
-            )
+            raise IndeterminateValuation(f"series is zero to precision {self.precision}")
         return v
 
     def constant_term(self) -> Fraction:
-        if self.precision == 0:
-            raise InsufficientPrecision("no stored coefficients")
         return self._force(1)[0]
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficient-wise equality up to the common precision."""
-        n = min(self.precision, other.precision)
+        """Coefficient-wise equality over the larger of the two budgets."""
+        n = max(self.precision, other.precision)
         return self._force(n)[:n] == other._force(n)[:n]
 
     def __eq__(self, other) -> bool:
@@ -232,94 +210,44 @@ class TruncatedSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._known, other._known
-        return self._termwise(
-            min(self.precision, other.precision),
-            min(self._zeros, other._zeros),
-            ((self, 0), (other, 0)),
-            lambda i: a[i] + b[i],
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._known, other._known
-        return self._termwise(
-            min(self.precision, other.precision),
-            min(self._zeros, other._zeros),
-            ((self, 0), (other, 0)),
-            lambda i: a[i] - b[i],
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        a = self._known
-        return self._termwise(self.precision, self._zeros, ((self, 0),), lambda i: -a[i])
-
-    def scale(self, value) -> "TruncatedSeries":
-        k = _as_fraction(value)
-        a = self._known
-        return self._termwise(
-            self.precision, self._zeros, ((self, 0),), lambda i: k * a[i]
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        # a is exact mod t^pa, so a*b is exact mod t^min(pa+val(b), pb+val(a));
-        # an all-zero window contributes its full precision as the bound.
-        va = self.valuation_or_none()
-        vb = other.valuation_or_none()
-        pa, pb = self.precision, other.precision
-        bound_a = pa if va is None else va
-        bound_b = pb if vb is None else vb
-        n = min(pa + bound_b, pb + bound_a)
+        va, vb = self.valuation_or_none(), other.valuation_or_none()
+        da, db = self._degree, other._degree
+        degree = -1 if -1 in (da, db) else None if None in (da, db) else da + db
         a, b = self._known, other._known
-        # nonzero indices of a and b below ``scanned``
-        support_a: list[int] = []
-        support_b: list[int] = []
+        support: list[int] = []  # nonzero indices of a below ``scanned``
         scanned = 0
 
         def extend(out, m):
             nonlocal scanned
             for k in range(len(out), m):
                 while scanned <= k:
-                    if scanned < pa and a[scanned]:
-                        support_a.append(scanned)
-                    if scanned < pb and b[scanned]:
-                        support_b.append(scanned)
+                    if a[scanned]:
+                        support.append(scanned)
                     scanned += 1
                 acc = _ZERO
-                if len(support_a) <= len(support_b):
-                    for i in support_a:
-                        j = k - i
-                        if j < pb and b[j]:
-                            acc += a[i] * b[j]
-                else:
-                    for j in support_b:
-                        i = k - j
-                        if i < pa and a[i]:
-                            acc += a[i] * b[j]
+                for i in support:
+                    if b[k - i]:
+                        acc += a[i] * b[k - i]
                 out.append(acc)
 
-        zeros = n if va is None or vb is None else va + vb
-        return self._lazy(n, zeros, ((self, 0), (other, 0)), extend)
+        # a factor that reads zero to its budget contributes the budget
+        zeros = (self.precision if va is None else va) + (other.precision if vb is None else vb)
+        precision = max(self.precision, other.precision)
+        return self._lazy(precision, degree, zeros, ((self, 0), (other, 0)), extend)
 
     def derivative(self) -> "TruncatedSeries":
-        """Formal d/dt; costs one term of precision."""
-        if self.precision < 1:
-            raise InsufficientPrecision("cannot differentiate an empty window")
-        a = self._known
+        """Formal d/dt."""
+        a, d = self._known, self._degree
+        degree = None if d is None else max(d - 1, -1)
         return self._termwise(
-            self.precision - 1,
-            max(self._zeros - 1, 0),
-            ((self, 1),),
-            lambda i: (i + 1) * a[i + 1],
+            self.precision, degree, max(self._zeros - 1, 0), ((self, 1),),
+            lambda i: (i + 1) * a[i + 1] if a[i + 1] else _ZERO,
         )
 
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact series quotient self / den.
-
-        Requires valuation(den) <= valuation(self).  A numerator that is zero
-        to precision is accepted (the quotient is zero to the reduced
-        precision) as long as its window reaches past valuation(den).
-        """
+        """Exact series quotient self / den, a stream; needs val(den) <=
+        val(self), and a numerator that reads zero is accepted."""
         vd = den.valuation_or_none()
         if vd is None:
             raise IndeterminateValuation("denominator is zero to stored precision")
@@ -328,13 +256,6 @@ class TruncatedSeries:
             raise NegativeValuation(
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
-        if vn is None and self.precision < vd:
-            raise IndeterminateValuation(
-                "numerator window too short to clear the denominator valuation"
-            )
-        n = min(self.precision, den.precision) - vd
-        if n <= 0:
-            return TruncatedSeries(())
         num, dc = self._known, den._known
         lead = dc[vd]
         # j >= 1 below ``scanned`` with den[vd + j] != 0
@@ -350,23 +271,24 @@ class TruncatedSeries:
                     scanned += 1
                 acc = num[vd + k]
                 for j in den_support:
-                    acc -= dc[vd + j] * out[k - j]
-                out.append(acc / lead)
+                    if out[k - j]:
+                        acc -= dc[vd + j] * out[k - j]
+                out.append(acc / lead if acc else _ZERO)
 
-        zeros = n if vn is None else vn - vd
-        return self._lazy(n, zeros, ((self, vd), (den, vd)), extend)
+        zeros = max((self.precision if vn is None else vn) - vd, 0)
+        degree = -1 if self._degree == -1 else None
+        precision = max(self.precision, den.precision)
+        return self._lazy(precision, degree, zeros, ((self, vd), (den, vd)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant)."""
-        c = self.constant_term()
-        a = self._known
+        a, d = self._known, self._degree
+        degree = d if d is None or d > 0 else -1
         tail = self._termwise(
-            self.precision,
-            max(self._zeros, 1),
-            ((self, 0),),
+            self.precision, degree, max(self._zeros, 1), ((self, 0),),
             lambda i: a[i] if i else _ZERO,
         )
-        return c, tail
+        return self.constant_term(), tail
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant."""
@@ -374,12 +296,12 @@ class TruncatedSeries:
             raise IndeterminateValuation("integration variable is zero to precision")
         g = self * wrt.derivative()
         c = _as_fraction(constant)
-        gc = g._known
+        gc, d = g._known, g._degree
+        if d is not None:  # a zero g integrates to the constant
+            d = d + 1 if d >= 0 or c else -1
         return self._termwise(
-            g.precision + 1,
-            0 if c else g._zeros + 1,
-            ((g, -1),),
-            lambda i: gc[i - 1] / i if i else c,
+            g.precision, d, 0 if c else g._zeros + 1, ((g, -1),),
+            lambda i: (gc[i - 1] / i if gc[i - 1] else _ZERO) if i else c,
         )
 
     # -- presentation --------------------------------------------------------

@@ -211,9 +211,9 @@ class LiftTrace:
 
 def pair_multiplicity(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
     """Multiplicity of the curve point with local coordinates (a, b): the
-    smaller valuation of the two recentered series, or None when both are
-    constant to their stored precision."""
-    vals = [s.recenter()[1].valuation_or_none() for s in (a, b) if s.precision]
+    smaller valuation of the two recentered series, or None when both read
+    constant to their term budgets."""
+    vals = [s.recenter()[1].valuation_or_none() for s in (a, b)]
     return min((v for v in vals if v is not None), default=None)
 
 
@@ -228,14 +228,22 @@ def lift_once(
 ) -> LiftStep:
     """One chart step on the active pair (r, n).  The chart letter is decided
     by comparing val(dr/dt) with val(dn/dt); ties take the ordinary choice,
-    since a vertical encounter forces strict inequality."""
+    since a vertical encounter forces strict inequality.
+
+    One derivative that reads zero against one with a valuation is decided
+    soundly.  A polynomial that reads zero is zero.  A stream that reads zero
+    has a valuation of at least its budget, and the found valuation lies
+    below that budget: a retained stream has the budget of the new
+    coordinate, and a new coordinate has the largest budget so far.
+    """
     dr = retained.derivative()
     dn = new_coord.derivative()
     vr = dr.valuation_or_none()
     vn = dn.valuation_or_none()
     if vr is None and vn is None:
         raise InsufficientPrecision(
-            f"both active derivatives vanish to precision at level {level}"
+            f"both active derivatives d{retained_name}/dt and d{new_name}/dt vanish "
+            f"to the term budget {max(dr.precision, dn.precision)} at level {level}"
         )
     inverted = vr is None or (vn is not None and vr > vn)
     if inverted:
@@ -316,17 +324,14 @@ def lift_trace(
                 "critical or the budget too small"
             )
         level += 1
-        try:
-            step = lift_once(
-                r_series,
-                n_series,
-                level=level,
-                retained_name=r_name,
-                new_name=n_name,
-                chain_origin=chain,
-            )
-        except IndeterminateValuation as exc:
-            raise InsufficientPrecision(str(exc)) from exc
+        step = lift_once(
+            r_series,
+            n_series,
+            level=level,
+            retained_name=r_name,
+            new_name=n_name,
+            chain_origin=chain,
+        )
         steps.append(step)
         chain = step.chain_origin
         r_series, n_series = step.retained, step.new_coord
@@ -397,7 +402,7 @@ def curve_from_chart_data(
     if path and path[0] != "o":
         raise ParseError("chart paths start with an ordinary choice")
     k = len(path)
-    _, plan = _walk_names(path)
+    coords, plan = _walk_names(path)
     if constants is None:
         constants = [Fraction(0)] * (k + 2)
     constants = [Fraction(c) for c in constants]
@@ -409,8 +414,14 @@ def curve_from_chart_data(
         raise ConstantParameterization("both active parameterizations are constant")
     cur_r, cur_n = retained, new_coord
     for level in range(k, 0, -1):
-        letter, deact, _, _ = plan[level - 1]
-        d_series = cur_n.integrate(cur_r, constants[deact])
+        letter, deact, r_idx, _ = plan[level - 1]
+        try:
+            d_series = cur_n.integrate(cur_r, constants[deact])
+        except IndeterminateValuation as exc:
+            raise InsufficientPrecision(
+                f"integration variable {coords[r_idx]} of d{coords[deact]} vanishes "
+                f"to the term budget {cur_r.precision} at level {level}"
+            ) from exc
         if letter == "o":
             cur_n = d_series
         else:

@@ -164,6 +164,27 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err == "enumeration bound is 14\n"
 
+    @pytest.mark.parametrize(
+        "argv,env,budget",
+        [(("--precision", "8"), None, 8), ((), "12", 12), ((), None, 64)],
+    )
+    def test_corpus_curves_built_at_the_budget(self, capsys, monkeypatch, argv, env, budget):
+        from monstertower.corpus import CurveSpec
+
+        budgets = []
+        original = CurveSpec.curve
+
+        def spying(spec, precision):
+            budgets.append(precision)
+            return original(spec, precision)
+
+        monkeypatch.setattr(CurveSpec, "curve", spying)
+        if env is not None:
+            monkeypatch.setenv("MONSTERTOWER_PRECISION", env)
+        code, out, _ = run(capsys, *argv, "check", "--max-len", "2", "--corpus-size", "6")
+        assert code == 0 and "6 checked, 0 failures" in out
+        assert budgets == [budget] * 6  # one attempt per curve
+
 
 class TestDeterminismAndEnv:
     def test_byte_identical_runs(self, capsys):
@@ -236,10 +257,31 @@ class TestInputValidation:
         )
 
     def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
-        # dropping t^3 used to leave x = t^2, y = 0 and blame the curve
+        # a term past the budget is part of the polynomial, which raises the
+        # budget to its degree + 1: nothing is dropped and nothing refused
         code, out, err = run(capsys, "--precision", "3", "curve", "x=t^2, y=t^3")
-        assert code == 1 and out == ""
-        assert err == "error: term t^3 does not fit in a window of precision 3\n"
+        assert code == 0 and err == ""
+        assert "curve word             RV\n" in out
+
+
+class TestExactSeriesInputs:
+    """High degrees, long gaps and deep chart data lift at any budget."""
+
+    @pytest.mark.parametrize(
+        "argv,word",
+        [
+            (("curve", "x=t^13, y=t^61"), "RRRRVVTVTT"),
+            (("curve", "x=t^2, y=t^3+t^100"), "RV"),
+            (("curve", "@level 10 chart=oiioioiioi, r=t, n=t"), "RVVTVTVVTV"),
+            (("curve", "@level 12 chart=oiioioiioiio, r=t, n=t"), "RVVTVTVVTVVT"),
+            (("--precision", "8", "curve", "@level 12 chart=oiioioiioiio, r=t, n=t"), "RVVTVTVVTVVT"),
+            (("--precision", "24", "curve", "@level 7 chart=oioioio, r=t, n=t"), "RVTVTVT"),
+        ],
+    )
+    def test_lifts(self, capsys, argv, word):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["word"] == word
 
 
 ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"

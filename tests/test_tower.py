@@ -5,6 +5,7 @@ import pytest
 
 from monstertower.errors import (
     ConstantParameterization,
+    InsufficientPrecision,
     IntegrationMismatch,
     LevelOutOfRange,
     MaxLevelExceeded,
@@ -246,6 +247,24 @@ class TestErrors:
         b = lift_to_regularization(germ(QUINTIC))
         assert a == b
 
+    def test_both_active_derivatives_zero(self):
+        # constant actives: both derivatives are exactly zero
+        message = r"^both active derivatives dx/dt and dy'/dt vanish to the term budget 64 at level 3$"
+        with pytest.raises(InsufficientPrecision, match=message):
+            lift_once(
+                parse_series("2"),
+                parse_series("1/2"),
+                level=3,
+                retained_name=CoordName("x", 0),
+                new_name=CoordName("y", 1),
+            )
+
+    def test_zero_integration_variable(self):
+        # r = 0: dy = y' dx cannot be integrated against x
+        message = r"^integration variable x of dy vanishes to the term budget 64 at level 1$"
+        with pytest.raises(InsufficientPrecision, match=message):
+            curve_from_chart_data("o", parse_series("0"), parse_series("t"))
+
 
 class TestChartEquations:
     def test_worked_chart(self):
@@ -343,12 +362,12 @@ class TestOnDemandCoefficients:
     def test_level_400_chart_rebuilds_without_recursion(self):
         # Rebuilding integrates 400 times and the check re-lifts 400 levels;
         # reading the result walks all of them.  With r = t and n = t along
-        # o^400 the curve is x = t, y = t^401/401!, one term of window per
+        # o^400 the curve is x = t, y = t^401/401!, one degree per
         # integration.
         c, level = parse_curve("@level 400 chart=" + "o" * 400 + ", r=t, n=t", 420)
         assert level == 400
         assert c.x.coefficients == parse_series("t", 420).coefficients
-        expected_y = TruncatedSeries.from_terms([(F(1, factorial(401)), 401)], 820)
+        expected_y = TruncatedSeries.from_terms([(F(1, factorial(401)), 401)], 420)
         assert c.y.coefficients == expected_y.coefficients
         assert c.base_point == (0, 0)
 
