@@ -355,7 +355,7 @@ def _cmd_check(args) -> int:
     engine_failures = 0
     for spec in specs:
         try:
-            cross_check(spec.curve(args.precision))
+            cross_check(spec.curve(args.precision), args.max_level)
         except MismatchReport:
             engine_failures += 1
             failures.append(f"engine-equivalence {spec}")

@@ -22,7 +22,7 @@ from .puiseux import (
     restrict_pc,
     word_from_pc,
 )
-from .words import RvtWord
+from .words import RvtWord, lift_string
 
 
 def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
@@ -203,9 +203,9 @@ def invariant_panel(
     One front chain of the word gives them all: the characteristic is its
     first entry, the multiplicity sequence its leading entries, and the
     proximity diagram is built on those multiplicities.  The Goursat word
-    differs from the word only when its second symbol is V, and then both
-    lift to the same word, so its characteristic is the front step for a
-    second symbol R applied to the chain's second entry.
+    differs from the word only when its second symbol is V; it is then R
+    followed by the lifted word, so its characteristic is the front step for
+    a second symbol R applied to the chain's second entry.
 
     Every panel checks itself: the back recursion must agree with the front
     one, the proximity sums must balance, and when the direct restriction
@@ -224,11 +224,11 @@ def invariant_panel(
         raise MismatchReport(f"recursions disagree on {w}: {front} vs {back}")
     if pc is not None and front != pc:
         raise MismatchReport(f"CW({pc}) = {w} has characteristic {front}")
-    goursat = w.goursat_word()
     if w.symbols[1:2] == "V":
+        goursat = RvtWord("R" + lift_string(w.symbols))
         restricted = PuiseuxCharacteristic(front_r_step(chain[1]))
     else:
-        restricted = front
+        goursat, restricted = w, front
     try:
         direct = restrict_pc(front)
     except RemainderInvalid:
@@ -244,7 +244,7 @@ def invariant_panel(
     orders = _orders_from_multiplicities(multiplicities)
     return InvariantPanel(
         word=w,
-        goursat_word=RvtWord(goursat.symbols),
+        goursat_word=goursat,
         pc=front,
         restricted_pc=restricted,
         multiplicities=multiplicities,

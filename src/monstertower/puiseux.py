@@ -45,23 +45,23 @@ class PuiseuxCharacteristic:
     lambdas: tuple[int, ...]
 
     def __post_init__(self):
-        lam = tuple(int(x) for x in self.lambdas)
+        lam = tuple(map(int, self.lambdas))
         object.__setattr__(self, "lambdas", lam)
-        if not lam:
-            raise InvalidCharacteristic("characteristic needs a leading entry")
-        if any(x < 1 for x in lam):
-            raise InvalidCharacteristic(f"entries must be positive: {lam}")
-        if any(a >= b for a, b in zip(lam, lam[1:])):
-            raise InvalidCharacteristic(f"entries must strictly increase: {lam}")
-        if lam[0] == 1 and len(lam) > 1:
-            raise InvalidCharacteristic("leading entry 1 forces the trivial [1;]")
-        d = lam[0]
-        for x in lam[1:]:
-            if x % d == 0:
-                raise InvalidCharacteristic(f"{x} is inessential in {lam}")
-            d = gcd(d, x)
-        if d != 1:
-            raise InvalidCharacteristic(f"gcd of {lam} is {d}, expected 1")
+        # one pass over a valid characteristic: increasing, every entry
+        # essential, the running gcd reaching 1 only at the end
+        if lam == (1,):
+            return
+        d = prev = lam[0] if lam else 0
+        if d > 1:
+            for x in lam[1:]:
+                if x <= prev or not x % d:
+                    break
+                prev = x
+                d = gcd(d, x)
+            else:
+                if d == 1:
+                    return
+        raise InvalidCharacteristic(_first_violation(lam))
 
     @property
     def g(self) -> int:
@@ -80,6 +80,25 @@ class PuiseuxCharacteristic:
 
     def __iter__(self):
         return iter(self.lambdas)
+
+
+def _first_violation(lam: tuple[int, ...]) -> str:
+    """Message for the first characteristic rule that ``lam`` breaks, in
+    the order of the class docstring."""
+    if not lam:
+        return "characteristic needs a leading entry"
+    if any(x < 1 for x in lam):
+        return f"entries must be positive: {lam}"
+    if any(a >= b for a, b in zip(lam, lam[1:])):
+        return f"entries must strictly increase: {lam}"
+    if lam[0] == 1:
+        return "leading entry 1 forces the trivial [1;]"
+    d = lam[0]
+    for x in lam[1:]:
+        if x % d == 0:
+            return f"{x} is inessential in {lam}"
+        d = gcd(d, x)
+    return f"gcd of {lam} is {d}, expected 1"
 
 
 TRIVIAL_PC = PuiseuxCharacteristic((1,))
@@ -233,28 +252,46 @@ def e_value(symbols: str) -> EPair:
         raise MalformedString(f"{s!r}: only R may precede the first V")
     if not is_entirely_critical(tail):
         raise MalformedString(f"{s!r}: R after the first V")
+    return EPair(*_e_pair(s))
+
+
+def _e_pair(s: str) -> tuple[int, int]:
+    """E of a string already known to have the R^rho Q shape."""
     a, b = 1, 2
     for ch in reversed(s):
         a, b = (b, a + b) if ch == "V" else (a, a + b)
-    return EPair(a, b)
+    return a, b
 
 
 def pc_from_word_back(word: RvtWord | str) -> PuiseuxCharacteristic:
     """Back-end recursion via the decomposition W = P R^rho Q."""
-    w = (word if isinstance(word, RvtWord) else RvtWord(str(word))).normalize()
-    if not w.symbols:
-        return TRIVIAL_PC
-    dec = w.decompose()
-    pair = e_value("R" * (dec.rho - 1) + dec.critical_block)
-    if not dec.prefix.symbols:
+    s = word.symbols if isinstance(word, RvtWord) else RvtWord(str(word)).symbols
+    return PuiseuxCharacteristic(_back_lambdas(s.rstrip("R")))
+
+
+def _back_lambdas(s: str) -> tuple[int, ...]:
+    """Raw characteristic of a valid word that is empty or critical.
+
+    Splits s as P R^rho Q: Q the maximal trailing V/T block, R^rho the run
+    before it, P empty or critical.  Prepending R^k to Q sends E(Q) = (a, b)
+    to (a, b + k*a), so one pass over Q gives both pairs the step needs.
+    """
+    if not s:
+        return (1,)
+    q = len(s)
+    while s[q - 1] != "R":
+        q -= 1
+    r = q
+    while r and s[r - 1] == "R":
+        r -= 1
+    a, b = _e_pair(s[q:])
+    rho = q - r
+    if not r:
         # PC(R^rho Q) = E(R^(rho-1) Q) read as a characteristic
-        return PuiseuxCharacteristic((pair.a, pair.b)) if pair.a > 1 else TRIVIAL_PC
-    sub = pc_from_word_back(dec.prefix)
-    a, b = e_value("R" * dec.rho + dec.critical_block)
-    lam = sub.lambdas
-    return PuiseuxCharacteristic(
-        tuple(a * x for x in lam) + (a * lam[-1] + b - 2 * a,)
-    )
+        return (a, b + (rho - 1) * a)
+    sub = _back_lambdas(s[:r])
+    b += rho * a
+    return (*(a * x for x in sub), a * sub[-1] + b - 2 * a)
 
 
 # -- inverse maps ------------------------------------------------------------------
@@ -286,21 +323,23 @@ def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
     silently repairing them; use :func:`essential_characteristic` to
     canonicalize raw exponent data first.  CW of [1;] is the empty word.
     """
-    if pc.is_trivial():
-        return RvtWord("")
-    lam = pc.lambdas
-    if pc.g == 1:
+    return RvtWord(_cw_string(pc.lambdas))
+
+
+def _cw_string(lam: tuple[int, ...]) -> str:
+    """CW of a valid characteristic, as a string.  Dividing all but the
+    last entry by their gcd leaves a valid characteristic, so every level
+    of the recursion sees one."""
+    if len(lam) == 1:
+        return ""
+    if len(lam) == 2:
         s = euclid(lam[0], lam[1])
-        i = 0
-        while i < len(s) and s[i] == "T":
-            i += 1
-        return RvtWord("R" + "R" * i + s[i:])
+        i = len(s) - len(s.lstrip("T"))
+        return "R" * (i + 1) + s[i:]
     a = gcd_all(lam[:-1])
     diff = lam[-1] - lam[-2]
-    s = diff // a + 1
-    b = diff % a + a
-    head = word_from_pc(PuiseuxCharacteristic(tuple(x // a for x in lam[:-1])))
-    return RvtWord(head.symbols + "R" * s + euclid(a, b))
+    head = _cw_string(tuple(x // a for x in lam[:-1]))
+    return head + "R" * (diff // a + 1) + euclid(a, diff % a + a)
 
 
 def gcd_all(values) -> int:

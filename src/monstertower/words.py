@@ -20,12 +20,20 @@ from .errors import (
 )
 
 ALPHABET = "RVT"
+_SYMBOLS = frozenset(ALPHABET)
 
 # enumeration order used by the CLI: R before V before T
 _SYMBOL_ORDER = {"R": 0, "V": 1, "T": 2}
 
 
 def validate_symbols(symbols: str) -> None:
+    # A valid word passes three C-level scans; anything else is diagnosed by
+    # the loop below, which names the first offending position.
+    if isinstance(symbols, str) and (
+        not symbols
+        or (symbols[0] == "R" and "RT" not in symbols and _SYMBOLS.issuperset(symbols))
+    ):
+        return
     for i, ch in enumerate(symbols):
         if ch not in ALPHABET:
             raise InvalidSymbol(f"symbol {ch!r} is not one of R, V, T", i)
@@ -97,14 +105,10 @@ class RvtWord:
 
         If there is a V in second position, it and any immediately succeeding
         T's become R's; Goursat distributions cannot see that initial chain.
+        So the Goursat word is R followed by the lifted word.
         """
         s = self.symbols
-        if len(s) >= 2 and s[1] == "V":
-            i = 2
-            while i < len(s) and s[i] == "T":
-                i += 1
-            s = "R" * i + s[i:]
-        return GoursatWord(s)
+        return GoursatWord(s[:1] + lift_string(s))
 
     # -- lifting ----------------------------------------------------------------
 

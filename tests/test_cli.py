@@ -164,6 +164,18 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err == "enumeration bound is 14\n"
 
+    @pytest.mark.parametrize("argv,env", [(("--max-level", "1"), None), ((), "1")])
+    def test_max_level_reaches_the_corpus(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("MONSTERTOWER_MAX_LEVEL", env)
+        code, out, err = run(capsys, *argv, "check", "--max-len", "2", "--corpus-size", "5")
+        _, _, curve_err = run(capsys, *argv, "curve", "x=t^5, y=t^7")
+        assert code == 1 and out == ""
+        assert err == curve_err == (
+            "error: no regular lift within 1 levels; "
+            "the germ may be critical or the budget too small\n"
+        )
+
     @pytest.mark.parametrize(
         "argv,env,budget",
         [(("--precision", "8"), None, 8), ((), "12", 12), ((), None, 64)],

@@ -14,7 +14,7 @@ from monstertower.invariants import (
     vertical_orders,
 )
 from monstertower.puiseux import parse_pc, pc_from_word_front
-from monstertower.words import enumerate_words, parse_word
+from monstertower.words import RvtWord, enumerate_words, parse_word
 
 
 class TestMultiplicitySequence:
@@ -181,6 +181,32 @@ class TestPanel:
         assert panel.multiplicities == multiplicity_sequence("RVVVRVT")
         assert panel.orders == vertical_orders("RVVVRVT")
         assert panel.restricted_orders == restricted_vertical_orders("RVVVRVT")
+
+    @pytest.mark.parametrize(
+        "kind,text,validated",
+        [
+            # an RvtWord is valid already; a second symbol R reuses it as
+            # the Goursat word, a V builds that word once
+            ("word", "RRVTRRRVTTTV", []),
+            ("word", "RVTTVRV", ["RRRRVRV"]),
+            # the CW map validates the one word it returns
+            ("pc", "[27;63,83]", ["RRVTRRRVTTTV"]),
+        ],
+    )
+    def test_validations_per_panel(self, monkeypatch, kind, text, validated):
+        from monstertower import words
+
+        calls = []
+        original = words.validate_symbols
+
+        def counting(symbols):
+            calls.append(symbols)
+            return original(symbols)
+
+        arg = RvtWord(text) if kind == "word" else parse_pc(text)
+        monkeypatch.setattr(words, "validate_symbols", counting)
+        invariant_panel(**{kind: arg})
+        assert calls == validated
 
     def test_equals_panel_from_public_pieces(self):
         # reference: the panel assembled from one public call per invariant

@@ -1,9 +1,16 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monstertower.errors import (
     BadOrder,
     InvalidCharacteristic,
+    InvalidSymbol,
+    LeadingNonR,
     NotCoprime,
+    OrphanT,
     RemainderInvalid,
     TrivialCharacteristic,
 )
@@ -24,11 +31,28 @@ from monstertower.puiseux import (
     word_from_pc,
     word_from_pc_front_inverse,
 )
-from monstertower.words import enumerate_words
+from monstertower.words import RvtWord, enumerate_words
 
 
 def PC(text):
     return parse_pc(text)
+
+
+WORKED_CHAIN = {
+    "R": "[1;]",
+    "RV": "[2;3]",
+    "RRRRV": "[2;9]",
+    "RVTTTV": "[9;11]",
+    "RRRRRVTTTV": "[9;47]",
+    "RVTRRRVTTTV": "[27;36,56]",
+    "RRVTRRRVTTTV": "[27;63,83]",
+}
+FOUR_WORD_FAMILY = {
+    "RRRRVRVRV": "[8;36,38,39]",
+    "RVRRVRVRV": "[16;24,36,38,39]",
+    "RVTRVRVRV": "[24;32,36,38,39]",
+    "RVTTVRVRV": "[28;36,38,39]",
+}
 
 
 class TestCharacteristicType:
@@ -44,6 +68,35 @@ class TestCharacteristicType:
         with pytest.raises(InvalidCharacteristic):
             PuiseuxCharacteristic(bad)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(-1, 30), max_size=5))
+    def test_one_pass_matches_rule_by_rule_checks(self, lam):
+        # reference: the invariants checked one rule at a time, each over
+        # the whole tuple, in the order of the class docstring
+        def reference(lam):
+            lam = tuple(lam)
+            if not lam:
+                return "characteristic needs a leading entry"
+            if any(x < 1 for x in lam):
+                return f"entries must be positive: {lam}"
+            if any(a >= b for a, b in zip(lam, lam[1:])):
+                return f"entries must strictly increase: {lam}"
+            if lam[0] == 1 and len(lam) > 1:
+                return "leading entry 1 forces the trivial [1;]"
+            d = lam[0]
+            for x in lam[1:]:
+                if x % d == 0:
+                    return f"{x} is inessential in {lam}"
+                d = gcd(d, x)
+            return None if d == 1 else f"gcd of {lam} is {d}, expected 1"
+
+        try:
+            PuiseuxCharacteristic(tuple(lam))
+            outcome = None
+        except InvalidCharacteristic as exc:
+            outcome = str(exc)
+        assert outcome == reference(lam)
+
     def test_essential_scan(self):
         assert essential_characteristic(8, [16, 24, 11, 22]) == PC("[8;11]")
         assert essential_characteristic(2, [4, 5]) == PC("[2;5]")
@@ -54,16 +107,7 @@ class TestCharacteristicType:
 
 class TestFrontRecursion:
     def test_worked_chain(self):
-        chain = {
-            "R": "[1;]",
-            "RV": "[2;3]",
-            "RRRRV": "[2;9]",
-            "RVTTTV": "[9;11]",
-            "RRRRRVTTTV": "[9;47]",
-            "RVTRRRVTTTV": "[27;36,56]",
-            "RRVTRRRVTTTV": "[27;63,83]",
-        }
-        for word, expect in chain.items():
+        for word, expect in WORKED_CHAIN.items():
             assert str(pc_from_word_front(word)) == expect
 
     def test_no_critical_symbols(self):
@@ -74,13 +118,7 @@ class TestFrontRecursion:
         assert str(pc_from_word_front("RVTVV")) == "[8;11]"
 
     def test_four_word_family(self):
-        expect = {
-            "RRRRVRVRV": "[8;36,38,39]",
-            "RVRRVRVRV": "[16;24,36,38,39]",
-            "RVTRVRVRV": "[24;32,36,38,39]",
-            "RVTTVRVRV": "[28;36,38,39]",
-        }
-        for word, pc in expect.items():
+        for word, pc in FOUR_WORD_FAMILY.items():
             assert str(pc_from_word_front(word)) == pc
         assert str(pc_from_word_front("RRRVRVRV")) == "[8;28,30,31]"
 
@@ -178,6 +216,44 @@ class TestBackRecursion:
     def test_agrees_with_front_to_length_10(self):
         for w in enumerate_words(10):
             assert pc_from_word_front(w) == pc_from_word_back(w)
+
+
+class TestBackRecursionIndependence:
+    """The back recursion is the panel's check on the front one, so it must
+    reach its values with the front machinery out of reach."""
+
+    @pytest.fixture(autouse=True)
+    def no_front_machinery(self, monkeypatch):
+        from monstertower import puiseux, words
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the back recursion used the front recursion")
+
+        monkeypatch.setattr(puiseux, "front_chain", refuse)
+        monkeypatch.setattr(puiseux, "front_r_step", refuse)
+        monkeypatch.setattr(puiseux, "lift_string", refuse)
+        monkeypatch.setattr(words, "lift_string", refuse)
+
+    def test_stored_values(self):
+        expected = {**WORKED_CHAIN, **FOUR_WORD_FAMILY, "RRVT": "[3;7]", "RRR": "[1;]", "": "[1;]"}
+        for word, pc in expected.items():
+            assert str(pc_from_word_back(word)) == pc
+            assert str(pc_from_word_back(RvtWord(word))) == pc
+
+    @pytest.mark.parametrize(
+        "text,error,message,position",
+        [
+            ("RTV", OrphanT, "T must immediately follow V or T (at position 1)", 1),
+            ("VR", LeadingNonR, "word starts with 'V', expected R (at position 0)", 0),
+            ("RXV", InvalidSymbol, "symbol 'X' is not one of R, V, T (at position 1)", 1),
+        ],
+    )
+    def test_invalid_strings(self, text, error, message, position):
+        with pytest.raises(error) as info:
+            pc_from_word_back(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.position == position
 
 
 class TestEuclid:

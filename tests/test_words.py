@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monstertower.errors import (
     EmptyWord,
@@ -7,6 +11,7 @@ from monstertower.errors import (
     LevelOutOfRange,
     NotCritical,
     OrphanT,
+    ParseError,
 )
 from monstertower.words import (
     RvtWord,
@@ -15,6 +20,7 @@ from monstertower.words import (
     is_critical,
     is_entirely_critical,
     parse_word,
+    validate_symbols,
 )
 
 
@@ -57,6 +63,40 @@ class TestParse:
     def test_bad_symbol(self):
         with pytest.raises(InvalidSymbol):
             parse_word("RXV")
+
+
+def reference_validate(symbols):
+    # the rule-by-rule loop that validate_symbols falls back to
+    for i, ch in enumerate(symbols):
+        if ch not in "RVT":
+            raise InvalidSymbol(f"symbol {ch!r} is not one of R, V, T", i)
+    if symbols and symbols[0] != "R":
+        raise LeadingNonR(f"word starts with {symbols[0]!r}, expected R", 0)
+    for i in range(1, len(symbols)):
+        if symbols[i] == "T" and symbols[i - 1] not in "VT":
+            raise OrphanT("T must immediately follow V or T", i)
+
+
+def outcome(check, symbols):
+    try:
+        check(symbols)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+    return None
+
+
+class TestValidateSymbols:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="RVTx", max_size=12))
+    def test_matches_reference_loop(self, symbols):
+        assert outcome(validate_symbols, symbols) == outcome(reference_validate, symbols)
+
+    def test_exhaustive_to_length_6(self):
+        for n in range(7):
+            for symbols in map("".join, product("RVTx", repeat=n)):
+                assert outcome(validate_symbols, symbols) == outcome(
+                    reference_validate, symbols
+                ), symbols
 
 
 class TestNormalize:
