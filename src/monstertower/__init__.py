@@ -20,8 +20,8 @@ _SUBMODULE_NAMES = {
     "defaults": ("DEFAULT_PRECISION", "DEFAULT_MAX_LEVEL"),
     "series": ("TruncatedSeries", "parse_series"),
     "words": (
-        "GoursatWord", "RvtWord", "WordDecomposition", "count_words", "enumerate_words",
-        "is_critical", "is_entirely_critical", "parse_word",
+        "RvtWord", "WordDecomposition", "count_words", "enumerate_words", "is_critical",
+        "is_entirely_critical", "parse_word",
     ),
     "puiseux": (
         "CaseTag", "EPair", "PuiseuxCharacteristic", "TRIVIAL_PC", "classify_case", "e_value",

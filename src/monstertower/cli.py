@@ -189,6 +189,8 @@ def _cmd_pc(args) -> int:
 def _cmd_curve(args) -> int:
     from .tower import chart_equations, lift_to_regularization, lift_trace, parse_curve
 
+    if args.level is not None and args.engine != "nash":
+        raise ParseError(f"--level applies only to --engine nash, not {args.engine}")
     germ, presented_level = parse_curve(args.text, args.precision)
     if args.engine == "both":
         from .blowup import cross_check

@@ -22,7 +22,7 @@ from .puiseux import (
     restrict_pc,
     word_from_pc,
 )
-from .words import RvtWord, lift_string
+from .words import RvtWord
 
 
 def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
@@ -42,22 +42,17 @@ def _leading_entries(chain: list[tuple[int, ...]], length: int) -> tuple[int, ..
 
 
 @dataclass(frozen=True)
-class ProximityVertex:
-    index: int
-    symbol: str | None
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class ProximityDiagram:
-    """Vertices are the germ and its lifts; p_j is proximate to p_i when
+    """Vertices are the germ p_0 and its lifts p_1..p_r, p_j carrying symbol
+    j of the word and multiplicity mults[j]; p_j is proximate to p_i when
     j = i+1 or p_j sits on the chain prolongation hanging off position i+2."""
 
-    vertices: tuple[ProximityVertex, ...]
+    symbols: str
+    mults: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]  # (j, i): p_j proximate to p_i
 
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(v.multiplicity for v in self.vertices)
+        return self.mults
 
     def check_sums(self) -> bool:
         """Proximity sum rule: each multiplicity is the sum of the
@@ -65,20 +60,23 @@ class ProximityDiagram:
 
         The sums are accumulated in one pass over the edges; an edge into
         an index that is not a vertex counts towards no sum."""
-        m = self.multiplicities()
+        m = self.mults
         sums = [0] * len(m)
         for j, i in self.edges:
             if 0 <= i < len(m):
                 sums[i] += m[j]
         return sums[:-1] == list(m[:-1])
 
+    def _vertices(self):
+        """(index, symbol, multiplicity) per vertex; the germ has no symbol."""
+        return ((j, self.symbols[j - 1] if j else None, m) for j, m in enumerate(self.mults))
+
     def to_dot(self) -> str:
         # left-to-right layout is a free choice; only vertices, labels and
         # proximity edges carry information
         lines = ["digraph proximity {", "  rankdir=LR;"]
-        for v in self.vertices:
-            symbol = v.symbol if v.symbol is not None else "-"
-            lines.append(f'  v{v.index} [label="{v.index}:{symbol}:{v.multiplicity}"];')
+        for j, symbol, m in self._vertices():
+            lines.append(f'  v{j} [label="{j}:{symbol or "-"}:{m}"];')
         for j, i in self.edges:
             lines.append(f"  v{j} -> v{i};")
         lines.append("}")
@@ -87,8 +85,8 @@ class ProximityDiagram:
     def to_json_dict(self) -> dict:
         return {
             "vertices": [
-                {"index": v.index, "symbol": v.symbol, "multiplicity": v.multiplicity}
-                for v in self.vertices
+                {"index": j, "symbol": symbol, "multiplicity": m}
+                for j, symbol, m in self._vertices()
             ],
             "edges": [list(e) for e in self.edges],
         }
@@ -100,23 +98,16 @@ def proximity_diagram(word: RvtWord | str) -> ProximityDiagram:
 
 
 def _build_proximity(w: RvtWord, mults: tuple[int, ...]) -> ProximityDiagram:
-    """Diagram of ``w`` whose vertices carry the multiplicity sequence
-    ``mults`` of ``w``."""
-    vertices = tuple(
-        ProximityVertex(j, w.symbols[j - 1] if j else None, mults[j])
-        for j in range(len(w.symbols) + 1)
-    )
-    edges = [(j + 1, j) for j in range(len(w.symbols))]
-    symbols = w.symbols
-    for pos in range(1, len(symbols) + 1):
-        if symbols[pos - 1] != "V":
-            continue
-        tau = 0
-        while pos + tau < len(symbols) and symbols[pos + tau] == "T":
-            tau += 1
-        for q in range(pos, pos + tau + 1):
-            edges.append((q, pos - 2))
-    return ProximityDiagram(vertices, tuple(sorted(edges)))
+    """Diagram of ``w`` with the multiplicity sequence ``mults`` of ``w``.
+
+    p_j is proximate to p_(j-1), and to p_(o-2) when it lies on a V T^tau
+    chain started at position o; edges come out sorted."""
+    edges = []
+    for j, origin in enumerate(w.chain_origins()[1:], 1):
+        if origin is not None:
+            edges.append((j, origin - 2))
+        edges.append((j, j - 1))
+    return ProximityDiagram(w.symbols, mults, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -203,9 +194,9 @@ def invariant_panel(
     One front chain of the word gives them all: the characteristic is its
     first entry, the multiplicity sequence its leading entries, and the
     proximity diagram is built on those multiplicities.  The Goursat word
-    differs from the word only when its second symbol is V; it is then R
-    followed by the lifted word, so its characteristic is the front step for
-    a second symbol R applied to the chain's second entry.
+    (``RvtWord.goursat_word``) is the word itself unless its second symbol is
+    V; it is then R followed by the lifted word, so its characteristic is the
+    front step for a second symbol R applied to the chain's second entry.
 
     Every panel checks itself: the back recursion must agree with the front
     one, the proximity sums must balance, and when the direct restriction
@@ -224,11 +215,8 @@ def invariant_panel(
         raise MismatchReport(f"recursions disagree on {w}: {front} vs {back}")
     if pc is not None and front != pc:
         raise MismatchReport(f"CW({pc}) = {w} has characteristic {front}")
-    if w.symbols[1:2] == "V":
-        goursat = RvtWord("R" + lift_string(w.symbols))
-        restricted = PuiseuxCharacteristic(front_r_step(chain[1]))
-    else:
-        goursat, restricted = w, front
+    goursat = w.goursat_word()
+    restricted = front if goursat is w else PuiseuxCharacteristic(front_r_step(chain[1]))
     try:
         direct = restrict_pc(front)
     except RemainderInvalid:

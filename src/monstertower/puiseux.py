@@ -30,7 +30,7 @@ from .errors import (
     RemainderInvalid,
     TrivialCharacteristic,
 )
-from .words import RvtWord, is_entirely_critical, lift_string
+from .words import RvtWord, _split_pq, is_entirely_critical, lift_string
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
 
@@ -272,18 +272,13 @@ def pc_from_word_back(word: RvtWord | str) -> PuiseuxCharacteristic:
 def _back_lambdas(s: str) -> tuple[int, ...]:
     """Raw characteristic of a valid word that is empty or critical.
 
-    Splits s as P R^rho Q: Q the maximal trailing V/T block, R^rho the run
-    before it, P empty or critical.  Prepending R^k to Q sends E(Q) = (a, b)
-    to (a, b + k*a), so one pass over Q gives both pairs the step needs.
+    Splits s as P R^rho Q (``_split_pq``).  Prepending R^k to Q sends
+    E(Q) = (a, b) to (a, b + k*a), so one pass over Q gives both pairs the
+    step needs.
     """
     if not s:
         return (1,)
-    q = len(s)
-    while s[q - 1] != "R":
-        q -= 1
-    r = q
-    while r and s[r - 1] == "R":
-        r -= 1
+    r, q = _split_pq(s)
     a, b = _e_pair(s[q:])
     rho = q - r
     if not r:

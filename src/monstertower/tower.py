@@ -463,6 +463,7 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
         for needed in ("chart", "r", "n"):
             if needed not in fields:
                 raise ParseError(f"leveled germs need a {needed}= field")
+        _reject_unknown(fields, ("chart", "r", "n", "constants"))
         path = fields["chart"].strip()
         if len(path) != level:
             raise ParseError(f"chart path {path!r} does not have length {level}")
@@ -480,10 +481,17 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
     for needed in ("x", "y"):
         if needed not in fields:
             raise ParseError("expected 'x=<series>, y=<series>'")
+    _reject_unknown(fields, ("x", "y"))
     germ = CurveGerm.from_series(
         parse_series(fields["x"], precision), parse_series(fields["y"], precision)
     )
     return germ, 0
+
+
+def _reject_unknown(fields: dict, known: tuple[str, ...]) -> None:
+    for name in fields:
+        if name not in known:
+            raise ParseError(f"unknown field {name!r}; expected {', '.join(known)}")
 
 
 def _split_fields(text: str) -> dict[str, str | list[str]]:

@@ -4,6 +4,13 @@ A code word is a finite word over {R, V, T} subject to two rules: a nonempty
 word starts with R, and every T immediately follows a V or a T.  Words are
 stored without trailing R padding semantics attached; ``normalize`` trims
 trailing R's, which changes none of the invariants computed from a word.
+
+Three readings of a word that the other modules build on are made here and
+nowhere else: the V T^tau chain through each position (``chain_origins``,
+which gives the proximity edges and the level split), the Goursat word
+(``goursat_word``, R followed by the lifted word when the second symbol is
+V) and the split P R^rho Q of a critical word (``decompose``, and the back
+recursion of the Puiseux characteristic through ``_split_pq``).
 """
 
 from __future__ import annotations
@@ -100,15 +107,19 @@ class RvtWord:
         """Trim trailing R's; the result is empty or critical."""
         return RvtWord(self.symbols.rstrip("R"))
 
-    def goursat_word(self) -> "GoursatWord":
+    def goursat_word(self) -> "RvtWord":
         """Rewrite a second-position V chain to R's.
 
         If there is a V in second position, it and any immediately succeeding
         T's become R's; Goursat distributions cannot see that initial chain.
-        So the Goursat word is R followed by the lifted word.
+        So the Goursat word is R followed by the lifted word, and every other
+        word is its own Goursat word.  Either way it begins with RR when it
+        has length >= 2.
         """
         s = self.symbols
-        return GoursatWord(s[:1] + lift_string(s))
+        if s[1:2] != "V":
+            return self
+        return RvtWord("R" + lift_string(s))
 
     # -- lifting ----------------------------------------------------------------
 
@@ -147,30 +158,15 @@ class RvtWord:
         s = self.symbols
         if not is_critical(s):
             raise NotCritical(f"{s!r} does not end in V or T")
-        q_start = len(s)
-        while q_start > 0 and s[q_start - 1] in "VT":
-            q_start -= 1
-        r_start = q_start
-        while r_start > 0 and s[r_start - 1] == "R":
-            r_start -= 1
-        return WordDecomposition(
-            prefix=RvtWord(s[:r_start]),
-            rho=q_start - r_start,
-            critical_block=s[q_start:],
-        )
+        r, q = _split_pq(s)
+        return WordDecomposition(prefix=RvtWord(s[:r]), rho=q - r, critical_block=s[q:])
 
     def chain_origins(self) -> tuple[int | None, ...]:
         """For each position (1-indexed entries, index 0 unused as None):
         the level at which the V/T chain through it started."""
         origins: list[int | None] = [None]
-        for pos in range(1, len(self.symbols) + 1):
-            ch = self.symbols[pos - 1]
-            if ch == "V":
-                origins.append(pos)
-            elif ch == "T":
-                origins.append(origins[pos - 1])
-            else:
-                origins.append(None)
+        for pos, ch in enumerate(self.symbols, 1):
+            origins.append(pos if ch == "V" else origins[-1] if ch == "T" else None)
         return tuple(origins)
 
     def split_at_level(self, k: int) -> tuple["RvtWord", "RvtWord"]:
@@ -194,13 +190,17 @@ class RvtWord:
         return RvtWord(self.symbols[:k]), RvtWord("".join(tail))
 
 
-class GoursatWord(RvtWord):
-    """A valid word whose first two symbols are RR when it has length >= 2."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.symbols) >= 2 and self.symbols[:2] != "RR":
-            raise LeadingNonR("a Goursat word must begin with RR", 1)
+def _split_pq(s: str) -> tuple[int, int]:
+    """Cut points (r, q) of a valid critical string s = P R^rho Q: Q = s[q:]
+    is the maximal trailing V/T block, R^rho = s[r:q] the run before it and
+    P = s[:r], empty or critical."""
+    q = len(s)
+    while q and s[q - 1] != "R":
+        q -= 1
+    r = q
+    while r and s[r - 1] == "R":
+        r -= 1
+    return r, q
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,12 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert f"error: argument {message}\n" in err
 
+    @pytest.mark.parametrize("engine", ["both", "blowup"])
+    def test_level_needs_the_nash_engine(self, capsys, engine):
+        code, out, err = run(capsys, "curve", "x=t^5, y=t^7", "--level", "2", "--engine", engine)
+        assert code == 1 and out == ""
+        assert err == f"error: --level applies only to --engine nash, not {engine}\n"
+
     def test_zero_precision_env_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("MONSTERTOWER_PRECISION", "0")
         code, out, err = run(capsys, "word", "RV")

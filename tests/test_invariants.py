@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from monstertower.invariants import (
     ProximityDiagram,
-    ProximityVertex,
     invariant_panel,
     multiplicity_sequence,
     proximity_diagram,
@@ -66,10 +65,24 @@ class TestProximityDiagram:
         for w in enumerate_words(10):
             assert proximity_diagram(w).check_sums()
 
+    def test_edges_match_chain_scan(self):
+        # reference: scan each V T^tau chain and hang its positions off the
+        # vertex two before its V, add the path edges, then sort
+        for w in enumerate_words(10):
+            s = w.symbols
+            edges = [(j + 1, j) for j in range(len(s))]
+            for pos in range(1, len(s) + 1):
+                if s[pos - 1] != "V":
+                    continue
+                tau = 0
+                while pos + tau < len(s) and s[pos + tau] == "T":
+                    tau += 1
+                edges.extend((q, pos - 2) for q in range(pos, pos + tau + 1))
+            assert proximity_diagram(w).edges == tuple(sorted(edges)), s
+
     def test_unbalanced_sums_fail(self):
         def diagram(mults, edges):
-            vertices = tuple(ProximityVertex(j, None, m) for j, m in enumerate(mults))
-            return ProximityDiagram(vertices, edges)
+            return ProximityDiagram("R" * (len(mults) - 1), mults, edges)
 
         edges = ((1, 0), (2, 0), (2, 1))
         assert diagram((2, 1, 1), edges).check_sums() is True
@@ -85,11 +98,11 @@ class TestProximityDiagram:
         edges = data.draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(-2, n + 1)), max_size=12,
         )) if n else []
-        vertices = tuple(ProximityVertex(j, None, m) for j, m in enumerate(mults))
         quadratic = all(
             sum(mults[j] for j, i2 in edges if i2 == i) == mults[i] for i in range(n - 1)
         )
-        assert ProximityDiagram(vertices, tuple(edges)).check_sums() is quadratic
+        diagram = ProximityDiagram("R" * (n - 1), tuple(mults), tuple(edges))
+        assert diagram.check_sums() is quadratic
 
     def test_dot_output(self):
         dot = proximity_diagram("RV").to_dot()

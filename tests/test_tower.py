@@ -344,11 +344,28 @@ class TestCurveGrammar:
             "@level x chart=o, r=t, n=t",
             "z=t",
             "x=t^2, y=t^3, y=t^5",
+            "x=t^2, y=t^3, z=5",
+            "x=t^2, y=t^3, constants=1,2",
+            "@level 2 chart=oi, r=t, n=t, foo=3",
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_curve(bad)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("x=t^2, y=t^3, z=5", "unknown field 'z'; expected x, y"),
+            ("x=t^2, y=t^3, constants=1,2", "unknown field 'constants'; expected x, y"),
+            ("@level 2 chart=oi, r=t, n=t, foo=3",
+             "unknown field 'foo'; expected chart, r, n, constants"),
+        ],
+    )
+    def test_unknown_field_is_named(self, bad, message):
+        with pytest.raises(ParseError) as info:
+            parse_curve(bad)
+        assert str(info.value) == message
 
     def test_base_point_recentering(self):
         c, _ = parse_curve("x=1+t^2, y=2+t^3")

@@ -128,6 +128,13 @@ class TestGoursat:
             assert len(g) == len(w)
             assert g.goursat_word().symbols == g.symbols
 
+    def test_begins_with_rr_and_fixes_words_without_second_v(self):
+        for w in enumerate_words(10):
+            g = w.goursat_word()
+            assert g.symbols[:2] == "RR" or len(w) < 2, w.symbols
+            if w.symbols[1:2] != "V":
+                assert g is w
+
 
 class TestLift:
     def test_chain_rewrite(self):
