@@ -24,12 +24,7 @@ from .defaults import DEFAULT_MAX_LEVEL
 from .errors import InsufficientPrecision, MaxLevelExceeded, MismatchReport
 from .invariants import multiplicity_sequence
 from .series import TruncatedSeries
-from .tower import (
-    CoordName,
-    CurveGerm,
-    lift_to_regularization,
-    pair_multiplicity,
-)
+from .tower import CoordName, CurveGerm, lift_to_regularization
 from .words import RvtWord
 
 
@@ -67,6 +62,7 @@ class BlowupStep:
     new_name: BlowupName
     symbol: str
     divisor_flag: int | None   # flag inherited by the new coordinate
+    orders: tuple[int | None, int | None]  # val(a), val(b - b(0)) that decided the chart
 
 
 @dataclass(frozen=True)
@@ -156,6 +152,7 @@ def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
         new_name=new_state.b_name,
         symbol=symbol,
         divisor_flag=inherited,
+        orders=(va, vb),
     )
     return new_state, step
 
@@ -179,23 +176,21 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
         a=c.x, b=c.y, a_name=BlowupName("x", 0), b_name=BlowupName("y", 0),
         a_flag=None, b_flag=None, level=0,
     )
+    profile: list[int | None] = [c.x.valuation_or_none(), c.y.valuation_or_none()]
+    if profile == [None, None]:
+        raise _constant_pair_error(state, 0)
     steps: list[BlowupStep] = []
-    mults: list[int] = []
-    while True:
-        m = pair_multiplicity(state.a, state.b)
-        if m is None:
-            raise _constant_pair_error(state, state.level)
-        mults.append(m)
-        if steps and _is_regular(state, steps[-1].symbol):
-            break
+    while not (steps and _is_regular(state, steps[-1].symbol)):
         if state.level >= max_level:
             raise MaxLevelExceeded(
                 f"no regular strict transform within {max_level} blowups"
             )
         state, step = blowup_once(state)
         steps.append(step)
-    profile: list[int | None] = [c.x.valuation_or_none(), c.y.valuation_or_none()]
     profile.extend(s.new_coord.valuation_or_none() for s in steps)
+    # The multiplicity of each point is the smaller order of its recentered
+    # pair; the regular point's is 1.
+    mults = (*(min(v for v in s.orders if v is not None) for s in steps), 1)
     return BlowupTrace(
         steps=tuple(steps),
         regularity_level=state.level,
@@ -203,7 +198,7 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
         chart_path="".join(s.chart_letter for s in steps),
         base_point=c.base_point,
         profile=tuple(profile),
-        multiplicities=tuple(mults),
+        multiplicities=mults,
     )
 
 

@@ -21,7 +21,7 @@ into a ``LiftTrace``; its word, data point and every Nash-derived invariant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -47,7 +47,7 @@ class CoordName:
     order: int  # number of primes
 
     def bump(self) -> "CoordName":
-        return replace(self, order=self.order + 1)
+        return type(self)(self.base, self.order + 1)
 
     def __str__(self) -> str:
         if self.order == 0:
@@ -103,6 +103,7 @@ class LiftStep:
     deactivated: CoordName         # the coordinate that went passive
     symbol: str                    # R, V, or T
     chain_origin: int | None       # level of the divisor whose chain is alive
+    orders: tuple[int | None, int | None]  # val(dr/dt), val(dn/dt) that decided the letter
 
 
 @dataclass(frozen=True)
@@ -159,13 +160,12 @@ class LiftTrace:
 
     def multiplicities(self) -> tuple[int, ...]:
         """Multiplicity of each lift: the smaller valuation of the recentered
-        active pair, level by level from the base germ to regularization."""
-        pairs = [(self.germ.x, self.germ.y)]
-        pairs.extend((s.retained, s.new_coord) for s in self._regular_steps())
-        mults = tuple(pair_multiplicity(r, n) for r, n in pairs)
-        if None in mults:
-            raise InsufficientPrecision("active pair constant to precision")
-        return mults
+        active pair, level by level from the base germ to regularization.
+        In characteristic 0, val(f - f(0)) = val(df/dt) + 1, so each step's
+        deciding orders give the multiplicity of the pair it lifted; the
+        regular pair has multiplicity 1."""
+        steps = self._regular_steps()
+        return (*(min(v for v in s.orders if v is not None) + 1 for s in steps), 1)
 
     def vertical_orders(self) -> VerticalOrders:
         """Orders of vanishing of the divisor equations along the lift: at an
@@ -209,14 +209,6 @@ class LiftTrace:
         }
 
 
-def pair_multiplicity(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
-    """Multiplicity of the curve point with local coordinates (a, b): the
-    smaller valuation of the two recentered series, or None when both read
-    constant to their term budgets."""
-    vals = [s.recenter()[1].valuation_or_none() for s in (a, b)]
-    return min((v for v in vals if v is not None), default=None)
-
-
 def lift_once(
     retained: TruncatedSeries,
     new_coord: TruncatedSeries,
@@ -236,8 +228,17 @@ def lift_once(
     below that budget: a retained stream has the budget of the new
     coordinate, and a new coordinate has the largest budget so far.
     """
-    dr = retained.derivative()
-    dn = new_coord.derivative()
+    step, _, _ = _lift(
+        retained, new_coord, retained.derivative(), new_coord.derivative(),
+        level, retained_name, new_name, chain_origin,
+    )
+    return step
+
+
+def _lift(retained, new_coord, dr, dn, level, retained_name, new_name, chain_origin):
+    """``lift_once`` on the pair and its derivatives (dr, dn).  Also returns
+    the derivatives of the new active pair, so that a lift differentiates
+    each coordinate once."""
     vr = dr.valuation_or_none()
     vn = dn.valuation_or_none()
     if vr is None and vn is None:
@@ -248,7 +249,7 @@ def lift_once(
     inverted = vr is None or (vn is not None and vr > vn)
     if inverted:
         fresh = dr.quotient(dn)
-        return LiftStep(
+        step = LiftStep(
             level=level,
             chart_letter="i",
             retained=new_coord,
@@ -258,10 +259,12 @@ def lift_once(
             deactivated=retained_name,
             symbol="V",
             chain_origin=level,
+            orders=(vr, vn),
         )
+        return step, dn, fresh.derivative()
     fresh = dn.quotient(dr)
     on_prolongation = chain_origin is not None and fresh.constant_term() == 0
-    return LiftStep(
+    step = LiftStep(
         level=level,
         chart_letter="o",
         retained=retained,
@@ -271,7 +274,9 @@ def lift_once(
         deactivated=new_name,
         symbol="T" if on_prolongation else "R",
         chain_origin=chain_origin if on_prolongation else None,
+        orders=(vr, vn),
     )
+    return step, dr, fresh.derivative()
 
 
 def _initial_actives(c: CurveGerm):
@@ -283,14 +288,12 @@ def _initial_actives(c: CurveGerm):
     return (CoordName("y", 0), c.y), (CoordName("x", 0), c.x)
 
 
-def _is_regular(step: LiftStep) -> bool:
+def _is_regular(symbol: str, d_retained: TruncatedSeries, d_new: TruncatedSeries) -> bool:
     """Regularity after a chart step: the retained coordinate moves at unit
     speed and the new coordinate either does too or carries no chain."""
-    if step.retained.derivative().valuation_or_none() != 0:
+    if d_retained.valuation_or_none() != 0:
         return False
-    if step.symbol == "R":
-        return True
-    return step.new_coord.derivative().valuation_or_none() == 0
+    return symbol == "R" or d_new.valuation_or_none() == 0
 
 
 def lift_trace(
@@ -308,6 +311,7 @@ def lift_trace(
     """
     c.check_primitive()
     (r_name, r_series), (n_name, n_series) = _initial_actives(c)
+    dr, dn = r_series.derivative(), n_series.derivative()
     steps: list[LiftStep] = []
     chain: int | None = None
     regular_at: int | None = None
@@ -324,19 +328,12 @@ def lift_trace(
                 "critical or the budget too small"
             )
         level += 1
-        step = lift_once(
-            r_series,
-            n_series,
-            level=level,
-            retained_name=r_name,
-            new_name=n_name,
-            chain_origin=chain,
-        )
+        step, dr, dn = _lift(r_series, n_series, dr, dn, level, r_name, n_name, chain)
         steps.append(step)
         chain = step.chain_origin
         r_series, n_series = step.retained, step.new_coord
         r_name, n_name = step.retained_name, step.new_name
-        if regular_at is None and _is_regular(step):
+        if regular_at is None and _is_regular(step.symbol, dr, dn):
             regular_at = level
     return LiftTrace(germ=c, steps=tuple(steps), regularization_level=regular_at)
 

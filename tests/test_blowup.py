@@ -1,4 +1,10 @@
+from fractions import Fraction as F
+from itertools import product
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monstertower.blowup import (
     BlowupName,
@@ -7,7 +13,7 @@ from monstertower.blowup import (
     blowup_resolve,
     cross_check,
 )
-from monstertower.corpus import generate_corpus
+from monstertower.corpus import CurveSpec, generate_corpus
 from monstertower.errors import (
     InsufficientPrecision,
     MaxLevelExceeded,
@@ -15,8 +21,8 @@ from monstertower.errors import (
     NonPrimitiveParameterization,
 )
 from monstertower.invariants import multiplicity_sequence
-from monstertower.series import parse_series
-from monstertower.tower import CurveGerm, lift_to_regularization, parse_curve
+from monstertower.series import TruncatedSeries, parse_series
+from monstertower.tower import CurveGerm, lift_to_regularization, lift_trace, parse_curve
 
 
 def germ(text, precision=64):
@@ -160,3 +166,93 @@ class TestCrossCheck:
         assert report.to_json_dict()["agree"] is True
         with pytest.raises(MismatchReport):
             raise MismatchReport("forced", report)
+
+
+def recentered_multiplicities(pairs):
+    """Multiplicity of each point from its active pair: the smaller valuation
+    of the two recentered series, skipping one that reads constant."""
+    return tuple(
+        min(v for v in (s.recenter()[1].valuation_or_none() for s in pair) if v is not None)
+        for pair in pairs
+    )
+
+
+def _step_test_germs():
+    """Both corpora, the high-order germs of the benchmark's deep lifts, and
+    germs given at a level, rebuilt at small and large term budgets."""
+    for seed in (178212, 20230817):
+        for spec in generate_corpus(220, seed):
+            yield str(spec), spec.curve(96)
+    t15 = "x=t^15, y=t^24+t^25"
+    for text, precision in (
+        (t15, 64), (t15, 96), (t15, 128), (t15, 192),
+        ("x=t^6+t^9, y=t^8+t^11", 64), ("x=t^4+t^5, y=t^6+t^7", 64),
+        ("x=t^6+t^7, y=t^9+t^10", 64), ("x=t^8+t^9, y=t^12+t^14+t^15", 64),
+        ("x=t^3+t^4, y=t^7", 64),
+    ):
+        yield f"{text} @{precision}", germ(text, precision)
+    for n, terms in ((13, ((1, 61),)), (11, ((1, 57),)), (12, ((1, 30), (1, 61))),
+                     (12, ((1, 14), (1, 16), (1, 57)))):
+        spec = CurveSpec(n, tuple((F(c), e) for c, e in terms))
+        yield str(spec), spec.curve(64)
+    charts = ["o" + "".join(p) for k in range(5) for p in product("oi", repeat=k)]
+    charts += ["oioioio", "oiiooi", "oiioioii", "oiioioiioiio"]
+    leveled = [f"@level {len(c)} chart={c}, r=t, n=t" for c in charts]
+    leveled.append("@level 3 chart=oio, r=2*t-t^2, n=-1/3+t, constants=1,-2,3/4,0,0")
+    for text in leveled:
+        for precision in (1, 2, 4, 8, 64):
+            yield f"{text} @{precision}", germ(text, precision)
+
+
+class TestMultiplicitiesFromSteps:
+    """The engines read each multiplicity off the orders a step decided on;
+    these must equal the smaller recentered valuation of every active pair,
+    which they replace."""
+
+    def test_equal_the_recentered_rule(self):
+        differ = []
+        for label, c in _step_test_germs():
+            nash = lift_trace(c)
+            steps = nash.steps[: nash.regularization_level]
+            pairs = [(c.x, c.y), *((s.retained, s.new_coord) for s in steps)]
+            if nash.multiplicities() != recentered_multiplicities(pairs):
+                differ.append(("nash", label))
+            blow = blowup_resolve(c)
+            state = BlowupState(c.x, c.y, BlowupName("x", 0), BlowupName("y", 0), None, None, 0)
+            pairs = [(c.x, c.y)]
+            for _ in blow.steps:
+                state, _ = blowup_once(state)
+                pairs.append((state.a, state.b))
+            if blow.multiplicities != recentered_multiplicities(pairs):
+                differ.append(("blowup", label))
+        assert differ == []
+
+
+# Coefficients of either sign, integral or not.
+coefficients = st.builds(F, st.sampled_from([-9, -2, -1, 1, 3, 14]), st.integers(1, 6))
+
+
+@st.composite
+def wide_germs(draw):
+    """Germs wider than the corpus shape x = t^n: x has two to four
+    nonconstant terms, the base point is drawn (often nonzero), and the
+    coefficients are rational of either sign.  gcd(val x, val y) = 1, so the
+    germ is primitive."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 16).filter(lambda m: gcd(n, m) == 1))
+
+    def coordinate(valuation, min_extra):
+        extra = draw(st.sets(st.integers(valuation + 1, valuation + 12),
+                             min_size=min_extra, max_size=3))
+        terms = [(F(draw(st.integers(-3, 3)), 2), 0), (draw(coefficients), valuation)]
+        terms.extend((draw(coefficients), e) for e in sorted(extra))
+        return TruncatedSeries.from_terms(terms)
+
+    return CurveGerm.from_series(coordinate(n, 1), coordinate(m, 0))
+
+
+class TestWideGerms:
+    @given(wide_germs())
+    @settings(max_examples=200, deadline=None)
+    def test_engines_agree(self, c):
+        assert cross_check(c).ok

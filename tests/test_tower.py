@@ -229,6 +229,47 @@ class TestMultiplicities:
         assert lift_to_regularization(germ(QUINTIC)).multiplicities() == (5, 2, 2, 1, 1)
 
 
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Every series ``TruncatedSeries.derivative`` is called on, in order."""
+    calls = []
+    original = TruncatedSeries.derivative
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TruncatedSeries, "derivative", counting)
+    return calls
+
+
+class TestDerivativesPerLift:
+    """A lift differentiates x, y and each fresh coordinate once; the chart
+    choice, the regularity test and the next level share those derivatives."""
+
+    def test_quintic(self, derivative_calls):
+        c = germ(QUINTIC)
+        assert len(lift_to_regularization(c).steps) == 4
+        assert len(derivative_calls) == 6
+
+    @pytest.mark.parametrize(
+        "curve,levels",
+        [
+            (QUINTIC, 2),
+            (QUINTIC, 7),
+            ("x=t^15, y=t^24+t^25", None),
+            ("x=1+t^3, y=-2+t^4-3/7*t^5", None),
+            ("x=t, y=t^3", None),
+            ("@level 7 chart=oioioio, r=t, n=t", None),
+        ],
+    )
+    def test_steps_plus_two(self, derivative_calls, curve, levels):
+        c = germ(curve, 96)
+        derivative_calls.clear()  # a leveled germ is integrated and re-lifted
+        trace = lift_trace(c, levels=levels)
+        assert len(derivative_calls) == len(trace.steps) + 2
+
+
 class TestErrors:
     def test_non_primitive(self):
         with pytest.raises(NonPrimitiveParameterization):
