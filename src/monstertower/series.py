@@ -16,7 +16,13 @@ stream only zero to the budget.
 Coefficients are computed when read, from the front (McIlroy, "Power series,
 power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002),
 so the engines, which read valuations and constant terms, pay only for the
-leading terms they decide on.
+leading terms they decide on.  A valuation that the operands fix costs no
+coefficient at all: val(f/g) = val f - val g, val(fg) = val f + val g, and
+in characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
+val f >= 1; an integral from 0 has the valuation of its integrand plus one,
+and an integral from a nonzero constant has valuation 0.  Such a series
+carries its valuation from construction.  Its budget always covers it, so a
+search would have found the same index.
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ class TruncatedSeries:
     * ``_known`` is the prefix computed so far;
     * ``_degree`` is a polynomial's degree (-1 for zero), None for a stream;
     * ``_zeros`` counts leading coefficients known to be zero from the
-      operands' valuations; it becomes the valuation once that is read;
+      operands' valuations, so a constant term past them is 0 for free;
+    * ``_exact`` says that ``_zeros`` is the valuation: a nonzero polynomial,
+      a result whose operands' valuations fix it, or a series whose search
+      found it; ``valuation_or_none`` then reads it without computing;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
       coefficients need the first ``m + offset`` of that operand;
     * ``_extend(known, m)`` appends coefficients up to m once those are there.
@@ -66,7 +75,7 @@ class TruncatedSeries:
     Zeros, leading or past the degree, cost no arithmetic; the operands and
     ``_extend`` are dropped once a polynomial is complete."""
 
-    __slots__ = ("_precision", "_degree", "_zeros", "_known", "_operands", "_extend")
+    __slots__ = ("_precision", "_degree", "_zeros", "_exact", "_known", "_operands", "_extend")
 
     def __init__(self, coefficients):
         known = [_as_fraction(c) for c in coefficients]
@@ -75,26 +84,32 @@ class TruncatedSeries:
             known.pop()
         self._degree = len(known) - 1
         self._zeros = next((i for i, c in enumerate(known) if c), len(known))
+        self._exact = self._degree >= 0
         self._known = known
         self._operands = ()
         self._extend = None
 
     @classmethod
-    def _lazy(cls, precision: int, degree, zeros: int, operands, extend) -> "TruncatedSeries":
+    def _lazy(
+        cls, precision: int, degree, zeros: int, exact: bool, operands, extend
+    ) -> "TruncatedSeries":
         series = cls.__new__(cls)
         series._precision = max(precision, (zeros if degree is None else degree) + 1)
         series._degree = degree
         series._zeros = zeros
+        series._exact = exact
         series._known = []
         series._operands = operands
         series._extend = extend
         return series
 
     @classmethod
-    def _termwise(cls, precision: int, degree, zeros: int, operands, term) -> "TruncatedSeries":
+    def _termwise(
+        cls, precision: int, degree, zeros: int, exact: bool, operands, term
+    ) -> "TruncatedSeries":
         """Series whose coefficient i is ``term(i)``."""
         return cls._lazy(
-            precision, degree, zeros, operands,
+            precision, degree, zeros, exact, operands,
             lambda known, n: known.extend(map(term, range(len(known), n))),
         )
 
@@ -173,6 +188,8 @@ class TruncatedSeries:
         return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
 
     def valuation_or_none(self) -> int | None:
+        if self._exact:
+            return self._zeros
         known = self._known
         end = self._precision if self._degree is None else self._degree + 1
         for i in range(self._zeros, end):
@@ -180,6 +197,7 @@ class TruncatedSeries:
                 self._force(i + 1)
             if known[i]:
                 self._zeros = i
+                self._exact = True
                 return i
         self._zeros = max(self._zeros, end)
         return None
@@ -193,7 +211,7 @@ class TruncatedSeries:
         return v
 
     def constant_term(self) -> Fraction:
-        return self._force(1)[0]
+        return _ZERO if self._zeros else self._force(1)[0]
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Coefficient-wise equality over the larger of the two budgets."""
@@ -233,15 +251,17 @@ class TruncatedSeries:
 
         # a factor that reads zero to its budget contributes the budget
         zeros = (self.precision if va is None else va) + (other.precision if vb is None else vb)
+        exact = va is not None and vb is not None
         precision = max(self.precision, other.precision)
-        return self._lazy(precision, degree, zeros, ((self, 0), (other, 0)), extend)
+        return self._lazy(precision, degree, zeros, exact, ((self, 0), (other, 0)), extend)
 
     def derivative(self) -> "TruncatedSeries":
-        """Formal d/dt."""
+        """Formal d/dt; val f' = val f - 1 when val f >= 1 is known."""
         a, d = self._known, self._degree
         degree = None if d is None else max(d - 1, -1)
         return self._termwise(
-            self.precision, degree, max(self._zeros - 1, 0), ((self, 1),),
+            self.precision, degree, max(self._zeros - 1, 0),
+            self._exact and self._zeros >= 1, ((self, 1),),
             lambda i: (i + 1) * a[i + 1] if a[i + 1] else _ZERO,
         )
 
@@ -257,13 +277,13 @@ class TruncatedSeries:
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
         num, dc = self._known, den._known
-        lead = dc[vd]
         # j >= 1 below ``scanned`` with den[vd + j] != 0
         den_support: list[int] = []
         scanned = 1
 
         def extend(out, m):
             nonlocal scanned
+            lead = dc[vd]
             for k in range(len(out), m):
                 while scanned <= k:
                     if dc[vd + scanned]:
@@ -278,14 +298,15 @@ class TruncatedSeries:
         zeros = max((self.precision if vn is None else vn) - vd, 0)
         degree = -1 if self._degree == -1 else None
         precision = max(self.precision, den.precision)
-        return self._lazy(precision, degree, zeros, ((self, vd), (den, vd)), extend)
+        return self._lazy(precision, degree, zeros, vn is not None, ((self, vd), (den, vd)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant)."""
         a, d = self._known, self._degree
         degree = d if d is None or d > 0 else -1
         tail = self._termwise(
-            self.precision, degree, max(self._zeros, 1), ((self, 0),),
+            self.precision, degree, max(self._zeros, 1),
+            self._exact and self._zeros >= 1, ((self, 0),),
             lambda i: a[i] if i else _ZERO,
         )
         return self.constant_term(), tail
@@ -300,7 +321,7 @@ class TruncatedSeries:
         if d is not None:  # a zero g integrates to the constant
             d = d + 1 if d >= 0 or c else -1
         return self._termwise(
-            g.precision, d, 0 if c else g._zeros + 1, ((g, -1),),
+            g.precision, d, 0 if c else g._zeros + 1, bool(c) or g._exact, ((g, -1),),
             lambda i: (gc[i - 1] / i if gc[i - 1] else _ZERO) if i else c,
         )
 
@@ -336,7 +357,10 @@ def parse_series(text: str, precision: int = DEFAULT_PRECISION) -> TruncatedSeri
         if m is None or (m.group(2) is None and m.group(3) is None):
             raise ParseError(f"bad series term {chunk.strip()!r}", pos)
         sign, coeff_text, t_part, exp_text = m.groups()
-        coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+        try:
+            coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in series term {chunk.strip()!r}", pos) from None
         if sign == "-":
             coeff = -coeff
         if t_part is None:

@@ -150,8 +150,8 @@ class LiftTrace:
 
     def order_profile(self) -> tuple[int | None, ...]:
         """Valuations of x, y and the new coordinate of every level up to
-        regularization.  None marks a coordinate that is zero to its stored
-        precision."""
+        regularization.  None marks a coordinate whose coefficients read zero
+        over its whole term budget."""
         return (
             self.germ.x.valuation_or_none(),
             self.germ.y.valuation_or_none(),
@@ -466,7 +466,7 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
             raise ParseError(f"chart path {path!r} does not have length {level}")
         constants = None
         if "constants" in fields:
-            constants = [Fraction(c.strip()) for c in fields["constants"]]
+            constants = [_parse_constant(c) for c in fields["constants"]]
         germ = curve_from_chart_data(
             path,
             parse_series(fields["r"], precision),
@@ -483,6 +483,13 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
         parse_series(fields["x"], precision), parse_series(fields["y"], precision)
     )
     return germ, 0
+
+
+def _parse_constant(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad constant {text!r}; expected an integer or a fraction p/q") from None
 
 
 def _reject_unknown(fields: dict, known: tuple[str, ...]) -> None:

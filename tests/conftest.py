@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from monstertower import tower
+from monstertower.series import TruncatedSeries
 
 
 @pytest.fixture
@@ -15,3 +18,34 @@ def lift_calls(monkeypatch):
 
     monkeypatch.setattr(tower, "lift_trace", counting)
     return calls
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Counts of ``TruncatedSeries._force`` calls (``"force"``) and of the
+    coefficients that series made by operations compute (``"coefficients"``),
+    counting from when the fixture is set up.  Leading zeros known from the
+    operands and zeros past a polynomial's degree are filled in, not
+    computed, and are not counted."""
+    counts = Counter()
+    force, lazy = TruncatedSeries._force, TruncatedSeries._lazy.__func__
+
+    def counting_force(self, n):
+        counts["force"] += 1
+        return force(self, n)
+
+    def counting_lazy(cls, *args):
+        series = lazy(cls, *args)
+        extend = series._extend
+
+        def counting_extend(out, m):
+            before = len(out)
+            extend(out, m)
+            counts["coefficients"] += len(out) - before
+
+        series._extend = counting_extend
+        return series
+
+    monkeypatch.setattr(TruncatedSeries, "_force", counting_force)
+    monkeypatch.setattr(TruncatedSeries, "_lazy", classmethod(counting_lazy))
+    return counts

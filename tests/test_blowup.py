@@ -159,6 +159,21 @@ class TestCrossCheck:
         assert cross_check(germ("x=t^15, y=t^24+t^25", 96)).ok
         assert lift_calls == [None]
 
+    @pytest.mark.parametrize(
+        "curve,forces,coefficients",
+        [
+            # at e69da29, before valuations were read off the operands:
+            # 37 forces and 176 coefficients, 23 and 43, 148 and 3,324
+            ("x=t^15, y=t^24+t^25", 9, 130),
+            ("x=t^5, y=t^7", 4, 2),
+            ("x=t^12, y=t^14+t^16+t^57", 114, 3210),  # 29 Nash levels
+        ],
+    )
+    def test_coefficients_computed(self, computed, curve, forces, coefficients):
+        # the germ's recentered x and y are counted too
+        assert cross_check(germ(curve, 96)).ok
+        assert (computed["force"], computed["coefficients"]) == (forces, coefficients)
+
     def test_mismatch_raises_with_report(self):
         # sanity: cross_check raising is observable via a doctored comparison
         c = germ("x=t^5, y=t^7")

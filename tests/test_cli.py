@@ -274,6 +274,29 @@ class TestInputValidation:
             "must be at least 1, got 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "curve,message",
+        [
+            ("@level 2 chart=oi, r=t, n=t, constants=0,0,abc,0",
+             "bad constant 'abc'; expected an integer or a fraction p/q"),
+            ("@level 2 chart=oi, r=t, n=t, constants=",
+             "bad constant ''; expected an integer or a fraction p/q"),
+            ("@level 2 chart=oi, r=t, n=t, constants=0,0,1/0,0",
+             "bad constant '1/0'; expected an integer or a fraction p/q"),
+            ("x=t^2, y=1/0*t^3", "zero denominator in series term '1/0*t^3' (at position 0)"),
+        ],
+    )
+    def test_bad_number_exits_1_without_a_traceback(self, curve, message):
+        # a fresh interpreter, so that an uncaught exception would print its
+        # traceback to stderr
+        done = subprocess.run(
+            [sys.executable, "-c", ENTRY, "curve", curve],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120, check=False,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {message}\n"
+
     def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
         # a term past the budget is part of the polynomial, which raises the
         # budget to its degree + 1: nothing is dropped and nothing refused

@@ -229,7 +229,7 @@ class TestParse:
     def test_literals(self, text, expect):
         assert parse_series(text).agrees_with(TruncatedSeries.from_terms(expect))
 
-    @pytest.mark.parametrize("bad", ["", "q^2", "t^", "1//2*t", "t^2 ^3"])
+    @pytest.mark.parametrize("bad", ["", "q^2", "t^", "1//2*t", "t^2 ^3", "1/0*t^3", "t + 2/0"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_series(bad)
@@ -407,6 +407,87 @@ class TestEagerReference:
         assert ref_valuation(window) == 5
         assert tail.precision == 5 and tail.valuation_or_none() is None
         assert _head(tail, 6) == window
+
+
+def _stream(text, den="1 + t"):
+    """A stream with the valuation of ``text``, no coefficient computed."""
+    return S(text).quotient(S(den))
+
+
+class TestValuationFromOperands:
+    """A valuation that the operands fix is read without computing a
+    coefficient; the answer is still the first nonzero coefficient."""
+
+    @pytest.mark.parametrize(
+        "build,expect",
+        [
+            pytest.param(lambda: S("2*t^5 + t^6").quotient(S("3*t^2 - t^4")), 3, id="quotient"),
+            pytest.param(
+                lambda: _stream("t^7").quotient(_stream("t^3", "2 - t")), 4,
+                id="quotient of streams",
+            ),
+            pytest.param(lambda: _stream("t^2") * _stream("-3*t^5", "1 - t^2"), 7, id="product"),
+            pytest.param(
+                lambda: S("t^4 + t^9") * _stream("t"), 5, id="product with a polynomial",
+            ),
+            pytest.param(lambda: _stream("5*t^3").derivative(), 2, id="derivative"),
+            pytest.param(
+                lambda: _stream("t^4").derivative().derivative(), 2, id="second derivative",
+            ),
+            pytest.param(lambda: _stream("t^2 + t^3").recenter()[1], 2, id="recenter"),
+            pytest.param(lambda: _stream("t^2").integrate(_stream("t^3"), 0), 5, id="integrate"),
+            pytest.param(
+                lambda: _stream("1 + t").integrate(_stream("t"), 3), 0,
+                id="integrate from a constant",
+            ),
+        ],
+    )
+    def test_read_off_the_operands(self, computed, build, expect):
+        series = build()
+        computed.clear()
+        v = series.valuation_or_none()
+        assert computed == {}
+        assert v == expect == ref_valuation(series.coefficients)
+
+    def test_quotient_reads_the_lead_lazily(self, computed):
+        num, den = _stream("t^5"), _stream("2*t^3")
+        computed.clear()
+        q = num.quotient(den)
+        assert computed == {}
+        assert q.coefficients[2] == F(1, 2)
+
+    def test_known_zero_constant_term(self, computed):
+        d = _stream("t^3").derivative()
+        computed.clear()
+        assert d.constant_term() == 0
+        assert computed == {}
+
+    @pytest.mark.parametrize(
+        "build,expect",
+        [
+            # at valuation 0 the derivative's valuation depends on coefficient 1
+            pytest.param(
+                lambda: _stream("1 + t^3", "1 - t").derivative(), 0,
+                id="derivative of a unit quotient",
+            ),
+            pytest.param(
+                lambda: _stream("1 + t + t^2").derivative(), 1,
+                id="derivative of a unit with a linear gap",
+            ),
+            pytest.param(lambda: _stream("2 + t^2").recenter()[1], 1, id="recentering of a unit"),
+            # t^2 / t is the stream t, whose second derivative reads zero
+            pytest.param(
+                lambda: _stream("t^2", "t").derivative().derivative(), None,
+                id="zero to the budget",
+            ),
+        ],
+    )
+    def test_still_searches(self, computed, build, expect):
+        series = build()
+        computed.clear()
+        v = series.valuation_or_none()
+        assert computed["force"] > 0
+        assert v == expect == ref_valuation(series.coefficients)
 
 
 class TestIdenticallyZero:

@@ -388,6 +388,10 @@ class TestCurveGrammar:
             "x=t^2, y=t^3, z=5",
             "x=t^2, y=t^3, constants=1,2",
             "@level 2 chart=oi, r=t, n=t, foo=3",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,abc,0",
+            "@level 2 chart=oi, r=t, n=t, constants=",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,1/0,0",
+            "x=t^2, y=1/0*t^3",
         ],
     )
     def test_rejects(self, bad):
