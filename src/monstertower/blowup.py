@@ -17,27 +17,27 @@ sequences must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .defaults import DEFAULT_MAX_LEVEL
 from .errors import InsufficientPrecision, MaxLevelExceeded, MismatchReport
 from .invariants import multiplicity_sequence
+from .records import Record, _set
 from .series import TruncatedSeries
 from .tower import CoordName, CurveGerm, lift_to_regularization
 from .words import RvtWord
 
 
-@dataclass(frozen=True)
 class BlowupName(CoordName):
     """Base letter and the number of blowups behind the coordinate: ``y_1``."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.base}_{self.order}"
 
 
-@dataclass(frozen=True)
-class BlowupState:
+class BlowupState(Record):
     """Chart coordinates along the curve after ``level`` blowups.
 
     Slot a holds the most recent denominator, recentered (it vanishes at the
@@ -45,35 +45,49 @@ class BlowupState:
     slot b holds the most recent quotient, unrecentered.
     """
 
-    a: TruncatedSeries
-    b: TruncatedSeries
-    a_name: BlowupName
-    b_name: BlowupName
-    a_flag: int | None
-    b_flag: int | None
-    level: int
+    __slots__ = ("a", "b", "a_name", "b_name", "a_flag", "b_flag", "level")
+
+    def __init__(self, a: TruncatedSeries, b: TruncatedSeries, a_name: BlowupName,
+                 b_name: BlowupName, a_flag: int | None, b_flag: int | None, level: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "a_name", a_name)
+        _set(self, "b_name", b_name)
+        _set(self, "a_flag", a_flag)
+        _set(self, "b_flag", b_flag)
+        _set(self, "level", level)
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    level: int
-    chart_letter: str          # "o" when the y-like coordinate was divided
-    new_coord: TruncatedSeries
-    new_name: BlowupName
-    symbol: str
-    divisor_flag: int | None   # flag inherited by the new coordinate
-    orders: tuple[int | None, int | None]  # val(a), val(b - b(0)) that decided the chart
+class BlowupStep(Record):
+    __slots__ = ("level", "chart_letter", "new_coord", "new_name", "symbol", "divisor_flag",
+                 "orders")
+
+    def __init__(self, level: int, chart_letter: str, new_coord: TruncatedSeries,
+                 new_name: BlowupName, symbol: str, divisor_flag: int | None,
+                 orders: tuple[int | None, int | None]):
+        _set(self, "level", level)
+        _set(self, "chart_letter", chart_letter)  # "o" when the y-like coordinate was divided
+        _set(self, "new_coord", new_coord)
+        _set(self, "new_name", new_name)
+        _set(self, "symbol", symbol)
+        _set(self, "divisor_flag", divisor_flag)  # flag inherited by the new coordinate
+        _set(self, "orders", orders)  # val(a), val(b - b(0)) that decided the chart
 
 
-@dataclass(frozen=True)
-class BlowupTrace:
-    steps: tuple[BlowupStep, ...]
-    regularity_level: int | None
-    word: RvtWord
-    chart_path: str
-    base_point: tuple[Fraction, Fraction]
-    profile: tuple[int | None, ...]
-    multiplicities: tuple[int, ...]
+class BlowupTrace(Record):
+    __slots__ = ("steps", "regularity_level", "word", "chart_path", "base_point", "profile",
+                 "multiplicities")
+
+    def __init__(self, steps: tuple[BlowupStep, ...], regularity_level: int | None,
+                 word: RvtWord, chart_path: str, base_point: tuple[Fraction, Fraction],
+                 profile: tuple[int | None, ...], multiplicities: tuple[int, ...]):
+        _set(self, "steps", steps)
+        _set(self, "regularity_level", regularity_level)
+        _set(self, "word", word)
+        _set(self, "chart_path", chart_path)
+        _set(self, "base_point", base_point)
+        _set(self, "profile", profile)
+        _set(self, "multiplicities", multiplicities)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,16 +216,22 @@ def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTr
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    nash_word: str
-    blowup_word: str
-    nash_profile: tuple[int | None, ...]
-    blowup_profile: tuple[int | None, ...]
-    nash_multiplicities: tuple[int, ...]
-    blowup_multiplicities: tuple[int, ...]
-    word_multiplicities: tuple[int, ...]
-    ok: bool
+class CrossCheckReport(Record):
+    __slots__ = ("nash_word", "blowup_word", "nash_profile", "blowup_profile",
+                 "nash_multiplicities", "blowup_multiplicities", "word_multiplicities", "ok")
+
+    def __init__(self, nash_word: str, blowup_word: str, nash_profile: tuple[int | None, ...],
+                 blowup_profile: tuple[int | None, ...], nash_multiplicities: tuple[int, ...],
+                 blowup_multiplicities: tuple[int, ...], word_multiplicities: tuple[int, ...],
+                 ok: bool):
+        _set(self, "nash_word", nash_word)
+        _set(self, "blowup_word", blowup_word)
+        _set(self, "nash_profile", nash_profile)
+        _set(self, "blowup_profile", blowup_profile)
+        _set(self, "nash_multiplicities", nash_multiplicities)
+        _set(self, "blowup_multiplicities", blowup_multiplicities)
+        _set(self, "word_multiplicities", word_multiplicities)
+        _set(self, "ok", ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,23 +256,24 @@ def cross_check(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> CrossCheckR
     Raises MismatchReport carrying the report when anything differs."""
     nash = lift_to_regularization(c, max_level)
     blow = blowup_resolve(c, max_level)
-    report = CrossCheckReport(
-        nash_word=nash.word.symbols,
-        blowup_word=blow.word.symbols,
-        nash_profile=nash.order_profile(),
-        blowup_profile=blow.profile,
-        nash_multiplicities=nash.multiplicities(),
-        blowup_multiplicities=blow.multiplicities,
-        word_multiplicities=multiplicity_sequence(nash.word),
-        ok=True,
-    )
+    word, profile, mults = nash.word, nash.order_profile(), nash.multiplicities()
+    word_mults = multiplicity_sequence(word)
     ok = (
-        report.nash_word == report.blowup_word
-        and report.nash_profile == report.blowup_profile
-        and report.nash_multiplicities == report.blowup_multiplicities
-        and report.nash_multiplicities == report.word_multiplicities
+        word.symbols == blow.word.symbols
+        and profile == blow.profile
+        and mults == blow.multiplicities
+        and mults == word_mults
+    )
+    report = CrossCheckReport(
+        nash_word=word.symbols,
+        blowup_word=blow.word.symbols,
+        nash_profile=profile,
+        blowup_profile=blow.profile,
+        nash_multiplicities=mults,
+        blowup_multiplicities=blow.multiplicities,
+        word_multiplicities=word_mults,
+        ok=ok,
     )
     if not ok:
-        report = replace(report, ok=False)
         raise MismatchReport(f"engines disagree on {c}", report)
     return report

@@ -14,7 +14,6 @@ output.  Rationals are serialized as "p/q" strings in JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -163,6 +162,8 @@ def _fill_defaults(args) -> None:
 
 def _emit(args, payload: dict, text: str, dot: str | None = None) -> int:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "dot":
         if dot is None:

@@ -9,10 +9,10 @@ polynomial, so it lifts in one attempt at any term budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .records import Record, _set
 from .series import TruncatedSeries
 from .tower import CurveGerm
 
@@ -24,12 +24,14 @@ COEFF_POOL = [
 ]
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """x = t^n, y = sum(c_i t^(e_i)); exponents strictly above n."""
 
-    n: int
-    terms: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: tuple[tuple[Fraction, int], ...]):
+        _set(self, "n", n)
+        _set(self, "terms", terms)
 
     def curve(self, precision: int) -> CurveGerm:
         x = TruncatedSeries.monomial(1, self.n, precision)

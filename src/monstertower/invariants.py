@@ -10,9 +10,6 @@ proximity edges).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .errors import MismatchReport, RemainderInvalid
 from .puiseux import (
     PuiseuxCharacteristic,
@@ -22,6 +19,7 @@ from .puiseux import (
     restrict_pc,
     word_from_pc,
 )
+from .records import Record, _set
 from .words import RvtWord
 
 
@@ -41,15 +39,17 @@ def _leading_entries(chain: list[tuple[int, ...]], length: int) -> tuple[int, ..
     return tuple(leads)
 
 
-@dataclass(frozen=True)
-class ProximityDiagram:
+class ProximityDiagram(Record):
     """Vertices are the germ p_0 and its lifts p_1..p_r, p_j carrying symbol
     j of the word and multiplicity mults[j]; p_j is proximate to p_i when
     j = i+1 or p_j sits on the chain prolongation hanging off position i+2."""
 
-    symbols: str
-    mults: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]  # (j, i): p_j proximate to p_i
+    __slots__ = ("symbols", "mults", "edges")
+
+    def __init__(self, symbols: str, mults: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
+        _set(self, "symbols", symbols)
+        _set(self, "mults", mults)
+        _set(self, "edges", edges)  # (j, i): p_j proximate to p_i
 
     def multiplicities(self) -> tuple[int, ...]:
         return self.mults
@@ -110,13 +110,15 @@ def _build_proximity(w: RvtWord, mults: tuple[int, ...]) -> ProximityDiagram:
     return ProximityDiagram(w.symbols, mults, tuple(edges))
 
 
-@dataclass(frozen=True)
-class VerticalOrders:
+class VerticalOrders(Record):
     """Intersection orders of the regularized lift with the divisors at
     infinity, indexed by absolute tower level starting at first_level."""
 
-    values: tuple[int, ...]
-    first_level: int = 2
+    __slots__ = ("values", "first_level")
+
+    def __init__(self, values: tuple[int, ...], first_level: int = 2):
+        _set(self, "values", values)
+        _set(self, "first_level", first_level)
 
     def __iter__(self):
         return iter(self.values)
@@ -143,16 +145,22 @@ def restricted_vertical_orders(word: RvtWord | str) -> VerticalOrders:
     return vertical_orders(word).restricted()
 
 
-@dataclass(frozen=True)
-class InvariantPanel:
-    word: RvtWord
-    goursat_word: RvtWord
-    pc: PuiseuxCharacteristic
-    restricted_pc: PuiseuxCharacteristic
-    multiplicities: tuple[int, ...]
-    proximity: ProximityDiagram
-    orders: VerticalOrders
-    restricted_orders: VerticalOrders
+class InvariantPanel(Record):
+    __slots__ = ("word", "goursat_word", "pc", "restricted_pc", "multiplicities", "proximity",
+                 "orders", "restricted_orders")
+
+    def __init__(self, word: RvtWord, goursat_word: RvtWord, pc: PuiseuxCharacteristic,
+                 restricted_pc: PuiseuxCharacteristic, multiplicities: tuple[int, ...],
+                 proximity: ProximityDiagram, orders: VerticalOrders,
+                 restricted_orders: VerticalOrders):
+        _set(self, "word", word)
+        _set(self, "goursat_word", goursat_word)
+        _set(self, "pc", pc)
+        _set(self, "restricted_pc", restricted_pc)
+        _set(self, "multiplicities", multiplicities)
+        _set(self, "proximity", proximity)
+        _set(self, "orders", orders)
+        _set(self, "restricted_orders", restricted_orders)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,6 +175,8 @@ class InvariantPanel:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:

@@ -17,9 +17,8 @@ recursion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (
     BadOrder,
@@ -30,23 +29,23 @@ from .errors import (
     RemainderInvalid,
     TrivialCharacteristic,
 )
+from .records import Record, _set
 from .words import RvtWord, _split_pq, is_entirely_critical, lift_string
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
 
 
-@dataclass(frozen=True)
-class PuiseuxCharacteristic:
+class PuiseuxCharacteristic(Record):
     """[lambda_0; lambda_1, ..., lambda_g] with the usual invariants:
     strictly increasing, gcd 1, every entry past the first essential
     (not divisible by the gcd of its predecessors), and lambda_0 = 1
     only for the trivial characteristic [1;]."""
 
-    lambdas: tuple[int, ...]
+    __slots__ = ("lambdas",)
 
-    def __post_init__(self):
-        lam = tuple(map(int, self.lambdas))
-        object.__setattr__(self, "lambdas", lam)
+    def __init__(self, lambdas):
+        lam = tuple(map(int, lambdas))
+        _set(self, "lambdas", lam)
         # one pass over a valid characteristic: increasing, every entry
         # essential, the running gcd reaching 1 only at the end
         if lam == (1,):
@@ -81,6 +80,15 @@ class PuiseuxCharacteristic:
     def __iter__(self):
         return iter(self.lambdas)
 
+    # compared twice per invariant panel
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lambdas == other.lambdas
+
+    def __hash__(self):
+        return hash(self.lambdas)
+
 
 def _first_violation(lam: tuple[int, ...]) -> str:
     """Message for the first characteristic rule that ``lam`` breaks, in
@@ -104,19 +112,18 @@ def _first_violation(lam: tuple[int, ...]) -> str:
 TRIVIAL_PC = PuiseuxCharacteristic((1,))
 
 
-class EPair(NamedTuple):
-    """Coprime ordered pair produced by the E map; a < b always."""
-
-    a: int
-    b: int
+EPair = namedtuple("EPair", ("a", "b"))
+EPair.__doc__ = "Coprime ordered pair produced by the E map; a < b always."
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(Record):
     """Front-end recursion case: A, or B/C with the tangency count tau."""
 
-    kind: str
-    tau: int | None = None
+    __slots__ = ("kind", "tau")
+
+    def __init__(self, kind: str, tau: int | None = None):
+        _set(self, "kind", kind)
+        _set(self, "tau", tau)
 
     def __str__(self) -> str:
         return self.kind if self.tau is None else f"{self.kind}(tau={self.tau})"

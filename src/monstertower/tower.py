@@ -21,7 +21,7 @@ into a ``LiftTrace``; its word, data point and every Nash-derived invariant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -37,14 +37,17 @@ from .errors import (
     ParseError,
 )
 from .invariants import VerticalOrders
+from .records import Record, _set
 from .series import TruncatedSeries, parse_series
 from .words import RvtWord
 
 
-@dataclass(frozen=True)
-class CoordName:
-    base: str   # "x" or "y"
-    order: int  # number of primes
+class CoordName(Record):
+    __slots__ = ("base", "order")
+
+    def __init__(self, base: str, order: int):
+        _set(self, "base", base)    # "x" or "y"
+        _set(self, "order", order)  # number of primes
 
     def bump(self) -> "CoordName":
         return type(self)(self.base, self.order + 1)
@@ -57,18 +60,19 @@ class CoordName:
         return f"{self.base}^({self.order})"
 
 
-@dataclass(frozen=True)
-class CurveGerm:
+class CurveGerm(Record):
     """Parameterized germ on the base surface; x and y are stored recentered
     (zero constant term) with the base point kept separately."""
 
-    x: TruncatedSeries
-    y: TruncatedSeries
-    base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
+    __slots__ = ("x", "y", "base_point")
 
-    def __post_init__(self):
-        if self.x.valuation_or_none() is None and self.y.valuation_or_none() is None:
+    def __init__(self, x: TruncatedSeries, y: TruncatedSeries,
+                 base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
+        if x.valuation_or_none() is None and y.valuation_or_none() is None:
             raise ConstantParameterization("both coordinates are constant")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "base_point", base_point)
 
     @staticmethod
     def from_series(x: TruncatedSeries, y: TruncatedSeries) -> "CurveGerm":
@@ -92,29 +96,38 @@ class CurveGerm:
         return f"x={self.x}, y={self.y}"
 
 
-@dataclass(frozen=True)
-class LiftStep:
-    level: int
-    chart_letter: str              # "o" or "i"
-    retained: TruncatedSeries
-    new_coord: TruncatedSeries
-    retained_name: CoordName
-    new_name: CoordName
-    deactivated: CoordName         # the coordinate that went passive
-    symbol: str                    # R, V, or T
-    chain_origin: int | None       # level of the divisor whose chain is alive
-    orders: tuple[int | None, int | None]  # val(dr/dt), val(dn/dt) that decided the letter
+class LiftStep(Record):
+    __slots__ = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
+                 "deactivated", "symbol", "chain_origin", "orders")
+
+    def __init__(self, level: int, chart_letter: str, retained: TruncatedSeries,
+                 new_coord: TruncatedSeries, retained_name: CoordName, new_name: CoordName,
+                 deactivated: CoordName, symbol: str, chain_origin: int | None,
+                 orders: tuple[int | None, int | None]):
+        _set(self, "level", level)
+        _set(self, "chart_letter", chart_letter)    # "o" or "i"
+        _set(self, "retained", retained)
+        _set(self, "new_coord", new_coord)
+        _set(self, "retained_name", retained_name)
+        _set(self, "new_name", new_name)
+        _set(self, "deactivated", deactivated)      # the coordinate that went passive
+        _set(self, "symbol", symbol)                # R, V, or T
+        _set(self, "chain_origin", chain_origin)    # level of the divisor whose chain is alive
+        _set(self, "orders", orders)  # val(dr/dt), val(dn/dt) that decided the letter
 
 
-@dataclass(frozen=True)
-class LiftTrace:
+class LiftTrace(Record):
     """One lift of a germ.  Word, chart path and data point cover every level
     lifted; the invariant views read only ``steps[:regularization_level]``,
     so they work on any trace that reached the regularization level."""
 
-    germ: CurveGerm
-    steps: tuple[LiftStep, ...]
-    regularization_level: int | None
+    __slots__ = ("germ", "steps", "regularization_level")
+
+    def __init__(self, germ: CurveGerm, steps: tuple[LiftStep, ...],
+                 regularization_level: int | None):
+        _set(self, "germ", germ)
+        _set(self, "steps", steps)
+        _set(self, "regularization_level", regularization_level)
 
     @property
     def word(self) -> RvtWord:
@@ -485,11 +498,17 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
     return germ, 0
 
 
+# the coefficient grammar of series literals, with its sign
+_CONSTANT_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
 def _parse_constant(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad constant {text!r}; expected an integer or a fraction p/q") from None
+    if _CONSTANT_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise ParseError(f"bad constant {text!r}; expected an integer or a fraction p/q")
 
 
 def _reject_unknown(fields: dict, known: tuple[str, ...]) -> None:

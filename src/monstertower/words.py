@@ -15,8 +15,6 @@ recursion of the Puiseux characteristic through ``_split_pq``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     EmptyWord,
     InvalidSymbol,
@@ -25,6 +23,7 @@ from .errors import (
     NotCritical,
     OrphanT,
 )
+from .records import Record, _set
 
 ALPHABET = "RVT"
 _SYMBOLS = frozenset(ALPHABET)
@@ -74,12 +73,12 @@ def is_entirely_critical(symbols) -> bool:
     return all(ch in "VT" for ch in s)
 
 
-@dataclass(frozen=True)
-class RvtWord:
-    symbols: str = ""
+class RvtWord(Record):
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
-        validate_symbols(self.symbols)
+    def __init__(self, symbols: str = ""):
+        validate_symbols(symbols)
+        _set(self, "symbols", symbols)
 
     def __str__(self) -> str:
         return self.symbols
@@ -203,19 +202,19 @@ def _split_pq(s: str) -> tuple[int, int]:
     return r, q
 
 
-@dataclass(frozen=True)
-class WordDecomposition:
-    prefix: RvtWord            # P: empty or critical
-    rho: int                   # number of R's between P and Q
-    critical_block: str        # Q: entirely critical, begins with V if nonempty
+class WordDecomposition(Record):
+    __slots__ = ("prefix", "rho", "critical_block")
 
-    def __post_init__(self):
-        if self.critical_block and not is_entirely_critical(self.critical_block):
+    def __init__(self, prefix: RvtWord, rho: int, critical_block: str):
+        if critical_block and not is_entirely_critical(critical_block):
             raise NotCritical("Q block must be entirely critical")
-        if self.critical_block and self.critical_block[0] != "V":
+        if critical_block and critical_block[0] != "V":
             raise NotCritical("nonempty Q block must begin with V")
-        if self.prefix.symbols and not self.prefix.is_critical():
+        if prefix.symbols and not prefix.is_critical():
             raise NotCritical("P must be empty or critical")
+        _set(self, "prefix", prefix)                  # P: empty or critical
+        _set(self, "rho", rho)                        # number of R's between P and Q
+        _set(self, "critical_block", critical_block)  # Q: entirely critical, begins with V
 
     def reconstruct(self) -> RvtWord:
         return RvtWord(self.prefix.symbols + "R" * self.rho + self.critical_block)

@@ -63,3 +63,33 @@ def test_import_loads_only_errors():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
     )
     assert done.stdout.split() == ["monstertower.errors"]
+
+
+def _run_cli_bare(argv):
+    """Modules loaded by ``main(argv)`` in a fresh interpreter started with
+    ``-S``, so that no site hook preloads anything."""
+    src = str(Path(monstertower.__file__).resolve().parents[1])
+    code = (
+        "import sys, io, contextlib; from monstertower.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        check=True,
+    )
+    exit_code, *modules = done.stdout.split()
+    assert exit_code == "0", done
+    return set(modules)
+
+
+def test_cold_cli_loads_no_dataclasses_inspect_typing_or_json():
+    loaded = _run_cli_bare(["word", "RVTVV"])
+    assert not loaded & {"dataclasses", "inspect", "typing", "json"}
+    loaded = _run_cli_bare(["curve", "x=t^2, y=t^3", "--engine", "both"])
+    assert "dataclasses" not in loaded
+
+
+def test_json_output_loads_json():
+    assert "json" in _run_cli_bare(["word", "RVTVV", "--format", "json"])

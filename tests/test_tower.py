@@ -391,6 +391,9 @@ class TestCurveGrammar:
             "@level 2 chart=oi, r=t, n=t, constants=0,0,abc,0",
             "@level 2 chart=oi, r=t, n=t, constants=",
             "@level 2 chart=oi, r=t, n=t, constants=0,0,1/0,0",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,1e2,0",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,1.5,0",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,1e999999999,0",
             "x=t^2, y=1/0*t^3",
         ],
     )
