@@ -36,13 +36,13 @@ _SUBMODULE_NAMES = {
     ),
     "tower": (
         "CurveGerm", "LiftStep", "LiftTrace", "chart_equations", "curve_from_chart_data",
-        "lift_once", "lift_to_regularization", "lift_trace", "parse_curve",
+        "lift_once", "lift_trace", "parse_curve",
     ),
     "blowup": (
-        "BlowupName", "BlowupState", "BlowupStep", "BlowupTrace", "CrossCheckReport",
+        "BlowupName", "BlowupStep", "BlowupTrace", "CrossCheckReport",
         "blowup_once", "blowup_resolve", "cross_check",
     ),
-    "corpus": ("CurveSpec", "generate_corpus", "with_precision_retry"),
+    "corpus": ("CurveSpec", "generate_corpus"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 

@@ -1,18 +1,16 @@
 """Independent embedded-resolution oracle by iterated point blowups.
 
-The state carries the two chart coordinates restricted to the curve plus a
-flag per coordinate naming the exceptional divisor whose strict transform
-is that coordinate's zero locus.  Each step recenters at the current point
-and divides the coordinate of larger valuation by the other (ties divide
-the newer coordinate by the older, matching the ordinary chart choice of
-the Nash engine); the denominator slot picks up the fresh exceptional
-divisor, and the quotient inherits the numerator's flag exactly when the
-numerator vanished at the center.
+Each step recenters at the current point and divides the coordinate of
+larger valuation by the other (ties divide the newer coordinate by the
+older, matching the ordinary chart choice of the Nash engine).  It keeps the
+chart pair after it: the recentered denominator, whose zero locus is the
+step's own exceptional divisor, and the quotient, which inherits the
+numerator's divisor flag exactly when the numerator vanished at the center.
 
-Coordinates are a base letter and a blowup index (``y_1``).  The symbols read
-off the flags reproduce the RVT code word, and the whole trace is
-cross-checked against one Nash lift: words, order profiles and multiplicity
-sequences must agree.
+Coordinates are a base letter and a blowup index (``y_1``).  A germ is
+resolved once into a ``BlowupTrace``; its word (the symbols read off the
+flags), chart path, order profile and multiplicities are views of its steps,
+and ``cross_check`` compares them against one Nash lift.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .errors import InsufficientPrecision, MaxLevelExceeded, MismatchReport
 from .invariants import multiplicity_sequence
 from .records import Record, _set
 from .series import TruncatedSeries
-from .tower import CoordName, CurveGerm, lift_to_regularization
+from .tower import CoordName, CurveGerm, LiftTrace, lift_trace
 from .words import RvtWord
 
 
@@ -37,37 +35,22 @@ class BlowupName(CoordName):
         return f"{self.base}_{self.order}"
 
 
-class BlowupState(Record):
-    """Chart coordinates along the curve after ``level`` blowups.
-
-    Slot a holds the most recent denominator, recentered (it vanishes at the
-    current point and its zero locus is the newest exceptional divisor);
-    slot b holds the most recent quotient, unrecentered.
-    """
-
-    __slots__ = ("a", "b", "a_name", "b_name", "a_flag", "b_flag", "level")
-
-    def __init__(self, a: TruncatedSeries, b: TruncatedSeries, a_name: BlowupName,
-                 b_name: BlowupName, a_flag: int | None, b_flag: int | None, level: int):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "a_name", a_name)
-        _set(self, "b_name", b_name)
-        _set(self, "a_flag", a_flag)
-        _set(self, "b_flag", b_flag)
-        _set(self, "level", level)
-
-
 class BlowupStep(Record):
-    __slots__ = ("level", "chart_letter", "new_coord", "new_name", "symbol", "divisor_flag",
-                 "orders")
+    """One blowup and the chart pair after it.  The denominator's zero locus
+    is the exceptional divisor of this step, so its flag is ``level``."""
 
-    def __init__(self, level: int, chart_letter: str, new_coord: TruncatedSeries,
+    __slots__ = ("level", "chart_letter", "denominator", "new_coord", "denominator_name",
+                 "new_name", "symbol", "divisor_flag", "orders")
+
+    def __init__(self, level: int, chart_letter: str, denominator: TruncatedSeries,
+                 new_coord: TruncatedSeries, denominator_name: BlowupName,
                  new_name: BlowupName, symbol: str, divisor_flag: int | None,
                  orders: tuple[int | None, int | None]):
         _set(self, "level", level)
         _set(self, "chart_letter", chart_letter)  # "o" when the y-like coordinate was divided
-        _set(self, "new_coord", new_coord)
+        _set(self, "denominator", denominator)    # recentered
+        _set(self, "new_coord", new_coord)        # the quotient, unrecentered
+        _set(self, "denominator_name", denominator_name)
         _set(self, "new_name", new_name)
         _set(self, "symbol", symbol)
         _set(self, "divisor_flag", divisor_flag)  # flag inherited by the new coordinate
@@ -75,19 +58,45 @@ class BlowupStep(Record):
 
 
 class BlowupTrace(Record):
-    __slots__ = ("steps", "regularity_level", "word", "chart_path", "base_point", "profile",
-                 "multiplicities")
+    """One resolution of a germ: its steps end at the first regular strict
+    transform, and every value is read off them."""
 
-    def __init__(self, steps: tuple[BlowupStep, ...], regularity_level: int | None,
-                 word: RvtWord, chart_path: str, base_point: tuple[Fraction, Fraction],
-                 profile: tuple[int | None, ...], multiplicities: tuple[int, ...]):
+    __slots__ = ("germ", "steps")
+
+    def __init__(self, germ: CurveGerm, steps: tuple[BlowupStep, ...]):
+        _set(self, "germ", germ)
         _set(self, "steps", steps)
-        _set(self, "regularity_level", regularity_level)
-        _set(self, "word", word)
-        _set(self, "chart_path", chart_path)
-        _set(self, "base_point", base_point)
-        _set(self, "profile", profile)
-        _set(self, "multiplicities", multiplicities)
+
+    @property
+    def regularity_level(self) -> int:
+        return len(self.steps)
+
+    @property
+    def word(self) -> RvtWord:
+        return RvtWord("".join(s.symbol for s in self.steps))
+
+    @property
+    def chart_path(self) -> str:
+        return "".join(s.chart_letter for s in self.steps)
+
+    @property
+    def base_point(self) -> tuple[Fraction, Fraction]:
+        return self.germ.base_point
+
+    @property
+    def profile(self) -> tuple[int | None, ...]:
+        """Valuations of x, y and the new coordinate of every blowup."""
+        return (
+            self.germ.x.valuation_or_none(),
+            self.germ.y.valuation_or_none(),
+            *(s.new_coord.valuation_or_none() for s in self.steps),
+        )
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """The multiplicity of each point is the smaller order of its
+        recentered pair; the regular point's is 1."""
+        return (*(min(v for v in s.orders if v is not None) for s in self.steps), 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,139 +120,92 @@ class BlowupTrace(Record):
         }
 
 
-def _constant_pair_error(state: BlowupState, blowup: int) -> InsufficientPrecision:
-    budget = max(state.a.precision, state.b.precision)
-    return InsufficientPrecision(
-        f"both coordinates {state.a_name} and {state.b_name} constant to the "
-        f"term budget {budget} at blowup {blowup}"
-    )
-
-
-def blowup_once(state: BlowupState) -> tuple[BlowupState, BlowupStep]:
+def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
+                a_name: BlowupName = BlowupName("x", 0), b_name: BlowupName = BlowupName("y", 0),
+                b_flag: int | None = None) -> BlowupStep:
     """Blow up the current point of the curve and restrict to the chart the
-    strict transform passes through."""
-    level = state.level + 1
-    a = state.a  # already recentered
-    b0, b_rec = state.b.recenter()
+    strict transform passes through.  (a, b) is the pair after the previous
+    blowup: a recentered, its flag ``level - 1`` (none on the base surface),
+    and b unrecentered with the flag ``b_flag``."""
+    b0, b_rec = b.recenter()
     va = a.valuation_or_none()
     vb = b_rec.valuation_or_none()
     if va is None and vb is None:
-        raise _constant_pair_error(state, level)
-    divide_b = va is not None and (vb is None or vb >= va)
-    if divide_b:
-        quotient = b_rec.quotient(a)
-        inherited = state.b_flag if b0 == 0 else None
-        new_state = BlowupState(
-            a=a,
-            b=quotient,
-            a_name=state.a_name,
-            b_name=state.b_name.bump(),
-            a_flag=level,
-            b_flag=inherited,
-            level=level,
+        raise InsufficientPrecision(
+            f"both coordinates {a_name} and {b_name} constant to the "
+            f"term budget {max(a.precision, b.precision)} at blowup {level}"
         )
+    if va is not None and (vb is None or vb >= va):
+        denominator, denominator_name = a, a_name
+        quotient, new_name = b_rec.quotient(a), b_name.bump()
+        inherited = b_flag if b0 == 0 else None
     else:
-        quotient = a.quotient(b_rec)
-        inherited = state.a_flag  # slot a always vanishes at the center
-        new_state = BlowupState(
-            a=b_rec,
-            b=quotient,
-            a_name=state.b_name,
-            b_name=state.a_name.bump(),
-            a_flag=level,
-            b_flag=inherited,
-            level=level,
-        )
-    meets_old = inherited is not None and quotient.constant_term() == 0
-    if meets_old:
+        denominator, denominator_name = b_rec, b_name
+        quotient, new_name = a.quotient(b_rec), a_name.bump()
+        inherited = level - 1 or None  # a's flag: a always vanishes at the center
+    if inherited is not None and quotient.constant_term() == 0:
         symbol = "V" if inherited == level - 1 else "T"
     else:
         symbol = "R"
-    step = BlowupStep(
-        level=level,
-        chart_letter="o" if new_state.b_name.base == "y" else "i",
-        new_coord=quotient,
-        new_name=new_state.b_name,
-        symbol=symbol,
-        divisor_flag=inherited,
-        orders=(va, vb),
-    )
-    return new_state, step
+    letter = "o" if new_name.base == "y" else "i"
+    return BlowupStep(level, letter, denominator, quotient, denominator_name, new_name, symbol,
+                      inherited, (va, vb))
 
 
-def _is_regular(state: BlowupState, symbol: str) -> bool:
+def _is_regular(step: BlowupStep) -> bool:
     """Strict transform regular: nonsingular and transverse to every
     exceptional divisor through its point.  The curve always meets the
-    newest divisor (slot a), so val(a) must be 1; a critical symbol means
-    it also meets the inherited divisor, whose order must then be 1."""
-    if state.a.valuation_or_none() != 1:
+    newest divisor (the denominator's), so its order must be 1; a critical
+    symbol means it also meets the inherited divisor, whose order must then
+    be 1."""
+    if step.denominator.valuation_or_none() != 1:
         return False
-    if symbol == "R":
-        return True
-    return state.b.valuation_or_none() == 1
+    return step.symbol == "R" or step.new_coord.valuation_or_none() == 1
 
 
 def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTrace:
     """Iterate point blowups until the strict transform is regular."""
     c.check_primitive()
-    state = BlowupState(
-        a=c.x, b=c.y, a_name=BlowupName("x", 0), b_name=BlowupName("y", 0),
-        a_flag=None, b_flag=None, level=0,
-    )
-    profile: list[int | None] = [c.x.valuation_or_none(), c.y.valuation_or_none()]
-    if profile == [None, None]:
-        raise _constant_pair_error(state, 0)
+    a, b = c.x, c.y
+    a_name, b_name = BlowupName("x", 0), BlowupName("y", 0)
+    b_flag = None
     steps: list[BlowupStep] = []
-    while not (steps and _is_regular(state, steps[-1].symbol)):
-        if state.level >= max_level:
-            raise MaxLevelExceeded(
-                f"no regular strict transform within {max_level} blowups"
-            )
-        state, step = blowup_once(state)
+    while not (steps and _is_regular(steps[-1])):
+        if len(steps) >= max_level:
+            raise MaxLevelExceeded(f"no regular strict transform within {max_level} blowups")
+        step = blowup_once(a, b, level=len(steps) + 1, a_name=a_name, b_name=b_name,
+                           b_flag=b_flag)
         steps.append(step)
-    profile.extend(s.new_coord.valuation_or_none() for s in steps)
-    # The multiplicity of each point is the smaller order of its recentered
-    # pair; the regular point's is 1.
-    mults = (*(min(v for v in s.orders if v is not None) for s in steps), 1)
-    return BlowupTrace(
-        steps=tuple(steps),
-        regularity_level=state.level,
-        word=RvtWord("".join(s.symbol for s in steps)),
-        chart_path="".join(s.chart_letter for s in steps),
-        base_point=c.base_point,
-        profile=tuple(profile),
-        multiplicities=mults,
-    )
+        a, b, b_flag = step.denominator, step.new_coord, step.divisor_flag
+        a_name, b_name = step.denominator_name, step.new_name
+    return BlowupTrace(c, tuple(steps))
 
 
 class CrossCheckReport(Record):
-    __slots__ = ("nash_word", "blowup_word", "nash_profile", "blowup_profile",
-                 "nash_multiplicities", "blowup_multiplicities", "word_multiplicities", "ok")
+    """Both engines' traces of one germ, the multiplicities read off the
+    Nash word, and whether all of them agree."""
 
-    def __init__(self, nash_word: str, blowup_word: str, nash_profile: tuple[int | None, ...],
-                 blowup_profile: tuple[int | None, ...], nash_multiplicities: tuple[int, ...],
-                 blowup_multiplicities: tuple[int, ...], word_multiplicities: tuple[int, ...],
-                 ok: bool):
-        _set(self, "nash_word", nash_word)
-        _set(self, "blowup_word", blowup_word)
-        _set(self, "nash_profile", nash_profile)
-        _set(self, "blowup_profile", blowup_profile)
-        _set(self, "nash_multiplicities", nash_multiplicities)
-        _set(self, "blowup_multiplicities", blowup_multiplicities)
+    __slots__ = ("nash", "blowup", "word_multiplicities", "ok")
+
+    def __init__(self, nash: LiftTrace, blowup: BlowupTrace,
+                 word_multiplicities: tuple[int, ...], ok: bool):
+        _set(self, "nash", nash)
+        _set(self, "blowup", blowup)
         _set(self, "word_multiplicities", word_multiplicities)
         _set(self, "ok", ok)
 
     def to_json_dict(self) -> dict:
+        nash, blow = self.nash, self.blowup
         return {
             "agree": self.ok,
-            "word": {"nash": self.nash_word, "blowup": self.blowup_word},
+            "word": {"nash": nash.word.symbols, "blowup": blow.word.symbols},
             "order_profile": {
-                "nash": list(self.nash_profile),
-                "blowup": list(self.blowup_profile),
+                "nash": list(nash.order_profile()),
+                "blowup": list(blow.profile),
             },
             "multiplicities": {
-                "nash": list(self.nash_multiplicities),
-                "blowup": list(self.blowup_multiplicities),
+                "nash": list(nash.multiplicities()),
+                "blowup": list(blow.multiplicities),
                 "word": list(self.word_multiplicities),
             },
         }
@@ -254,26 +216,17 @@ def cross_check(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> CrossCheckR
     multiplicity sequences (also against the word-derived sequence).  The
     germ is lifted once; every Nash value is read off that trace.
     Raises MismatchReport carrying the report when anything differs."""
-    nash = lift_to_regularization(c, max_level)
+    nash = lift_trace(c, max_level=max_level)
     blow = blowup_resolve(c, max_level)
-    word, profile, mults = nash.word, nash.order_profile(), nash.multiplicities()
-    word_mults = multiplicity_sequence(word)
+    mults = nash.multiplicities()
+    word_mults = multiplicity_sequence(nash.word)
     ok = (
-        word.symbols == blow.word.symbols
-        and profile == blow.profile
+        nash.word.symbols == blow.word.symbols
+        and nash.order_profile() == blow.profile
         and mults == blow.multiplicities
         and mults == word_mults
     )
-    report = CrossCheckReport(
-        nash_word=word.symbols,
-        blowup_word=blow.word.symbols,
-        nash_profile=profile,
-        blowup_profile=blow.profile,
-        nash_multiplicities=mults,
-        blowup_multiplicities=blow.multiplicities,
-        word_multiplicities=word_mults,
-        ok=ok,
-    )
+    report = CrossCheckReport(nash, blow, word_mults, ok)
     if not ok:
         raise MismatchReport(f"engines disagree on {c}", report)
     return report

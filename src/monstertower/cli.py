@@ -188,7 +188,7 @@ def _cmd_pc(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    from .tower import chart_equations, lift_to_regularization, lift_trace, parse_curve
+    from .tower import chart_equations, lift_trace, parse_curve
 
     if args.level is not None and args.engine != "nash":
         raise ParseError(f"--level applies only to --engine nash, not {args.engine}")
@@ -200,15 +200,15 @@ def _cmd_curve(args) -> int:
         payload = report.to_json_dict()
         text = "engines agree\n" + "\n".join(
             f"{k:<16} {v}" for k, v in (
-                ("word", report.nash_word),
-                ("order profile", report.nash_profile),
-                ("multiplicities", ",".join(str(m) for m in report.nash_multiplicities)),
+                ("word", report.nash.word.symbols),
+                ("order profile", report.nash.order_profile()),
+                ("multiplicities", ",".join(str(m) for m in report.nash.multiplicities())),
             )
         )
         return _emit(args, payload, text)
     # The Nash lift runs first for every engine, so a germ that neither
     # engine can resolve reports the Nash engine's error.
-    regular = lift_to_regularization(germ, args.max_level)
+    regular = lift_trace(germ, max_level=args.max_level)
     if args.engine == "blowup":
         from .blowup import blowup_resolve
 
@@ -339,7 +339,7 @@ def _run_word_check(name: str, words) -> list[str]:
 
 def _cmd_check(args) -> int:
     from .blowup import cross_check
-    from .corpus import generate_corpus
+    from .corpus import DEFAULT_SEED, generate_corpus
 
     if _over_enumeration_bound(args.max_len):
         return EXIT_INPUT
@@ -351,10 +351,7 @@ def _cmd_check(args) -> int:
         bad = _run_word_check(name, words)
         failures.extend(bad)
         results[name] = {"checked": len(words), "failures": len(bad)}
-    if args.seed is None:
-        specs = generate_corpus(args.corpus_size)
-    else:
-        specs = generate_corpus(args.corpus_size, args.seed)
+    specs = generate_corpus(args.corpus_size, DEFAULT_SEED if args.seed is None else args.seed)
     engine_failures = 0
     for spec in specs:
         try:

@@ -351,6 +351,7 @@ def lift_trace(
     return LiftTrace(germ=c, steps=tuple(steps), regularization_level=regular_at)
 
 
+# bench/run.py is the only caller; the package calls lift_trace(c, max_level=...)
 def lift_to_regularization(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> LiftTrace:
     """Trace ending exactly at the regularization level."""
     return lift_trace(c, max_level=max_level)
@@ -398,7 +399,6 @@ def curve_from_chart_data(
     retained: TruncatedSeries,
     new_coord: TruncatedSeries,
     constants=None,
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> CurveGerm:
     """Rebuild the base curve whose lift along ``path`` has the given active
     parameterizations, integrating one deactivated coordinate per level.
@@ -438,7 +438,7 @@ def curve_from_chart_data(
             cur_r, cur_n = d_series, cur_r
     germ = CurveGerm.from_series(cur_r, cur_n)
     if k:
-        check = lift_trace(germ, levels=k, max_level=max(max_level, k))
+        check = lift_trace(germ, levels=k)
         if check.chart_path[:k] != path:
             raise IntegrationMismatch(
                 f"rebuilt curve lifts along {check.chart_path[:k]!r}, not {path!r}"

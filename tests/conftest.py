@@ -2,13 +2,14 @@ from collections import Counter
 
 import pytest
 
-from monstertower import tower
+from monstertower import blowup, tower
 from monstertower.series import TruncatedSeries
 
 
 @pytest.fixture
 def lift_calls(monkeypatch):
-    """The ``levels`` argument of every ``tower.lift_trace`` call, in order."""
+    """The ``levels`` argument of every ``lift_trace`` call, in order: the
+    name is patched in ``tower`` and in ``blowup``, which imports it."""
     calls = []
     original = tower.lift_trace
 
@@ -16,7 +17,8 @@ def lift_calls(monkeypatch):
         calls.append(kwargs.get("levels"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(tower, "lift_trace", counting)
+    for module in (tower, blowup):
+        monkeypatch.setattr(module, "lift_trace", counting)
     return calls
 
 

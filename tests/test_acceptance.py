@@ -28,7 +28,7 @@ from monstertower.puiseux import (
     word_from_pc_front_inverse,
 )
 from monstertower.series import parse_series
-from monstertower.tower import lift_to_regularization, lift_trace, parse_curve
+from monstertower.tower import lift_trace, parse_curve
 from monstertower.words import enumerate_words, parse_word
 
 
@@ -90,8 +90,8 @@ def test_criterion_04_quintic_lift():
         assert step.new_coord.agrees_with(parse_series(series))
     assert trace.chart_path == "oioio"
     assert trace.word.symbols == "RVTVR"
-    assert lift_to_regularization(c).curve_word(0).symbols == "RVTV"
-    assert lift_to_regularization(c).regularization_level == 4
+    assert lift_trace(c).curve_word(0).symbols == "RVTV"
+    assert lift_trace(c).regularization_level == 4
     w = parse_word("RVTV")
     chain = []
     for _ in range(4):
@@ -103,7 +103,7 @@ def test_criterion_04_quintic_lift():
 
 def test_criterion_05_level_seven_germ():
     c, _ = parse_curve("x=t^14, y=14*t^18+14*t^19", precision=96)
-    assert lift_to_regularization(c).curve_word(2).symbols == "RRVRV"
+    assert lift_trace(c).curve_word(2).symbols == "RRVRV"
     trace = lift_trace(c, levels=7)
     assert trace.chart_path == "oiooioi"
     assert trace.data_point == (0, 0, 0, 0, 0, 0, 0, F(8707129344, 1225), 0)
@@ -117,7 +117,7 @@ def test_criterion_06_invariant_examples():
     assert tuple(vertical_orders("RRVVRVT")) == (0, 3, 3, 0, 2, 0)
     profile = (15, 24, 9, 6, 3, 3, 0, 2, 1)
     c, _ = parse_curve("x=t^15, y=t^24+t^25", precision=96)
-    assert lift_to_regularization(c).order_profile() == profile
+    assert lift_trace(c).order_profile() == profile
     assert blowup_resolve(c).profile == profile
     _ok(6, "multiplicities of RVTVV, VO vectors, and the order profile by both engines")
 
@@ -202,7 +202,7 @@ def test_criterion_11_direct_puiseux_oracle():
     for spec in specs:
         direct = essential_characteristic(spec.n, spec.exponents)
         c = spec.curve(DEFAULT_PRECISION)
-        via_word = pc_from_word_front(lift_to_regularization(c).curve_word(0))
+        via_word = pc_from_word_front(lift_trace(c).curve_word(0))
         assert direct == via_word, str(spec)
     _ok(11, f"essential-exponent scan equals the word route on all {len(specs)} "
             "corpus curves")

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monstertower.blowup import (
-    BlowupName,
-    BlowupState,
-    blowup_once,
-    blowup_resolve,
-    cross_check,
-)
+from monstertower import blowup
+from monstertower.blowup import BlowupName, blowup_once, blowup_resolve, cross_check
+from monstertower.cli import main
 from monstertower.corpus import CurveSpec, generate_corpus
 from monstertower.errors import (
     InsufficientPrecision,
@@ -22,28 +18,37 @@ from monstertower.errors import (
 )
 from monstertower.invariants import multiplicity_sequence
 from monstertower.series import TruncatedSeries, parse_series
-from monstertower.tower import CurveGerm, lift_to_regularization, lift_trace, parse_curve
+from monstertower.tower import CurveGerm, lift_trace, parse_curve
 
 
 def germ(text, precision=64):
     return parse_curve(text, precision)[0]
 
 
+def blowup_after(step):
+    """``blowup_once`` on the chart pair a step keeps."""
+    return blowup_once(step.denominator, step.new_coord, level=step.level + 1,
+                       a_name=step.denominator_name, b_name=step.new_name,
+                       b_flag=step.divisor_flag)
+
+
 class TestBlowupOnce:
     def test_first_quotient(self):
         c = germ("x=t^5, y=t^7")
-        state = BlowupState(c.x, c.y, BlowupName("x", 0), BlowupName("y", 0), None, None, 0)
-        state, step = blowup_once(state)
+        step = blowup_once(c.x, c.y, level=1)
         assert step.new_coord.agrees_with(parse_series("t^2"))
         assert (str(step.new_name), step.symbol) == ("y_1", "R")
+        assert (str(step.denominator_name), step.denominator) == ("x_0", c.x)
+        assert step == blowup_resolve(c).steps[0]
 
     def test_full_coordinate_chain(self):
-        c = germ("x=t^5, y=t^7")
-        state = BlowupState(c.x, c.y, BlowupName("x", 0), BlowupName("y", 0), None, None, 0)
-        seen = []
-        for _ in range(5):
-            state, step = blowup_once(state)
-            seen.append((str(step.new_name), str(step.new_coord).split(" + O")[0]))
+        # four blowups resolve the quintic; the fifth is made on the pair the
+        # last step keeps
+        steps = blowup_resolve(germ("x=t^5, y=t^7")).steps
+        seen = [
+            (str(step.new_name), str(step.new_coord).split(" + O")[0])
+            for step in (*steps, blowup_after(steps[-1]))
+        ]
         assert seen == [
             ("y_1", "t^2"),
             ("x_1", "t^3"),
@@ -58,6 +63,16 @@ class TestBlowupOnce:
         trace = blowup_resolve(germ("x=t^15, y=t^24+t^25", 96))
         assert trace.steps[4].new_coord.constant_term() == 1
         assert trace.profile == (15, 24, 9, 6, 3, 3, 0, 2, 1)
+        assert trace.steps[4].new_coord.recenter() == (1, trace.steps[5].denominator)
+        assert str(trace.steps[5].denominator_name) == "x_3"
+
+    def test_each_step_blows_up_the_pair_before_it(self):
+        for text, precision in (("x=t^15, y=t^24+t^25", 96), ("x=t^12, y=t^14+t^16+t^57", 96)):
+            steps = blowup_resolve(germ(text, precision)).steps
+            assert [blowup_after(s) for s in steps[:-1]] == list(steps[1:])
+            for s in steps:
+                assert s.denominator.constant_term() == 0
+                assert {s.denominator_name.base, s.new_name.base} == {"x", "y"}
 
 
 class TestBlowupResolve:
@@ -78,7 +93,7 @@ class TestBlowupResolve:
     def test_order_profile_example(self):
         trace = blowup_resolve(germ("x=t^15, y=t^24+t^25", 96))
         assert trace.word.symbols == "RVVVRVT"
-        nash = lift_to_regularization(germ("x=t^15, y=t^24+t^25", 96))
+        nash = lift_trace(germ("x=t^15, y=t^24+t^25", 96))
         assert trace.profile == nash.order_profile()
 
     def test_non_primitive_rejected(self):
@@ -94,23 +109,10 @@ class TestConstantPair:
     """Coordinates that are exactly constant read constant to any budget."""
 
     def test_blowup_once(self):
-        state = BlowupState(
-            parse_series("0"), parse_series("3"), BlowupName("x", 2), BlowupName("y", 1),
-            None, None, 4,
-        )
         message = r"^both coordinates x_2 and y_1 constant to the term budget 64 at blowup 5$"
         with pytest.raises(InsufficientPrecision, match=message):
-            blowup_once(state)
-
-    def test_blowup_resolve(self):
-        # CurveGerm refuses two constant coordinates itself; build one past
-        # that check to reach the resolver's own
-        c = object.__new__(CurveGerm)
-        for field, value in (("x", parse_series("0")), ("y", parse_series("0")), ("base_point", (1, 2))):
-            object.__setattr__(c, field, value)
-        message = r"^both coordinates x_0 and y_0 constant to the term budget 64 at blowup 0$"
-        with pytest.raises(InsufficientPrecision, match=message):
-            blowup_resolve(c)
+            blowup_once(parse_series("0"), parse_series("3"), level=5,
+                        a_name=BlowupName("x", 2), b_name=BlowupName("y", 1))
 
 
 class TestCrossCheck:
@@ -127,14 +129,14 @@ class TestCrossCheck:
     def test_golden_curves_agree(self, curve, precision):
         report = cross_check(germ(curve, precision))
         assert report.ok
-        assert report.nash_word == report.blowup_word
+        assert report.nash.word == report.blowup.word
 
     def test_multiplicities_match_word_route(self):
         c = germ("x=t^5, y=t^7")
         report = cross_check(c)
-        word = lift_to_regularization(c).word
-        assert report.nash_multiplicities == multiplicity_sequence(word)
-        assert report.blowup_multiplicities == report.nash_multiplicities
+        word = lift_trace(c).word
+        assert report.nash.multiplicities() == multiplicity_sequence(word)
+        assert report.blowup.multiplicities == report.nash.multiplicities()
 
     def test_small_random_corpus(self):
         for spec in generate_corpus(25, seed=99):
@@ -146,7 +148,7 @@ class TestCrossCheck:
         from monstertower.invariants import vertical_orders
 
         def check(c):
-            trace = lift_to_regularization(c)
+            trace = lift_trace(c)
             assert tuple(trace.vertical_orders()) == tuple(
                 vertical_orders(trace.curve_word(0))
             )
@@ -181,6 +183,54 @@ class TestCrossCheck:
         assert report.to_json_dict()["agree"] is True
         with pytest.raises(MismatchReport):
             raise MismatchReport("forced", report)
+
+    def test_report_holds_both_traces(self):
+        c = germ("x=t^15, y=t^24+t^25", 96)
+        report = cross_check(c)
+        assert report.nash == lift_trace(c)
+        assert report.blowup == blowup_resolve(c)
+        assert report.to_json_dict() == {
+            "agree": True,
+            "word": {"nash": "RVVVRVT", "blowup": "RVVVRVT"},
+            "order_profile": {"nash": [15, 24, 9, 6, 3, 3, 0, 2, 1],
+                              "blowup": [15, 24, 9, 6, 3, 3, 0, 2, 1]},
+            "multiplicities": {"nash": [15, 9, 6, 3, 3, 1, 1, 1],
+                               "blowup": [15, 9, 6, 3, 3, 1, 1, 1],
+                               "word": [15, 9, 6, 3, 3, 1, 1, 1]},
+        }
+
+
+@pytest.fixture
+def engines_disagree(monkeypatch):
+    """The word route's multiplicities gain a spurious trailing 9, so the
+    cross-check fails on every germ."""
+    original = blowup.multiplicity_sequence
+    monkeypatch.setattr(blowup, "multiplicity_sequence", lambda w: (*original(w), 9))
+
+
+class TestMismatch:
+    def test_cross_check_raises_with_both_traces(self, engines_disagree):
+        c = germ("x=t^5, y=t^7")
+        with pytest.raises(MismatchReport, match=r"^engines disagree on ") as caught:
+            cross_check(c)
+        report = caught.value.report
+        assert report.ok is False
+        assert report.to_json_dict()["agree"] is False
+        assert report.to_json_dict()["multiplicities"]["word"] == [5, 2, 2, 1, 1, 9]
+        assert report.nash == lift_trace(c)
+        assert report.blowup == blowup_resolve(c)
+
+    def test_curve_both_exits_2(self, capsys, engines_disagree):
+        assert main(["curve", "x=t^5, y=t^7", "--engine", "both"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("consistency mismatch: engines disagree on ")
+
+    def test_check_exits_2(self, capsys, engines_disagree):
+        assert main(["check", "--max-len", "2", "--corpus-size", "3"]) == 2
+        out, _ = capsys.readouterr()
+        assert "engine-equivalence   3 checked, 3 failures" in out
+        assert out.count("  FAIL engine-equivalence ") == 3
 
 
 def recentered_multiplicities(pairs):
@@ -233,11 +283,7 @@ class TestMultiplicitiesFromSteps:
             if nash.multiplicities() != recentered_multiplicities(pairs):
                 differ.append(("nash", label))
             blow = blowup_resolve(c)
-            state = BlowupState(c.x, c.y, BlowupName("x", 0), BlowupName("y", 0), None, None, 0)
-            pairs = [(c.x, c.y)]
-            for _ in blow.steps:
-                state, _ = blowup_once(state)
-                pairs.append((state.a, state.b))
+            pairs = [(c.x, c.y), *((s.denominator, s.new_coord) for s in blow.steps)]
             if blow.multiplicities != recentered_multiplicities(pairs):
                 differ.append(("blowup", label))
         assert differ == []

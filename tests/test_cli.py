@@ -12,6 +12,35 @@ from monstertower.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
+# At each level: level, chart, symbol, new coordinate, its valuation and
+# constant term, chain origin.
+BLOWUP_TRACES = {
+    "x=t^5, y=t^7": ("RVTV", "oiio", [
+        (1, "o", "R", "y_1", 2, "0", None),
+        (2, "i", "V", "x_1", 3, "0", 1),
+        (3, "i", "T", "x_2", 1, "0", 1),
+        (4, "o", "V", "y_2", 1, "0", 3),
+    ]),
+    "x=t^15, y=t^24+t^25": ("RVVVRVT", "oioiioo", [
+        (1, "o", "R", "y_1", 9, "0", None),
+        (2, "i", "V", "x_1", 6, "0", 1),
+        (3, "o", "V", "y_2", 3, "0", 2),
+        (4, "i", "V", "x_2", 3, "0", 3),
+        (5, "i", "R", "x_3", 0, "1", 3),
+        (6, "o", "V", "y_3", 2, "0", 5),
+        (7, "o", "T", "y_4", 1, "0", 5),
+    ]),
+    "@level 7 chart=oioioio, r=t, n=t": ("RVTVTVT", "oiiooii", [
+        (1, "o", "R", "y_1", 7, "0", None),
+        (2, "i", "V", "x_1", 10, "0", 1),
+        (3, "i", "T", "x_2", 3, "0", 1),
+        (4, "o", "V", "y_2", 4, "0", 3),
+        (5, "o", "T", "y_3", 1, "0", 3),
+        (6, "i", "V", "x_3", 2, "0", 5),
+        (7, "i", "T", "x_4", 1, "0", 5),
+    ]),
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -92,6 +121,23 @@ class TestCurveCommand:
         assert payload["engine"] == "blowup"
         assert payload["word"] == "RVTV"
         validate(payload, json.loads((SCHEMAS / "curve_trace.schema.json").read_text()))
+
+    @pytest.mark.parametrize("curve", sorted(BLOWUP_TRACES))
+    def test_blowup_json_is_pinned(self, capsys, curve):
+        word, path, levels = BLOWUP_TRACES[curve]
+        keys = ("level", "chart", "symbol", "new_coordinate", "valuation", "constant_term",
+                "chain_origin")
+        expected = {
+            "engine": "blowup",
+            "base_point": ["0", "0"],
+            "levels": [dict(zip(keys, level)) for level in levels],
+            "word": word,
+            "chart_path": path,
+            "regularization_level": len(levels),
+        }
+        code, out, err = run(capsys, "-f", "json", "curve", curve, "--engine", "blowup")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_both_engines(self, capsys):
         code, out, _ = run(capsys, "curve", "x=t^5, y=t^7", "--engine", "both")

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from monstertower.blowup import BlowupName, BlowupState, blowup_resolve, cross_check
+from monstertower.blowup import BlowupName, blowup_resolve, cross_check
 from monstertower.corpus import generate_corpus
 from monstertower.errors import (
     ConstantParameterization,
@@ -32,14 +32,10 @@ def _records() -> dict:
     trace = lift_trace(germ)
     blow = blowup_resolve(germ)
     panel = invariant_panel(word="RVTVV")
-    state = BlowupState(
-        parse_series("t"), parse_series("t^2"), BlowupName("x", 0), BlowupName("y", 0),
-        None, None, 0,
-    )
     built = (
         panel.word, RvtWord("RRVTRV").decompose(), panel.pc, classify_case(panel.pc),
         panel.proximity, panel.orders, panel, trace.steps[0].new_name, germ, trace.steps[0],
-        trace, blow.steps[0].new_name, state, blow.steps[0], blow, cross_check(germ),
+        trace, blow.steps[0].new_name, blow.steps[0], blow, cross_check(germ),
         generate_corpus(1)[0],
     )
     return {type(r).__name__: r for r in built}
@@ -133,3 +129,15 @@ def test_epair_is_a_plain_tuple_pair():
     assert isinstance(pair, EPair) and isinstance(pair, tuple)
     assert pair == (pair.a, pair.b) and hash(pair) == hash((pair.a, pair.b))
     assert EPair(2, 3) == (2, 3)
+
+
+def test_blowup_records_hold_steps_and_traces():
+    records = _records()
+    assert records["BlowupStep"]._fields == (
+        "level", "chart_letter", "denominator", "new_coord", "denominator_name", "new_name",
+        "symbol", "divisor_flag", "orders",
+    )
+    assert records["BlowupTrace"]._fields == ("germ", "steps")
+    assert records["CrossCheckReport"]._fields == ("nash", "blowup", "word_multiplicities", "ok")
+    report = records["CrossCheckReport"]
+    assert (report.nash, report.blowup) == (records["LiftTrace"], records["BlowupTrace"])

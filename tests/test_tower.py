@@ -19,7 +19,6 @@ from monstertower.tower import (
     chart_equations,
     curve_from_chart_data,
     lift_once,
-    lift_to_regularization,
     lift_trace,
     parse_curve,
 )
@@ -78,12 +77,12 @@ class TestQuinticGolden:
         assert trace.data_point == (0, 0, 0, 0, 0, 0, F(537824, 703125))
 
     def test_regularization(self):
-        trace = lift_to_regularization(germ(QUINTIC))
+        trace = lift_trace(germ(QUINTIC))
         assert trace.regularization_level == 4
         assert trace.word.symbols == "RVTV"
 
     def test_curve_words_down_the_chain(self):
-        trace = lift_to_regularization(germ(QUINTIC))
+        trace = lift_trace(germ(QUINTIC))
         assert [trace.curve_word(k).symbols for k in range(6)] == [
             "RVTV", "RRV", "RV", "R", "", "",
         ]
@@ -104,7 +103,7 @@ class TestQuinticGolden:
 
 class TestRamphoid:
     def test_word(self):
-        assert lift_to_regularization(germ("x=t^2, y=t^4+t^5")).curve_word(0).symbols == "RRV"
+        assert lift_trace(germ("x=t^2, y=t^4+t^5")).curve_word(0).symbols == "RRV"
 
     def test_lift_series(self):
         trace = lift_trace(germ("x=t^2, y=t^4+t^5"), levels=3)
@@ -123,7 +122,7 @@ class TestLevelledGermExample:
         assert lift_trace(germ(self.CURVE, 96), levels=7).word.symbols == "RVTTVRV"
 
     def test_curve_word_at_level_two(self):
-        assert lift_to_regularization(germ(self.CURVE, 96)).curve_word(2).symbols == "RRVRV"
+        assert lift_trace(germ(self.CURVE, 96)).curve_word(2).symbols == "RRVRV"
 
     def test_level_two_actives(self):
         trace = lift_trace(germ(self.CURVE, 96), levels=2)
@@ -139,7 +138,7 @@ class TestLevelledGermExample:
 
 class TestTrivialGerms:
     def test_immersed_transverse(self):
-        trace = lift_to_regularization(germ("x=t, y=t^2"))
+        trace = lift_trace(germ("x=t, y=t^2"))
         assert trace.regularization_level == 1
         assert trace.word.symbols == "R"
         assert trace.curve_word(0).normalize().symbols == ""
@@ -148,7 +147,7 @@ class TestTrivialGerms:
         assert lift_trace(germ("x=t, y=t^3"), levels=5).word.symbols == "RRRRR"
 
     def test_vertical_line(self):
-        trace = lift_to_regularization(germ("x=0*t, y=t"))
+        trace = lift_trace(germ("x=0*t, y=t"))
         assert trace.word.symbols == "R"
 
 
@@ -159,7 +158,7 @@ class TestWordConsistency:
     )
     def test_split_recovers_curve_words(self, curve, precision):
         c = germ(curve, precision)
-        trace = lift_to_regularization(c)
+        trace = lift_trace(c)
         r = trace.regularization_level
         full = lift_trace(c, levels=r).word
         for k in range(r + 1):
@@ -186,14 +185,14 @@ class TestWordConsistency:
             with pytest.raises(MaxLevelExceeded):
                 view()
         longer = lift_trace(c, levels=7)
-        regular = lift_to_regularization(c)
+        regular = lift_trace(c)
         assert longer.order_profile() == regular.order_profile()
         assert longer.multiplicities() == regular.multiplicities()
         assert longer.vertical_orders() == regular.vertical_orders()
         assert longer.curve_word(1) == regular.curve_word(1)
 
     def test_word_lengths(self, curve=QUINTIC):
-        trace = lift_to_regularization(germ(curve))
+        trace = lift_trace(germ(curve))
         r = trace.regularization_level
         for k in range(r + 1):
             assert len(trace.curve_word(k)) == r - k
@@ -203,22 +202,22 @@ class TestWordConsistency:
 
         for curve in (QUINTIC, "x=t^2, y=t^4+t^5", "x=t^15, y=t^24+t^25"):
             c = germ(curve, 96)
-            pc = pc_from_word_front(lift_to_regularization(c).curve_word(0))
+            pc = pc_from_word_front(lift_trace(c).curve_word(0))
             assert pc.leading == min(c.x.valuation(), c.y.valuation())
 
 
 class TestVerticalOrdersFromCurve:
     def test_worked_example(self):
-        trace = lift_to_regularization(germ("x=t^15, y=t^24+t^25", 96))
+        trace = lift_trace(germ("x=t^15, y=t^24+t^25", 96))
         assert trace.order_profile() == (15, 24, 9, 6, 3, 3, 0, 2, 1)
         assert tuple(trace.vertical_orders()) == (6, 3, 3, 0, 2, 0)
 
     def test_immersed_all_zero(self):
-        assert tuple(lift_to_regularization(germ("x=t, y=t^3")).vertical_orders()) == ()
+        assert tuple(lift_trace(germ("x=t, y=t^3")).vertical_orders()) == ()
 
     def test_matches_word_differences(self):
         for curve in (QUINTIC, "x=t^2, y=t^4+t^5", "x=t^15, y=t^24+t^25"):
-            trace = lift_to_regularization(germ(curve, 96))
+            trace = lift_trace(germ(curve, 96))
             assert tuple(trace.vertical_orders()) == tuple(
                 vertical_orders(trace.curve_word(0))
             )
@@ -226,7 +225,7 @@ class TestVerticalOrdersFromCurve:
 
 class TestMultiplicities:
     def test_quintic(self):
-        assert lift_to_regularization(germ(QUINTIC)).multiplicities() == (5, 2, 2, 1, 1)
+        assert lift_trace(germ(QUINTIC)).multiplicities() == (5, 2, 2, 1, 1)
 
 
 @pytest.fixture
@@ -249,7 +248,7 @@ class TestDerivativesPerLift:
 
     def test_quintic(self, derivative_calls):
         c = germ(QUINTIC)
-        assert len(lift_to_regularization(c).steps) == 4
+        assert len(lift_trace(c).steps) == 4
         assert len(derivative_calls) == 6
 
     @pytest.mark.parametrize(
@@ -273,19 +272,19 @@ class TestDerivativesPerLift:
 class TestErrors:
     def test_non_primitive(self):
         with pytest.raises(NonPrimitiveParameterization):
-            lift_to_regularization(germ("x=t^2, y=t^4"))
+            lift_trace(germ("x=t^2, y=t^4"))
 
     def test_max_level(self):
         with pytest.raises(MaxLevelExceeded):
-            lift_to_regularization(germ(QUINTIC), max_level=2)
+            lift_trace(germ(QUINTIC), max_level=2)
 
     def test_constant(self):
         with pytest.raises(ConstantParameterization):
             germ("x=3, y=1/2")
 
     def test_determinism(self):
-        a = lift_to_regularization(germ(QUINTIC))
-        b = lift_to_regularization(germ(QUINTIC))
+        a = lift_trace(germ(QUINTIC))
+        b = lift_trace(germ(QUINTIC))
         assert a == b
 
     def test_both_active_derivatives_zero(self):
@@ -444,7 +443,7 @@ class TestOnDemandCoefficients:
 
     def test_trace_does_not_depend_on_the_window(self):
         traces = [
-            lift_to_regularization(germ("x=t^15, y=t^24+t^25", p)).to_json_dict()
+            lift_trace(germ("x=t^15, y=t^24+t^25", p)).to_json_dict()
             for p in (64, 192, 1536)
         ]
         assert traces[0]["word"] == "RVVVRVT"
