@@ -21,6 +21,7 @@ from .defaults import DEFAULT_MAX_LEVEL, DEFAULT_PRECISION
 from .errors import MismatchReport, MonsterTowerError, ParseError
 from .invariants import invariant_panel, proximity_diagram
 from .puiseux import (
+    cw_length,
     parse_pc,
     pc_from_word_back,
     pc_from_word_front,
@@ -183,6 +184,11 @@ def _cmd_word(args) -> int:
 
 def _cmd_pc(args) -> int:
     pc = parse_pc(args.text)
+    length = cw_length(pc)
+    if length > PC_WORD_BOUND:
+        print(f"error: CW({pc}) has {length} symbols, above the pc bound {PC_WORD_BOUND}",
+              file=sys.stderr)
+        return EXIT_INPUT
     panel = invariant_panel(pc=pc)
     return _emit(args, panel.to_json_dict(), panel.to_text(), panel.proximity.to_dot())
 
@@ -280,6 +286,10 @@ def _cmd_proximity(args) -> int:
 
 
 ENUMERATION_BOUND = 14
+# Longest CW word the pc command builds.  The word of [a;a+2] already has
+# about a/2 symbols, and the panel and its output grow with the word (the
+# JSON form by about 200 bytes a symbol).
+PC_WORD_BOUND = 100_000
 
 
 def _over_enumeration_bound(max_len: int) -> bool:

@@ -24,19 +24,10 @@ from .words import RvtWord
 
 
 def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
-    """Leading characteristic entries down the lift chain: the j-th entry is
-    the multiplicity of the j-fold lift, one entry per symbol plus the germ
-    itself.  The tail of the chain confirms the final 1."""
+    """Leading characteristic entries down the lift chain: entry j is the
+    multiplicity of the j-fold lift, for j = 0..len(word)."""
     w = word if isinstance(word, RvtWord) else RvtWord(str(word))
-    return _leading_entries(front_chain(w), len(w.symbols))
-
-
-def _leading_entries(chain: list[tuple[int, ...]], length: int) -> tuple[int, ...]:
-    """Multiplicity sequence of a word of the given length from its front
-    chain; the lifts past the end of the chain are smooth (multiplicity 1)."""
-    leads = [pc[0] for pc in chain]
-    leads.extend([1] * (length + 1 - len(leads)))
-    return tuple(leads)
+    return front_chain(w)[0]
 
 
 class ProximityDiagram(Record):
@@ -201,12 +192,12 @@ def invariant_panel(
 ) -> InvariantPanel:
     """Assemble all invariants from a word or from a characteristic.
 
-    One front chain of the word gives them all: the characteristic is its
-    first entry, the multiplicity sequence its leading entries, and the
-    proximity diagram is built on those multiplicities.  The Goursat word
-    (``RvtWord.goursat_word``) is the word itself unless its second symbol is
-    V; it is then R followed by the lifted word, so its characteristic is the
-    front step for a second symbol R applied to the chain's second entry.
+    One front chain of the word gives the multiplicity sequence (on which
+    the proximity diagram is built), the characteristic and the lifted
+    word's characteristic.  The Goursat word (``RvtWord.goursat_word``) is
+    the word itself unless its second symbol is V; it is then R followed by
+    the lifted word, so its characteristic is the front R step applied to
+    the lifted word's.
 
     Every panel checks itself: the back recursion must agree with the front
     one, the proximity sums must balance, and when the direct restriction
@@ -218,15 +209,15 @@ def invariant_panel(
         w = word_from_pc(pc)
     else:
         w = word if isinstance(word, RvtWord) else RvtWord(str(word))
-    chain = front_chain(w)
-    front = PuiseuxCharacteristic(chain[0])
+    multiplicities, lambdas, lifted = front_chain(w)
+    front = PuiseuxCharacteristic(lambdas)
     back = pc_from_word_back(w)
     if front != back:
         raise MismatchReport(f"recursions disagree on {w}: {front} vs {back}")
     if pc is not None and front != pc:
         raise MismatchReport(f"CW({pc}) = {w} has characteristic {front}")
     goursat = w.goursat_word()
-    restricted = front if goursat is w else PuiseuxCharacteristic(front_r_step(chain[1]))
+    restricted = front if goursat is w else PuiseuxCharacteristic(front_r_step(lifted))
     try:
         direct = restrict_pc(front)
     except RemainderInvalid:
@@ -235,7 +226,6 @@ def invariant_panel(
         raise MismatchReport(
             f"restriction mismatch on {w}: {direct} vs Goursat route {restricted}"
         )
-    multiplicities = _leading_entries(chain, len(w.symbols))
     diagram = _build_proximity(w, multiplicities)
     if not diagram.check_sums():
         raise MismatchReport(f"proximity sums do not balance for {w}")

@@ -3,7 +3,8 @@
 Two independent recursions compute the characteristic of a word:
 
 * the front-end recursion peels one structural block off the front of the
-  word at a time, transforming the characteristic of the lifted word;
+  word at a time, transforming the characteristic of the lifted word; it
+  runs for every lift level at once as one backward walk over the symbols;
 * the back-end recursion splits a critical word as P R^rho Q (Q the maximal
   trailing entirely-critical block) and combines PC(P) with the pair E(R^rho Q)
   computed by the auxiliary E map.
@@ -30,7 +31,7 @@ from .errors import (
     TrivialCharacteristic,
 )
 from .records import Record, _set
-from .words import RvtWord, _split_pq, is_entirely_critical, lift_string
+from .words import RvtWord, _split_pq, is_entirely_critical
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
 
@@ -169,46 +170,49 @@ def front_r_step(sub: tuple[int, ...]) -> tuple[int, ...]:
     return (sub[0], *(x + sub[0] for x in sub[1:]))
 
 
-def front_chain(word: RvtWord | str) -> list[tuple[int, ...]]:
-    """Raw characteristic tuples of the word and all its lifted words, down
-    to the first lift with no critical symbol.
+def front_chain(word: RvtWord | str) -> tuple[tuple[int, ...], ...]:
+    """``(multiplicities, lambdas, lifted)`` in one backward walk: the
+    leading characteristic entry of each j-fold lift, j = 0..len(word), and
+    the raw characteristics of the word and of its lifted word.
 
-    Entry j is the characteristic of the j-fold lifted word; one front-end
-    transformation is applied per entry on the way back up, so the whole
-    chain costs a single pass.
+    A lift drops the leading symbol and turns a V T^tau run into R's, so
+    lift level j reads its block at the word's own symbol j+1: a V opens a
+    B block when its T run ends the word or meets R, a C block when it
+    meets V; anything else is an A step.  Each level is O(1) on the head and
+    the tail stored minus a running offset: O(len(word)) time and memory.
     """
     s = str(word)
     if isinstance(word, str):
         RvtWord(s)  # validate
-    suffixes = []
-    while "V" in s:
-        suffixes.append(s)
-        s = s[1:] if s[1] == "R" else lift_string(s)
-    chain = [(1,)]
-    for w in reversed(suffixes):
-        sub = chain[-1]
-        if w[1] == "R":
-            chain.append(front_r_step(sub))
-            continue
-        tau = 0
-        i = 2
-        while i < len(w) and w[i] == "T":
-            tau += 1
-            i += 1
-        if i == len(w) or w[i] == "R":
-            chain.append(
-                ((tau + 2) * sub[0], (tau + 3) * sub[0], *(x + sub[0] for x in sub[1:]))
-            )
+    mults = [1] * (len(s) + 1)
+    head, tail, off, lifted = 1, [], 0, (1,)  # tail: last entry first
+    last_v = s.rfind("V")
+    tau, closed = s.count("T", last_v), True  # the last V is followed by T^tau R*
+    for j in range(last_v - 1, -1, -1):
+        ch = s[j + 1]
+        if ch != "V":
+            off += head
+            if ch == "T":
+                tau += 1
+            else:
+                tau, closed = 0, True
+        elif closed:
+            off += head
+            tail.append((tau + 3) * head - off)
+            head *= tau + 2
+            tau, closed = 0, False
         else:
-            chain.append((sub[1], *(x + sub[0] for x in sub[1:])))
-    chain.reverse()
-    return chain
+            head, off, tau = tail[-1] + off, off + head, 0
+        mults[j] = head
+        if j == 1:
+            lifted = (head, *[x + off for x in reversed(tail)])
+    return tuple(mults), (head, *[x + off for x in reversed(tail)]), lifted
 
 
 def pc_from_word_front(word: RvtWord | str) -> PuiseuxCharacteristic:
     """Front-end recursion: PC(W) from PC(L(W)), one structural block at a
     time.  A word with no critical symbols has characteristic [1;]."""
-    return PuiseuxCharacteristic(front_chain(word)[0])
+    return PuiseuxCharacteristic(front_chain(word)[1])
 
 
 def classify_case(pc: PuiseuxCharacteristic) -> CaseTag:
@@ -231,13 +235,12 @@ def peel_case(pc: PuiseuxCharacteristic) -> tuple[CaseTag, PuiseuxCharacteristic
     the characteristic of the lifted word."""
     tag = classify_case(pc)
     lam = pc.lambdas
+    gap = lam[1] - lam[0]
     if tag.kind == "A":
         down = (lam[0], *(x - lam[0] for x in lam[1:]))
     elif tag.kind == "B":
-        gap = lam[1] - lam[0]
         down = (gap, *(x - gap for x in lam[2:])) if pc.g >= 2 else (1,)
     else:
-        gap = lam[1] - lam[0]
         down = (gap, lam[0], *(x - gap for x in lam[2:]))
     return tag, PuiseuxCharacteristic(down)
 
@@ -307,15 +310,17 @@ def euclid(a: int, b: int) -> str:
         raise BadOrder(f"need 0 < a < b, got ({a}, {b})")
     if gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) = {gcd(a, b)}")
-    out = []
-    while (a, b) != (1, 2):
-        if b < 2 * a:
-            out.append("V")
-            a, b = b - a, a
-        else:
-            out.append("T")
-            b = b - a
-    return "".join(out)
+    return "V".join("T" * k for k in _euclid_runs(a, b))
+
+
+def _euclid_runs(a: int, b: int):
+    """T run lengths of Euc(a, b), a V after each but the last: b = q*a + r
+    with a > 1 gives q - 1 T's, V, Euc(r, a); Euc(1, b) is b - 2 T's."""
+    while a > 1:
+        q, r = divmod(b, a)
+        yield q - 1
+        a, b = r, a
+    yield b - 2
 
 
 def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
@@ -334,21 +339,26 @@ def _cw_string(lam: tuple[int, ...]) -> str:
     of the recursion sees one."""
     if len(lam) == 1:
         return ""
-    if len(lam) == 2:
-        s = euclid(lam[0], lam[1])
-        i = len(s) - len(s.lstrip("T"))
-        return "R" * (i + 1) + s[i:]
-    a = gcd_all(lam[:-1])
+    if len(lam) == 2:  # R^(i+1), then Euc(lam) past its leading run T^i
+        first, *runs = _euclid_runs(*lam)
+        return "R" * (first + 1) + "".join("V" + "T" * k for k in runs)
+    a = gcd(*lam[:-1])
     diff = lam[-1] - lam[-2]
     head = _cw_string(tuple(x // a for x in lam[:-1]))
     return head + "R" * (diff // a + 1) + euclid(a, diff % a + a)
 
 
-def gcd_all(values) -> int:
-    d = 0
-    for v in values:
-        d = gcd(d, v)
-    return d
+def cw_length(pc: PuiseuxCharacteristic) -> int:
+    """len(word_from_pc(pc)) without building the word: each step of
+    ``_cw_string`` adds k + 1 symbols per T run k of its Euclidean word,
+    plus diff // a when it adds an R run."""
+    lam, n = pc.lambdas, 0
+    while len(lam) > 2:
+        a = gcd(*lam[:-1])
+        diff = lam[-1] - lam[-2]
+        n += diff // a + sum(k + 1 for k in _euclid_runs(a, diff % a + a))
+        lam = tuple(x // a for x in lam[:-1])
+    return n + sum(k + 1 for k in _euclid_runs(*lam)) if len(lam) == 2 else n
 
 
 def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:

@@ -91,6 +91,22 @@ class TestPcCommand:
         code, _, err = run(capsys, "pc", "[2;4,5]")
         assert code == 1
 
+    def test_word_past_the_bound_exits_1(self, capsys):
+        huge = "[99999999999999999999;100000000000000000001]"
+        code, out, err = run(capsys, "pc", huge)
+        assert (code, out) == (1, "")
+        assert err == (f"error: CW({huge}) has 50000000000000000001 symbols, "
+                       "above the pc bound 100000\n")
+
+    def test_bound_admits_its_own_length(self, capsys, monkeypatch):
+        from monstertower import cli
+
+        monkeypatch.setattr(cli, "PC_WORD_BOUND", 12)
+        code, out, _ = run(capsys, "pc", "[27;63,83]")  # RRVTRRRVTTTV
+        assert code == 0 and "RRVTRRRVTTTV" in out
+        code, _, err = run(capsys, "pc", "[2;25]")  # R^12 V
+        assert code == 1 and "has 13 symbols" in err
+
 
 class TestCurveCommand:
     def test_quintic_level_5(self, capsys):

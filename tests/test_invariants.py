@@ -176,6 +176,21 @@ class TestPanel:
         assert payload["multiplicity_sequence"] == [8, 3, 3, 2, 1, 1]
         assert payload["vertical_orders"]["first_level"] == 2
 
+    def test_long_word_memory_is_linear(self):
+        # CW([20001;20003]) has 10,002 symbols; a front recursion that keeps
+        # every lifted suffix peaks near 50 MiB on it
+        import tracemalloc
+
+        pc = parse_pc("[20001;20003]")
+        tracemalloc.start()
+        try:
+            panel = invariant_panel(pc=pc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(panel.word) == 10_002
+        assert peak < 10 * 2**20
+
     def test_one_front_chain_per_panel(self, monkeypatch):
         from monstertower import invariants
 

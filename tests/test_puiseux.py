@@ -19,9 +19,11 @@ from monstertower.puiseux import (
     PuiseuxCharacteristic,
     TRIVIAL_PC,
     classify_case,
+    cw_length,
     e_value,
     essential_characteristic,
     euclid,
+    front_chain,
     is_restricted,
     parse_pc,
     pc_from_word_back,
@@ -31,7 +33,7 @@ from monstertower.puiseux import (
     word_from_pc,
     word_from_pc_front_inverse,
 )
-from monstertower.words import RvtWord, enumerate_words
+from monstertower.words import RvtWord, enumerate_words, lift_string
 
 
 def PC(text):
@@ -121,6 +123,36 @@ class TestFrontRecursion:
         for word, pc in FOUR_WORD_FAMILY.items():
             assert str(pc_from_word_front(word)) == pc
         assert str(pc_from_word_front("RRRVRVRV")) == "[8;28,30,31]"
+
+    def test_walk_matches_suffix_recursion(self):
+        """The backward walk against the front recursion written the long
+        way: lift every suffix, then build one tuple per level back up."""
+
+        def suffix_chain(s):
+            suffixes = []
+            while "V" in s:
+                suffixes.append(s)
+                s = s[1:] if s[1] == "R" else lift_string(s)
+            chain = [(1,)]
+            for w in reversed(suffixes):
+                sub = chain[-1]
+                rest = tuple(x + sub[0] for x in sub[1:])
+                if w[1] == "R":
+                    chain.append((sub[0], *rest))
+                    continue
+                tau = len(w) - 2 - len(w[2:].lstrip("T"))
+                if w[2 + tau:3 + tau] in ("", "R"):
+                    chain.append(((tau + 2) * sub[0], (tau + 3) * sub[0], *rest))
+                else:
+                    chain.append((sub[1], *rest))
+            chain.reverse()
+            return chain
+
+        for w in enumerate_words(12, min_len=0):
+            chain = suffix_chain(w.symbols)
+            leads = tuple(pc[0] for pc in chain) + (1,) * (len(w) + 1 - len(chain))
+            lifted = chain[1] if len(chain) > 1 else (1,)
+            assert front_chain(w) == (leads, chain[0], lifted), w
 
 
 class TestCaseClassification:
@@ -231,7 +263,6 @@ class TestBackRecursionIndependence:
 
         monkeypatch.setattr(puiseux, "front_chain", refuse)
         monkeypatch.setattr(puiseux, "front_r_step", refuse)
-        monkeypatch.setattr(puiseux, "lift_string", refuse)
         monkeypatch.setattr(words, "lift_string", refuse)
 
     def test_stored_values(self):
@@ -302,6 +333,15 @@ class TestWordFromPC:
         for w in enumerate_words(9):
             pc = pc_from_word_front(w)
             assert pc_from_word_front(word_from_pc(pc)) == pc
+
+    def test_length_without_the_word(self):
+        for w in enumerate_words(12):
+            if w.is_critical():
+                pc = pc_from_word_front(w)
+                assert cw_length(pc) == len(word_from_pc(pc)), w
+        assert cw_length(TRIVIAL_PC) == 0
+        # CW([a;a+2]) = R R V T^((a-3)/2) V for odd a
+        assert cw_length(PC("[99999999999999999999;100000000000000000001]")) == 5 * 10**19 + 1
 
 
 class TestFrontInverse:
