@@ -19,9 +19,11 @@ import sys
 
 from .defaults import DEFAULT_MAX_LEVEL, DEFAULT_PRECISION
 from .errors import MismatchReport, MonsterTowerError, ParseError
-from .invariants import invariant_panel, proximity_diagram
+from .invariants import _build_proximity, invariant_panel, proximity_diagram
 from .puiseux import (
+    PuiseuxCharacteristic,
     cw_length,
+    front_chain,
     parse_pc,
     pc_from_word_back,
     pc_from_word_front,
@@ -141,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         default=[],
-        choices=("pc-agreement", "round-trip", "proximity-sum", "preimage-duality"),
+        choices=WORD_SUITES,
         help="consistency suites to run over the enumeration",
     )
 
@@ -304,9 +306,8 @@ def _cmd_enumerate(args) -> int:
         return EXIT_INPUT
     words = list(enumerate_words(args.max_len))
     counts = {n: count_words(n) for n in range(1, args.max_len + 1)}
-    failures: list[str] = []
-    for name in args.check:
-        failures.extend(_run_word_check(name, words))
+    found = _run_word_checks(args.check, words)
+    failures = [f for name in args.check for f in found[name]]
     payload = {
         "max_len": args.max_len,
         "counts": {str(n): c for n, c in counts.items()},
@@ -325,26 +326,50 @@ def _cmd_enumerate(args) -> int:
     return EXIT_MISMATCH if failures else code
 
 
-def _run_word_check(name: str, words) -> list[str]:
-    failures = []
-    if name == "pc-agreement":
-        for w in words:
-            if pc_from_word_front(w) != pc_from_word_back(w):
-                failures.append(f"pc-agreement {w.symbols}")
-    elif name == "round-trip":
-        for w in words:
-            if w.is_critical() and word_from_pc(pc_from_word_front(w)) != w:
-                failures.append(f"round-trip {w.symbols}")
-    elif name == "proximity-sum":
-        for w in words:
-            if not proximity_diagram(w).check_sums():
-                failures.append(f"proximity-sum {w.symbols}")
-    elif name == "preimage-duality":
-        for w in words:
-            for u in w.lift_preimages():
-                if u.lift() != w:
-                    failures.append(f"preimage-duality {w.symbols} {u.symbols}")
-    return failures
+def _run_word_checks(names, words) -> dict[str, list[str]]:
+    """The failures of each suite in ``names``, in word order.  The words are
+    walked once, a block at a time: the suites that read the front recursion
+    share one ``front_chain`` per word, and each suite runs as its own loop
+    over the block, which runs faster than one loop through every suite."""
+    found = {name: [] for name in names}
+    fronts = any(name != "preimage-duality" for name in found)
+    for start in range(0, len(words), _CHECK_BLOCK):
+        block = words[start:start + _CHECK_BLOCK]
+        chains = [front_chain(w) for w in block] if fronts else []
+        for name, failures in found.items():
+            failures.extend(WORD_SUITES[name](block, chains))
+    return found
+
+
+def _pc_agreement(block, chains) -> list[str]:
+    return [f"pc-agreement {w.symbols}" for w, (_, lambdas, _) in zip(block, chains)
+            if PuiseuxCharacteristic(lambdas) != pc_from_word_back(w)]
+
+
+def _round_trip(block, chains) -> list[str]:
+    return [f"round-trip {w.symbols}" for w, (_, lambdas, _) in zip(block, chains)
+            if w.is_critical() and word_from_pc(PuiseuxCharacteristic(lambdas)) != w]
+
+
+def _proximity_sum(block, chains) -> list[str]:
+    return [f"proximity-sum {w.symbols}" for w, (mults, _, _) in zip(block, chains)
+            if not _build_proximity(w, mults).check_sums()]
+
+
+def _preimage_duality(block, chains) -> list[str]:
+    return [f"preimage-duality {w.symbols} {u.symbols}"
+            for w in block for u in w.lift_preimages() if u.lift() != w]
+
+
+# Each suite reads a block of words and their front chains and returns its
+# failure lines.
+WORD_SUITES = {
+    "pc-agreement": _pc_agreement,
+    "round-trip": _round_trip,
+    "proximity-sum": _proximity_sum,
+    "preimage-duality": _preimage_duality,
+}
+_CHECK_BLOCK = 256  # words per block; only one block's front chains are held
 
 
 def _cmd_check(args) -> int:
@@ -354,13 +379,9 @@ def _cmd_check(args) -> int:
     if _over_enumeration_bound(args.max_len):
         return EXIT_INPUT
     words = list(enumerate_words(args.max_len))
-    suites = ("pc-agreement", "round-trip", "proximity-sum", "preimage-duality")
-    failures: list[str] = []
-    results = {}
-    for name in suites:
-        bad = _run_word_check(name, words)
-        failures.extend(bad)
-        results[name] = {"checked": len(words), "failures": len(bad)}
+    found = _run_word_checks(WORD_SUITES, words)
+    failures = [f for name in WORD_SUITES for f in found[name]]
+    results = {name: {"checked": len(words), "failures": len(found[name])} for name in WORD_SUITES}
     specs = generate_corpus(args.corpus_size, DEFAULT_SEED if args.seed is None else args.seed)
     engine_failures = 0
     for spec in specs:

@@ -1,9 +1,13 @@
 """Exact formal power series in one parameter t, read up to a term budget.
 
-Coefficients are ``fractions.Fraction`` values.  A series built from finitely
-many terms is the polynomial it names, zero beyond its last term, and knows
-its degree; derivative, recentering, product and integral of polynomials are
-polynomials, and a quotient is an exact stream.  Nothing is ever truncated.
+Coefficients are exact rationals stored as reduced integer pairs, a
+numerator over a positive denominator; the arithmetic reduces each
+coefficient it computes once (Knuth, TAOCP vol. 2, 4.5.1), and
+``fractions.Fraction`` values are made only where a caller reads
+coefficients.  A series built from finitely many terms is the polynomial it
+names, zero beyond its last term, and knows its degree; derivative,
+recentering, product and integral of polynomials are polynomials, and a
+quotient is an exact stream.  Nothing is ever truncated.
 
 ``precision`` is a term budget: the number of leading coefficients that a
 valuation search and the whole-series reads (``coefficients``, ``agrees_with``,
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .defaults import DEFAULT_PRECISION
 from .errors import IndeterminateValuation, NegativeValuation, ParseError
@@ -39,8 +44,24 @@ _TERM_RE = re.compile(
 _ZERO = Fraction(0)
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _dot(out, dens, acc, den, xn, xd, yn, yd, indices, top, sn=1, sd=1) -> None:
+    """Append (acc/den + the sum of x[i] * y[top - i] over ``indices``) * sn/sd
+    to ``out``/``dens``, sd > 0: the products are summed over a running
+    denominator, the lcm of theirs, and the sum is reduced by one gcd."""
+    for i in indices:
+        c = yn[top - i]
+        if c:
+            n, d = xn[i] * c, xd[i] * yd[top - i]
+            if d == den:
+                acc += n
+            else:
+                g = gcd(den, d)
+                acc = acc * (d // g) + n * (den // g)
+                den = den // g * d
+    acc, den = acc * sn, den * sd
+    g = gcd(acc, den)
+    out.append(acc // g)
+    dens.append(den // g)
 
 
 def _term_text(coeff: Fraction, exponent: int) -> str:
@@ -61,7 +82,8 @@ class TruncatedSeries:
     coefficients, with a budget of their number.  A series made by an
     operation starts with no coefficients computed:
 
-    * ``_known`` is the prefix computed so far;
+    * ``_known`` and ``_dens`` are the prefix computed so far: coprime
+      numerators and positive denominators, a zero as 0/1;
     * ``_degree`` is a polynomial's degree (-1 for zero), None for a stream;
     * ``_zeros`` counts leading coefficients known to be zero from the
       operands' valuations, so a constant term past them is 0 for free;
@@ -70,22 +92,25 @@ class TruncatedSeries:
       found it; ``valuation_or_none`` then reads it without computing;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
       coefficients need the first ``m + offset`` of that operand;
-    * ``_extend(known, m)`` appends coefficients up to m once those are there.
+    * ``_extend(known, dens, m)`` computes up to m once the operands are ready.
 
     Zeros, leading or past the degree, cost no arithmetic; the operands and
     ``_extend`` are dropped once a polynomial is complete."""
 
-    __slots__ = ("_precision", "_degree", "_zeros", "_exact", "_known", "_operands", "_extend")
+    __slots__ = ("_precision", "_degree", "_zeros", "_exact", "_known", "_dens",
+                 "_operands", "_extend")
 
     def __init__(self, coefficients):
-        known = [_as_fraction(c) for c in coefficients]
+        known = [c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
+                 for c in coefficients]
         self._precision = len(known)
         while known and not known[-1]:
             known.pop()
         self._degree = len(known) - 1
         self._zeros = next((i for i, c in enumerate(known) if c), len(known))
         self._exact = self._degree >= 0
-        self._known = known
+        self._known = [c.numerator for c in known]
+        self._dens = [c.denominator for c in known]
         self._operands = ()
         self._extend = None
 
@@ -99,36 +124,29 @@ class TruncatedSeries:
         series._zeros = zeros
         series._exact = exact
         series._known = []
+        series._dens = []
         series._operands = operands
         series._extend = extend
         return series
 
-    @classmethod
-    def _termwise(
-        cls, precision: int, degree, zeros: int, exact: bool, operands, term
-    ) -> "TruncatedSeries":
-        """Series whose coefficient i is ``term(i)``."""
-        return cls._lazy(
-            precision, degree, zeros, exact, operands,
-            lambda known, n: known.extend(map(term, range(len(known), n))),
-        )
-
-    def _force(self, n: int) -> list[Fraction]:
-        """Compute the first n coefficients and return the computed prefix,
-        working pending operands off an explicit stack, so that a chain of
-        thousands of operations needs no recursion per ancestor."""
+    def _force(self, n: int) -> list[int]:
+        """Compute the first n coefficients and return the computed
+        numerators (``_dens`` holds their denominators), working pending
+        operands off an explicit stack, so that a chain of thousands of
+        operations needs no recursion per ancestor."""
         known = self._known
         if len(known) >= n:
             return known
         stack = [(self, n)]
         while stack:
             series, want = stack[-1]
-            done = series._known
-            degree = series._degree
+            done, dens, degree = series._known, series._dens, series._degree
             if series._extend is not None:
                 upto = want if degree is None else min(want, degree + 1)
                 if len(done) < series._zeros:
-                    done.extend([_ZERO] * (min(upto, series._zeros) - len(done)))
+                    fill = min(upto, series._zeros) - len(done)
+                    done.extend([0] * fill)
+                    dens.extend([1] * fill)
                 if len(done) < upto:
                     ready = True
                     for operand, offset in series._operands:
@@ -137,12 +155,13 @@ class TruncatedSeries:
                             ready = False
                     if not ready:
                         continue
-                    series._extend(done, upto)
+                    series._extend(done, dens, upto)
                 if degree is not None and len(done) > degree:
                     series._operands = ()
                     series._extend = None
             if len(done) < want:  # past the degree of a complete polynomial
-                done.extend([_ZERO] * (want - len(done)))
+                dens.extend([1] * (want - len(done)))
+                done.extend([0] * (want - len(done)))
             stack.pop()
         return known
 
@@ -153,18 +172,18 @@ class TruncatedSeries:
         """The polynomial with the given (coefficient, exponent) terms, with a
         budget of ``precision`` terms, raised to reach its last term."""
         terms = list(terms)
-        coeffs = [_ZERO] * max([0, *(e + 1 for _, e in terms)])
+        coeffs = [0] * max([0, *(e + 1 for _, e in terms)])
         for coeff, exponent in terms:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
-            coeffs[exponent] += coeff
+            coeffs[exponent] = coeff + coeffs[exponent]  # Fraction + int: Fraction's fast path
         series = TruncatedSeries(coeffs)
         series._precision = max(series._precision, precision)
         return series
 
     @staticmethod
     def zero(precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        return TruncatedSeries((_ZERO,) * precision)
+        return TruncatedSeries((0,) * precision)
 
     @staticmethod
     def monomial(coeff, exponent: int, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
@@ -180,7 +199,7 @@ class TruncatedSeries:
     def coefficients(self) -> tuple[Fraction, ...]:
         """The first ``precision`` coefficients."""
         n = self._precision
-        return tuple(self._force(n)[:n])
+        return tuple(map(Fraction, self._force(n)[:n], self._dens[:n]))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -211,12 +230,12 @@ class TruncatedSeries:
         return v
 
     def constant_term(self) -> Fraction:
-        return _ZERO if self._zeros else self._force(1)[0]
+        return _ZERO if self._zeros else Fraction(self._force(1)[0], self._dens[0])
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Coefficient-wise equality over the larger of the two budgets."""
         n = max(self.precision, other.precision)
-        return self._force(n)[:n] == other._force(n)[:n]
+        return self._force(n)[:n] == other._force(n)[:n] and self._dens[:n] == other._dens[:n]
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -232,22 +251,18 @@ class TruncatedSeries:
         va, vb = self.valuation_or_none(), other.valuation_or_none()
         da, db = self._degree, other._degree
         degree = -1 if -1 in (da, db) else None if None in (da, db) else da + db
-        a, b = self._known, other._known
+        a, ad, b, bd = self._known, self._dens, other._known, other._dens
         support: list[int] = []  # nonzero indices of a below ``scanned``
         scanned = 0
 
-        def extend(out, m):
+        def extend(out, dens, m):
             nonlocal scanned
             for k in range(len(out), m):
                 while scanned <= k:
                     if a[scanned]:
                         support.append(scanned)
                     scanned += 1
-                acc = _ZERO
-                for i in support:
-                    if b[k - i]:
-                        acc += a[i] * b[k - i]
-                out.append(acc)
+                _dot(out, dens, 0, 1, a, ad, b, bd, support, k)
 
         # a factor that reads zero to its budget contributes the budget
         zeros = (self.precision if va is None else va) + (other.precision if vb is None else vb)
@@ -257,12 +272,18 @@ class TruncatedSeries:
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/dt; val f' = val f - 1 when val f >= 1 is known."""
-        a, d = self._known, self._degree
+        a, ad, d = self._known, self._dens, self._degree
         degree = None if d is None else max(d - 1, -1)
-        return self._termwise(
+
+        def extend(out, dens, m):  # i * a[i], reduced against i alone
+            for i in range(len(out) + 1, m + 1):
+                g = gcd(i, ad[i])
+                out.append(i // g * a[i])
+                dens.append(ad[i] // g)
+
+        return self._lazy(
             self.precision, degree, max(self._zeros - 1, 0),
-            self._exact and self._zeros >= 1, ((self, 1),),
-            lambda i: (i + 1) * a[i + 1] if a[i + 1] else _ZERO,
+            self._exact and self._zeros >= 1, ((self, 1),), extend,
         )
 
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
@@ -276,24 +297,21 @@ class TruncatedSeries:
             raise NegativeValuation(
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
-        num, dc = self._known, den._known
-        # j >= 1 below ``scanned`` with den[vd + j] != 0
+        nn, nd, dn, dd = self._known, self._dens, den._known, den._dens
+        # vd + j for j >= 1 below ``scanned`` with den[vd + j] != 0
         den_support: list[int] = []
         scanned = 1
 
-        def extend(out, m):
+        def extend(out, dens, m):
             nonlocal scanned
-            lead = dc[vd]
-            for k in range(len(out), m):
-                while scanned <= k:
-                    if dc[vd + scanned]:
-                        den_support.append(scanned)
+            # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
+            sn, sd = (-dd[vd], dn[vd]) if dn[vd] > 0 else (dd[vd], -dn[vd])
+            for k in range(vd + len(out), vd + m):
+                while scanned <= k - vd:
+                    if dn[vd + scanned]:
+                        den_support.append(vd + scanned)
                     scanned += 1
-                acc = num[vd + k]
-                for j in den_support:
-                    if out[k - j]:
-                        acc -= dc[vd + j] * out[k - j]
-                out.append(acc / lead if acc else _ZERO)
+                _dot(out, dens, -nn[k], nd[k], dn, dd, out, dens, den_support, k, sn, sd)
 
         zeros = max((self.precision if vn is None else vn) - vd, 0)
         degree = -1 if self._degree == -1 else None
@@ -302,12 +320,16 @@ class TruncatedSeries:
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant)."""
-        a, d = self._known, self._degree
+        a, ad, d = self._known, self._dens, self._degree
         degree = d if d is None or d > 0 else -1
-        tail = self._termwise(
+
+        def extend(out, dens, m):  # index 0 is a known zero, filled in by _force
+            dens.extend(ad[len(out):m])
+            out.extend(a[len(out):m])
+
+        tail = self._lazy(
             self.precision, degree, max(self._zeros, 1),
-            self._exact and self._zeros >= 1, ((self, 0),),
-            lambda i: a[i] if i else _ZERO,
+            self._exact and self._zeros >= 1, ((self, 0),), extend,
         )
         return self.constant_term(), tail
 
@@ -316,14 +338,22 @@ class TruncatedSeries:
         if wrt.valuation_or_none() is None:
             raise IndeterminateValuation("integration variable is zero to precision")
         g = self * wrt.derivative()
-        c = _as_fraction(constant)
-        gc, d = g._known, g._degree
+        c = Fraction(constant)
+        gn, gd, d = g._known, g._dens, g._degree
         if d is not None:  # a zero g integrates to the constant
             d = d + 1 if d >= 0 or c else -1
-        return self._termwise(
-            g.precision, d, 0 if c else g._zeros + 1, bool(c) or g._exact, ((g, -1),),
-            lambda i: (gc[i - 1] / i if gc[i - 1] else _ZERO) if i else c,
+
+        def extend(out, dens, m):  # g[i - 1] / i, reduced against i alone
+            for i in range(len(out), m):
+                h = gcd(gn[i - 1], i)
+                out.append(gn[i - 1] // h)
+                dens.append(gd[i - 1] * (i // h))
+
+        result = self._lazy(
+            g.precision, d, 0 if c else g._zeros + 1, bool(c) or g._exact, ((g, -1),), extend,
         )
+        result._known, result._dens = [c.numerator], [c.denominator]  # coefficient 0
+        return result
 
     # -- presentation --------------------------------------------------------
 

@@ -40,9 +40,9 @@ def computed(monkeypatch):
         series = lazy(cls, *args)
         extend = series._extend
 
-        def counting_extend(out, m):
+        def counting_extend(out, dens, m):
             before = len(out)
-            extend(out, m)
+            extend(out, dens, m)
             counts["coefficients"] += len(out) - before
 
         series._extend = counting_extend

@@ -213,6 +213,29 @@ class TestEnumerate:
         )
         assert code == 0 and "ok" in out
 
+    def test_failures_come_suite_by_suite(self, capsys, monkeypatch):
+        # Forced failures in two suites over the 377 words of length <= 7:
+        # the lines come in --check order, a repeated suite repeats its
+        # lines, and each suite lists its words in enumeration order.
+        from monstertower import cli
+        from monstertower.invariants import ProximityDiagram
+        from monstertower.words import enumerate_words
+
+        back = cli.pc_from_word_back
+        monkeypatch.setattr(ProximityDiagram, "check_sums", lambda d: not d.symbols.endswith("TV"))
+        monkeypatch.setattr(
+            cli, "pc_from_word_back", lambda w: None if "VV" in w.symbols else back(w)
+        )
+        words = [w.symbols for w in enumerate_words(7)]
+        sums = [f"proximity-sum {s}" for s in words if s.endswith("TV")]
+        agreement = [f"pc-agreement {s}" for s in words if "VV" in s]
+        code, out, _ = run(
+            capsys, "-f", "json", "enumerate", "7", "--check", "proximity-sum",
+            "--check", "pc-agreement", "--check", "proximity-sum", "--check", "round-trip",
+        )
+        assert code == 2
+        assert json.loads(out)["failures"] == sums + agreement + sums
+
 
 class TestCheck:
     def test_suite_green(self, capsys):
@@ -385,6 +408,32 @@ class TestExactSeriesInputs:
         code, out, err = run(capsys, "--format", "json", *argv)
         assert code == 0 and err == ""
         assert json.loads(out)["word"] == word
+
+
+DATA = Path(__file__).resolve().parent / "data"
+# Germs whose Nash lift divides by the retained derivative at every level of
+# a long R chain: 29 levels with coefficients of about 390 bits, and 25
+# levels with about 690 bits.
+BIG_COEFFICIENT_GERMS = {
+    "t12": "x=t^12, y=t^14+t^16+t^57",
+    "t10": "x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57",
+}
+
+
+class TestBigCoefficientBytes:
+    """The exact JSON of two deep lifts, recorded before the series kernel
+    moved to integer pairs, so that every data point, trace value and
+    constant term keeps its digits."""
+
+    @pytest.mark.parametrize("germ", sorted(BIG_COEFFICIENT_GERMS))
+    @pytest.mark.parametrize("engine", ["nash", "both"])
+    def test_json_bytes(self, capsys, germ, engine):
+        engine_args = ("--engine", "both") if engine == "both" else ()
+        code, out, err = run(
+            capsys, "curve", BIG_COEFFICIENT_GERMS[germ], *engine_args, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"curve_{germ}_{engine}.json").read_text()
 
 
 ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"

@@ -1,4 +1,6 @@
+from contextlib import contextmanager
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -339,10 +341,12 @@ OPERATIONS = {
     "integrate": (lambda a, b, k: a.integrate(b, k), lambda a, b, k: ref_integrate(a, b, k)),
 }
 
-# a window of 0-12 coefficients, often with a run of leading zeros
+# a window of 0-12 coefficients, often with a run of leading zeros; one
+# value is wide enough that products and sums reach past a machine word
+BIG = F(-(2**67) - 3, 3**41)
 window = st.tuples(
     st.sampled_from([0, 0, 0, 1, 2, 4]),
-    st.lists(st.sampled_from([F(0), F(1), F(-2), F(3, 4), F(-7, 5), F(5)]), max_size=8),
+    st.lists(st.sampled_from([F(0), F(1), F(-2), F(3, 4), F(-7, 5), F(5), BIG]), max_size=8),
 ).map(lambda zeros_coeffs: (F(0),) * zeros_coeffs[0] + tuple(zeros_coeffs[1]))
 
 
@@ -353,9 +357,46 @@ def _outcome(fn):
         return "raised", (type(exc), str(exc))
 
 
+def _assert_reduced(num, den):
+    """A stored coefficient: an int numerator over a positive int
+    denominator, coprime, so that a zero is 0/1."""
+    assert type(num) is int and type(den) is int, (num, den)
+    assert den > 0 and gcd(num, den) == 1, (num, den)
+
+
 def _head(series, n):
-    """The first n coefficients, also past the budget (they are exact)."""
-    return tuple(series._force(n)[:n])
+    """The first n coefficients, also past the budget (they are exact), built
+    from the stored pairs, each of which must be reduced."""
+    pairs = list(zip(series._force(n)[:n], series._dens[:n]))
+    assert len(pairs) == n
+    for num, den in pairs:
+        _assert_reduced(num, den)
+    return tuple(F(num, den) for num, den in pairs)
+
+
+@contextmanager
+def _every_computed_pair_reduced():
+    """Check each coefficient that a series made by an operation computes, as
+    it is appended, including those of operands that no test reads."""
+    lazy = TruncatedSeries._lazy.__func__
+
+    def checking_lazy(cls, *args):
+        series = lazy(cls, *args)
+        extend = series._extend
+
+        def checking_extend(out, dens, m):
+            before = len(out)
+            extend(out, dens, m)
+            assert len(out) == len(dens) == m
+            for num, den in zip(out[before:], dens[before:]):
+                _assert_reduced(num, den)
+
+        series._extend = checking_extend
+        return series
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TruncatedSeries, "_lazy", classmethod(checking_lazy))
+        yield
 
 
 def _same_valuation(lazy, ref):
@@ -372,6 +413,7 @@ def _same_valuation(lazy, ref):
 class TestEagerReference:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
+    @_every_computed_pair_reduced()
     def test_chains_match_eager_loops(self, data):
         # pool of (on-demand series, reference tuple); results join the pool,
         # so later operations read partly computed operands
@@ -396,6 +438,27 @@ class TestEagerReference:
         for lazy, ref in pool:
             assert _same_valuation(lazy, ref)
             assert _head(lazy, len(ref)) == ref
+
+    @pytest.mark.parametrize(
+        "name,a,b",
+        [
+            ("quotient", "3 - 2*t", "-5/7 + 4*t^2"),  # a negative leading coefficient
+            ("quotient", "t^2 - 1/6*t^3", "-3/4*t^2 + 5/9*t^3"),
+            ("mul", "1/2 - 1/3*t", "1/3 + 1/2*t - 1/5*t^2"),
+            ("derivative", "1/6*t^3 - 5/4*t^4", "1"),
+            ("recenter", "7/3 - 1/6*t^3", "1"),
+            ("integrate", "2*t - 4/9*t^2", "3/2*t + t^3"),
+        ],
+    )
+    def test_rational_operands(self, name, a, b):
+        # denominators that cancel against the running lcm and the index
+        lazy_op, ref_op = OPERATIONS[name]
+        a, b = S(a, 12), S(b, 12)
+        ref = ref_op(a.coefficients, b.coefficients, F(-1, 3))
+        with _every_computed_pair_reduced():
+            series = lazy_op(a, b, F(-1, 3))
+            assert _head(series, len(ref)) == ref
+        assert all(type(c) is F for c in series.coefficients)
 
     def test_window_past_the_budget(self):
         # t^4 times the stream t = t^4/t^3, integrated from 2, is 2 + t^5/5.
