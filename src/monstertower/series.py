@@ -27,6 +27,14 @@ val f >= 1; an integral from 0 has the valuation of its integrand plus one,
 and an integral from a nonzero constant has valuation 0.  Such a series
 carries its valuation from construction.  Its budget always covers it, so a
 search would have found the same index.
+
+A search that must compute reads the coefficients in order but forces them
+in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
+that reads k coefficients walks the chain of pending operands O(log k)
+times, not k, and each walk hands every operand a block of coefficients.  It
+computes fewer than 2k coefficients of the searched series; its operands
+may compute up to the same overshoot, which a deeper search often reads
+anyway.
 """
 
 from __future__ import annotations
@@ -207,13 +215,20 @@ class TruncatedSeries:
         return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
 
     def valuation_or_none(self) -> int | None:
+        """Index of the first nonzero coefficient within the budget (a
+        polynomial's within its degree), or None.  A search that must compute
+        forces doubling batches, 1, 2, 4, ... coefficients capped at its end,
+        so reading k coefficients walks the pending operands O(log k) times
+        and computes fewer than 2k of this series' coefficients."""
         if self._exact:
             return self._zeros
         known = self._known
         end = self._precision if self._degree is None else self._degree + 1
+        batch = 1
         for i in range(self._zeros, end):
             if i >= len(known):
-                self._force(i + 1)
+                self._force(min(i + batch, end))
+                batch *= 2
             if known[i]:
                 self._zeros = i
                 self._exact = True
@@ -370,8 +385,9 @@ def parse_series(text: str, precision: int = DEFAULT_PRECISION) -> TruncatedSeri
     """Parse a series literal: a sum of terms ``c*t^k``.
 
     ``c`` is an integer or a fraction ``p/q``; the ``*`` and the exponent are
-    optional (``t`` means ``t^1``, a bare coefficient means ``c*t^0``).
-    Whitespace is insignificant.  Example: ``7/5*t^2 + t^3``.
+    optional (``t`` means ``t^1``, a bare coefficient means ``c*t^0``).  A
+    ``+`` before a negative term is that term, as ``CurveSpec`` prints it.
+    Whitespace is insignificant.  Example: ``7/5*t^2 + t^3 + -1/2*t^5``.
     """
     stripped = text.strip()
     if not stripped:
@@ -379,8 +395,8 @@ def parse_series(text: str, precision: int = DEFAULT_PRECISION) -> TruncatedSeri
     chunks = re.split(r"(?=[+-])", stripped)
     terms: list[tuple[Fraction, int]] = []
     pos = 0
-    for chunk in chunks:
-        if not chunk.strip():
+    for chunk, after in zip(chunks, chunks[1:] + [""]):
+        if not chunk.strip() or (chunk.strip() == "+" and after[:1] == "-"):
             pos += len(chunk)
             continue
         m = _TERM_RE.fullmatch(chunk.strip())

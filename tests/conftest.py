@@ -24,16 +24,19 @@ def lift_calls(monkeypatch):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Counts of ``TruncatedSeries._force`` calls (``"force"``) and of the
-    coefficients that series made by operations compute (``"coefficients"``),
-    counting from when the fixture is set up.  Leading zeros known from the
-    operands and zeros past a polynomial's degree are filled in, not
-    computed, and are not counted."""
+    """Counts of ``TruncatedSeries._force`` calls (``"force"``), of those
+    that had to compute, each a walk of the pending operands (``"walks"``),
+    and of the coefficients that series made by operations compute
+    (``"coefficients"``), counting from when the fixture is set up.  Leading
+    zeros known from the operands and zeros past a polynomial's degree are
+    filled in, not computed, and are not counted."""
     counts = Counter()
     force, lazy = TruncatedSeries._force, TruncatedSeries._lazy.__func__
 
     def counting_force(self, n):
         counts["force"] += 1
+        if len(self._known) < n:
+            counts["walks"] += 1
         return force(self, n)
 
     def counting_lazy(cls, *args):

@@ -169,6 +169,12 @@ class TestCrossCheck:
             ("x=t^15, y=t^24+t^25", 9, 130),
             ("x=t^5, y=t^7", 4, 2),
             ("x=t^12, y=t^14+t^16+t^57", 114, 3210),  # 29 Nash levels
+            # Searches that read up to 38 and 41 coefficients, forced in
+            # doubling batches: fewer forces, some coefficients computed past
+            # the valuation.  Forcing one coefficient at a time, as at
+            # e29abf9, took 86 forces and 1,130 coefficients, and 87 and 467.
+            ("x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57", 22, 1610),  # 690 bits
+            ("x=t^3, y=3*t^6-5/7*t^47+2*t^52", 17, 653),  # corpus curve 74
         ],
     )
     def test_coefficients_computed(self, computed, curve, forces, coefficients):

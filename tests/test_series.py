@@ -226,6 +226,9 @@ class TestParse:
             ("2 + 15/4 * t", [(F(2), 0), (F(15, 4), 1)]),
             ("t", [(F(1), 1)]),
             ("-t^2 + 3", [(F(-1), 2), (F(3), 0)]),
+            # a "+" before a negative term, as CurveSpec prints one
+            ("3/2*t^31 + 3*t^46 + -11/4*t^58", [(F(3, 2), 31), (F(3), 46), (F(-11, 4), 58)]),
+            ("t+-2*t^2", [(F(1), 1), (F(-2), 2)]),
         ],
     )
     def test_literals(self, text, expect):
@@ -235,6 +238,19 @@ class TestParse:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_series(bad)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("t^2 + + t^3", "bad series term '+' (at position 4)"),
+            ("t^2 +", "bad series term '+' (at position 4)"),
+            ("t - - t^2", "bad series term '-' (at position 2)"),
+        ],
+    )
+    def test_lone_sign_is_named(self, bad, message):
+        with pytest.raises(ParseError) as info:
+            parse_series(bad)
+        assert str(info.value) == message
 
     def test_polynomials_embed_at_full_precision(self):
         assert parse_series("t^2", 50).precision == 50
@@ -350,6 +366,36 @@ window = st.tuples(
 ).map(lambda zeros_coeffs: (F(0),) * zeros_coeffs[0] + tuple(zeros_coeffs[1]))
 
 
+def _gap_stream(zeros, gap, c, later):
+    """t^zeros * (1 + c*t^gap) / (1 - t^(gap + later)) as (numerator,
+    denominator) windows reaching past both: a stream whose next term after
+    its lead is ``gap`` places on, so that a search on it or on its
+    derivative reads a long run of zeros."""
+    h = gap + later
+    num = [F(0)] * (zeros + h + 1)
+    num[zeros], num[zeros + gap] = F(1), c
+    den = [F(0)] * (zeros + h + 1)
+    den[0], den[h] = F(1), F(-1)
+    return tuple(num), tuple(den)
+
+
+# a polynomial window (no denominator) or a stream with a gap of up to 40
+start = st.one_of(
+    window.map(lambda w: (w, None)),
+    st.builds(
+        _gap_stream, st.sampled_from([0, 1, 2]), st.integers(8, 40),
+        st.sampled_from([F(1), F(-7, 5), BIG]), st.integers(1, 12),
+    ),
+)
+
+
+def _start(num, den):
+    """A pool entry: the on-demand series and its reference window."""
+    if den is None:
+        return TruncatedSeries(num), num
+    return TruncatedSeries(num).quotient(TruncatedSeries(den)), ref_quotient(num, den)
+
+
 def _outcome(fn):
     try:
         return "ok", fn()
@@ -417,8 +463,8 @@ class TestEagerReference:
     def test_chains_match_eager_loops(self, data):
         # pool of (on-demand series, reference tuple); results join the pool,
         # so later operations read partly computed operands
-        starts = data.draw(st.lists(window, min_size=1, max_size=3))
-        pool = [(TruncatedSeries(w), w) for w in starts]
+        starts = data.draw(st.lists(start, min_size=1, max_size=3))
+        pool = [_start(num, den) for num, den in starts]
         for _ in range(data.draw(st.integers(1, 4))):
             name = data.draw(st.sampled_from(sorted(OPERATIONS)))
             lazy_op, ref_op = OPERATIONS[name]
@@ -551,6 +597,37 @@ class TestValuationFromOperands:
         v = series.valuation_or_none()
         assert computed["force"] > 0
         assert v == expect == ref_valuation(series.coefficients)
+
+
+class TestSearchCost:
+    """A search reads coefficients in order and forces them in doubling
+    batches: reading k coefficients walks the pending operands O(log k)
+    times and computes fewer than 2k of the searched series'."""
+
+    def test_derivative_of_a_unit_with_a_long_gap(self, computed):
+        # 1 + t^40 + ... has derivative 40*t^39 + ...: 40 coefficients read
+        d = _stream("1 + t^40", "1 - t^50").derivative()
+        computed.clear()
+        assert d.valuation_or_none() == 39
+        assert computed["walks"] <= 7  # 1, 2, 4, ..., 32: six walks, not 40
+        assert len(d._known) < 2 * 40
+
+    def test_zero_to_a_budget_of_1024(self, computed):
+        # the second derivative of the stream t reads zero to its budget
+        d = S("t^2", 1024).quotient(S("t", 1024)).derivative().derivative()
+        computed.clear()
+        assert d.valuation_or_none() is None
+        assert computed["walks"] <= 12  # 1, 2, ..., 512 and the last one
+        assert len(d._known) == 1024
+
+    def test_batches_stop_at_a_polynomial_degree(self, computed):
+        # the derivative of the unit 1 + t^30 is a polynomial of degree 29:
+        # the batch of 16 that reaches its last term stops there
+        d = S("1 + t^30").derivative()
+        computed.clear()
+        assert d.valuation_or_none() == 29
+        assert computed["walks"] == 5
+        assert len(d._known) == 30
 
 
 class TestIdenticallyZero:

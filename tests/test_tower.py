@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from monstertower.corpus import generate_corpus
 from monstertower.errors import (
     ConstantParameterization,
     InsufficientPrecision,
@@ -413,6 +414,12 @@ class TestCurveGrammar:
         with pytest.raises(ParseError) as info:
             parse_curve(bad)
         assert str(info.value) == message
+
+    def test_corpus_spec_text_reads_back(self):
+        # the text check prints for a failing corpus curve, "+ -11/4*t^58"
+        # and all, is input that names the same curve
+        for spec in generate_corpus(220):
+            assert parse_curve(str(spec), 64) == (spec.curve(64), 0), str(spec)
 
     def test_base_point_recentering(self):
         c, _ = parse_curve("x=1+t^2, y=2+t^3")
