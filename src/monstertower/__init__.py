@@ -17,7 +17,7 @@ from . import errors
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "defaults": ("DEFAULT_PRECISION", "DEFAULT_MAX_LEVEL"),
+    "defaults": ("DEFAULT_MAX_LEVEL",),
     "series": ("TruncatedSeries", "parse_series"),
     "words": (
         "RvtWord", "WordDecomposition", "count_words", "enumerate_words", "is_critical",

@@ -18,7 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .defaults import DEFAULT_MAX_LEVEL
-from .errors import InsufficientPrecision, MaxLevelExceeded, MismatchReport
+from .errors import (
+    ConstantParameterization,
+    MaxLevelExceeded,
+    MismatchReport,
+    NonPrimitiveParameterization,
+)
 from .invariants import multiplicity_sequence
 from .records import Record, _set
 from .series import TruncatedSeries
@@ -126,15 +131,25 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
     """Blow up the current point of the curve and restrict to the chart the
     strict transform passes through.  (a, b) is the pair after the previous
     blowup: a recentered, its flag ``level - 1`` (none on the base surface),
-    and b unrecentered with the flag ``b_flag``."""
+    and b unrecentered with the flag ``b_flag``.
+
+    A constant b while val a = d > 1 makes every coordinate a function of a,
+    so the germ factors through a, of order d: NonPrimitiveParameterization
+    names the cover of degree d."""
     b0, b_rec = b.recenter()
     va = a.valuation_or_none()
     vb = b_rec.valuation_or_none()
-    if va is None and vb is None:
-        raise InsufficientPrecision(
-            f"both coordinates {a_name} and {b_name} constant to the "
-            f"term budget {max(a.precision, b.precision)} at blowup {level}"
-        )
+    if vb is None:
+        if va is None:
+            raise ConstantParameterization(
+                f"both coordinates {a_name} and {b_name} vanish identically "
+                f"after recentering at blowup {level}"
+            )
+        if va > 1:
+            raise NonPrimitiveParameterization(
+                f"{b_name} is constant at blowup {level} while {a_name} has order "
+                f"{va}: the germ is a cover of degree {va}"
+            )
     if va is not None and (vb is None or vb >= va):
         denominator, denominator_name = a, a_name
         quotient, new_name = b_rec.quotient(a), b_name.bump()

@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Subcommands: word, pc, curve, lift-preimages, proximity, enumerate, check.
-Global flags --format {text,json,dot}, --precision N (the term budget of
-series reads), --max-level N, with environment overrides MONSTERTOWER_FORMAT,
-MONSTERTOWER_PRECISION and MONSTERTOWER_MAX_LEVEL.  Exit codes: 0 success,
-1 input error (or output closed by the reader), 2 internal consistency
-mismatch, so CI can gate on the invariants.
+Global flags --format {text,json,dot} and --max-level N, with environment
+overrides MONSTERTOWER_FORMAT and MONSTERTOWER_MAX_LEVEL.  Series have an
+exact zero test, so no setting decides a valuation; --precision N is
+accepted and ignored.  Exit codes: 0 success, 1 input error (or output
+closed by the reader), 2 internal consistency mismatch, so CI can gate on
+the invariants.
 
 Every command is deterministic: identical invocations produce byte-identical
 output.  Rationals are serialized as "p/q" strings in JSON.
@@ -17,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .defaults import DEFAULT_MAX_LEVEL, DEFAULT_PRECISION
+from .defaults import DEFAULT_MAX_LEVEL
 from .errors import MismatchReport, MonsterTowerError, ParseError
 from .invariants import _build_proximity, invariant_panel, proximity_diagram
 from .puiseux import (
@@ -64,7 +65,6 @@ def _int_at_least(minimum: int):
     return cast
 
 
-_precision = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
@@ -91,11 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="output format (default text; env MONSTERTOWER_FORMAT)",
     )
+    # kept for bench/run.py until ROADMAP item 1: validated, then ignored
     shared.add_argument(
         "--precision",
-        type=_precision,
+        type=_int_at_least(1),
         default=argparse.SUPPRESS,
-        help="term budget of series reads (env MONSTERTOWER_PRECISION)",
+        help="ignored: series are exact",
     )
     shared.add_argument(
         "--max-level",
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = add("curve", help="lift a parameterized curve germ")
     p_curve.add_argument("text", help="'x=t^5, y=t^7' or '@level k chart=... r=..., n=...'")
     p_curve.add_argument(
-        "--level", type=_nonnegative, default=None, help="tower level for the data point"
+        "--level", type=_nonnegative, default=None, help="data point level, at most --max-level"
     )
     p_curve.add_argument(
         "--engine", choices=("nash", "blowup", "both"), default="nash",
@@ -157,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _fill_defaults(args) -> None:
     if not hasattr(args, "format"):
         args.format = _env_default("MONSTERTOWER_FORMAT", "text", _format)
-    if not hasattr(args, "precision"):
-        args.precision = _env_default("MONSTERTOWER_PRECISION", DEFAULT_PRECISION, _precision)
     if not hasattr(args, "max_level"):
         args.max_level = _env_default("MONSTERTOWER_MAX_LEVEL", DEFAULT_MAX_LEVEL, _nonnegative)
 
@@ -200,7 +199,9 @@ def _cmd_curve(args) -> int:
 
     if args.level is not None and args.engine != "nash":
         raise ParseError(f"--level applies only to --engine nash, not {args.engine}")
-    germ, presented_level = parse_curve(args.text, args.precision)
+    if args.level is not None and args.level > args.max_level:
+        raise ParseError(f"--level {args.level} is above --max-level {args.max_level}")
+    germ, presented_level = parse_curve(args.text)
     if args.engine == "both":
         from .blowup import cross_check
 
@@ -386,7 +387,7 @@ def _cmd_check(args) -> int:
     engine_failures = 0
     for spec in specs:
         try:
-            cross_check(spec.curve(args.precision), args.max_level)
+            cross_check(spec.curve(), args.max_level)
         except MismatchReport:
             engine_failures += 1
             failures.append(f"engine-equivalence {spec}")

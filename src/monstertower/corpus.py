@@ -3,7 +3,7 @@
 Curves have the shape x = t^n, y = sum of rational-coefficient terms, with
 small n, bounded exponents, and a primitive exponent set.  Generation is
 seeded, so every run sees the same corpus.  Every curve is an exact
-polynomial, so it lifts in one attempt at any term budget.
+polynomial.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ class CurveSpec(Record):
         _set(self, "n", n)
         _set(self, "terms", terms)
 
-    def curve(self, precision: int) -> CurveGerm:
-        x = TruncatedSeries.monomial(1, self.n, precision)
-        y = TruncatedSeries.from_terms(self.terms, precision)
-        return CurveGerm.from_series(x, y)
+    def curve(self) -> CurveGerm:
+        return CurveGerm.from_series(
+            TruncatedSeries.monomial(1, self.n), TruncatedSeries.from_terms(self.terms)
+        )
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -71,7 +71,6 @@ def generate_corpus(count: int = 220, seed: int = DEFAULT_SEED) -> list[CurveSpe
     return out
 
 
-# bench/run.py is the only caller
-def with_precision_retry(fn, spec: CurveSpec, start: int = 96):
-    """fn(spec.curve(start)).  The series are exact, so one attempt decides."""
-    return fn(spec.curve(start))
+# kept for bench/run.py until ROADMAP item 1; start is ignored
+def with_precision_retry(fn, spec: CurveSpec, start=None):
+    return fn(spec.curve())

@@ -1,8 +1,7 @@
-"""Default term budget of series reads and lifting budget.
+"""Default lifting budget.
 
-Kept apart from ``series`` and ``tower`` so that the CLI can fill in its
-defaults without importing the engines.
+Kept apart from ``tower`` so that the CLI can fill in its defaults without
+importing the engines.
 """
 
-DEFAULT_PRECISION = 64
 DEFAULT_MAX_LEVEL = 64

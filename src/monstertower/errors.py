@@ -48,15 +48,12 @@ class MalformedString(MonsterTowerError):
 # -- series errors ----------------------------------------------------------
 
 class IndeterminateValuation(MonsterTowerError):
-    """All stored coefficients are zero; the valuation cannot be read off."""
+    """The series is identically zero, or has no degree bound and its window
+    reads zero, so there is no valuation to read off."""
 
 
 class NegativeValuation(MonsterTowerError):
     """Series quotient would have a pole (wrong chart choice)."""
-
-
-class InsufficientPrecision(MonsterTowerError):
-    """Not enough stored terms to decide the next step exactly."""
 
 
 # -- Puiseux characteristic errors ------------------------------------------
@@ -88,11 +85,12 @@ class MaxLevelExceeded(MonsterTowerError):
 
 
 class ConstantParameterization(MonsterTowerError):
-    """Curve data is constant; nothing to lift or integrate."""
+    """Curve data is identically constant; nothing to lift or integrate."""
 
 
 class NonPrimitiveParameterization(MonsterTowerError):
-    """All exponents share a factor; the parameterization is a cover."""
+    """The parameterization is a cover: all exponents share a factor, or a
+    coordinate is identically constant while the other is singular."""
 
 
 class IntegrationMismatch(MonsterTowerError):

@@ -1,4 +1,4 @@
-"""Exact formal power series in one parameter t, read up to a term budget.
+"""Exact formal power series in one parameter t, with an exact zero test.
 
 Coefficients are exact rationals stored as reduced integer pairs, a
 numerator over a positive denominator; the arithmetic reduces each
@@ -9,13 +9,24 @@ names, zero beyond its last term, and knows its degree; derivative,
 recentering, product and integral of polynomials are polynomials, and a
 quotient is an exact stream.  Nothing is ever truncated.
 
-``precision`` is a term budget: the number of leading coefficients that a
-valuation search and the whole-series reads (``coefficients``, ``agrees_with``,
-equality, printing) read.  It covers a polynomial's degree and a stream's
-known leading zeros, and an operation's result takes the largest budget of
-its operands.  A search that finds nothing within the budget answers None
-(``valuation`` raises IndeterminateValuation): a polynomial is then zero, a
-stream only zero to the budget.
+Every series made from polynomials by products, quotients, derivatives and
+recenterings is a rational function f = P/D, and carries three degree
+bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors of D
+have total degree <= r.  A polynomial has (deg, 0, 0); a product adds the
+bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
+(P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r);
+a recentering (max(a, q), q, r).  Since P = f * D as power series, a
+series whose coefficients 0..a all vanish is identically zero, so a
+valuation search answers None only for the zero series, and the series is
+the zero polynomial from then on.  An integral of a stream is not rational
+in general and gets no bound: its valuation is read off its integrand
+(the integral from 0 of g is zero iff g is), and a search on a series with
+no bound that reads zero over its first ``WINDOW`` terms raises
+IndeterminateValuation instead of answering.
+
+The whole-series reads (``coefficients``, ``support``, ``agrees_with``,
+equality, hashing, printing) read a fixed window of max(``WINDOW``,
+degree + 1) terms of a polynomial and ``WINDOW`` terms of a stream.
 
 Coefficients are computed when read, from the front (McIlroy, "Power series,
 power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002),
@@ -25,8 +36,7 @@ coefficient at all: val(f/g) = val f - val g, val(fg) = val f + val g, and
 in characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
 val f >= 1; an integral from 0 has the valuation of its integrand plus one,
 and an integral from a nonzero constant has valuation 0.  Such a series
-carries its valuation from construction.  Its budget always covers it, so a
-search would have found the same index.
+carries its valuation from construction.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -43,13 +53,14 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .defaults import DEFAULT_PRECISION
 from .errors import IndeterminateValuation, NegativeValuation, ParseError
 
 _TERM_RE = re.compile(
     r"([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(\d+))?)?\s*$"
 )
 _ZERO = Fraction(0)
+_ZERO_BOUND = (-1, 0, 0)  # the zero polynomial
+WINDOW = 64  # terms of a stream that the whole-series reads read
 
 
 def _dot(out, dens, acc, den, xn, xd, yn, yd, indices, top, sn=1, sd=1) -> None:
@@ -84,15 +95,18 @@ def _term_text(coeff: Fraction, exponent: int) -> str:
 
 
 class TruncatedSeries:
-    """Immutable exact power series read up to a budget of ``precision`` terms.
+    """Immutable exact power series, read through an exact zero test.
 
     ``TruncatedSeries(coefficients)`` is the polynomial with those
-    coefficients, with a budget of their number.  A series made by an
-    operation starts with no coefficients computed:
+    coefficients.  A series made by an operation starts with no coefficients
+    computed:
 
     * ``_known`` and ``_dens`` are the prefix computed so far: coprime
       numerators and positive denominators, a zero as 0/1;
-    * ``_degree`` is a polynomial's degree (-1 for zero), None for a stream;
+    * ``_bound`` is (a, q, r), the degree bounds of the module docstring,
+      or None for a series with no bound;
+    * ``_degree`` is a polynomial's degree (q = 0; -1 for zero), None for a
+      stream;
     * ``_zeros`` counts leading coefficients known to be zero from the
       operands' valuations, so a constant term past them is 0 for free;
     * ``_exact`` says that ``_zeros`` is the valuation: a nonzero polynomial,
@@ -105,16 +119,16 @@ class TruncatedSeries:
     Zeros, leading or past the degree, cost no arithmetic; the operands and
     ``_extend`` are dropped once a polynomial is complete."""
 
-    __slots__ = ("_precision", "_degree", "_zeros", "_exact", "_known", "_dens",
+    __slots__ = ("_bound", "_degree", "_zeros", "_exact", "_known", "_dens",
                  "_operands", "_extend")
 
     def __init__(self, coefficients):
         known = [c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
                  for c in coefficients]
-        self._precision = len(known)
         while known and not known[-1]:
             known.pop()
         self._degree = len(known) - 1
+        self._bound = (self._degree, 0, 0)
         self._zeros = next((i for i, c in enumerate(known) if c), len(known))
         self._exact = self._degree >= 0
         self._known = [c.numerator for c in known]
@@ -123,12 +137,12 @@ class TruncatedSeries:
         self._extend = None
 
     @classmethod
-    def _lazy(
-        cls, precision: int, degree, zeros: int, exact: bool, operands, extend
-    ) -> "TruncatedSeries":
+    def _lazy(cls, bound, zeros: int, exact: bool, operands, extend) -> "TruncatedSeries":
         series = cls.__new__(cls)
-        series._precision = max(precision, (zeros if degree is None else degree) + 1)
-        series._degree = degree
+        if bound is not None and zeros > bound[0]:  # no room left for a nonzero term
+            bound, exact = _ZERO_BOUND, False
+        series._bound = bound
+        series._degree = None if bound is None or bound[1] else bound[0]
         series._zeros = zeros
         series._exact = exact
         series._known = []
@@ -176,54 +190,53 @@ class TruncatedSeries:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_terms(terms, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        """The polynomial with the given (coefficient, exponent) terms, with a
-        budget of ``precision`` terms, raised to reach its last term."""
+    def from_terms(terms) -> "TruncatedSeries":
+        """The polynomial with the given (coefficient, exponent) terms."""
         terms = list(terms)
         coeffs = [0] * max([0, *(e + 1 for _, e in terms)])
         for coeff, exponent in terms:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
             coeffs[exponent] = coeff + coeffs[exponent]  # Fraction + int: Fraction's fast path
-        series = TruncatedSeries(coeffs)
-        series._precision = max(series._precision, precision)
-        return series
+        return TruncatedSeries(coeffs)
 
     @staticmethod
-    def zero(precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        return TruncatedSeries((0,) * precision)
+    def zero() -> "TruncatedSeries":
+        return TruncatedSeries(())
 
     @staticmethod
-    def monomial(coeff, exponent: int, precision: int = DEFAULT_PRECISION) -> "TruncatedSeries":
-        return TruncatedSeries.from_terms([(coeff, exponent)], precision)
+    def monomial(coeff, exponent: int) -> "TruncatedSeries":
+        return TruncatedSeries.from_terms([(coeff, exponent)])
 
     # -- basic queries -------------------------------------------------------
 
-    @property
-    def precision(self) -> int:  # the term budget
-        return self._precision
+    def _window(self) -> int:
+        """Terms the whole-series reads read: max(WINDOW, degree + 1)."""
+        return WINDOW if self._degree is None else max(WINDOW, self._degree + 1)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """The first ``precision`` coefficients."""
-        n = self._precision
+        """The coefficients of the window."""
+        n = self._window()
         return tuple(map(Fraction, self._force(n)[:n], self._dens[:n]))
 
     @property
     def support(self) -> tuple[int, ...]:
-        n = self._precision if self._degree is None else self._degree + 1
+        n = self._window()
         return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
 
     def valuation_or_none(self) -> int | None:
-        """Index of the first nonzero coefficient within the budget (a
-        polynomial's within its degree), or None.  A search that must compute
-        forces doubling batches, 1, 2, 4, ... coefficients capped at its end,
-        so reading k coefficients walks the pending operands O(log k) times
-        and computes fewer than 2k of this series' coefficients."""
+        """Index of the first nonzero coefficient, or None for the zero
+        series.  The search ends past the numerator bound a, where a zero
+        read certifies zero; on a series with no bound it raises
+        IndeterminateValuation past its window instead.  It forces doubling
+        batches, 1, 2, 4, ... coefficients capped at its end, so reading k
+        coefficients walks the pending operands O(log k) times and computes
+        fewer than 2k of this series' coefficients."""
         if self._exact:
             return self._zeros
-        known = self._known
-        end = self._precision if self._degree is None else self._degree + 1
+        known, bound = self._known, self._bound
+        end = WINDOW if bound is None else bound[0] + 1
         batch = 1
         for i in range(self._zeros, end):
             if i >= len(known):
@@ -233,39 +246,40 @@ class TruncatedSeries:
                 self._zeros = i
                 self._exact = True
                 return i
-        self._zeros = max(self._zeros, end)
+        if bound is None:
+            raise IndeterminateValuation(f"no degree bound, and the first {WINDOW} terms are zero")
+        self._bound, self._degree = _ZERO_BOUND, -1  # _force drops the operands
         return None
 
     def valuation(self) -> int:
-        """Index of the first nonzero coefficient; IndeterminateValuation when
-        the budget runs out first, which is never a property of the series."""
+        """Index of the first nonzero coefficient; IndeterminateValuation for
+        the zero series."""
         v = self.valuation_or_none()
         if v is None:
-            raise IndeterminateValuation(f"series is zero to precision {self.precision}")
+            raise IndeterminateValuation("the series is identically zero")
         return v
 
     def constant_term(self) -> Fraction:
         return _ZERO if self._zeros else Fraction(self._force(1)[0], self._dens[0])
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficient-wise equality over the larger of the two budgets."""
-        n = max(self.precision, other.precision)
+        """Coefficient-wise equality over the larger of the two windows."""
+        n = max(self._window(), other._window())
         return self._force(n)[:n] == other._force(n)[:n] and self._dens[:n] == other._dens[:n]
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.precision == other.precision and self.agrees_with(other)
+        return self.agrees_with(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.coefficients,))
+        # equal series agree on the first WINDOW terms, whatever their windows
+        return hash(self.coefficients[:WINDOW])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         va, vb = self.valuation_or_none(), other.valuation_or_none()
-        da, db = self._degree, other._degree
-        degree = -1 if -1 in (da, db) else None if None in (da, db) else da + db
+        if va is None or vb is None:
+            return TruncatedSeries.zero()
         a, ad, b, bd = self._known, self._dens, other._known, other._dens
         support: list[int] = []  # nonzero indices of a below ``scanned``
         scanned = 0
@@ -279,16 +293,13 @@ class TruncatedSeries:
                     scanned += 1
                 _dot(out, dens, 0, 1, a, ad, b, bd, support, k)
 
-        # a factor that reads zero to its budget contributes the budget
-        zeros = (self.precision if va is None else va) + (other.precision if vb is None else vb)
-        exact = va is not None and vb is not None
-        precision = max(self.precision, other.precision)
-        return self._lazy(precision, degree, zeros, exact, ((self, 0), (other, 0)), extend)
+        x, y = self._bound, other._bound  # a missing bound stays missing
+        bound = x and y and (x[0] + y[0], x[1] + y[1], x[2] + y[2])
+        return self._lazy(bound, va + vb, True, ((self, 0), (other, 0)), extend)
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/dt; val f' = val f - 1 when val f >= 1 is known."""
-        a, ad, d = self._known, self._dens, self._degree
-        degree = None if d is None else max(d - 1, -1)
+        a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # i * a[i], reduced against i alone
             for i in range(len(out) + 1, m + 1):
@@ -296,19 +307,22 @@ class TruncatedSeries:
                 out.append(i // g * a[i])
                 dens.append(ad[i] // g)
 
+        bound = bound and (bound[0] + bound[2] - 1, bound[1] + bound[2], bound[2])
         return self._lazy(
-            self.precision, degree, max(self._zeros - 1, 0),
-            self._exact and self._zeros >= 1, ((self, 1),), extend,
+            bound, max(self._zeros - 1, 0), self._exact and self._zeros >= 1,
+            ((self, 1),), extend,
         )
 
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Exact series quotient self / den, a stream; needs val(den) <=
-        val(self), and a numerator that reads zero is accepted."""
+        val(self), and a zero numerator is accepted."""
         vd = den.valuation_or_none()
         if vd is None:
-            raise IndeterminateValuation("denominator is zero to stored precision")
+            raise IndeterminateValuation("the denominator is identically zero")
         vn = self.valuation_or_none()
-        if vn is not None and vn < vd:
+        if vn is None:
+            return TruncatedSeries.zero()
+        if vn < vd:
             raise NegativeValuation(
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
@@ -328,35 +342,35 @@ class TruncatedSeries:
                     scanned += 1
                 _dot(out, dens, -nn[k], nd[k], dn, dd, out, dens, den_support, k, sn, sd)
 
-        zeros = max((self.precision if vn is None else vn) - vd, 0)
-        degree = -1 if self._degree == -1 else None
-        precision = max(self.precision, den.precision)
-        return self._lazy(precision, degree, zeros, vn is not None, ((self, vd), (den, vd)), extend)
+        x, y = self._bound, den._bound
+        bound = x and y and (x[0] + y[1], x[1] + y[0], x[2] + y[0])
+        return self._lazy(bound, vn - vd, True, ((self, vd), (den, vd)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant)."""
-        a, ad, d = self._known, self._dens, self._degree
-        degree = d if d is None or d > 0 else -1
+        a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # index 0 is a known zero, filled in by _force
             dens.extend(ad[len(out):m])
             out.extend(a[len(out):m])
 
+        bound = bound and (max(bound[0], bound[1]), bound[1], bound[2])
         tail = self._lazy(
-            self.precision, degree, max(self._zeros, 1),
-            self._exact and self._zeros >= 1, ((self, 0),), extend,
+            bound, max(self._zeros, 1), self._exact and self._zeros >= 1, ((self, 0),), extend,
         )
         return self.constant_term(), tail
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
-        """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant."""
+        """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant.
+        The integrand g is a product, whose operands fix its valuation (or
+        which is zero), so the integral's valuation is known too.  The
+        integral of a polynomial is a polynomial, and that of a stream gets
+        no degree bound."""
         if wrt.valuation_or_none() is None:
-            raise IndeterminateValuation("integration variable is zero to precision")
+            raise IndeterminateValuation("the integration variable is identically zero")
         g = self * wrt.derivative()
         c = Fraction(constant)
         gn, gd, d = g._known, g._dens, g._degree
-        if d is not None:  # a zero g integrates to the constant
-            d = d + 1 if d >= 0 or c else -1
 
         def extend(out, dens, m):  # g[i - 1] / i, reduced against i alone
             for i in range(len(out), m):
@@ -364,9 +378,9 @@ class TruncatedSeries:
                 out.append(gn[i - 1] // h)
                 dens.append(gd[i - 1] * (i // h))
 
-        result = self._lazy(
-            g.precision, d, 0 if c else g._zeros + 1, bool(c) or g._exact, ((g, -1),), extend,
-        )
+        # a zero g integrates to the constant, which _lazy reads off the bound
+        bound = None if d is None else (d + 1, 0, 0)
+        result = self._lazy(bound, 0 if c else g._zeros + 1, True, ((g, -1),), extend)
         result._known, result._dens = [c.numerator], [c.denominator]  # coefficient 0
         return result
 
@@ -375,13 +389,13 @@ class TruncatedSeries:
     def __str__(self) -> str:
         parts = [_term_text(c, i) for i, c in enumerate(self.coefficients) if c]
         body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return f"{body} + O(t^{self.precision})"
+        return f"{body} + O(t^{self._window()})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self})"
 
 
-def parse_series(text: str, precision: int = DEFAULT_PRECISION) -> TruncatedSeries:
+def parse_series(text: str) -> TruncatedSeries:
     """Parse a series literal: a sum of terms ``c*t^k``.
 
     ``c`` is an integer or a fraction ``p/q``; the ``*`` and the exponent are
@@ -417,4 +431,4 @@ def parse_series(text: str, precision: int = DEFAULT_PRECISION) -> TruncatedSeri
             exponent = int(exp_text)
         terms.append((coeff, exponent))
         pos += len(chunk)
-    return TruncatedSeries.from_terms(terms, precision)
+    return TruncatedSeries.from_terms(terms)

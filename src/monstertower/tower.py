@@ -25,11 +25,9 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .defaults import DEFAULT_MAX_LEVEL, DEFAULT_PRECISION
+from .defaults import DEFAULT_MAX_LEVEL
 from .errors import (
     ConstantParameterization,
-    IndeterminateValuation,
-    InsufficientPrecision,
     IntegrationMismatch,
     LevelOutOfRange,
     MaxLevelExceeded,
@@ -163,8 +161,7 @@ class LiftTrace(Record):
 
     def order_profile(self) -> tuple[int | None, ...]:
         """Valuations of x, y and the new coordinate of every level up to
-        regularization.  None marks a coordinate whose coefficients read zero
-        over its whole term budget."""
+        regularization.  None marks a coordinate that is identically zero."""
         return (
             self.germ.x.valuation_or_none(),
             self.germ.y.valuation_or_none(),
@@ -235,11 +232,11 @@ def lift_once(
     by comparing val(dr/dt) with val(dn/dt); ties take the ordinary choice,
     since a vertical encounter forces strict inequality.
 
-    One derivative that reads zero against one with a valuation is decided
-    soundly.  A polynomial that reads zero is zero.  A stream that reads zero
-    has a valuation of at least its budget, and the found valuation lies
-    below that budget: a retained stream has the budget of the new
-    coordinate, and a new coordinate has the largest budget so far.
+    A derivative with no valuation is identically zero, so its coordinate
+    is constant.  Both constant is ConstantParameterization.  A constant
+    new coordinate while val(dr/dt) = m >= 1 makes every coordinate a
+    function of r, of order m + 1 in t, so the germ factors through r:
+    NonPrimitiveParameterization names the cover of degree m + 1.
     """
     step, _, _ = _lift(
         retained, new_coord, retained.derivative(), new_coord.derivative(),
@@ -254,11 +251,17 @@ def _lift(retained, new_coord, dr, dn, level, retained_name, new_name, chain_ori
     each coordinate once."""
     vr = dr.valuation_or_none()
     vn = dn.valuation_or_none()
-    if vr is None and vn is None:
-        raise InsufficientPrecision(
-            f"both active derivatives d{retained_name}/dt and d{new_name}/dt vanish "
-            f"to the term budget {max(dr.precision, dn.precision)} at level {level}"
-        )
+    if vn is None:
+        if vr is None:
+            raise ConstantParameterization(
+                f"both active derivatives d{retained_name}/dt and d{new_name}/dt "
+                f"vanish identically at level {level}"
+            )
+        if vr >= 1:
+            raise NonPrimitiveParameterization(
+                f"d{new_name}/dt vanishes identically at level {level} while "
+                f"d{retained_name}/dt has order {vr}: the germ is a cover of degree {vr + 1}"
+            )
     inverted = vr is None or (vn is not None and vr > vn)
     if inverted:
         fresh = dr.quotient(dn)
@@ -351,7 +354,7 @@ def lift_trace(
     return LiftTrace(germ=c, steps=tuple(steps), regularization_level=regular_at)
 
 
-# bench/run.py is the only caller; the package calls lift_trace(c, max_level=...)
+# kept for bench/run.py until ROADMAP item 1; the package calls lift_trace
 def lift_to_regularization(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> LiftTrace:
     """Trace ending exactly at the regularization level."""
     return lift_trace(c, max_level=max_level)
@@ -425,13 +428,12 @@ def curve_from_chart_data(
     cur_r, cur_n = retained, new_coord
     for level in range(k, 0, -1):
         letter, deact, r_idx, _ = plan[level - 1]
-        try:
-            d_series = cur_n.integrate(cur_r, constants[deact])
-        except IndeterminateValuation as exc:
-            raise InsufficientPrecision(
+        if cur_r.valuation_or_none() is None:
+            raise ConstantParameterization(
                 f"integration variable {coords[r_idx]} of d{coords[deact]} vanishes "
-                f"to the term budget {cur_r.precision} at level {level}"
-            ) from exc
+                f"identically at level {level}"
+            )
+        d_series = cur_n.integrate(cur_r, constants[deact])
         if letter == "o":
             cur_n = d_series
         else:
@@ -452,7 +454,8 @@ def curve_from_chart_data(
 # -- curve text grammar --------------------------------------------------------
 
 
-def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGerm, int]:
+# precision is kept for bench/run.py until ROADMAP item 1, and ignored
+def parse_curve(text: str, precision=None) -> tuple[CurveGerm, int]:
     """Parse curve input.
 
     Base germ: ``x=t^5, y=t^7``.  Germ at level k: ``@level 3 chart=oio,
@@ -482,8 +485,8 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
             constants = [_parse_constant(c) for c in fields["constants"]]
         germ = curve_from_chart_data(
             path,
-            parse_series(fields["r"], precision),
-            parse_series(fields["n"], precision),
+            parse_series(fields["r"]),
+            parse_series(fields["n"]),
             constants,
         )
         return germ, level
@@ -492,9 +495,7 @@ def parse_curve(text: str, precision: int = DEFAULT_PRECISION) -> tuple[CurveGer
         if needed not in fields:
             raise ParseError("expected 'x=<series>, y=<series>'")
     _reject_unknown(fields, ("x", "y"))
-    germ = CurveGerm.from_series(
-        parse_series(fields["x"], precision), parse_series(fields["y"], precision)
-    )
+    germ = CurveGerm.from_series(parse_series(fields["x"]), parse_series(fields["y"]))
     return germ, 0
 
 

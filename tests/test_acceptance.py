@@ -8,7 +8,6 @@ from fractions import Fraction as F
 
 from monstertower.blowup import blowup_resolve, cross_check
 from monstertower.corpus import generate_corpus
-from monstertower.defaults import DEFAULT_PRECISION
 from monstertower.errors import RemainderInvalid
 from monstertower.invariants import (
     multiplicity_sequence,
@@ -102,7 +101,7 @@ def test_criterion_04_quintic_lift():
 
 
 def test_criterion_05_level_seven_germ():
-    c, _ = parse_curve("x=t^14, y=14*t^18+14*t^19", precision=96)
+    c, _ = parse_curve("x=t^14, y=14*t^18+14*t^19")
     assert lift_trace(c).curve_word(2).symbols == "RRVRV"
     trace = lift_trace(c, levels=7)
     assert trace.chart_path == "oiooioi"
@@ -116,7 +115,7 @@ def test_criterion_06_invariant_examples():
     assert tuple(vertical_orders("RVVVRVT")) == (6, 3, 3, 0, 2, 0)
     assert tuple(vertical_orders("RRVVRVT")) == (0, 3, 3, 0, 2, 0)
     profile = (15, 24, 9, 6, 3, 3, 0, 2, 1)
-    c, _ = parse_curve("x=t^15, y=t^24+t^25", precision=96)
+    c, _ = parse_curve("x=t^15, y=t^24+t^25")
     assert lift_trace(c).order_profile() == profile
     assert blowup_resolve(c).profile == profile
     _ok(6, "multiplicities of RVTVV, VO vectors, and the order profile by both engines")
@@ -174,24 +173,24 @@ def test_criterion_09_proximity_and_orders():
 
 
 GOLDEN_CURVES = (
-    ("x=t^5, y=t^7", 64),
-    ("x=t^2, y=t^4+t^5", 64),
-    ("x=t^15, y=t^24+t^25", 96),
-    ("x=t^14, y=14*t^18+14*t^19", 96),
-    ("x=t, y=t^2", 64),
+    "x=t^5, y=t^7",
+    "x=t^2, y=t^4+t^5",
+    "x=t^15, y=t^24+t^25",
+    "x=t^14, y=14*t^18+14*t^19",
+    "x=t, y=t^2",
 )
 
 
 def test_criterion_10_engine_equivalence():
-    for text, precision in GOLDEN_CURVES:
-        c, _ = parse_curve(text, precision)
+    for text in GOLDEN_CURVES:
+        c, _ = parse_curve(text)
         assert cross_check(c).ok
-    # both corpus seeds, one attempt each at the default term budget
+    # both corpus seeds
     for seed in (178212, 20230817):
         specs = generate_corpus(220, seed)
         assert len(specs) == 220
         for spec in specs:
-            report = cross_check(spec.curve(DEFAULT_PRECISION))
+            report = cross_check(spec.curve())
             assert report.ok, str(spec)
     _ok(10, f"Nash and blowup engines agree on {len(GOLDEN_CURVES)} golden curves "
             f"and on 220/220 curves of each of two corpora")
@@ -201,7 +200,7 @@ def test_criterion_11_direct_puiseux_oracle():
     specs = generate_corpus(220)
     for spec in specs:
         direct = essential_characteristic(spec.n, spec.exponents)
-        c = spec.curve(DEFAULT_PRECISION)
+        c = spec.curve()
         via_word = pc_from_word_front(lift_trace(c).curve_word(0))
         assert direct == via_word, str(spec)
     _ok(11, f"essential-exponent scan equals the word route on all {len(specs)} "

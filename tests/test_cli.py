@@ -266,21 +266,24 @@ class TestCheck:
         [(("--precision", "8"), None, 8), ((), "12", 12), ((), None, 64)],
     )
     def test_corpus_curves_built_at_the_budget(self, capsys, monkeypatch, argv, env, budget):
+        # Each corpus curve is built once, with no term budget: --precision
+        # is accepted and ignored, and MONSTERTOWER_PRECISION is not read,
+        # so the budgets these cases once set change nothing.
         from monstertower.corpus import CurveSpec
 
-        budgets = []
+        built = []
         original = CurveSpec.curve
 
-        def spying(spec, precision):
-            budgets.append(precision)
-            return original(spec, precision)
+        def spying(spec):
+            built.append(str(spec))
+            return original(spec)
 
         monkeypatch.setattr(CurveSpec, "curve", spying)
         if env is not None:
             monkeypatch.setenv("MONSTERTOWER_PRECISION", env)
         code, out, _ = run(capsys, *argv, "check", "--max-len", "2", "--corpus-size", "6")
         assert code == 0 and "6 checked, 0 failures" in out
-        assert budgets == [budget] * 6  # one attempt per curve
+        assert len(set(built)) == len(built) == 6  # one attempt per curve
 
 
 class TestDeterminismAndEnv:
@@ -296,9 +299,12 @@ class TestDeterminismAndEnv:
         json.loads(out)
 
     def test_env_precision_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONSTERTOWER_PRECISION", "100")
-        code, out, _ = run(capsys, "-f", "json", "curve", "x=t^5, y=t^7")
-        assert code == 0
+        # the variable is no longer read: even a malformed value changes
+        # nothing
+        _, expected, _ = run(capsys, "-f", "json", "curve", "x=t^5, y=t^7")
+        monkeypatch.setenv("MONSTERTOWER_PRECISION", "abc")
+        code, out, err = run(capsys, "-f", "json", "curve", "x=t^5, y=t^7")
+        assert (code, out, err) == (0, expected, "")
 
     def test_env_max_level_override(self, capsys, monkeypatch):
         monkeypatch.setenv("MONSTERTOWER_MAX_LEVEL", "2")
@@ -308,7 +314,6 @@ class TestDeterminismAndEnv:
     @pytest.mark.parametrize(
         "name,value",
         [
-            ("MONSTERTOWER_PRECISION", "abc"),
             ("MONSTERTOWER_MAX_LEVEL", "1.5"),
             ("MONSTERTOWER_FORMAT", "xml"),
         ],
@@ -321,8 +326,8 @@ class TestDeterminismAndEnv:
         assert name in err
 
     def test_flag_wins_over_malformed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONSTERTOWER_PRECISION", "abc")
-        code, _, _ = run(capsys, "--precision", "64", "word", "RV")
+        monkeypatch.setenv("MONSTERTOWER_MAX_LEVEL", "abc")
+        code, _, _ = run(capsys, "--max-level", "64", "word", "RV")
         assert code == 0
 
 
@@ -350,14 +355,20 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert err == f"error: --level applies only to --engine nash, not {engine}\n"
 
-    def test_zero_precision_env_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONSTERTOWER_PRECISION", "0")
-        code, out, err = run(capsys, "word", "RV")
+    @pytest.mark.parametrize(
+        "argv,level,cap",
+        [((), "65", "64"), (("--max-level", "3"), "4", "3"), ((), "99999999", "64")],
+    )
+    def test_level_above_max_level_exits_1(self, capsys, argv, level, cap):
+        # refused before the curve is parsed, so a huge level costs nothing
+        code, out, err = run(capsys, *argv, "curve", "x=t^2, y=", "--level", level)
         assert code == 1 and out == ""
-        assert err == (
-            "error: environment variable MONSTERTOWER_PRECISION='0' is invalid: "
-            "must be at least 1, got 0\n"
-        )
+        assert err == f"error: --level {level} is above --max-level {cap}\n"
+
+    def test_level_at_max_level_lifts(self, capsys):
+        code, out, err = run(capsys, "--max-level", "70", "curve", "x=t^2, y=t^3", "--level", "70")
+        assert code == 0 and err == ""
+        assert "point word             RV" + "R" * 68 + "\n" in out
 
     @pytest.mark.parametrize(
         "curve,message",
@@ -383,15 +394,16 @@ class TestInputValidation:
         assert done.stderr == f"error: {message}\n"
 
     def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
-        # a term past the budget is part of the polynomial, which raises the
-        # budget to its degree + 1: nothing is dropped and nothing refused
+        # --precision is accepted and ignored: a term past the budget it
+        # names is part of the polynomial, and nothing is dropped or refused
         code, out, err = run(capsys, "--precision", "3", "curve", "x=t^2, y=t^3")
         assert code == 0 and err == ""
         assert "curve word             RV\n" in out
 
 
 class TestExactSeriesInputs:
-    """High degrees, long gaps and deep chart data lift at any budget."""
+    """High degrees, long gaps and deep chart data lift, whatever
+    --precision says."""
 
     @pytest.mark.parametrize(
         "argv,word",
@@ -434,6 +446,40 @@ class TestBigCoefficientBytes:
         )
         assert (code, err) == (0, "")
         assert out == (DATA / f"curve_{germ}_{engine}.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name,curve",
+        [
+            # valuations that cancel: the searches read past the leading terms
+            ("adversarial", "x=t^2+t^3, y=-4/11*t^4-8/11*t^5+12/11*t^7+t^8"),
+            # searches that read about 40 coefficients, printed as check
+            # prints a corpus curve
+            ("corpus74", "x=t^3, y=3*t^6 + -5/7*t^47 + 2*t^52"),
+        ],
+    )
+    def test_bytes_recorded_against_a_term_budget(self, capsys, name, curve):
+        # recorded when --precision was a term budget; every budget from 1 to
+        # 1024 gave these bytes
+        code, out, err = run(capsys, "curve", curve, "--engine", "both", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"curve_{name}_both.json").read_text()
+
+
+class TestCovers:
+    """Both double covers of x = t^2 + t^3 exit 1 with the cover's degree
+    under every engine."""
+
+    @pytest.mark.parametrize("engine", ["nash", "blowup", "both"])
+    @pytest.mark.parametrize(
+        "curve,level",
+        [("x=t^2+t^3, y=2*t^2+2*t^3", 2), ("x=t^2+t^3, y=t^4+2*t^5+t^6", 3)],
+    )
+    def test_degree_named(self, capsys, curve, level, engine):
+        code, out, err = run(capsys, "curve", curve, "--engine", engine)
+        assert code == 1 and out == ""
+        assert err.startswith("error: dy")
+        assert err.endswith(f"/dt vanishes identically at level {level} while dx/dt has "
+                            "order 1: the germ is a cover of degree 2\n")
 
 
 ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"

@@ -20,7 +20,7 @@ def test_all_names_resolve_and_none_is_a_module():
 def test_one_public_name_per_operation():
     # lift_to_regularization is lift_trace(c, max_level=...) and
     # with_precision_retry is one call; neither is part of the public surface
-    assert len(monstertower.__all__) == 52
+    assert len(monstertower.__all__) == 51
     for name in ("BlowupState", "lift_to_regularization", "with_precision_retry"):
         assert name not in monstertower.__all__
         assert not hasattr(monstertower, name)
