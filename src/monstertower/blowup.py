@@ -179,8 +179,10 @@ def _is_regular(step: BlowupStep) -> bool:
 
 
 def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTrace:
-    """Iterate point blowups until the strict transform is regular."""
-    c.check_primitive()
+    """Iterate point blowups until the strict transform is regular.  The
+    germ was checked when it was built, so the resolution makes no
+    primitivity check of its own; a cover it meets is named by the constant
+    coordinate that shows it."""
     a, b = c.x, c.y
     a_name, b_name = BlowupName("x", 0), BlowupName("y", 0)
     b_flag = None

@@ -215,9 +215,6 @@ def _cmd_curve(args) -> int:
             )
         )
         return _emit(args, payload, text)
-    # The Nash lift runs first for every engine, so a germ that neither
-    # engine can resolve reports the Nash engine's error.
-    regular = lift_trace(germ, max_level=args.max_level)
     if args.engine == "blowup":
         from .blowup import blowup_resolve
 
@@ -233,6 +230,7 @@ def _cmd_curve(args) -> int:
             ]
         )
         return _emit(args, payload, text)
+    regular = lift_trace(germ, max_level=args.max_level)
     r = regular.regularization_level
     k = args.level if args.level is not None else r
     trace = regular.prefix(k) if k <= r else lift_trace(germ, levels=k)

@@ -137,21 +137,24 @@ def restricted_vertical_orders(word: RvtWord | str) -> VerticalOrders:
 
 
 class InvariantPanel(Record):
-    __slots__ = ("word", "goursat_word", "pc", "restricted_pc", "multiplicities", "proximity",
-                 "orders", "restricted_orders")
+    __slots__ = ("word", "goursat_word", "pc", "restricted_pc", "proximity", "orders",
+                 "restricted_orders")
 
     def __init__(self, word: RvtWord, goursat_word: RvtWord, pc: PuiseuxCharacteristic,
-                 restricted_pc: PuiseuxCharacteristic, multiplicities: tuple[int, ...],
-                 proximity: ProximityDiagram, orders: VerticalOrders,
-                 restricted_orders: VerticalOrders):
+                 restricted_pc: PuiseuxCharacteristic, proximity: ProximityDiagram,
+                 orders: VerticalOrders, restricted_orders: VerticalOrders):
         _set(self, "word", word)
         _set(self, "goursat_word", goursat_word)
         _set(self, "pc", pc)
         _set(self, "restricted_pc", restricted_pc)
-        _set(self, "multiplicities", multiplicities)
         _set(self, "proximity", proximity)
         _set(self, "orders", orders)
         _set(self, "restricted_orders", restricted_orders)
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """The multiplicity sequence, on which the proximity diagram is built."""
+        return self.proximity.mults
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,11 +167,6 @@ class InvariantPanel(Record):
             "vertical_orders": self.orders.to_json_dict(),
             "restricted_vertical_orders": self.restricted_orders.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         word = self.word.symbols or "(empty)"
@@ -235,7 +233,6 @@ def invariant_panel(
         goursat_word=goursat,
         pc=front,
         restricted_pc=restricted,
-        multiplicities=multiplicities,
         proximity=diagram,
         orders=orders,
         restricted_orders=orders.restricted(),

@@ -25,8 +25,10 @@ no bound that reads zero over its first ``WINDOW`` terms raises
 IndeterminateValuation instead of answering.
 
 The whole-series reads (``coefficients``, ``support``, ``agrees_with``,
-equality, hashing, printing) read a fixed window of max(``WINDOW``,
-degree + 1) terms of a polynomial and ``WINDOW`` terms of a stream.
+equality, hashing) read a fixed window of max(``WINDOW``, degree + 1)
+terms of a polynomial and ``WINDOW`` terms of a stream; printing shows a
+polynomial whole and a stream over its window, followed by its O-term.
+``exponent_gcd`` reads the whole support off the first a + q + 1 terms.
 
 Coefficients are computed when read, from the front (McIlroy, "Power series,
 power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002),
@@ -225,6 +227,30 @@ class TruncatedSeries:
         n = self._window()
         return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
 
+    def exponent_gcd(self) -> int | None:
+        """The gcd of every exponent of the support, 0 for the zero series,
+        read off the first a + q + 1 coefficients (deg + 1 of a polynomial);
+        None for a series with no bound.
+
+        Proof.  Let g be the gcd of the exponents of the support below
+        a + q + 1.  If g = 0, coefficients 0..a vanish and f = 0.  Else let
+        z be a primitive g-th root of unity.  f = P/D with D != 0,
+        deg P <= a and deg D <= q, so D(t) D(zt) (f(t) - f(zt)) is the
+        polynomial P(t) D(zt) - P(zt) D(t) of degree <= a + q.  The
+        coefficient of t^i in f(t) - f(zt) is c_i (1 - z^i), zero for
+        i <= a + q since g divides i wherever c_i != 0; so the product has
+        no term of degree <= a + q, the polynomial is zero, f(t) = f(zt),
+        and g divides every exponent of the support.  The gcd of the whole
+        support divides g, so the two are equal."""
+        if self._bound is None:
+            return None
+        n = self._bound[0] + self._bound[1] + 1
+        d = 0
+        for i, c in enumerate(self._force(n)[:n]):
+            if c:
+                d = gcd(d, i)
+        return d
+
     def valuation_or_none(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero
         series.  The search ends past the numerator bound a, where a zero
@@ -389,7 +415,7 @@ class TruncatedSeries:
     def __str__(self) -> str:
         parts = [_term_text(c, i) for i, c in enumerate(self.coefficients) if c]
         body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return f"{body} + O(t^{self._window()})"
+        return body if self._degree is not None else f"{body} + O(t^{WINDOW})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self})"

@@ -60,7 +60,13 @@ class CoordName(Record):
 
 class CurveGerm(Record):
     """Parameterized germ on the base surface; x and y are stored recentered
-    (zero constant term) with the base point kept separately."""
+    (zero constant term) with the base point kept separately.
+
+    A germ is checked once, when it is built: both coordinates constant is
+    ConstantParameterization, and exponents that all share a factor d > 1
+    (``TruncatedSeries.exponent_gcd``) make it a function of t^d, which is
+    NonPrimitiveParameterization.  A coordinate with no degree bound skips
+    the exponent test, and the engines decide."""
 
     __slots__ = ("x", "y", "base_point")
 
@@ -68,6 +74,13 @@ class CurveGerm(Record):
                  base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
         if x.valuation_or_none() is None and y.valuation_or_none() is None:
             raise ConstantParameterization("both coordinates are constant")
+        dx, dy = x.exponent_gcd(), y.exponent_gcd()
+        d = 0 if dx is None or dy is None else gcd(dx, dy)
+        if d > 1:
+            raise NonPrimitiveParameterization(
+                f"all exponents share the factor {d}; reparameterization would "
+                "leave the rational field, so the germ is rejected"
+            )
         _set(self, "x", x)
         _set(self, "y", y)
         _set(self, "base_point", base_point)
@@ -77,18 +90,6 @@ class CurveGerm(Record):
         x0, x_tail = x.recenter()
         y0, y_tail = y.recenter()
         return CurveGerm(x_tail, y_tail, (x0, y0))
-
-    def check_primitive(self) -> None:
-        d = 0
-        for e in self.x.support:
-            d = gcd(d, e)
-        for e in self.y.support:
-            d = gcd(d, e)
-        if d > 1:
-            raise NonPrimitiveParameterization(
-                f"all exponents share the factor {d}; reparameterization would "
-                "leave the rational field, so the germ is rejected"
-            )
 
     def __str__(self) -> str:
         return f"x={self.x}, y={self.y}"
@@ -323,9 +324,10 @@ def lift_trace(
     With ``levels=None``, iterate until the regularity criterion fires
     (MaxLevelExceeded past the budget).  With ``levels=k``, perform exactly
     k chart steps, recording the regularization level if it is reached on
-    the way.  Re-running a lift yields a bit-identical trace.
+    the way.  Re-running a lift yields a bit-identical trace.  The germ was
+    checked when it was built, so the lift makes no primitivity check of its
+    own; a cover it meets is named by the constant coordinate that shows it.
     """
-    c.check_primitive()
     (r_name, r_series), (n_name, n_series) = _initial_actives(c)
     dr, dn = r_series.derivative(), n_series.derivative()
     steps: list[LiftStep] = []
@@ -364,9 +366,12 @@ def lift_to_regularization(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> 
 
 
 def _walk_names(path: str):
-    """Coordinate names along a chart path (always retaining x first).
-    Returns the coordinate list in data-point order and, per level,
-    (letter, deactivated index, retained index, new index) after the step."""
+    """Coordinate names along a chart path (always retaining x first, so
+    the path starts with an ordinary choice).  Returns the coordinate list
+    in data-point order and, per level, (letter, deactivated index,
+    retained index, new index) after the step."""
+    if path and path[0] != "o":
+        raise ParseError("chart paths start with an ordinary choice")
     coords = [CoordName("x", 0), CoordName("y", 0)]
     r_idx, n_idx = 0, 1
     plan = []
@@ -388,8 +393,6 @@ def _walk_names(path: str):
 def chart_equations(path: str) -> list[str]:
     """Pfaffian equations of the focal bundle in the chart: one adjoined
     equation per level, d(deactivated) = new * d(retained)."""
-    if path and path[0] != "o":
-        raise ParseError("chart paths start with an ordinary choice")
     coords, plan = _walk_names(path)
     return [
         f"d{coords[deact]} = {coords[n_idx]} d{coords[r_idx]}"
@@ -412,8 +415,6 @@ def curve_from_chart_data(
     as a check; IntegrationMismatch signals path letters that conflict with
     the valuations actually encountered.
     """
-    if path and path[0] != "o":
-        raise ParseError("chart paths start with an ordinary choice")
     k = len(path)
     coords, plan = _walk_names(path)
     if constants is None:

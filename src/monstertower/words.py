@@ -28,7 +28,7 @@ from .records import Record, _set
 ALPHABET = "RVT"
 _SYMBOLS = frozenset(ALPHABET)
 
-# enumeration order used by the CLI: R before V before T
+# R before V before T: the order of sort_key, in which enumerate_words yields
 _SYMBOL_ORDER = {"R": 0, "V": 1, "T": 2}
 
 
@@ -227,25 +227,16 @@ def parse_word(text: str) -> RvtWord:
 
 def enumerate_words(max_len: int, min_len: int = 1):
     """Yield every valid word of length min_len..max_len in (length,
-    R<V<T) order."""
+    R<V<T) order.  Each length extends the words of the one before, in
+    their order, by R, V and (after V or T) T, so it comes out in order."""
     if min_len <= 0:
         yield RvtWord("")
-    current = [""]
+    level = ["R"]
     for n in range(1, max_len + 1):
-        nxt = []
-        for w in current:
-            if not w:
-                nxt.append("R")
-                continue
-            nxt.append(w + "R")
-            nxt.append(w + "V")
-            if w[-1] in "VT":
-                nxt.append(w + "T")
-        nxt.sort(key=lambda s: [_SYMBOL_ORDER[c] for c in s])
+        if n > 1:
+            level = [w + c for w in level for c in ("RV" if w[-1] == "R" else "RVT")]
         if n >= min_len:
-            for w in nxt:
-                yield RvtWord(w)
-        current = nxt
+            yield from map(RvtWord, level)
 
 
 def count_words(n: int) -> int:

@@ -99,8 +99,9 @@ class TestBlowupResolve:
         assert trace.profile == nash.order_profile()
 
     def test_non_primitive_rejected(self):
-        with pytest.raises(NonPrimitiveParameterization):
-            blowup_resolve(germ("x=t^3, y=t^6"))
+        # refused when it is built, before any engine runs
+        with pytest.raises(NonPrimitiveParameterization, match="share the factor 3;"):
+            CurveGerm.from_series(parse_series("t^3"), parse_series("t^6"))
 
     def test_budget(self):
         with pytest.raises(MaxLevelExceeded):
@@ -202,14 +203,41 @@ class TestCrossCheck:
         assert cross_check(germ("x=t^15, y=t^24+t^25")).ok
         assert lift_calls == [None]
 
+    def test_one_gcd_read_per_germ(self, monkeypatch):
+        # each coordinate's exponent gcd is read once, when spec.curve()
+        # builds the germ; neither engine reads it again
+        reads = []
+        original = TruncatedSeries.exponent_gcd
+
+        def counting(series):
+            reads.append(series)
+            return original(series)
+
+        monkeypatch.setattr(TruncatedSeries, "exponent_gcd", counting)
+        for spec in generate_corpus(10, seed=7):
+            reads.clear()
+            c = spec.curve()
+            assert cross_check(c).ok
+            assert len(reads) == 2 and reads[0] is c.x and reads[1] is c.y
+
+    def test_stream_past_the_window(self):
+        # t^2 / (1 - t^63) = t^2 + t^65 + ...: its first odd exponent lies
+        # past the 64-term window; both engines agree, on the word of
+        # x = t^2 + t^65
+        c = CurveGerm(parse_series("t^2").quotient(parse_series("1 - t^63")), parse_series("t^4"))
+        report = cross_check(c)
+        assert report.ok and len(report.blowup.word) == 34
+        assert report.blowup.word == cross_check(germ("x=t^2+t^65, y=t^4")).blowup.word
+
     @pytest.mark.parametrize(
         "curve,forces,coefficients",
         [
             # at e69da29, before valuations were read off the operands:
             # 37 forces and 176 coefficients, 23 and 43, 148 and 3,324
-            ("x=t^15, y=t^24+t^25", 9, 130),
-            ("x=t^5, y=t^7", 4, 2),
-            ("x=t^12, y=t^14+t^16+t^57", 114, 3210),  # 29 Nash levels
+            # two of the forces are the germ's exponent-gcd reads of x and y
+            ("x=t^15, y=t^24+t^25", 7, 130),
+            ("x=t^5, y=t^7", 2, 2),
+            ("x=t^12, y=t^14+t^16+t^57", 112, 3210),  # 29 Nash levels
             # Searches that read up to 38 and 41 coefficients, forced in
             # doubling batches: fewer forces, some coefficients computed past
             # the valuation.  Forcing one coefficient at a time, as at
@@ -217,8 +245,8 @@ class TestCrossCheck:
             # A batch stops at the numerator bound of the searched series,
             # where it once stopped at a term budget of 64 or more: corpus
             # curve 74 computed 653 coefficients against a budget.
-            ("x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57", 22, 1610),  # 690 bits
-            ("x=t^3, y=3*t^6-5/7*t^47+2*t^52", 17, 581),  # corpus curve 74
+            ("x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57", 20, 1610),  # 690 bits
+            ("x=t^3, y=3*t^6-5/7*t^47+2*t^52", 15, 581),  # corpus curve 74
         ],
     )
     def test_coefficients_computed(self, computed, curve, forces, coefficients):

@@ -168,9 +168,13 @@ class TestPanel:
         assert str(panel.pc) == "[6;8,9]"
         assert str(panel.restricted_pc) == "[2;9]"
 
-    def test_json_round_trip(self):
-        panel = invariant_panel(word="RVTVV")
-        payload = json.loads(panel.to_json())
+    def test_json_round_trip(self, capsys):
+        # the CLI alone sets the encoder options
+        from monstertower.cli import main
+
+        assert main(["--format", "json", "word", "RVTVV"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == invariant_panel(word="RVTVV").to_json_dict()
         assert payload["word"] == "RVTVV"
         assert payload["pc"] == "[8;11]"
         assert payload["multiplicity_sequence"] == [8, 3, 3, 2, 1, 1]

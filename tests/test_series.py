@@ -267,10 +267,56 @@ class TestTermsOutsideTheWindow:
         s = parse_series("t^2 + 7/5*t^70")
         assert len(s.coefficients) == 71
         assert s.support == (2, 70)
-        assert str(s) == "t^2 + 7/5*t^70 + O(t^71)"
+        assert str(s) == "t^2 + 7/5*t^70"
+
+    def test_polynomials_print_exactly(self):
+        # a polynomial is zero past its last term, so it prints no O-term
+        # (a quotient by a constant is one); a stream prints its window
+        assert str(S("t^2").quotient(S("2"))) == "1/2*t^2"
+        assert str(S("t") * S("1 - t")) == "t - t^2"
+        assert str(S("5").recenter()[1]) == "0"
+        assert str(S("1").quotient(S("1 - t^40"))) == "1 + t^40 + O(t^64)"
 
     def test_zero_term_outside_is_harmless(self):
         assert TruncatedSeries.from_terms([(1, 2), (0, 70)]).agrees_with(S("t^2"))
+
+
+class TestExponentGcd:
+    """The gcd of the whole support, read off the first a + q + 1 terms."""
+
+    @pytest.mark.parametrize(
+        "series,gcd_,read",
+        [
+            (S("t^4 + 6*t^70"), 2, 71),        # a polynomial: deg + 1 terms
+            (S("0"), 0, 0),
+            # t^2 / (1 - t^63) = t^2 + t^65 + ..., bounds (2, 63): 66 terms
+            (S("t^2").quotient(S("1 - t^63")), 1, 66),
+            # t^2 / (1 - t^2) = t^2 + t^4 + ..., bounds (2, 2): 5 terms
+            (S("t^2").quotient(S("1 - t^2")), 2, 5),
+            # d/dt t^3 / (1 + t^6) = 3*t^2 - 9*t^8 + ..., bounds (8, 12)
+            (S("t^3").quotient(S("1 + t^6")).derivative(), 2, 21),
+        ],
+        ids=["polynomial", "zero", "past-the-window", "even-stream", "derivative"],
+    )
+    def test_reads_to_the_bound(self, series, gcd_, read):
+        a, q, _ = series._bound
+        assert a + q + 1 == read
+        assert series.exponent_gcd() == gcd_
+        assert len(series._known) == read
+
+    def test_support_beyond_the_bound_agrees(self):
+        # the gcd read off the bound is that of every exponent seen later
+        for series in (S("t^2").quotient(S("1 - t^63")), S("t^6").quotient(S("1 + t^4")),
+                       (S("t^4") * S("1 - t^2")).quotient(S("1 + t^6")).recenter()[1]):
+            d = 0
+            for i, c in enumerate(series._force(400)[:400]):
+                if c:
+                    d = gcd(d, i)
+            assert series.exponent_gcd() == d
+
+    def test_no_bound(self):
+        stream = S("t").quotient(S("1 - t"))
+        assert S("t").integrate(stream).exponent_gcd() is None
 
 
 # -- eager reference ------------------------------------------------------------

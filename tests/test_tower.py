@@ -273,8 +273,9 @@ class TestDerivativesPerLift:
 
 class TestErrors:
     def test_non_primitive(self):
-        with pytest.raises(NonPrimitiveParameterization):
-            lift_trace(germ("x=t^2, y=t^4"))
+        # refused when it is built, before any engine runs
+        with pytest.raises(NonPrimitiveParameterization, match="share the factor 2;"):
+            CurveGerm.from_series(parse_series("t^2"), parse_series("t^4"))
 
     def test_max_level(self):
         with pytest.raises(MaxLevelExceeded):
@@ -478,3 +479,29 @@ class TestCovers:
         # the x axis traversed twice: y is constant from the start
         with pytest.raises(NonPrimitiveParameterization, match="cover of degree 2$"):
             lift_trace(germ("x=t^2+t^3, y=5"))
+
+
+class TestPrimitiveWhenBuilt:
+    """The exponent-gcd test runs once, when the germ is built, and reads a
+    stream to its numerator and denominator bounds, not to a window."""
+
+    def test_even_stream_is_refused(self):
+        # t^2 / (1 - t^2) = t^2 + t^4 + ...; the accepted stream germ
+        # t^2 / (1 - t^63) is cross-checked in test_blowup
+        with pytest.raises(NonPrimitiveParameterization, match="share the factor 2;"):
+            CurveGerm(parse_series("t^2").quotient(parse_series("1 - t^2")), parse_series("t^6"))
+
+    def test_chart_data_relift_reads_no_gcd(self, monkeypatch):
+        # the rebuilt germ's x and y are read when it is built; the re-lift
+        # that checks it, and a later lift, read nothing
+        reads = []
+        original = TruncatedSeries.exponent_gcd
+
+        def counting(series):
+            reads.append(series)
+            return original(series)
+
+        monkeypatch.setattr(TruncatedSeries, "exponent_gcd", counting)
+        c = germ("@level 3 chart=oio, r=t, n=t")
+        lift_trace(c)
+        assert len(reads) == 2 and reads[0] is c.x and reads[1] is c.y

@@ -277,3 +277,10 @@ class TestCounting:
     def test_enumeration_order(self):
         head = [w.symbols for w in enumerate_words(3)]
         assert head == ["R", "RR", "RV", "RRR", "RRV", "RVR", "RVV", "RVT"]
+
+    def test_enumeration_is_in_sort_key_order(self):
+        # generated in order, never sorted: 46,369 words with the empty one
+        words = list(enumerate_words(12, min_len=0))
+        assert len(words) == sum(count_words(n) for n in range(13))
+        assert words == sorted(words, key=RvtWord.sort_key)
+        assert len(set(words)) == len(words)
