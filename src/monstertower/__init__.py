@@ -35,8 +35,8 @@ _SUBMODULE_NAMES = {
         "vertical_orders",
     ),
     "tower": (
-        "CurveGerm", "LiftStep", "LiftTrace", "chart_equations", "curve_from_chart_data",
-        "lift_once", "lift_trace", "parse_curve",
+        "CurveGerm", "LiftStep", "LiftTrace", "curve_from_chart_data", "lift_once",
+        "lift_trace", "parse_curve",
     ),
     "blowup": (
         "BlowupName", "BlowupStep", "BlowupTrace", "CrossCheckReport",

@@ -162,18 +162,21 @@ def _fill_defaults(args) -> None:
         args.max_level = _env_default("MONSTERTOWER_MAX_LEVEL", DEFAULT_MAX_LEVEL, _nonnegative)
 
 
+def _has_dot_form(args) -> bool:
+    if args.command == "curve":
+        return args.engine == "nash"
+    return args.command in ("word", "pc", "proximity")
+
+
 def _emit(args, payload: dict, text: str, dot: str | None = None) -> int:
+    """Print the output in the chosen format.  ``main`` refuses ``dot``
+    before the work starts for a command with no DOT form."""
     if args.format == "json":
         import json
 
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "dot":
-        if dot is None:
-            print("no DOT form for this command", file=sys.stderr)
-            return EXIT_INPUT
-        print(dot)
     else:
-        print(text)
+        print(dot if args.format == "dot" else text)
     return EXIT_OK
 
 
@@ -195,7 +198,7 @@ def _cmd_pc(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    from .tower import chart_equations, lift_trace, parse_curve
+    from .tower import lift_trace, parse_curve
 
     if args.level is not None and args.engine != "nash":
         raise ParseError(f"--level applies only to --engine nash, not {args.engine}")
@@ -233,27 +236,28 @@ def _cmd_curve(args) -> int:
     regular = lift_trace(germ, max_level=args.max_level)
     r = regular.regularization_level
     k = args.level if args.level is not None else r
-    trace = regular.prefix(k) if k <= r else lift_trace(germ, levels=k)
+    point = regular.prefix(k) if k <= r else lift_trace(germ, levels=k)
     word = regular.curve_word(presented_level)
     panel_word = word.normalize()
-    payload = trace.to_json_dict()
+    payload = point.to_json_dict()
+    payload["regularization_level"] = r
     payload["curve_word"] = word.symbols
-    payload["point_word"] = trace.word.symbols[:k]
+    payload["point_word"] = point.word.symbols
     panel = invariant_panel(word=panel_word)
     payload["panel"] = panel.to_json_dict()
     vo = regular.vertical_orders()
     payload["vertical_orders"] = vo.to_json_dict()
-    data = ",".join(str(c) for c in trace.data_point[: k + 2])
+    data = ",".join(str(c) for c in point.data_point)
     text = "\n".join(
         [
             f"engine                 nash",
             f"curve word             {panel_word.symbols or '(empty)'}",
-            f"point word             {trace.word.symbols[:k] or '(empty)'}",
-            f"chart path             {trace.chart_path[:k] or '(none)'}",
-            f"regularization level   {trace.regularization_level}",
+            f"point word             {point.word.symbols or '(empty)'}",
+            f"chart path             {point.chart_path or '(none)'}",
+            f"regularization level   {r}",
             f"data point             ({data})",
             f"vertical orders        ({','.join(str(v) for v in vo.values)})",
-            "chart equations        " + "; ".join(chart_equations(trace.chart_path[:k])),
+            "chart equations        " + "; ".join(point.chart_equations()),
         ]
     )
     return _emit(args, payload, text, panel.proximity.to_dot())
@@ -421,6 +425,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         _fill_defaults(args)
+        if args.format == "dot" and not _has_dot_form(args):
+            print("no DOT form for this command", file=sys.stderr)
+            return EXIT_INPUT
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code

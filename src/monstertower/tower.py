@@ -13,10 +13,11 @@ The inverted choice is exactly an encounter with the divisor at infinity of
 the new level, so the code-word symbol there is V.  An ordinary step whose
 new coordinate vanishes at t=0 while a V/T chain is alive continues the
 chain with a T; everything else is an R.  Coordinates are named with the
-calculus convention x, y, y', x', x'', ... in the chart family that retains
-x first, and carried as structured ``CoordName``s.  A germ is lifted once
-into a ``LiftTrace``; its word, data point and every Nash-derived invariant
-(order profile, multiplicities, vertical orders, curve words) are views of it.
+calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
+``_step_names``, for both letters) and carried as structured ``CoordName``s.
+A germ is lifted once into a ``LiftTrace``; its word, data point, chart
+equations and every Nash-derived invariant (order profile, multiplicities,
+vertical orders, curve words) are views of it.
 """
 
 from __future__ import annotations
@@ -116,9 +117,11 @@ class LiftStep(Record):
 
 
 class LiftTrace(Record):
-    """One lift of a germ.  Word, chart path and data point cover every level
-    lifted; the invariant views read only ``steps[:regularization_level]``,
-    so they work on any trace that reached the regularization level."""
+    """One lift of a germ, and the only source of its chart data.  Word,
+    chart path, data point and chart equations cover every level lifted and
+    name coordinates as the lift did; the invariant views read only
+    ``steps[:regularization_level]``, so they work on any trace that reached
+    the regularization level."""
 
     __slots__ = ("germ", "steps", "regularization_level")
 
@@ -187,13 +190,23 @@ class LiftTrace(Record):
             for s in self._regular_steps()[1:]
         ))
 
+    def chart_equations(self) -> list[str]:
+        """Pfaffian equations of the focal bundle along the lift: one per
+        level, d(deactivated) = new d(retained)."""
+        return [f"d{s.deactivated} = {s.new_name} d{s.retained_name}" for s in self.steps]
+
     def curve_word(self, k: int = 0) -> RvtWord:
-        """Code word of the germ lifted k times: length r - k, with chains that
-        started at level k+1 or below flattened to R's."""
+        """Code word of the germ lifted k times: length r - k, read off the
+        steps past level k.  A step keeps its symbol when its chain started at
+        level k+2 or above, and is an R otherwise (``split_at_level`` on the
+        full word gives the same word)."""
         steps = self._regular_steps()
-        if k >= len(steps):
-            return RvtWord("")
-        return RvtWord("".join(s.symbol for s in steps)).split_at_level(k)[1]
+        if k < 0:
+            raise LevelOutOfRange(f"level {k} outside word of length {len(steps)}")
+        return RvtWord("".join(
+            s.symbol if s.chain_origin is not None and s.chain_origin >= k + 2 else "R"
+            for s in steps[k:]
+        ))
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,37 +276,36 @@ def _lift(retained, new_coord, dr, dn, level, retained_name, new_name, chain_ori
                 f"d{new_name}/dt vanishes identically at level {level} while "
                 f"d{retained_name}/dt has order {vr}: the germ is a cover of degree {vr + 1}"
             )
-    inverted = vr is None or (vn is not None and vr > vn)
-    if inverted:
-        fresh = dr.quotient(dn)
-        step = LiftStep(
-            level=level,
-            chart_letter="i",
-            retained=new_coord,
-            new_coord=fresh,
-            retained_name=new_name,
-            new_name=retained_name.bump(),
-            deactivated=retained_name,
-            symbol="V",
-            chain_origin=level,
-            orders=(vr, vn),
-        )
-        return step, dn, fresh.derivative()
-    fresh = dn.quotient(dr)
-    on_prolongation = chain_origin is not None and fresh.constant_term() == 0
+    if vr is None or (vn is not None and vr > vn):
+        letter, kept, d_kept, fresh = "i", new_coord, dn, dr.quotient(dn)
+        symbol, chain = "V", level
+    else:
+        letter, kept, d_kept, fresh = "o", retained, dr, dn.quotient(dr)
+        on_prolongation = chain_origin is not None and fresh.constant_term() == 0
+        symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
+    kept_name, fresh_name, deactivated = _step_names(letter, retained_name, new_name)
     step = LiftStep(
         level=level,
-        chart_letter="o",
-        retained=retained,
+        chart_letter=letter,
+        retained=kept,
         new_coord=fresh,
-        retained_name=retained_name,
-        new_name=new_name.bump(),
-        deactivated=new_name,
-        symbol="T" if on_prolongation else "R",
-        chain_origin=chain_origin if on_prolongation else None,
+        retained_name=kept_name,
+        new_name=fresh_name,
+        deactivated=deactivated,
+        symbol=symbol,
+        chain_origin=chain,
         orders=(vr, vn),
     )
-    return step, dr, fresh.derivative()
+    return step, d_kept, fresh.derivative()
+
+
+def _step_names(letter: str, retained: CoordName, new: CoordName):
+    """The (retained, new, deactivated) names after a chart step on the
+    active pair (r, n): ``o`` keeps r and deactivates n, ``i`` keeps n and
+    deactivates r; the new coordinate bumps the deactivated name."""
+    if letter == "o":
+        return retained, new.bump(), new
+    return new, retained.bump(), retained
 
 
 def _initial_actives(c: CurveGerm):
@@ -365,39 +377,24 @@ def lift_to_regularization(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> 
 # -- charts in the opposite direction -----------------------------------------
 
 
-def _walk_names(path: str):
-    """Coordinate names along a chart path (always retaining x first, so
-    the path starts with an ordinary choice).  Returns the coordinate list
-    in data-point order and, per level, (letter, deactivated index,
-    retained index, new index) after the step."""
+def _walk_names(path: str) -> list[tuple[str, CoordName, CoordName, int]]:
+    """Per level of a chart path: the letter, the retained and deactivated
+    names after the step, by the lift's own rule ``_step_names``, and the
+    data-point slot of the deactivated coordinate (x, y, then the new
+    coordinate of each level).  Chart data is given in the chart family that
+    retains x first, so the path starts with an ordinary choice."""
     if path and path[0] != "o":
         raise ParseError("chart paths start with an ordinary choice")
-    coords = [CoordName("x", 0), CoordName("y", 0)]
-    r_idx, n_idx = 0, 1
+    r, n = CoordName("x", 0), CoordName("y", 0)
+    slot = {r: 0, n: 1}
     plan = []
-    for letter in path:
-        if letter == "o":
-            coords.append(coords[n_idx].bump())
-            deact = n_idx
-            n_idx = len(coords) - 1
-        elif letter == "i":
-            coords.append(coords[r_idx].bump())
-            deact = r_idx
-            r_idx, n_idx = n_idx, len(coords) - 1
-        else:
+    for level, letter in enumerate(path, 1):
+        if letter not in "oi":
             raise ParseError(f"chart letter {letter!r} is not o or i")
-        plan.append((letter, deact, r_idx, n_idx))
-    return coords, plan
-
-
-def chart_equations(path: str) -> list[str]:
-    """Pfaffian equations of the focal bundle in the chart: one adjoined
-    equation per level, d(deactivated) = new * d(retained)."""
-    coords, plan = _walk_names(path)
-    return [
-        f"d{coords[deact]} = {coords[n_idx]} d{coords[r_idx]}"
-        for (letter, deact, r_idx, n_idx) in plan
-    ]
+        r, n, deactivated = _step_names(letter, r, n)
+        slot[n] = level + 1
+        plan.append((letter, r, deactivated, slot[deactivated]))
+    return plan
 
 
 def curve_from_chart_data(
@@ -416,7 +413,7 @@ def curve_from_chart_data(
     the valuations actually encountered.
     """
     k = len(path)
-    coords, plan = _walk_names(path)
+    plan = _walk_names(path)
     if constants is None:
         constants = [Fraction(0)] * (k + 2)
     constants = [Fraction(c) for c in constants]
@@ -428,13 +425,12 @@ def curve_from_chart_data(
         raise ConstantParameterization("both active parameterizations are constant")
     cur_r, cur_n = retained, new_coord
     for level in range(k, 0, -1):
-        letter, deact, r_idx, _ = plan[level - 1]
-        if cur_r.valuation_or_none() is None:
+        letter, r_name, deactivated, slot = plan[level - 1]
+        if cur_r.derivative().valuation_or_none() is None:
             raise ConstantParameterization(
-                f"integration variable {coords[r_idx]} of d{coords[deact]} vanishes "
-                f"identically at level {level}"
+                f"integration variable {r_name} of d{deactivated} is constant at level {level}"
             )
-        d_series = cur_n.integrate(cur_r, constants[deact])
+        d_series = cur_n.integrate(cur_r, constants[slot])
         if letter == "o":
             cur_n = d_series
         else:

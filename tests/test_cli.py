@@ -9,6 +9,7 @@ from jsonschema import validate
 
 import monstertower
 from monstertower.cli import main
+from monstertower.corpus import generate_corpus
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -162,6 +163,45 @@ class TestCurveCommand:
     def test_leveled_germ(self, capsys):
         code, out, _ = run(capsys, "curve", "@level 3 chart=oio, r=t, n=t")
         assert code == 0
+
+
+class TestCurveReadsItsTraces:
+    """The point's chart data comes from the k-level trace, and the curve's
+    facts from the regular trace, at any --level."""
+
+    @pytest.mark.parametrize(
+        "argv,equations",
+        [
+            (("x=t^3, y=t^2",), "dx = x' dy; dy = y' dx'"),
+            (("x=1+t^3, y=2+t^2", "--level", "3"), "dx = x' dy; dy = y' dx'; dy' = y'' dx'"),
+            (("x=0, y=t", "--level", "3"), "dx = x' dy; dx' = x'' dy; dx'' = x^(3) dy"),
+        ],
+        ids=["cusp", "base-point", "vertical-line"],
+    )
+    def test_germs_retaining_y_first(self, capsys, argv, equations):
+        code, out, _ = run(capsys, "curve", *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"chart equations        {equations}"
+
+    def test_equations_name_the_json_coordinates(self, capsys):
+        for spec in generate_corpus(60):
+            _, text, _ = run(capsys, "curve", str(spec))
+            _, out, _ = run(capsys, "-f", "json", "curve", str(spec))
+            expected = "; ".join(
+                f"d{s['deactivated_coordinate']} = {s['new_coordinate']} "
+                f"d{s['retained_coordinate']}"
+                for s in json.loads(out)["levels"]
+            )
+            assert text.splitlines()[-1] == f"chart equations        {expected}", str(spec)
+
+    def test_regularization_level_is_the_curves(self, capsys):
+        code, out, _ = run(capsys, "curve", "x=t^5, y=t^7", "--level", "2")
+        assert code == 0
+        assert "regularization level   4\n" in out
+        assert "curve word             RVTV\n" in out
+        _, out, _ = run(capsys, "-f", "json", "curve", "x=t^5, y=t^7", "--level", "2")
+        payload = json.loads(out)
+        assert (payload["regularization_level"], payload["chart_path"]) == (4, "oi")
 
 
 class TestCurveLiftsOnce:
@@ -330,6 +370,40 @@ class TestDeterminismAndEnv:
         monkeypatch.setenv("MONSTERTOWER_MAX_LEVEL", "abc")
         code, _, _ = run(capsys, "--max-level", "64", "word", "RV")
         assert code == 0
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Each job that a command with no DOT form would start raises instead."""
+    from monstertower import blowup, cli, corpus, tower
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the format was refused")
+
+    for module, name in ((cli, "parse_word"), (cli, "enumerate_words"),
+                         (tower, "parse_curve"), (corpus, "generate_corpus"),
+                         (blowup, "cross_check"), (blowup, "blowup_resolve")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+class TestDotRefusedUpFront:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lift-preimages", "RRRVRVRV"),
+            ("enumerate", "14", "--check", "pc-agreement"),
+            ("check", "--max-len", "12", "--corpus-size", "220"),
+            ("curve", "x=t^5, y=t^7", "--engine", "both"),
+            ("curve", "x=t^5, y=t^7", "--engine", "blowup"),
+        ],
+    )
+    @pytest.mark.parametrize("by_env", [False, True])
+    def test_before_any_work(self, capsys, monkeypatch, no_work, argv, by_env):
+        if by_env:
+            monkeypatch.setenv("MONSTERTOWER_FORMAT", "dot")
+        else:
+            argv = ("--format", "dot", *argv)
+        assert run(capsys, *argv) == (1, "", "no DOT form for this command\n")
 
 
 class TestInputValidation:

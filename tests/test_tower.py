@@ -16,7 +16,6 @@ from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import (
     CoordName,
     CurveGerm,
-    chart_equations,
     curve_from_chart_data,
     lift_once,
     lift_trace,
@@ -33,6 +32,23 @@ def germ(text, precision=None):
 
 
 QUINTIC = "x=t^5, y=t^7"
+# the germs of the benchmark's deep lifts, the corpus-shaped ones as printed
+DEEP_LIFT_GERMS = (
+    "x=t^15, y=t^24+t^25",
+    "x=t^13, y=1*t^61",
+    "x=t^11, y=1*t^57",
+    "x=t^12, y=1*t^30 + 1*t^61",
+    "x=t^12, y=1*t^14 + 1*t^16 + 1*t^57",
+    "x=t^6+t^9, y=t^8+t^11",
+    "x=t^4+t^5, y=t^6+t^7",
+    "x=t^6+t^7, y=t^9+t^10",
+    "x=t^8+t^9, y=t^12+t^14+t^15",
+    "x=t^3+t^4, y=t^7",
+    "@level 7 chart=oioioio, r=t, n=t",
+    "@level 5 chart=ooioi, r=t, n=t",
+    "@level 6 chart=oiiooi, r=t, n=t",
+    "@level 8 chart=oiioioii, r=t, n=t",
+)
 
 
 class TestLiftOnce:
@@ -170,6 +186,20 @@ class TestWordConsistency:
                 assert tail == trace.curve_word(k)
         assert trace.curve_word(0) == full.split_at_level(0)[1]
 
+    def test_curve_words_match_the_split(self):
+        # curve_word reads chain origins off the steps; split_at_level
+        # re-scans the full word and is the reference
+        germs = [spec.curve() for seed in (178212, 20230817)
+                 for spec in generate_corpus(60, seed)]
+        germs += [germ(text) for text in DEEP_LIFT_GERMS]
+        for c in germs:
+            trace = lift_trace(c)
+            full = trace.word
+            for k in range(len(full) + 1):
+                assert trace.curve_word(k) == full.split_at_level(k)[1], (str(c), k)
+        with pytest.raises(LevelOutOfRange):
+            trace.curve_word(-1)
+
     def test_prefix_equals_shorter_lift(self):
         c = germ("x=t^14, y=14*t^18+14*t^19", 96)
         trace = lift_trace(c, levels=9)
@@ -304,14 +334,27 @@ class TestErrors:
 
     def test_zero_integration_variable(self):
         # r = 0: dy = y' dx cannot be integrated against x
-        message = r"^integration variable x of dy vanishes identically at level 1$"
+        message = r"^integration variable x of dy is constant at level 1$"
         with pytest.raises(ConstantParameterization, match=message):
             curve_from_chart_data("o", parse_series("0"), parse_series("t"))
+
+    def test_constant_integration_variable_named_at_its_level(self):
+        # the given r = y' is constant, so dx = x' dy' cannot be integrated;
+        # the retained coordinate of a chart step always moves
+        message = r"^integration variable y' of dx is constant at level 2$"
+        with pytest.raises(ConstantParameterization, match=message):
+            curve_from_chart_data("oi", parse_series("5"), parse_series("t"))
+
+
+def chart_germ_equations(path):
+    """Equations of the lift of the chart germ with r = n = t along ``path``."""
+    return lift_trace(germ(f"@level {len(path)} chart={path}, r=t, n=t"),
+                      levels=len(path)).chart_equations()
 
 
 class TestChartEquations:
     def test_worked_chart(self):
-        assert chart_equations("oioio") == [
+        assert chart_germ_equations("oioio") == [
             "dy = y' dx",
             "dx = x' dy'",
             "dx' = x'' dy'",
@@ -320,14 +363,15 @@ class TestChartEquations:
         ]
 
     def test_single_level(self):
-        assert chart_equations("o") == ["dy = y' dx"]
+        assert chart_germ_equations("o") == ["dy = y' dx"]
 
     def test_two_levels(self):
-        assert chart_equations("oi") == ["dy = y' dx", "dx = x' dy'"]
+        assert chart_germ_equations("oi") == ["dy = y' dx", "dx = x' dy'"]
 
     def test_rejects_inverted_start(self):
-        with pytest.raises(ParseError):
-            chart_equations("io")
+        # chart data is given in the chart family that retains x first
+        with pytest.raises(ParseError, match="start with an ordinary choice"):
+            parse_curve("@level 2 chart=io, r=t, n=t")
 
 
 class TestCurveFromChartData:
