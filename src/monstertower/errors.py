@@ -48,8 +48,8 @@ class MalformedString(MonsterTowerError):
 # -- series errors ----------------------------------------------------------
 
 class IndeterminateValuation(MonsterTowerError):
-    """The series is identically zero, or has no degree bound and its window
-    reads zero, so there is no valuation to read off."""
+    """The series is identically zero, so there is no valuation to read off;
+    every series carries degree bounds, so its zero test is exact."""
 
 
 class NegativeValuation(MonsterTowerError):

@@ -6,23 +6,20 @@ coefficient it computes once (Knuth, TAOCP vol. 2, 4.5.1), and
 ``fractions.Fraction`` values are made only where a caller reads
 coefficients.  A series built from finitely many terms is the polynomial it
 names, zero beyond its last term, and knows its degree; derivative,
-recentering, product and integral of polynomials are polynomials, and a
-quotient is an exact stream.  Nothing is ever truncated.
+recentering and product of polynomials are polynomials, and a quotient is
+an exact stream.  Only a polynomial is integrated, and its integral is a
+polynomial; the integral of a stream is not rational in general, so it is
+refused.  Nothing is ever truncated.
 
-Every series made from polynomials by products, quotients, derivatives and
-recenterings is a rational function f = P/D, and carries three degree
-bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors of D
-have total degree <= r.  A polynomial has (deg, 0, 0); a product adds the
-bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
+Every series is therefore a rational function f = P/D, and carries three
+degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
+of D have total degree <= r.  A polynomial has (deg, 0, 0); a product adds
+the bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
 (P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r);
 a recentering (max(a, q), q, r).  Since P = f * D as power series, a
 series whose coefficients 0..a all vanish is identically zero, so a
 valuation search answers None only for the zero series, and the series is
-the zero polynomial from then on.  An integral of a stream is not rational
-in general and gets no bound: its valuation is read off its integrand
-(the integral from 0 of g is zero iff g is), and a search on a series with
-no bound that reads zero over its first ``WINDOW`` terms raises
-IndeterminateValuation instead of answering.
+the zero polynomial from then on.  No zero test depends on a window.
 
 The whole-series reads (``coefficients``, ``support``, ``agrees_with``,
 equality, hashing) read a fixed window of max(``WINDOW``, degree + 1)
@@ -105,8 +102,7 @@ class TruncatedSeries:
 
     * ``_known`` and ``_dens`` are the prefix computed so far: coprime
       numerators and positive denominators, a zero as 0/1;
-    * ``_bound`` is (a, q, r), the degree bounds of the module docstring,
-      or None for a series with no bound;
+    * ``_bound`` is (a, q, r), the degree bounds of the module docstring;
     * ``_degree`` is a polynomial's degree (q = 0; -1 for zero), None for a
       stream;
     * ``_zeros`` counts leading coefficients known to be zero from the
@@ -141,10 +137,10 @@ class TruncatedSeries:
     @classmethod
     def _lazy(cls, bound, zeros: int, exact: bool, operands, extend) -> "TruncatedSeries":
         series = cls.__new__(cls)
-        if bound is not None and zeros > bound[0]:  # no room left for a nonzero term
+        if zeros > bound[0]:  # no room left for a nonzero term
             bound, exact = _ZERO_BOUND, False
         series._bound = bound
-        series._degree = None if bound is None or bound[1] else bound[0]
+        series._degree = None if bound[1] else bound[0]
         series._zeros = zeros
         series._exact = exact
         series._known = []
@@ -227,10 +223,9 @@ class TruncatedSeries:
         n = self._window()
         return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
 
-    def exponent_gcd(self) -> int | None:
+    def exponent_gcd(self) -> int:
         """The gcd of every exponent of the support, 0 for the zero series,
-        read off the first a + q + 1 coefficients (deg + 1 of a polynomial);
-        None for a series with no bound.
+        read off the first a + q + 1 coefficients (deg + 1 of a polynomial).
 
         Proof.  Let g be the gcd of the exponents of the support below
         a + q + 1.  If g = 0, coefficients 0..a vanish and f = 0.  Else let
@@ -242,8 +237,6 @@ class TruncatedSeries:
         no term of degree <= a + q, the polynomial is zero, f(t) = f(zt),
         and g divides every exponent of the support.  The gcd of the whole
         support divides g, so the two are equal."""
-        if self._bound is None:
-            return None
         n = self._bound[0] + self._bound[1] + 1
         d = 0
         for i, c in enumerate(self._force(n)[:n]):
@@ -254,15 +247,14 @@ class TruncatedSeries:
     def valuation_or_none(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero
         series.  The search ends past the numerator bound a, where a zero
-        read certifies zero; on a series with no bound it raises
-        IndeterminateValuation past its window instead.  It forces doubling
-        batches, 1, 2, 4, ... coefficients capped at its end, so reading k
-        coefficients walks the pending operands O(log k) times and computes
-        fewer than 2k of this series' coefficients."""
+        read certifies zero.  It forces doubling batches, 1, 2, 4, ...
+        coefficients capped at its end, so reading k coefficients walks the
+        pending operands O(log k) times and computes fewer than 2k of this
+        series' coefficients."""
         if self._exact:
             return self._zeros
-        known, bound = self._known, self._bound
-        end = WINDOW if bound is None else bound[0] + 1
+        known = self._known
+        end = self._bound[0] + 1
         batch = 1
         for i in range(self._zeros, end):
             if i >= len(known):
@@ -272,8 +264,6 @@ class TruncatedSeries:
                 self._zeros = i
                 self._exact = True
                 return i
-        if bound is None:
-            raise IndeterminateValuation(f"no degree bound, and the first {WINDOW} terms are zero")
         self._bound, self._degree = _ZERO_BOUND, -1  # _force drops the operands
         return None
 
@@ -319,8 +309,8 @@ class TruncatedSeries:
                     scanned += 1
                 _dot(out, dens, 0, 1, a, ad, b, bd, support, k)
 
-        x, y = self._bound, other._bound  # a missing bound stays missing
-        bound = x and y and (x[0] + y[0], x[1] + y[1], x[2] + y[2])
+        x, y = self._bound, other._bound
+        bound = (x[0] + y[0], x[1] + y[1], x[2] + y[2])
         return self._lazy(bound, va + vb, True, ((self, 0), (other, 0)), extend)
 
     def derivative(self) -> "TruncatedSeries":
@@ -333,7 +323,7 @@ class TruncatedSeries:
                 out.append(i // g * a[i])
                 dens.append(ad[i] // g)
 
-        bound = bound and (bound[0] + bound[2] - 1, bound[1] + bound[2], bound[2])
+        bound = (bound[0] + bound[2] - 1, bound[1] + bound[2], bound[2])
         return self._lazy(
             bound, max(self._zeros - 1, 0), self._exact and self._zeros >= 1,
             ((self, 1),), extend,
@@ -369,7 +359,7 @@ class TruncatedSeries:
                 _dot(out, dens, -nn[k], nd[k], dn, dd, out, dens, den_support, k, sn, sd)
 
         x, y = self._bound, den._bound
-        bound = x and y and (x[0] + y[1], x[1] + y[0], x[2] + y[0])
+        bound = (x[0] + y[1], x[1] + y[0], x[2] + y[0])
         return self._lazy(bound, vn - vd, True, ((self, vd), (den, vd)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
@@ -380,7 +370,7 @@ class TruncatedSeries:
             dens.extend(ad[len(out):m])
             out.extend(a[len(out):m])
 
-        bound = bound and (max(bound[0], bound[1]), bound[1], bound[2])
+        bound = (max(bound[0], bound[1]), bound[1], bound[2])
         tail = self._lazy(
             bound, max(self._zeros, 1), self._exact and self._zeros >= 1, ((self, 0),), extend,
         )
@@ -390,13 +380,16 @@ class TruncatedSeries:
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant.
         The integrand g is a product, whose operands fix its valuation (or
         which is zero), so the integral's valuation is known too.  The
-        integral of a polynomial is a polynomial, and that of a stream gets
-        no degree bound."""
+        integrand must be a polynomial, and so is the integral; a stream is
+        refused with ValueError, since its integral is not rational in
+        general and would carry no degree bound."""
         if wrt.valuation_or_none() is None:
             raise IndeterminateValuation("the integration variable is identically zero")
         g = self * wrt.derivative()
-        c = Fraction(constant)
         gn, gd, d = g._known, g._dens, g._degree
+        if d is None:
+            raise ValueError("the integrand is not a polynomial")
+        c = Fraction(constant)
 
         def extend(out, dens, m):  # g[i - 1] / i, reduced against i alone
             for i in range(len(out), m):
@@ -405,8 +398,7 @@ class TruncatedSeries:
                 dens.append(gd[i - 1] * (i // h))
 
         # a zero g integrates to the constant, which _lazy reads off the bound
-        bound = None if d is None else (d + 1, 0, 0)
-        result = self._lazy(bound, 0 if c else g._zeros + 1, True, ((g, -1),), extend)
+        result = self._lazy((d + 1, 0, 0), 0 if c else g._zeros + 1, True, ((g, -1),), extend)
         result._known, result._dens = [c.numerator], [c.denominator]  # coefficient 0
         return result
 

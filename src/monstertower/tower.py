@@ -66,8 +66,7 @@ class CurveGerm(Record):
     A germ is checked once, when it is built: both coordinates constant is
     ConstantParameterization, and exponents that all share a factor d > 1
     (``TruncatedSeries.exponent_gcd``) make it a function of t^d, which is
-    NonPrimitiveParameterization.  A coordinate with no degree bound skips
-    the exponent test, and the engines decide."""
+    NonPrimitiveParameterization."""
 
     __slots__ = ("x", "y", "base_point")
 
@@ -75,8 +74,7 @@ class CurveGerm(Record):
                  base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
         if x.valuation_or_none() is None and y.valuation_or_none() is None:
             raise ConstantParameterization("both coordinates are constant")
-        dx, dy = x.exponent_gcd(), y.exponent_gcd()
-        d = 0 if dx is None or dy is None else gcd(dx, dy)
+        d = gcd(x.exponent_gcd(), y.exponent_gcd())
         if d > 1:
             raise NonPrimitiveParameterization(
                 f"all exponents share the factor {d}; reparameterization would "
@@ -408,9 +406,22 @@ def curve_from_chart_data(
 
     ``constants`` supplies the integration constants in data-point order
     (x, y, then new coordinates); the entries at the two final active
-    positions are ignored.  Defaults to all zeros.  The result is re-lifted
-    as a check; IntegrationMismatch signals path letters that conflict with
-    the valuations actually encountered.
+    positions are ignored.  Defaults to all zeros.  Chart data is
+    polynomial: ``TruncatedSeries.integrate`` refuses a stream with
+    ValueError.  The result is re-lifted k levels; IntegrationMismatch
+    signals path letters that conflict with the valuations actually
+    encountered.  The letters are the whole check, since once they agree
+    the lift reproduces the given actives.
+
+    Proof.  At level j the walk integrates the coordinate that level
+    deactivates, D = integral of N_j dR_j + c, where (R_j, N_j) is the
+    active pair after level j.  The lift, taking the same letter, makes
+    dD/dR_j its new coordinate there, which is N_j exactly and for any c,
+    and keeps R_j.  Derivatives ignore the recentering of the base point,
+    so from the base up the lift meets the walk's pairs, and its top pair
+    is (r, n) exactly, with one exception: the lift keeps x recentered,
+    and x is the top retained coordinate only on an all-``o`` path.  There
+    the top pair is (r - r(0), n), and the base point is (r(0), ...).
     """
     k = len(path)
     plan = _walk_names(path)
@@ -426,7 +437,7 @@ def curve_from_chart_data(
     cur_r, cur_n = retained, new_coord
     for level in range(k, 0, -1):
         letter, r_name, deactivated, slot = plan[level - 1]
-        if cur_r.derivative().valuation_or_none() is None:
+        if cur_r.recenter()[1].valuation_or_none() is None:
             raise ConstantParameterization(
                 f"integration variable {r_name} of d{deactivated} is constant at level {level}"
             )
@@ -437,14 +448,9 @@ def curve_from_chart_data(
             cur_r, cur_n = d_series, cur_r
     germ = CurveGerm.from_series(cur_r, cur_n)
     if k:
-        check = lift_trace(germ, levels=k)
-        if check.chart_path[:k] != path:
-            raise IntegrationMismatch(
-                f"rebuilt curve lifts along {check.chart_path[:k]!r}, not {path!r}"
-            )
-        top = check.steps[k - 1]
-        if not (top.new_coord.agrees_with(new_coord) and top.retained.agrees_with(retained)):
-            raise IntegrationMismatch("re-lift does not reproduce the given actives")
+        lifted = lift_trace(germ, levels=k).chart_path
+        if lifted != path:
+            raise IntegrationMismatch(f"rebuilt curve lifts along {lifted!r}, not {path!r}")
     return germ
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -9,6 +10,7 @@ from monstertower.errors import (
     IntegrationMismatch,
     LevelOutOfRange,
     MaxLevelExceeded,
+    MonsterTowerError,
     NonPrimitiveParameterization,
     ParseError,
 )
@@ -385,7 +387,9 @@ class TestCurveFromChartData:
         assert c.y.agrees_with(parse_series("3*t"))
 
     def test_lift_rebuild_round_trip(self):
-        base = germ(QUINTIC)
+        # every lifted active of this germ is a polynomial, so its top pair
+        # is chart data
+        base = germ("x=t, y=t^3+2*t^5")
         trace = lift_trace(base, levels=5)
         top = trace.steps[-1]
         rebuilt = curve_from_chart_data(
@@ -393,6 +397,51 @@ class TestCurveFromChartData:
         )
         assert rebuilt.x.agrees_with(base.x)
         assert rebuilt.y.agrees_with(base.y)
+        assert rebuilt.base_point == base.base_point
+
+    def test_all_o_path_keeps_the_base_point_of_r(self):
+        # the lift keeps x recentered, so r = 3 + t is x with x0 = 3
+        c, _ = parse_curve("@level 1 chart=o, r=3+t, n=t")
+        assert c.base_point == (3, 0)
+        assert lift_trace(c, levels=1).data_point == (3, 0, 0)
+
+    def test_refuses_a_stream(self):
+        # chart data is polynomial: the integral of a stream has no degree bound
+        stream = parse_series("t").quotient(parse_series("1 - t"))
+        for r, n in ((stream, parse_series("t")), (parse_series("t"), stream)):
+            with pytest.raises(ValueError, match="^the integrand is not a polynomial$"):
+                curve_from_chart_data("oi", r, n)
+
+    def test_relift_reproduces_the_actives(self):
+        # The rebuild checks only the letters of its re-lift.  Once they
+        # agree, the lift's top pair is (r, n), with r recentered on an
+        # all-o path, where the retained coordinate is x.
+        rng = random.Random(20)
+
+        def poly():
+            terms = [(F(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(0, 3))
+                     for _ in range(rng.randint(1, 3))]
+            return TruncatedSeries.from_terms(terms)
+
+        passed = recentered = 0
+        for _ in range(500):
+            path = "o" + "".join(rng.choice("oi") for _ in range(rng.randint(0, 5)))
+            r, n = poly(), poly()
+            constants = None
+            if rng.random() < 0.5:
+                constants = [rng.randint(-2, 2) for _ in range(len(path) + 2)]
+            try:
+                c = curve_from_chart_data(path, r, n, constants)
+            except MonsterTowerError:
+                continue
+            top = lift_trace(c, levels=len(path)).steps[-1]
+            assert top.new_coord.agrees_with(n), (path, r, n)
+            if "i" not in path and r.constant_term():
+                r = r.recenter()[1]
+                recentered += 1
+            assert top.retained.agrees_with(r), (path, r, n)
+            passed += 1
+        assert passed >= 200 and recentered >= 20
 
     def test_constant_actives_rejected(self):
         with pytest.raises(ConstantParameterization):
