@@ -6,6 +6,8 @@ older, matching the ordinary chart choice of the Nash engine).  It keeps the
 chart pair after it: the recentered denominator, whose zero locus is the
 step's own exceptional divisor, and the quotient, which inherits the
 numerator's divisor flag exactly when the numerator vanished at the center.
+The recentered denominator is often the previous step's quotient itself: a
+series that vanishes at the center is its own recentering.
 
 Coordinates are a base letter and a blowup index (``y_1``).  A germ is
 resolved once into a ``BlowupTrace``; its word (the symbols read off the

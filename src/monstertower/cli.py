@@ -442,6 +442,11 @@ def main(argv=None) -> int:
     except MonsterTowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        # an input such as a term t^400000000 asks for more memory than
+        # there is; the failed allocation is freed by now
+        print("error: the input is too large for memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -15,11 +15,13 @@ Every series is therefore a rational function f = P/D, and carries three
 degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
 of D have total degree <= r.  A polynomial has (deg, 0, 0); a product adds
 the bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
-(P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r);
-a recentering (max(a, q), q, r).  Since P = f * D as power series, a
-series whose coefficients 0..a all vanish is identically zero, so a
-valuation search answers None only for the zero series, and the series is
-the zero polynomial from then on.  No zero test depends on a window.
+(P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r).
+A series whose constant term is 0 is its own recentering, with its bounds
+unchanged; any other recentering has (max(a, q), q, r).  Since P = f * D as
+power series, a series whose coefficients 0..a all vanish is identically
+zero, so a valuation search answers None only for the zero series, and the
+series is the zero polynomial from then on.  No zero test depends on a
+window.
 
 The whole-series reads (``coefficients``, ``support``, ``agrees_with``,
 equality, hashing) read a fixed window of max(``WINDOW``, degree + 1)
@@ -123,14 +125,19 @@ class TruncatedSeries:
     def __init__(self, coefficients):
         known = [c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
                  for c in coefficients]
-        while known and not known[-1]:
-            known.pop()
-        self._degree = len(known) - 1
+        self._polynomial([c.numerator for c in known], [c.denominator for c in known])
+
+    def _polynomial(self, nums: list[int], dens: list[int]) -> None:
+        """Make this series the polynomial with the reduced pairs nums/dens,
+        dropping the zeros past its last term."""
+        while nums and not nums[-1]:
+            nums.pop()
+            dens.pop()
+        self._degree = len(nums) - 1
         self._bound = (self._degree, 0, 0)
-        self._zeros = next((i for i, c in enumerate(known) if c), len(known))
+        self._zeros = next((i for i, c in enumerate(nums) if c), len(nums))
         self._exact = self._degree >= 0
-        self._known = [c.numerator for c in known]
-        self._dens = [c.denominator for c in known]
+        self._known, self._dens = nums, dens
         self._operands = ()
         self._extend = None
 
@@ -189,14 +196,23 @@ class TruncatedSeries:
 
     @staticmethod
     def from_terms(terms) -> "TruncatedSeries":
-        """The polynomial with the given (coefficient, exponent) terms."""
+        """The polynomial with the given (coefficient, exponent) terms,
+        written straight into reduced pairs: terms that share an exponent
+        are added, and no other coefficient is converted twice."""
         terms = list(terms)
-        coeffs = [0] * max([0, *(e + 1 for _, e in terms)])
+        size = max([0, *(e + 1 for _, e in terms)])
+        nums, dens = [0] * size, [1] * size
         for coeff, exponent in terms:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
-            coeffs[exponent] = coeff + coeffs[exponent]  # Fraction + int: Fraction's fast path
-        return TruncatedSeries(coeffs)
+            if coeff.__class__ is not int and coeff.__class__ is not Fraction:
+                coeff = Fraction(coeff)
+            if nums[exponent]:
+                coeff = Fraction(nums[exponent], dens[exponent]) + coeff
+            nums[exponent], dens[exponent] = coeff.numerator, coeff.denominator
+        series = TruncatedSeries.__new__(TruncatedSeries)
+        series._polynomial(nums, dens)
+        return series
 
     @staticmethod
     def zero() -> "TruncatedSeries":
@@ -363,7 +379,12 @@ class TruncatedSeries:
         return self._lazy(bound, vn - vd, True, ((self, vd), (den, vd)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
-        """Split off the value at t=0: returns (constant, self - constant)."""
+        """Split off the value at t=0: returns (constant, self - constant).
+        A series whose constant term is 0 is its own recentering, with its
+        own bounds; any other tail is a new series."""
+        c = self.constant_term()
+        if not c:
+            return c, self
         a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # index 0 is a known zero, filled in by _force
@@ -371,10 +392,7 @@ class TruncatedSeries:
             out.extend(a[len(out):m])
 
         bound = (max(bound[0], bound[1]), bound[1], bound[2])
-        tail = self._lazy(
-            bound, max(self._zeros, 1), self._exact and self._zeros >= 1, ((self, 0),), extend,
-        )
-        return self.constant_term(), tail
+        return c, self._lazy(bound, 1, False, ((self, 0),), extend)
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant.

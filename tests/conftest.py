@@ -26,10 +26,11 @@ def lift_calls(monkeypatch):
 def computed(monkeypatch):
     """Counts of ``TruncatedSeries._force`` calls (``"force"``), of those
     that had to compute, each a walk of the pending operands (``"walks"``),
-    and of the coefficients that series made by operations compute
-    (``"coefficients"``), counting from when the fixture is set up.  Leading
-    zeros known from the operands and zeros past a polynomial's degree are
-    filled in, not computed, and are not counted."""
+    of the ``extend`` calls, one per pending series that a walk computes
+    (``"extends"``), and of the coefficients that series made by operations
+    compute (``"coefficients"``), counting from when the fixture is set up.
+    Leading zeros known from the operands and zeros past a polynomial's
+    degree are filled in, not computed, and are not counted."""
     counts = Counter()
     force, lazy = TruncatedSeries._force, TruncatedSeries._lazy.__func__
 
@@ -45,6 +46,7 @@ def computed(monkeypatch):
 
         def counting_extend(out, dens, m):
             before = len(out)
+            counts["extends"] += 1
             extend(out, dens, m)
             counts["coefficients"] += len(out) - before
 

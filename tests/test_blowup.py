@@ -21,6 +21,28 @@ from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import CurveGerm, lift_trace, parse_curve
 
 
+# (forces, extend calls, coefficients computed) of a germ's construction and
+# cross-check, keyed by the germ.  At e69da29, before valuations were read off
+# the operands, the first three took 37 forces and 176 coefficients, 23 and
+# 43, 148 and 3,324; two of the forces are the germ's exponent-gcd reads of x
+# and y.  A series whose constant term is 0 is its own recentering, so the
+# germ x=t^5, y=t^7 computes nothing.
+COMPUTED = {
+    "x=t^15, y=t^24+t^25": (7, 41, 96),
+    "x=t^5, y=t^7": (2, 0, 0),
+    "x=t^12, y=t^14+t^16+t^57": (112, 1488, 2847),  # 29 Nash levels
+    # Searches that read up to 38 and 41 coefficients, forced in doubling
+    # batches: fewer forces, some coefficients computed past the valuation.
+    # Forcing one coefficient at a time, as at e29abf9, took 86 forces and
+    # 1,130 coefficients, and 87 and 467.  A batch stops at the numerator
+    # bound of the searched series, where it once stopped at a term budget
+    # of 64 or more: corpus curve 74 computed 653 coefficients against a
+    # budget.
+    "x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57": (20, 259, 1217),  # 690 bits
+    "x=t^3, y=3*t^6-5/7*t^47+2*t^52": (15, 51, 433),  # corpus curve 74
+}
+
+
 def germ(text, precision=None):
     # parse_curve accepts a term budget for the benchmark and ignores it;
     # tests parametrized by the budgets they once ran at pass it through
@@ -229,30 +251,12 @@ class TestCrossCheck:
         assert report.ok and len(report.blowup.word) == 34
         assert report.blowup.word == cross_check(germ("x=t^2+t^65, y=t^4")).blowup.word
 
-    @pytest.mark.parametrize(
-        "curve,forces,coefficients",
-        [
-            # at e69da29, before valuations were read off the operands:
-            # 37 forces and 176 coefficients, 23 and 43, 148 and 3,324
-            # two of the forces are the germ's exponent-gcd reads of x and y
-            ("x=t^15, y=t^24+t^25", 7, 130),
-            ("x=t^5, y=t^7", 2, 2),
-            ("x=t^12, y=t^14+t^16+t^57", 112, 3210),  # 29 Nash levels
-            # Searches that read up to 38 and 41 coefficients, forced in
-            # doubling batches: fewer forces, some coefficients computed past
-            # the valuation.  Forcing one coefficient at a time, as at
-            # e29abf9, took 86 forces and 1,130 coefficients, and 87 and 467.
-            # A batch stops at the numerator bound of the searched series,
-            # where it once stopped at a term budget of 64 or more: corpus
-            # curve 74 computed 653 coefficients against a budget.
-            ("x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57", 20, 1610),  # 690 bits
-            ("x=t^3, y=3*t^6-5/7*t^47+2*t^52", 15, 581),  # corpus curve 74
-        ],
-    )
-    def test_coefficients_computed(self, computed, curve, forces, coefficients):
+    @pytest.mark.parametrize("curve", COMPUTED)
+    def test_coefficients_computed(self, computed, curve):
         # the germ's recentered x and y are counted too
         assert cross_check(germ(curve)).ok
-        assert (computed["force"], computed["coefficients"]) == (forces, coefficients)
+        counts = (computed["force"], computed["extends"], computed["coefficients"])
+        assert counts == COMPUTED[curve]
 
     def test_mismatch_raises_with_report(self):
         # sanity: cross_check raising is observable via a doctored comparison

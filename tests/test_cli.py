@@ -468,6 +468,17 @@ class TestInputValidation:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == f"error: {message}\n"
 
+    def test_input_too_large_for_memory_exits_1(self, capsys, monkeypatch):
+        # a huge exponent allocates its coefficient list in the parser
+        from monstertower import tower
+
+        def too_large(text):
+            raise MemoryError
+
+        monkeypatch.setattr(tower, "parse_curve", too_large)
+        code, out, err = run(capsys, "curve", "x=t^2, y=t^3+t^400000000")
+        assert (code, out, err) == (1, "", "error: the input is too large for memory\n")
+
     def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
         # --precision is accepted and ignored: a term past the budget it
         # names is part of the polynomial, and nothing is dropped or refused

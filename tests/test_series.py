@@ -135,6 +135,55 @@ class TestRecenter:
         c, tail = S("1 + t").recenter()
         assert (c, tail.valuation()) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: S("t^3 + 2*t^5"),
+            lambda: TruncatedSeries.zero(),
+            lambda: S("t^3").quotient(S("1 + t")),
+            lambda: S("1 + t^2").quotient(S("1 + t^3")).derivative(),  # 0 read, not known
+        ],
+        ids=["polynomial", "zero", "stream", "derivative"],
+    )
+    def test_zero_constant_is_its_own_recentering(self, build):
+        series = build()
+        bound = series._bound
+        c, tail = series.recenter()
+        assert c == 0 and tail is series and tail._bound == bound
+
+
+def _old_from_terms(terms):
+    """``from_terms`` as it was, through ``TruncatedSeries(coefficients)``:
+    the reference for the direct construction."""
+    coeffs = [0] * max([0, *(e + 1 for _, e in terms)])
+    for coeff, exponent in terms:
+        coeffs[exponent] = coeff + coeffs[exponent]
+    return TruncatedSeries(coeffs)
+
+
+# terms with repeated exponents, int and Fraction coefficients, and the
+# negation of some of them, so that exponents cancel, the top ones too
+term_lists = st.lists(
+    st.tuples(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4), st.integers(0, 6)),
+    max_size=8,
+).flatmap(lambda terms: st.lists(st.sampled_from(terms), max_size=4).map(
+    lambda picked: terms + [(-c, e) for c, e in picked]) if terms else st.just(terms))
+
+
+class TestFromTerms:
+    @given(term_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_construction_from_coefficients(self, terms):
+        new, old = TruncatedSeries.from_terms(terms), _old_from_terms(terms)
+        for slot in ("_known", "_dens", "_bound", "_zeros", "_exact", "_degree",
+                     "_operands", "_extend"):
+            assert getattr(new, slot) == getattr(old, slot), slot
+        assert all(type(n) is int for n in new._known + new._dens)
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TruncatedSeries.from_terms([(1, 2), (1, -1)])
+
 
 class TestIntegrate:
     def test_double_integration_example(self):
@@ -833,3 +882,21 @@ class TestExactZero:
         for lazy, ref in checked:
             assert lazy.valuation_or_none() == _rval(ref), tree
             assert lazy.coefficients[:6] == _rhead(ref, 6), tree
+
+    @example(("quotient", [F(1), F(2)], [F(1), F(1)]))
+    @given(expressions)
+    @settings(max_examples=200, deadline=None)
+    def test_recentering_by_a_nonzero_constant(self, tree):
+        # f - f(0) for every subexpression f with f(0) != 0, read against
+        # the rational reference (P - f(0) D, D)
+        checked = []
+        _evaluate(tree, checked)
+        for lazy, (p, d) in checked:
+            c = _rvalue_at_0((p, d))
+            if not c:
+                continue
+            value, tail = lazy.recenter()
+            ref = (_padd(p, _pscale(d, -c)), d)
+            assert value == c and tail is not lazy, tree
+            assert tail.valuation_or_none() == _rval(ref), tree
+            assert tail.coefficients[:6] == _rhead(ref, 6), tree
