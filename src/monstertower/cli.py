@@ -198,17 +198,18 @@ def _cmd_pc(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    from .tower import lift_trace, parse_curve
+    from .tower import parse_curve_trace
 
     if args.level is not None and args.engine != "nash":
         raise ParseError(f"--level applies only to --engine nash, not {args.engine}")
     if args.level is not None and args.level > args.max_level:
         raise ParseError(f"--level {args.level} is above --max-level {args.max_level}")
-    germ, presented_level = parse_curve(args.text)
+    # the germ lifted to its presented level; the command continues this lift
+    trace = parse_curve_trace(args.text)
     if args.engine == "both":
         from .blowup import cross_check
 
-        report = cross_check(germ, args.max_level)
+        report = cross_check(trace.germ, args.max_level)
         payload = report.to_json_dict()
         text = "engines agree\n" + "\n".join(
             f"{k:<16} {v}" for k, v in (
@@ -221,23 +222,23 @@ def _cmd_curve(args) -> int:
     if args.engine == "blowup":
         from .blowup import blowup_resolve
 
-        trace = blowup_resolve(germ, args.max_level)
-        payload = trace.to_json_dict()
+        resolved = blowup_resolve(trace.germ, args.max_level)
+        payload = resolved.to_json_dict()
         text = "\n".join(
             [
                 f"engine          blowup",
-                f"word            {trace.word.symbols or '(empty)'}",
-                f"regular level   {trace.regularity_level}",
-                f"order profile   {trace.profile}",
-                f"multiplicities  {','.join(str(m) for m in trace.multiplicities)}",
+                f"word            {resolved.word.symbols or '(empty)'}",
+                f"regular level   {resolved.regularity_level}",
+                f"order profile   {resolved.profile}",
+                f"multiplicities  {','.join(str(m) for m in resolved.multiplicities)}",
             ]
         )
         return _emit(args, payload, text)
-    regular = lift_trace(germ, max_level=args.max_level)
+    regular = trace.continued(max_level=args.max_level)
     r = regular.regularization_level
     k = args.level if args.level is not None else r
-    point = regular.prefix(k) if k <= r else lift_trace(germ, levels=k)
-    word = regular.curve_word(presented_level)
+    point = regular.continued(levels=k).prefix(k)
+    word = regular.curve_word(len(trace.steps))
     panel_word = word.normalize()
     payload = point.to_json_dict()
     payload["regularization_level"] = r
@@ -257,7 +258,7 @@ def _cmd_curve(args) -> int:
             f"regularization level   {r}",
             f"data point             ({data})",
             f"vertical orders        ({','.join(str(v) for v in vo.values)})",
-            "chart equations        " + "; ".join(point.chart_equations()),
+            "chart equations        " + ("; ".join(point.chart_equations()) or "(none)"),
         ]
     )
     return _emit(args, payload, text, panel.proximity.to_dot())

@@ -15,9 +15,10 @@ new coordinate vanishes at t=0 while a V/T chain is alive continues the
 chain with a T; everything else is an R.  Coordinates are named with the
 calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
 ``_step_names``, for both letters) and carried as structured ``CoordName``s.
-A germ is lifted once into a ``LiftTrace``; its word, data point, chart
-equations and every Nash-derived invariant (order profile, multiplicities,
-vertical orders, curve words) are views of it.
+A germ is lifted once into a ``LiftTrace``, which a reader that needs more
+levels continues from its last step; its word, data point, chart equations
+and every Nash-derived invariant (order profile, multiplicities, vertical
+orders, curve words) are views of it.
 """
 
 from __future__ import annotations
@@ -115,11 +116,12 @@ class LiftStep(Record):
 
 
 class LiftTrace(Record):
-    """One lift of a germ, and the only source of its chart data.  Word,
-    chart path, data point and chart equations cover every level lifted and
-    name coordinates as the lift did; the invariant views read only
-    ``steps[:regularization_level]``, so they work on any trace that reached
-    the regularization level."""
+    """One lift of a germ, and the only source of its chart data.  A trace
+    grows by ``continued``, from its last step, so a germ is lifted once
+    however many levels its readers ask for.  Word, chart path, data point
+    and chart equations cover every level lifted and name coordinates as the
+    lift did; the invariant views read only ``steps[:regularization_level]``,
+    so they work on any trace that reached the regularization level."""
 
     __slots__ = ("germ", "steps", "regularization_level")
 
@@ -148,8 +150,8 @@ class LiftTrace(Record):
         return (*self.germ.base_point, *(s.new_coord.constant_term() for s in self.steps))
 
     def prefix(self, levels: int) -> "LiftTrace":
-        """The trace ``lift_trace(self.germ, levels=levels)`` returns, cut
-        from this one instead of lifted again."""
+        """This trace cut to its first ``levels`` steps: a lift of the germ
+        through that many levels, read off instead of lifted again."""
         k = max(levels, 0)
         if k > len(self.steps):
             raise LevelOutOfRange(f"level {k} beyond a trace of {len(self.steps)} levels")
@@ -205,6 +207,36 @@ class LiftTrace(Record):
             s.symbol if s.chain_origin is not None and s.chain_origin >= k + 2 else "R"
             for s in steps[k:]
         ))
+
+    def continued(self, *, levels: int | None = None,
+                  max_level: int = DEFAULT_MAX_LEVEL) -> "LiftTrace":
+        """The lift continued from the last step (from the base germ when the
+        trace is empty).  With ``levels=None``, lift until the regularity
+        criterion fires; a regularization level above ``max_level`` is
+        MaxLevelExceeded, also when this trace already reached it.  With
+        ``levels=k``, lift to k levels, recording the regularization level if
+        it is reached on the way.  A trace that already has the levels asked
+        for is returned as it is.  A lift re-run, or continued from a prefix
+        or a shorter lift, gives a bit-identical trace.  The germ was
+        checked when it was built, so the lift makes no primitivity check of
+        its own; a cover it meets is named by the constant coordinate that
+        shows it."""
+        steps, regular_at = list(self.steps), self.regularization_level
+        (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
+        dr, dn = r.derivative(), n.derivative()
+        while (len(steps) < levels if levels is not None
+               else regular_at is None and len(steps) < max_level):
+            step, dr, dn = _lift(r, n, dr, dn, len(steps) + 1, r_name, n_name, chain)
+            steps.append(step)
+            (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
+            if regular_at is None and _is_regular(step.symbol, dr, dn):
+                regular_at = step.level
+        if levels is None and (regular_at is None or regular_at > max_level):
+            raise MaxLevelExceeded(
+                f"no regular lift within {max_level} levels; the germ may be "
+                "critical or the budget too small"
+            )
+        return LiftTrace(self.germ, tuple(steps), regular_at)
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,13 +338,18 @@ def _step_names(letter: str, retained: CoordName, new: CoordName):
     return new, retained.bump(), retained
 
 
-def _initial_actives(c: CurveGerm):
-    """Retain whichever base coordinate has the smaller valuation (tie: x)."""
+def _actives(c: CurveGerm, steps):
+    """The named active pair (r, n) after the lift ``steps`` of ``c``, and
+    the level of the chain alive there.  Before the first step, retain
+    whichever base coordinate has the smaller valuation (tie: x)."""
+    if steps:
+        s = steps[-1]
+        return (s.retained_name, s.retained), (s.new_name, s.new_coord), s.chain_origin
     vx = c.x.valuation_or_none()
     vy = c.y.valuation_or_none()
     if vx is not None and (vy is None or vx <= vy):
-        return (CoordName("x", 0), c.x), (CoordName("y", 0), c.y)
-    return (CoordName("y", 0), c.y), (CoordName("x", 0), c.x)
+        return (CoordName("x", 0), c.x), (CoordName("y", 0), c.y), None
+    return (CoordName("y", 0), c.y), (CoordName("x", 0), c.x), None
 
 
 def _is_regular(symbol: str, d_retained: TruncatedSeries, d_new: TruncatedSeries) -> bool:
@@ -329,41 +366,11 @@ def lift_trace(
     levels: int | None = None,
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> LiftTrace:
-    """Lift the germ through the tower.
-
-    With ``levels=None``, iterate until the regularity criterion fires
-    (MaxLevelExceeded past the budget).  With ``levels=k``, perform exactly
-    k chart steps, recording the regularization level if it is reached on
-    the way.  Re-running a lift yields a bit-identical trace.  The germ was
-    checked when it was built, so the lift makes no primitivity check of its
-    own; a cover it meets is named by the constant coordinate that shows it.
-    """
-    (r_name, r_series), (n_name, n_series) = _initial_actives(c)
-    dr, dn = r_series.derivative(), n_series.derivative()
-    steps: list[LiftStep] = []
-    chain: int | None = None
-    regular_at: int | None = None
-    level = 0
-    while True:
-        if levels is not None:
-            if level >= levels:
-                break
-        elif regular_at is not None:
-            break
-        elif level >= max_level:
-            raise MaxLevelExceeded(
-                f"no regular lift within {max_level} levels; the germ may be "
-                "critical or the budget too small"
-            )
-        level += 1
-        step, dr, dn = _lift(r_series, n_series, dr, dn, level, r_name, n_name, chain)
-        steps.append(step)
-        chain = step.chain_origin
-        r_series, n_series = step.retained, step.new_coord
-        r_name, n_name = step.retained_name, step.new_name
-        if regular_at is None and _is_regular(step.symbol, dr, dn):
-            regular_at = level
-    return LiftTrace(germ=c, steps=tuple(steps), regularization_level=regular_at)
+    """Lift the germ through the tower: ``LiftTrace.continued`` on the empty
+    trace of ``c``.  With ``levels=None``, iterate until the regularity
+    criterion fires (MaxLevelExceeded past the budget); with ``levels=k``,
+    perform exactly k chart steps."""
+    return LiftTrace(c, (), None).continued(levels=levels, max_level=max_level)
 
 
 # kept for bench/run.py until ROADMAP item 1; the package calls lift_trace
@@ -402,16 +409,25 @@ def curve_from_chart_data(
     constants=None,
 ) -> CurveGerm:
     """Rebuild the base curve whose lift along ``path`` has the given active
-    parameterizations, integrating one deactivated coordinate per level.
+    parameterizations: the germ of ``chart_data_trace``."""
+    return chart_data_trace(path, retained, new_coord, constants).germ
+
+
+def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedSeries,
+                     constants=None) -> LiftTrace:
+    """Rebuild the base curve whose lift along ``path`` has the given active
+    parameterizations, integrating one deactivated coordinate per level,
+    and return its check trace: the rebuilt germ lifted k = len(path)
+    levels, where a caller that needs more levels continues it.
 
     ``constants`` supplies the integration constants in data-point order
     (x, y, then new coordinates); the entries at the two final active
     positions are ignored.  Defaults to all zeros.  Chart data is
     polynomial: ``TruncatedSeries.integrate`` refuses a stream with
-    ValueError.  The result is re-lifted k levels; IntegrationMismatch
-    signals path letters that conflict with the valuations actually
-    encountered.  The letters are the whole check, since once they agree
-    the lift reproduces the given actives.
+    ValueError.  IntegrationMismatch signals path letters of the check
+    trace that conflict with the valuations actually encountered.  The
+    letters are the whole check, since once they agree the lift reproduces
+    the given actives.
 
     Proof.  At level j the walk integrates the coordinate that level
     deactivates, D = integral of N_j dR_j + c, where (R_j, N_j) is the
@@ -446,12 +462,10 @@ def curve_from_chart_data(
             cur_n = d_series
         else:
             cur_r, cur_n = d_series, cur_r
-    germ = CurveGerm.from_series(cur_r, cur_n)
-    if k:
-        lifted = lift_trace(germ, levels=k).chart_path
-        if lifted != path:
-            raise IntegrationMismatch(f"rebuilt curve lifts along {lifted!r}, not {path!r}")
-    return germ
+    trace = lift_trace(CurveGerm.from_series(cur_r, cur_n), levels=k)
+    if trace.chart_path != path:
+        raise IntegrationMismatch(f"rebuilt curve lifts along {trace.chart_path!r}, not {path!r}")
+    return trace
 
 
 # -- curve text grammar --------------------------------------------------------
@@ -459,12 +473,20 @@ def curve_from_chart_data(
 
 # precision is kept for bench/run.py until ROADMAP item 1, and ignored
 def parse_curve(text: str, precision=None) -> tuple[CurveGerm, int]:
-    """Parse curve input.
+    """Parse curve input into the germ and its presentation level:
+    ``parse_curve_trace`` without the lift."""
+    trace = parse_curve_trace(text)
+    return trace.germ, len(trace.steps)
 
-    Base germ: ``x=t^5, y=t^7``.  Germ at level k: ``@level 3 chart=oio,
-    r=t, n=t`` with an optional ``constants=0,0,...`` field (data-point
-    order); the base curve is rebuilt by integration.  Fields are comma
-    separated.  Returns the germ together with the presentation level.
+
+def parse_curve_trace(text: str) -> LiftTrace:
+    """Parse curve input into the germ lifted to its presentation level.
+
+    Base germ: ``x=t^5, y=t^7``, returned as its empty trace.  Germ at
+    level k: ``@level 3 chart=oio, r=t, n=t`` with an optional
+    ``constants=0,0,...`` field (data-point order); the base curve is
+    rebuilt by integration, and the k-level check trace of the rebuild
+    (``chart_data_trace``) is returned.  Fields are comma separated.
     """
     body = text.strip()
     if body.startswith("@level"):
@@ -486,20 +508,15 @@ def parse_curve(text: str, precision=None) -> tuple[CurveGerm, int]:
         constants = None
         if "constants" in fields:
             constants = [_parse_constant(c) for c in fields["constants"]]
-        germ = curve_from_chart_data(
-            path,
-            parse_series(fields["r"]),
-            parse_series(fields["n"]),
-            constants,
-        )
-        return germ, level
+        return chart_data_trace(path, parse_series(fields["r"]), parse_series(fields["n"]),
+                                constants)
     fields = _split_fields(body)
     for needed in ("x", "y"):
         if needed not in fields:
             raise ParseError("expected 'x=<series>, y=<series>'")
     _reject_unknown(fields, ("x", "y"))
-    germ = CurveGerm.from_series(parse_series(fields["x"]), parse_series(fields["y"]))
-    return germ, 0
+    return LiftTrace(CurveGerm.from_series(parse_series(fields["x"]), parse_series(fields["y"])),
+                     (), None)
 
 
 # the coefficient grammar of series literals, with its sign

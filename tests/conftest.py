@@ -2,23 +2,23 @@ from collections import Counter
 
 import pytest
 
-from monstertower import blowup, tower
+from monstertower import tower
 from monstertower.series import TruncatedSeries
 
 
 @pytest.fixture
 def lift_calls(monkeypatch):
-    """The ``levels`` argument of every ``lift_trace`` call, in order: the
-    name is patched in ``tower`` and in ``blowup``, which imports it."""
+    """The level of every chart step of the Nash engine, in order: each
+    lift, of ``lift_trace``, ``LiftTrace.continued`` or ``lift_once``, runs
+    its steps through ``tower._lift``."""
     calls = []
-    original = tower.lift_trace
+    original = tower._lift
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("levels"))
-        return original(*args, **kwargs)
+    def counting(retained, new_coord, dr, dn, level, *names_and_chain):
+        calls.append(level)
+        return original(retained, new_coord, dr, dn, level, *names_and_chain)
 
-    for module in (tower, blowup):
-        monkeypatch.setattr(module, "lift_trace", counting)
+    monkeypatch.setattr(tower, "_lift", counting)
     return calls
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,34 @@ class TestCurveReadsItsTraces:
             )
             assert text.splitlines()[-1] == f"chart equations        {expected}", str(spec)
 
+    def test_no_chart_equations_at_level_0(self, capsys):
+        code, out, err = run(capsys, "curve", "x=t^2, y=t^3", "--level", "0")
+        assert (code, err) == (0, "")
+        assert out == (
+            "engine                 nash\n"
+            "curve word             RV\n"
+            "point word             (empty)\n"
+            "chart path             (none)\n"
+            "regularization level   2\n"
+            "data point             (0,0)\n"
+            "vertical orders        (1)\n"
+            "chart equations        (none)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "budget,curve",
+        [
+            # the check trace of oo is regular at level 1, below its level 2
+            ("0", "@level 2 chart=oo, r=t, n=t"),
+            ("2", "@level 3 chart=oio, r=t, n=t"),
+        ],
+    )
+    def test_budget_refuses_chart_data_regular_past_it(self, capsys, budget, curve):
+        code, out, err = run(capsys, "--max-level", budget, "curve", curve)
+        assert (code, out) == (1, "")
+        assert err == (f"error: no regular lift within {budget} levels; "
+                       "the germ may be critical or the budget too small\n")
+
     def test_regularization_level_is_the_curves(self, capsys):
         code, out, _ = run(capsys, "curve", "x=t^5, y=t^7", "--level", "2")
         assert code == 0
@@ -205,6 +234,10 @@ class TestCurveReadsItsTraces:
 
 
 class TestCurveLiftsOnce:
+    """A ``curve`` command lifts each level once: the Nash engine steps
+    through levels 1 to max(presented level, --level, regularization
+    level) in order, continuing the one trace it started."""
+
     @pytest.mark.parametrize(
         "extra",
         [(), ("--level", "2"), ("--level", "4"), ("--engine", "both"), ("--engine", "blowup")],
@@ -213,12 +246,33 @@ class TestCurveLiftsOnce:
         # --engine blowup runs the blowup engine alone
         code, _, _ = run(capsys, "curve", "x=t^5, y=t^7", *extra)
         assert code == 0
-        assert lift_calls == ([] if extra == ("--engine", "blowup") else [None])
+        assert lift_calls == ([] if extra == ("--engine", "blowup") else [1, 2, 3, 4])
 
-    def test_level_past_regularization_lifts_again(self, capsys, lift_calls):
+    def test_level_past_regularization_continues_the_lift(self, capsys, lift_calls):
         code, _, _ = run(capsys, "curve", "x=t^5, y=t^7", "--level", "6")
         assert code == 0
-        assert lift_calls == [None, 6]
+        assert lift_calls == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize(
+        "curve,extra,levels",
+        [
+            # the rebuild's check trace reaches the regularization level
+            ("@level 7 chart=oioioio, r=t, n=t", (), 7),
+            ("@level 7 chart=oioioio, r=t, n=t", ("--level", "9"), 9),
+            ("@level 7 chart=oioioio, r=t, n=t", ("--level", "2"), 7),
+            ("@level 12 chart=oiioioiioiio, r=t, n=t", (), 12),
+            # a check trace past the regularization level (r = 1)
+            ("@level 2 chart=oo, r=t, n=t", (), 2),
+            # continued past the check trace: to --level 6 past r = 3, and
+            # from a 1-level check trace to r = 3
+            ("@level 3 chart=oio, r=t, n=t", ("--level", "6"), 6),
+            ("@level 1 chart=o, r=t^2, n=t^3", (), 3),
+        ],
+    )
+    def test_chart_data_continues_its_check_trace(self, capsys, lift_calls, curve, extra, levels):
+        code, _, _ = run(capsys, "curve", curve, *extra)
+        assert code == 0
+        assert lift_calls == list(range(1, levels + 1))
 
 
 class TestLiftPreimages:
@@ -381,7 +435,7 @@ def no_work(monkeypatch):
         raise AssertionError("work started before the format was refused")
 
     for module, name in ((cli, "parse_word"), (cli, "enumerate_words"),
-                         (tower, "parse_curve"), (corpus, "generate_corpus"),
+                         (tower, "parse_curve_trace"), (corpus, "generate_corpus"),
                          (blowup, "cross_check"), (blowup, "blowup_resolve")):
         monkeypatch.setattr(module, name, refuse)
 
@@ -468,16 +522,20 @@ class TestInputValidation:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == f"error: {message}\n"
 
-    def test_input_too_large_for_memory_exits_1(self, capsys, monkeypatch):
-        # a huge exponent allocates its coefficient list in the parser
-        from monstertower import tower
+    def test_input_too_large_for_memory_exits_1(self):
+        # A huge exponent allocates its coefficient list in the parser, about
+        # 6.4 GB for this one.  The real input runs in a child whose address
+        # space is capped at 1 GiB, so the allocation fails there.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-        def too_large(text):
-            raise MemoryError
-
-        monkeypatch.setattr(tower, "parse_curve", too_large)
-        code, out, err = run(capsys, "curve", "x=t^2, y=t^3+t^400000000")
-        assert (code, out, err) == (1, "", "error: the input is too large for memory\n")
+        done = subprocess.run(
+            [sys.executable, "-c", ENTRY, "curve", "x=t^2, y=t^3+t^400000000"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120, check=False, preexec_fn=cap_address_space,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: the input is too large for memory\n")
 
     def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
         # --precision is accepted and ignored: a term past the budget it
@@ -549,6 +607,29 @@ class TestBigCoefficientBytes:
         code, out, err = run(capsys, "curve", curve, "--engine", "both", "--format", "json")
         assert (code, err) == (0, "")
         assert out == (DATA / f"curve_{name}_both.json").read_text()
+
+
+# Chart-data germs whose command continues the rebuild's check trace: to
+# its own level, past it to --level 9 or to --level 6 past r = 3, and with
+# integration constants.
+CHART_DATA_COMMANDS = {
+    "oioioio": ("@level 7 chart=oioioio, r=t, n=t",),
+    "oioioio_level9": ("@level 7 chart=oioioio, r=t, n=t", "--level", "9"),
+    "oio_level6": ("@level 3 chart=oio, r=t, n=t", "--level", "6"),
+    "oi_constants": ("@level 2 chart=oi, r=t, n=t, constants=0,0,-3/4,0",),
+}
+
+
+class TestChartDataBytes:
+    """The exact JSON of chart-data commands, recorded when the command
+    lifted the rebuilt germ again from the base, so that reading the
+    point and the curve off the continued check trace keeps every byte."""
+
+    @pytest.mark.parametrize("name", sorted(CHART_DATA_COMMANDS))
+    def test_json_bytes(self, capsys, name):
+        code, out, err = run(capsys, "curve", *CHART_DATA_COMMANDS[name], "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"curve_{name}_nash.json").read_text()
 
 
 class TestCovers:

@@ -22,6 +22,7 @@ from monstertower.tower import (
     lift_once,
     lift_trace,
     parse_curve,
+    parse_curve_trace,
 )
 from monstertower.invariants import vertical_orders
 from monstertower.words import parse_word
@@ -301,6 +302,82 @@ class TestDerivativesPerLift:
         derivative_calls.clear()  # a leveled germ is integrated and re-lifted
         trace = lift_trace(c, levels=levels)
         assert len(derivative_calls) == len(trace.steps) + 2
+
+
+def lift_facts(trace):
+    """What the lift decided at each level, as the consumers of a trace read
+    it: the JSON (names, letters, symbols, valuations, constant terms,
+    chain origins, regularization level) and the deciding orders."""
+    return trace.to_json_dict(), [s.orders for s in trace.steps]
+
+
+class TestContinuedLift:
+    """A trace continued from its last step, whether a shorter lift or a
+    prefix of a longer one, is the trace a fresh lift gives."""
+
+    @pytest.mark.parametrize("corpus", ["default", "held-out", "charts"])
+    def test_continuing_equals_a_fresh_lift(self, corpus):
+        if corpus == "charts":
+            germs = [germ(text) for text in DEEP_LIFT_GERMS if text.startswith("@level")]
+        else:
+            seed = 178212 if corpus == "default" else 20230817
+            germs = [spec.curve() for spec in generate_corpus(60, seed)]
+        for c in germs:
+            regular = lift_trace(c)
+            r = regular.regularization_level
+            # from each level below regularity, as a prefix and as a shorter
+            # lift; lift_trace itself continues from level 0
+            starts = [regular.prefix(j) for j in range(1, r)]
+            for start in starts + [lift_trace(c, levels=j) for j in range(1, r)]:
+                j = len(start.steps)
+                assert lift_facts(start.continued()) == lift_facts(regular), (str(c), j)
+                assert lift_facts(start.continued(levels=r)) == lift_facts(regular), (str(c), j)
+            # a trace that reached regularity is continued by nothing, and
+            # past it only to a level asked for
+            assert regular.continued() == regular
+            past = lift_trace(c, levels=r + 1)
+            assert lift_facts(regular.continued(levels=r + 1)) == lift_facts(past), str(c)
+            assert lift_facts(past.continued()) == lift_facts(past), str(c)
+
+    @pytest.mark.parametrize("text", [QUINTIC, "x=t^14, y=14*t^18+14*t^19",
+                                      "@level 7 chart=oioioio, r=t, n=t"])
+    def test_series_equal_a_fresh_lift(self, text):
+        # every coefficient of every step's series, not only what the views read
+        c = germ(text)
+        regular = lift_trace(c)
+        r = regular.regularization_level
+        full = lift_trace(c, levels=r + 2)
+        for j in range(r + 3):
+            start = full.prefix(j)
+            assert start.continued(levels=r + 2) == full, j
+            assert start.continued() == (regular if j <= r else start), j
+
+    @pytest.mark.parametrize("text", DEEP_LIFT_GERMS + ("@level 2 chart=oo, r=t, n=t",))
+    def test_parsed_trace_is_the_lift_to_the_presented_level(self, text):
+        # a base germ's empty trace, or the rebuild's check trace of chart data
+        trace = parse_curve_trace(text)
+        c, level = parse_curve(text)
+        assert trace == lift_trace(c, levels=level)
+        regular = lift_trace(c)
+        r = regular.regularization_level
+        assert trace.continued() == (regular if level <= r else trace)
+
+    def test_budget_holds_for_a_trace_already_regular(self):
+        # the check trace of oo reaches r = 1 at level 1; a budget of 0 still
+        # refuses it, as a fresh lift does
+        trace = parse_curve_trace("@level 2 chart=oo, r=t, n=t")
+        assert trace.regularization_level == 1
+        for start in (trace, trace.prefix(1), trace.prefix(0)):
+            with pytest.raises(MaxLevelExceeded, match="^no regular lift within 0 levels;"):
+                start.continued(max_level=0)
+        assert trace.continued(max_level=1) == trace
+
+    def test_budget_stops_a_continued_lift(self):
+        trace = lift_trace(germ(QUINTIC), levels=2)
+        with pytest.raises(MaxLevelExceeded, match="^no regular lift within 3 levels;"):
+            trace.continued(max_level=3)
+        with pytest.raises(MaxLevelExceeded, match="^no regular lift within 1 levels;"):
+            trace.continued(max_level=1)
 
 
 class TestErrors:
