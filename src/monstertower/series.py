@@ -7,16 +7,18 @@ coefficient it computes once (Knuth, TAOCP vol. 2, 4.5.1), and
 coefficients.  A series built from finitely many terms is the polynomial it
 names, zero beyond its last term, and knows its degree; derivative,
 recentering and product of polynomials are polynomials, and a quotient is
-an exact stream.  Only a polynomial is integrated, and its integral is a
-polynomial; the integral of a stream is not rational in general, so it is
-refused.  Nothing is ever truncated.
+an exact stream, as is a slope f'/g', read straight off f and g.  Only a
+polynomial is integrated, and its integral is a polynomial; the integral of
+a stream is not rational in general, so it is refused.  Nothing is ever
+truncated.
 
 Every series is therefore a rational function f = P/D, and carries three
 degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
 of D have total degree <= r.  A polynomial has (deg, 0, 0); a product adds
 the bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
-(P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r).
-A series whose constant term is 0 is its own recentering, with its bounds
+(P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r),
+and a slope has the quotient bound of the two derivative bounds.  A series
+whose constant term is 0 is its own recentering, with its bounds
 unchanged; any other recentering has (max(a, q), q, r).  Since P = f * D as
 power series, a series whose coefficients 0..a all vanish is identically
 zero, so a valuation search answers None only for the zero series, and the
@@ -35,9 +37,10 @@ so the engines, which read valuations and constant terms, pay only for the
 leading terms they decide on.  A valuation that the operands fix costs no
 coefficient at all: val(f/g) = val f - val g, val(fg) = val f + val g, and
 in characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
-val f >= 1; an integral from 0 has the valuation of its integrand plus one,
-and an integral from a nonzero constant has valuation 0.  Such a series
-carries its valuation from construction.
+val f >= 1, so ``slope_order`` reads val f' off f and searches f only when
+val f is 0 or unknown; an integral from 0 has the valuation of its
+integrand plus one, and an integral from a nonzero constant has valuation
+0.  Such a series carries its valuation from construction.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -64,10 +67,11 @@ _ZERO_BOUND = (-1, 0, 0)  # the zero polynomial
 WINDOW = 64  # terms of a stream that the whole-series reads read
 
 
-def _dot(out, dens, acc, den, xn, xd, yn, yd, indices, top, sn=1, sd=1) -> None:
-    """Append (acc/den + the sum of x[i] * y[top - i] over ``indices``) * sn/sd
-    to ``out``/``dens``, sd > 0: the products are summed over a running
-    denominator, the lcm of theirs, and the sum is reduced by one gcd."""
+def _dot(out, dens, xn, xd, yn, yd, indices, top) -> None:
+    """Append the sum of x[i] * y[top - i] over ``indices`` to ``out``/``dens``:
+    the products are summed over a running denominator, the lcm of theirs,
+    and the sum is reduced by one gcd."""
+    acc, den = 0, 1
     for i in indices:
         c = yn[top - i]
         if c:
@@ -78,7 +82,6 @@ def _dot(out, dens, acc, den, xn, xd, yn, yd, indices, top, sn=1, sd=1) -> None:
                 g = gcd(den, d)
                 acc = acc * (d // g) + n * (den // g)
                 den = den // g * d
-    acc, den = acc * sn, den * sd
     g = gcd(acc, den)
     out.append(acc // g)
     dens.append(den // g)
@@ -160,36 +163,44 @@ class TruncatedSeries:
         """Compute the first n coefficients and return the computed
         numerators (``_dens`` holds their denominators), working pending
         operands off an explicit stack, so that a chain of thousands of
-        operations needs no recursion per ancestor."""
+        operations needs no recursion per ancestor.  A series with unready
+        operands is pushed back marked, under them, and extended unchecked
+        when popped again: LIFO order has made them ready."""
         known = self._known
         if len(known) >= n:
             return known
-        stack = [(self, n)]
+        stack = [(self, n, False)]
+        pop, push = stack.pop, stack.append
         while stack:
-            series, want = stack[-1]
-            done, dens, degree = series._known, series._dens, series._degree
-            if series._extend is not None:
+            series, want, marked = pop()
+            done, dens, extend = series._known, series._dens, series._extend
+            if extend is not None:
+                degree = series._degree
                 upto = want if degree is None else min(want, degree + 1)
-                if len(done) < series._zeros:
-                    fill = min(upto, series._zeros) - len(done)
-                    done.extend([0] * fill)
-                    dens.extend([1] * fill)
-                if len(done) < upto:
-                    ready = True
-                    for operand, offset in series._operands:
-                        if len(operand._known) < upto + offset:
-                            stack.append((operand, upto + offset))
-                            ready = False
-                    if not ready:
-                        continue
-                    series._extend(done, dens, upto)
+                if marked:
+                    extend(done, dens, upto)
+                elif len(done) < upto:
+                    if len(done) < series._zeros:
+                        fill = min(upto, series._zeros) - len(done)
+                        done.extend([0] * fill)
+                        dens.extend([1] * fill)
+                    if len(done) < upto:
+                        ready = True
+                        for operand, offset in series._operands:
+                            if len(operand._known) < upto + offset:
+                                if ready:
+                                    push((series, want, True))
+                                    ready = False
+                                push((operand, upto + offset, False))
+                        if not ready:
+                            continue
+                        extend(done, dens, upto)
                 if degree is not None and len(done) > degree:
                     series._operands = ()
                     series._extend = None
             if len(done) < want:  # past the degree of a complete polynomial
                 dens.extend([1] * (want - len(done)))
                 done.extend([0] * (want - len(done)))
-            stack.pop()
         return known
 
     # -- construction ------------------------------------------------------
@@ -201,7 +212,10 @@ class TruncatedSeries:
         are added, and no other coefficient is converted twice."""
         terms = list(terms)
         size = max([0, *(e + 1 for _, e in terms)])
-        nums, dens = [0] * size, [1] * size
+        try:
+            nums, dens = [0] * size, [1] * size
+        except OverflowError:  # a length past the index range, so past memory too
+            raise MemoryError(f"a polynomial of degree {size - 1}") from None
         for coeff, exponent in terms:
             if exponent < 0:
                 raise ValueError("exponents must be nonnegative")
@@ -260,28 +274,47 @@ class TruncatedSeries:
                 d = gcd(d, i)
         return d
 
-    def valuation_or_none(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for the zero
-        series.  The search ends past the numerator bound a, where a zero
-        read certifies zero.  It forces doubling batches, 1, 2, 4, ...
-        coefficients capped at its end, so reading k coefficients walks the
-        pending operands O(log k) times and computes fewer than 2k of this
-        series' coefficients."""
-        if self._exact:
-            return self._zeros
+    def _first_nonzero(self, start: int, end: int) -> int | None:
+        """Index of the first nonzero coefficient in start..end - 1, or None,
+        forced in doubling batches (module docstring)."""
         known = self._known
-        end = self._bound[0] + 1
         batch = 1
-        for i in range(self._zeros, end):
+        for i in range(start, end):
             if i >= len(known):
                 self._force(min(i + batch, end))
                 batch *= 2
             if known[i]:
-                self._zeros = i
-                self._exact = True
                 return i
-        self._bound, self._degree = _ZERO_BOUND, -1  # _force drops the operands
         return None
+
+    def valuation_or_none(self) -> int | None:
+        """Index of the first nonzero coefficient, or None for the zero
+        series.  The search ends past the numerator bound a, where a zero
+        read certifies zero."""
+        if self._exact:
+            return self._zeros
+        v = self._first_nonzero(self._zeros, self._bound[0] + 1)
+        if v is None:
+            self._bound, self._degree = _ZERO_BOUND, -1  # _force drops the operands
+        else:
+            self._zeros, self._exact = v, True
+        return v
+
+    def slope_order(self) -> int | None:
+        """val f', None when f' is identically zero.  It is v - 1 for free
+        when f's valuation v >= 1 is exact, and otherwise one less than the
+        first nonzero index of f from 1, searched up to min(max(a, q), a + r).
+
+        Proof that a zero read there certifies f' = 0.  f - f(0) = (P - f(0)
+        D)/D has numerator bound max(a, q) and the coefficients of f past
+        index 0, so it is 0 if f[1..max(a, q)] vanish.  f' has numerator
+        bound a + r - 1 and coefficient j equal to (j + 1) f[j + 1], so it
+        is 0 if f[1..a + r] vanish."""
+        if self._exact and self._zeros:
+            return self._zeros - 1
+        a, q, r = self._bound
+        i = self._first_nonzero(max(self._zeros, 1), min(max(a, q), a + r) + 1)
+        return None if i is None else i - 1
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; IndeterminateValuation for
@@ -323,7 +356,7 @@ class TruncatedSeries:
                     if a[scanned]:
                         support.append(scanned)
                     scanned += 1
-                _dot(out, dens, 0, 1, a, ad, b, bd, support, k)
+                _dot(out, dens, a, ad, b, bd, support, k)
 
         x, y = self._bound, other._bound
         bound = (x[0] + y[0], x[1] + y[1], x[2] + y[2])
@@ -348,10 +381,22 @@ class TruncatedSeries:
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Exact series quotient self / den, a stream; needs val(den) <=
         val(self), and a zero numerator is accepted."""
-        vd = den.valuation_or_none()
+        return self._ratio(den, TruncatedSeries.valuation_or_none, 0)
+
+    def slope(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The slope f'/g' of f = self over g = other, read straight off f
+        and g, where coefficient j of f' is (j + 1) f[j + 1]: the quotient
+        of the derivatives, with their bounds and exceptions."""
+        return self._ratio(other, TruncatedSeries.slope_order, 1)
+
+    def _ratio(self, den, order, shift: int) -> "TruncatedSeries":
+        """The quotient recurrence of self / den (shift 0) or of self' / den'
+        (shift 1), with the valuations ``order`` reads: index i of an operand
+        gives the term i - shift, its coefficient times i ** shift."""
+        vd = order(den)
         if vd is None:
             raise IndeterminateValuation("the denominator is identically zero")
-        vn = self.valuation_or_none()
+        vn = order(self)
         if vn is None:
             return TruncatedSeries.zero()
         if vn < vd:
@@ -359,24 +404,42 @@ class TruncatedSeries:
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
         nn, nd, dn, dd = self._known, self._dens, den._known, den._dens
-        # vd + j for j >= 1 below ``scanned`` with den[vd + j] != 0
-        den_support: list[int] = []
-        scanned = 1
+        lead = vd + shift
+        support = []  # (i, den[i] * i ** shift, dd[i]), den[i] != 0, lead < i < scanned
+        scanned = lead + 1
 
         def extend(out, dens, m):
             nonlocal scanned
             # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
-            sn, sd = (-dd[vd], dn[vd]) if dn[vd] > 0 else (dd[vd], -dn[vd])
-            for k in range(vd + len(out), vd + m):
-                while scanned <= k - vd:
-                    if dn[vd + scanned]:
-                        den_support.append(vd + scanned)
+            c = dn[lead] * lead ** shift
+            sn, sd = (-dd[lead], c) if c > 0 else (dd[lead], -c)
+            for k in range(lead + len(out), lead + m):
+                while scanned <= k:
+                    if dn[scanned]:
+                        support.append((scanned, dn[scanned] * scanned ** shift, dd[scanned]))
                     scanned += 1
-                _dot(out, dens, -nn[k], nd[k], dn, dd, out, dens, den_support, k, sn, sd)
+                acc, den_k = -nn[k] * k ** shift, nd[k]
+                for i, x, y in support:
+                    c = out[k - i]
+                    if c:
+                        n, d = x * c, y * dens[k - i]
+                        if d == den_k:
+                            acc += n
+                        else:
+                            g = gcd(den_k, d)
+                            acc = acc * (d // g) + n * (den_k // g)
+                            den_k = den_k // g * d
+                acc, den_k = acc * sn, den_k * sd
+                g = gcd(acc, den_k)
+                out.append(acc // g)
+                dens.append(den_k // g)
 
         x, y = self._bound, den._bound
+        if shift:  # the bounds of self' and den'
+            x = (x[0] + x[2] - 1, x[1] + x[2], x[2])
+            y = (y[0] + y[2] - 1, y[1] + y[2], y[2])
         bound = (x[0] + y[1], x[1] + y[0], x[2] + y[0])
-        return self._lazy(bound, vn - vd, True, ((self, vd), (den, vd)), extend)
+        return self._lazy(bound, vn - vd, True, ((self, lead), (den, lead)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant).

@@ -9,6 +9,10 @@ t-derivatives:
 * inverted choice (chart letter ``i``), forced when val(dr) > val(dn):
   the new coordinate is dr/dn, n becomes retained and r is deactivated.
 
+Each level makes its new coordinate as one series, the slope read straight
+off the active pair (``TruncatedSeries.slope``), and reads the letter off
+the pair's slope orders; no derivative series is made.
+
 The inverted choice is exactly an encounter with the divisor at infinity of
 the new level, so the code-word symbol there is V.  An ordinary step whose
 new coordinate vanishes at t=0 while a V/T chain is alive continues the
@@ -223,13 +227,12 @@ class LiftTrace(Record):
         shows it."""
         steps, regular_at = list(self.steps), self.regularization_level
         (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
-        dr, dn = r.derivative(), n.derivative()
         while (len(steps) < levels if levels is not None
                else regular_at is None and len(steps) < max_level):
-            step, dr, dn = _lift(r, n, dr, dn, len(steps) + 1, r_name, n_name, chain)
+            step = _lift(r, n, len(steps) + 1, r_name, n_name, chain)
             steps.append(step)
             (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
-            if regular_at is None and _is_regular(step.symbol, dr, dn):
+            if regular_at is None and _is_regular(step.symbol, r, n):
                 regular_at = step.level
         if levels is None and (regular_at is None or regular_at > max_level):
             raise MaxLevelExceeded(
@@ -282,19 +285,14 @@ def lift_once(
     function of r, of order m + 1 in t, so the germ factors through r:
     NonPrimitiveParameterization names the cover of degree m + 1.
     """
-    step, _, _ = _lift(
-        retained, new_coord, retained.derivative(), new_coord.derivative(),
-        level, retained_name, new_name, chain_origin,
-    )
-    return step
+    return _lift(retained, new_coord, level, retained_name, new_name, chain_origin)
 
 
-def _lift(retained, new_coord, dr, dn, level, retained_name, new_name, chain_origin):
-    """``lift_once`` on the pair and its derivatives (dr, dn).  Also returns
-    the derivatives of the new active pair, so that a lift differentiates
-    each coordinate once."""
-    vr = dr.valuation_or_none()
-    vn = dn.valuation_or_none()
+def _lift(retained, new_coord, level, retained_name, new_name, chain_origin):
+    """``lift_once``: the letter is read off the slope orders of the pair,
+    and the new coordinate is its slope, dn/dr or dr/dn, one series."""
+    vr = retained.slope_order()
+    vn = new_coord.slope_order()
     if vn is None:
         if vr is None:
             raise ConstantParameterization(
@@ -307,14 +305,14 @@ def _lift(retained, new_coord, dr, dn, level, retained_name, new_name, chain_ori
                 f"d{retained_name}/dt has order {vr}: the germ is a cover of degree {vr + 1}"
             )
     if vr is None or (vn is not None and vr > vn):
-        letter, kept, d_kept, fresh = "i", new_coord, dn, dr.quotient(dn)
+        letter, kept, fresh = "i", new_coord, retained.slope(new_coord)
         symbol, chain = "V", level
     else:
-        letter, kept, d_kept, fresh = "o", retained, dr, dn.quotient(dr)
+        letter, kept, fresh = "o", retained, new_coord.slope(retained)
         on_prolongation = chain_origin is not None and fresh.constant_term() == 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
     kept_name, fresh_name, deactivated = _step_names(letter, retained_name, new_name)
-    step = LiftStep(
+    return LiftStep(
         level=level,
         chart_letter=letter,
         retained=kept,
@@ -326,7 +324,6 @@ def _lift(retained, new_coord, dr, dn, level, retained_name, new_name, chain_ori
         chain_origin=chain,
         orders=(vr, vn),
     )
-    return step, d_kept, fresh.derivative()
 
 
 def _step_names(letter: str, retained: CoordName, new: CoordName):
@@ -352,12 +349,12 @@ def _actives(c: CurveGerm, steps):
     return (CoordName("y", 0), c.y), (CoordName("x", 0), c.x), None
 
 
-def _is_regular(symbol: str, d_retained: TruncatedSeries, d_new: TruncatedSeries) -> bool:
+def _is_regular(symbol: str, retained: TruncatedSeries, new_coord: TruncatedSeries) -> bool:
     """Regularity after a chart step: the retained coordinate moves at unit
     speed and the new coordinate either does too or carries no chain."""
-    if d_retained.valuation_or_none() != 0:
+    if retained.slope_order() != 0:
         return False
-    return symbol == "R" or d_new.valuation_or_none() == 0
+    return symbol == "R" or new_coord.slope_order() == 0
 
 
 def lift_trace(

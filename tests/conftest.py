@@ -14,9 +14,9 @@ def lift_calls(monkeypatch):
     calls = []
     original = tower._lift
 
-    def counting(retained, new_coord, dr, dn, level, *names_and_chain):
+    def counting(retained, new_coord, level, *names_and_chain):
         calls.append(level)
-        return original(retained, new_coord, dr, dn, level, *names_and_chain)
+        return original(retained, new_coord, level, *names_and_chain)
 
     monkeypatch.setattr(tower, "_lift", counting)
     return calls

@@ -509,6 +509,9 @@ class TestInputValidation:
             ("@level 2 chart=oi, r=t, n=t, constants=0,0,1/0,0",
              "bad constant '1/0'; expected an integer or a fraction p/q"),
             ("x=t^2, y=1/0*t^3", "zero denominator in series term '1/0*t^3' (at position 0)"),
+            # an exponent past the index range cannot be allocated either
+            ("x=t^99999999999999999999, y=t", "the input is too large for memory"),
+            ("@level 1 chart=o, r=t^99999999999999999999, n=t", "the input is too large for memory"),
         ],
     )
     def test_bad_number_exits_1_without_a_traceback(self, curve, message):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monstertower.errors import IndeterminateValuation, NegativeValuation, ParseError
@@ -900,3 +900,49 @@ class TestExactZero:
             assert value == c and tail is not lazy, tree
             assert tail.valuation_or_none() == _rval(ref), tree
             assert tail.coefficients[:6] == _rhead(ref, 6), tree
+
+    # a constant, a unit, t, a stream with a nonzero constant, and the zero
+    # stream left by recentering a constant stream
+    @example([F(1)])
+    @example([F(1), F(-1), F(2)])
+    @example([F(0), F(1)])
+    @example(("quotient", [F(1), F(2)], [F(1), F(1)]))
+    @example(("recenter", ("quotient", [F(1), F(1)], [F(1), F(1)]), None))
+    @given(expressions)
+    @settings(max_examples=200, deadline=None)
+    def test_slope_order_is_the_valuation_of_the_derivative(self, tree):
+        # read off f itself, against f' built separately and the reference
+        checked, again = [], []
+        _evaluate(tree, checked)
+        _evaluate(tree, again)
+        for (lazy, (p, d)), (other, _) in zip(checked, again):
+            ref = EXACT_OPERATIONS["derivative"][1]((p, d), None)
+            assert lazy.slope_order() == other.derivative().valuation_or_none() == _rval(ref), tree
+
+    @example([F(1)], [F(0), F(1)])
+    @example([F(0), F(1)], [F(1)])
+    @example([F(0), F(1)], [F(0), F(0), F(1)])
+    @example(("quotient", [F(1), F(2)], [F(1), F(1)]), [F(0), F(1), F(-1, 2)])
+    @given(expressions, expressions)
+    @settings(max_examples=200, deadline=None)
+    def test_slope_is_the_quotient_of_derivatives(self, f_tree, g_tree):
+        # f.slope(g) against f'.quotient(g'), each side built from scratch:
+        # the same outcome, bounds and valuation, and coefficients equal up
+        # to the numerator bound of their difference, so equal as series
+        built = [_evaluate(tree, []) for tree in (f_tree, g_tree, f_tree, g_tree)]
+        assume(None not in built)
+        (f, rf), (g, rg), (f2, _), (g2, _) = built
+        slope = _outcome(lambda: f.slope(g))
+        ref = _outcome(lambda: f2.derivative().quotient(g2.derivative()))
+        assert slope[0] == ref[0], (f_tree, g_tree)
+        if slope[0] == "raised":
+            assert slope == ref, (f_tree, g_tree)
+            return
+        (_, s), (_, d) = slope, ref
+        derivative = EXACT_OPERATIONS["derivative"][1]
+        assert s._bound == d._bound, (f_tree, g_tree)
+        exact = _rquotient(derivative(rf, None), derivative(rg, None))
+        assert s.valuation_or_none() == d.valuation_or_none() == _rval(exact), (f_tree, g_tree)
+        a, q = s._bound[:2]
+        n = max(a + q + 1, 0)
+        assert _head(s, n) == _head(d, n), (f_tree, g_tree)

@@ -277,14 +277,36 @@ def derivative_calls(monkeypatch):
     return calls
 
 
-class TestDerivativesPerLift:
-    """A lift differentiates x, y and each fresh coordinate once; the chart
-    choice, the regularity test and the next level share those derivatives."""
+@pytest.fixture
+def lazy_made(monkeypatch):
+    """Every series made by an operation, in order."""
+    made = []
+    original = TruncatedSeries._lazy.__func__
 
-    def test_quintic(self, derivative_calls):
+    def recording(cls, *args):
+        made.append(original(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(TruncatedSeries, "_lazy", classmethod(recording))
+    return made
+
+
+def slopes_made(trace):
+    """The new coordinates of a trace that a lift makes as a series: all
+    but the constant zeros, which are the zero polynomial."""
+    return [id(s.new_coord) for s in trace.steps if s.new_coord.valuation_or_none() is not None]
+
+
+class TestDerivativesPerLift:
+    """A lift differentiates nothing: its series are x, y and one slope per
+    step, steps + 2 in all, each new coordinate read off the active pair."""
+
+    def test_quintic(self, derivative_calls, lazy_made):
         c = germ(QUINTIC)
-        assert len(lift_trace(c).steps) == 4
-        assert len(derivative_calls) == 6
+        trace = lift_trace(c)
+        assert len(trace.steps) == 4 and derivative_calls == []
+        assert [id(s) for s in lazy_made] == slopes_made(trace)
+        assert len(slopes_made(trace)) == 4
 
     @pytest.mark.parametrize(
         "curve,levels",
@@ -297,11 +319,15 @@ class TestDerivativesPerLift:
             ("@level 7 chart=oioioio, r=t, n=t", None),
         ],
     )
-    def test_steps_plus_two(self, derivative_calls, curve, levels):
+    def test_steps_plus_two(self, derivative_calls, lazy_made, curve, levels):
         c = germ(curve, 96)
         derivative_calls.clear()  # a leveled germ is integrated and re-lifted
+        lazy_made.clear()
         trace = lift_trace(c, levels=levels)
-        assert len(derivative_calls) == len(trace.steps) + 2
+        assert derivative_calls == []
+        assert [id(s) for s in lazy_made] == slopes_made(trace)
+        series = {id(c.x), id(c.y), *(id(s.new_coord) for s in trace.steps)}
+        assert len(series) == len(trace.steps) + 2
 
 
 def lift_facts(trace):
