@@ -12,12 +12,11 @@ series that vanishes at the center is its own recentering.
 Coordinates are a base letter and a blowup index (``y_1``).  A germ is
 resolved once into a ``BlowupTrace``; its word (the symbols read off the
 flags), chart path, order profile and multiplicities are views of its steps,
-and ``cross_check`` compares them against one Nash lift.
+the first two shared with ``LiftTrace`` through their base ``Trace``, and
+``cross_check`` compares them against the Nash lift it is given or makes.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .defaults import DEFAULT_MAX_LEVEL
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
 from .invariants import multiplicity_sequence
 from .records import Record, _set
 from .series import TruncatedSeries
-from .tower import CoordName, CurveGerm, LiftTrace, lift_trace
+from .tower import CoordName, CurveGerm, LiftTrace, Trace, lift_trace
 from .words import RvtWord
 
 
@@ -64,31 +63,15 @@ class BlowupStep(Record):
         _set(self, "orders", orders)  # val(a), val(b - b(0)) that decided the chart
 
 
-class BlowupTrace(Record):
+class BlowupTrace(Trace):
     """One resolution of a germ: its steps end at the first regular strict
     transform, and every value is read off them."""
 
-    __slots__ = ("germ", "steps")
-
-    def __init__(self, germ: CurveGerm, steps: tuple[BlowupStep, ...]):
-        _set(self, "germ", germ)
-        _set(self, "steps", steps)
+    __slots__ = ()
 
     @property
     def regularity_level(self) -> int:
         return len(self.steps)
-
-    @property
-    def word(self) -> RvtWord:
-        return RvtWord("".join(s.symbol for s in self.steps))
-
-    @property
-    def chart_path(self) -> str:
-        return "".join(s.chart_letter for s in self.steps)
-
-    @property
-    def base_point(self) -> tuple[Fraction, Fraction]:
-        return self.germ.base_point
 
     @property
     def profile(self) -> tuple[int | None, ...]:
@@ -230,13 +213,18 @@ class CrossCheckReport(Record):
         }
 
 
-def cross_check(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> CrossCheckReport:
+def cross_check(c: CurveGerm | LiftTrace,
+                max_level: int = DEFAULT_MAX_LEVEL) -> CrossCheckReport:
     """Run both engines and require identical words, order profiles, and
-    multiplicity sequences (also against the word-derived sequence).  The
-    germ is lifted once; every Nash value is read off that trace.
-    Raises MismatchReport carrying the report when anything differs."""
-    nash = lift_trace(c, max_level=max_level)
-    blow = blowup_resolve(c, max_level)
+    multiplicity sequences (also against the word-derived sequence).  ``c``
+    is a germ, which is lifted, or a lift of one, which is continued, so
+    the germ is lifted once; every Nash value is read off that lift, cut to
+    its regularization level, which the report holds.  Raises
+    MismatchReport carrying the report when anything differs."""
+    nash = (c.continued(max_level=max_level) if isinstance(c, LiftTrace)
+            else lift_trace(c, max_level=max_level))
+    nash = nash.continued(levels=nash.regularization_level)
+    blow = blowup_resolve(nash.germ, max_level)
     mults = nash.multiplicities()
     word_mults = multiplicity_sequence(nash.word)
     ok = (
@@ -247,5 +235,5 @@ def cross_check(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> CrossCheckR
     )
     report = CrossCheckReport(nash, blow, word_mults, ok)
     if not ok:
-        raise MismatchReport(f"engines disagree on {c}", report)
+        raise MismatchReport(f"engines disagree on {nash.germ}", report)
     return report

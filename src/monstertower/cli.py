@@ -209,7 +209,7 @@ def _cmd_curve(args) -> int:
     if args.engine == "both":
         from .blowup import cross_check
 
-        report = cross_check(trace.germ, args.max_level)
+        report = cross_check(trace, args.max_level)
         payload = report.to_json_dict()
         text = "engines agree\n" + "\n".join(
             f"{k:<16} {v}" for k, v in (
@@ -237,7 +237,7 @@ def _cmd_curve(args) -> int:
     regular = trace.continued(max_level=args.max_level)
     r = regular.regularization_level
     k = args.level if args.level is not None else r
-    point = regular.continued(levels=k).prefix(k)
+    point = regular.continued(levels=k)
     word = regular.curve_word(len(trace.steps))
     panel_word = word.normalize()
     payload = point.to_json_dict()

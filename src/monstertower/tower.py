@@ -19,10 +19,11 @@ new coordinate vanishes at t=0 while a V/T chain is alive continues the
 chain with a T; everything else is an R.  Coordinates are named with the
 calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
 ``_step_names``, for both letters) and carried as structured ``CoordName``s.
-A germ is lifted once into a ``LiftTrace``, which a reader that needs more
-levels continues from its last step; its word, data point, chart equations
-and every Nash-derived invariant (order profile, multiplicities, vertical
-orders, curve words) are views of it.
+A germ is lifted once into a ``LiftTrace``, which every reader continues:
+``continued`` lifts on from the last step or, with ``levels=k``, cuts it.
+Its word, data point, chart equations and every Nash-derived invariant
+(order profile, multiplicities, vertical orders, curve words) are views of
+it; the word, chart path and base point live on ``Trace``, its base.
 """
 
 from __future__ import annotations
@@ -68,15 +69,20 @@ class CurveGerm(Record):
     """Parameterized germ on the base surface; x and y are stored recentered
     (zero constant term) with the base point kept separately.
 
-    A germ is checked once, when it is built: both coordinates constant is
-    ConstantParameterization, and exponents that all share a factor d > 1
-    (``TruncatedSeries.exponent_gcd``) make it a function of t^d, which is
-    NonPrimitiveParameterization."""
+    A germ is checked once, when it is built: a coordinate with a nonzero
+    constant term is ValueError (``from_series`` recenters), both
+    coordinates constant is ConstantParameterization, and exponents that all
+    share a factor d > 1 (``TruncatedSeries.exponent_gcd``) make it a
+    function of t^d, which is NonPrimitiveParameterization."""
 
     __slots__ = ("x", "y", "base_point")
 
     def __init__(self, x: TruncatedSeries, y: TruncatedSeries,
                  base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
+        for name, c in (("x", x.constant_term()), ("y", y.constant_term())):
+            if c:
+                raise ValueError(f"{name} has constant term {c}; a germ stores recentered "
+                                 "coordinates, so build it with CurveGerm.from_series")
         if x.valuation_or_none() is None and y.valuation_or_none() is None:
             raise ConstantParameterization("both coordinates are constant")
         d = gcd(x.exponent_gcd(), y.exponent_gcd())
@@ -119,21 +125,15 @@ class LiftStep(Record):
         _set(self, "orders", orders)  # val(dr/dt), val(dn/dt) that decided the letter
 
 
-class LiftTrace(Record):
-    """One lift of a germ, and the only source of its chart data.  A trace
-    grows by ``continued``, from its last step, so a germ is lifted once
-    however many levels its readers ask for.  Word, chart path, data point
-    and chart equations cover every level lifted and name coordinates as the
-    lift did; the invariant views read only ``steps[:regularization_level]``,
-    so they work on any trace that reached the regularization level."""
+class Trace(Record):
+    """The steps of one engine's run on a germ, and the views both engines'
+    traces share: the word, the chart path and the base point."""
 
-    __slots__ = ("germ", "steps", "regularization_level")
+    __slots__ = ("germ", "steps")
 
-    def __init__(self, germ: CurveGerm, steps: tuple[LiftStep, ...],
-                 regularization_level: int | None):
+    def __init__(self, germ: CurveGerm, steps: tuple):
         _set(self, "germ", germ)
         _set(self, "steps", steps)
-        _set(self, "regularization_level", regularization_level)
 
     @property
     def word(self) -> RvtWord:
@@ -148,19 +148,26 @@ class LiftTrace(Record):
     def base_point(self) -> tuple[Fraction, Fraction]:
         return self.germ.base_point
 
+
+class LiftTrace(Trace):
+    """One lift of a germ, and the only source of its chart data.  A trace
+    grows, or is cut, by ``continued``, so a germ is lifted once however
+    many levels its readers ask for.  Word, chart path, data point and
+    chart equations cover every level lifted and name coordinates as the
+    lift did; the invariant views read only ``steps[:regularization_level]``,
+    so they work on any trace that reached the regularization level."""
+
+    __slots__ = ("regularization_level",)
+
+    def __init__(self, germ: CurveGerm, steps: tuple[LiftStep, ...],
+                 regularization_level: int | None):
+        super().__init__(germ, steps)
+        _set(self, "regularization_level", regularization_level)
+
     @property
     def data_point(self) -> tuple[Fraction, ...]:
         """x0, y0, then the value of each new coordinate at t=0."""
         return (*self.germ.base_point, *(s.new_coord.constant_term() for s in self.steps))
-
-    def prefix(self, levels: int) -> "LiftTrace":
-        """This trace cut to its first ``levels`` steps: a lift of the germ
-        through that many levels, read off instead of lifted again."""
-        k = max(levels, 0)
-        if k > len(self.steps):
-            raise LevelOutOfRange(f"level {k} beyond a trace of {len(self.steps)} levels")
-        r = self.regularization_level
-        return LiftTrace(self.germ, self.steps[:k], r if r is not None and r <= k else None)
 
     def _regular_steps(self) -> tuple[LiftStep, ...]:
         if self.regularization_level is None:
@@ -216,20 +223,26 @@ class LiftTrace(Record):
                   max_level: int = DEFAULT_MAX_LEVEL) -> "LiftTrace":
         """The lift continued from the last step (from the base germ when the
         trace is empty).  With ``levels=None``, lift until the regularity
-        criterion fires; a regularization level above ``max_level`` is
-        MaxLevelExceeded, also when this trace already reached it.  With
-        ``levels=k``, lift to k levels, recording the regularization level if
-        it is reached on the way.  A trace that already has the levels asked
-        for is returned as it is.  A lift re-run, or continued from a prefix
-        or a shorter lift, gives a bit-identical trace.  The germ was
-        checked when it was built, so the lift makes no primitivity check of
-        its own; a cover it meets is named by the constant coordinate that
-        shows it."""
+        criterion fires, keeping steps already lifted past it; a
+        regularization level above ``max_level`` is MaxLevelExceeded, also
+        when this trace already reached it.  With ``levels=k``, exactly k
+        levels (none for k < 0): a shorter trace is lifted on, recording the
+        regularization level if it is reached, and a longer one is cut,
+        keeping it only if it is at most k.  A lift re-run, or continued
+        from a cut or a shorter lift, gives a bit-identical trace.  The germ
+        was checked when it was built, so the lift makes no primitivity
+        check of its own; a cover it meets is named by the constant
+        coordinate that shows it."""
+        if levels == len(self.steps):
+            return self
+        if levels is not None and levels < len(self.steps):
+            k, r = max(levels, 0), self.regularization_level
+            return LiftTrace(self.germ, self.steps[:k], r if r is not None and r <= k else None)
         steps, regular_at = list(self.steps), self.regularization_level
         (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
         while (len(steps) < levels if levels is not None
                else regular_at is None and len(steps) < max_level):
-            step = _lift(r, n, len(steps) + 1, r_name, n_name, chain)
+            step = lift_once(r, n, len(steps) + 1, r_name, n_name, chain)
             steps.append(step)
             (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
             if regular_at is None and _is_regular(step.symbol, r, n):
@@ -269,15 +282,16 @@ class LiftTrace(Record):
 def lift_once(
     retained: TruncatedSeries,
     new_coord: TruncatedSeries,
-    *,
     level: int,
     retained_name: CoordName = CoordName("x", 0),
     new_name: CoordName = CoordName("y", 0),
     chain_origin: int | None = None,
 ) -> LiftStep:
     """One chart step on the active pair (r, n).  The chart letter is decided
-    by comparing val(dr/dt) with val(dn/dt); ties take the ordinary choice,
-    since a vertical encounter forces strict inequality.
+    by comparing val(dr/dt) with val(dn/dt), read off the slope orders of
+    the pair; ties take the ordinary choice, since a vertical encounter
+    forces strict inequality.  The new coordinate is the pair's slope,
+    dn/dr or dr/dn, one series.
 
     A derivative with no valuation is identically zero, so its coordinate
     is constant.  Both constant is ConstantParameterization.  A constant
@@ -285,12 +299,6 @@ def lift_once(
     function of r, of order m + 1 in t, so the germ factors through r:
     NonPrimitiveParameterization names the cover of degree m + 1.
     """
-    return _lift(retained, new_coord, level, retained_name, new_name, chain_origin)
-
-
-def _lift(retained, new_coord, level, retained_name, new_name, chain_origin):
-    """``lift_once``: the letter is read off the slope orders of the pair,
-    and the new coordinate is its slope, dn/dr or dr/dn, one series."""
     vr = retained.slope_order()
     vn = new_coord.slope_order()
     if vn is None:

@@ -9,16 +9,16 @@ from monstertower.series import TruncatedSeries
 @pytest.fixture
 def lift_calls(monkeypatch):
     """The level of every chart step of the Nash engine, in order: each
-    lift, of ``lift_trace``, ``LiftTrace.continued`` or ``lift_once``, runs
-    its steps through ``tower._lift``."""
+    lift, of ``lift_trace`` or ``LiftTrace.continued``, runs its steps
+    through ``tower.lift_once``."""
     calls = []
-    original = tower._lift
+    original = tower.lift_once
 
     def counting(retained, new_coord, level, *names_and_chain):
         calls.append(level)
         return original(retained, new_coord, level, *names_and_chain)
 
-    monkeypatch.setattr(tower, "_lift", counting)
+    monkeypatch.setattr(tower, "lift_once", counting)
     return calls
 
 

@@ -19,6 +19,8 @@ from monstertower.errors import (
 from monstertower.invariants import multiplicity_sequence
 from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import CurveGerm, lift_trace, parse_curve
+from monstertower.words import RvtWord
+from realization import critical_words, realization
 
 
 # (forces, extend calls, coefficients computed) of a germ's construction and
@@ -402,3 +404,20 @@ class TestWideGerms:
     @settings(max_examples=200, deadline=None)
     def test_engines_agree(self, c):
         assert cross_check(c).ok
+
+    def test_critical_words_are_realized(self):
+        # tests/realization.py sweeps to length 12, without the order profiles
+        differ = []
+        for w in critical_words(9):
+            report = cross_check(realization(w))
+            if (report.nash.word.normalize(), report.blowup.word.normalize()) != (w, w):
+                differ.append(w.symbols)
+        assert differ == []
+
+    @pytest.mark.xfail(strict=True, raises=MismatchReport,
+                       reason="ROADMAP item 9: the Nash coordinate of level 10 has a "
+                              "nonzero constant term where the blowup one has 0")
+    def test_order_profiles_of_a_length_11_realization(self):
+        c = realization(RvtWord("RVVRVRVRRRV"))
+        assert str(c) == "x=t^24, y=t^40 + t^44 + t^46 + t^51"
+        cross_check(c)

@@ -267,12 +267,24 @@ class TestCurveLiftsOnce:
             # from a 1-level check trace to r = 3
             ("@level 3 chart=oio, r=t, n=t", ("--level", "6"), 6),
             ("@level 1 chart=o, r=t^2, n=t^3", (), 3),
+            # the cross-check continues the check trace too, instead of
+            # lifting the rebuilt germ again from the base
+            ("@level 7 chart=oioioio, r=t, n=t", ("--engine", "both"), 7),
+            ("@level 6 chart=oiiooi, r=t, n=t", ("--engine", "both"), 6),
+            ("@level 2 chart=oo, r=t, n=t", ("--engine", "both"), 2),
         ],
     )
     def test_chart_data_continues_its_check_trace(self, capsys, lift_calls, curve, extra, levels):
         code, _, _ = run(capsys, "curve", curve, *extra)
         assert code == 0
         assert lift_calls == list(range(1, levels + 1))
+
+    def test_both_engines_cut_a_check_trace_past_regularization(self, capsys):
+        # the check trace of oo has 2 levels, past r = 1: the report reads 1
+        code, out, _ = run(capsys, "curve", "@level 2 chart=oo, r=t, n=t", "--engine", "both")
+        assert code == 0
+        assert "word             R\n" in out
+        assert "multiplicities   1,1" in out
 
 
 class TestLiftPreimages:

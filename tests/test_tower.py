@@ -203,13 +203,13 @@ class TestWordConsistency:
         with pytest.raises(LevelOutOfRange):
             trace.curve_word(-1)
 
-    def test_prefix_equals_shorter_lift(self):
+    def test_cut_equals_shorter_lift(self):
         c = germ("x=t^14, y=14*t^18+14*t^19", 96)
         trace = lift_trace(c, levels=9)
         for k in range(-1, 10):
-            assert trace.prefix(k) == lift_trace(c, levels=k)
-        with pytest.raises(LevelOutOfRange):
-            trace.prefix(10)
+            assert trace.continued(levels=k) == lift_trace(c, levels=k)
+        # r = 7: a cut keeps the regularization level at 7 and clears it below
+        assert [trace.continued(levels=k).regularization_level for k in (6, 7, 8)] == [None, 7, 7]
 
     def test_views_need_regularization(self):
         c = germ(QUINTIC)
@@ -339,7 +339,7 @@ def lift_facts(trace):
 
 class TestContinuedLift:
     """A trace continued from its last step, whether a shorter lift or a
-    prefix of a longer one, is the trace a fresh lift gives."""
+    cut of a longer one, is the trace a fresh lift gives."""
 
     @pytest.mark.parametrize("corpus", ["default", "held-out", "charts"])
     def test_continuing_equals_a_fresh_lift(self, corpus):
@@ -351,9 +351,9 @@ class TestContinuedLift:
         for c in germs:
             regular = lift_trace(c)
             r = regular.regularization_level
-            # from each level below regularity, as a prefix and as a shorter
+            # from each level below regularity, as a cut and as a shorter
             # lift; lift_trace itself continues from level 0
-            starts = [regular.prefix(j) for j in range(1, r)]
+            starts = [regular.continued(levels=j) for j in range(1, r)]
             for start in starts + [lift_trace(c, levels=j) for j in range(1, r)]:
                 j = len(start.steps)
                 assert lift_facts(start.continued()) == lift_facts(regular), (str(c), j)
@@ -374,7 +374,7 @@ class TestContinuedLift:
         r = regular.regularization_level
         full = lift_trace(c, levels=r + 2)
         for j in range(r + 3):
-            start = full.prefix(j)
+            start = full.continued(levels=j)
             assert start.continued(levels=r + 2) == full, j
             assert start.continued() == (regular if j <= r else start), j
 
@@ -393,7 +393,7 @@ class TestContinuedLift:
         # refuses it, as a fresh lift does
         trace = parse_curve_trace("@level 2 chart=oo, r=t, n=t")
         assert trace.regularization_level == 1
-        for start in (trace, trace.prefix(1), trace.prefix(0)):
+        for start in (trace, trace.continued(levels=1), trace.continued(levels=0)):
             with pytest.raises(MaxLevelExceeded, match="^no regular lift within 0 levels;"):
                 start.continued(max_level=0)
         assert trace.continued(max_level=1) == trace
@@ -407,6 +407,20 @@ class TestContinuedLift:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("x,y,point", [("1+t^2", "t^3", (1, 0)), ("t^2", "5+t^3", (0, 5))])
+    def test_germ_refuses_a_constant_term(self, x, y, point):
+        # a germ stores recentered coordinates; from_series recenters them
+        from monstertower.blowup import cross_check
+
+        name = "x" if point[0] else "y"
+        with pytest.raises(ValueError, match=rf"^{name} has constant term {max(point)};"
+                                             r".*CurveGerm\.from_series$"):
+            CurveGerm(parse_series(x), parse_series(y))
+        c = CurveGerm.from_series(parse_series(x), parse_series(y))
+        assert c.base_point == point
+        report = cross_check(c)
+        assert report.nash.data_point[:2] == point and report.nash.word.symbols == "RV"
+
     def test_non_primitive(self):
         # refused when it is built, before any engine runs
         with pytest.raises(NonPrimitiveParameterization, match="share the factor 2;"):
