@@ -37,7 +37,7 @@ class CurveSpec(Record):
 
     def curve(self) -> CurveGerm:
         return CurveGerm.from_series(
-            TruncatedSeries.monomial(1, self.n), TruncatedSeries.from_terms(self.terms)
+            TruncatedSeries.from_terms([(1, self.n)]), TruncatedSeries.from_terms(self.terms)
         )
 
     @property

@@ -25,11 +25,13 @@ zero, so a valuation search answers None only for the zero series, and the
 series is the zero polynomial from then on.  No zero test depends on a
 window.
 
-The whole-series reads (``coefficients``, ``support``, ``agrees_with``,
-equality, hashing) read a fixed window of max(``WINDOW``, degree + 1)
-terms of a polynomial and ``WINDOW`` terms of a stream; printing shows a
-polynomial whole and a stream over its window, followed by its O-term.
-``exponent_gcd`` reads the whole support off the first a + q + 1 terms.
+Every read is exact or given its length by the caller.  Equality is
+exact: f - g = (P1 D2 - P2 D1) / (D1 D2) has a numerator of degree at most
+e = max(a1 + q2, a2 + q1), so by the same argument f = g exactly when
+coefficients 0..e agree.  A hash reads a short fixed prefix, which equal
+series share.  ``prefix(n)`` reads coefficients 0..n - 1.  A polynomial
+prints whole; a stream prints its bounds and reads no coefficient.
+``exponent_gcd`` reads the deg + 1 terms of a polynomial.
 
 Coefficients are computed when read, from the front (McIlroy, "Power series,
 power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002),
@@ -64,7 +66,6 @@ _TERM_RE = re.compile(
 )
 _ZERO = Fraction(0)
 _ZERO_BOUND = (-1, 0, 0)  # the zero polynomial
-WINDOW = 64  # terms of a stream that the whole-series reads read
 
 
 def _dot(out, dens, xn, xd, yn, yd, indices, top) -> None:
@@ -232,47 +233,31 @@ class TruncatedSeries:
     def zero() -> "TruncatedSeries":
         return TruncatedSeries(())
 
-    @staticmethod
-    def monomial(coeff, exponent: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_terms([(coeff, exponent)])
-
     # -- basic queries -------------------------------------------------------
 
-    def _window(self) -> int:
-        """Terms the whole-series reads read: max(WINDOW, degree + 1)."""
-        return WINDOW if self._degree is None else max(WINDOW, self._degree + 1)
-
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """The coefficients of the window."""
-        n = self._window()
+    def is_polynomial(self) -> bool:
+        """Whether the series was built as a polynomial (denominator bound
+        0), so that it is zero past its numerator bound."""
+        return self._degree is not None
+
+    def prefix(self, n: int) -> tuple[Fraction, ...]:
+        """Coefficients 0..n - 1, as Fractions."""
         return tuple(map(Fraction, self._force(n)[:n], self._dens[:n]))
 
+    # kept for bench/spans.py until ROADMAP item 1
     @property
-    def support(self) -> tuple[int, ...]:
-        n = self._window()
-        return tuple(i for i, c in enumerate(self._force(n)[:n]) if c)
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The first max(64, degree + 1) coefficients."""
+        return self.prefix(64 if self._degree is None else max(64, self._degree + 1))
 
     def exponent_gcd(self) -> int:
-        """The gcd of every exponent of the support, 0 for the zero series,
-        read off the first a + q + 1 coefficients (deg + 1 of a polynomial).
-
-        Proof.  Let g be the gcd of the exponents of the support below
-        a + q + 1.  If g = 0, coefficients 0..a vanish and f = 0.  Else let
-        z be a primitive g-th root of unity.  f = P/D with D != 0,
-        deg P <= a and deg D <= q, so D(t) D(zt) (f(t) - f(zt)) is the
-        polynomial P(t) D(zt) - P(zt) D(t) of degree <= a + q.  The
-        coefficient of t^i in f(t) - f(zt) is c_i (1 - z^i), zero for
-        i <= a + q since g divides i wherever c_i != 0; so the product has
-        no term of degree <= a + q, the polynomial is zero, f(t) = f(zt),
-        and g divides every exponent of the support.  The gcd of the whole
-        support divides g, so the two are equal."""
-        n = self._bound[0] + self._bound[1] + 1
-        d = 0
-        for i, c in enumerate(self._force(n)[:n]):
-            if c:
-                d = gcd(d, i)
-        return d
+        """The gcd of the exponents of a polynomial's terms, 0 for the zero
+        polynomial, read off its deg + 1 coefficients; a stream is refused
+        with ValueError, since it has no last term."""
+        if self._degree is None:
+            raise ValueError("the exponent gcd of a stream is not read")
+        return gcd(*[i for i, c in enumerate(self._force(self._degree + 1)) if c])
 
     def _first_nonzero(self, start: int, end: int) -> int | None:
         """Index of the first nonzero coefficient in start..end - 1, or None,
@@ -327,17 +312,24 @@ class TruncatedSeries:
     def constant_term(self) -> Fraction:
         return _ZERO if self._zeros else Fraction(self._force(1)[0], self._dens[0])
 
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficient-wise equality over the larger of the two windows."""
-        n = max(self._window(), other._window())
-        return self._force(n)[:n] == other._force(n)[:n] and self._dens[:n] == other._dens[:n]
-
     def __eq__(self, other) -> bool:
-        return self.agrees_with(other) if other.__class__ is self.__class__ else NotImplemented
+        """Exact equality: coefficients 0..e agree, e = max(a1 + q2, a2 + q1)
+        (module docstring), compared in doubling batches up to the first
+        difference."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        (a1, q1, _), (a2, q2, _) = self._bound, other._bound
+        end, done, batch = max(a1 + q2, a2 + q1) + 1, 0, 1
+        while done < end and self is not other:
+            n = min(done + batch, end)
+            if (self._force(n)[done:n] != other._force(n)[done:n]
+                    or self._dens[done:n] != other._dens[done:n]):
+                return False
+            done, batch = n, 2 * batch
+        return True
 
     def __hash__(self) -> int:
-        # equal series agree on the first WINDOW terms, whatever their windows
-        return hash(self.coefficients[:WINDOW])
+        return hash(self.prefix(8))  # equal series share every prefix
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -486,9 +478,11 @@ class TruncatedSeries:
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = [_term_text(c, i) for i, c in enumerate(self.coefficients) if c]
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return body if self._degree is not None else f"{body} + O(t^{WINDOW})"
+        """A polynomial whole; a stream by its bounds, reading nothing."""
+        if self._degree is None:
+            return f"P/D with deg P <= {self._bound[0]}, deg D <= {self._bound[1]}"
+        parts = [_term_text(c, i) for i, c in enumerate(self.prefix(self._degree + 1)) if c]
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self})"
@@ -505,7 +499,7 @@ def parse_series(text: str) -> TruncatedSeries:
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty series literal", 0)
-    chunks = re.split(r"(?=[+-])", stripped)
+    chunks = re.split(r"(?<!\^)(?=[+-])", stripped)  # a sign after ^ is in its term
     terms: list[tuple[Fraction, int]] = []
     pos = 0
     for chunk, after in zip(chunks, chunks[1:] + [""]):

@@ -69,17 +69,23 @@ class CurveGerm(Record):
     """Parameterized germ on the base surface; x and y are stored recentered
     (zero constant term) with the base point kept separately.
 
-    A germ is checked once, when it is built: a coordinate with a nonzero
-    constant term is ValueError (``from_series`` recenters), both
-    coordinates constant is ConstantParameterization, and exponents that all
-    share a factor d > 1 (``TruncatedSeries.exponent_gcd``) make it a
-    function of t^d, which is NonPrimitiveParameterization."""
+    A germ is checked once, when it is built.  Its coordinates are
+    polynomials, as the grammar, the corpus and chart data make them: a
+    stream coordinate is ValueError, and so is one with a nonzero constant
+    term (``from_series`` recenters).  Both coordinates constant is
+    ConstantParameterization, and exponents that all share a factor d > 1
+    (``TruncatedSeries.exponent_gcd``) make it a function of t^d, which is
+    NonPrimitiveParameterization."""
 
     __slots__ = ("x", "y", "base_point")
 
     def __init__(self, x: TruncatedSeries, y: TruncatedSeries,
                  base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
-        for name, c in (("x", x.constant_term()), ("y", y.constant_term())):
+        for name, s in (("x", x), ("y", y)):
+            if not s.is_polynomial:
+                raise ValueError(f"{name} is a stream; a germ's coordinates are polynomials, "
+                                 "built with parse_series or TruncatedSeries.from_terms")
+            c = s.constant_term()
             if c:
                 raise ValueError(f"{name} has constant term {c}; a germ stores recentered "
                                  "coordinates, so build it with CurveGerm.from_series")
@@ -155,7 +161,10 @@ class LiftTrace(Trace):
     many levels its readers ask for.  Word, chart path, data point and
     chart equations cover every level lifted and name coordinates as the
     lift did; the invariant views read only ``steps[:regularization_level]``,
-    so they work on any trace that reached the regularization level."""
+    so they work on any trace that reached the regularization level.
+    Traces compare exactly: each pair of series is read up to the bounds of
+    its difference (``TruncatedSeries.__eq__``), which on a deep lift can be
+    thousands of terms, so no command compares traces."""
 
     __slots__ = ("regularization_level",)
 

@@ -3,7 +3,27 @@ from collections import Counter
 import pytest
 
 from monstertower import tower
+from monstertower.records import Record
 from monstertower.series import TruncatedSeries
+
+
+def agree_on_prefix(a, b, n):
+    """a == b, except that two series need only agree on their first n
+    coefficients: records of one class field by field, tuples and lists
+    entry by entry, anything else by ==, and the same object at once.  It
+    serves the deep lifts built twice, where exact series equality reads
+    thousands of terms whose numerators reach thousands of bits."""
+    if a is b:
+        return True
+    if isinstance(a, TruncatedSeries):
+        return isinstance(b, TruncatedSeries) and a.prefix(n) == b.prefix(n)
+    if isinstance(a, Record):
+        return type(a) is type(b) and all(
+            agree_on_prefix(getattr(a, f), getattr(b, f), n) for f in a._fields)
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(agree_on_prefix(x, y, n) for x, y in zip(a, b)))
+    return a == b
 
 
 @pytest.fixture

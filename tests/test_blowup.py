@@ -20,6 +20,7 @@ from monstertower.invariants import multiplicity_sequence
 from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import CurveGerm, lift_trace, parse_curve
 from monstertower.words import RvtWord
+from conftest import agree_on_prefix
 from realization import critical_words, realization
 
 
@@ -66,7 +67,7 @@ class TestBlowupOnce:
     def test_first_quotient(self):
         c = germ("x=t^5, y=t^7")
         step = blowup_once(c.x, c.y, level=1)
-        assert step.new_coord.agrees_with(parse_series("t^2"))
+        assert step.new_coord == parse_series("t^2")
         assert (str(step.new_name), step.symbol) == ("y_1", "R")
         assert (str(step.denominator_name), step.denominator) == ("x_0", c.x)
         assert step == blowup_resolve(c).steps[0]
@@ -75,16 +76,13 @@ class TestBlowupOnce:
         # four blowups resolve the quintic; the fifth is made on the pair the
         # last step keeps
         steps = blowup_resolve(germ("x=t^5, y=t^7")).steps
-        seen = [
-            (str(step.new_name), str(step.new_coord).split(" + O")[0])
-            for step in (*steps, blowup_after(steps[-1]))
-        ]
+        seen = [(str(step.new_name), step.new_coord) for step in (*steps, blowup_after(steps[-1]))]
         assert seen == [
-            ("y_1", "t^2"),
-            ("x_1", "t^3"),
-            ("x_2", "t"),
-            ("y_2", "t"),
-            ("y_3", "1"),  # tie divides the newer coordinate by the older
+            ("y_1", parse_series("t^2")),
+            ("x_1", parse_series("t^3")),
+            ("x_2", parse_series("t")),
+            ("y_2", parse_series("t")),
+            ("y_3", parse_series("1")),  # tie divides the newer coordinate by the older
         ]
 
     def test_recentering_divisor(self):
@@ -98,8 +96,10 @@ class TestBlowupOnce:
 
     def test_each_step_blows_up_the_pair_before_it(self):
         for text in ("x=t^15, y=t^24+t^25", "x=t^12, y=t^14+t^16+t^57"):
+            # each step is built twice, so on 64 terms of each series: the
+            # exact equality of these deep quotients reads thousands of terms
             steps = blowup_resolve(germ(text)).steps
-            assert [blowup_after(s) for s in steps[:-1]] == list(steps[1:])
+            assert agree_on_prefix([blowup_after(s) for s in steps[:-1]], list(steps[1:]), 64)
             for s in steps:
                 assert s.denominator.constant_term() == 0
                 assert {s.denominator_name.base, s.new_name.base} == {"x", "y"}
@@ -179,7 +179,7 @@ class TestCovers:
         y = TruncatedSeries.from_terms([(1, 0)])
         for k in range(1, 41):
             y = y * h
-            c = CurveGerm.from_series(h, TruncatedSeries(y.coefficients))
+            c = CurveGerm.from_series(h, TruncatedSeries(y.prefix(3 * k + 1)))
             for engine in (lift_trace, blowup_resolve):
                 with pytest.raises(NonPrimitiveParameterization, match="cover of degree 2$"):
                     engine(c)
@@ -250,13 +250,13 @@ class TestCrossCheck:
             assert len(reads) == 2 and reads[0] is c.x and reads[1] is c.y
 
     def test_stream_past_the_window(self):
-        # t^2 / (1 - t^63) = t^2 + t^65 + ...: its first odd exponent lies
-        # past the 64-term window; both engines agree, on the word of
-        # x = t^2 + t^65
-        c = CurveGerm(parse_series("t^2").quotient(parse_series("1 - t^63")), parse_series("t^4"))
-        report = cross_check(c)
+        # t^2 / (1 - t^63) = t^2 + t^65 + ... is a stream, which a germ
+        # refuses; the polynomial x = t^2 + t^65, whose first odd exponent
+        # lies past 64 terms, is cross-checked
+        with pytest.raises(ValueError, match=r"^x is a stream; .*TruncatedSeries\.from_terms$"):
+            CurveGerm(parse_series("t^2").quotient(parse_series("1 - t^63")), parse_series("t^4"))
+        report = cross_check(germ("x=t^2+t^65, y=t^4"))
         assert report.ok and len(report.blowup.word) == 34
-        assert report.blowup.word == cross_check(germ("x=t^2+t^65, y=t^4")).blowup.word
 
     @pytest.mark.parametrize("curve", COMPUTED)
     def test_coefficients_computed(self, computed, curve):
@@ -276,8 +276,10 @@ class TestCrossCheck:
     def test_report_holds_both_traces(self):
         c = germ("x=t^15, y=t^24+t^25", 96)
         report = cross_check(c)
-        assert report.nash == lift_trace(c)
-        assert report.blowup == blowup_resolve(c)
+        # each trace is built twice, so on 64 terms of each series: their
+        # exact equality reads thousands of terms
+        assert agree_on_prefix(report.nash, lift_trace(c), 64)
+        assert agree_on_prefix(report.blowup, blowup_resolve(c), 64)
         assert report.to_json_dict() == {
             "agree": True,
             "word": {"nash": "RVVVRVT", "blowup": "RVVVRVT"},

@@ -521,6 +521,9 @@ class TestInputValidation:
             ("@level 2 chart=oi, r=t, n=t, constants=0,0,1/0,0",
              "bad constant '1/0'; expected an integer or a fraction p/q"),
             ("x=t^2, y=1/0*t^3", "zero denominator in series term '1/0*t^3' (at position 0)"),
+            # a sign after ^ stays in its term, which is named whole
+            ("x=t^-2, y=t^3", "bad series term 't^-2' (at position 0)"),
+            ("x=t^2, y=t^3 - t^-2", "bad series term '- t^-2' (at position 4)"),
             # an exponent past the index range cannot be allocated either
             ("x=t^99999999999999999999, y=t", "the input is too large for memory"),
             ("@level 1 chart=o, r=t^99999999999999999999, n=t", "the input is too large for memory"),

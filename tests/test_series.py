@@ -7,54 +7,51 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monstertower.errors import IndeterminateValuation, NegativeValuation, ParseError
-from monstertower.series import WINDOW, TruncatedSeries, parse_series
+from monstertower.series import TruncatedSeries, parse_series
 
 S = parse_series
 
 
-def naive_product(a, b, n):
-    # independent convolution oracle
-    out = [F(0)] * n
-    for i, ca in enumerate(a.coefficients):
-        for j, cb in enumerate(b.coefficients):
-            if ca and cb and i + j < n:
-                out[i + j] += ca * cb
-    return tuple(out)
+def naive_product(a, b):
+    # independent convolution oracle on the terms of two polynomials
+    terms_a, terms_b = (s.prefix(s._bound[0] + 1) for s in (a, b))
+    return TruncatedSeries.from_terms(
+        [(ca * cb, i + j) for i, ca in enumerate(terms_a) for j, cb in enumerate(terms_b)]
+    )
 
 
 class TestArith:
     def test_cancellation(self):
         r = S("1 + t") * S("1 - t")
-        assert r.agrees_with(S("1 - t^2"))
+        assert r == S("1 - t^2")
         assert r.recenter()[1].valuation() == 2
 
     def test_monomial_product(self):
-        assert (S("t^2") * S("t^3")).agrees_with(S("t^5"))
+        assert S("t^2") * S("t^3") == S("t^5")
 
     def test_shifted_product_matches_convolution_oracle(self):
         a, b = S("t^24"), S("1 + t")
         prod = a * b
-        assert prod.coefficients == naive_product(a, b, len(prod.coefficients))
-        assert prod.agrees_with(S("t^24 + t^25"))
+        assert prod == naive_product(a, b)
+        assert prod == S("t^24 + t^25")
 
     def test_mul_precision_bound(self):
-        # the product of polynomials is the polynomial of degree 25, read
-        # over a window of max(64, degree 25 + 1) terms
+        # the product of polynomials is the polynomial of degree 25, zero
+        # past it
         prod = S("t^24") * S("1 + t")
-        assert prod._bound == (25, 0, 0)
-        assert len(prod.coefficients) == 64
+        assert prod._bound == (25, 0, 0) and prod.is_polynomial
+        assert prod.prefix(30) == (0,) * 24 + (1, 1, 0, 0, 0, 0)
 
 
 class TestDerivative:
     def test_monomial(self):
-        assert S("t^7").derivative().agrees_with(S("7*t^6"))
+        assert S("t^7").derivative() == S("7*t^6")
 
     def test_binomial_with_coefficient(self):
         d = S("14*t^18 + 14*t^19").derivative()
-        assert d.agrees_with(S("252*t^17 + 266*t^18"))
+        assert d == S("252*t^17 + 266*t^18")
         # 14*(18 t^17 + 19 t^18)
-        assert d.coefficients[17] == 14 * 18
-        assert d.coefficients[18] == 14 * 19
+        assert d.prefix(19)[17:] == (14 * 18, 14 * 19)
 
     def test_constant(self):
         d = S("5").derivative()
@@ -70,16 +67,16 @@ class TestDerivative:
 class TestQuotient:
     def test_monomials(self):
         q = S("7*t^6").quotient(S("5*t^4"))
-        assert q.agrees_with(S("7/5*t^2"))
+        assert q == S("7/5*t^2")
 
     def test_ramphoid_chart_quotient(self):
         # dx / dy'' for x = t^2, y'' = 2 + 15/4 t
         q = S("t^2").derivative().quotient(S("2 + 15/4*t").derivative())
-        assert q.agrees_with(S("8/15*t"))
+        assert q == S("8/15*t")
 
     def test_self_quotient(self):
         s = S("3*t^2 + t^5")
-        assert s.quotient(s).agrees_with(S("1"))
+        assert s.quotient(s) == S("1")
 
     def test_negative_valuation(self):
         with pytest.raises(NegativeValuation):
@@ -95,12 +92,11 @@ class TestQuotient:
 
     def test_precision_tracking(self):
         # a quotient loses no terms to the denominator's valuation: t^4/t^2
-        # is the stream t^2, read over the whole window, with the degree
-        # bounds (4 + 0, 0 + 2, 0 + 2) of P = t^4, D = t^2
+        # is the stream t^2, with the degree bounds (4 + 0, 0 + 2, 0 + 2) of
+        # P = t^4, D = t^2, and equal to the polynomial t^2 exactly
         q = S("t^4").quotient(S("t^2"))
-        assert q._bound == (4, 2, 2)
-        assert len(q.coefficients) == WINDOW
-        assert q.coefficients == S("t^2").coefficients
+        assert q._bound == (4, 2, 2) and not q.is_polynomial
+        assert q == S("t^2")
 
 
 class TestValuation:
@@ -124,12 +120,12 @@ class TestRecenter:
     def test_with_constant(self):
         c, tail = S("2 + 15/4*t").recenter()
         assert c == 2
-        assert tail.agrees_with(S("15/4*t"))
+        assert tail == S("15/4*t")
 
     def test_pure_power(self):
         c, tail = S("t^3").recenter()
         assert c == 0
-        assert tail.agrees_with(S("t^3"))
+        assert tail == S("t^3")
 
     def test_unit_shift(self):
         c, tail = S("1 + t").recenter()
@@ -191,20 +187,20 @@ class TestIntegrate:
         y_prime, x_second = S("t"), S("t")
         x_prime = x_second.integrate(y_prime, 0)
         x = x_prime.integrate(y_prime, 0)
-        assert x.agrees_with(S("1/6*t^3"))
+        assert x == S("1/6*t^3")
         y = y_prime.integrate(x, 0)
-        assert y.agrees_with(S("1/8*t^4"))
+        assert y == S("1/8*t^4")
 
     def test_integrate_zero(self):
         r = TruncatedSeries.zero().integrate(S("t"), F(5))
         assert r.constant_term() == 5
-        assert r.coefficients[1:] == (F(0),) * (WINDOW - 1)
+        assert r == S("5")
 
     def test_derivative_round_trip(self):
         a, wrt = S("7/5*t^2"), S("t^5")
         r = a.integrate(wrt, 0)
-        assert r.agrees_with(S("t^7"))
-        assert r.derivative().agrees_with(a * wrt.derivative())
+        assert r == S("t^7")
+        assert r.derivative() == a * wrt.derivative()
 
     def test_indeterminate_wrt(self):
         with pytest.raises(IndeterminateValuation):
@@ -246,7 +242,7 @@ class TestProperties:
         if vb is None or (va is not None and va < vb):
             return
         q = a.quotient(b)
-        assert (q * b).agrees_with(a)
+        assert (q * b) == a
 
     @given(series_strategy(), series_strategy(min_val=1))
     @settings(max_examples=120, deadline=None)
@@ -255,19 +251,15 @@ class TestProperties:
             return
         r = a.integrate(wrt, F(3, 7))
         assert r.constant_term() == F(3, 7)
-        assert r.derivative().agrees_with(a * wrt.derivative())
+        assert r.derivative() == a * wrt.derivative()
 
     @given(series_strategy(), series_strategy())
     @settings(max_examples=60, deadline=None)
     def test_product_matches_convolution_oracle(self, a, b):
-        prod = a * b
-        assert prod.coefficients == naive_product(a, b, len(prod.coefficients))
+        assert a * b == naive_product(a, b)
 
     def test_determinism(self):
-        runs = [
-            S("t^7").derivative().quotient(S("t^5").derivative()).coefficients
-            for _ in range(2)
-        ]
+        runs = [S("t^7").derivative().quotient(S("t^5").derivative()) for _ in range(2)]
         assert runs[0] == runs[1]
 
 
@@ -286,9 +278,11 @@ class TestParse:
         ],
     )
     def test_literals(self, text, expect):
-        assert parse_series(text).agrees_with(TruncatedSeries.from_terms(expect))
+        assert parse_series(text) == TruncatedSeries.from_terms(expect)
 
-    @pytest.mark.parametrize("bad", ["", "q^2", "t^", "1//2*t", "t^2 ^3", "1/0*t^3", "t + 2/0"])
+    @pytest.mark.parametrize(
+        "bad", ["", "q^2", "t^", "1//2*t", "t^2 ^3", "1/0*t^3", "t + 2/0", "t^-2", "t^3 - t^-2"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_series(bad)
@@ -299,6 +293,9 @@ class TestParse:
             ("t^2 + + t^3", "bad series term '+' (at position 4)"),
             ("t^2 +", "bad series term '+' (at position 4)"),
             ("t - - t^2", "bad series term '-' (at position 2)"),
+            # a sign after ^ belongs to its term, so the whole term is named
+            ("t^-2", "bad series term 't^-2' (at position 0)"),
+            ("t^3 - t^-2", "bad series term '- t^-2' (at position 4)"),
         ],
     )
     def test_lone_sign_is_named(self, bad, message):
@@ -307,69 +304,76 @@ class TestParse:
         assert str(info.value) == message
 
     def test_polynomials_embed_at_full_precision(self):
-        # a polynomial knows its degree and is read over the whole window
+        # a polynomial knows its degree and is zero past it
         s = parse_series("t^2")
         assert s._bound == (2, 0, 0)
-        assert s.coefficients == (0, 0, 1) + (0,) * (WINDOW - 3)
+        assert s.prefix(70) == (0, 0, 1) + (0,) * 67
 
 
 class TestTermsOutsideTheWindow:
-    # a polynomial's window reaches its degree, so no term is ever dropped
+    # every read is exact or given its length, so no term is ever dropped
     def test_nonzero_term_at_precision_raises(self):
         s = TruncatedSeries.from_terms([(1, 2), (1, 3)])
-        assert s.support == (2, 3)
-        assert s.coefficients[:4] == (0, 0, 1, 1)
+        assert s.prefix(5) == (0, 0, 1, 1, 0)
+        assert s == S("t^2 + t^3")
 
     def test_coefficient_is_named(self):
         s = parse_series("t^2 + 7/5*t^70")
-        assert len(s.coefficients) == 71
-        assert s.support == (2, 70)
+        assert s.prefix(71)[70] == F(7, 5)
+        assert s != S("t^2")
         assert str(s) == "t^2 + 7/5*t^70"
 
     def test_polynomials_print_exactly(self):
-        # a polynomial is zero past its last term, so it prints no O-term
-        # (a quotient by a constant is one); a stream prints its window
+        # a polynomial prints whole (a quotient by a constant is one); a
+        # stream prints its bounds and reads no coefficient
         assert str(S("t^2").quotient(S("2"))) == "1/2*t^2"
         assert str(S("t") * S("1 - t")) == "t - t^2"
         assert str(S("5").recenter()[1]) == "0"
-        assert str(S("1").quotient(S("1 - t^40"))) == "1 + t^40 + O(t^64)"
+        stream = S("1").quotient(S("1 - t^40"))
+        assert str(stream) == "P/D with deg P <= 0, deg D <= 40"
+        assert repr(stream) == "TruncatedSeries(P/D with deg P <= 0, deg D <= 40)"
+        assert stream._known == []
 
     def test_zero_term_outside_is_harmless(self):
-        assert TruncatedSeries.from_terms([(1, 2), (0, 70)]).agrees_with(S("t^2"))
+        assert TruncatedSeries.from_terms([(1, 2), (0, 70)]) == S("t^2")
 
 
 class TestExponentGcd:
-    """The gcd of the whole support, read off the first a + q + 1 terms."""
+    """The gcd of a polynomial's exponents, read off its deg + 1 terms; a
+    stream has no last term and is refused, having read nothing."""
 
     @pytest.mark.parametrize(
         "series,gcd_,read",
         [
             (S("t^4 + 6*t^70"), 2, 71),        # a polynomial: deg + 1 terms
             (S("0"), 0, 0),
-            # t^2 / (1 - t^63) = t^2 + t^65 + ..., bounds (2, 63): 66 terms
-            (S("t^2").quotient(S("1 - t^63")), 1, 66),
-            # t^2 / (1 - t^2) = t^2 + t^4 + ..., bounds (2, 2): 5 terms
-            (S("t^2").quotient(S("1 - t^2")), 2, 5),
-            # d/dt t^3 / (1 + t^6) = 3*t^2 - 9*t^8 + ..., bounds (8, 12)
-            (S("t^3").quotient(S("1 + t^6")).derivative(), 2, 21),
+            # t^2 / (1 - t^63) = t^2 + t^65 + ...
+            (S("t^2").quotient(S("1 - t^63")), None, 0),
+            # t^2 / (1 - t^2) = t^2 + t^4 + ...
+            (S("t^2").quotient(S("1 - t^2")), None, 0),
+            # d/dt t^3 / (1 + t^6) = 3*t^2 - 9*t^8 + ...
+            (S("t^3").quotient(S("1 + t^6")).derivative(), None, 0),
         ],
         ids=["polynomial", "zero", "past-the-window", "even-stream", "derivative"],
     )
     def test_reads_to_the_bound(self, series, gcd_, read):
-        a, q, _ = series._bound
-        assert a + q + 1 == read
-        assert series.exponent_gcd() == gcd_
+        if gcd_ is None:
+            with pytest.raises(ValueError, match="^the exponent gcd of a stream is not read$"):
+                series.exponent_gcd()
+        else:
+            assert series.exponent_gcd() == gcd_
         assert len(series._known) == read
 
     def test_support_beyond_the_bound_agrees(self):
-        # the gcd read off the bound is that of every exponent seen later
-        for series in (S("t^2").quotient(S("1 - t^63")), S("t^6").quotient(S("1 + t^4")),
-                       (S("t^4") * S("1 - t^2")).quotient(S("1 + t^6")).recenter()[1]):
+        # polynomials made by operations: the gcd read off the degree bound
+        # is that of every exponent seen later
+        for series in (S("t^2") * S("1 + t^4"), S("t^3 + t^9").derivative(),
+                       S("1 + t^6 + t^8").recenter()[1], S("t^2").integrate(S("t^4"), 0)):
             d = 0
             for i, c in enumerate(series._force(400)[:400]):
                 if c:
                     d = gcd(d, i)
-            assert series.exponent_gcd() == d
+            assert series.exponent_gcd() == d != 1
 
 
 # -- eager reference ------------------------------------------------------------
@@ -603,11 +607,11 @@ class TestEagerReference:
         # denominators that cancel against the running lcm and the index
         lazy_op, ref_op = OPERATIONS[name]
         a, b = S(a), S(b)
-        ref = ref_op(a.coefficients[:12], b.coefficients[:12], F(-1, 3))
+        ref = ref_op(a.prefix(12), b.prefix(12), F(-1, 3))
         with _every_computed_pair_reduced():
             series = lazy_op(a, b, F(-1, 3))
             assert _head(series, len(ref)) == ref
-        assert all(type(c) is F for c in series.coefficients)
+        assert all(type(c) is F for c in series.prefix(12))
 
 
 def _stream(text, den="1 + t"):
@@ -647,14 +651,14 @@ class TestValuationFromOperands:
         computed.clear()
         v = series.valuation_or_none()
         assert computed == {}
-        assert v == expect == ref_valuation(series.coefficients)
+        assert v == expect == ref_valuation(series.prefix(64))
 
     def test_quotient_reads_the_lead_lazily(self, computed):
         num, den = _stream("t^5"), _stream("2*t^3")
         computed.clear()
         q = num.quotient(den)
         assert computed == {}
-        assert q.coefficients[2] == F(1, 2)
+        assert q.prefix(3)[2] == F(1, 2)
 
     def test_known_zero_constant_term(self, computed):
         d = _stream("t^3").derivative()
@@ -688,7 +692,7 @@ class TestValuationFromOperands:
         computed.clear()
         v = series.valuation_or_none()
         assert computed["force"] > 0
-        assert v == expect == ref_valuation(series.coefficients)
+        assert v == expect == ref_valuation(series.prefix(64))
 
 
 class TestSearchCost:
@@ -881,7 +885,7 @@ class TestExactZero:
         _evaluate(tree, checked)
         for lazy, ref in checked:
             assert lazy.valuation_or_none() == _rval(ref), tree
-            assert lazy.coefficients[:6] == _rhead(ref, 6), tree
+            assert lazy.prefix(6) == _rhead(ref, 6), tree
 
     @example(("quotient", [F(1), F(2)], [F(1), F(1)]))
     @given(expressions)
@@ -899,7 +903,7 @@ class TestExactZero:
             ref = (_padd(p, _pscale(d, -c)), d)
             assert value == c and tail is not lazy, tree
             assert tail.valuation_or_none() == _rval(ref), tree
-            assert tail.coefficients[:6] == _rhead(ref, 6), tree
+            assert tail.prefix(6) == _rhead(ref, 6), tree
 
     # a constant, a unit, t, a stream with a nonzero constant, and the zero
     # stream left by recentering a constant stream
@@ -927,8 +931,7 @@ class TestExactZero:
     @settings(max_examples=200, deadline=None)
     def test_slope_is_the_quotient_of_derivatives(self, f_tree, g_tree):
         # f.slope(g) against f'.quotient(g'), each side built from scratch:
-        # the same outcome, bounds and valuation, and coefficients equal up
-        # to the numerator bound of their difference, so equal as series
+        # the same outcome, bounds and valuation, and equal as series
         built = [_evaluate(tree, []) for tree in (f_tree, g_tree, f_tree, g_tree)]
         assume(None not in built)
         (f, rf), (g, rg), (f2, _), (g2, _) = built
@@ -943,6 +946,57 @@ class TestExactZero:
         assert s._bound == d._bound, (f_tree, g_tree)
         exact = _rquotient(derivative(rf, None), derivative(rg, None))
         assert s.valuation_or_none() == d.valuation_or_none() == _rval(exact), (f_tree, g_tree)
-        a, q = s._bound[:2]
-        n = max(a + q + 1, 0)
-        assert _head(s, n) == _head(d, n), (f_tree, g_tree)
+        assert s == d, (f_tree, g_tree)
+
+
+class TestExactEquality:
+    """Equality reads coefficients 0..max(a1 + q2, a2 + q1), where the
+    numerator of the difference ends, in doubling batches up to the first
+    difference; a hash reads a fixed prefix."""
+
+    @pytest.mark.parametrize("num", ["1", "t^2"])
+    def test_difference_past_64_terms(self, num):
+        # num / (1 - t^70) = num + num*t^70 + ...: the first 70 terms agree
+        stream = S(num).quotient(S("1 - t^70"))
+        assert stream.prefix(70) == S(num).prefix(70)
+        assert stream != S(num) and S(num) != stream
+
+    def test_stream_equal_to_a_polynomial(self):
+        # t^3 / t is a stream with the bounds (3, 1), equal to t^2
+        stream = S("t^3").quotient(S("t"))
+        assert not stream.is_polynomial
+        assert stream == S("t^2") and hash(stream) == hash(S("t^2"))
+        assert stream != S("t^2 + t^9")
+
+    def test_stops_at_the_first_difference(self, computed):
+        a = S("1 + t").quotient(S("1 - t^4000"))
+        b = S("1 + 2*t").quotient(S("1 - t^4000"))
+        computed.clear()
+        assert a != b
+        assert computed["coefficients"] == 6  # batches of 1 and 2 terms of each
+        computed.clear()
+        assert a == a and computed == {}
+
+    def test_prefix(self):
+        assert S("1").quotient(S("1 - t")).prefix(4) == (1, 1, 1, 1)
+        assert S("1/2*t").prefix(3) == (0, F(1, 2), 0)
+        assert all(type(c) is F for c in S("t").prefix(3))
+        assert S("t").prefix(0) == ()
+
+    @example(("quotient", [F(1), F(1)], [F(1), F(1)]), [F(1)])
+    @example(("recenter", ("quotient", [F(1), F(2)], [F(1), F(1)]), None), [F(0), F(1)])
+    @given(expressions, st.none() | expressions)
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_rational_reference(self, f_tree, g_tree):
+        # f == g exactly when the reference agrees up to e, which is when
+        # P1 D2 = P2 D1; equal series hash equal.  No g tree rebuilds f.
+        f, g = _evaluate(f_tree, []), _evaluate(f_tree if g_tree is None else g_tree, [])
+        assume(f is not None and g is not None)
+        (f, (p1, d1)), (g, (p2, d2)) = f, g
+        (a1, q1, _), (a2, q2, _) = f._bound, g._bound
+        n = max(a1 + q2, a2 + q1, -1) + 1
+        same = _rhead((p1, d1), n) == _rhead((p2, d2), n)
+        assert same == (_pmul(p1, d2) == _pmul(p2, d1)), (f_tree, g_tree)
+        assert (f == g) == same == (g == f), (f_tree, g_tree)
+        if same:
+            assert hash(f) == hash(g), (f_tree, g_tree)
