@@ -10,26 +10,21 @@ The recentered denominator is often the previous step's quotient itself: a
 series that vanishes at the center is its own recentering.
 
 Coordinates are a base letter and a blowup index (``y_1``).  A germ is
-resolved once into a ``BlowupTrace``; its word (the symbols read off the
-flags), chart path, order profile and multiplicities are views of its steps,
-the first two shared with ``LiftTrace`` through their base ``Trace``, and
+resolved once into a ``BlowupTrace``, run by the loop the Nash lift runs
+(``Trace.continued``); the engine supplies only ``blowup_once`` as its step
+and its regularity test.  Word (the symbols read off the flags), chart
+path, order profile and multiplicities are views of its steps, and
 ``cross_check`` compares them against the Nash lift it is given or makes.
 """
 
 from __future__ import annotations
 
 from .defaults import DEFAULT_MAX_LEVEL
-from .errors import (
-    ConstantParameterization,
-    MaxLevelExceeded,
-    MismatchReport,
-    NonPrimitiveParameterization,
-)
+from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParameterization
 from .invariants import multiplicity_sequence
 from .records import Record, _set
 from .series import TruncatedSeries
 from .tower import CoordName, CurveGerm, LiftTrace, Trace, lift_trace
-from .words import RvtWord
 
 
 class BlowupName(CoordName):
@@ -64,50 +59,42 @@ class BlowupStep(Record):
 
 
 class BlowupTrace(Trace):
-    """One resolution of a germ: its steps end at the first regular strict
-    transform, and every value is read off them."""
+    """One resolution of a germ: ``continued`` blows up until the strict
+    transform is regular, and every value is read off the steps."""
 
     __slots__ = ()
+    _engine = "blowup"
+    _budget = "no regular strict transform within {} blowups"
 
-    @property
-    def regularity_level(self) -> int:
-        return len(self.steps)
+    def _step(self, steps: list[BlowupStep]) -> BlowupStep:
+        """The blowup of the chart pair the last step kept or, before the
+        first step, of the base pair (x, y)."""
+        if not steps:
+            return blowup_once(self.germ.x, self.germ.y, level=1)
+        s = steps[-1]
+        return blowup_once(s.denominator, s.new_coord, level=s.level + 1,
+                           a_name=s.denominator_name, b_name=s.new_name, b_flag=s.divisor_flag)
 
-    @property
-    def profile(self) -> tuple[int | None, ...]:
-        """Valuations of x, y and the new coordinate of every blowup."""
-        return (
-            self.germ.x.valuation_or_none(),
-            self.germ.y.valuation_or_none(),
-            *(s.new_coord.valuation_or_none() for s in self.steps),
-        )
+    @staticmethod
+    def _is_regular(step: BlowupStep) -> bool:
+        """Strict transform regular: nonsingular and transverse to every
+        exceptional divisor through its point.  The curve always meets the
+        newest divisor (the denominator's), so its order must be 1; a
+        critical symbol means it also meets the inherited divisor, whose
+        order must then be 1."""
+        if step.denominator.valuation_or_none() != 1:
+            return False
+        return step.symbol == "R" or step.new_coord.valuation_or_none() == 1
 
-    @property
     def multiplicities(self) -> tuple[int, ...]:
         """The multiplicity of each point is the smaller order of its
         recentered pair; the regular point's is 1."""
-        return (*(min(v for v in s.orders if v is not None) for s in self.steps), 1)
+        steps = self._regular_steps()
+        return (*(min(v for v in s.orders if v is not None) for s in steps), 1)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "engine": "blowup",
-            "base_point": [str(c) for c in self.base_point],
-            "levels": [
-                {
-                    "level": s.level,
-                    "chart": s.chart_letter,
-                    "symbol": s.symbol,
-                    "new_coordinate": str(s.new_name),
-                    "valuation": s.new_coord.valuation_or_none(),
-                    "constant_term": str(s.new_coord.constant_term()),
-                    "chain_origin": s.divisor_flag,
-                }
-                for s in self.steps
-            ],
-            "word": self.word.symbols,
-            "chart_path": self.chart_path,
-            "regularization_level": self.regularity_level,
-        }
+    @staticmethod
+    def _level_json(s: BlowupStep) -> dict:
+        return {"chain_origin": s.divisor_flag}
 
 
 def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
@@ -152,35 +139,10 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
                       inherited, (va, vb))
 
 
-def _is_regular(step: BlowupStep) -> bool:
-    """Strict transform regular: nonsingular and transverse to every
-    exceptional divisor through its point.  The curve always meets the
-    newest divisor (the denominator's), so its order must be 1; a critical
-    symbol means it also meets the inherited divisor, whose order must then
-    be 1."""
-    if step.denominator.valuation_or_none() != 1:
-        return False
-    return step.symbol == "R" or step.new_coord.valuation_or_none() == 1
-
-
 def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTrace:
-    """Iterate point blowups until the strict transform is regular.  The
-    germ was checked when it was built, so the resolution makes no
-    primitivity check of its own; a cover it meets is named by the constant
-    coordinate that shows it."""
-    a, b = c.x, c.y
-    a_name, b_name = BlowupName("x", 0), BlowupName("y", 0)
-    b_flag = None
-    steps: list[BlowupStep] = []
-    while not (steps and _is_regular(steps[-1])):
-        if len(steps) >= max_level:
-            raise MaxLevelExceeded(f"no regular strict transform within {max_level} blowups")
-        step = blowup_once(a, b, level=len(steps) + 1, a_name=a_name, b_name=b_name,
-                           b_flag=b_flag)
-        steps.append(step)
-        a, b, b_flag = step.denominator, step.new_coord, step.divisor_flag
-        a_name, b_name = step.denominator_name, step.new_name
-    return BlowupTrace(c, tuple(steps))
+    """Iterate point blowups until the strict transform is regular:
+    ``BlowupTrace.continued`` on the empty trace of ``c``."""
+    return BlowupTrace(c, ()).continued(max_level=max_level)
 
 
 class CrossCheckReport(Record):
@@ -203,11 +165,11 @@ class CrossCheckReport(Record):
             "word": {"nash": nash.word.symbols, "blowup": blow.word.symbols},
             "order_profile": {
                 "nash": list(nash.order_profile()),
-                "blowup": list(blow.profile),
+                "blowup": list(blow.order_profile()),
             },
             "multiplicities": {
                 "nash": list(nash.multiplicities()),
-                "blowup": list(blow.multiplicities),
+                "blowup": list(blow.multiplicities()),
                 "word": list(self.word_multiplicities),
             },
         }
@@ -229,8 +191,8 @@ def cross_check(c: CurveGerm | LiftTrace,
     word_mults = multiplicity_sequence(nash.word)
     ok = (
         nash.word.symbols == blow.word.symbols
-        and nash.order_profile() == blow.profile
-        and mults == blow.multiplicities
+        and nash.order_profile() == blow.order_profile()
+        and mults == blow.multiplicities()
         and mults == word_mults
     )
     report = CrossCheckReport(nash, blow, word_mults, ok)

@@ -228,9 +228,9 @@ def _cmd_curve(args) -> int:
             [
                 f"engine          blowup",
                 f"word            {resolved.word.symbols or '(empty)'}",
-                f"regular level   {resolved.regularity_level}",
-                f"order profile   {resolved.profile}",
-                f"multiplicities  {','.join(str(m) for m in resolved.multiplicities)}",
+                f"regular level   {resolved.regularization_level}",
+                f"order profile   {resolved.order_profile()}",
+                f"multiplicities  {','.join(str(m) for m in resolved.multiplicities())}",
             ]
         )
         return _emit(args, payload, text)

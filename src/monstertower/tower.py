@@ -19,11 +19,13 @@ new coordinate vanishes at t=0 while a V/T chain is alive continues the
 chain with a T; everything else is an R.  Coordinates are named with the
 calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
 ``_step_names``, for both letters) and carried as structured ``CoordName``s.
-A germ is lifted once into a ``LiftTrace``, which every reader continues:
-``continued`` lifts on from the last step or, with ``levels=k``, cuts it.
-Its word, data point, chart equations and every Nash-derived invariant
-(order profile, multiplicities, vertical orders, curve words) are views of
-it; the word, chart path and base point live on ``Trace``, its base.
+A germ is lifted once into a ``LiftTrace``, which every reader continues.
+``Trace``, the base of both engines' traces, holds the one step-until-regular
+loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
+it, and each engine supplies only its next step and its regularity test.
+The word, chart path, base point and order profile are views ``Trace``
+shares; data point, chart equations, multiplicities, vertical orders and
+curve words are views of the lift.
 """
 
 from __future__ import annotations
@@ -132,14 +134,25 @@ class LiftStep(Record):
 
 
 class Trace(Record):
-    """The steps of one engine's run on a germ, and the views both engines'
-    traces share: the word, the chart path and the base point."""
+    """The steps of one engine's run on a germ and its regularization level
+    (None while the run has not reached it), with what both engines share:
+    the one step-until-regular loop ``continued`` and the views read off the
+    steps (word, chart path, base point, order profile, JSON).  An engine
+    supplies only its next step (``_step``), its regularity test
+    (``_is_regular``), its budget message (``_budget``), its name and its
+    per-level JSON fields.  The invariant views read only
+    ``steps[:regularization_level]``, so they work on any trace that reached
+    the regularization level.  Traces compare exactly: each pair of series
+    is read up to the bounds of its difference (``TruncatedSeries.__eq__``),
+    which on a deep lift can be thousands of terms, so no command compares
+    traces."""
 
-    __slots__ = ("germ", "steps")
+    __slots__ = ("germ", "steps", "regularization_level")
 
-    def __init__(self, germ: CurveGerm, steps: tuple):
+    def __init__(self, germ: CurveGerm, steps: tuple, regularization_level: int | None = None):
         _set(self, "germ", germ)
         _set(self, "steps", steps)
+        _set(self, "regularization_level", regularization_level)
 
     @property
     def word(self) -> RvtWord:
@@ -154,31 +167,7 @@ class Trace(Record):
     def base_point(self) -> tuple[Fraction, Fraction]:
         return self.germ.base_point
 
-
-class LiftTrace(Trace):
-    """One lift of a germ, and the only source of its chart data.  A trace
-    grows, or is cut, by ``continued``, so a germ is lifted once however
-    many levels its readers ask for.  Word, chart path, data point and
-    chart equations cover every level lifted and name coordinates as the
-    lift did; the invariant views read only ``steps[:regularization_level]``,
-    so they work on any trace that reached the regularization level.
-    Traces compare exactly: each pair of series is read up to the bounds of
-    its difference (``TruncatedSeries.__eq__``), which on a deep lift can be
-    thousands of terms, so no command compares traces."""
-
-    __slots__ = ("regularization_level",)
-
-    def __init__(self, germ: CurveGerm, steps: tuple[LiftStep, ...],
-                 regularization_level: int | None):
-        super().__init__(germ, steps)
-        _set(self, "regularization_level", regularization_level)
-
-    @property
-    def data_point(self) -> tuple[Fraction, ...]:
-        """x0, y0, then the value of each new coordinate at t=0."""
-        return (*self.germ.base_point, *(s.new_coord.constant_term() for s in self.steps))
-
-    def _regular_steps(self) -> tuple[LiftStep, ...]:
+    def _regular_steps(self) -> tuple:
         if self.regularization_level is None:
             raise MaxLevelExceeded(f"trace stops at level {len(self.steps)}, before regularity")
         return self.steps[: self.regularization_level]
@@ -191,6 +180,97 @@ class LiftTrace(Trace):
             self.germ.y.valuation_or_none(),
             *(s.new_coord.valuation_or_none() for s in self._regular_steps()),
         )
+
+    def continued(self, *, levels: int | None = None,
+                  max_level: int = DEFAULT_MAX_LEVEL) -> "Trace":
+        """The run continued from the last step (from the base germ when the
+        trace is empty).  With ``levels=None``, step until the engine's
+        regularity test fires, keeping steps already made past it; a
+        regularization level above ``max_level`` is MaxLevelExceeded, also
+        when this trace already reached it.  With ``levels=k``, exactly k
+        steps (none for k < 0): a shorter trace is continued, recording the
+        regularization level if it is reached, and a longer one is cut,
+        keeping it only if it is at most k.  A run re-made, or continued
+        from a cut or a shorter run, gives a bit-identical trace.  The germ
+        was checked when it was built, so no step makes a primitivity check
+        of its own; a cover a step meets is named by the constant coordinate
+        that shows it."""
+        if levels == len(self.steps):
+            return self
+        if levels is not None and levels < len(self.steps):
+            k, r = max(levels, 0), self.regularization_level
+            return type(self)(self.germ, self.steps[:k], r if r is not None and r <= k else None)
+        steps, regular_at = list(self.steps), self.regularization_level
+        while (len(steps) < levels if levels is not None
+               else regular_at is None and len(steps) < max_level):
+            step = self._step(steps)
+            steps.append(step)
+            if regular_at is None and self._is_regular(step):
+                regular_at = step.level
+        if levels is None and (regular_at is None or regular_at > max_level):
+            raise MaxLevelExceeded(self._budget.format(max_level))
+        return type(self)(self.germ, tuple(steps), regular_at)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "engine": self._engine,
+            "base_point": [str(c) for c in self.base_point],
+            "levels": [
+                {
+                    "level": s.level,
+                    "chart": s.chart_letter,
+                    "symbol": s.symbol,
+                    "new_coordinate": str(s.new_name),
+                    "valuation": s.new_coord.valuation_or_none(),
+                    "constant_term": str(s.new_coord.constant_term()),
+                    **self._level_json(s),
+                }
+                for s in self.steps
+            ],
+            "word": self.word.symbols,
+            "chart_path": self.chart_path,
+            "regularization_level": self.regularization_level,
+        }
+
+
+class LiftTrace(Trace):
+    """One Nash lift of a germ, and the only source of its chart data.  A
+    trace grows, or is cut, by ``continued``, so a germ is lifted once
+    however many levels its readers ask for.  Word, chart path, data point
+    and chart equations cover every level lifted and name coordinates as
+    the lift did."""
+
+    __slots__ = ()
+    _engine = "nash"
+    _budget = "no regular lift within {} levels; the germ may be critical or the budget too small"
+
+    def _step(self, steps: list[LiftStep]) -> LiftStep:
+        """The chart step on the active pair the last step kept or, before
+        the first step, on the base pair, retaining whichever coordinate has
+        the smaller valuation (tie: x)."""
+        if steps:
+            s = steps[-1]
+            return lift_once(s.retained, s.new_coord, s.level + 1, s.retained_name, s.new_name,
+                             s.chain_origin)
+        x, y = self.germ.x, self.germ.y
+        vx, vy = x.valuation_or_none(), y.valuation_or_none()
+        if vx is not None and (vy is None or vx <= vy):
+            return lift_once(x, y, 1)
+        return lift_once(y, x, 1, CoordName("y", 0), CoordName("x", 0))
+
+    @staticmethod
+    def _is_regular(step: LiftStep) -> bool:
+        """Regularity after a chart step: the retained coordinate moves at
+        unit speed and the new coordinate either does too or carries no
+        chain."""
+        if step.retained.slope_order() != 0:
+            return False
+        return step.symbol == "R" or step.new_coord.slope_order() == 0
+
+    @property
+    def data_point(self) -> tuple[Fraction, ...]:
+        """x0, y0, then the value of each new coordinate at t=0."""
+        return (*self.germ.base_point, *(s.new_coord.constant_term() for s in self.steps))
 
     def multiplicities(self) -> tuple[int, ...]:
         """Multiplicity of each lift: the smaller valuation of the recentered
@@ -228,64 +308,16 @@ class LiftTrace(Trace):
             for s in steps[k:]
         ))
 
-    def continued(self, *, levels: int | None = None,
-                  max_level: int = DEFAULT_MAX_LEVEL) -> "LiftTrace":
-        """The lift continued from the last step (from the base germ when the
-        trace is empty).  With ``levels=None``, lift until the regularity
-        criterion fires, keeping steps already lifted past it; a
-        regularization level above ``max_level`` is MaxLevelExceeded, also
-        when this trace already reached it.  With ``levels=k``, exactly k
-        levels (none for k < 0): a shorter trace is lifted on, recording the
-        regularization level if it is reached, and a longer one is cut,
-        keeping it only if it is at most k.  A lift re-run, or continued
-        from a cut or a shorter lift, gives a bit-identical trace.  The germ
-        was checked when it was built, so the lift makes no primitivity
-        check of its own; a cover it meets is named by the constant
-        coordinate that shows it."""
-        if levels == len(self.steps):
-            return self
-        if levels is not None and levels < len(self.steps):
-            k, r = max(levels, 0), self.regularization_level
-            return LiftTrace(self.germ, self.steps[:k], r if r is not None and r <= k else None)
-        steps, regular_at = list(self.steps), self.regularization_level
-        (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
-        while (len(steps) < levels if levels is not None
-               else regular_at is None and len(steps) < max_level):
-            step = lift_once(r, n, len(steps) + 1, r_name, n_name, chain)
-            steps.append(step)
-            (r_name, r), (n_name, n), chain = _actives(self.germ, steps)
-            if regular_at is None and _is_regular(step.symbol, r, n):
-                regular_at = step.level
-        if levels is None and (regular_at is None or regular_at > max_level):
-            raise MaxLevelExceeded(
-                f"no regular lift within {max_level} levels; the germ may be "
-                "critical or the budget too small"
-            )
-        return LiftTrace(self.germ, tuple(steps), regular_at)
+    @staticmethod
+    def _level_json(s: LiftStep) -> dict:
+        return {
+            "retained_coordinate": str(s.retained_name),
+            "deactivated_coordinate": str(s.deactivated),
+            "chain_origin": s.chain_origin,
+        }
 
     def to_json_dict(self) -> dict:
-        return {
-            "engine": "nash",
-            "base_point": [str(c) for c in self.base_point],
-            "levels": [
-                {
-                    "level": s.level,
-                    "chart": s.chart_letter,
-                    "symbol": s.symbol,
-                    "new_coordinate": str(s.new_name),
-                    "retained_coordinate": str(s.retained_name),
-                    "deactivated_coordinate": str(s.deactivated),
-                    "valuation": s.new_coord.valuation_or_none(),
-                    "constant_term": str(s.new_coord.constant_term()),
-                    "chain_origin": s.chain_origin,
-                }
-                for s in self.steps
-            ],
-            "word": self.word.symbols,
-            "chart_path": self.chart_path,
-            "regularization_level": self.regularization_level,
-            "data_point": [str(c) for c in self.data_point],
-        }
+        return {**super().to_json_dict(), "data_point": [str(c) for c in self.data_point]}
 
 
 def lift_once(
@@ -352,28 +384,6 @@ def _step_names(letter: str, retained: CoordName, new: CoordName):
     return new, retained.bump(), retained
 
 
-def _actives(c: CurveGerm, steps):
-    """The named active pair (r, n) after the lift ``steps`` of ``c``, and
-    the level of the chain alive there.  Before the first step, retain
-    whichever base coordinate has the smaller valuation (tie: x)."""
-    if steps:
-        s = steps[-1]
-        return (s.retained_name, s.retained), (s.new_name, s.new_coord), s.chain_origin
-    vx = c.x.valuation_or_none()
-    vy = c.y.valuation_or_none()
-    if vx is not None and (vy is None or vx <= vy):
-        return (CoordName("x", 0), c.x), (CoordName("y", 0), c.y), None
-    return (CoordName("y", 0), c.y), (CoordName("x", 0), c.x), None
-
-
-def _is_regular(symbol: str, retained: TruncatedSeries, new_coord: TruncatedSeries) -> bool:
-    """Regularity after a chart step: the retained coordinate moves at unit
-    speed and the new coordinate either does too or carries no chain."""
-    if retained.slope_order() != 0:
-        return False
-    return symbol == "R" or new_coord.slope_order() == 0
-
-
 def lift_trace(
     c: CurveGerm,
     *,
@@ -384,7 +394,7 @@ def lift_trace(
     trace of ``c``.  With ``levels=None``, iterate until the regularity
     criterion fires (MaxLevelExceeded past the budget); with ``levels=k``,
     perform exactly k chart steps."""
-    return LiftTrace(c, (), None).continued(levels=levels, max_level=max_level)
+    return LiftTrace(c, ()).continued(levels=levels, max_level=max_level)
 
 
 # kept for bench/run.py until ROADMAP item 1; the package calls lift_trace
@@ -530,7 +540,7 @@ def parse_curve_trace(text: str) -> LiftTrace:
             raise ParseError("expected 'x=<series>, y=<series>'")
     _reject_unknown(fields, ("x", "y"))
     return LiftTrace(CurveGerm.from_series(parse_series(fields["x"]), parse_series(fields["y"])),
-                     (), None)
+                     ())
 
 
 # the coefficient grammar of series literals, with its sign

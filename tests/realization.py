@@ -42,7 +42,7 @@ def differences(max_len: int) -> tuple[int, list[str]]:
         c = realization(w)
         nash, blow = lift_trace(c), blowup_resolve(c)
         words = (nash.word.normalize(), blow.word.normalize())
-        mults = (nash.multiplicities(), blow.multiplicities, multiplicity_sequence(w))
+        mults = (nash.multiplicities(), blow.multiplicities(), multiplicity_sequence(w))
         if words != (w, w) or not mults[0] == mults[1] == mults[2]:
             found.append(f"{w.symbols} {c}: words {words[0].symbols} {words[1].symbols}, "
                          f"multiplicities {mults}")

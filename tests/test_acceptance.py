@@ -117,7 +117,7 @@ def test_criterion_06_invariant_examples():
     profile = (15, 24, 9, 6, 3, 3, 0, 2, 1)
     c, _ = parse_curve("x=t^15, y=t^24+t^25")
     assert lift_trace(c).order_profile() == profile
-    assert blowup_resolve(c).profile == profile
+    assert blowup_resolve(c).order_profile() == profile
     _ok(6, "multiplicities of RVTVV, VO vectors, and the order profile by both engines")
 
 

@@ -50,10 +50,8 @@ COMPUTED = {
 }
 
 
-def germ(text, precision=None):
-    # parse_curve accepts a term budget for the benchmark and ignores it;
-    # tests parametrized by the budgets they once ran at pass it through
-    return parse_curve(text, precision)[0]
+def germ(text):
+    return parse_curve(text)[0]
 
 
 def blowup_after(step):
@@ -90,7 +88,7 @@ class TestBlowupOnce:
         # quotients divide by x_3 - 1
         trace = blowup_resolve(germ("x=t^15, y=t^24+t^25"))
         assert trace.steps[4].new_coord.constant_term() == 1
-        assert trace.profile == (15, 24, 9, 6, 3, 3, 0, 2, 1)
+        assert trace.order_profile() == (15, 24, 9, 6, 3, 3, 0, 2, 1)
         assert trace.steps[4].new_coord.recenter() == (1, trace.steps[5].denominator)
         assert str(trace.steps[5].denominator_name) == "x_3"
 
@@ -109,8 +107,8 @@ class TestBlowupResolve:
     def test_quintic(self):
         trace = blowup_resolve(germ("x=t^5, y=t^7"))
         assert trace.word.symbols == "RVTV"
-        assert trace.regularity_level == 4
-        assert trace.multiplicities == (5, 2, 2, 1, 1)
+        assert trace.regularization_level == 4
+        assert trace.multiplicities() == (5, 2, 2, 1, 1)
 
     def test_ramphoid_word(self):
         assert blowup_resolve(germ("x=t^2, y=t^4+t^5")).word.symbols == "RRV"
@@ -118,13 +116,13 @@ class TestBlowupResolve:
     def test_smooth_curve(self):
         trace = blowup_resolve(germ("x=t, y=t^3"))
         assert trace.word.symbols == "R"
-        assert trace.regularity_level == 1
+        assert trace.regularization_level == 1
 
     def test_order_profile_example(self):
-        trace = blowup_resolve(germ("x=t^15, y=t^24+t^25", 96))
+        c = germ("x=t^15, y=t^24+t^25")
+        trace = blowup_resolve(c)
         assert trace.word.symbols == "RVVVRVT"
-        nash = lift_trace(germ("x=t^15, y=t^24+t^25"))
-        assert trace.profile == nash.order_profile()
+        assert trace.order_profile() == lift_trace(c).order_profile()
 
     def test_non_primitive_rejected(self):
         # refused when it is built, before any engine runs
@@ -187,17 +185,12 @@ class TestCovers:
 
 class TestCrossCheck:
     @pytest.mark.parametrize(
-        "curve,precision",
-        [
-            ("x=t^5, y=t^7", 64),
-            ("x=t^15, y=t^24+t^25", 96),
-            ("x=t^2, y=t^4+t^5", 64),
-            ("x=t, y=t^2", 64),
-            ("x=t^14, y=14*t^18+14*t^19", 96),
-        ],
+        "curve",
+        ["x=t^5, y=t^7", "x=t^15, y=t^24+t^25", "x=t^2, y=t^4+t^5", "x=t, y=t^2",
+         "x=t^14, y=14*t^18+14*t^19"],
     )
-    def test_golden_curves_agree(self, curve, precision):
-        report = cross_check(germ(curve, precision))
+    def test_golden_curves_agree(self, curve):
+        report = cross_check(germ(curve))
         assert report.ok
         assert report.nash.word == report.blowup.word
 
@@ -206,7 +199,7 @@ class TestCrossCheck:
         report = cross_check(c)
         word = lift_trace(c).word
         assert report.nash.multiplicities() == multiplicity_sequence(word)
-        assert report.blowup.multiplicities == report.nash.multiplicities()
+        assert report.blowup.multiplicities() == report.nash.multiplicities()
 
     def test_small_random_corpus(self):
         for spec in generate_corpus(25, seed=99):
@@ -274,7 +267,7 @@ class TestCrossCheck:
             raise MismatchReport("forced", report)
 
     def test_report_holds_both_traces(self):
-        c = germ("x=t^15, y=t^24+t^25", 96)
+        c = germ("x=t^15, y=t^24+t^25")
         report = cross_check(c)
         # each trace is built twice, so on 64 terms of each series: their
         # exact equality reads thousands of terms
@@ -373,7 +366,7 @@ class TestMultiplicitiesFromSteps:
                 differ.append(("nash", label))
             blow = blowup_resolve(c)
             pairs = [(c.x, c.y), *((s.denominator, s.new_coord) for s in blow.steps)]
-            if blow.multiplicities != recentered_multiplicities(pairs):
+            if blow.multiplicities() != recentered_multiplicities(pairs):
                 differ.append(("blowup", label))
         assert differ == []
 

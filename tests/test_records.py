@@ -138,7 +138,7 @@ def test_blowup_records_hold_steps_and_traces():
         "level", "chart_letter", "denominator", "new_coord", "denominator_name", "new_name",
         "symbol", "divisor_flag", "orders",
     )
-    assert records["BlowupTrace"]._fields == ("germ", "steps")
+    assert records["BlowupTrace"]._fields == ("germ", "steps", "regularization_level")
     assert records["LiftTrace"]._fields == ("germ", "steps", "regularization_level")
     assert records["CrossCheckReport"]._fields == ("nash", "blowup", "word_multiplicities", "ok")
     report = records["CrossCheckReport"]

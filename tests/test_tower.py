@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from monstertower.blowup import blowup_resolve
 from monstertower.corpus import generate_corpus
 from monstertower.errors import (
     ConstantParameterization,
@@ -29,10 +30,8 @@ from monstertower.words import parse_word
 from conftest import agree_on_prefix
 
 
-def germ(text, precision=None):
-    # parse_curve accepts a term budget for the benchmark and ignores it;
-    # tests parametrized by the budgets they once ran at pass it through
-    return parse_curve(text, precision)[0]
+def germ(text):
+    return parse_curve(text)[0]
 
 
 QUINTIC = "x=t^5, y=t^7"
@@ -63,6 +62,14 @@ DEEP_COMPARES = {
     "x=t^6+t^7, y=t^9+t^10",
     "x=t^8+t^9, y=t^12+t^14+t^15",
     "x=t^14, y=14*t^18+14*t^19",
+}
+
+
+# each engine's budget message, at the budget {}
+BUDGETS = {
+    lift_trace: "^no regular lift within {} levels; the germ may be critical or the budget "
+                "too small$",
+    blowup_resolve: "^no regular strict transform within {} blowups$",
 }
 
 
@@ -190,12 +197,9 @@ class TestTrivialGerms:
 
 
 class TestWordConsistency:
-    @pytest.mark.parametrize(
-        "curve,precision",
-        [(QUINTIC, 64), ("x=t^2, y=t^4+t^5", 64), ("x=t^14, y=14*t^18+14*t^19", 96)],
-    )
-    def test_split_recovers_curve_words(self, curve, precision):
-        c = germ(curve, precision)
+    @pytest.mark.parametrize("curve", [QUINTIC, "x=t^2, y=t^4+t^5", "x=t^14, y=14*t^18+14*t^19"])
+    def test_split_recovers_curve_words(self, curve):
+        c = germ(curve)
         trace = lift_trace(c)
         r = trace.regularization_level
         full = lift_trace(c, levels=r).word
@@ -221,7 +225,7 @@ class TestWordConsistency:
             trace.curve_word(-1)
 
     def test_cut_equals_shorter_lift(self):
-        c = germ("x=t^14, y=14*t^18+14*t^19", 96)
+        c = germ("x=t^14, y=14*t^18+14*t^19")
         trace = lift_trace(c, levels=9)
         for k in range(-1, 10):  # on 64 terms of each series, as in DEEP_COMPARES
             assert agree_on_prefix(trace.continued(levels=k), lift_trace(c, levels=k), 64)
@@ -253,14 +257,14 @@ class TestWordConsistency:
         from monstertower.puiseux import pc_from_word_front
 
         for curve in (QUINTIC, "x=t^2, y=t^4+t^5", "x=t^15, y=t^24+t^25"):
-            c = germ(curve, 96)
+            c = germ(curve)
             pc = pc_from_word_front(lift_trace(c).curve_word(0))
             assert pc.leading == min(c.x.valuation(), c.y.valuation())
 
 
 class TestVerticalOrdersFromCurve:
     def test_worked_example(self):
-        trace = lift_trace(germ("x=t^15, y=t^24+t^25", 96))
+        trace = lift_trace(germ("x=t^15, y=t^24+t^25"))
         assert trace.order_profile() == (15, 24, 9, 6, 3, 3, 0, 2, 1)
         assert tuple(trace.vertical_orders()) == (6, 3, 3, 0, 2, 0)
 
@@ -269,7 +273,7 @@ class TestVerticalOrdersFromCurve:
 
     def test_matches_word_differences(self):
         for curve in (QUINTIC, "x=t^2, y=t^4+t^5", "x=t^15, y=t^24+t^25"):
-            trace = lift_trace(germ(curve, 96))
+            trace = lift_trace(germ(curve))
             assert tuple(trace.vertical_orders()) == tuple(
                 vertical_orders(trace.curve_word(0))
             )
@@ -337,7 +341,7 @@ class TestDerivativesPerLift:
         ],
     )
     def test_steps_plus_two(self, derivative_calls, lazy_made, curve, levels):
-        c = germ(curve, 96)
+        c = germ(curve)
         derivative_calls.clear()  # a leveled germ is integrated and re-lifted
         lazy_made.clear()
         trace = lift_trace(c, levels=levels)
@@ -348,37 +352,40 @@ class TestDerivativesPerLift:
 
 
 def lift_facts(trace):
-    """What the lift decided at each level, as the consumers of a trace read
+    """What the run decided at each level, as the consumers of a trace read
     it: the JSON (names, letters, symbols, valuations, constant terms,
     chain origins, regularization level) and the deciding orders."""
     return trace.to_json_dict(), [s.orders for s in trace.steps]
 
 
 class TestContinuedLift:
-    """A trace continued from its last step, whether a shorter lift or a
-    cut of a longer one, is the trace a fresh lift gives."""
+    """A trace continued from its last step, whether a shorter run or a cut
+    of a longer one, is the trace a fresh run gives: a Nash lift, and a
+    blowup resolution, which ``Trace.continued`` runs by the same loop."""
 
+    @pytest.mark.parametrize("engine", list(BUDGETS))
     @pytest.mark.parametrize("corpus", ["default", "held-out", "charts"])
-    def test_continuing_equals_a_fresh_lift(self, corpus):
+    def test_continuing_equals_a_fresh_lift(self, corpus, engine):
         if corpus == "charts":
             germs = [germ(text) for text in DEEP_LIFT_GERMS if text.startswith("@level")]
         else:
             seed = 178212 if corpus == "default" else 20230817
             germs = [spec.curve() for spec in generate_corpus(60, seed)]
         for c in germs:
-            regular = lift_trace(c)
+            regular = engine(c)
             r = regular.regularization_level
+            empty = regular.continued(levels=0)
             # from each level below regularity, as a cut and as a shorter
-            # lift; lift_trace itself continues from level 0
+            # run; the engine itself continues from level 0
             starts = [regular.continued(levels=j) for j in range(1, r)]
-            for start in starts + [lift_trace(c, levels=j) for j in range(1, r)]:
+            for start in starts + [empty.continued(levels=j) for j in range(1, r)]:
                 j = len(start.steps)
                 assert lift_facts(start.continued()) == lift_facts(regular), (str(c), j)
                 assert lift_facts(start.continued(levels=r)) == lift_facts(regular), (str(c), j)
             # a trace that reached regularity is continued by nothing, and
             # past it only to a level asked for
             assert regular.continued() == regular
-            past = lift_trace(c, levels=r + 1)
+            past = empty.continued(levels=r + 1)
             assert lift_facts(regular.continued(levels=r + 1)) == lift_facts(past), str(c)
             assert lift_facts(past.continued()) == lift_facts(past), str(c)
 
@@ -405,22 +412,26 @@ class TestContinuedLift:
         r = regular.regularization_level
         assert same_lift(text, trace.continued(), regular if level <= r else trace)
 
-    def test_budget_holds_for_a_trace_already_regular(self):
-        # the check trace of oo reaches r = 1 at level 1; a budget of 0 still
-        # refuses it, as a fresh lift does
-        trace = parse_curve_trace("@level 2 chart=oo, r=t, n=t")
+    @pytest.mark.parametrize("engine", list(BUDGETS))
+    def test_budget_holds_for_a_trace_already_regular(self, engine):
+        # the rebuild of oo reaches r = 1 at level 1, by both engines; a
+        # budget of 0 still refuses a run past it, as a fresh run does
+        trace = engine(germ("@level 2 chart=oo, r=t, n=t")).continued(levels=2)
         assert trace.regularization_level == 1
         for start in (trace, trace.continued(levels=1), trace.continued(levels=0)):
-            with pytest.raises(MaxLevelExceeded, match="^no regular lift within 0 levels;"):
+            with pytest.raises(MaxLevelExceeded, match=BUDGETS[engine].format(0)):
                 start.continued(max_level=0)
         assert trace.continued(max_level=1) == trace
 
-    def test_budget_stops_a_continued_lift(self):
-        trace = lift_trace(germ(QUINTIC), levels=2)
-        with pytest.raises(MaxLevelExceeded, match="^no regular lift within 3 levels;"):
-            trace.continued(max_level=3)
-        with pytest.raises(MaxLevelExceeded, match="^no regular lift within 1 levels;"):
-            trace.continued(max_level=1)
+    @pytest.mark.parametrize("engine", list(BUDGETS))
+    def test_budget_stops_a_continued_lift(self, engine):
+        # both engines regularize the quintic at level 4
+        trace = engine(germ(QUINTIC)).continued(levels=2)
+        with pytest.raises(MaxLevelExceeded, match="^trace stops at level 2, before regularity$"):
+            trace.multiplicities()
+        for budget in (3, 1):
+            with pytest.raises(MaxLevelExceeded, match=BUDGETS[engine].format(budget)):
+                trace.continued(max_level=budget)
 
 
 class TestErrors:
@@ -680,7 +691,7 @@ class TestOnDemandCoefficients:
         # the term budget that parse_curve accepts for the benchmark changes
         # nothing
         traces = [
-            lift_trace(germ("x=t^15, y=t^24+t^25", p)).to_json_dict()
+            lift_trace(parse_curve("x=t^15, y=t^24+t^25", p)[0]).to_json_dict()
             for p in (None, 1, 192, 1536)
         ]
         assert traces[0]["word"] == "RVVVRVT"
