@@ -9,12 +9,14 @@ numerator's divisor flag exactly when the numerator vanished at the center.
 The recentered denominator is often the previous step's quotient itself: a
 series that vanishes at the center is its own recentering.
 
-Coordinates are a base letter and a blowup index (``y_1``).  A germ is
-resolved once into a ``BlowupTrace``, run by the loop the Nash lift runs
-(``Trace.continued``); the engine supplies only ``blowup_once`` as its step
-and its regularity test.  Word (the symbols read off the flags), chart
-path, order profile and multiplicities are views of its steps, and
-``cross_check`` compares them against the Nash lift it is given or makes.
+Coordinates are a base letter and a blowup index (``y_1``), bumped into
+shared names as the Nash lift's are, and each step is one record
+allocation.  A germ is resolved once into a ``BlowupTrace``, run by the
+loop the Nash lift runs (``Trace.continued``); the engine supplies only
+``blowup_once`` as its step and its regularity test.  Word (the symbols
+read off the flags), chart path, order profile and multiplicities are
+views of its steps, and ``cross_check`` compares them against the Nash
+lift it is given or makes, reading each view of either trace once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from .defaults import DEFAULT_MAX_LEVEL
 from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParameterization
 from .invariants import multiplicity_sequence
-from .records import Record, _set
+from .records import Record, _new
 from .series import TruncatedSeries
 from .tower import CoordName, CurveGerm, LiftTrace, Trace, lift_trace
 
@@ -38,24 +40,22 @@ class BlowupName(CoordName):
 
 class BlowupStep(Record):
     """One blowup and the chart pair after it.  The denominator's zero locus
-    is the exceptional divisor of this step, so its flag is ``level``."""
+    is the exceptional divisor of this step, so its flag is ``level``.  The
+    chart letter is "o" when the y-like coordinate was divided; the
+    denominator is recentered and the quotient ``new_coord`` is not;
+    ``divisor_flag`` is the flag the new coordinate inherits, and
+    ``orders`` are val(a), val(b - b(0)), which decided the chart."""
 
-    __slots__ = ("level", "chart_letter", "denominator", "new_coord", "denominator_name",
-                 "new_name", "symbol", "divisor_flag", "orders")
+    __slots__ = ()
+    _fields = ("level", "chart_letter", "denominator", "new_coord", "denominator_name",
+               "new_name", "symbol", "divisor_flag", "orders")
 
-    def __init__(self, level: int, chart_letter: str, denominator: TruncatedSeries,
-                 new_coord: TruncatedSeries, denominator_name: BlowupName,
-                 new_name: BlowupName, symbol: str, divisor_flag: int | None,
-                 orders: tuple[int | None, int | None]):
-        _set(self, "level", level)
-        _set(self, "chart_letter", chart_letter)  # "o" when the y-like coordinate was divided
-        _set(self, "denominator", denominator)    # recentered
-        _set(self, "new_coord", new_coord)        # the quotient, unrecentered
-        _set(self, "denominator_name", denominator_name)
-        _set(self, "new_name", new_name)
-        _set(self, "symbol", symbol)
-        _set(self, "divisor_flag", divisor_flag)  # flag inherited by the new coordinate
-        _set(self, "orders", orders)  # val(a), val(b - b(0)) that decided the chart
+    def __new__(cls, level: int, chart_letter: str, denominator: TruncatedSeries,
+                new_coord: TruncatedSeries, denominator_name: BlowupName,
+                new_name: BlowupName, symbol: str, divisor_flag: int | None,
+                orders: tuple[int | None, int | None]):
+        return _new(cls, (level, chart_letter, denominator, new_coord, denominator_name,
+                          new_name, symbol, divisor_flag, orders))
 
 
 class BlowupTrace(Trace):
@@ -89,8 +89,7 @@ class BlowupTrace(Trace):
     def multiplicities(self) -> tuple[int, ...]:
         """The multiplicity of each point is the smaller order of its
         recentered pair; the regular point's is 1."""
-        steps = self._regular_steps()
-        return (*(min(v for v in s.orders if v is not None) for s in steps), 1)
+        return (*self._least_orders(), 1)
 
     @staticmethod
     def _level_json(s: BlowupStep) -> dict:
@@ -149,14 +148,12 @@ class CrossCheckReport(Record):
     """Both engines' traces of one germ, the multiplicities read off the
     Nash word, and whether all of them agree."""
 
-    __slots__ = ("nash", "blowup", "word_multiplicities", "ok")
+    __slots__ = ()
+    _fields = ("nash", "blowup", "word_multiplicities", "ok")
 
-    def __init__(self, nash: LiftTrace, blowup: BlowupTrace,
-                 word_multiplicities: tuple[int, ...], ok: bool):
-        _set(self, "nash", nash)
-        _set(self, "blowup", blowup)
-        _set(self, "word_multiplicities", word_multiplicities)
-        _set(self, "ok", ok)
+    def __new__(cls, nash: LiftTrace, blowup: BlowupTrace,
+                word_multiplicities: tuple[int, ...], ok: bool):
+        return _new(cls, (nash, blowup, word_multiplicities, ok))
 
     def to_json_dict(self) -> dict:
         nash, blow = self.nash, self.blowup
@@ -187,10 +184,10 @@ def cross_check(c: CurveGerm | LiftTrace,
             else lift_trace(c, max_level=max_level))
     nash = nash.continued(levels=nash.regularization_level)
     blow = blowup_resolve(nash.germ, max_level)
-    mults = nash.multiplicities()
-    word_mults = multiplicity_sequence(nash.word)
+    word, mults = nash.word, nash.multiplicities()
+    word_mults = multiplicity_sequence(word)
     ok = (
-        nash.word.symbols == blow.word.symbols
+        word.symbols == blow.word.symbols
         and nash.order_profile() == blow.order_profile()
         and mults == blow.multiplicities()
         and mults == word_mults

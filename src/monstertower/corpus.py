@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .records import Record, _set
+from .records import Record, _new
 from .series import TruncatedSeries
 from .tower import CurveGerm
 
@@ -29,11 +29,11 @@ COEFF_POOL = [
 class CurveSpec(Record):
     """x = t^n, y = sum(c_i t^(e_i)); exponents strictly above n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _fields = ("n", "terms")
 
-    def __init__(self, n: int, terms: tuple[tuple[Fraction, int], ...]):
-        _set(self, "n", n)
-        _set(self, "terms", terms)
+    def __new__(cls, n: int, terms: tuple[tuple[Fraction, int], ...]):
+        return _new(cls, (n, terms))
 
     def curve(self) -> CurveGerm:
         return CurveGerm.from_series(

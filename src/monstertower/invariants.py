@@ -19,7 +19,7 @@ from .puiseux import (
     restrict_pc,
     word_from_pc,
 )
-from .records import Record, _set
+from .records import Record, _new
 from .words import RvtWord
 
 
@@ -35,12 +35,11 @@ class ProximityDiagram(Record):
     j of the word and multiplicity mults[j]; p_j is proximate to p_i when
     j = i+1 or p_j sits on the chain prolongation hanging off position i+2."""
 
-    __slots__ = ("symbols", "mults", "edges")
+    __slots__ = ()
+    _fields = ("symbols", "mults", "edges")  # an edge (j, i): p_j proximate to p_i
 
-    def __init__(self, symbols: str, mults: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
-        _set(self, "symbols", symbols)
-        _set(self, "mults", mults)
-        _set(self, "edges", edges)  # (j, i): p_j proximate to p_i
+    def __new__(cls, symbols: str, mults: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
+        return _new(cls, (symbols, mults, edges))
 
     def multiplicities(self) -> tuple[int, ...]:
         return self.mults
@@ -105,11 +104,11 @@ class VerticalOrders(Record):
     """Intersection orders of the regularized lift with the divisors at
     infinity, indexed by absolute tower level starting at first_level."""
 
-    __slots__ = ("values", "first_level")
+    __slots__ = ()
+    _fields = ("values", "first_level")
 
-    def __init__(self, values: tuple[int, ...], first_level: int = 2):
-        _set(self, "values", values)
-        _set(self, "first_level", first_level)
+    def __new__(cls, values: tuple[int, ...], first_level: int = 2):
+        return _new(cls, (values, first_level))
 
     def __iter__(self):
         return iter(self.values)
@@ -137,19 +136,15 @@ def restricted_vertical_orders(word: RvtWord | str) -> VerticalOrders:
 
 
 class InvariantPanel(Record):
-    __slots__ = ("word", "goursat_word", "pc", "restricted_pc", "proximity", "orders",
-                 "restricted_orders")
+    __slots__ = ()
+    _fields = ("word", "goursat_word", "pc", "restricted_pc", "proximity", "orders",
+               "restricted_orders")
 
-    def __init__(self, word: RvtWord, goursat_word: RvtWord, pc: PuiseuxCharacteristic,
-                 restricted_pc: PuiseuxCharacteristic, proximity: ProximityDiagram,
-                 orders: VerticalOrders, restricted_orders: VerticalOrders):
-        _set(self, "word", word)
-        _set(self, "goursat_word", goursat_word)
-        _set(self, "pc", pc)
-        _set(self, "restricted_pc", restricted_pc)
-        _set(self, "proximity", proximity)
-        _set(self, "orders", orders)
-        _set(self, "restricted_orders", restricted_orders)
+    def __new__(cls, word: RvtWord, goursat_word: RvtWord, pc: PuiseuxCharacteristic,
+                restricted_pc: PuiseuxCharacteristic, proximity: ProximityDiagram,
+                orders: VerticalOrders, restricted_orders: VerticalOrders):
+        return _new(cls, (word, goursat_word, pc, restricted_pc, proximity, orders,
+                          restricted_orders))
 
     @property
     def multiplicities(self) -> tuple[int, ...]:

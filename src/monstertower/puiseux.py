@@ -30,7 +30,7 @@ from .errors import (
     RemainderInvalid,
     TrivialCharacteristic,
 )
-from .records import Record, _set
+from .records import Record, _new
 from .words import RvtWord, _split_pq, is_entirely_critical
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
@@ -42,15 +42,15 @@ class PuiseuxCharacteristic(Record):
     (not divisible by the gcd of its predecessors), and lambda_0 = 1
     only for the trivial characteristic [1;]."""
 
-    __slots__ = ("lambdas",)
+    __slots__ = ()
+    _fields = ("lambdas",)
 
-    def __init__(self, lambdas):
+    def __new__(cls, lambdas):
         lam = tuple(map(int, lambdas))
-        _set(self, "lambdas", lam)
         # one pass over a valid characteristic: increasing, every entry
         # essential, the running gcd reaching 1 only at the end
         if lam == (1,):
-            return
+            return _new(cls, (lam,))
         d = prev = lam[0] if lam else 0
         if d > 1:
             for x in lam[1:]:
@@ -60,7 +60,7 @@ class PuiseuxCharacteristic(Record):
                 d = gcd(d, x)
             else:
                 if d == 1:
-                    return
+                    return _new(cls, (lam,))
         raise InvalidCharacteristic(_first_violation(lam))
 
     @property
@@ -80,15 +80,6 @@ class PuiseuxCharacteristic(Record):
 
     def __iter__(self):
         return iter(self.lambdas)
-
-    # compared twice per invariant panel
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lambdas == other.lambdas
-
-    def __hash__(self):
-        return hash(self.lambdas)
 
 
 def _first_violation(lam: tuple[int, ...]) -> str:
@@ -120,11 +111,11 @@ EPair.__doc__ = "Coprime ordered pair produced by the E map; a < b always."
 class CaseTag(Record):
     """Front-end recursion case: A, or B/C with the tangency count tau."""
 
-    __slots__ = ("kind", "tau")
+    __slots__ = ()
+    _fields = ("kind", "tau")
 
-    def __init__(self, kind: str, tau: int | None = None):
-        _set(self, "kind", kind)
-        _set(self, "tau", tau)
+    def __new__(cls, kind: str, tau: int | None = None):
+        return _new(cls, (kind, tau))
 
     def __str__(self) -> str:
         return self.kind if self.tau is None else f"{self.kind}(tau={self.tau})"

@@ -40,9 +40,10 @@ leading terms they decide on.  A valuation that the operands fix costs no
 coefficient at all: val(f/g) = val f - val g, val(fg) = val f + val g, and
 in characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
 val f >= 1, so ``slope_order`` reads val f' off f and searches f only when
-val f is 0 or unknown; an integral from 0 has the valuation of its
-integrand plus one, and an integral from a nonzero constant has valuation
-0.  Such a series carries its valuation from construction.
+val f is 0 or unknown, once per series; an integral from 0 has the
+valuation of its integrand plus one, and an integral from a nonzero
+constant has valuation 0.  Such a series carries its valuation from
+construction.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -116,6 +117,8 @@ class TruncatedSeries:
     * ``_exact`` says that ``_zeros`` is the valuation: a nonzero polynomial,
       a result whose operands' valuations fix it, or a series whose search
       found it; ``valuation_or_none`` then reads it without computing;
+    * ``_slope`` is val f' once ``slope_order`` has searched for it (None
+      when f' = 0), and -1 before;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
       coefficients need the first ``m + offset`` of that operand;
     * ``_extend(known, dens, m)`` computes up to m once the operands are ready.
@@ -123,7 +126,7 @@ class TruncatedSeries:
     Zeros, leading or past the degree, cost no arithmetic; the operands and
     ``_extend`` are dropped once a polynomial is complete."""
 
-    __slots__ = ("_bound", "_degree", "_zeros", "_exact", "_known", "_dens",
+    __slots__ = ("_bound", "_degree", "_zeros", "_exact", "_slope", "_known", "_dens",
                  "_operands", "_extend")
 
     def __init__(self, coefficients):
@@ -141,6 +144,7 @@ class TruncatedSeries:
         self._bound = (self._degree, 0, 0)
         self._zeros = next((i for i, c in enumerate(nums) if c), len(nums))
         self._exact = self._degree >= 0
+        self._slope = -1
         self._known, self._dens = nums, dens
         self._operands = ()
         self._extend = None
@@ -154,6 +158,7 @@ class TruncatedSeries:
         series._degree = None if bound[1] else bound[0]
         series._zeros = zeros
         series._exact = exact
+        series._slope = -1
         series._known = []
         series._dens = []
         series._operands = operands
@@ -297,9 +302,12 @@ class TruncatedSeries:
         is 0 if f[1..a + r] vanish."""
         if self._exact and self._zeros:
             return self._zeros - 1
+        if self._slope != -1:
+            return self._slope
         a, q, r = self._bound
         i = self._first_nonzero(max(self._zeros, 1), min(max(a, q), a + r) + 1)
-        return None if i is None else i - 1
+        self._slope = v = None if i is None else i - 1
+        return v
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; IndeterminateValuation for
@@ -399,12 +407,13 @@ class TruncatedSeries:
         lead = vd + shift
         support = []  # (i, den[i] * i ** shift, dd[i]), den[i] != 0, lead < i < scanned
         scanned = lead + 1
+        sn = sd = 0  # set by the first extend, which has den[lead]
 
         def extend(out, dens, m):
-            nonlocal scanned
-            # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
-            c = dn[lead] * lead ** shift
-            sn, sd = (-dd[lead], c) if c > 0 else (dd[lead], -c)
+            nonlocal scanned, sn, sd
+            if not sd:  # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
+                c = dn[lead] * lead ** shift
+                sn, sd = (-dd[lead], c) if c > 0 else (dd[lead], -c)
             for k in range(lead + len(out), lead + m):
                 while scanned <= k:
                     if dn[scanned]:

@@ -18,19 +18,23 @@ the new level, so the code-word symbol there is V.  An ordinary step whose
 new coordinate vanishes at t=0 while a V/T chain is alive continues the
 chain with a T; everything else is an R.  Coordinates are named with the
 calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
-``_step_names``, for both letters) and carried as structured ``CoordName``s.
+``_step_names``, for both letters) and carried as structured ``CoordName``s;
+a bumped name is shared, so a level makes no name of its own, and a step is
+one record allocation (``records``), so a level costs its series.
 A germ is lifted once into a ``LiftTrace``, which every reader continues.
 ``Trace``, the base of both engines' traces, holds the one step-until-regular
 loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
 it, and each engine supplies only its next step and its regularity test.
 The word, chart path, base point and order profile are views ``Trace``
 shares; data point, chart equations, multiplicities, vertical orders and
-curve words are views of the lift.
+curve words are views of the lift.  Both engines' multiplicities read the
+smaller present order of each step's deciding pair.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
@@ -44,20 +48,27 @@ from .errors import (
     ParseError,
 )
 from .invariants import VerticalOrders
-from .records import Record, _set
+from .records import Record, _new
 from .series import TruncatedSeries, parse_series
 from .words import RvtWord
 
 
 class CoordName(Record):
-    __slots__ = ("base", "order")
+    """A base letter, "x" or "y", and its number of primes.  A bumped name
+    is shared: ``bump`` returns one name per class, base and order."""
 
-    def __init__(self, base: str, order: int):
-        _set(self, "base", base)    # "x" or "y"
-        _set(self, "order", order)  # number of primes
+    __slots__ = ()
+    _fields = ("base", "order")
+
+    def __new__(cls, base: str, order: int):
+        return _new(cls, (base, order))
 
     def bump(self) -> "CoordName":
-        return type(self)(self.base, self.order + 1)
+        names = _BUMPED[self.__class__]
+        name = names.get(self)
+        if name is None:
+            name = names[self] = type(self)(self.base, self.order + 1)
+        return name
 
     def __str__(self) -> str:
         if self.order == 0:
@@ -65,6 +76,12 @@ class CoordName(Record):
         if self.order <= 2:
             return self.base + "'" * self.order
         return f"{self.base}^({self.order})"
+
+
+# per class, a name -> the shared name one order up; a class of its own keeps
+# CoordName and BlowupName, whose values hash alike, from meeting in a lookup
+_BUMPED: defaultdict[type, dict] = defaultdict(dict)
+_X, _Y = CoordName("x", 0), CoordName("y", 0)
 
 
 class CurveGerm(Record):
@@ -79,10 +96,11 @@ class CurveGerm(Record):
     (``TruncatedSeries.exponent_gcd``) make it a function of t^d, which is
     NonPrimitiveParameterization."""
 
-    __slots__ = ("x", "y", "base_point")
+    __slots__ = ()
+    _fields = ("x", "y", "base_point")
 
-    def __init__(self, x: TruncatedSeries, y: TruncatedSeries,
-                 base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
+    def __new__(cls, x: TruncatedSeries, y: TruncatedSeries,
+                base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
         for name, s in (("x", x), ("y", y)):
             if not s.is_polynomial:
                 raise ValueError(f"{name} is a stream; a germ's coordinates are polynomials, "
@@ -99,9 +117,7 @@ class CurveGerm(Record):
                 f"all exponents share the factor {d}; reparameterization would "
                 "leave the rational field, so the germ is rejected"
             )
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "base_point", base_point)
+        return _new(cls, (x, y, base_point))
 
     @staticmethod
     def from_series(x: TruncatedSeries, y: TruncatedSeries) -> "CurveGerm":
@@ -114,23 +130,21 @@ class CurveGerm(Record):
 
 
 class LiftStep(Record):
-    __slots__ = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
-                 "deactivated", "symbol", "chain_origin", "orders")
+    """One chart step: its letter ("o" or "i"), the active pair after it
+    and its names, the coordinate that went passive, the symbol (R, V or
+    T), the level of the divisor whose chain is alive, and the orders
+    val(dr/dt), val(dn/dt) that decided the letter."""
 
-    def __init__(self, level: int, chart_letter: str, retained: TruncatedSeries,
-                 new_coord: TruncatedSeries, retained_name: CoordName, new_name: CoordName,
-                 deactivated: CoordName, symbol: str, chain_origin: int | None,
-                 orders: tuple[int | None, int | None]):
-        _set(self, "level", level)
-        _set(self, "chart_letter", chart_letter)    # "o" or "i"
-        _set(self, "retained", retained)
-        _set(self, "new_coord", new_coord)
-        _set(self, "retained_name", retained_name)
-        _set(self, "new_name", new_name)
-        _set(self, "deactivated", deactivated)      # the coordinate that went passive
-        _set(self, "symbol", symbol)                # R, V, or T
-        _set(self, "chain_origin", chain_origin)    # level of the divisor whose chain is alive
-        _set(self, "orders", orders)  # val(dr/dt), val(dn/dt) that decided the letter
+    __slots__ = ()
+    _fields = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
+               "deactivated", "symbol", "chain_origin", "orders")
+
+    def __new__(cls, level: int, chart_letter: str, retained: TruncatedSeries,
+                new_coord: TruncatedSeries, retained_name: CoordName, new_name: CoordName,
+                deactivated: CoordName, symbol: str, chain_origin: int | None,
+                orders: tuple[int | None, int | None]):
+        return _new(cls, (level, chart_letter, retained, new_coord, retained_name, new_name,
+                          deactivated, symbol, chain_origin, orders))
 
 
 class Trace(Record):
@@ -147,21 +161,20 @@ class Trace(Record):
     which on a deep lift can be thousands of terms, so no command compares
     traces."""
 
-    __slots__ = ("germ", "steps", "regularization_level")
+    __slots__ = ()
+    _fields = ("germ", "steps", "regularization_level")
 
-    def __init__(self, germ: CurveGerm, steps: tuple, regularization_level: int | None = None):
-        _set(self, "germ", germ)
-        _set(self, "steps", steps)
-        _set(self, "regularization_level", regularization_level)
+    def __new__(cls, germ: CurveGerm, steps: tuple, regularization_level: int | None = None):
+        return _new(cls, (germ, steps, regularization_level))
 
     @property
     def word(self) -> RvtWord:
         """Full incidence word: one symbol per step, chains from every origin."""
-        return RvtWord("".join(s.symbol for s in self.steps))
+        return RvtWord("".join([s.symbol for s in self.steps]))
 
     @property
     def chart_path(self) -> str:
-        return "".join(s.chart_letter for s in self.steps)
+        return "".join([s.chart_letter for s in self.steps])
 
     @property
     def base_point(self) -> tuple[Fraction, Fraction]:
@@ -172,13 +185,19 @@ class Trace(Record):
             raise MaxLevelExceeded(f"trace stops at level {len(self.steps)}, before regularity")
         return self.steps[: self.regularization_level]
 
+    def _least_orders(self) -> list[int]:
+        """The smaller present order of each step's deciding pair, up to
+        regularization (a step has at least one)."""
+        return [b if a is None or b is not None and b < a else a
+                for a, b in [s.orders for s in self._regular_steps()]]
+
     def order_profile(self) -> tuple[int | None, ...]:
         """Valuations of x, y and the new coordinate of every level up to
         regularization.  None marks a coordinate that is identically zero."""
         return (
             self.germ.x.valuation_or_none(),
             self.germ.y.valuation_or_none(),
-            *(s.new_coord.valuation_or_none() for s in self._regular_steps()),
+            *[s.new_coord.valuation_or_none() for s in self._regular_steps()],
         )
 
     def continued(self, *, levels: int | None = None,
@@ -256,7 +275,7 @@ class LiftTrace(Trace):
         vx, vy = x.valuation_or_none(), y.valuation_or_none()
         if vx is not None and (vy is None or vx <= vy):
             return lift_once(x, y, 1)
-        return lift_once(y, x, 1, CoordName("y", 0), CoordName("x", 0))
+        return lift_once(y, x, 1, _Y, _X)
 
     @staticmethod
     def _is_regular(step: LiftStep) -> bool:
@@ -278,8 +297,7 @@ class LiftTrace(Trace):
         In characteristic 0, val(f - f(0)) = val(df/dt) + 1, so each step's
         deciding orders give the multiplicity of the pair it lifted; the
         regular pair has multiplicity 1."""
-        steps = self._regular_steps()
-        return (*(min(v for v in s.orders if v is not None) + 1 for s in steps), 1)
+        return (*[v + 1 for v in self._least_orders()], 1)
 
     def vertical_orders(self) -> VerticalOrders:
         """Orders of vanishing of the divisor equations along the lift: at an
@@ -324,8 +342,8 @@ def lift_once(
     retained: TruncatedSeries,
     new_coord: TruncatedSeries,
     level: int,
-    retained_name: CoordName = CoordName("x", 0),
-    new_name: CoordName = CoordName("y", 0),
+    retained_name: CoordName = _X,
+    new_name: CoordName = _Y,
     chain_origin: int | None = None,
 ) -> LiftStep:
     """One chart step on the active pair (r, n).  The chart letter is decided
@@ -361,18 +379,8 @@ def lift_once(
         on_prolongation = chain_origin is not None and fresh.constant_term() == 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
     kept_name, fresh_name, deactivated = _step_names(letter, retained_name, new_name)
-    return LiftStep(
-        level=level,
-        chart_letter=letter,
-        retained=kept,
-        new_coord=fresh,
-        retained_name=kept_name,
-        new_name=fresh_name,
-        deactivated=deactivated,
-        symbol=symbol,
-        chain_origin=chain,
-        orders=(vr, vn),
-    )
+    return LiftStep(level, letter, kept, fresh, kept_name, fresh_name, deactivated, symbol, chain,
+                    (vr, vn))
 
 
 def _step_names(letter: str, retained: CoordName, new: CoordName):
@@ -414,7 +422,7 @@ def _walk_names(path: str) -> list[tuple[str, CoordName, CoordName, int]]:
     retains x first, so the path starts with an ordinary choice."""
     if path and path[0] != "o":
         raise ParseError("chart paths start with an ordinary choice")
-    r, n = CoordName("x", 0), CoordName("y", 0)
+    r, n = _X, _Y
     slot = {r: 0, n: 1}
     plan = []
     for level, letter in enumerate(path, 1):

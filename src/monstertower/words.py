@@ -23,7 +23,7 @@ from .errors import (
     NotCritical,
     OrphanT,
 )
-from .records import Record, _set
+from .records import Record, _new
 
 ALPHABET = "RVT"
 _SYMBOLS = frozenset(ALPHABET)
@@ -74,17 +74,21 @@ def is_entirely_critical(symbols) -> bool:
 
 
 class RvtWord(Record):
-    __slots__ = ("symbols",)
+    __slots__ = ()
+    _fields = ("symbols",)
 
-    def __init__(self, symbols: str = ""):
+    def __new__(cls, symbols: str = ""):
         validate_symbols(symbols)
-        _set(self, "symbols", symbols)
+        return _new(cls, (symbols,))
 
     def __str__(self) -> str:
         return self.symbols
 
     def __len__(self) -> int:
         return len(self.symbols)
+
+    def __bool__(self) -> bool:
+        return bool(self.symbols)
 
     def __iter__(self):
         return iter(self.symbols)
@@ -203,18 +207,20 @@ def _split_pq(s: str) -> tuple[int, int]:
 
 
 class WordDecomposition(Record):
-    __slots__ = ("prefix", "rho", "critical_block")
+    """P R^rho Q: the prefix P, empty or critical; rho, the number of R's
+    between P and Q; the block Q, entirely critical and beginning with V."""
 
-    def __init__(self, prefix: RvtWord, rho: int, critical_block: str):
+    __slots__ = ()
+    _fields = ("prefix", "rho", "critical_block")
+
+    def __new__(cls, prefix: RvtWord, rho: int, critical_block: str):
         if critical_block and not is_entirely_critical(critical_block):
             raise NotCritical("Q block must be entirely critical")
         if critical_block and critical_block[0] != "V":
             raise NotCritical("nonempty Q block must begin with V")
         if prefix.symbols and not prefix.is_critical():
             raise NotCritical("P must be empty or critical")
-        _set(self, "prefix", prefix)                  # P: empty or critical
-        _set(self, "rho", rho)                        # number of R's between P and Q
-        _set(self, "critical_block", critical_block)  # Q: entirely critical, begins with V
+        return _new(cls, (prefix, rho, critical_block))
 
     def reconstruct(self) -> RvtWord:
         return RvtWord(self.prefix.symbols + "R" * self.rho + self.critical_block)

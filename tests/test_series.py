@@ -728,6 +728,22 @@ class TestSearchCost:
         assert computed["walks"] == 5
         assert len(d._known) == 30
 
+    @pytest.mark.parametrize("num, order", [("1 + t^40", 39), ("1 - t^50", None), ("3 + 2*t", 0)])
+    def test_a_second_slope_order_searches_nothing(self, monkeypatch, num, order):
+        # a nonzero constant term leaves val f' to a search from index 1,
+        # made once: the next read of the same series returns what it found
+        f = _stream(num, "1 - t^50")
+        searches = []
+        first_nonzero = TruncatedSeries._first_nonzero
+
+        def counting(self, start, end):
+            searches.append((start, end))
+            return first_nonzero(self, start, end)
+
+        monkeypatch.setattr(TruncatedSeries, "_first_nonzero", counting)
+        assert f.slope_order() == order and len(searches) == 1
+        assert f.slope_order() == order and len(searches) == 1
+
 
 class TestIdenticallyZero:
     """A series that reads zero up to its numerator bound is zero, and has
