@@ -5,12 +5,14 @@ numerator over a positive denominator; the arithmetic reduces each
 coefficient it computes once (Knuth, TAOCP vol. 2, 4.5.1), and
 ``fractions.Fraction`` values are made only where a caller reads
 coefficients.  A series built from finitely many terms is the polynomial it
-names, zero beyond its last term, and knows its degree; derivative,
-recentering and product of polynomials are polynomials, and a quotient is
-an exact stream, as is a slope f'/g', read straight off f and g.  Only a
-polynomial is integrated, and its integral is a polynomial; the integral of
-a stream is not rational in general, so it is refused.  Nothing is ever
-truncated.
+names, stored as the tuple of its nonzero terms (Johnson, "Sparse
+polynomial arithmetic", 1974), zero beyond its last term.  Derivative,
+recentering, integral and product of such polynomials are computed at once,
+term by term, so they cost their terms and not their degree.  A quotient is
+an exact stream, as is a slope f'/g', read straight off f and g, and so is
+any product or derivative with a stream operand.  Only a polynomial is
+integrated, and its integral is a polynomial; the integral of a stream is
+not rational in general, so it is refused.  Nothing is ever truncated.
 
 Every series is therefore a rational function f = P/D, and carries three
 degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
@@ -19,31 +21,35 @@ the bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
 (P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r),
 and a slope has the quotient bound of the two derivative bounds.  A series
 whose constant term is 0 is its own recentering, with its bounds
-unchanged; any other recentering has (max(a, q), q, r).  Since P = f * D as
-power series, a series whose coefficients 0..a all vanish is identically
-zero, so a valuation search answers None only for the zero series, and the
-series is the zero polynomial from then on.  No zero test depends on a
-window.
+unchanged; any other recentering of a stream has (max(a, q), q, r).  Since
+P = f * D as power series, a stream whose coefficients 0..a all vanish is
+identically zero, so a valuation search answers None only for the zero
+series, and the series is the zero polynomial from then on.  No zero test
+depends on a window.
 
-Every read is exact or given its length by the caller.  Equality is
-exact: f - g = (P1 D2 - P2 D1) / (D1 D2) has a numerator of degree at most
-e = max(a1 + q2, a2 + q1), so by the same argument f = g exactly when
-coefficients 0..e agree.  A hash reads a short fixed prefix, which equal
-series share.  ``prefix(n)`` reads coefficients 0..n - 1.  A polynomial
-prints whole; a stream prints its bounds and reads no coefficient.
-``exponent_gcd`` reads the deg + 1 terms of a polynomial.
+Every read is exact or given its length by the caller.  A polynomial's
+valuation, constant term, val f', exponent gcd and text are read off its
+terms, and two polynomials are equal when their terms are.  Otherwise
+equality is exact through the bounds: f - g = (P1 D2 - P2 D1) / (D1 D2)
+has a numerator of degree at most e = max(a1 + q2, a2 + q1), so by the
+same argument f = g exactly when coefficients 0..e agree.  A hash reads a
+short fixed prefix, which equal series share.  ``prefix(n)`` reads
+coefficients 0..n - 1.  A polynomial prints whole; a stream prints its
+bounds and reads no coefficient.
 
-Coefficients are computed when read, from the front (McIlroy, "Power series,
-power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002),
-so the engines, which read valuations and constant terms, pay only for the
-leading terms they decide on.  A valuation that the operands fix costs no
-coefficient at all: val(f/g) = val f - val g, val(fg) = val f + val g, and
-in characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
+Stream coefficients are computed when read, from the front (McIlroy,
+"Power series, power serious", 1999; van der Hoeven, "Relax, but don't be
+too lazy", 2002), so the engines, which read valuations and constant terms,
+pay only for the leading terms they decide on.  A stream reads its operands
+through their dense prefixes, and a polynomial writes its terms into one,
+zeros between them, at most twice as far as such a read reaches.  Memory
+is thus O(terms plus the prefix read), and a prefix past the index range
+raises MemoryError.  A valuation that the operands fix costs no coefficient at
+all: val(f/g) = val f - val g, val(fg) = val f + val g, and in
+characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
 val f >= 1, so ``slope_order`` reads val f' off f and searches f only when
-val f is 0 or unknown, once per series; an integral from 0 has the
-valuation of its integrand plus one, and an integral from a nonzero
-constant has valuation 0.  Such a series carries its valuation from
-construction.
+val f is 0 or unknown, once per series.  Such a series carries its
+valuation from construction.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -57,7 +63,9 @@ anyway.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import IndeterminateValuation, NegativeValuation, ParseError
@@ -89,6 +97,60 @@ def _dot(out, dens, xn, xd, yn, yd, indices, top) -> None:
     dens.append(den // g)
 
 
+def _sum_terms(terms) -> tuple:
+    """The term tuple of the polynomial with these (coefficient, exponent)
+    terms: terms that share an exponent are added, and those that sum to
+    zero are dropped."""
+    sums = {}
+    for coeff, exponent in terms:
+        if exponent < 0:
+            raise ValueError("exponents must be nonnegative")
+        if coeff.__class__ is not int and coeff.__class__ is not Fraction:
+            coeff = Fraction(coeff)
+        if exponent in sums:
+            coeff += sums[exponent]
+        sums[exponent] = coeff
+    return tuple((e, c.numerator, c.denominator) for e, c in sorted(sums.items()) if c)
+
+
+def _product(xs: tuple, ys: tuple) -> tuple:
+    """The terms of the product of the polynomials with terms xs and ys:
+    the products that share an exponent are summed over a running
+    denominator, and each sum is reduced by one gcd."""
+    sums: dict[int, tuple[int, int]] = {}
+    for e1, n1, d1 in xs:
+        for e2, n2, d2 in ys:
+            e, n, d = e1 + e2, n1 * n2, d1 * d2
+            if e in sums:
+                acc, den = sums[e]
+                if d == den:
+                    n += acc
+                else:
+                    g = gcd(den, d)
+                    n, d = acc * (d // g) + n * (den // g), den // g * d
+            sums[e] = (n, d)
+    out = []
+    for e in sorted(sums):
+        n, d = sums[e]
+        if n:
+            g = gcd(n, d)
+            out.append((e, n // g, d // g))
+    return tuple(out)
+
+
+def _fill(terms: tuple, known: list[int], dens: list[int], upto: int) -> None:
+    """Extend the dense prefix known/dens of the polynomial with these terms
+    to ``upto`` coefficients: zeros, then the terms that fall there."""
+    start = len(known)
+    known.extend([0] * (upto - start))
+    dens.extend([1] * (upto - start))
+    for e, n, d in islice(terms, bisect_left(terms, (start,)), None):
+        if e >= upto:
+            break
+        known[e] = n
+        dens[e] = d
+
+
 def _term_text(coeff: Fraction, exponent: int) -> str:
     if exponent == 0:
         return str(coeff)
@@ -104,19 +166,24 @@ class TruncatedSeries:
     """Immutable exact power series, read through an exact zero test.
 
     ``TruncatedSeries(coefficients)`` is the polynomial with those
-    coefficients.  A series made by an operation starts with no coefficients
-    computed:
+    coefficients.  A polynomial holds its terms; a series made by a stream
+    operation starts with no coefficients computed:
 
-    * ``_known`` and ``_dens`` are the prefix computed so far: coprime
-      numerators and positive denominators, a zero as 0/1;
+    * ``_terms`` is a term polynomial's tuple of nonzero terms
+      ``(exponent, numerator, denominator)``, in increasing exponent, each
+      coefficient reduced; None for a series made by a stream operation;
+    * ``_known`` and ``_dens`` are the dense prefix computed or filled in so
+      far, which stream operations read: coprime numerators and positive
+      denominators, a zero as 0/1;
     * ``_bound`` is (a, q, r), the degree bounds of the module docstring;
     * ``_degree`` is a polynomial's degree (q = 0; -1 for zero), None for a
       stream;
     * ``_zeros`` counts leading coefficients known to be zero from the
       operands' valuations, so a constant term past them is 0 for free;
-    * ``_exact`` says that ``_zeros`` is the valuation: a nonzero polynomial,
-      a result whose operands' valuations fix it, or a series whose search
-      found it; ``valuation_or_none`` then reads it without computing;
+    * ``_exact`` says that ``_zeros`` is the valuation: a nonzero term
+      polynomial, a result whose operands' valuations fix it, or a series
+      whose search found it; ``valuation_or_none`` then reads it without
+      computing;
     * ``_slope`` is val f' once ``slope_order`` has searched for it (None
       when f' = 0), and -1 before;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
@@ -126,28 +193,29 @@ class TruncatedSeries:
     Zeros, leading or past the degree, cost no arithmetic; the operands and
     ``_extend`` are dropped once a polynomial is complete."""
 
-    __slots__ = ("_bound", "_degree", "_zeros", "_exact", "_slope", "_known", "_dens",
-                 "_operands", "_extend")
+    __slots__ = ("_bound", "_degree", "_zeros", "_exact", "_slope", "_terms", "_known",
+                 "_dens", "_operands", "_extend")
 
     def __init__(self, coefficients):
-        known = [c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
-                 for c in coefficients]
-        self._polynomial([c.numerator for c in known], [c.denominator for c in known])
+        self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)))
 
-    def _polynomial(self, nums: list[int], dens: list[int]) -> None:
-        """Make this series the polynomial with the reduced pairs nums/dens,
-        dropping the zeros past its last term."""
-        while nums and not nums[-1]:
-            nums.pop()
-            dens.pop()
-        self._degree = len(nums) - 1
+    def _polynomial(self, terms: tuple) -> None:
+        """Make this series the polynomial with the given terms (``_terms``)."""
+        self._terms = terms
+        self._degree = terms[-1][0] if terms else -1
         self._bound = (self._degree, 0, 0)
-        self._zeros = next((i for i, c in enumerate(nums) if c), len(nums))
-        self._exact = self._degree >= 0
+        self._zeros = terms[0][0] if terms else 0
+        self._exact = bool(terms)
         self._slope = -1
-        self._known, self._dens = nums, dens
+        self._known, self._dens = [], []
         self._operands = ()
         self._extend = None
+
+    @classmethod
+    def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
+        series = cls.__new__(cls)
+        series._polynomial(terms)
+        return series
 
     @classmethod
     def _lazy(cls, bound, zeros: int, exact: bool, operands, extend) -> "TruncatedSeries":
@@ -159,6 +227,7 @@ class TruncatedSeries:
         series._zeros = zeros
         series._exact = exact
         series._slope = -1
+        series._terms = None
         series._known = []
         series._dens = []
         series._operands = operands
@@ -171,72 +240,63 @@ class TruncatedSeries:
         operands off an explicit stack, so that a chain of thousands of
         operations needs no recursion per ancestor.  A series with unready
         operands is pushed back marked, under them, and extended unchecked
-        when popped again: LIFO order has made them ready."""
+        when popped again: LIFO order has made them ready.  A term
+        polynomial writes its terms into its prefix.  MemoryError when n is
+        past the index range, where a list cannot be allocated at all."""
         known = self._known
         if len(known) >= n:
             return known
         stack = [(self, n, False)]
         pop, push = stack.pop, stack.append
-        while stack:
-            series, want, marked = pop()
-            done, dens, extend = series._known, series._dens, series._extend
-            if extend is not None:
-                degree = series._degree
-                upto = want if degree is None else min(want, degree + 1)
-                if marked:
-                    extend(done, dens, upto)
-                elif len(done) < upto:
-                    if len(done) < series._zeros:
-                        fill = min(upto, series._zeros) - len(done)
-                        done.extend([0] * fill)
-                        dens.extend([1] * fill)
-                    if len(done) < upto:
-                        ready = True
-                        for operand, offset in series._operands:
-                            if len(operand._known) < upto + offset:
-                                if ready:
-                                    push((series, want, True))
-                                    ready = False
-                                push((operand, upto + offset, False))
-                        if not ready:
-                            continue
+        try:
+            while stack:
+                series, want, marked = pop()
+                done, dens, extend = series._known, series._dens, series._extend
+                if extend is not None:
+                    degree = series._degree
+                    upto = want if degree is None else min(want, degree + 1)
+                    if marked:
                         extend(done, dens, upto)
-                if degree is not None and len(done) > degree:
-                    series._operands = ()
-                    series._extend = None
-            if len(done) < want:  # past the degree of a complete polynomial
-                dens.extend([1] * (want - len(done)))
-                done.extend([0] * (want - len(done)))
+                    elif len(done) < upto:
+                        if len(done) < series._zeros:
+                            fill = min(upto, series._zeros) - len(done)
+                            done.extend([0] * fill)
+                            dens.extend([1] * fill)
+                        if len(done) < upto:
+                            ready = True
+                            for operand, offset in series._operands:
+                                if len(operand._known) < upto + offset:
+                                    if ready:
+                                        push((series, want, True))
+                                        ready = False
+                                    push((operand, upto + offset, False))
+                            if not ready:
+                                continue
+                            extend(done, dens, upto)
+                    if degree is not None and len(done) > degree:
+                        series._operands = ()
+                        series._extend = None
+                elif series._terms and len(done) <= series._degree:
+                    # twice as far as asked, up to the last term, so that a
+                    # prefix read in growing batches is filled a few times
+                    _fill(series._terms, done, dens, min(2 * want, series._degree + 1))
+                if len(done) < want:  # past the degree of a complete polynomial
+                    dens.extend([1] * (want - len(done)))
+                    done.extend([0] * (want - len(done)))
+        except OverflowError:  # a length past the index range, so past memory too
+            raise MemoryError(f"a prefix of {n} coefficients") from None
         return known
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_terms(terms) -> "TruncatedSeries":
-        """The polynomial with the given (coefficient, exponent) terms,
-        written straight into reduced pairs: terms that share an exponent
-        are added, and no other coefficient is converted twice."""
-        terms = list(terms)
-        size = max([0, *(e + 1 for _, e in terms)])
-        try:
-            nums, dens = [0] * size, [1] * size
-        except OverflowError:  # a length past the index range, so past memory too
-            raise MemoryError(f"a polynomial of degree {size - 1}") from None
-        for coeff, exponent in terms:
-            if exponent < 0:
-                raise ValueError("exponents must be nonnegative")
-            if coeff.__class__ is not int and coeff.__class__ is not Fraction:
-                coeff = Fraction(coeff)
-            if nums[exponent]:
-                coeff = Fraction(nums[exponent], dens[exponent]) + coeff
-            nums[exponent], dens[exponent] = coeff.numerator, coeff.denominator
-        series = TruncatedSeries.__new__(TruncatedSeries)
-        series._polynomial(nums, dens)
-        return series
+        """The polynomial with the given (coefficient, exponent) terms."""
+        return TruncatedSeries._of_terms(_sum_terms(terms))
 
     @staticmethod
     def zero() -> "TruncatedSeries":
-        return TruncatedSeries(())
+        return TruncatedSeries._of_terms(())
 
     # -- basic queries -------------------------------------------------------
 
@@ -256,13 +316,22 @@ class TruncatedSeries:
         """The first max(64, degree + 1) coefficients."""
         return self.prefix(64 if self._degree is None else max(64, self._degree + 1))
 
+    def _polynomial_terms(self) -> tuple:
+        """A polynomial's terms; one made by a stream operation (a quotient
+        by a constant) computes them from its deg + 1 coefficients."""
+        if self._terms is not None:
+            return self._terms
+        m = self._degree + 1
+        known, dens = self._force(m), self._dens
+        return tuple((i, known[i], dens[i]) for i in range(m) if known[i])
+
     def exponent_gcd(self) -> int:
         """The gcd of the exponents of a polynomial's terms, 0 for the zero
-        polynomial, read off its deg + 1 coefficients; a stream is refused
-        with ValueError, since it has no last term."""
+        polynomial; a stream is refused with ValueError, since it has no
+        last term."""
         if self._degree is None:
             raise ValueError("the exponent gcd of a stream is not read")
-        return gcd(*[i for i, c in enumerate(self._force(self._degree + 1)) if c])
+        return gcd(*[e for e, _, _ in self._polynomial_terms()])
 
     def _first_nonzero(self, start: int, end: int) -> int | None:
         """Index of the first nonzero coefficient in start..end - 1, or None,
@@ -299,9 +368,13 @@ class TruncatedSeries:
         D)/D has numerator bound max(a, q) and the coefficients of f past
         index 0, so it is 0 if f[1..max(a, q)] vanish.  f' has numerator
         bound a + r - 1 and coefficient j equal to (j + 1) f[j + 1], so it
-        is 0 if f[1..a + r] vanish."""
+        is 0 if f[1..a + r] vanish.  A term polynomial with f(0) != 0, or
+        zero, has the exponent of its next term, if any, less one."""
         if self._exact and self._zeros:
             return self._zeros - 1
+        terms = self._terms
+        if terms is not None:
+            return terms[1][0] - 1 if len(terms) > 1 else None
         if self._slope != -1:
             return self._slope
         a, q, r = self._bound
@@ -318,14 +391,22 @@ class TruncatedSeries:
         return v
 
     def constant_term(self) -> Fraction:
-        return _ZERO if self._zeros else Fraction(self._force(1)[0], self._dens[0])
+        if self._zeros:
+            return _ZERO
+        terms = self._terms
+        if terms is not None:  # the zero polynomial, or a first term at t^0
+            return Fraction(terms[0][1], terms[0][2]) if terms else _ZERO
+        return Fraction(self._force(1)[0], self._dens[0])
 
     def __eq__(self, other) -> bool:
-        """Exact equality: coefficients 0..e agree, e = max(a1 + q2, a2 + q1)
-        (module docstring), compared in doubling batches up to the first
+        """Exact equality: the terms of two term polynomials agree, and
+        otherwise coefficients 0..e, e = max(a1 + q2, a2 + q1) (module
+        docstring), compared in doubling batches up to the first
         difference."""
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms
         (a1, q1, _), (a2, q2, _) = self._bound, other._bound
         end, done, batch = max(a1 + q2, a2 + q1) + 1, 0, 1
         while done < end and self is not other:
@@ -345,6 +426,8 @@ class TruncatedSeries:
         va, vb = self.valuation_or_none(), other.valuation_or_none()
         if va is None or vb is None:
             return TruncatedSeries.zero()
+        if self._terms is not None and other._terms is not None:
+            return self._of_terms(_product(self._terms, other._terms))
         a, ad, b, bd = self._known, self._dens, other._known, other._dens
         support: list[int] = []  # nonzero indices of a below ``scanned``
         scanned = 0
@@ -363,7 +446,17 @@ class TruncatedSeries:
         return self._lazy(bound, va + vb, True, ((self, 0), (other, 0)), extend)
 
     def derivative(self) -> "TruncatedSeries":
-        """Formal d/dt; val f' = val f - 1 when val f >= 1 is known."""
+        """Formal d/dt; val f' = val f - 1 when val f >= 1 is known.  A
+        term polynomial's derivative is its terms' derivatives,
+        e * c * t^(e - 1), each reduced against e alone."""
+        terms = self._terms
+        if terms is not None:
+            out = []
+            for e, n, d in terms:
+                if e:
+                    g = gcd(e, d)
+                    out.append((e - 1, e // g * n, d // g))
+            return self._of_terms(tuple(out))
         a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # i * a[i], reduced against i alone
@@ -445,10 +538,13 @@ class TruncatedSeries:
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant).
         A series whose constant term is 0 is its own recentering, with its
-        own bounds; any other tail is a new series."""
+        own bounds; any other tail is a new series, a term polynomial's its
+        terms past the first."""
         c = self.constant_term()
         if not c:
             return c, self
+        if self._terms is not None:
+            return c, self._of_terms(self._terms[1:])
         a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # index 0 is a known zero, filled in by _force
@@ -459,30 +555,23 @@ class TruncatedSeries:
         return c, self._lazy(bound, 1, False, ((self, 0),), extend)
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
-        """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant.
-        The integrand g is a product, whose operands fix its valuation (or
-        which is zero), so the integral's valuation is known too.  The
-        integrand must be a polynomial, and so is the integral; a stream is
-        refused with ValueError, since its integral is not rational in
-        general and would carry no degree bound."""
+        """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,
+        term by term: c * t^e of the integrand g gives c/(e + 1) * t^(e + 1),
+        reduced against e + 1 alone.  The integrand must be a polynomial, and
+        so is the integral; a stream is refused with ValueError, since its
+        integral is not rational in general and would carry no degree
+        bound."""
         if wrt.valuation_or_none() is None:
             raise IndeterminateValuation("the integration variable is identically zero")
         g = self * wrt.derivative()
-        gn, gd, d = g._known, g._dens, g._degree
-        if d is None:
+        if g._degree is None:
             raise ValueError("the integrand is not a polynomial")
-        c = Fraction(constant)
-
-        def extend(out, dens, m):  # g[i - 1] / i, reduced against i alone
-            for i in range(len(out), m):
-                h = gcd(gn[i - 1], i)
-                out.append(gn[i - 1] // h)
-                dens.append(gd[i - 1] * (i // h))
-
-        # a zero g integrates to the constant, which _lazy reads off the bound
-        result = self._lazy((d + 1, 0, 0), 0 if c else g._zeros + 1, True, ((g, -1),), extend)
-        result._known, result._dens = [c.numerator], [c.denominator]  # coefficient 0
-        return result
+        c = constant if constant.__class__ is Fraction else Fraction(constant)
+        terms = [(0, c.numerator, c.denominator)] if c else []
+        for e, n, d in g._polynomial_terms():
+            h = gcd(n, e + 1)
+            terms.append((e + 1, n // h, d * ((e + 1) // h)))
+        return self._of_terms(tuple(terms))
 
     # -- presentation --------------------------------------------------------
 
@@ -490,7 +579,7 @@ class TruncatedSeries:
         """A polynomial whole; a stream by its bounds, reading nothing."""
         if self._degree is None:
             return f"P/D with deg P <= {self._bound[0]}, deg D <= {self._bound[1]}"
-        parts = [_term_text(c, i) for i, c in enumerate(self.prefix(self._degree + 1)) if c]
+        parts = [_term_text(Fraction(n, d), e) for e, n, d in self._polynomial_terms()]
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self) -> str:

@@ -475,7 +475,7 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     plan = _walk_names(path)
     if constants is None:
         constants = [Fraction(0)] * (k + 2)
-    constants = [Fraction(c) for c in constants]
+    constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
     if len(constants) != k + 2:
         raise ParseError(f"need {k + 2} constants for a level-{k} chart")
     _, r_tail = retained.recenter()

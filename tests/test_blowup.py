@@ -27,17 +27,19 @@ from realization import critical_words, realization
 # (forces, extend calls, coefficients computed) of a germ's construction and
 # cross-check, keyed by the germ.  At e69da29, before valuations were read off
 # the operands, the first three took 37 forces and 176 coefficients, 23 and
-# 43, 148 and 3,324; two of the forces are the germ's exponent-gcd reads of x
-# and y.  A series whose constant term is 0 is its own recentering, so the
-# germ x=t^5, y=t^7 computes nothing.  While the Nash step divided two
+# 43, 148 and 3,324.  Two more forces, the germ's exponent-gcd reads of x
+# and y, went when polynomials became term tuples: a germ's constant terms,
+# valuations and exponent gcd are read off its terms.  A series whose
+# constant term is 0 is its own recentering, so the germ x=t^5, y=t^7
+# computes nothing and forces nothing.  While the Nash step divided two
 # derivative series, the first took 41 extend calls and 96 coefficients, the
 # third 1,488 and 2,847, the fourth 259 and 1,217 and the fifth 51 and 433,
 # with the same forces; its slope, read off the active pair, computes no
 # derivative coefficient.
 COMPUTED = {
-    "x=t^15, y=t^24+t^25": (7, 27, 63),
-    "x=t^5, y=t^7": (2, 0, 0),
-    "x=t^12, y=t^14+t^16+t^57": (112, 1068, 2044),  # 29 Nash levels
+    "x=t^15, y=t^24+t^25": (5, 27, 63),
+    "x=t^5, y=t^7": (0, 0, 0),
+    "x=t^12, y=t^14+t^16+t^57": (110, 1068, 2044),  # 29 Nash levels
     # Searches that read up to 38 and 41 coefficients, forced in doubling
     # batches: fewer forces, some coefficients computed past the valuation.
     # Forcing one coefficient at a time, as at e29abf9, took 86 forces and
@@ -45,8 +47,8 @@ COMPUTED = {
     # bound of the searched series, where it once stopped at a term budget
     # of 64 or more: corpus curve 74 computed 653 coefficients against a
     # budget.
-    "x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57": (20, 172, 804),  # 690 bits
-    "x=t^3, y=3*t^6-5/7*t^47+2*t^52": (15, 32, 264),  # corpus curve 74
+    "x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57": (18, 172, 804),  # 690 bits
+    "x=t^3, y=3*t^6-5/7*t^47+2*t^52": (13, 32, 264),  # corpus curve 74
 }
 
 

@@ -524,9 +524,14 @@ class TestInputValidation:
             # a sign after ^ stays in its term, which is named whole
             ("x=t^-2, y=t^3", "bad series term 't^-2' (at position 0)"),
             ("x=t^2, y=t^3 - t^-2", "bad series term '- t^-2' (at position 4)"),
-            # an exponent past the index range cannot be allocated either
-            ("x=t^99999999999999999999, y=t", "the input is too large for memory"),
-            ("@level 1 chart=o, r=t^99999999999999999999, n=t", "the input is too large for memory"),
+            # a polynomial stores its terms, so a huge exponent is read off
+            # them; a lift that must fill a dense prefix past the index range
+            # cannot allocate it
+            ("x=t^99999999999999999999, y=t^99999999999999999999+t^100000000000000000000",
+             "the input is too large for memory"),
+            # the rebuilt germ is [N; N + 1], N = 10^20 - 1: N levels to lift
+            ("@level 1 chart=o, r=t^99999999999999999999, n=t",
+             "no regular lift within 64 levels; the germ may be critical or the budget too small"),
         ],
     )
     def test_bad_number_exits_1_without_a_traceback(self, curve, message):
@@ -540,20 +545,36 @@ class TestInputValidation:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == f"error: {message}\n"
 
-    def test_input_too_large_for_memory_exits_1(self):
-        # A huge exponent allocates its coefficient list in the parser, about
-        # 6.4 GB for this one.  The real input runs in a child whose address
-        # space is capped at 1 GiB, so the allocation fails there.
+    @pytest.mark.parametrize(
+        "curve,outcome",
+        [
+            # three terms, whatever their exponents
+            ("x=t^2, y=t^3+t^400000000", (0, "regularization level   2\n", "")),
+            # the lift's slope reads a dense prefix of about 4 * 10^8
+            # coefficients, about 6.4 GB
+            ("x=t^400000000, y=t^400000000+t^400000001",
+             (1, "", "error: the input is too large for memory\n")),
+        ],
+    )
+    def test_huge_exponents_under_a_memory_cap(self, curve, outcome):
+        # The real input runs in a child whose address space is capped at
+        # 1 GiB, so an allocation that large fails there.
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
         done = subprocess.run(
-            [sys.executable, "-c", ENTRY, "curve", "x=t^2, y=t^3+t^400000000"],
+            [sys.executable, "-c", ENTRY, "curve", curve],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
             timeout=120, check=False, preexec_fn=cap_address_space,
         )
-        assert (done.returncode, done.stdout, done.stderr) == (
-            1, "", "error: the input is too large for memory\n")
+        code, line, err = outcome
+        assert (done.returncode, done.stderr) == (code, err)
+        assert line in done.stdout if line else done.stdout == ""
+
+    def test_a_huge_exponent_is_read_off_its_term(self, capsys):
+        code, out, err = run(capsys, "curve", "x=t^99999999999999999999, y=t")
+        assert code == 0 and err == ""
+        assert "regularization level   1\n" in out
 
     def test_term_beyond_the_window_is_not_a_curve_property(self, capsys):
         # --precision is accepted and ignored: a term past the budget it

@@ -171,10 +171,15 @@ class TestFromTerms:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_construction_from_coefficients(self, terms):
         new, old = TruncatedSeries.from_terms(terms), _old_from_terms(terms)
-        for slot in ("_known", "_dens", "_bound", "_zeros", "_exact", "_degree",
+        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_exact", "_degree",
                      "_operands", "_extend"):
             assert getattr(new, slot) == getattr(old, slot), slot
-        assert all(type(n) is int for n in new._known + new._dens)
+        # nonzero reduced terms in increasing exponent, and no dense prefix
+        assert [e for e, _, _ in new._terms] == sorted({e for e, _, _ in new._terms})
+        for _, num, den in new._terms:
+            assert num
+            _assert_reduced(num, den)
+        assert new._known == []
 
     def test_negative_exponent(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -339,13 +344,16 @@ class TestTermsOutsideTheWindow:
 
 
 class TestExponentGcd:
-    """The gcd of a polynomial's exponents, read off its deg + 1 terms; a
+    """The gcd of a polynomial's exponents, read off its terms, or off the
+    deg + 1 coefficients of a polynomial that a stream operation made; a
     stream has no last term and is refused, having read nothing."""
 
     @pytest.mark.parametrize(
         "series,gcd_,read",
         [
-            (S("t^4 + 6*t^70"), 2, 71),        # a polynomial: deg + 1 terms
+            (S("t^4 + 6*t^70"), 2, 0),         # a polynomial: its terms
+            # a polynomial made by a stream operation: deg + 1 coefficients
+            (S("t^4 + 6*t^70").quotient(S("2")), 2, 71),
             (S("0"), 0, 0),
             # t^2 / (1 - t^63) = t^2 + t^65 + ...
             (S("t^2").quotient(S("1 - t^63")), None, 0),
@@ -354,7 +362,8 @@ class TestExponentGcd:
             # d/dt t^3 / (1 + t^6) = 3*t^2 - 9*t^8 + ...
             (S("t^3").quotient(S("1 + t^6")).derivative(), None, 0),
         ],
-        ids=["polynomial", "zero", "past-the-window", "even-stream", "derivative"],
+        ids=["polynomial", "quotient-polynomial", "zero", "past-the-window", "even-stream",
+             "derivative"],
     )
     def test_reads_to_the_bound(self, series, gcd_, read):
         if gcd_ is None:
@@ -614,6 +623,65 @@ class TestEagerReference:
         assert all(type(c) is F for c in series.prefix(12))
 
 
+# up to five terms with exponents below 150, so that the dense references,
+# quadratic in the degree, stay cheap; a window of 300 reaches past every
+# product and integral
+sparse_terms = st.lists(
+    st.tuples(st.sampled_from([F(1), F(-1), F(-2), F(3, 4), F(-7, 5), BIG]), st.integers(0, 149)),
+    max_size=5,
+)
+SPARSE_WINDOW = 300
+
+
+def _dense(terms):
+    """The reference window of the polynomial with these (coefficient,
+    exponent) terms."""
+    window = [F(0)] * SPARSE_WINDOW
+    for c, e in terms:
+        window[e] += c
+    return tuple(window)
+
+
+def _terms_of(window):
+    return tuple((i, c.numerator, c.denominator) for i, c in enumerate(window) if c)
+
+
+def ref_text(window):
+    """The text of the polynomial with this window: its nonzero terms from
+    the lowest, a leading minus folded into the separator."""
+    parts = []
+    for i, c in enumerate(window):
+        if c:
+            t = "t" if i == 1 else f"t^{i}"
+            parts.append(str(c) if i == 0 else t if c == 1 else f"-{t}" if c == -1 else f"{c}*{t}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+class TestSparseTerms:
+    """A polynomial is the tuple of its nonzero terms, and so is each
+    product, derivative, recentering and integral of polynomials: the
+    terms, gcd and text of each agree with the dense reference window, and
+    so does its dense prefix, filled in two reads."""
+
+    @given(sparse_terms, sparse_terms, st.sampled_from([F(0), F(2), F(-1, 3)]),
+           st.integers(0, SPARSE_WINDOW))
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_the_dense_references(self, terms_a, terms_b, k, first_read):
+        a, b = TruncatedSeries.from_terms(terms_a), TruncatedSeries.from_terms(terms_b)
+        ra, rb = _dense(terms_a), _dense(terms_b)
+        results = [(a, ra), (a * b, ref_mul(ra, rb)), (a.derivative(), ref_derivative(ra)),
+                   (a.recenter()[1], ref_recenter_tail(ra))]
+        if b.valuation_or_none() is not None:
+            results.append((a.integrate(b, k), ref_integrate(ra, rb, k)))
+        for series, window in results:
+            assert series._terms == _terms_of(window)
+            assert series.exponent_gcd() == gcd(*[i for i, c in enumerate(window) if c])
+            assert str(series) == ref_text(window)
+            n = series._degree + 2  # a zero past the last term
+            assert _head(series, min(first_read, n)) == window[:min(first_read, n)]
+            assert _head(series, n) == window[:n]
+
+
 def _stream(text, den="1 + t"):
     """A stream with the valuation of ``text``, no coefficient computed."""
     return S(text).quotient(S(den))
@@ -720,9 +788,10 @@ class TestSearchCost:
         assert len(d._known) == 1024
 
     def test_batches_stop_at_a_polynomial_degree(self, computed):
-        # the derivative of the unit 1 + t^30 is a polynomial of degree 29:
-        # the batch of 16 that reaches its last term stops there
-        d = S("1 + t^30").derivative()
+        # the derivative of the unit (1 + t^30)/2, made by stream operations,
+        # is a polynomial of degree 29: the batch of 16 that reaches its last
+        # term stops there
+        d = S("1 + t^30").quotient(S("2")).derivative()
         computed.clear()
         assert d.valuation_or_none() == 29
         assert computed["walks"] == 5

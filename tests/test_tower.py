@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import factorial
 
@@ -680,6 +681,19 @@ class TestOnDemandCoefficients:
         assert c.x == parse_series("t")
         assert c.y == TruncatedSeries.from_terms([(F(1, factorial(401)), 401)])
         assert c.base_point == (0, 0)
+
+    def test_a_germ_costs_its_terms_not_its_degree(self):
+        # a polynomial stores its nonzero terms, so a term t^(10^10) costs
+        # what t^4 does; a dense store of its coefficients would ask for
+        # 160 GB, which no machine grants, so it fails at once
+        tracemalloc.start()
+        try:
+            c = CurveGerm.from_series(parse_series("t^2"), parse_series("t^3 + t^10000000000"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert c.y.exponent_gcd() == 1 and str(c.y) == "t^3 + t^10000000000"
 
     def test_wide_gap_lifts_to_level_301(self):
         c = CurveGerm.from_series(parse_series("t^2"), parse_series("t^601"))
