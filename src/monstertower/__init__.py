@@ -35,11 +35,11 @@ _SUBMODULE_NAMES = {
         "vertical_orders",
     ),
     "tower": (
-        "CurveGerm", "LiftStep", "LiftTrace", "curve_from_chart_data", "lift_once",
+        "ChartStep", "CurveGerm", "LiftTrace", "curve_from_chart_data", "lift_once",
         "lift_trace", "parse_curve",
     ),
     "blowup": (
-        "BlowupName", "BlowupStep", "BlowupTrace", "CrossCheckReport",
+        "BlowupName", "BlowupTrace", "CrossCheckReport",
         "blowup_once", "blowup_resolve", "cross_check",
     ),
     "corpus": ("CurveSpec", "generate_corpus"),

@@ -3,11 +3,13 @@
 Each step recenters at the current point and divides the coordinate of
 larger valuation by the other (ties divide the newer coordinate by the
 older, matching the ordinary chart choice of the Nash engine).  It keeps the
-chart pair after it: the recentered denominator, whose zero locus is the
-step's own exceptional divisor, and the quotient, which inherits the
-numerator's divisor flag exactly when the numerator vanished at the center.
-The recentered denominator is often the previous step's quotient itself: a
-series that vanishes at the center is its own recentering.
+chart pair after it in a ``ChartStep``, the Nash lift's record: the
+recentered denominator is retained, its zero locus the step's own
+exceptional divisor, and the quotient is new, its chain origin the
+numerator's divisor flag, which it inherits exactly when the numerator
+vanished at the center.  The recentered denominator is often the previous
+step's quotient itself: a series that vanishes at the center is its own
+recentering.
 
 Coordinates are a base letter and a blowup index (``y_1``), bumped into
 shared names as the Nash lift's are, and each step is one record
@@ -26,7 +28,7 @@ from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParame
 from .invariants import multiplicity_sequence
 from .records import Record, _new
 from .series import TruncatedSeries
-from .tower import CoordName, CurveGerm, LiftTrace, Trace, lift_trace
+from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
 
 
 class BlowupName(CoordName):
@@ -38,26 +40,6 @@ class BlowupName(CoordName):
         return f"{self.base}_{self.order}"
 
 
-class BlowupStep(Record):
-    """One blowup and the chart pair after it.  The denominator's zero locus
-    is the exceptional divisor of this step, so its flag is ``level``.  The
-    chart letter is "o" when the y-like coordinate was divided; the
-    denominator is recentered and the quotient ``new_coord`` is not;
-    ``divisor_flag`` is the flag the new coordinate inherits, and
-    ``orders`` are val(a), val(b - b(0)), which decided the chart."""
-
-    __slots__ = ()
-    _fields = ("level", "chart_letter", "denominator", "new_coord", "denominator_name",
-               "new_name", "symbol", "divisor_flag", "orders")
-
-    def __new__(cls, level: int, chart_letter: str, denominator: TruncatedSeries,
-                new_coord: TruncatedSeries, denominator_name: BlowupName,
-                new_name: BlowupName, symbol: str, divisor_flag: int | None,
-                orders: tuple[int | None, int | None]):
-        return _new(cls, (level, chart_letter, denominator, new_coord, denominator_name,
-                          new_name, symbol, divisor_flag, orders))
-
-
 class BlowupTrace(Trace):
     """One resolution of a germ: ``continued`` blows up until the strict
     transform is regular, and every value is read off the steps."""
@@ -66,23 +48,23 @@ class BlowupTrace(Trace):
     _engine = "blowup"
     _budget = "no regular strict transform within {} blowups"
 
-    def _step(self, steps: list[BlowupStep]) -> BlowupStep:
+    def _step(self, steps: list[ChartStep]) -> ChartStep:
         """The blowup of the chart pair the last step kept or, before the
         first step, of the base pair (x, y)."""
         if not steps:
             return blowup_once(self.germ.x, self.germ.y, level=1)
         s = steps[-1]
-        return blowup_once(s.denominator, s.new_coord, level=s.level + 1,
-                           a_name=s.denominator_name, b_name=s.new_name, b_flag=s.divisor_flag)
+        return blowup_once(s.retained, s.new_coord, level=s.level + 1,
+                           a_name=s.retained_name, b_name=s.new_name, b_flag=s.chain_origin)
 
     @staticmethod
-    def _is_regular(step: BlowupStep) -> bool:
+    def _is_regular(step: ChartStep) -> bool:
         """Strict transform regular: nonsingular and transverse to every
         exceptional divisor through its point.  The curve always meets the
-        newest divisor (the denominator's), so its order must be 1; a
-        critical symbol means it also meets the inherited divisor, whose
-        order must then be 1."""
-        if step.denominator.valuation_or_none() != 1:
+        newest divisor (the retained denominator's), so its order must be
+        1; a critical symbol means it also meets the inherited divisor,
+        whose order must then be 1."""
+        if step.retained.valuation_or_none() != 1:
             return False
         return step.symbol == "R" or step.new_coord.valuation_or_none() == 1
 
@@ -91,14 +73,10 @@ class BlowupTrace(Trace):
         recentered pair; the regular point's is 1."""
         return (*self._least_orders(), 1)
 
-    @staticmethod
-    def _level_json(s: BlowupStep) -> dict:
-        return {"chain_origin": s.divisor_flag}
-
 
 def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
                 a_name: BlowupName = BlowupName("x", 0), b_name: BlowupName = BlowupName("y", 0),
-                b_flag: int | None = None) -> BlowupStep:
+                b_flag: int | None = None) -> ChartStep:
     """Blow up the current point of the curve and restrict to the chart the
     strict transform passes through.  (a, b) is the pair after the previous
     blowup: a recentered, its flag ``level - 1`` (none on the base surface),
@@ -134,8 +112,8 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
     else:
         symbol = "R"
     letter = "o" if new_name.base == "y" else "i"
-    return BlowupStep(level, letter, denominator, quotient, denominator_name, new_name, symbol,
-                      inherited, (va, vb))
+    return ChartStep(level, letter, denominator, quotient, denominator_name, new_name, symbol,
+                     inherited, (va, vb))
 
 
 def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTrace:

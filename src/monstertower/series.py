@@ -8,8 +8,10 @@ coefficients.  A series built from finitely many terms is the polynomial it
 names, stored as the tuple of its nonzero terms (Johnson, "Sparse
 polynomial arithmetic", 1974), zero beyond its last term.  Derivative,
 recentering, integral and product of such polynomials are computed at once,
-term by term, so they cost their terms and not their degree.  A quotient is
-an exact stream, as is a slope f'/g', read straight off f and g, and so is
+term by term, so they cost their terms and not their degree; so are a
+quotient by a constant c and a slope f'/g' over a g of degree 1, as f (or
+f') times 1/c.  Every other quotient or slope (read straight off f and g)
+is an exact stream, even where its bounds make it a polynomial, and so is
 any product or derivative with a stream operand.  Only a polynomial is
 integrated, and its integral is a polynomial; the integral of a stream is
 not rational in general, so it is refused.  Nothing is ever truncated.
@@ -24,8 +26,8 @@ whose constant term is 0 is its own recentering, with its bounds
 unchanged; any other recentering of a stream has (max(a, q), q, r).  Since
 P = f * D as power series, a stream whose coefficients 0..a all vanish is
 identically zero, so a valuation search answers None only for the zero
-series, and the series is the zero polynomial from then on.  No zero test
-depends on a window.
+series, and the series is the zero term polynomial from then on.  No zero
+test depends on a window.
 
 Every read is exact or given its length by the caller.  A polynomial's
 valuation, constant term, val f', exponent gcd and text are read off its
@@ -138,12 +140,25 @@ def _product(xs: tuple, ys: tuple) -> tuple:
     return tuple(out)
 
 
+def _derivative(terms: tuple) -> tuple:
+    """The terms of the derivative, e * c * t^(e - 1) of each term c * t^e,
+    each reduced against e alone."""
+    out = []
+    for e, n, d in terms:
+        if e:
+            g = gcd(e, d)
+            out.append((e - 1, e // g * n, d // g))
+    return tuple(out)
+
+
 def _fill(terms: tuple, known: list[int], dens: list[int], upto: int) -> None:
     """Extend the dense prefix known/dens of the polynomial with these terms
-    to ``upto`` coefficients: zeros, then the terms that fall there."""
+    to ``upto`` coefficients: zeros, then the terms that fall there.  The
+    denominators grow first, so an allocation that fails leaves no
+    numerator without its denominator."""
     start = len(known)
-    known.extend([0] * (upto - start))
     dens.extend([1] * (upto - start))
+    known.extend([0] * (upto - start))
     for e, n, d in islice(terms, bisect_left(terms, (start,)), None):
         if e >= upto:
             break
@@ -175,9 +190,8 @@ class TruncatedSeries:
     * ``_known`` and ``_dens`` are the dense prefix computed or filled in so
       far, which stream operations read: coprime numerators and positive
       denominators, a zero as 0/1;
-    * ``_bound`` is (a, q, r), the degree bounds of the module docstring;
-    * ``_degree`` is a polynomial's degree (q = 0; -1 for zero), None for a
-      stream;
+    * ``_bound`` is (a, q, r), the degree bounds of the module docstring,
+      (degree, 0, 0) for a term polynomial (-1 for zero);
     * ``_zeros`` counts leading coefficients known to be zero from the
       operands' valuations, so a constant term past them is 0 for free;
     * ``_exact`` says that ``_zeros`` is the valuation: a nonzero term
@@ -190,40 +204,37 @@ class TruncatedSeries:
       coefficients need the first ``m + offset`` of that operand;
     * ``_extend(known, dens, m)`` computes up to m once the operands are ready.
 
-    Zeros, leading or past the degree, cost no arithmetic; the operands and
-    ``_extend`` are dropped once a polynomial is complete."""
+    Leading zeros, and the zeros of a term polynomial, cost no arithmetic."""
 
-    __slots__ = ("_bound", "_degree", "_zeros", "_exact", "_slope", "_terms", "_known",
-                 "_dens", "_operands", "_extend")
+    __slots__ = ("_bound", "_zeros", "_exact", "_slope", "_terms", "_known", "_dens",
+                 "_operands", "_extend")
 
     def __init__(self, coefficients):
-        self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)))
+        self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)), [], [])
 
-    def _polynomial(self, terms: tuple) -> None:
-        """Make this series the polynomial with the given terms (``_terms``)."""
-        self._terms = terms
-        self._degree = terms[-1][0] if terms else -1
-        self._bound = (self._degree, 0, 0)
+    def _polynomial(self, terms: tuple, known: list[int], dens: list[int]) -> None:
+        """Make this series the polynomial with the given terms (``_terms``)
+        and dense prefix."""
+        self._terms, self._known, self._dens = terms, known, dens
+        self._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
         self._zeros = terms[0][0] if terms else 0
         self._exact = bool(terms)
         self._slope = -1
-        self._known, self._dens = [], []
         self._operands = ()
         self._extend = None
 
     @classmethod
     def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
         series = cls.__new__(cls)
-        series._polynomial(terms)
+        series._polynomial(terms, [], [])
         return series
 
     @classmethod
     def _lazy(cls, bound, zeros: int, exact: bool, operands, extend) -> "TruncatedSeries":
-        series = cls.__new__(cls)
         if zeros > bound[0]:  # no room left for a nonzero term
-            bound, exact = _ZERO_BOUND, False
+            return cls._of_terms(())
+        series = cls.__new__(cls)
         series._bound = bound
-        series._degree = None if bound[1] else bound[0]
         series._zeros = zeros
         series._exact = exact
         series._slope = -1
@@ -252,37 +263,31 @@ class TruncatedSeries:
             while stack:
                 series, want, marked = pop()
                 done, dens, extend = series._known, series._dens, series._extend
-                if extend is not None:
-                    degree = series._degree
-                    upto = want if degree is None else min(want, degree + 1)
-                    if marked:
-                        extend(done, dens, upto)
-                    elif len(done) < upto:
-                        if len(done) < series._zeros:
-                            fill = min(upto, series._zeros) - len(done)
-                            done.extend([0] * fill)
-                            dens.extend([1] * fill)
-                        if len(done) < upto:
-                            ready = True
-                            for operand, offset in series._operands:
-                                if len(operand._known) < upto + offset:
-                                    if ready:
-                                        push((series, want, True))
-                                        ready = False
-                                    push((operand, upto + offset, False))
-                            if not ready:
-                                continue
-                            extend(done, dens, upto)
-                    if degree is not None and len(done) > degree:
-                        series._operands = ()
-                        series._extend = None
-                elif series._terms and len(done) <= series._degree:
-                    # twice as far as asked, up to the last term, so that a
-                    # prefix read in growing batches is filled a few times
-                    _fill(series._terms, done, dens, min(2 * want, series._degree + 1))
-                if len(done) < want:  # past the degree of a complete polynomial
-                    dens.extend([1] * (want - len(done)))
-                    done.extend([0] * (want - len(done)))
+                if marked:
+                    extend(done, dens, want)
+                elif len(done) >= want:
+                    continue
+                elif extend is None:
+                    # a term polynomial, twice as far as asked up to its last
+                    # term, so that a prefix read in growing batches is
+                    # filled a few times
+                    _fill(series._terms, done, dens,
+                          max(want, min(2 * want, series._bound[0] + 1)))
+                else:
+                    if len(done) < series._zeros:
+                        fill = min(want, series._zeros) - len(done)
+                        done.extend([0] * fill)
+                        dens.extend([1] * fill)
+                    if len(done) < want:
+                        ready = True
+                        for operand, offset in series._operands:
+                            if len(operand._known) < want + offset:
+                                if ready:
+                                    push((series, want, True))
+                                    ready = False
+                                push((operand, want + offset, False))
+                        if ready:
+                            extend(done, dens, want)
         except OverflowError:  # a length past the index range, so past memory too
             raise MemoryError(f"a prefix of {n} coefficients") from None
         return known
@@ -302,9 +307,8 @@ class TruncatedSeries:
 
     @property
     def is_polynomial(self) -> bool:
-        """Whether the series was built as a polynomial (denominator bound
-        0), so that it is zero past its numerator bound."""
-        return self._degree is not None
+        """Whether the series is a term polynomial, zero past its last term."""
+        return self._terms is not None
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients 0..n - 1, as Fractions."""
@@ -314,24 +318,15 @@ class TruncatedSeries:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """The first max(64, degree + 1) coefficients."""
-        return self.prefix(64 if self._degree is None else max(64, self._degree + 1))
-
-    def _polynomial_terms(self) -> tuple:
-        """A polynomial's terms; one made by a stream operation (a quotient
-        by a constant) computes them from its deg + 1 coefficients."""
-        if self._terms is not None:
-            return self._terms
-        m = self._degree + 1
-        known, dens = self._force(m), self._dens
-        return tuple((i, known[i], dens[i]) for i in range(m) if known[i])
+        return self.prefix(64 if self._terms is None else max(64, self._bound[0] + 1))
 
     def exponent_gcd(self) -> int:
         """The gcd of the exponents of a polynomial's terms, 0 for the zero
         polynomial; a stream is refused with ValueError, since it has no
         last term."""
-        if self._degree is None:
+        if self._terms is None:
             raise ValueError("the exponent gcd of a stream is not read")
-        return gcd(*[e for e, _, _ in self._polynomial_terms()])
+        return gcd(*[e for e, _, _ in self._terms])
 
     def _first_nonzero(self, start: int, end: int) -> int | None:
         """Index of the first nonzero coefficient in start..end - 1, or None,
@@ -353,8 +348,8 @@ class TruncatedSeries:
         if self._exact:
             return self._zeros
         v = self._first_nonzero(self._zeros, self._bound[0] + 1)
-        if v is None:
-            self._bound, self._degree = _ZERO_BOUND, -1  # _force drops the operands
+        if v is None:  # streams that read this one hold its prefix
+            self._polynomial((), self._known, self._dens)
         else:
             self._zeros, self._exact = v, True
         return v
@@ -449,14 +444,8 @@ class TruncatedSeries:
         """Formal d/dt; val f' = val f - 1 when val f >= 1 is known.  A
         term polynomial's derivative is its terms' derivatives,
         e * c * t^(e - 1), each reduced against e alone."""
-        terms = self._terms
-        if terms is not None:
-            out = []
-            for e, n, d in terms:
-                if e:
-                    g = gcd(e, d)
-                    out.append((e - 1, e // g * n, d // g))
-            return self._of_terms(tuple(out))
+        if self._terms is not None:
+            return self._of_terms(_derivative(self._terms))
         a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # i * a[i], reduced against i alone
@@ -472,20 +461,24 @@ class TruncatedSeries:
         )
 
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact series quotient self / den, a stream; needs val(den) <=
-        val(self), and a zero numerator is accepted."""
+        """Exact series quotient self / den, a stream unless both are
+        polynomials and den is a constant; needs val(den) <= val(self), and
+        a zero numerator is accepted."""
         return self._ratio(den, TruncatedSeries.valuation_or_none, 0)
 
     def slope(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The slope f'/g' of f = self over g = other, read straight off f
         and g, where coefficient j of f' is (j + 1) f[j + 1]: the quotient
-        of the derivatives, with their bounds and exceptions."""
+        of the derivatives, with their bounds and exceptions, a polynomial
+        when f is one and g is a polynomial of degree 1."""
         return self._ratio(other, TruncatedSeries.slope_order, 1)
 
     def _ratio(self, den, order, shift: int) -> "TruncatedSeries":
         """The quotient recurrence of self / den (shift 0) or of self' / den'
         (shift 1), with the valuations ``order`` reads: index i of an operand
-        gives the term i - shift, its coefficient times i ** shift."""
+        gives the term i - shift, its coefficient times i ** shift.  Term
+        polynomials whose den (or den') is a constant c = cn/cd divide term
+        by term."""
         vd = order(den)
         if vd is None:
             raise IndeterminateValuation("the denominator is identically zero")
@@ -496,6 +489,11 @@ class TruncatedSeries:
             raise NegativeValuation(
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
+        terms, den_terms = self._terms, den._terms
+        if terms is not None and den_terms is not None and den_terms[-1][0] == shift:
+            _, cn, cd = den_terms[-1]
+            inverse = ((0, -cd, -cn) if cn < 0 else (0, cd, cn),)
+            return self._of_terms(_product(_derivative(terms) if shift else terms, inverse))
         nn, nd, dn, dd = self._known, self._dens, den._known, den._dens
         lead = vd + shift
         support = []  # (i, den[i] * i ** shift, dd[i]), den[i] != 0, lead < i < scanned
@@ -564,11 +562,11 @@ class TruncatedSeries:
         if wrt.valuation_or_none() is None:
             raise IndeterminateValuation("the integration variable is identically zero")
         g = self * wrt.derivative()
-        if g._degree is None:
+        if g._terms is None:
             raise ValueError("the integrand is not a polynomial")
         c = constant if constant.__class__ is Fraction else Fraction(constant)
         terms = [(0, c.numerator, c.denominator)] if c else []
-        for e, n, d in g._polynomial_terms():
+        for e, n, d in g._terms:
             h = gcd(n, e + 1)
             terms.append((e + 1, n // h, d * ((e + 1) // h)))
         return self._of_terms(tuple(terms))
@@ -577,9 +575,9 @@ class TruncatedSeries:
 
     def __str__(self) -> str:
         """A polynomial whole; a stream by its bounds, reading nothing."""
-        if self._degree is None:
+        if self._terms is None:
             return f"P/D with deg P <= {self._bound[0]}, deg D <= {self._bound[1]}"
-        parts = [_term_text(Fraction(n, d), e) for e, n, d in self._polynomial_terms()]
+        parts = [_term_text(Fraction(n, d), e) for e, n, d in self._terms]
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self) -> str:

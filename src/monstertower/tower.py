@@ -20,7 +20,8 @@ chain with a T; everything else is an R.  Coordinates are named with the
 calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
 ``_step_names``, for both letters) and carried as structured ``CoordName``s;
 a bumped name is shared, so a level makes no name of its own, and a step is
-one record allocation (``records``), so a level costs its series.
+one ``ChartStep``, the record both engines make (``records``), so a level
+costs its series.
 A germ is lifted once into a ``LiftTrace``, which every reader continues.
 ``Trace``, the base of both engines' traces, holds the one step-until-regular
 loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
@@ -42,7 +43,6 @@ from .defaults import DEFAULT_MAX_LEVEL
 from .errors import (
     ConstantParameterization,
     IntegrationMismatch,
-    LevelOutOfRange,
     MaxLevelExceeded,
     NonPrimitiveParameterization,
     ParseError,
@@ -129,22 +129,32 @@ class CurveGerm(Record):
         return f"x={self.x}, y={self.y}"
 
 
-class LiftStep(Record):
-    """One chart step: its letter ("o" or "i"), the active pair after it
-    and its names, the coordinate that went passive, the symbol (R, V or
-    T), the level of the divisor whose chain is alive, and the orders
-    val(dr/dt), val(dn/dt) that decided the letter."""
+class ChartStep(Record):
+    """One step of either engine: its letter ("o" or "i"), the chart pair
+    after it and its names, the symbol (R, V or T), the level of the
+    divisor whose chain is alive, and the two orders that decided the
+    letter.  A Nash step keeps a coordinate of the active pair and makes
+    the pair's slope its new one, decided by val(dr/dt), val(dn/dt); a
+    blowup keeps the recentered denominator, whose zero locus is its own
+    exceptional divisor, and makes the quotient, not recentered, its new
+    coordinate, decided by val(a), val(b - b(0))."""
 
     __slots__ = ()
     _fields = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
-               "deactivated", "symbol", "chain_origin", "orders")
+               "symbol", "chain_origin", "orders")
 
     def __new__(cls, level: int, chart_letter: str, retained: TruncatedSeries,
                 new_coord: TruncatedSeries, retained_name: CoordName, new_name: CoordName,
-                deactivated: CoordName, symbol: str, chain_origin: int | None,
-                orders: tuple[int | None, int | None]):
+                symbol: str, chain_origin: int | None, orders: tuple[int | None, int | None]):
         return _new(cls, (level, chart_letter, retained, new_coord, retained_name, new_name,
-                          deactivated, symbol, chain_origin, orders))
+                          symbol, chain_origin, orders))
+
+    @property
+    def deactivated(self) -> CoordName:
+        """The name of the coordinate the step replaced, the one the new
+        name bumps (``_step_names``): the lift's deactivated coordinate,
+        the blowup's numerator."""
+        return type(self.new_name)(self.new_name.base, self.new_name.order - 1)
 
 
 class Trace(Record):
@@ -153,8 +163,8 @@ class Trace(Record):
     the one step-until-regular loop ``continued`` and the views read off the
     steps (word, chart path, base point, order profile, JSON).  An engine
     supplies only its next step (``_step``), its regularity test
-    (``_is_regular``), its budget message (``_budget``), its name and its
-    per-level JSON fields.  The invariant views read only
+    (``_is_regular``), its budget message (``_budget``), its name and any
+    per-level JSON fields of its own.  The invariant views read only
     ``steps[:regularization_level]``, so they work on any trace that reached
     the regularization level.  Traces compare exactly: each pair of series
     is read up to the bounds of its difference (``TruncatedSeries.__eq__``),
@@ -242,6 +252,7 @@ class Trace(Record):
                     "new_coordinate": str(s.new_name),
                     "valuation": s.new_coord.valuation_or_none(),
                     "constant_term": str(s.new_coord.constant_term()),
+                    "chain_origin": s.chain_origin,
                     **self._level_json(s),
                 }
                 for s in self.steps
@@ -250,6 +261,10 @@ class Trace(Record):
             "chart_path": self.chart_path,
             "regularization_level": self.regularization_level,
         }
+
+    @staticmethod
+    def _level_json(s: ChartStep) -> dict:
+        return {}
 
 
 class LiftTrace(Trace):
@@ -263,7 +278,7 @@ class LiftTrace(Trace):
     _engine = "nash"
     _budget = "no regular lift within {} levels; the germ may be critical or the budget too small"
 
-    def _step(self, steps: list[LiftStep]) -> LiftStep:
+    def _step(self, steps: list[ChartStep]) -> ChartStep:
         """The chart step on the active pair the last step kept or, before
         the first step, on the base pair, retaining whichever coordinate has
         the smaller valuation (tie: x)."""
@@ -278,7 +293,7 @@ class LiftTrace(Trace):
         return lift_once(y, x, 1, _Y, _X)
 
     @staticmethod
-    def _is_regular(step: LiftStep) -> bool:
+    def _is_regular(step: ChartStep) -> bool:
         """Regularity after a chart step: the retained coordinate moves at
         unit speed and the new coordinate either does too or carries no
         chain."""
@@ -314,24 +329,17 @@ class LiftTrace(Trace):
         return [f"d{s.deactivated} = {s.new_name} d{s.retained_name}" for s in self.steps]
 
     def curve_word(self, k: int = 0) -> RvtWord:
-        """Code word of the germ lifted k times: length r - k, read off the
-        steps past level k.  A step keeps its symbol when its chain started at
-        level k+2 or above, and is an R otherwise (``split_at_level`` on the
-        full word gives the same word)."""
-        steps = self._regular_steps()
-        if k < 0:
-            raise LevelOutOfRange(f"level {k} outside word of length {len(steps)}")
-        return RvtWord("".join(
-            s.symbol if s.chain_origin is not None and s.chain_origin >= k + 2 else "R"
-            for s in steps[k:]
-        ))
+        """Code word of the germ lifted k times, of length r - k: the
+        regular word split at level k (``RvtWord.split_at_level``), empty
+        past r."""
+        word = RvtWord("".join([s.symbol for s in self._regular_steps()]))
+        return word.split_at_level(min(k, len(word)))[1]
 
     @staticmethod
-    def _level_json(s: LiftStep) -> dict:
+    def _level_json(s: ChartStep) -> dict:
         return {
             "retained_coordinate": str(s.retained_name),
             "deactivated_coordinate": str(s.deactivated),
-            "chain_origin": s.chain_origin,
         }
 
     def to_json_dict(self) -> dict:
@@ -345,7 +353,7 @@ def lift_once(
     retained_name: CoordName = _X,
     new_name: CoordName = _Y,
     chain_origin: int | None = None,
-) -> LiftStep:
+) -> ChartStep:
     """One chart step on the active pair (r, n).  The chart letter is decided
     by comparing val(dr/dt) with val(dn/dt), read off the slope orders of
     the pair; ties take the ordinary choice, since a vertical encounter
@@ -378,9 +386,8 @@ def lift_once(
         letter, kept, fresh = "o", retained, new_coord.slope(retained)
         on_prolongation = chain_origin is not None and fresh.constant_term() == 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
-    kept_name, fresh_name, deactivated = _step_names(letter, retained_name, new_name)
-    return LiftStep(level, letter, kept, fresh, kept_name, fresh_name, deactivated, symbol, chain,
-                    (vr, vn))
+    kept_name, fresh_name, _ = _step_names(letter, retained_name, new_name)
+    return ChartStep(level, letter, kept, fresh, kept_name, fresh_name, symbol, chain, (vr, vn))
 
 
 def _step_names(letter: str, retained: CoordName, new: CoordName):

@@ -47,10 +47,10 @@ def computed(monkeypatch):
     """Counts of ``TruncatedSeries._force`` calls (``"force"``), of those
     that had to compute, each a walk of the pending operands (``"walks"``),
     of the ``extend`` calls, one per pending series that a walk computes
-    (``"extends"``), and of the coefficients that series made by operations
-    compute (``"coefficients"``), counting from when the fixture is set up.
-    Leading zeros known from the operands and zeros past a polynomial's
-    degree are filled in, not computed, and are not counted."""
+    (``"extends"``), and of the coefficients that streams compute
+    (``"coefficients"``), counting from when the fixture is set up.  Leading
+    zeros known from the operands and the coefficients of a term polynomial
+    are filled in, not computed, and are not counted."""
     counts = Counter()
     force, lazy = TruncatedSeries._force, TruncatedSeries._lazy.__func__
 
@@ -63,6 +63,8 @@ def computed(monkeypatch):
     def counting_lazy(cls, *args):
         series = lazy(cls, *args)
         extend = series._extend
+        if extend is None:  # the zero term polynomial, which computes nothing
+            return series
 
         def counting_extend(out, dens, m):
             before = len(out)

@@ -58,9 +58,9 @@ def germ(text):
 
 def blowup_after(step):
     """``blowup_once`` on the chart pair a step keeps."""
-    return blowup_once(step.denominator, step.new_coord, level=step.level + 1,
-                       a_name=step.denominator_name, b_name=step.new_name,
-                       b_flag=step.divisor_flag)
+    return blowup_once(step.retained, step.new_coord, level=step.level + 1,
+                       a_name=step.retained_name, b_name=step.new_name,
+                       b_flag=step.chain_origin)
 
 
 class TestBlowupOnce:
@@ -69,7 +69,7 @@ class TestBlowupOnce:
         step = blowup_once(c.x, c.y, level=1)
         assert step.new_coord == parse_series("t^2")
         assert (str(step.new_name), step.symbol) == ("y_1", "R")
-        assert (str(step.denominator_name), step.denominator) == ("x_0", c.x)
+        assert (str(step.retained_name), step.retained) == ("x_0", c.x)
         assert step == blowup_resolve(c).steps[0]
 
     def test_full_coordinate_chain(self):
@@ -91,8 +91,8 @@ class TestBlowupOnce:
         trace = blowup_resolve(germ("x=t^15, y=t^24+t^25"))
         assert trace.steps[4].new_coord.constant_term() == 1
         assert trace.order_profile() == (15, 24, 9, 6, 3, 3, 0, 2, 1)
-        assert trace.steps[4].new_coord.recenter() == (1, trace.steps[5].denominator)
-        assert str(trace.steps[5].denominator_name) == "x_3"
+        assert trace.steps[4].new_coord.recenter() == (1, trace.steps[5].retained)
+        assert str(trace.steps[5].retained_name) == "x_3"
 
     def test_each_step_blows_up_the_pair_before_it(self):
         for text in ("x=t^15, y=t^24+t^25", "x=t^12, y=t^14+t^16+t^57"):
@@ -101,8 +101,8 @@ class TestBlowupOnce:
             steps = blowup_resolve(germ(text)).steps
             assert agree_on_prefix([blowup_after(s) for s in steps[:-1]], list(steps[1:]), 64)
             for s in steps:
-                assert s.denominator.constant_term() == 0
-                assert {s.denominator_name.base, s.new_name.base} == {"x", "y"}
+                assert s.retained.constant_term() == 0
+                assert {s.retained_name.base, s.new_name.base} == {"x", "y"}
 
 
 class TestBlowupResolve:
@@ -367,7 +367,7 @@ class TestMultiplicitiesFromSteps:
             if nash.multiplicities() != recentered_multiplicities(pairs):
                 differ.append(("nash", label))
             blow = blowup_resolve(c)
-            pairs = [(c.x, c.y), *((s.denominator, s.new_coord) for s in blow.steps)]
+            pairs = [(c.x, c.y), *((s.retained, s.new_coord) for s in blow.steps)]
             if blow.multiplicities() != recentered_multiplicities(pairs):
                 differ.append(("blowup", label))
         assert differ == []

@@ -671,6 +671,22 @@ class TestChartDataBytes:
         assert out == (DATA / f"curve_{name}_nash.json").read_text()
 
 
+class TestBlowupBytes:
+    """The exact JSON of the blowup engine alone, recorded when its steps
+    were a record of their own, so that each level's fields, its chain
+    origin among them, keep every byte now that both engines make one
+    ``ChartStep``."""
+
+    @pytest.mark.parametrize(
+        "name,curve",
+        [*sorted(BIG_COEFFICIENT_GERMS.items()), ("oioioio", CHART_DATA_COMMANDS["oioioio"][0])],
+    )
+    def test_json_bytes(self, capsys, name, curve):
+        code, out, err = run(capsys, "curve", curve, "--engine", "blowup", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"curve_{name}_blowup.json").read_text()
+
+
 class TestCovers:
     """Both double covers of x = t^2 + t^3 exit 1 with the cover's degree
     under every engine, at the level (or blowup) of the constant coordinate

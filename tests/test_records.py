@@ -31,19 +31,22 @@ MODULES = ("words", "puiseux", "invariants", "tower", "blowup", "corpus")
 
 def _records() -> dict:
     """One record of every class, each built afresh by the code that makes
-    it.  A lift's coordinate names are shared values (``CoordName.bump``),
-    so the two name classes are built by their constructors."""
+    it, keyed by its class name; the two engines' steps, both of class
+    ``ChartStep``, are keyed by the engine that makes them, LiftStep and
+    BlowupStep.  A lift's coordinate names are shared values
+    (``CoordName.bump``), so the two name classes are built by their
+    constructors."""
     germ = parse_curve("x=t^4, y=t^6+t^7")[0]
     trace = lift_trace(germ)
     blow = blowup_resolve(germ)
     panel = invariant_panel(word="RVTVV")
     built = (
         panel.word, RvtWord("RRVTRV").decompose(), panel.pc, classify_case(panel.pc),
-        panel.proximity, panel.orders, panel, CoordName("y", 1), germ, trace.steps[0],
-        trace, BlowupName("y", 1), blow.steps[0], blow, cross_check(germ),
-        generate_corpus(1)[0],
+        panel.proximity, panel.orders, panel, CoordName("y", 1), germ, trace,
+        BlowupName("y", 1), blow, cross_check(germ), generate_corpus(1)[0],
     )
-    return {type(r).__name__: r for r in built}
+    steps = {"LiftStep": trace.steps[0], "BlowupStep": blow.steps[0]}
+    return {**{type(r).__name__: r for r in built}, **steps}
 
 
 def _subclasses(cls):
@@ -56,7 +59,8 @@ def test_every_record_class_is_covered():
     # Trace is the base of both engines' traces, with no instances of its own
     for module in MODULES:
         importlib.import_module(f"monstertower.{module}")
-    assert {c.__name__ for c in _subclasses(Record)} == set(_records()) | {"Trace"}
+    classes = {type(r).__name__ for r in _records().values()}
+    assert {c.__name__ for c in _subclasses(Record)} == classes | {"Trace"}
 
 
 @pytest.mark.parametrize("name", sorted(_records()))
@@ -204,9 +208,10 @@ def test_epair_is_a_plain_tuple_pair():
 
 def test_blowup_records_hold_steps_and_traces():
     records = _records()
+    assert type(records["BlowupStep"]) is type(records["LiftStep"])
     assert records["BlowupStep"]._fields == (
-        "level", "chart_letter", "denominator", "new_coord", "denominator_name", "new_name",
-        "symbol", "divisor_flag", "orders",
+        "level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
+        "symbol", "chain_origin", "orders",
     )
     assert records["BlowupTrace"]._fields == ("germ", "steps", "regularization_level")
     assert records["LiftTrace"]._fields == ("germ", "steps", "regularization_level")

@@ -171,8 +171,8 @@ class TestFromTerms:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_construction_from_coefficients(self, terms):
         new, old = TruncatedSeries.from_terms(terms), _old_from_terms(terms)
-        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_exact", "_degree",
-                     "_operands", "_extend"):
+        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_exact", "_operands",
+                     "_extend"):
             assert getattr(new, slot) == getattr(old, slot), slot
         # nonzero reduced terms in increasing exponent, and no dense prefix
         assert [e for e, _, _ in new._terms] == sorted({e for e, _, _ in new._terms})
@@ -343,17 +343,51 @@ class TestTermsOutsideTheWindow:
         assert TruncatedSeries.from_terms([(1, 2), (0, 70)]) == S("t^2")
 
 
+class TestTermRatios:
+    """A quotient by a constant and a slope over a polynomial of degree 1
+    are divided term by term into term polynomials: printing, the exponent
+    gcd and integration read their terms and fill no dense prefix.  Any
+    other ratio is a stream, even one whose bounds make it a polynomial."""
+
+    @pytest.mark.parametrize(
+        "build,text,gcd_,integral",
+        [
+            (lambda: S("t + t^5000").quotient(S("2")), "1/2*t + 1/2*t^5000", 1,
+             "1/4*t^2 + 1/10002*t^5001"),
+            (lambda: S("t + t^5000").slope(S("2*t")), "1/2 + 2500*t^4999", 4999,
+             "1/2*t + 1/2*t^5000"),
+        ],
+        ids=["quotient", "slope"],
+    )
+    def test_hold_their_terms(self, build, text, gcd_, integral):
+        series = build()
+        assert series.is_polynomial
+        assert str(series) == text
+        assert series.exponent_gcd() == gcd_
+        assert str(series.integrate(S("t"))) == integral
+        assert series._known == []
+
+    def test_any_other_ratio_is_a_stream(self):
+        # t / (1 / (1 - t)) is t - t^2, with the bounds (2, 0, 0), but its
+        # denominator is a stream
+        s = S("t").quotient(S("1").quotient(S("1 - t")))
+        assert not s.is_polynomial and s.prefix(4) == (0, 1, -1, 0)
+        assert str(s) == "P/D with deg P <= 2, deg D <= 0"
+        with pytest.raises(ValueError, match="^the integrand is not a polynomial$"):
+            s.integrate(S("t"))
+
+
 class TestExponentGcd:
-    """The gcd of a polynomial's exponents, read off its terms, or off the
-    deg + 1 coefficients of a polynomial that a stream operation made; a
-    stream has no last term and is refused, having read nothing."""
+    """The gcd of a polynomial's exponents, read off its terms, also when a
+    quotient by a constant made it; a stream has no last term and is
+    refused, having read nothing."""
 
     @pytest.mark.parametrize(
         "series,gcd_,read",
         [
             (S("t^4 + 6*t^70"), 2, 0),         # a polynomial: its terms
-            # a polynomial made by a stream operation: deg + 1 coefficients
-            (S("t^4 + 6*t^70").quotient(S("2")), 2, 71),
+            # a quotient by a constant: its terms
+            (S("t^4 + 6*t^70").quotient(S("2")), 2, 0),
             (S("0"), 0, 0),
             # t^2 / (1 - t^63) = t^2 + t^65 + ...
             (S("t^2").quotient(S("1 - t^63")), None, 0),
@@ -541,6 +575,8 @@ def _every_computed_pair_reduced():
     def checking_lazy(cls, *args):
         series = lazy(cls, *args)
         extend = series._extend
+        if extend is None:  # the zero term polynomial, which computes nothing
+            return series
 
         def checking_extend(out, dens, m):
             before = len(out)
@@ -588,7 +624,7 @@ class TestEagerReference:
                 lazy = lazy_op(a, b, k)
             except ValueError:
                 # only a polynomial is integrated
-                assert name == "integrate" and None in (a._degree, b._degree)
+                assert name == "integrate" and None in (a._terms, b._terms)
                 continue
             # read the leading terms first on some results, the whole window
             # later or never, so operands are at every stage of completion
@@ -677,7 +713,7 @@ class TestSparseTerms:
             assert series._terms == _terms_of(window)
             assert series.exponent_gcd() == gcd(*[i for i, c in enumerate(window) if c])
             assert str(series) == ref_text(window)
-            n = series._degree + 2  # a zero past the last term
+            n = series._bound[0] + 2  # a zero past the last term
             assert _head(series, min(first_read, n)) == window[:min(first_read, n)]
             assert _head(series, n) == window[:n]
 
@@ -788,12 +824,14 @@ class TestSearchCost:
         assert len(d._known) == 1024
 
     def test_batches_stop_at_a_polynomial_degree(self, computed):
-        # the derivative of the unit (1 + t^30)/2, made by stream operations,
-        # is a polynomial of degree 29: the batch of 16 that reaches its last
-        # term stops there
-        d = S("1 + t^30").quotient(S("2")).derivative()
+        # (1 + t^30) / (1 / (1 - t)) is a stream with the bounds (31, 0, 0)
+        # of the polynomial 1 - t + t^30 - t^31; its second derivative,
+        # 870*t^28 - 930*t^29, has the numerator bound 29, where the batch
+        # of 16 that reaches its last term stops
+        d = S("1 + t^30").quotient(S("1").quotient(S("1 - t"))).derivative().derivative()
+        assert d._bound == (29, 0, 0) and not d.is_polynomial
         computed.clear()
-        assert d.valuation_or_none() == 29
+        assert d.valuation_or_none() == 28
         assert computed["walks"] == 5
         assert len(d._known) == 30
 

@@ -300,34 +300,35 @@ def derivative_calls(monkeypatch):
 
 
 @pytest.fixture
-def lazy_made(monkeypatch):
-    """Every series made by an operation, in order."""
+def series_made(monkeypatch):
+    """Every series made by an operation, in order: each stream and each
+    term polynomial."""
     made = []
-    original = TruncatedSeries._lazy.__func__
+    for name in ("_lazy", "_of_terms"):
+        original = getattr(TruncatedSeries, name).__func__
 
-    def recording(cls, *args):
-        made.append(original(cls, *args))
-        return made[-1]
+        def recording(cls, *args, original=original):
+            made.append(original(cls, *args))
+            return made[-1]
 
-    monkeypatch.setattr(TruncatedSeries, "_lazy", classmethod(recording))
+        monkeypatch.setattr(TruncatedSeries, name, classmethod(recording))
     return made
 
 
 def slopes_made(trace):
-    """The new coordinates of a trace that a lift makes as a series: all
-    but the constant zeros, which are the zero polynomial."""
-    return [id(s.new_coord) for s in trace.steps if s.new_coord.valuation_or_none() is not None]
+    """The new coordinates of a trace, each made by the lift as one series."""
+    return [id(s.new_coord) for s in trace.steps]
 
 
 class TestDerivativesPerLift:
     """A lift differentiates nothing: its series are x, y and one slope per
     step, steps + 2 in all, each new coordinate read off the active pair."""
 
-    def test_quintic(self, derivative_calls, lazy_made):
+    def test_quintic(self, derivative_calls, series_made):
         c = germ(QUINTIC)
         trace = lift_trace(c)
         assert len(trace.steps) == 4 and derivative_calls == []
-        assert [id(s) for s in lazy_made] == slopes_made(trace)
+        assert [id(s) for s in series_made] == [id(c.x), id(c.y), *slopes_made(trace)]
         assert len(slopes_made(trace)) == 4
 
     @pytest.mark.parametrize(
@@ -341,13 +342,13 @@ class TestDerivativesPerLift:
             ("@level 7 chart=oioioio, r=t, n=t", None),
         ],
     )
-    def test_steps_plus_two(self, derivative_calls, lazy_made, curve, levels):
+    def test_steps_plus_two(self, derivative_calls, series_made, curve, levels):
         c = germ(curve)
         derivative_calls.clear()  # a leveled germ is integrated and re-lifted
-        lazy_made.clear()
+        series_made.clear()
         trace = lift_trace(c, levels=levels)
         assert derivative_calls == []
-        assert [id(s) for s in lazy_made] == slopes_made(trace)
+        assert [id(s) for s in series_made] == slopes_made(trace)
         series = {id(c.x), id(c.y), *(id(s.new_coord) for s in trace.steps)}
         assert len(series) == len(trace.steps) + 2
 
@@ -533,17 +534,19 @@ class TestCurveFromChartData:
         assert c.y == parse_series("3*t")
 
     def test_lift_rebuild_round_trip(self):
-        # every lifted active of this germ is a polynomial, so its top pair
-        # is chart data
-        base = germ("x=t, y=t^3+2*t^5")
-        trace = lift_trace(base, levels=5)
-        top = trace.steps[-1]
-        rebuilt = curve_from_chart_data(
-            trace.chart_path, top.retained, top.new_coord, trace.data_point
-        )
-        assert rebuilt.x == base.x
-        assert rebuilt.y == base.y
-        assert rebuilt.base_point == base.base_point
+        # every lifted active of these germs is a slope over x = t, a term
+        # polynomial, so its top pair is chart data
+        for text in ("x=t, y=t^3+2*t^5", "x=t, y=t^3+t^5000"):
+            base = germ(text)
+            trace = lift_trace(base, levels=5)
+            top = trace.steps[-1]
+            assert top.retained.is_polynomial and top.new_coord.is_polynomial
+            rebuilt = curve_from_chart_data(
+                trace.chart_path, top.retained, top.new_coord, trace.data_point
+            )
+            assert rebuilt.x == base.x
+            assert rebuilt.y == base.y
+            assert rebuilt.base_point == base.base_point
 
     def test_all_o_path_keeps_the_base_point_of_r(self):
         # the lift keeps x recentered, so r = 3 + t is x with x0 = 3
