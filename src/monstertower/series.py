@@ -67,7 +67,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd
 
 from .errors import IndeterminateValuation, NegativeValuation, ParseError
@@ -155,10 +155,11 @@ def _fill(terms: tuple, known: list[int], dens: list[int], upto: int) -> None:
     """Extend the dense prefix known/dens of the polynomial with these terms
     to ``upto`` coefficients: zeros, then the terms that fall there.  The
     denominators grow first, so an allocation that fails leaves no
-    numerator without its denominator."""
+    numerator without its denominator, and each list grows from ``repeat``,
+    so the fill makes no temporary list as long as itself."""
     start = len(known)
-    dens.extend([1] * (upto - start))
-    known.extend([0] * (upto - start))
+    dens.extend(repeat(1, upto - start))
+    known.extend(repeat(0, upto - start))
     for e, n, d in islice(terms, bisect_left(terms, (start,)), None):
         if e >= upto:
             break
@@ -276,8 +277,8 @@ class TruncatedSeries:
                 else:
                     if len(done) < series._zeros:
                         fill = min(want, series._zeros) - len(done)
-                        done.extend([0] * fill)
-                        dens.extend([1] * fill)
+                        dens.extend(repeat(1, fill))
+                        done.extend(repeat(0, fill))
                     if len(done) < want:
                         ready = True
                         for operand, offset in series._operands:

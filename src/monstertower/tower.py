@@ -23,6 +23,10 @@ a bumped name is shared, so a level makes no name of its own, and a step is
 one ``ChartStep``, the record both engines make (``records``), so a level
 costs its series.
 A germ is lifted once into a ``LiftTrace``, which every reader continues.
+A germ given by chart data is rebuilt by integrating down its chart path,
+and that walk is its lift to the presented level (``chart_data_trace``):
+each level is the lift's own step, carrying the walk's polynomial as its
+new coordinate, so the lift goes on from polynomials.
 ``Trace``, the base of both engines' traces, holds the one step-until-regular
 loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
 it, and each engine supplies only its next step and its regularity test.
@@ -457,26 +461,30 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     """Rebuild the base curve whose lift along ``path`` has the given active
     parameterizations, integrating one deactivated coordinate per level,
     and return its check trace: the rebuilt germ lifted k = len(path)
-    levels, where a caller that needs more levels continues it.
+    levels, where a caller that needs more levels continues it.  The walk
+    down is that trace: each level is the lift's own step (``_step``) on
+    the steps below it, checked against the path's letter and stored with
+    the walk's polynomial N_j as its new coordinate.
 
     ``constants`` supplies the integration constants in data-point order
     (x, y, then new coordinates); the entries at the two final active
     positions are ignored.  Defaults to all zeros.  Chart data is
     polynomial: ``TruncatedSeries.integrate`` refuses a stream with
-    ValueError.  IntegrationMismatch signals path letters of the check
-    trace that conflict with the valuations actually encountered.  The
-    letters are the whole check, since once they agree the lift reproduces
-    the given actives.
+    ValueError.  IntegrationMismatch signals a path letter that conflicts
+    with the valuations actually encountered; it names the path of the
+    rebuilt germ's lift to level k.  The letters are the whole check.
 
-    Proof.  At level j the walk integrates the coordinate that level
-    deactivates, D = integral of N_j dR_j + c, where (R_j, N_j) is the
-    active pair after level j.  The lift, taking the same letter, makes
-    dD/dR_j its new coordinate there, which is N_j exactly and for any c,
-    and keeps R_j.  Derivatives ignore the recentering of the base point,
-    so from the base up the lift meets the walk's pairs, and its top pair
-    is (r, n) exactly, with one exception: the lift keeps x recentered,
-    and x is the top retained coordinate only on an all-``o`` path.  There
-    the top pair is (r - r(0), n), and the base point is (r(0), ...).
+    Why a step may carry N_j.  At level j the walk integrates the
+    coordinate that level deactivates, D = integral of N_j dR_j + c, where
+    (R_j, N_j) is the active pair after level j.  The lift, taking the same
+    letter on the pair below, makes dD/dR_j its new coordinate there, which
+    is N_j exactly and for any c, and keeps R_j.  Derivatives ignore the
+    recentering of the base point, so from the base up, while the letters
+    agree, the lift's new coordinates are the walk's, and its retained
+    coordinates, which the lift's step supplies, are too, with one
+    exception: the lift keeps x recentered, and x is the top retained
+    coordinate only on an all-``o`` path.  There the top pair is
+    (r - r(0), n), and the base point is (r(0), ...).
     """
     k = len(path)
     plan = _walk_names(path)
@@ -490,21 +498,29 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     if r_tail.valuation_or_none() is None and n_tail.valuation_or_none() is None:
         raise ConstantParameterization("both active parameterizations are constant")
     cur_r, cur_n = retained, new_coord
+    news = []  # N_k down to N_1
     for level in range(k, 0, -1):
         letter, r_name, deactivated, slot = plan[level - 1]
         if cur_r.recenter()[1].valuation_or_none() is None:
             raise ConstantParameterization(
                 f"integration variable {r_name} of d{deactivated} is constant at level {level}"
             )
+        news.append(cur_n)
         d_series = cur_n.integrate(cur_r, constants[slot])
         if letter == "o":
             cur_n = d_series
         else:
             cur_r, cur_n = d_series, cur_r
-    trace = lift_trace(CurveGerm.from_series(cur_r, cur_n), levels=k)
-    if trace.chart_path != path:
-        raise IntegrationMismatch(f"rebuilt curve lifts along {trace.chart_path!r}, not {path!r}")
-    return trace
+    trace, steps = LiftTrace(CurveGerm.from_series(cur_r, cur_n), ()), []
+    for letter, new in zip(path, reversed(news)):
+        s = trace._step(steps)
+        if s.chart_letter != letter:
+            lifted = LiftTrace(trace.germ, (*steps, s)).continued(levels=k).chart_path
+            raise IntegrationMismatch(f"rebuilt curve lifts along {lifted!r}, not {path!r}")
+        steps.append(ChartStep(s.level, letter, s.retained, new, s.retained_name, s.new_name,
+                               s.symbol, s.chain_origin, s.orders))
+    regular_at = next((s.level for s in steps if trace._is_regular(s)), None)
+    return LiftTrace(trace.germ, tuple(steps), regular_at)
 
 
 # -- curve text grammar --------------------------------------------------------

@@ -708,6 +708,52 @@ class TestCovers:
         assert err.endswith(f"/dt vanishes identically at level {level} while dx/dt has "
                             "order 1: the germ is a cover of degree 2\n")
 
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            ("oiioioii", "dx^(6)/dt vanishes identically at level 11 while dy^(4)/dt"),
+            ("oiioioiioiio", "dx^(9)/dt vanishes identically at level 15 while dy^(5)/dt"),
+        ],
+    )
+    def test_chart_cover_named_off_the_walks_polynomials(self, capsys, computed, path, message):
+        # n = r^2 at the presented level, so the pair is a function of r,
+        # of order 2; the lift continued from the check trace steps on from
+        # the walk's polynomials and meets the constant slope 2 a few
+        # coefficients in
+        curve = f"@level {len(path)} chart={path}, r=t^2+t^3, n=t^4+2*t^5+t^6"
+        code, out, err = run(capsys, "curve", curve)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message} has order 1: the germ is a cover of degree 2\n"
+        assert computed["coefficients"] <= 1000
+
+
+class TestChartDataLetters:
+    """Chart data whose rebuilt germ lifts along other letters exits 1,
+    naming the path of that germ's lift to the presented level: the
+    letters after the first conflict are the lift's too."""
+
+    @pytest.mark.parametrize(
+        "path,actives,lifted",
+        [
+            ("oi", "r=t, n=1+t", "oo"),
+            # the first conflict is at level 5, below the top
+            ("ooioii", "r=1+t, n=1", "ooiooo"),
+        ],
+    )
+    def test_lifted_path_named(self, capsys, path, actives, lifted):
+        code, out, err = run(capsys, "curve", f"@level {len(path)} chart={path}, {actives}")
+        assert (code, out) == (1, "")
+        assert err == f"error: rebuilt curve lifts along {lifted!r}, not {path!r}\n"
+
+    def test_continued_past_the_walk_reads_few_coefficients(self, capsys, computed):
+        # the check trace holds the walk's polynomials, so the lift on to
+        # level 13 takes slopes of polynomials, not of slopes of slopes
+        code, out, err = run(capsys, "curve", "@level 8 chart=oiiiioio, r=3/2*t^4, "
+                             "n=2/1*t^0+2/1*t^3", "--level", "13")
+        assert (code, err) == (0, "")
+        assert "chart path             oiiiioioiiooo\n" in out
+        assert computed["coefficients"] <= 1000
+
 
 ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"
 SRC = str(Path(monstertower.__file__).resolve().parents[1])

@@ -344,7 +344,7 @@ class TestDerivativesPerLift:
     )
     def test_steps_plus_two(self, derivative_calls, series_made, curve, levels):
         c = germ(curve)
-        derivative_calls.clear()  # a leveled germ is integrated and re-lifted
+        derivative_calls.clear()  # a leveled germ is integrated and stepped
         series_made.clear()
         trace = lift_trace(c, levels=levels)
         assert derivative_calls == []
@@ -562,9 +562,10 @@ class TestCurveFromChartData:
                 curve_from_chart_data("oi", r, n)
 
     def test_relift_reproduces_the_actives(self):
-        # The rebuild checks only the letters of its re-lift.  Once they
-        # agree, the lift's top pair is (r, n), with r recentered on an
-        # all-o path, where the retained coordinate is x.
+        # The rebuild checks only the letters of its check trace.  Once
+        # they agree, a lift of the rebuilt germ made apart from it has the
+        # top pair (r, n), with r recentered on an all-o path, where the
+        # retained coordinate is x.
         rng = random.Random(20)
 
         def poly():
@@ -591,6 +592,20 @@ class TestCurveFromChartData:
             assert top.retained == r, (path, r, n)
             passed += 1
         assert passed >= 200 and recentered >= 20
+
+    @pytest.mark.parametrize(
+        "text",
+        [text for text in DEEP_LIFT_GERMS if text.startswith("@level")]
+        + ["@level 8 chart=oiiiioio, r=3/2*t^4, n=2/1*t^0+2/1*t^3"],
+    )
+    def test_check_trace_holds_the_walks_polynomials(self, text):
+        # the walk is the check trace: each level keeps a coordinate of the
+        # walk (x recentered) and carries the walk's integrated polynomial
+        # as its new coordinate, not a slope of the rebuilt germ
+        trace = parse_curve_trace(text)
+        assert len(trace.steps) == int(text.split()[1])
+        for s in trace.steps:
+            assert s.new_coord.is_polynomial and s.retained.is_polynomial, s.level
 
     def test_constant_actives_rejected(self):
         with pytest.raises(ConstantParameterization):
@@ -675,10 +690,10 @@ class TestOnDemandCoefficients:
     """Lifts and rebuilds that read few coefficients of deep or wide series."""
 
     def test_level_400_chart_rebuilds_without_recursion(self):
-        # Rebuilding integrates 400 times and the check re-lifts 400 levels;
-        # reading the result walks all of them.  With r = t and n = t along
-        # o^400 the curve is x = t, y = t^401/401!, one degree per
-        # integration.
+        # Rebuilding integrates 400 times and the check trace steps 400
+        # levels; reading the result walks all of them.  With r = t and
+        # n = t along o^400 the curve is x = t, y = t^401/401!, one degree
+        # per integration.
         c, level = parse_curve("@level 400 chart=" + "o" * 400 + ", r=t, n=t")
         assert level == 400
         assert c.x == parse_series("t")
@@ -697,6 +712,20 @@ class TestOnDemandCoefficients:
             tracemalloc.stop()
         assert peak < 2**20
         assert c.y.exponent_gcd() == 1 and str(c.y) == "t^3 + t^10000000000"
+
+    def test_prefix_fill_makes_no_temporary(self):
+        # the first slope reads a dense prefix of about 10^6 coefficients of
+        # x and y, about 30 MiB; each fill extends the prefix in place, so
+        # the peak is what the lift keeps
+        c = germ("x=t^1000000, y=t^1000000+t^1000001")
+        tracemalloc.start()
+        try:
+            trace = lift_trace(c, levels=2)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept > 20 * 2**20 and len(trace.steps) == 2
+        assert peak - kept < 2**20
 
     def test_wide_gap_lifts_to_level_301(self):
         c = CurveGerm.from_series(parse_series("t^2"), parse_series("t^601"))
@@ -752,8 +781,8 @@ class TestPrimitiveWhenBuilt:
             CurveGerm(parse_series("t^2 + t^4"), parse_series("t^6"))
 
     def test_chart_data_relift_reads_no_gcd(self, monkeypatch):
-        # the rebuilt germ's x and y are read when it is built; the re-lift
-        # that checks it, and a later lift, read nothing
+        # the rebuilt germ's x and y are read when it is built; the check
+        # trace, and a later lift, read nothing
         reads = []
         original = TruncatedSeries.exponent_gcd
 
