@@ -420,11 +420,15 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # An exact answer or a literal may be longer than the interpreter's cap
+    # on int <-> str conversions (4,300 digits, 0 where there is none);
+    # argv bounds the input, so the cap is lifted while the command runs and
+    # the caller's is restored.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    try:
         _fill_defaults(args)
         if args.format == "dot" and not _has_dot_form(args):
             print("no DOT form for this command", file=sys.stderr)
@@ -432,6 +436,8 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # from the parser only
+        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except BrokenPipeError:
         # The reader closed the pipe (``| head``): stop without a traceback,
         # and point stdout at devnull so the flush at exit cannot fail again.
@@ -448,6 +454,9 @@ def main(argv=None) -> int:
         # there is; the failed allocation is freed by now
         print("error: the input is too large for memory", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -11,23 +11,23 @@ recentering, integral and product of such polynomials are computed at once,
 term by term, so they cost their terms and not their degree; so are a
 quotient by a constant c and a slope f'/g' over a g of degree 1, as f (or
 f') times 1/c.  Every other quotient or slope (read straight off f and g)
-is an exact stream, even where its bounds make it a polynomial, and so is
-any product or derivative with a stream operand.  Only a polynomial is
-integrated, and its integral is a polynomial; the integral of a stream is
-not rational in general, so it is refused.  Nothing is ever truncated.
+is an exact stream, even where its bounds make it a polynomial, and so are
+the derivative and the recentering of a stream.  Only polynomials are
+multiplied and integrated: neither engine multiplies streams, and the
+integral of a stream is not rational in general, so a stream operand is
+refused.  Nothing is ever truncated.
 
 Every series is therefore a rational function f = P/D, and carries three
 degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
-of D have total degree <= r.  A polynomial has (deg, 0, 0); a product adds
-the bounds; a quotient f/g has (a1 + q2, q1 + a2, r1 + a2); a derivative
-(P'D - PD')/D^2 reduces over the radical of D to (a + r - 1, q + r, r),
-and a slope has the quotient bound of the two derivative bounds.  A series
-whose constant term is 0 is its own recentering, with its bounds
-unchanged; any other recentering of a stream has (max(a, q), q, r).  Since
-P = f * D as power series, a stream whose coefficients 0..a all vanish is
-identically zero, so a valuation search answers None only for the zero
-series, and the series is the zero term polynomial from then on.  No zero
-test depends on a window.
+of D have total degree <= r.  A polynomial has (deg, 0, 0); a quotient f/g
+has (a1 + q2, q1 + a2, r1 + a2); a derivative (P'D - PD')/D^2 reduces over
+the radical of D to (a + r - 1, q + r, r), and a slope has the quotient
+bound of the two derivative bounds.  A series whose constant term is 0 is
+its own recentering, with its bounds unchanged; any other recentering of a
+stream has (max(a, q), q, r).  Since P = f * D as power series, a stream
+whose coefficients 0..a all vanish is identically zero, so a valuation
+search answers None only for the zero series, and the series is the zero
+term polynomial from then on.  No zero test depends on a window.
 
 Every read is exact or given its length by the caller.  A polynomial's
 valuation, constant term, val f', exponent gcd and text are read off its
@@ -47,11 +47,10 @@ through their dense prefixes, and a polynomial writes its terms into one,
 zeros between them, at most twice as far as such a read reaches.  Memory
 is thus O(terms plus the prefix read), and a prefix past the index range
 raises MemoryError.  A valuation that the operands fix costs no coefficient at
-all: val(f/g) = val f - val g, val(fg) = val f + val g, and in
-characteristic 0 val f' = val f - 1 and val (f - f(0)) = val f when
-val f >= 1, so ``slope_order`` reads val f' off f and searches f only when
-val f is 0 or unknown, once per series.  Such a series carries its
-valuation from construction.
+all: val(f/g) = val f - val g, and in characteristic 0 val f' = val f - 1
+and val (f - f(0)) = val f when val f >= 1, so ``slope_order`` reads val f'
+off f and searches f only when val f is 0 or unknown, once per series.
+Such a series carries its valuation from construction.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -77,26 +76,6 @@ _TERM_RE = re.compile(
 )
 _ZERO = Fraction(0)
 _ZERO_BOUND = (-1, 0, 0)  # the zero polynomial
-
-
-def _dot(out, dens, xn, xd, yn, yd, indices, top) -> None:
-    """Append the sum of x[i] * y[top - i] over ``indices`` to ``out``/``dens``:
-    the products are summed over a running denominator, the lcm of theirs,
-    and the sum is reduced by one gcd."""
-    acc, den = 0, 1
-    for i in indices:
-        c = yn[top - i]
-        if c:
-            n, d = xn[i] * c, xd[i] * yd[top - i]
-            if d == den:
-                acc += n
-            else:
-                g = gcd(den, d)
-                acc = acc * (d // g) + n * (den // g)
-                den = den // g * d
-    g = gcd(acc, den)
-    out.append(acc // g)
-    dens.append(den // g)
 
 
 def _sum_terms(terms) -> tuple:
@@ -419,27 +398,12 @@ class TruncatedSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        va, vb = self.valuation_or_none(), other.valuation_or_none()
-        if va is None or vb is None:
-            return TruncatedSeries.zero()
-        if self._terms is not None and other._terms is not None:
-            return self._of_terms(_product(self._terms, other._terms))
-        a, ad, b, bd = self._known, self._dens, other._known, other._dens
-        support: list[int] = []  # nonzero indices of a below ``scanned``
-        scanned = 0
-
-        def extend(out, dens, m):
-            nonlocal scanned
-            for k in range(len(out), m):
-                while scanned <= k:
-                    if a[scanned]:
-                        support.append(scanned)
-                    scanned += 1
-                _dot(out, dens, a, ad, b, bd, support, k)
-
-        x, y = self._bound, other._bound
-        bound = (x[0] + y[0], x[1] + y[1], x[2] + y[2])
-        return self._lazy(bound, va + vb, True, ((self, 0), (other, 0)), extend)
+        """The product of two term polynomials, computed at once, term by
+        term; a stream operand is refused with ValueError before anything
+        is computed, since neither engine multiplies streams."""
+        if self._terms is None or other._terms is None:
+            raise ValueError("the product of a stream is not computed")
+        return self._of_terms(_product(self._terms, other._terms))
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/dt; val f' = val f - 1 when val f >= 1 is known.  A
@@ -556,18 +520,17 @@ class TruncatedSeries:
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,
         term by term: c * t^e of the integrand g gives c/(e + 1) * t^(e + 1),
-        reduced against e + 1 alone.  The integrand must be a polynomial, and
-        so is the integral; a stream is refused with ValueError, since its
-        integral is not rational in general and would carry no degree
-        bound."""
-        if wrt.valuation_or_none() is None:
+        reduced against e + 1 alone.  The integrand and the variable must be
+        polynomials, and so is the integral; a stream is refused with
+        ValueError before anything is computed, since its integral is not
+        rational in general and would carry no degree bound."""
+        if wrt._terms == ():
             raise IndeterminateValuation("the integration variable is identically zero")
-        g = self * wrt.derivative()
-        if g._terms is None:
+        if self._terms is None or wrt._terms is None:
             raise ValueError("the integrand is not a polynomial")
         c = constant if constant.__class__ is Fraction else Fraction(constant)
         terms = [(0, c.numerator, c.denominator)] if c else []
-        for e, n, d in g._terms:
+        for e, n, d in _product(self._terms, _derivative(wrt._terms)):
             h = gcd(n, e + 1)
             terms.append((e + 1, n // h, d * ((e + 1) // h)))
         return self._of_terms(tuple(terms))

@@ -3,6 +3,8 @@ import os
 import resource
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -603,6 +605,64 @@ class TestExactSeriesInputs:
         code, out, err = run(capsys, "--format", "json", *argv)
         assert code == 0 and err == ""
         assert json.loads(out)["word"] == word
+
+
+BIG_RATIONAL_CURVE = f"x=t^2, y=t^3+{'7' * 3000}*t^4"
+LONG_LITERAL = "9" * 5000
+_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def _digit_cap(cap):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cap)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(_DIGIT_CAP == 0, reason="no cap on int <-> str conversions")
+class TestLongIntegers:
+    """Exact answers and literals past the interpreter's cap on int <-> str
+    conversions (4,300 digits by default) are answered, not a traceback."""
+
+    def test_big_rational_data_point_in_text(self, capsys):
+        code, out, err = run(capsys, "curve", BIG_RATIONAL_CURVE, "--level", "6")
+        assert code == 0 and err == ""
+        assert "regularization level   2\n" in out
+
+    def test_big_rational_data_point_in_json(self, capsys):
+        code, out, err = run(capsys, "curve", BIG_RATIONAL_CURVE, "--level", "6",
+                             "--format", "json")
+        assert code == 0 and err == ""
+        with _digit_cap(0):
+            point = json.loads(out)["data_point"]
+            assert max(map(len, point)) > _DIGIT_CAP
+            assert all(str(Fraction(c)) == c for c in point)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("curve", f"x=t^{LONG_LITERAL}, y=t"), 0),
+            (("curve", f"@level 2 chart=oo, r=t, n=t, constants={LONG_LITERAL},0,0,0"), 0),
+            (("pc", f"[{LONG_LITERAL};{LONG_LITERAL}1]"), 1),
+        ],
+        ids=["exponent", "constant", "pc"],
+    )
+    def test_long_literals(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("error: CW(") and "above the pc bound" in err
+        else:
+            assert err == "" and "regularization level   1\n" in out
+
+    @pytest.mark.parametrize("argv", [("word", "RV"), ("curve", "x=t^2, y=")])
+    def test_the_callers_cap_is_restored(self, capsys, argv):
+        with _digit_cap(5000):
+            run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -42,6 +42,19 @@ class TestArith:
         assert prod._bound == (25, 0, 0) and prod.is_polynomial
         assert prod.prefix(30) == (0,) * 24 + (1, 1, 0, 0, 0, 0)
 
+    def test_a_stream_operand_is_refused(self, computed):
+        # only polynomials are multiplied and integrated, and a stream is
+        # refused before any of its coefficients is computed
+        stream, poly = S("1 + t").quotient(S("1 - t")), S("t^2")
+        computed.clear()
+        for build in (lambda: stream * poly, lambda: poly * stream):
+            with pytest.raises(ValueError, match="^the product of a stream is not computed$"):
+                build()
+        for build in (lambda: stream.integrate(poly), lambda: poly.integrate(stream)):
+            with pytest.raises(ValueError, match="^the integrand is not a polynomial$"):
+                build()
+        assert computed == {}
+
 
 class TestDerivative:
     def test_monomial(self):
@@ -247,7 +260,13 @@ class TestProperties:
         if vb is None or (va is not None and va < vb):
             return
         q = a.quotient(b)
-        assert (q * b) == a
+        # q * b - a = (P_q b - a D_q) / D_q has a numerator of degree at most
+        # e = max(a_q + deg b, deg a + q_q), so q * b = a exactly when
+        # coefficients 0..e agree, and a prefix of q fixes those of q * b
+        (a_q, q_q, _), deg_b = q._bound, b._bound[0]
+        n = max(a_q + deg_b, a._bound[0] + q_q) + 1
+        head = TruncatedSeries.from_terms(zip(q.prefix(n), range(n)))
+        assert (head * b).prefix(n) == a.prefix(n)
 
     @given(series_strategy(), series_strategy(min_val=1))
     @settings(max_examples=120, deadline=None)
@@ -623,8 +642,8 @@ class TestEagerReference:
             try:
                 lazy = lazy_op(a, b, k)
             except ValueError:
-                # only a polynomial is integrated
-                assert name == "integrate" and None in (a._terms, b._terms)
+                # only polynomials are multiplied and integrated
+                assert name in ("integrate", "mul") and None in (a._terms, b._terms)
                 continue
             # read the leading terms first on some results, the whole window
             # later or never, so operands are at every stage of completion
@@ -735,9 +754,11 @@ class TestValuationFromOperands:
                 lambda: _stream("t^7").quotient(_stream("t^3", "2 - t")), 4,
                 id="quotient of streams",
             ),
-            pytest.param(lambda: _stream("t^2") * _stream("-3*t^5", "1 - t^2"), 7, id="product"),
+            pytest.param(lambda: S("t^2 - t^3") * S("-3*t^5 + t^8"), 7, id="product"),
+            # a quotient by a constant is divided term by term
             pytest.param(
-                lambda: S("t^4 + t^9") * _stream("t"), 5, id="product with a polynomial",
+                lambda: S("t^4 + t^9") * S("2*t").quotient(S("2")), 5,
+                id="product with a polynomial",
             ),
             pytest.param(lambda: _stream("5*t^3").derivative(), 2, id="derivative"),
             pytest.param(
@@ -972,7 +993,8 @@ expressions = st.recursive(small_polynomial, _expression, max_leaves=8)
 
 def _evaluate(tree, checked):
     """(exact series, (P, D)) of an expression, or None when it has a zero
-    denominator or a pole; appends every subexpression to ``checked``."""
+    denominator, a pole or a product with a stream operand, which is
+    refused; appends every subexpression to ``checked``."""
     if isinstance(tree, list):
         result = TruncatedSeries(tree), (_trim(tree), [F(1)])
     else:
@@ -986,6 +1008,10 @@ def _evaluate(tree, checked):
             vf, vg = _rval(f), _rval(g)
             if vg is None or (vf is not None and vf < vg):
                 return None
+        if name == "mul" and not (a.is_polynomial and b.is_polynomial):
+            with pytest.raises(ValueError, match="^the product of a stream is not computed$"):
+                a * b
+            return None
         op, ref_op = EXACT_OPERATIONS[name]
         result = op(a, b), ref_op(f, g)
     checked.append(result)
