@@ -13,12 +13,19 @@ Both are implemented and cross-checked exhaustively in the test suite.  The
 inverse direction is available twice as well: the CW map built on the
 Euclidean word Euc(a, b), and a case-peeling inverse of the front-end
 recursion.
+
+Each map is one loop, so no input is too deep for the interpreter's
+recursion limit: the back recursion cuts its blocks off the end in one
+walk, the front inverse peels down to [1;] and then rebuilds, and the CW
+map is one walk over the blocks of the word (``_cw_blocks``), which
+``cw_length`` reads too, to measure a word without building it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import accumulate
 from math import gcd
 
 from .errors import (
@@ -273,21 +280,23 @@ def pc_from_word_back(word: RvtWord | str) -> PuiseuxCharacteristic:
 def _back_lambdas(s: str) -> tuple[int, ...]:
     """Raw characteristic of a valid word that is empty or critical.
 
-    Splits s as P R^rho Q (``_split_pq``).  Prepending R^k to Q sends
-    E(Q) = (a, b) to (a, b + k*a), so one pass over Q gives both pairs the
-    step needs.
+    Cuts s = P R^rho Q (``_split_pq``) block by block off the end.  Read
+    from the first block, with E(Q) = (a, b): PC(R^rho Q) is
+    (a, b + (rho-1)*a), and each later block scales the characteristic by
+    a and appends a*lambda_last + b + (rho-2)*a.  So lambda_0 is the
+    product of the a's, and lambda_j - lambda_(j-1) is b + (rho-2)*a of
+    block j times the a's of the blocks after it: the walk from the end
+    carries that product.  Prepending R^k to Q sends E(Q) to (a, b + k*a),
+    so one pass over Q gives both pairs a block needs.
     """
-    if not s:
-        return (1,)
-    r, q = _split_pq(s)
-    a, b = _e_pair(s[q:])
-    rho = q - r
-    if not r:
-        # PC(R^rho Q) = E(R^(rho-1) Q) read as a characteristic
-        return (a, b + (rho - 1) * a)
-    sub = _back_lambdas(s[:r])
-    b += rho * a
-    return (*(a * x for x in sub), a * sub[-1] + b - 2 * a)
+    scale, gaps = 1, []
+    while s:
+        r, q = _split_pq(s)
+        a, b = _e_pair(s[q:])
+        gaps.append(scale * (b + (q - r - 2) * a))
+        scale *= a
+        s = s[:r]
+    return (*accumulate(reversed(gaps), initial=scale),)
 
 
 # -- inverse maps ------------------------------------------------------------------
@@ -324,32 +333,38 @@ def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
     return RvtWord(_cw_string(pc.lambdas))
 
 
+def _cw_blocks(lam: tuple[int, ...]):
+    """The blocks of CW(lam) for a valid characteristic, last block first:
+    each is R^k then its Euclidean word, given as ``(k, runs)`` with runs
+    the T run lengths (a V between consecutive runs).
+
+    Dividing all but the last entry by their gcd leaves a valid
+    characteristic whose CW is the word before the last block, so the
+    walk divides by the running prefix gcds instead of rebuilding entries.
+    The first block is R^(i+1) then Euc(lambda_0, lambda_1) past its
+    leading run T^i: runs (0, *rest).
+    """
+    gcds = [*accumulate(lam, gcd)]
+    for m in range(len(lam) - 1, 1, -1):
+        d = gcds[m]
+        a = gcds[m - 1] // d
+        diff = (lam[m] - lam[m - 1]) // d
+        yield diff // a + 1, [*_euclid_runs(a, diff % a + a)]
+    if len(lam) > 1:
+        first, *rest = _euclid_runs(lam[0] // gcds[1], lam[1] // gcds[1])
+        yield first + 1, [0, *rest]
+
+
 def _cw_string(lam: tuple[int, ...]) -> str:
-    """CW of a valid characteristic, as a string.  Dividing all but the
-    last entry by their gcd leaves a valid characteristic, so every level
-    of the recursion sees one."""
-    if len(lam) == 1:
-        return ""
-    if len(lam) == 2:  # R^(i+1), then Euc(lam) past its leading run T^i
-        first, *runs = _euclid_runs(*lam)
-        return "R" * (first + 1) + "".join("V" + "T" * k for k in runs)
-    a = gcd(*lam[:-1])
-    diff = lam[-1] - lam[-2]
-    head = _cw_string(tuple(x // a for x in lam[:-1]))
-    return head + "R" * (diff // a + 1) + euclid(a, diff % a + a)
+    """CW of a valid characteristic, as a string."""
+    return "".join(reversed(["R" * k + "V".join(["T" * n for n in runs])
+                             for k, runs in _cw_blocks(lam)]))
 
 
 def cw_length(pc: PuiseuxCharacteristic) -> int:
-    """len(word_from_pc(pc)) without building the word: each step of
-    ``_cw_string`` adds k + 1 symbols per T run k of its Euclidean word,
-    plus diff // a when it adds an R run."""
-    lam, n = pc.lambdas, 0
-    while len(lam) > 2:
-        a = gcd(*lam[:-1])
-        diff = lam[-1] - lam[-2]
-        n += diff // a + sum(k + 1 for k in _euclid_runs(a, diff % a + a))
-        lam = tuple(x // a for x in lam[:-1])
-    return n + sum(k + 1 for k in _euclid_runs(*lam)) if len(lam) == 2 else n
+    """len(word_from_pc(pc)) without building the word: R^k and the T runs
+    of each block, plus the V's between its runs."""
+    return sum(k + sum(runs) + len(runs) - 1 for k, runs in _cw_blocks(pc.lambdas))
 
 
 def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:
@@ -358,22 +373,26 @@ def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:
     Case A contributes R, case B contributes R V T^tau R (the block together
     with the R that must follow it in the padded word), case C contributes
     R V T^tau; the overlap with the lifted word's leading R run is dropped.
-    The output may carry a trailing R; it normalizes to word_from_pc(pc).
+    Peels down to [1;], then rebuilds the word from the innermost peel out;
+    each peel adds at least one symbol, so there are at most
+    cw_length(pc) + 1 peels.  The output may carry a trailing R; it
+    normalizes to word_from_pc(pc).
     """
-    if pc.is_trivial():
-        return RvtWord("")
-    tag, down = peel_case(pc)
-    tail = word_from_pc_front_inverse(down).symbols
-    if tag.kind == "A":
-        return RvtWord("R" + tail)
-    drop = tag.tau + 2 if tag.kind == "B" else tag.tau + 1
-    dropped, rest = tail[:drop], tail[drop:]
-    if dropped.strip("R"):
-        raise InvalidCharacteristic(
-            f"peel of {pc} expected {drop} leading R's, found {tail!r}"
-        )
-    block = "RV" + "T" * tag.tau + ("R" if tag.kind == "B" else "")
-    return RvtWord(block + rest)
+    peels = []
+    while not pc.is_trivial():
+        tag, down = peel_case(pc)
+        peels.append((pc, tag))
+        pc = down
+    word = ""
+    for pc, tag in reversed(peels):
+        if tag.kind == "A":
+            word = "R" + word
+            continue
+        drop = tag.tau + 2 if tag.kind == "B" else tag.tau + 1
+        if word[:drop].strip("R"):
+            raise InvalidCharacteristic(f"peel of {pc} expected {drop} leading R's, found {word!r}")
+        word = "RV" + "T" * tag.tau + ("R" if tag.kind == "B" else "") + word[drop:]
+    return RvtWord(word)
 
 
 # -- restriction ----------------------------------------------------------------------

@@ -71,9 +71,9 @@ from math import gcd
 
 from .errors import IndeterminateValuation, NegativeValuation, ParseError
 
-_TERM_RE = re.compile(
-    r"([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(\d+))?)?\s*$"
-)
+# a coefficient: an integer or a fraction p/q, spaces allowed around the /
+_COEFF = r"\d+(?:\s*/\s*\d+)?"
+_TERM_RE = re.compile(rf"([+-]?)\s*(?:({_COEFF})\s*\*?\s*)?(t(?:\s*\^\s*(\d+))?)?\s*$")
 _ZERO = Fraction(0)
 _ZERO_BOUND = (-1, 0, 0)  # the zero polynomial
 
@@ -291,7 +291,9 @@ class TruncatedSeries:
         return self._terms is not None
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
-        """Coefficients 0..n - 1, as Fractions."""
+        """Coefficients 0..n - 1, as Fractions; a negative n is refused."""
+        if n < 0:
+            raise ValueError(f"prefix length {n} is negative")
         return tuple(map(Fraction, self._force(n)[:n], self._dens[:n]))
 
     # kept for bench/spans.py until ROADMAP item 1
@@ -571,7 +573,7 @@ def parse_series(text: str) -> TruncatedSeries:
             raise ParseError(f"bad series term {chunk.strip()!r}", pos)
         sign, coeff_text, t_part, exp_text = m.groups()
         try:
-            coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+            coeff = Fraction("".join(coeff_text.split())) if coeff_text else Fraction(1)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in series term {chunk.strip()!r}", pos) from None
         if sign == "-":

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .invariants import VerticalOrders
 from .records import Record, _new
-from .series import TruncatedSeries, parse_series
+from .series import _COEFF, TruncatedSeries, parse_series
 from .words import RvtWord
 
 
@@ -575,13 +575,13 @@ def parse_curve_trace(text: str) -> LiftTrace:
 
 
 # the coefficient grammar of series literals, with its sign
-_CONSTANT_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_CONSTANT_RE = re.compile(rf"[+-]?\s*{_COEFF}")
 
 
 def _parse_constant(text: str) -> Fraction:
     if _CONSTANT_RE.fullmatch(text):
         try:
-            return Fraction(text)
+            return Fraction("".join(text.split()))
         except ZeroDivisionError:
             pass
     raise ParseError(f"bad constant {text!r}; expected an integer or a fraction p/q")

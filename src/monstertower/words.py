@@ -247,9 +247,9 @@ def enumerate_words(max_len: int, min_len: int = 1):
 
 def count_words(n: int) -> int:
     """Number of valid words of length exactly n, by the R/V/T state
-    recurrence implied by the two word rules."""
-    if n == 0:
-        return 1
+    recurrence implied by the two word rules; 0 for a negative n."""
+    if n <= 0:
+        return 1 if n == 0 else 0
     r, v, t = 1, 0, 0
     for _ in range(n - 1):
         total = r + v + t

@@ -394,6 +394,44 @@ class TestCheck:
         assert code == 0 and "6 checked, 0 failures" in out
         assert len(set(built)) == len(built) == 6  # one attempt per curve
 
+    def test_seed_picks_the_corpus(self, capsys):
+        code, out, _ = run(capsys, "check", "--max-len", "2", "--corpus-size", "220",
+                           "--seed", "20230817")
+        assert code == 0
+        assert "engine-equivalence   220 checked, 0 failures" in out.splitlines()
+
+    def test_failure_names_the_seeded_curve(self, capsys, monkeypatch):
+        from monstertower import blowup
+        from monstertower.errors import MismatchReport
+
+        def mismatch(curve, max_level=None):
+            raise MismatchReport("engines disagree")
+
+        monkeypatch.setattr(blowup, "cross_check", mismatch)
+        code, out, _ = run(capsys, "check", "--max-len", "2", "--corpus-size", "220",
+                           "--seed", "20230817")
+        first = generate_corpus(220, 20230817)[0]
+        assert first != generate_corpus(220)[0]  # the seed reaches the corpus
+        fails = [line for line in out.splitlines() if "FAIL" in line]
+        assert code == 2 and len(fails) == 220
+        assert fails[0] == f"  FAIL engine-equivalence {first}"
+
+
+class TestLongWords:
+    # more blocks than the interpreter's recursion limit, in-process
+    def test_word(self, capsys):
+        code, out, err = run(capsys, "word", "RVT" * 1000)
+        assert code == 0 and err == ""
+        assert f"word                        {'RVT' * 1000}" in out.splitlines()
+
+    def test_pc(self, capsys):
+        from monstertower.puiseux import pc_from_word_front
+
+        pc = pc_from_word_front("RV" * 1100)
+        code, out, err = run(capsys, "pc", str(pc))
+        assert code == 0 and err == ""
+        assert f"word                        {'RV' * 1100}" in out.splitlines()
+
 
 class TestDeterminismAndEnv:
     def test_byte_identical_runs(self, capsys):

@@ -363,6 +363,25 @@ class TestFrontInverse:
             assert pc_from_word_front(inv) == pc
 
 
+class TestLongWords:
+    """Each word map is one loop, so a word with more blocks or peels than
+    the interpreter's recursion limit still gets its answers."""
+
+    @pytest.mark.parametrize("unit,count", [("RV", 1100), ("RVT", 1000)])
+    def test_panel_and_cw_of_a_long_word(self, unit, count):
+        from monstertower.invariants import invariant_panel
+
+        word = unit * count
+        pc = invariant_panel(word=word).pc  # the panel checks back against front
+        assert pc_from_word_back(word) == pc_from_word_front(word) == pc
+        assert word_from_pc(pc) == RvtWord(word).normalize()
+        assert cw_length(pc) == len(word)
+
+    def test_front_inverse_of_a_long_peel(self):
+        pc = PC("[2;2201]")
+        assert word_from_pc_front_inverse(pc).normalize() == word_from_pc(pc)
+
+
 class TestRestriction:
     def test_examples(self):
         assert restrict_pc(PC("[15;24,25]")) == PC("[9;24,25]")

@@ -299,13 +299,19 @@ class TestParse:
             # a "+" before a negative term, as CurveSpec prints one
             ("3/2*t^31 + 3*t^46 + -11/4*t^58", [(F(3, 2), 31), (F(3), 46), (F(-11, 4), 58)]),
             ("t+-2*t^2", [(F(1), 1), (F(-2), 2)]),
+            # whitespace is insignificant around ^ and inside p / q too
+            ("t ^ 2", [(F(1), 2)]),
+            ("3 / 4 * t ^ 5 - t\t^\t3", [(F(3, 4), 5), (F(-1), 3)]),
+            ("3\t/4*t", [(F(3, 4), 1)]),
         ],
     )
     def test_literals(self, text, expect):
         assert parse_series(text) == TruncatedSeries.from_terms(expect)
 
     @pytest.mark.parametrize(
-        "bad", ["", "q^2", "t^", "1//2*t", "t^2 ^3", "1/0*t^3", "t + 2/0", "t^-2", "t^3 - t^-2"]
+        "bad",
+        ["", "q^2", "t^", "1//2*t", "t^2 ^3", "1/0*t^3", "t + 2/0", "t^-2", "t^3 - t^-2",
+         "t ^ 2 ^ 3", "t ^ -2", "3 / 0 * t", "1.5*t", "1e2*t"],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
@@ -1131,6 +1137,13 @@ class TestExactEquality:
         assert S("1/2*t").prefix(3) == (0, F(1, 2), 0)
         assert all(type(c) is F for c in S("t").prefix(3))
         assert S("t").prefix(0) == ()
+
+    def test_negative_prefix_is_refused(self):
+        # a negative length is refused, not sliced from what is computed
+        q = S("t").quotient(S("t - t^2"))
+        assert q.prefix(3) == (1, 1, 1)
+        with pytest.raises(ValueError, match="prefix length -2 is negative"):
+            q.prefix(-2)
 
     @example(("quotient", [F(1), F(1)], [F(1), F(1)]), [F(1)])
     @example(("recenter", ("quotient", [F(1), F(2)], [F(1), F(1)]), None), [F(0), F(1)])

@@ -636,6 +636,23 @@ class TestCurveGrammar:
         assert c.y == parse_series("2*t")
 
     @pytest.mark.parametrize(
+        "spaced,plain",
+        [
+            ("x = t ^ 2 , y = t ^ 3", "x=t^2, y=t^3"),
+            ("x=t^2, y=t^3 + 3 / 4 * t ^ 5", "x=t^2, y=t^3+3/4*t^5"),
+            # a constants= entry is written like a series coefficient
+            ("@level 2 chart=oi, r=t, n=t, constants=0,0,3 / 4,0",
+             "@level 2 chart=oi, r=t, n=t, constants=0,0,3/4,0"),
+            ("@level 2 chart=oi, r=t, n=t, constants=0,0,- 3/4,+ 5",
+             "@level 2 chart=oi, r=t, n=t, constants=0,0,-3/4,5"),
+            ("@level 2 chart=oi, r=t, n=t, constants=0,0,3\t/ 4,0",
+             "@level 2 chart=oi, r=t, n=t, constants=0,0,3/4,0"),
+        ],
+    )
+    def test_whitespace_is_insignificant(self, spaced, plain):
+        assert parse_curve(spaced) == parse_curve(plain)
+
+    @pytest.mark.parametrize(
         "bad",
         [
             "x=t^5",
@@ -654,6 +671,10 @@ class TestCurveGrammar:
             "@level 2 chart=oi, r=t, n=t, constants=0,0,1.5,0",
             "@level 2 chart=oi, r=t, n=t, constants=0,0,1e999999999,0",
             "x=t^2, y=1/0*t^3",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,3 / 0,0",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,- 1e2,0",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,3 / 4 / 5,0",
+            "@level 2 chart=oi, r=t, n=t, constants=0,0,- - 3,0",
         ],
     )
     def test_rejects(self, bad):

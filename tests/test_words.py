@@ -274,6 +274,9 @@ class TestCounting:
     def test_length_four_count(self):
         assert count_words(4) == 13
 
+    def test_negative_length_has_no_words(self):
+        assert count_words(-1) == count_words(-5) == 0
+
     def test_enumeration_order(self):
         head = [w.symbols for w in enumerate_words(3)]
         assert head == ["R", "RR", "RV", "RRR", "RRV", "RVR", "RVV", "RVT"]
