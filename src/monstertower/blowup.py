@@ -107,7 +107,7 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
         denominator, denominator_name = b_rec, b_name
         quotient, new_name = a.quotient(b_rec), a_name.bump()
         inherited = level - 1 or None  # a's flag: a always vanishes at the center
-    if inherited is not None and quotient.constant_term() == 0:
+    if inherited is not None and quotient.valuation_or_none() != 0:
         symbol = "V" if inherited == level - 1 else "T"
     else:
         symbol = "R"

@@ -9,13 +9,15 @@ names, stored as the tuple of its nonzero terms (Johnson, "Sparse
 polynomial arithmetic", 1974), zero beyond its last term.  Derivative,
 recentering, integral and product of such polynomials are computed at once,
 term by term, so they cost their terms and not their degree; so are a
-quotient by a constant c and a slope f'/g' over a g of degree 1, as f (or
-f') times 1/c.  Every other quotient or slope (read straight off f and g)
-is an exact stream, even where its bounds make it a polynomial, and so are
-the derivative and the recentering of a stream.  Only polynomials are
-multiplied and integrated: neither engine multiplies streams, and the
-integral of a stream is not rational in general, so a stream operand is
-refused.  Nothing is ever truncated.
+quotient f/g by a single term g = c * t^m and a slope f'/g' whose g' = c *
+t^m is one, each term of f (or f') divided by c and shifted down by m,
+where the valuations put every exponent at m or above.  Every other
+quotient or slope (read straight off f and g) is an exact stream, even
+where its bounds make it a polynomial, and so are the derivative and the
+recentering of a stream.  Only polynomials are multiplied and integrated:
+neither engine multiplies streams, and the integral of a stream is not
+rational in general, so a stream operand is refused.  Nothing is ever
+truncated.
 
 Every series is therefore a rational function f = P/D, and carries three
 degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
@@ -429,23 +431,26 @@ class TruncatedSeries:
 
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Exact series quotient self / den, a stream unless both are
-        polynomials and den is a constant; needs val(den) <= val(self), and
-        a zero numerator is accepted."""
+        polynomials and den is a single term c * t^m; needs val(den) <=
+        val(self), and a zero numerator is accepted."""
         return self._ratio(den, TruncatedSeries.valuation_or_none, 0)
 
     def slope(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The slope f'/g' of f = self over g = other, read straight off f
         and g, where coefficient j of f' is (j + 1) f[j + 1]: the quotient
         of the derivatives, with their bounds and exceptions, a polynomial
-        when f is one and g is a polynomial of degree 1."""
+        when f is one and g is a polynomial whose derivative is a single
+        term, g = c0 + c * t^(m + 1)."""
         return self._ratio(other, TruncatedSeries.slope_order, 1)
 
     def _ratio(self, den, order, shift: int) -> "TruncatedSeries":
         """The quotient recurrence of self / den (shift 0) or of self' / den'
         (shift 1), with the valuations ``order`` reads: index i of an operand
         gives the term i - shift, its coefficient times i ** shift.  Term
-        polynomials whose den (or den') is a constant c = cn/cd divide term
-        by term."""
+        polynomials whose den (or den') is a single term c * t^vd, c =
+        cn/cd, divide term by term: each term of self (or self') times
+        cd/cn, reduced by one gcd, and shifted down by vd, which the
+        valuation check puts at or below every exponent."""
         vd = order(den)
         if vd is None:
             raise IndeterminateValuation("the denominator is identically zero")
@@ -457,12 +462,23 @@ class TruncatedSeries:
                 f"valuation {vn} of numerator below valuation {vd} of denominator"
             )
         terms, den_terms = self._terms, den._terms
-        if terms is not None and den_terms is not None and den_terms[-1][0] == shift:
-            _, cn, cd = den_terms[-1]
-            inverse = ((0, -cd, -cn) if cn < 0 else (0, cd, cn),)
-            return self._of_terms(_product(_derivative(terms) if shift else terms, inverse))
-        nn, nd, dn, dd = self._known, self._dens, den._known, den._dens
         lead = vd + shift
+        if (terms is not None and den_terms is not None
+                and len(den_terms) - (shift and den_terms[0][0] == 0) == 1):
+            # den's last term is c * t^lead, and den (den') is that term (its
+            # derivative); every exponent of self but a constant is >= lead
+            _, cn, cd = den_terms[-1]
+            cn *= lead ** shift
+            if cn < 0:
+                cn, cd = -cn, -cd
+            out = []
+            for e, n, d in terms:
+                if e >= lead:
+                    n, d = n * e ** shift * cd, d * cn
+                    g = gcd(n, d)
+                    out.append((e - lead, n // g, d // g))
+            return self._of_terms(tuple(out))
+        nn, nd, dn, dd = self._known, self._dens, den._known, den._dens
         support = []  # (i, den[i] * i ** shift, dd[i]), den[i] != 0, lead < i < scanned
         scanned = lead + 1
         sn = sd = 0  # set by the first extend, which has den[lead]

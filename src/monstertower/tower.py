@@ -388,7 +388,7 @@ def lift_once(
         symbol, chain = "V", level
     else:
         letter, kept, fresh = "o", retained, new_coord.slope(retained)
-        on_prolongation = chain_origin is not None and fresh.constant_term() == 0
+        on_prolongation = chain_origin is not None and fresh.valuation_or_none() != 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
     kept_name, fresh_name, _ = _step_names(letter, retained_name, new_name)
     return ChartStep(level, letter, kept, fresh, kept_name, fresh_name, symbol, chain, (vr, vn))

@@ -35,11 +35,16 @@ from realization import critical_words, realization
 # derivative series, the first took 41 extend calls and 96 coefficients, the
 # third 1,488 and 2,847, the fourth 259 and 1,217 and the fifth 51 and 433,
 # with the same forces; its slope, read off the active pair, computes no
-# derivative coefficient.
+# derivative coefficient.  A quotient or slope of term polynomials by a
+# single term c * t^m is a term polynomial, so every Nash step that keeps
+# x = t^n and every blowup by the recentered x computes nothing; streams
+# start at the first inversion.  Before that the first germ took (5, 27,
+# 63), the third (110, 1068, 2044), the fourth (18, 172, 804) and the fifth
+# (13, 32, 264).
 COMPUTED = {
-    "x=t^15, y=t^24+t^25": (5, 27, 63),
+    "x=t^15, y=t^24+t^25": (3, 17, 35),
     "x=t^5, y=t^7": (0, 0, 0),
-    "x=t^12, y=t^14+t^16+t^57": (110, 1068, 2044),  # 29 Nash levels
+    "x=t^12, y=t^14+t^16+t^57": (108, 1006, 1936),  # 29 Nash levels
     # Searches that read up to 38 and 41 coefficients, forced in doubling
     # batches: fewer forces, some coefficients computed past the valuation.
     # Forcing one coefficient at a time, as at e29abf9, took 86 forces and
@@ -47,8 +52,9 @@ COMPUTED = {
     # bound of the searched series, where it once stopped at a term budget
     # of 64 or more: corpus curve 74 computed 653 coefficients against a
     # budget.
-    "x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57": (18, 172, 804),  # 690 bits
-    "x=t^3, y=3*t^6-5/7*t^47+2*t^52": (13, 32, 264),  # corpus curve 74
+    "x=t^10, y=72/5*t^14-11/4*t^52+3*t^53+3*t^57": (16, 136, 660),  # 690 bits
+    # corpus curve 74: regular before its first inversion, all polynomials
+    "x=t^3, y=3*t^6-5/7*t^47+2*t^52": (0, 0, 0),
 }
 
 

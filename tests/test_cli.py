@@ -567,8 +567,13 @@ class TestInputValidation:
             # a polynomial stores its terms, so a huge exponent is read off
             # them; a lift that must fill a dense prefix past the index range
             # cannot allocate it
-            ("x=t^99999999999999999999, y=t^99999999999999999999+t^100000000000000000000",
+            ("x=t^99999999999999999999+t^100000000000000000000, "
+             "y=t^99999999999999999999+t^100000000000000000001",
              "the input is too large for memory"),
+            # a slope over a monomial x is divided term by term, so the germ
+            # [N; N + 1], N = 10^20 - 1, lifts without a prefix up to the budget
+            ("x=t^99999999999999999999, y=t^99999999999999999999+t^100000000000000000000",
+             "no regular lift within 64 levels; the germ may be critical or the budget too small"),
             # the rebuilt germ is [N; N + 1], N = 10^20 - 1: N levels to lift
             ("@level 1 chart=o, r=t^99999999999999999999, n=t",
              "no regular lift within 64 levels; the germ may be critical or the budget too small"),
@@ -590,9 +595,14 @@ class TestInputValidation:
         [
             # three terms, whatever their exponents
             ("x=t^2, y=t^3+t^400000000", (0, "regularization level   2\n", "")),
-            # the lift's slope reads a dense prefix of about 4 * 10^8
-            # coefficients, about 6.4 GB
+            # over a monomial x each slope is divided term by term: the germ
+            # [N; N + 1] needs N levels, past the budget
             ("x=t^400000000, y=t^400000000+t^400000001",
+             (1, "", "error: no regular lift within 64 levels; the germ may be critical "
+                     "or the budget too small\n")),
+            # x' has two terms, so the lift's slope is a stream that reads a
+            # dense prefix of about 4 * 10^8 coefficients, about 6.4 GB
+            ("x=t^400000000+t^400000001, y=t^400000000+t^400000002",
              (1, "", "error: the input is too large for memory\n")),
         ],
     )

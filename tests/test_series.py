@@ -104,12 +104,13 @@ class TestQuotient:
         assert q.valuation_or_none() is None
 
     def test_precision_tracking(self):
-        # a quotient loses no terms to the denominator's valuation: t^4/t^2
-        # is the stream t^2, with the degree bounds (4 + 0, 0 + 2, 0 + 2) of
-        # P = t^4, D = t^2, and equal to the polynomial t^2 exactly
-        q = S("t^4").quotient(S("t^2"))
-        assert q._bound == (4, 2, 2) and not q.is_polynomial
-        assert q == S("t^2")
+        # a quotient loses no terms to the denominator's valuation:
+        # (t^4 + t^5)/(t^2 + t^3) is the stream t^2, with the degree bounds
+        # (5 + 0, 0 + 3, 0 + 3) of P = t^4 + t^5, D = t^2 + t^3, and equal to
+        # the polynomial t^2 exactly; t^4/t^2 is that polynomial at once
+        q = S("t^4 + t^5").quotient(S("t^2 + t^3"))
+        assert q._bound == (5, 3, 3) and not q.is_polynomial
+        assert q == S("t^2") == S("t^4").quotient(S("t^2"))
 
 
 class TestValuation:
@@ -369,10 +370,11 @@ class TestTermsOutsideTheWindow:
 
 
 class TestTermRatios:
-    """A quotient by a constant and a slope over a polynomial of degree 1
-    are divided term by term into term polynomials: printing, the exponent
-    gcd and integration read their terms and fill no dense prefix.  Any
-    other ratio is a stream, even one whose bounds make it a polynomial."""
+    """A quotient by a single term c * t^m and a slope over a polynomial
+    whose derivative is a single term are divided term by term into term
+    polynomials: printing, the exponent gcd and integration read their terms
+    and fill no dense prefix.  Any other ratio is a stream, even one whose
+    bounds make it a polynomial."""
 
     @pytest.mark.parametrize(
         "build,text,gcd_,integral",
@@ -381,8 +383,12 @@ class TestTermRatios:
              "1/4*t^2 + 1/10002*t^5001"),
             (lambda: S("t + t^5000").slope(S("2*t")), "1/2 + 2500*t^4999", 4999,
              "1/2*t + 1/2*t^5000"),
+            (lambda: S("t^3 + t^5000").quotient(S("-2*t^2")), "-1/2*t - 1/2*t^4998", 1,
+             "-1/4*t^2 - 1/9998*t^4999"),
+            (lambda: S("t^7 + t^5000").slope(S("1 + 2*t^3")), "7/6*t^4 + 2500/3*t^4997", 1,
+             "7/30*t^5 + 1250/7497*t^4998"),
         ],
-        ids=["quotient", "slope"],
+        ids=["quotient", "slope", "quotient by a monomial", "slope over a monomial derivative"],
     )
     def test_hold_their_terms(self, build, text, gcd_, integral):
         series = build()
@@ -742,6 +748,30 @@ class TestSparseTerms:
             assert _head(series, min(first_read, n)) == window[:min(first_read, n)]
             assert _head(series, n) == window[:n]
 
+    @given(st.lists(st.tuples(st.sampled_from([F(1), F(-1), F(3, 4), F(-7, 5), BIG]),
+                              st.integers(0, 24)), max_size=4),
+           st.sampled_from([F(1), F(-2), F(5, 3), BIG]), st.integers(0, 12),
+           st.sampled_from([F(0), F(1), F(-1, 2)]))
+    @settings(max_examples=100, deadline=None)
+    def test_single_term_divisors(self, terms, c, m, c0):
+        # f / (c * t^m) and f' / g' with g = c0 + c * t^(m + 1) are exact
+        # term polynomials, with the prefix of the same ratio over a stream
+        # equal to the divisor, (g * h) / h
+        h = S("1 - 2*t")
+        g = TruncatedSeries.from_terms([(c, m)])
+        f = TruncatedSeries.from_terms([(a, e + m) for a, e in terms])
+        g_stream = (g * h).quotient(h)
+        q, stream = f.quotient(g), f.quotient(g_stream)
+        assert q.is_polynomial and q * g == f and not g_stream.is_polynomial
+        assert q.prefix(q._bound[0] + 2) == stream.prefix(q._bound[0] + 2)
+        g = TruncatedSeries.from_terms([(c0, 0), (c, m + 1)])
+        f = TruncatedSeries.from_terms([(c0, 0), *[(a, e + m + 1) for a, e in terms]])
+        g_stream = (g * h).quotient(h)
+        s, stream = f.slope(g), f.slope(g_stream)
+        assert s.is_polynomial and s * g.derivative() == f.derivative()
+        assert not g_stream.is_polynomial
+        assert s.prefix(s._bound[0] + 2) == stream.prefix(s._bound[0] + 2)
+
 
 def _stream(text, den="1 + t"):
     """A stream with the valuation of ``text``, no coefficient computed."""
@@ -810,10 +840,11 @@ class TestValuationFromOperands:
                 id="derivative of a unit with a linear gap",
             ),
             pytest.param(lambda: _stream("2 + t^2").recenter()[1], 1, id="recentering of a unit"),
-            # t^2 / t is the stream t, whose second derivative reads zero up
-            # to its numerator bound of 2, which certifies zero
+            # (t^2 + t^3) / (t + t^2) is the stream t, whose second
+            # derivative reads zero up to its numerator bound of 5, which
+            # certifies zero
             pytest.param(
-                lambda: _stream("t^2", "t").derivative().derivative(), None,
+                lambda: _stream("t^2 + t^3", "t + t^2").derivative().derivative(), None,
                 id="zero to the budget",
             ),
         ],
@@ -1117,8 +1148,9 @@ class TestExactEquality:
         assert stream != S(num) and S(num) != stream
 
     def test_stream_equal_to_a_polynomial(self):
-        # t^3 / t is a stream with the bounds (3, 1), equal to t^2
-        stream = S("t^3").quotient(S("t"))
+        # (t^3 + t^4) / (t + t^2) is a stream with the bounds (4, 2), equal
+        # to t^2
+        stream = S("t^3 + t^4").quotient(S("t + t^2"))
         assert not stream.is_polynomial
         assert stream == S("t^2") and hash(stream) == hash(S("t^2"))
         assert stream != S("t^2 + t^9")

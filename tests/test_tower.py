@@ -735,10 +735,11 @@ class TestOnDemandCoefficients:
         assert c.y.exponent_gcd() == 1 and str(c.y) == "t^3 + t^10000000000"
 
     def test_prefix_fill_makes_no_temporary(self):
-        # the first slope reads a dense prefix of about 10^6 coefficients of
-        # x and y, about 30 MiB; each fill extends the prefix in place, so
-        # the peak is what the lift keeps
-        c = germ("x=t^1000000, y=t^1000000+t^1000001")
+        # x' has two terms, so the first slope is a stream that reads a
+        # dense prefix of about 10^6 coefficients of x and y, about 30 MiB;
+        # each fill extends the prefix in place, so the peak is what the
+        # lift keeps
+        c = germ("x=t^1000000+t^1000001, y=t^1000000+t^1000002")
         tracemalloc.start()
         try:
             trace = lift_trace(c, levels=2)
@@ -747,6 +748,14 @@ class TestOnDemandCoefficients:
             tracemalloc.stop()
         assert kept > 20 * 2**20 and len(trace.steps) == 2
         assert peak - kept < 2**20
+
+    def test_steps_over_a_monomial_x_are_polynomials(self):
+        # each ordinary step divides by x' = 7 * t^6 term by term, so the lift
+        # makes a polynomial at every level before its first inversion
+        trace = lift_trace(germ("x=t^7, y=3*t^28-2*t^30-5/7*t^38+14*t^59"))
+        first = trace.chart_path.index("i")
+        assert trace.chart_path == "ooooiooi" and first == 4
+        assert all(s.new_coord.is_polynomial for s in trace.steps[:first])
 
     def test_wide_gap_lifts_to_level_301(self):
         c = CurveGerm.from_series(parse_series("t^2"), parse_series("t^601"))
