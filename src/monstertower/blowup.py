@@ -9,7 +9,11 @@ exceptional divisor, and the quotient is new, its chain origin the
 numerator's divisor flag, which it inherits exactly when the numerator
 vanished at the center.  The recentered denominator is often the previous
 step's quotient itself: a series that vanishes at the center is its own
-recentering.
+recentering, its tail (``TruncatedSeries._tail``), so the center test is
+the tail's identity and no constant term is made.  Every decision of a
+step reads the two valuations it has already read: the quotient takes
+them, and the regularity test reads the retained denominator's off the
+step's orders.
 
 Coordinates are a base letter and a blowup index (``y_1``), bumped into
 shared names as the Nash lift's are, and each step is one record
@@ -18,7 +22,9 @@ loop the Nash lift runs (``Trace.continued``); the engine supplies only
 ``blowup_once`` as its step and its regularity test.  Word (the symbols
 read off the flags), chart path, order profile and multiplicities are
 views of its steps, and ``cross_check`` compares them against the Nash
-lift it is given or makes, reading each view of either trace once.
+lift it is given or makes, reading each view of either trace once; the
+blowup word is compared as its string of symbols, which the Nash word has
+validated.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParame
 from .invariants import multiplicity_sequence
 from .records import Record, _new
 from .series import TruncatedSeries
-from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
+from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, _least, lift_trace
 
 
 class BlowupName(CoordName):
@@ -63,8 +69,9 @@ class BlowupTrace(Trace):
         exceptional divisor through its point.  The curve always meets the
         newest divisor (the retained denominator's), so its order must be
         1; a critical symbol means it also meets the inherited divisor,
-        whose order must then be 1."""
-        if step.retained.valuation_or_none() != 1:
+        whose order must then be 1.  The retained denominator's order is
+        the smaller of the step's deciding orders, read off ``orders``."""
+        if _least(step.orders) != 1:
             return False
         return step.symbol == "R" or step.new_coord.valuation_or_none() == 1
 
@@ -80,12 +87,14 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
     """Blow up the current point of the curve and restrict to the chart the
     strict transform passes through.  (a, b) is the pair after the previous
     blowup: a recentered, its flag ``level - 1`` (none on the base surface),
-    and b unrecentered with the flag ``b_flag``.
+    and b unrecentered with the flag ``b_flag``.  b vanished at the center
+    exactly when its tail is b itself, and the quotient is given the two
+    valuations the step read.
 
     A constant b while val a = d > 1 makes every coordinate a function of a,
     so the germ factors through a, of order d: NonPrimitiveParameterization
     names the cover of degree d."""
-    b0, b_rec = b.recenter()
+    b_rec = b._tail()
     va = a.valuation_or_none()
     vb = b_rec.valuation_or_none()
     if vb is None:
@@ -101,11 +110,11 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
             )
     if va is not None and (vb is None or vb >= va):
         denominator, denominator_name = a, a_name
-        quotient, new_name = b_rec.quotient(a), b_name.bump()
-        inherited = b_flag if b0 == 0 else None
+        quotient, new_name = b_rec._ratio(a, va, vb, 0), b_name.bump()
+        inherited = b_flag if b_rec is b else None
     else:
         denominator, denominator_name = b_rec, b_name
-        quotient, new_name = a.quotient(b_rec), a_name.bump()
+        quotient, new_name = a._ratio(b_rec, vb, va, 0), a_name.bump()
         inherited = level - 1 or None  # a's flag: a always vanishes at the center
     if inherited is not None and quotient.valuation_or_none() != 0:
         symbol = "V" if inherited == level - 1 else "T"
@@ -165,7 +174,7 @@ def cross_check(c: CurveGerm | LiftTrace,
     word, mults = nash.word, nash.multiplicities()
     word_mults = multiplicity_sequence(word)
     ok = (
-        word.symbols == blow.word.symbols
+        word.symbols == "".join([s.symbol for s in blow.steps])
         and nash.order_profile() == blow.order_profile()
         and mults == blow.multiplicities()
         and mults == word_mults

@@ -18,12 +18,15 @@ Each map is one loop, so no input is too deep for the interpreter's
 recursion limit: the back recursion cuts its blocks off the end in one
 walk, the front inverse peels down to [1;] and then rebuilds, and the CW
 map is one walk over the blocks of the word (``_cw_blocks``), which
-``cw_length`` reads too, to measure a word without building it.
+``cw_length`` reads too, to measure a word without building it.  Both
+inverses refuse a word longer than the longest string with an
+OverflowError that names its length.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from itertools import accumulate
 from math import gcd
@@ -328,9 +331,16 @@ def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
 
     Rejects exponent lists that are not genuine characteristics instead of
     silently repairing them; use :func:`essential_characteristic` to
-    canonicalize raw exponent data first.  CW of [1;] is the empty word.
+    canonicalize raw exponent data first.  CW of [1;] is the empty word.  A
+    word longer than the longest string is OverflowError, naming its length.
+    The word is measured only when building it fails: a word that long has
+    a block or run far past any allocation, so building it fails at once.
     """
-    return RvtWord(_cw_string(pc.lambdas))
+    try:
+        return RvtWord(_cw_string(pc.lambdas))
+    except (OverflowError, MemoryError):
+        _check_index_range(pc, cw_length(pc))
+        raise
 
 
 def _cw_blocks(lam: tuple[int, ...]):
@@ -367,6 +377,14 @@ def cw_length(pc: PuiseuxCharacteristic) -> int:
     return sum(k + sum(runs) + len(runs) - 1 for k, runs in _cw_blocks(pc.lambdas))
 
 
+def _check_index_range(pc: PuiseuxCharacteristic, length: int) -> None:
+    """OverflowError when CW(pc), of the given length, is longer than the
+    longest string (``sys.maxsize``), so no word of it can be built."""
+    if length > sys.maxsize:
+        raise OverflowError(f"CW({pc}) has {length} symbols, more than the longest "
+                            f"string ({sys.maxsize})")
+
+
 def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:
     """Invert the front-end recursion by repeated case peeling.
 
@@ -375,9 +393,11 @@ def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:
     R V T^tau; the overlap with the lifted word's leading R run is dropped.
     Peels down to [1;], then rebuilds the word from the innermost peel out;
     each peel adds at least one symbol, so there are at most
-    cw_length(pc) + 1 peels.  The output may carry a trailing R; it
-    normalizes to word_from_pc(pc).
+    cw_length(pc) + 1 peels, and a word longer than the longest string is
+    OverflowError before the first peel, as in word_from_pc.  The output
+    may carry a trailing R; it normalizes to word_from_pc(pc).
     """
+    _check_index_range(pc, cw_length(pc))
     peels = []
     while not pc.is_trivial():
         tag, down = peel_case(pc)

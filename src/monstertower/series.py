@@ -25,11 +25,13 @@ of D have total degree <= r.  A polynomial has (deg, 0, 0); a quotient f/g
 has (a1 + q2, q1 + a2, r1 + a2); a derivative (P'D - PD')/D^2 reduces over
 the radical of D to (a + r - 1, q + r, r), and a slope has the quotient
 bound of the two derivative bounds.  A series whose constant term is 0 is
-its own recentering, with its bounds unchanged; any other recentering of a
-stream has (max(a, q), q, r).  Since P = f * D as power series, a stream
-whose coefficients 0..a all vanish is identically zero, so a valuation
-search answers None only for the zero series, and the series is the zero
-term polynomial from then on.  No zero test depends on a window.
+its own recentering (its tail f - f(0)), the same object with its bounds
+unchanged, so a caller reads "f vanishes at t=0" as the tail's identity,
+with no Fraction made; any other tail of a stream has (max(a, q), q, r).
+Since P = f * D as power series, a stream whose coefficients 0..a all
+vanish is identically zero, so a valuation search answers None only for
+the zero series, and the series is the zero term polynomial from then on.
+No zero test depends on a window.
 
 Every read is exact or given its length by the caller.  A polynomial's
 valuation, constant term, val f', exponent gcd and text are read off its
@@ -43,8 +45,8 @@ bounds and reads no coefficient.
 
 Stream coefficients are computed when read, from the front (McIlroy,
 "Power series, power serious", 1999; van der Hoeven, "Relax, but don't be
-too lazy", 2002), so the engines, which read valuations and constant terms,
-pay only for the leading terms they decide on.  A stream reads its operands
+too lazy", 2002), so the engines, which read valuations and tails, pay
+only for the leading terms they decide on.  A stream reads its operands
 through their dense prefixes, and a polynomial writes its terms into one,
 zeros between them, at most twice as far as such a read reaches.  Memory
 is thus O(terms plus the prefix read), and a prefix past the index range
@@ -52,7 +54,9 @@ raises MemoryError.  A valuation that the operands fix costs no coefficient at
 all: val(f/g) = val f - val g, and in characteristic 0 val f' = val f - 1
 and val (f - f(0)) = val f when val f >= 1, so ``slope_order`` reads val f'
 off f and searches f only when val f is 0 or unknown, once per series.
-Such a series carries its valuation from construction.
+Such a series carries its valuation from construction.  An engine that has
+read both orders of a pair hands them to the ratio kernel (``_ratio``),
+which reads neither again.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -207,8 +211,16 @@ class TruncatedSeries:
 
     @classmethod
     def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
+        """A new polynomial with these terms, its slots set as
+        ``_polynomial`` sets them."""
         series = cls.__new__(cls)
-        series._polynomial(terms, [], [])
+        series._terms, series._known, series._dens = terms, [], []
+        series._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
+        series._zeros = terms[0][0] if terms else 0
+        series._exact = bool(terms)
+        series._slope = -1
+        series._operands = ()
+        series._extend = None
         return series
 
     @classmethod
@@ -433,7 +445,8 @@ class TruncatedSeries:
         """Exact series quotient self / den, a stream unless both are
         polynomials and den is a single term c * t^m; needs val(den) <=
         val(self), and a zero numerator is accepted."""
-        return self._ratio(den, TruncatedSeries.valuation_or_none, 0)
+        vd = den.valuation_or_none()
+        return self._ratio(den, vd, None if vd is None else self.valuation_or_none(), 0)
 
     def slope(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The slope f'/g' of f = self over g = other, read straight off f
@@ -441,20 +454,21 @@ class TruncatedSeries:
         of the derivatives, with their bounds and exceptions, a polynomial
         when f is one and g is a polynomial whose derivative is a single
         term, g = c0 + c * t^(m + 1)."""
-        return self._ratio(other, TruncatedSeries.slope_order, 1)
+        vd = other.slope_order()
+        return self._ratio(other, vd, None if vd is None else self.slope_order(), 1)
 
-    def _ratio(self, den, order, shift: int) -> "TruncatedSeries":
+    def _ratio(self, den, vd: int | None, vn: int | None, shift: int) -> "TruncatedSeries":
         """The quotient recurrence of self / den (shift 0) or of self' / den'
-        (shift 1), with the valuations ``order`` reads: index i of an operand
-        gives the term i - shift, its coefficient times i ** shift.  Term
+        (shift 1), given the valuations vd of den (den') and vn of self
+        (self'), which the engines have read when they call it: index i of
+        an operand gives the term i - shift, its coefficient times i **
+        shift.  A zero denominator is refused before vn is looked at.  Term
         polynomials whose den (or den') is a single term c * t^vd, c =
         cn/cd, divide term by term: each term of self (or self') times
         cd/cn, reduced by one gcd, and shifted down by vd, which the
         valuation check puts at or below every exponent."""
-        vd = order(den)
         if vd is None:
             raise IndeterminateValuation("the denominator is identically zero")
-        vn = order(self)
         if vn is None:
             return TruncatedSeries.zero()
         if vn < vd:
@@ -517,15 +531,22 @@ class TruncatedSeries:
         return self._lazy(bound, vn - vd, True, ((self, lead), (den, lead)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
-        """Split off the value at t=0: returns (constant, self - constant).
-        A series whose constant term is 0 is its own recentering, with its
-        own bounds; any other tail is a new series, a term polynomial's its
-        terms past the first."""
-        c = self.constant_term()
-        if not c:
-            return c, self
-        if self._terms is not None:
-            return c, self._of_terms(self._terms[1:])
+        """Split off the value at t=0: returns (constant, self - constant),
+        the tail ``_tail``."""
+        return self.constant_term(), self._tail()
+
+    def _tail(self) -> "TruncatedSeries":
+        """self - self(0), read with no Fraction: a series whose constant
+        term is 0 is its own tail, the same object with its own bounds, so
+        ``s._tail() is s`` says that s vanishes at t=0; any other tail is a
+        new series, a term polynomial's its terms past the first."""
+        if self._zeros:
+            return self
+        terms = self._terms
+        if terms is not None:  # the zero polynomial, or a first term at t^0
+            return self._of_terms(terms[1:]) if terms else self
+        if not self._force(1)[0]:
+            return self
         a, ad, bound = self._known, self._dens, self._bound
 
         def extend(out, dens, m):  # index 0 is a known zero, filled in by _force
@@ -533,7 +554,7 @@ class TruncatedSeries:
             out.extend(a[len(out):m])
 
         bound = (max(bound[0], bound[1]), bound[1], bound[2])
-        return c, self._lazy(bound, 1, False, ((self, 0),), extend)
+        return self._lazy(bound, 1, False, ((self, 0),), extend)
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,

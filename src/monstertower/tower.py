@@ -9,9 +9,10 @@ t-derivatives:
 * inverted choice (chart letter ``i``), forced when val(dr) > val(dn):
   the new coordinate is dr/dn, n becomes retained and r is deactivated.
 
-Each level makes its new coordinate as one series, the slope read straight
-off the active pair (``TruncatedSeries.slope``), and reads the letter off
-the pair's slope orders; no derivative series is made.
+Each level reads the pair's slope orders once, takes its letter from them,
+and makes its new coordinate as one series, the slope read straight off
+the active pair by the ratio kernel of ``TruncatedSeries.slope``, which is
+handed the two orders; no derivative series is made.
 
 The inverted choice is exactly an encounter with the divisor at infinity of
 the new level, so the code-word symbol there is V.  An ordinary step whose
@@ -33,7 +34,8 @@ it, and each engine supplies only its next step and its regularity test.
 The word, chart path, base point and order profile are views ``Trace``
 shares; data point, chart equations, multiplicities, vertical orders and
 curve words are views of the lift.  Both engines' multiplicities read the
-smaller present order of each step's deciding pair.
+smaller present order of each step's deciding pair (``_least``), and so do
+both regularity tests: that order is the retained coordinate's.
 """
 
 from __future__ import annotations
@@ -109,10 +111,9 @@ class CurveGerm(Record):
             if not s.is_polynomial:
                 raise ValueError(f"{name} is a stream; a germ's coordinates are polynomials, "
                                  "built with parse_series or TruncatedSeries.from_terms")
-            c = s.constant_term()
-            if c:
-                raise ValueError(f"{name} has constant term {c}; a germ stores recentered "
-                                 "coordinates, so build it with CurveGerm.from_series")
+            if s._tail() is not s:
+                raise ValueError(f"{name} has constant term {s.constant_term()}; a germ stores "
+                                 "recentered coordinates, so build it with CurveGerm.from_series")
         if x.valuation_or_none() is None and y.valuation_or_none() is None:
             raise ConstantParameterization("both coordinates are constant")
         d = gcd(x.exponent_gcd(), y.exponent_gcd())
@@ -161,6 +162,13 @@ class ChartStep(Record):
         return type(self.new_name)(self.new_name.base, self.new_name.order - 1)
 
 
+def _least(orders: tuple[int | None, int | None]) -> int:
+    """The smaller present order of a step's deciding pair (a step has at
+    least one): the order of the coordinate the step retains."""
+    a, b = orders
+    return b if a is None or b is not None and b < a else a
+
+
 class Trace(Record):
     """The steps of one engine's run on a germ and its regularization level
     (None while the run has not reached it), with what both engines share:
@@ -201,9 +209,8 @@ class Trace(Record):
 
     def _least_orders(self) -> list[int]:
         """The smaller present order of each step's deciding pair, up to
-        regularization (a step has at least one)."""
-        return [b if a is None or b is not None and b < a else a
-                for a, b in [s.orders for s in self._regular_steps()]]
+        regularization."""
+        return [_least(s.orders) for s in self._regular_steps()]
 
     def order_profile(self) -> tuple[int | None, ...]:
         """Valuations of x, y and the new coordinate of every level up to
@@ -300,8 +307,10 @@ class LiftTrace(Trace):
     def _is_regular(step: ChartStep) -> bool:
         """Regularity after a chart step: the retained coordinate moves at
         unit speed and the new coordinate either does too or carries no
-        chain."""
-        if step.retained.slope_order() != 0:
+        chain.  The retained coordinate's slope order is the smaller of the
+        step's deciding orders, since the letter keeps the coordinate whose
+        derivative has the smaller order, so it is read off ``orders``."""
+        if _least(step.orders) != 0:
             return False
         return step.symbol == "R" or step.new_coord.slope_order() == 0
 
@@ -362,7 +371,8 @@ def lift_once(
     by comparing val(dr/dt) with val(dn/dt), read off the slope orders of
     the pair; ties take the ordinary choice, since a vertical encounter
     forces strict inequality.  The new coordinate is the pair's slope,
-    dn/dr or dr/dn, one series.
+    dn/dr or dr/dn, one series, made by the slope's ratio kernel from the
+    two orders already read.
 
     A derivative with no valuation is identically zero, so its coordinate
     is constant.  Both constant is ConstantParameterization.  A constant
@@ -384,10 +394,10 @@ def lift_once(
                 f"d{retained_name}/dt has order {vr}: the germ is a cover of degree {vr + 1}"
             )
     if vr is None or (vn is not None and vr > vn):
-        letter, kept, fresh = "i", new_coord, retained.slope(new_coord)
+        letter, kept, fresh = "i", new_coord, retained._ratio(new_coord, vn, vr, 1)
         symbol, chain = "V", level
     else:
-        letter, kept, fresh = "o", retained, new_coord.slope(retained)
+        letter, kept, fresh = "o", retained, new_coord._ratio(retained, vr, vn, 1)
         on_prolongation = chain_origin is not None and fresh.valuation_or_none() != 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
     kept_name, fresh_name, _ = _step_names(letter, retained_name, new_name)
@@ -493,15 +503,14 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
     if len(constants) != k + 2:
         raise ParseError(f"need {k + 2} constants for a level-{k} chart")
-    _, r_tail = retained.recenter()
-    _, n_tail = new_coord.recenter()
-    if r_tail.valuation_or_none() is None and n_tail.valuation_or_none() is None:
+    if (retained._tail().valuation_or_none() is None
+            and new_coord._tail().valuation_or_none() is None):
         raise ConstantParameterization("both active parameterizations are constant")
     cur_r, cur_n = retained, new_coord
     news = []  # N_k down to N_1
     for level in range(k, 0, -1):
         letter, r_name, deactivated, slot = plan[level - 1]
-        if cur_r.recenter()[1].valuation_or_none() is None:
+        if cur_r._tail().valuation_or_none() is None:
             raise ConstantParameterization(
                 f"integration variable {r_name} of d{deactivated} is constant at level {level}"
             )

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,12 @@ from monstertower.errors import (
     ConstantParameterization,
     MaxLevelExceeded,
     MismatchReport,
+    MonsterTowerError,
     NonPrimitiveParameterization,
 )
 from monstertower.invariants import multiplicity_sequence
 from monstertower.series import TruncatedSeries, parse_series
-from monstertower.tower import CurveGerm, lift_trace, parse_curve
+from monstertower.tower import CurveGerm, _least, lift_trace, parse_curve, parse_curve_trace
 from monstertower.words import RvtWord
 from conftest import agree_on_prefix
 from realization import critical_words, realization
@@ -377,6 +379,75 @@ class TestMultiplicitiesFromSteps:
             if blow.multiplicities() != recentered_multiplicities(pairs):
                 differ.append(("blowup", label))
         assert differ == []
+
+
+def seeded_chart_inputs(count, seed):
+    """``@level`` chart inputs drawn from a seeded generator: a path of
+    length 1 to 6 that starts with o, r and n of one to three terms, and
+    small constants; inputs the grammar or the walk refuses are skipped."""
+    rng, out = Random(seed), []
+    while len(out) < count:
+        path = "o" + "".join(rng.choice("oi") for _ in range(rng.randint(0, 5)))
+        r, n = (" + ".join(f"{rng.choice(['1', '2', '-3', '1/2'])}*t^{e}"
+                           for e in sorted(rng.sample(range(6), rng.randint(1, 3))))
+                for _ in range(2))
+        constants = ",".join(str(rng.randint(-2, 2)) for _ in range(len(path) + 2))
+        text = f"@level {len(path)} chart={path}, r={r}, n={n}, constants={constants}"
+        try:
+            parse_curve_trace(text)
+        except MonsterTowerError:
+            continue
+        out.append(text)
+    return out
+
+
+class TestRegularityFromSteps:
+    """Both engines' regularity tests read the retained coordinate's order
+    off the step: the smaller of its deciding orders is the slope order of
+    the Nash retained coordinate and the valuation of the blowup's retained
+    denominator, read again here from the series."""
+
+    @staticmethod
+    def traces():
+        for label, c in _step_test_germs():
+            yield label, lift_trace(c), blowup_resolve(c)
+        for w in critical_words(9):
+            c = realization(w)
+            yield w.symbols, lift_trace(c), blowup_resolve(c)
+        for text in seeded_chart_inputs(120, seed=2718):
+            try:
+                walk = parse_curve_trace(text).continued()  # the walk's own steps
+            except (MaxLevelExceeded, NonPrimitiveParameterization):
+                continue
+            yield text, walk, blowup_resolve(walk.germ)
+
+    def test_least_order_is_the_retained_order(self):
+        differ, steps = [], 0
+        for label, nash, blow in self.traces():
+            for engine, trace, order in (("nash", nash, TruncatedSeries.slope_order),
+                                         ("blowup", blow, TruncatedSeries.valuation_or_none)):
+                for s in trace.steps:
+                    steps += 1
+                    if _least(s.orders) != order(s.retained):
+                        differ.append((engine, label, s.level))
+        assert differ == [] and steps > 20_000
+
+    def test_cross_check_reads_no_constant_term(self, monkeypatch):
+        # the centre test of a blowup is the identity of the tail, and no
+        # decision of either engine builds a Fraction
+        germs = [spec.curve() for seed in (178212, 20230817)
+                 for spec in generate_corpus(220, seed)]
+        calls = []
+        original = TruncatedSeries.constant_term
+
+        def counting(series):
+            calls.append(series)
+            return original(series)
+
+        monkeypatch.setattr(TruncatedSeries, "constant_term", counting)
+        for c in germs:
+            assert cross_check(c).ok
+        assert calls == []
 
 
 # Coefficients of either sign, integral or not.

@@ -1,3 +1,5 @@
+import re
+import sys
 from math import gcd
 
 import pytest
@@ -380,6 +382,22 @@ class TestLongWords:
     def test_front_inverse_of_a_long_peel(self):
         pc = PC("[2;2201]")
         assert word_from_pc_front_inverse(pc).normalize() == word_from_pc(pc)
+
+    @pytest.mark.parametrize("inverse", [word_from_pc, word_from_pc_front_inverse])
+    @pytest.mark.parametrize("text,length", [
+        # the front inverse would peel one A step per 2 in lambda_1, 5 * 10^19 of them
+        ("[2;100000000000000000001]", 50000000000000000001),
+        ("[99999999999999999999;100000000000000000001]", 5 * 10**19 + 1),
+        # two blocks R^(2^62) V, each shorter than the longest string
+        ("[8;12,18446744073709551626,27670116110564327433]", 2**63 + 4),
+    ])
+    def test_a_word_past_the_longest_string_is_refused(self, inverse, text, length):
+        pc = PC(text)
+        assert cw_length(pc) == length > sys.maxsize
+        with pytest.raises(OverflowError,
+                           match=rf"^CW\({re.escape(text)}\) has {length} symbols, more than "
+                                 rf"the longest string \({sys.maxsize}\)$"):
+            inverse(pc)
 
 
 class TestRestriction:

@@ -1194,3 +1194,47 @@ class TestExactEquality:
         assert (f == g) == same == (g == f), (f_tree, g_tree)
         if same:
             assert hash(f) == hash(g), (f_tree, g_tree)
+
+
+def _quotient_or_derivative(num, den, derive):
+    """num / den, a stream when den is not a single term, or its derivative,
+    whose zero constant term (when it has one) is read, not known."""
+    s = TruncatedSeries(num).quotient(TruncatedSeries(den))
+    return s.derivative() if derive else s
+
+
+# series with and without a constant term: term polynomials, quotients by a
+# denominator that does not vanish at 0 and their derivatives, and the
+# streams with a long gap after their lead
+tail_inputs = st.one_of(
+    term_lists.map(TruncatedSeries.from_terms),
+    st.builds(_quotient_or_derivative, window, window.filter(lambda w: w and w[0]),
+              st.booleans()),
+    start.filter(lambda s: s[1] is not None).map(lambda s: _start(*s)[0]),
+)
+
+
+class TestTail:
+    @given(tail_inputs, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_recenter(self, series, read_first):
+        # some series have their valuation read first, so the tail is taken
+        # of a partly computed series, or of one certified zero
+        if read_first:
+            series.valuation_or_none()
+        a, q, r = bound = series._bound
+        head = series.prefix(12)
+        tail = series._tail()
+        c, recentered = series.recenter()
+        assert c == head[0] and tail.prefix(12) == (0, *head[1:])
+        if c == 0:
+            assert tail is series and recentered is series and tail._bound == bound
+            return
+        assert tail is not series and recentered is not series
+        assert tail.prefix(12) == recentered.prefix(12)
+        assert (tail._bound, tail._zeros, tail._exact) == (
+            recentered._bound, recentered._zeros, recentered._exact)
+        if series.is_polynomial:
+            assert tail.is_polynomial and tail._terms == series._terms[1:]
+        else:
+            assert (tail._bound, tail._zeros, tail._exact) == ((max(a, q), q, r), 1, False)
