@@ -332,15 +332,16 @@ def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
     Rejects exponent lists that are not genuine characteristics instead of
     silently repairing them; use :func:`essential_characteristic` to
     canonicalize raw exponent data first.  CW of [1;] is the empty word.  A
-    word longer than the longest string is OverflowError, naming its length.
-    The word is measured only when building it fails: a word that long has
-    a block or run far past any allocation, so building it fails at once.
+    word longer than the longest string is OverflowError, and one that fits
+    that range but no allocation MemoryError, each naming its length.  The
+    word is measured only when building it fails: a word that long has a
+    block or run far past any allocation, so building it fails at once.
     """
     try:
         return RvtWord(_cw_string(pc.lambdas))
     except (OverflowError, MemoryError):
-        _check_index_range(pc, cw_length(pc))
-        raise
+        _check_index_range(pc, length := cw_length(pc))
+        raise MemoryError(f"CW({pc}) has {length} symbols") from None
 
 
 def _cw_blocks(lam: tuple[int, ...]):

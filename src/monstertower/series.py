@@ -19,15 +19,25 @@ neither engine multiplies streams, and the integral of a stream is not
 rational in general, so a stream operand is refused.  Nothing is ever
 truncated.
 
-Every series is therefore a rational function f = P/D, and carries three
-degree bounds (a, q, r): deg P <= a, deg D <= q, and the distinct factors
-of D have total degree <= r.  A polynomial has (deg, 0, 0); a quotient f/g
-has (a1 + q2, q1 + a2, r1 + a2); a derivative (P'D - PD')/D^2 reduces over
-the radical of D to (a + r - 1, q + r, r), and a slope has the quotient
-bound of the two derivative bounds.  A series whose constant term is 0 is
-its own recentering (its tail f - f(0)), the same object with its bounds
-unchanged, so a caller reads "f vanishes at t=0" as the tail's identity,
-with no Fraction made; any other tail of a stream has (max(a, q), q, r).
+Every series is therefore a rational function f = P/D with D(0) != 0, and
+carries three degree bounds (a, q, r): deg P <= a, deg D <= q, and the
+distinct factors of D have total degree <= r.  Each operation keeps D(0)
+!= 0, and each bound is read off the representation it builds:
+
+* a polynomial is P/1, bounded (deg P, 0, 0);
+* a derivative (P'D - PD')/D^2 is (P'R - P * D'R/D)/(DR) over the radical
+  R of D (D'R/D is a polynomial), bounded (a + r - 1, q + r, r), and R(0)
+  != 0 since R divides D;
+* a tail f - f(0) is (P - f(0) D)/D, bounded (max(a, q), q, r).  A series
+  whose constant term is 0 is its own tail, the same object with its
+  bounds unchanged, so a caller reads "f vanishes at t=0" as the tail's
+  identity, with no Fraction made;
+* a quotient f/g, with v = val g <= val f: since D_f(0) and D_g(0) are not
+  0, val P_f = val f and val P_g = v, so t^v divides both P_f and P_g, and
+  f/g = (P_f/t^v * D_g)/(D_f * P_g/t^v), whose denominator is not 0 at 0.
+  It is bounded (a1 + q2 - v, q1 + a2 - v, r1 + a2 - v), and a slope f'/g'
+  is the quotient of the two derivatives, with v = val g'.
+
 Since P = f * D as power series, a stream whose coefficients 0..a all
 vanish is identically zero, so a valuation search answers None only for
 the zero series, and the series is the zero term polynomial from then on.
@@ -466,7 +476,9 @@ class TruncatedSeries:
         polynomials whose den (or den') is a single term c * t^vd, c =
         cn/cd, divide term by term: each term of self (or self') times
         cd/cn, reduced by one gcd, and shifted down by vd, which the
-        valuation check puts at or below every exponent."""
+        valuation check puts at or below every exponent.  Any other ratio
+        is a stream whose bounds leave out the factor t^vd of both
+        numerators (module docstring)."""
         if vd is None:
             raise IndeterminateValuation("the denominator is identically zero")
         if vn is None:
@@ -527,7 +539,7 @@ class TruncatedSeries:
         if shift:  # the bounds of self' and den'
             x = (x[0] + x[2] - 1, x[1] + x[2], x[2])
             y = (y[0] + y[2] - 1, y[1] + y[2], y[2])
-        bound = (x[0] + y[1], x[1] + y[0], x[2] + y[0])
+        bound = (x[0] + y[1] - vd, x[1] + y[0] - vd, x[2] + y[0] - vd)
         return self._lazy(bound, vn - vd, True, ((self, lead), (den, lead)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:

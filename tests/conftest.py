@@ -11,8 +11,8 @@ def agree_on_prefix(a, b, n):
     """a == b, except that two series need only agree on their first n
     coefficients: records of one class field by field, tuples and lists
     entry by entry, anything else by ==, and the same object at once.  It
-    serves the deep lifts built twice, where exact series equality reads
-    thousands of terms whose numerators reach thousands of bits."""
+    serves the few deep lifts built twice whose exact series equality still
+    reads thousands of terms (``DEEP_COMPARES`` in test_tower.py)."""
     if a is b:
         return True
     if isinstance(a, TruncatedSeries):

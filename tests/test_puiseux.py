@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monstertower import puiseux
 from monstertower.errors import (
     BadOrder,
     InvalidCharacteristic,
@@ -398,6 +399,17 @@ class TestLongWords:
                            match=rf"^CW\({re.escape(text)}\) has {length} symbols, more than "
                                  rf"the longest string \({sys.maxsize}\)$"):
             inverse(pc)
+
+    def test_a_word_past_every_allocation_names_its_length(self, monkeypatch):
+        # a word within the index range whose string cannot be allocated;
+        # the failed allocation is stood in for, since a real one needs a
+        # word of about 2^62 symbols
+        def no_memory(lam):
+            raise MemoryError()
+
+        monkeypatch.setattr(puiseux, "_cw_string", no_memory)
+        with pytest.raises(MemoryError, match=r"^CW\(\[4;6,7\]\) has 4 symbols$"):
+            word_from_pc(PC("[4;6,7]"))
 
 
 class TestRestriction:

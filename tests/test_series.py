@@ -104,12 +104,13 @@ class TestQuotient:
         assert q.valuation_or_none() is None
 
     def test_precision_tracking(self):
-        # a quotient loses no terms to the denominator's valuation:
-        # (t^4 + t^5)/(t^2 + t^3) is the stream t^2, with the degree bounds
-        # (5 + 0, 0 + 3, 0 + 3) of P = t^4 + t^5, D = t^2 + t^3, and equal to
-        # the polynomial t^2 exactly; t^4/t^2 is that polynomial at once
+        # a quotient loses no terms to the denominator's valuation, and its
+        # bounds drop the t^2 that both share: (t^4 + t^5)/(t^2 + t^3) is the
+        # stream t^2, with the degree bounds (5 + 0 - 2, 0 + 3 - 2, 0 + 3 - 2)
+        # of P = t^2 + t^3, D = 1 + t, and equal to the polynomial t^2
+        # exactly; t^4/t^2 is that polynomial at once
         q = S("t^4 + t^5").quotient(S("t^2 + t^3"))
-        assert q._bound == (5, 3, 3) and not q.is_polynomial
+        assert q._bound == (3, 1, 1) and not q.is_polynomial
         assert q == S("t^2") == S("t^4").quotient(S("t^2"))
 
 
@@ -968,6 +969,37 @@ def _pval(p):
     return next((i for i, c in enumerate(p) if c), None)
 
 
+def _pdivmod(p, q):
+    """(quotient, remainder) of p by the nonzero polynomial q."""
+    quo, rem = [F(0)] * max(len(p) - len(q) + 1, 0), list(p)
+    while len(rem) >= len(q):
+        c, shift = rem[-1] / q[-1], len(rem) - len(q)
+        quo[shift] = c
+        rem = _trim(x - c * q[i - shift] if i >= shift else x for i, x in enumerate(rem))
+    return quo, rem
+
+
+def _pgcd(p, q):
+    while q:
+        p, q = q, _pdivmod(p, q)[1]
+    return p
+
+
+def _check_bound(series, f):
+    """The degree bounds (a, q, r) of the series hold for its reference f =
+    P/D in lowest terms: deg P <= a, deg D <= q, and the squarefree part
+    D / gcd(D, D') of D has degree <= r."""
+    p, d = f
+    if not p:
+        p, d = [], [F(1)]
+    elif len(d) > 1:  # a constant D is in lowest terms and its own radical
+        g = _pgcd(d, p)
+        p, d = _pdivmod(p, g)[0], _pdivmod(d, g)[0]
+    radical = _pdivmod(d, _pgcd(d, _pderiv(d)))[0] if len(d) > 1 else d
+    a, q, r = series._bound
+    assert len(p) - 1 <= a and len(d) - 1 <= q and len(radical) - 1 <= r, (series._bound, f)
+
+
 def _rval(f):
     """Valuation of the power series P/D, None when P = 0."""
     p, d = f
@@ -1031,7 +1063,8 @@ expressions = st.recursive(small_polynomial, _expression, max_leaves=8)
 def _evaluate(tree, checked):
     """(exact series, (P, D)) of an expression, or None when it has a zero
     denominator, a pole or a product with a stream operand, which is
-    refused; appends every subexpression to ``checked``."""
+    refused; checks the degree bounds of every subexpression and appends it
+    to ``checked``."""
     if isinstance(tree, list):
         result = TruncatedSeries(tree), (_trim(tree), [F(1)])
     else:
@@ -1051,6 +1084,7 @@ def _evaluate(tree, checked):
             return None
         op, ref_op = EXACT_OPERATIONS[name]
         result = op(a, b), ref_op(f, g)
+    _check_bound(*result)
     checked.append(result)
     return result
 
@@ -1062,6 +1096,9 @@ class TestExactZero:
     @example(("quotient", [F(1)], ("quotient", [F(1)], [F(1), F(1)])))
     @example(("derivative", ("derivative", ("quotient", [F(1)], [F(1), F(1)]), None), None))
     @example(("recenter", ("quotient", [F(1)], [F(1), F(1)]), None))
+    # a quotient by a denominator of valuation 1, whose bounds (0, 1, 1)
+    # are those of t/(t + t^2) = 1/(1 + t) in lowest terms
+    @example(("quotient", [F(0), F(1)], [F(0), F(1), F(1)]))
     @given(expressions)
     @settings(max_examples=200, deadline=None)
     def test_chains_match_rational_reference(self, tree):
@@ -1113,6 +1150,9 @@ class TestExactZero:
     @example([F(0), F(1)], [F(1)])
     @example([F(0), F(1)], [F(0), F(0), F(1)])
     @example(("quotient", [F(1), F(2)], [F(1), F(1)]), [F(0), F(1), F(-1, 2)])
+    # a slope whose g' = 2t + 3t^2 has valuation 1: 2t/(2t + 3t^2) = 2/(2 + 3t)
+    # has the bounds (0, 1, 1) of its lowest terms
+    @example([F(0), F(0), F(1)], [F(0), F(0), F(1), F(1)])
     @given(expressions, expressions)
     @settings(max_examples=200, deadline=None)
     def test_slope_is_the_quotient_of_derivatives(self, f_tree, g_tree):
@@ -1131,6 +1171,7 @@ class TestExactZero:
         derivative = EXACT_OPERATIONS["derivative"][1]
         assert s._bound == d._bound, (f_tree, g_tree)
         exact = _rquotient(derivative(rf, None), derivative(rg, None))
+        _check_bound(s, exact)
         assert s.valuation_or_none() == d.valuation_or_none() == _rval(exact), (f_tree, g_tree)
         assert s == d, (f_tree, g_tree)
 
@@ -1148,8 +1189,8 @@ class TestExactEquality:
         assert stream != S(num) and S(num) != stream
 
     def test_stream_equal_to_a_polynomial(self):
-        # (t^3 + t^4) / (t + t^2) is a stream with the bounds (4, 2), equal
-        # to t^2
+        # (t^3 + t^4) / (t + t^2) is a stream with the bounds (3, 1) of
+        # (t^2 + t^3) / (1 + t), equal to t^2
         stream = S("t^3 + t^4").quotient(S("t + t^2"))
         assert not stream.is_polynomial
         assert stream == S("t^2") and hash(stream) == hash(S("t^2"))
