@@ -168,22 +168,24 @@ def _has_dot_form(args) -> bool:
     return args.command in ("word", "pc", "proximity")
 
 
-def _emit(args, payload: dict, text: str, dot: str | None = None) -> int:
-    """Print the output in the chosen format.  ``main`` refuses ``dot``
-    before the work starts for a command with no DOT form."""
+def _emit(args, payload, text, dot=None) -> int:
+    """Print the output in the chosen format.  ``payload``, ``text`` and
+    ``dot`` are zero-argument callables, and only the one the format asks
+    for is called.  ``main`` refuses ``dot`` before the work starts for a
+    command with no DOT form."""
     if args.format == "json":
         import json
 
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(dot if args.format == "dot" else text)
+        print((dot if args.format == "dot" else text)())
     return EXIT_OK
 
 
 def _cmd_word(args) -> int:
     word = parse_word(args.text)
     panel = invariant_panel(word=word)
-    return _emit(args, panel.to_json_dict(), panel.to_text(), panel.proximity.to_dot())
+    return _emit(args, panel.to_json_dict, panel.to_text, panel.proximity.to_dot)
 
 
 def _cmd_pc(args) -> int:
@@ -194,7 +196,7 @@ def _cmd_pc(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     panel = invariant_panel(pc=pc)
-    return _emit(args, panel.to_json_dict(), panel.to_text(), panel.proximity.to_dot())
+    return _emit(args, panel.to_json_dict, panel.to_text, panel.proximity.to_dot)
 
 
 def _cmd_curve(args) -> int:
@@ -210,21 +212,18 @@ def _cmd_curve(args) -> int:
         from .blowup import cross_check
 
         report = cross_check(trace, args.max_level)
-        payload = report.to_json_dict()
-        text = "engines agree\n" + "\n".join(
+        return _emit(args, report.to_json_dict, lambda: "engines agree\n" + "\n".join(
             f"{k:<16} {v}" for k, v in (
                 ("word", report.nash.word.symbols),
                 ("order profile", report.nash.order_profile()),
                 ("multiplicities", ",".join(str(m) for m in report.nash.multiplicities())),
             )
-        )
-        return _emit(args, payload, text)
+        ))
     if args.engine == "blowup":
         from .blowup import blowup_resolve
 
         resolved = blowup_resolve(trace.germ, args.max_level)
-        payload = resolved.to_json_dict()
-        text = "\n".join(
+        return _emit(args, resolved.to_json_dict, lambda: "\n".join(
             [
                 f"engine          blowup",
                 f"word            {resolved.word.symbols or '(empty)'}",
@@ -232,36 +231,41 @@ def _cmd_curve(args) -> int:
                 f"order profile   {resolved.order_profile()}",
                 f"multiplicities  {','.join(str(m) for m in resolved.multiplicities())}",
             ]
-        )
-        return _emit(args, payload, text)
+        ))
     regular = trace.continued(max_level=args.max_level)
     r = regular.regularization_level
     k = args.level if args.level is not None else r
     point = regular.continued(levels=k)
     word = regular.curve_word(len(trace.steps))
     panel_word = word.normalize()
-    payload = point.to_json_dict()
-    payload["regularization_level"] = r
-    payload["curve_word"] = word.symbols
-    payload["point_word"] = point.word.symbols
-    panel = invariant_panel(word=panel_word)
-    payload["panel"] = panel.to_json_dict()
+    panel = invariant_panel(word=panel_word)  # its self-checks run in every format
     vo = regular.vertical_orders()
-    payload["vertical_orders"] = vo.to_json_dict()
-    data = ",".join(str(c) for c in point.data_point)
-    text = "\n".join(
-        [
-            f"engine                 nash",
-            f"curve word             {panel_word.symbols or '(empty)'}",
-            f"point word             {point.word.symbols or '(empty)'}",
-            f"chart path             {point.chart_path or '(none)'}",
-            f"regularization level   {r}",
-            f"data point             ({data})",
-            f"vertical orders        ({','.join(str(v) for v in vo.values)})",
-            "chart equations        " + ("; ".join(point.chart_equations()) or "(none)"),
-        ]
-    )
-    return _emit(args, payload, text, panel.proximity.to_dot())
+
+    def payload():
+        out = point.to_json_dict()
+        out["regularization_level"] = r
+        out["curve_word"] = word.symbols
+        out["point_word"] = point.word.symbols
+        out["panel"] = panel.to_json_dict()
+        out["vertical_orders"] = vo.to_json_dict()
+        return out
+
+    def text():
+        data = ",".join(str(c) for c in point.data_point)
+        return "\n".join(
+            [
+                f"engine                 nash",
+                f"curve word             {panel_word.symbols or '(empty)'}",
+                f"point word             {point.word.symbols or '(empty)'}",
+                f"chart path             {point.chart_path or '(none)'}",
+                f"regularization level   {r}",
+                f"data point             ({data})",
+                f"vertical orders        ({','.join(str(v) for v in vo.values)})",
+                "chart equations        " + ("; ".join(point.chart_equations()) or "(none)"),
+            ]
+        )
+
+    return _emit(args, payload, text, panel.proximity.to_dot)
 
 
 def _cmd_lift_preimages(args) -> int:
@@ -270,25 +274,26 @@ def _cmd_lift_preimages(args) -> int:
         (u, pc_from_word_front(u))
         for u in sorted(word.lift_preimages(), key=lambda w: w.sort_key())
     ]
-    payload = {
-        "word": word.symbols,
-        "preimages": [{"word": u.symbols, "pc": str(pc)} for u, pc in preimages],
-    }
-    text = "\n".join(f"{u.symbols}  {pc}" for u, pc in preimages)
-    return _emit(args, payload, text)
+    return _emit(
+        args,
+        lambda: {
+            "word": word.symbols,
+            "preimages": [{"word": u.symbols, "pc": str(pc)} for u, pc in preimages],
+        },
+        lambda: "\n".join(f"{u.symbols}  {pc}" for u, pc in preimages),
+    )
 
 
 def _cmd_proximity(args) -> int:
     word = parse_word(args.text)
     diagram = proximity_diagram(word)
-    text = "\n".join(
+    return _emit(args, diagram.to_json_dict, lambda: "\n".join(
         [
             f"multiplicities  {','.join(str(m) for m in diagram.multiplicities())}",
             f"edges           {' '.join(f'{j}->{i}' for j, i in diagram.edges)}",
             f"sum rule        {'ok' if diagram.check_sums() else 'violated'}",
         ]
-    )
-    return _emit(args, diagram.to_json_dict(), text, diagram.to_dot())
+    ), diagram.to_dot)
 
 
 ENUMERATION_BOUND = 14
@@ -312,21 +317,24 @@ def _cmd_enumerate(args) -> int:
     counts = {n: count_words(n) for n in range(1, args.max_len + 1)}
     found = _run_word_checks(args.check, words)
     failures = [f for name in args.check for f in found[name]]
-    payload = {
+
+    def text():
+        lines = [f"valid nonempty words of length <= {args.max_len}: {len(words)}"]
+        lines.extend(f"  length {n}: {c}" for n, c in counts.items())
+        if args.check:
+            lines.append(f"checks: {', '.join(args.check)} -> "
+                         f"{'ok' if not failures else f'{len(failures)} failures'}")
+        lines.extend(f"  FAIL {f}" for f in failures)
+        return "\n".join(lines)
+
+    code = _emit(args, lambda: {
         "max_len": args.max_len,
         "counts": {str(n): c for n, c in counts.items()},
         "total": len(words),
         "words": [w.symbols for w in words],
         "checks": {name: "ok" for name in args.check},
         "failures": failures,
-    }
-    lines = [f"valid nonempty words of length <= {args.max_len}: {len(words)}"]
-    lines.extend(f"  length {n}: {c}" for n, c in counts.items())
-    if args.check:
-        lines.append(f"checks: {', '.join(args.check)} -> "
-                     f"{'ok' if not failures else f'{len(failures)} failures'}")
-    lines.extend(f"  FAIL {f}" for f in failures)
-    code = _emit(args, payload, "\n".join(lines))
+    }, text)
     return EXIT_MISMATCH if failures else code
 
 
@@ -398,13 +406,13 @@ def _cmd_check(args) -> int:
         "checked": len(specs),
         "failures": engine_failures,
     }
-    payload = {"results": results, "failures": failures}
-    lines = [
-        f"{name:<20} {info['checked']} checked, {info['failures']} failures"
-        for name, info in results.items()
-    ]
-    lines.extend(f"  FAIL {f}" for f in failures)
-    code = _emit(args, payload, "\n".join(lines))
+    def text():
+        lines = [f"{name:<20} {info['checked']} checked, {info['failures']} failures"
+                 for name, info in results.items()]
+        lines.extend(f"  FAIL {f}" for f in failures)
+        return "\n".join(lines)
+
+    code = _emit(args, lambda: {"results": results, "failures": failures}, text)
     return EXIT_MISMATCH if failures else code
 
 

@@ -12,12 +12,13 @@ term by term, so they cost their terms and not their degree; so are a
 quotient f/g by a single term g = c * t^m and a slope f'/g' whose g' = c *
 t^m is one, each term of f (or f') divided by c and shifted down by m,
 where the valuations put every exponent at m or above.  Every other
-quotient or slope (read straight off f and g) is an exact stream, even
-where its bounds make it a polynomial, and so are the derivative and the
-recentering of a stream.  Only polynomials are multiplied and integrated:
-neither engine multiplies streams, and the integral of a stream is not
-rational in general, so a stream operand is refused.  Nothing is ever
-truncated.
+quotient or slope, read straight off f and g by the ratio kernel
+``_ratio``, is an exact stream, even where its bounds make it a
+polynomial, and so is the tail f - f(0) of a stream: streams come only
+from the ratio kernel and the tail.  Only polynomials are differentiated,
+multiplied and integrated: the engines read f' only inside a slope and
+multiply no stream, and the integral of a stream is not rational in
+general, so a stream operand is refused.  Nothing is ever truncated.
 
 Every series is therefore a rational function f = P/D with D(0) != 0, and
 carries three degree bounds (a, q, r): deg P <= a, deg D <= q, and the
@@ -25,9 +26,9 @@ distinct factors of D have total degree <= r.  Each operation keeps D(0)
 != 0, and each bound is read off the representation it builds:
 
 * a polynomial is P/1, bounded (deg P, 0, 0);
-* a derivative (P'D - PD')/D^2 is (P'R - P * D'R/D)/(DR) over the radical
-  R of D (D'R/D is a polynomial), bounded (a + r - 1, q + r, r), and R(0)
-  != 0 since R divides D;
+* the derivative f' that a slope reads, (P'D - PD')/D^2, is
+  (P'R - P * D'R/D)/(DR) over the radical R of D (D'R/D is a polynomial),
+  bounded (a + r - 1, q + r, r), and R(0) != 0 since R divides D;
 * a tail f - f(0) is (P - f(0) D)/D, bounded (max(a, q), q, r).  A series
   whose constant term is 0 is its own tail, the same object with its
   bounds unchanged, so a caller reads "f vanishes at t=0" as the tail's
@@ -423,6 +424,7 @@ class TruncatedSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # kept for bench/spans.py until ROADMAP item 1
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The product of two term polynomials, computed at once, term by
         term; a stream operand is refused with ValueError before anything
@@ -431,41 +433,23 @@ class TruncatedSeries:
             raise ValueError("the product of a stream is not computed")
         return self._of_terms(_product(self._terms, other._terms))
 
+    # kept for bench/spans.py until ROADMAP item 1
     def derivative(self) -> "TruncatedSeries":
-        """Formal d/dt; val f' = val f - 1 when val f >= 1 is known.  A
-        term polynomial's derivative is its terms' derivatives,
-        e * c * t^(e - 1), each reduced against e alone."""
-        if self._terms is not None:
-            return self._of_terms(_derivative(self._terms))
-        a, ad, bound = self._known, self._dens, self._bound
+        """Formal d/dt of a term polynomial: its terms' derivatives,
+        e * c * t^(e - 1), each reduced against e alone.  A stream is
+        refused with ValueError before anything is computed: the engines
+        read f' inside a slope, through ``_ratio``."""
+        if self._terms is None:
+            raise ValueError("the derivative of a stream is not computed")
+        return self._of_terms(_derivative(self._terms))
 
-        def extend(out, dens, m):  # i * a[i], reduced against i alone
-            for i in range(len(out) + 1, m + 1):
-                g = gcd(i, ad[i])
-                out.append(i // g * a[i])
-                dens.append(ad[i] // g)
-
-        bound = (bound[0] + bound[2] - 1, bound[1] + bound[2], bound[2])
-        return self._lazy(
-            bound, max(self._zeros - 1, 0), self._exact and self._zeros >= 1,
-            ((self, 1),), extend,
-        )
-
+    # kept for bench/spans.py until ROADMAP item 1
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Exact series quotient self / den, a stream unless both are
         polynomials and den is a single term c * t^m; needs val(den) <=
         val(self), and a zero numerator is accepted."""
         vd = den.valuation_or_none()
         return self._ratio(den, vd, None if vd is None else self.valuation_or_none(), 0)
-
-    def slope(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """The slope f'/g' of f = self over g = other, read straight off f
-        and g, where coefficient j of f' is (j + 1) f[j + 1]: the quotient
-        of the derivatives, with their bounds and exceptions, a polynomial
-        when f is one and g is a polynomial whose derivative is a single
-        term, g = c0 + c * t^(m + 1)."""
-        vd = other.slope_order()
-        return self._ratio(other, vd, None if vd is None else self.slope_order(), 1)
 
     def _ratio(self, den, vd: int | None, vn: int | None, shift: int) -> "TruncatedSeries":
         """The quotient recurrence of self / den (shift 0) or of self' / den'

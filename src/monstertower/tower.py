@@ -11,8 +11,9 @@ t-derivatives:
 
 Each level reads the pair's slope orders once, takes its letter from them,
 and makes its new coordinate as one series, the slope read straight off
-the active pair by the ratio kernel of ``TruncatedSeries.slope``, which is
-handed the two orders; no derivative series is made.
+the active pair by the ratio kernel ``TruncatedSeries._ratio``, which is
+handed the two orders; no derivative series is made, and a stream has
+none.
 
 The inverted choice is exactly an encounter with the divisor at infinity of
 the new level, so the code-word symbol there is V.  An ordinary step whose
@@ -372,7 +373,7 @@ def lift_once(
     by comparing val(dr/dt) with val(dn/dt), read off the slope orders of
     the pair; ties take the ordinary choice, since a vertical encounter
     forces strict inequality.  The new coordinate is the pair's slope,
-    dn/dr or dr/dn, one series, made by the slope's ratio kernel from the
+    dn/dr or dr/dn, one series, made by the ratio kernel (``_ratio``) from the
     two orders already read.
 
     A derivative with no valuation is identically zero, so its coordinate

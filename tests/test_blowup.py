@@ -501,3 +501,89 @@ class TestWideGerms:
         c = realization(RvtWord("RVVRVRVRRRV"))
         assert str(c) == "x=t^24, y=t^40 + t^44 + t^46 + t^51"
         cross_check(c)
+
+    @pytest.mark.xfail(strict=True, raises=MismatchReport,
+                       reason="ROADMAP item 9: the order profiles differ at level 6, an R "
+                              "level, where the two engines' coordinates are chart data")
+    def test_order_profiles_of_a_chart_data_germ(self):
+        trace = parse_curve_trace("@level 6 chart=oioooo, r=t^3+3*t^4+t^5, n=3*t+2*t^2+t^4, "
+                                  "constants=0,0,-2,0,0,-2,-2,-2")
+        assert cross_check(trace).ok
+
+    @pytest.mark.xfail(strict=True, raises=MaxLevelExceeded,
+                       reason="ROADMAP item 3: the (t^2+t^3)^2 cover passes the exponent gcd "
+                              "test and gets the level-budget hedge")
+    @pytest.mark.parametrize("engine", [lift_trace, blowup_resolve], ids=["nash", "blowup"])
+    def test_a_cover_with_coprime_exponents_is_named(self, engine):
+        # x = (t^2 + t^3)^2, y = (t^2 + t^3)^3 + (t^2 + t^3)^5
+        text = ("x=t^4+2*t^5+t^6, "
+                "y=t^6+3*t^7+3*t^8+t^9+t^10+5*t^11+10*t^12+10*t^13+5*t^14+t^15")
+        with pytest.raises(NonPrimitiveParameterization, match=r"degree 2\b"):
+            engine(parse_curve(text)[0])
+
+
+def _pmul(p, q):
+    """The product of two polynomials given as {exponent: Fraction}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _pcombine(*scaled):
+    """The sum of c * p over the (c, p) pairs, zero terms dropped."""
+    out = {}
+    for c, p in scaled:
+        for e, a in p.items():
+            out[e] = out.get(e, 0) + c * a
+    return {e: a for e, a in out.items() if a}
+
+
+def _compose(p, s):
+    """p(s(t)) for polynomials p and s with s(0) = 0."""
+    out, power, done = {}, {0: F(1)}, 0
+    for e in sorted(p):
+        while done < e:
+            power, done = _pmul(power, s), done + 1
+        out = _pcombine((1, out), (p[e], power))
+    return out
+
+
+def transported(spec):
+    """The corpus germ moved by a reparameterization t -> t + t^2 - t^3/2,
+    then by the local diffeomorphism (x, y) -> (x + 2y + x^2, 3y - x + xy),
+    whose linear part has determinant 5, then by the translation of its
+    base point to (1/2, -3); every composition is made over Fraction."""
+    s = {1: F(1), 2: F(1), 3: F(-1, 2)}
+    x = _compose({spec.n: F(1)}, s)
+    y = _compose({e: F(c) for c, e in spec.terms}, s)
+    xx, xy = _pmul(x, x), _pmul(x, y)
+    big_x = _pcombine((1, x), (2, y), (1, xx), (1, {0: F(1, 2)}))
+    big_y = _pcombine((3, y), (-1, x), (1, xy), (1, {0: F(-3)}))
+    return CurveGerm.from_series(
+        *(TruncatedSeries.from_terms([(c, e) for e, c in p.items()]) for p in (big_x, big_y)))
+
+
+class TestTransportInvariance:
+    """A local diffeomorphism of the plane prolongs to every level of the
+    tower (Montgomery and Zhitomirskii, Mem. AMS 2010), and so does a
+    reparameterization, so the RVT word and the multiplicities do not move
+    under them.  The order profile reads chart data (ROADMAP item 9) and is
+    not compared."""
+
+    @staticmethod
+    def invariants(c):
+        nash, blow = lift_trace(c), blowup_resolve(c)
+        return (nash.word, blow.word, nash.multiplicities(), blow.multiplicities(),
+                multiplicity_sequence(nash.word.normalize()))
+
+    def test_words_and_multiplicities_are_invariant(self):
+        specs = Random(36).sample(generate_corpus(), 20)
+        differ = []
+        for spec in specs:
+            moved = transported(spec)
+            assert moved.base_point == (F(1, 2), F(-3))
+            if self.invariants(moved) != self.invariants(spec.curve()):
+                differ.append(str(spec))
+        assert differ == []

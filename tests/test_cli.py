@@ -512,6 +512,37 @@ class TestDotRefusedUpFront:
         assert run(capsys, *argv) == (1, "", "no DOT form for this command\n")
 
 
+class TestOnlyTheAskedFormIsBuilt:
+    """The output is built in the format asked for only: the panel's JSON
+    dict and DOT form are not made for text, its text and DOT form not for
+    JSON, and neither its text nor its JSON dict for DOT."""
+
+    FORMS = {
+        "text": ("to_json_dict", "to_dot"),
+        "json": ("to_text", "to_dot"),
+        "dot": ("to_json_dict", "to_text"),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize(
+        "argv", [("word", "RVTVV"), ("pc", "[27;63,83]"), ("curve", "x=t^5, y=t^7")],
+    )
+    def test_the_other_forms_are_not_built(self, capsys, monkeypatch, form, argv):
+        from monstertower.invariants import InvariantPanel, ProximityDiagram
+
+        def refuse(self):
+            raise AssertionError("built an output form the format did not ask for")
+
+        for name in self.FORMS[form]:
+            for cls in (InvariantPanel, ProximityDiagram):
+                if hasattr(cls, name):
+                    monkeypatch.setattr(cls, name, refuse)
+        code, out, err = run(capsys, "--format", form, *argv)
+        assert (code, err) == (0, "") and out.strip()
+        if form == "json":
+            json.loads(out)
+
+
 class TestInputValidation:
     @pytest.mark.parametrize(
         "argv,message",

@@ -12,6 +12,13 @@ from monstertower.series import TruncatedSeries, parse_series
 S = parse_series
 
 
+def slope(f, g):
+    """f'/g' as the engines make it: the ratio kernel handed val g' and,
+    when g' is not zero, val f'."""
+    vd = g.slope_order()
+    return f._ratio(g, vd, None if vd is None else f.slope_order(), 1)
+
+
 def naive_product(a, b):
     # independent convolution oracle on the terms of two polynomials
     terms_a, terms_b = (s.prefix(s._bound[0] + 1) for s in (a, b))
@@ -75,6 +82,15 @@ class TestDerivative:
         d = TruncatedSeries(()).derivative()
         assert d.valuation_or_none() is None
         assert d.constant_term() == 0
+
+    def test_a_stream_is_refused(self, computed):
+        # only polynomials are differentiated: the engines read f' inside a
+        # slope, so a stream is refused before any coefficient is computed
+        stream = S("t^3 + t^4").quotient(S("1 - t"))
+        computed.clear()
+        with pytest.raises(ValueError, match="^the derivative of a stream is not computed$"):
+            stream.derivative()
+        assert computed == {}
 
 
 class TestQuotient:
@@ -152,9 +168,9 @@ class TestRecenter:
             lambda: S("t^3 + 2*t^5"),
             lambda: TruncatedSeries.zero(),
             lambda: S("t^3").quotient(S("1 + t")),
-            lambda: S("1 + t^2").quotient(S("1 + t^3")).derivative(),  # 0 read, not known
+            lambda: slope(S("1 + t^2").quotient(S("1 + t^3")), S("t")),
         ],
-        ids=["polynomial", "zero", "stream", "derivative"],
+        ids=["polynomial", "zero", "stream", "slope"],
     )
     def test_zero_constant_is_its_own_recentering(self, build):
         series = build()
@@ -382,11 +398,11 @@ class TestTermRatios:
         [
             (lambda: S("t + t^5000").quotient(S("2")), "1/2*t + 1/2*t^5000", 1,
              "1/4*t^2 + 1/10002*t^5001"),
-            (lambda: S("t + t^5000").slope(S("2*t")), "1/2 + 2500*t^4999", 4999,
+            (lambda: slope(S("t + t^5000"), S("2*t")), "1/2 + 2500*t^4999", 4999,
              "1/2*t + 1/2*t^5000"),
             (lambda: S("t^3 + t^5000").quotient(S("-2*t^2")), "-1/2*t - 1/2*t^4998", 1,
              "-1/4*t^2 - 1/9998*t^4999"),
-            (lambda: S("t^7 + t^5000").slope(S("1 + 2*t^3")), "7/6*t^4 + 2500/3*t^4997", 1,
+            (lambda: slope(S("t^7 + t^5000"), S("1 + 2*t^3")), "7/6*t^4 + 2500/3*t^4997", 1,
              "7/30*t^5 + 1250/7497*t^4998"),
         ],
         ids=["quotient", "slope", "quotient by a monomial", "slope over a monomial derivative"],
@@ -425,11 +441,11 @@ class TestExponentGcd:
             (S("t^2").quotient(S("1 - t^63")), None, 0),
             # t^2 / (1 - t^2) = t^2 + t^4 + ...
             (S("t^2").quotient(S("1 - t^2")), None, 0),
-            # d/dt t^3 / (1 + t^6) = 3*t^2 - 9*t^8 + ...
-            (S("t^3").quotient(S("1 + t^6")).derivative(), None, 0),
+            # the slope 3*t^2 / (1 + 7*t^6) of t^3 over t + t^7
+            (slope(S("t^3"), S("t + t^7")), None, 0),
         ],
         ids=["polynomial", "quotient-polynomial", "zero", "past-the-window", "even-stream",
-             "derivative"],
+             "slope"],
     )
     def test_reads_to_the_bound(self, series, gcd_, read):
         if gcd_ is None:
@@ -531,6 +547,8 @@ OPERATIONS = {
     "mul": (lambda a, b, k: a * b, lambda a, b, k: ref_mul(a, b)),
     "derivative": (lambda a, b, k: a.derivative(), lambda a, b, k: ref_derivative(a)),
     "quotient": (lambda a, b, k: a.quotient(b), lambda a, b, k: ref_quotient(a, b)),
+    "slope": (lambda a, b, k: slope(a, b),
+              lambda a, b, k: ref_quotient(ref_derivative(a), ref_derivative(b))),
     "recenter": (lambda a, b, k: a.recenter()[1], lambda a, b, k: ref_recenter_tail(a)),
     "integrate": (lambda a, b, k: a.integrate(b, k), lambda a, b, k: ref_integrate(a, b, k)),
 }
@@ -655,8 +673,10 @@ class TestEagerReference:
             try:
                 lazy = lazy_op(a, b, k)
             except ValueError:
-                # only polynomials are multiplied and integrated
-                assert name in ("integrate", "mul") and None in (a._terms, b._terms)
+                # only polynomials are differentiated, multiplied and integrated
+                operands = (a,) if name == "derivative" else (a, b)
+                assert name in ("derivative", "integrate", "mul")
+                assert None in [x._terms for x in operands]
                 continue
             # read the leading terms first on some results, the whole window
             # later or never, so operands are at every stage of completion
@@ -676,6 +696,7 @@ class TestEagerReference:
             ("quotient", "t^2 - 1/6*t^3", "-3/4*t^2 + 5/9*t^3"),
             ("mul", "1/2 - 1/3*t", "1/3 + 1/2*t - 1/5*t^2"),
             ("derivative", "1/6*t^3 - 5/4*t^4", "1"),
+            ("slope", "t^2 - 1/6*t^3", "-3/4*t^2 + 5/9*t^3"),
             ("recenter", "7/3 - 1/6*t^3", "1"),
             ("integrate", "2*t - 4/9*t^2", "3/2*t + t^3"),
         ],
@@ -768,7 +789,7 @@ class TestSparseTerms:
         g = TruncatedSeries.from_terms([(c0, 0), (c, m + 1)])
         f = TruncatedSeries.from_terms([(c0, 0), *[(a, e + m + 1) for a, e in terms]])
         g_stream = (g * h).quotient(h)
-        s, stream = f.slope(g), f.slope(g_stream)
+        s, stream = slope(f, g), slope(f, g_stream)
         assert s.is_polynomial and s * g.derivative() == f.derivative()
         assert not g_stream.is_polynomial
         assert s.prefix(s._bound[0] + 2) == stream.prefix(s._bound[0] + 2)
@@ -797,9 +818,9 @@ class TestValuationFromOperands:
                 lambda: S("t^4 + t^9") * S("2*t").quotient(S("2")), 5,
                 id="product with a polynomial",
             ),
-            pytest.param(lambda: _stream("5*t^3").derivative(), 2, id="derivative"),
+            pytest.param(lambda: slope(_stream("5*t^3"), S("t^2")), 1, id="slope"),
             pytest.param(
-                lambda: _stream("t^4").derivative().derivative(), 2, id="second derivative",
+                lambda: slope(_stream("t^4"), _stream("t^2", "2 - t")), 2, id="slope of streams",
             ),
             pytest.param(lambda: _stream("t^2 + t^3").recenter()[1], 2, id="recenter"),
             pytest.param(lambda: S("t^2").integrate(S("t^3"), 0), 5, id="integrate"),
@@ -823,39 +844,38 @@ class TestValuationFromOperands:
         assert q.prefix(3)[2] == F(1, 2)
 
     def test_known_zero_constant_term(self, computed):
-        d = _stream("t^3").derivative()
+        d = slope(_stream("t^3"), S("t"))
         computed.clear()
         assert d.constant_term() == 0
         assert computed == {}
 
-    @pytest.mark.parametrize(
-        "build,expect",
-        [
-            # at valuation 0 the derivative's valuation depends on coefficient 1
-            pytest.param(
-                lambda: _stream("1 + t^3", "1 - t").derivative(), 0,
-                id="derivative of a unit quotient",
-            ),
-            pytest.param(
-                lambda: _stream("1 + t + t^2").derivative(), 1,
-                id="derivative of a unit with a linear gap",
-            ),
-            pytest.param(lambda: _stream("2 + t^2").recenter()[1], 1, id="recentering of a unit"),
-            # (t^2 + t^3) / (t + t^2) is the stream t, whose second
-            # derivative reads zero up to its numerator bound of 5, which
-            # certifies zero
-            pytest.param(
-                lambda: _stream("t^2 + t^3", "t + t^2").derivative().derivative(), None,
-                id="zero to the budget",
-            ),
-        ],
-    )
-    def test_still_searches(self, computed, build, expect):
-        series = build()
+    def test_still_searches(self, computed):
+        series = _stream("2 + t^2").recenter()[1]
         computed.clear()
         v = series.valuation_or_none()
         assert computed["force"] > 0
-        assert v == expect == ref_valuation(series.prefix(64))
+        assert v == 1 == ref_valuation(series.prefix(64))
+
+    @pytest.mark.parametrize(
+        "num,den,expect",
+        [
+            # at valuation 0, val f' depends on coefficient 1 on
+            pytest.param("1 + t^3", "1 - t", 0, id="unit quotient"),
+            pytest.param("1 + t + t^2", "1 + t", 1, id="unit with a linear gap"),
+            # (2 + 2t) / (1 + t) is the stream 2, whose coefficients 1..1
+            # read zero up to min(max(a, q), a + r) = 1, which certifies
+            # f' = 0; the slope over t is then the zero polynomial
+            pytest.param("2 + 2*t", "1 + t", None, id="zero to the budget"),
+        ],
+    )
+    def test_slope_order_still_searches(self, computed, num, den, expect):
+        # a slope's valuation is fixed by its operands' slope orders, which
+        # search f itself when f(0) != 0
+        f = _stream(num, den)
+        computed.clear()
+        s = slope(f, S("t"))
+        assert computed["force"] > 0
+        assert s.valuation_or_none() == expect == ref_valuation(ref_derivative(f.prefix(64)))
 
 
 class TestSearchCost:
@@ -863,13 +883,13 @@ class TestSearchCost:
     batches: reading k coefficients walks the pending operands O(log k)
     times and computes fewer than 2k of the searched series'."""
 
-    def test_derivative_of_a_unit_with_a_long_gap(self, computed):
+    def test_slope_order_of_a_unit_with_a_long_gap(self, computed):
         # 1 + t^40 + ... has derivative 40*t^39 + ...: 40 coefficients read
-        d = _stream("1 + t^40", "1 - t^50").derivative()
+        f = _stream("1 + t^40", "1 - t^50")
         computed.clear()
-        assert d.valuation_or_none() == 39
+        assert f.slope_order() == 39
         assert computed["walks"] <= 7  # 1, 2, 4, ..., 32: six walks, not 40
-        assert len(d._known) < 2 * 40
+        assert len(f._known) < 2 * 41
 
     def test_zero_to_a_budget_of_1024(self, computed):
         # (1 + t^1023) / (1 + t^1023) is 1; the tail of its recentering has
@@ -882,17 +902,17 @@ class TestSearchCost:
         assert computed["walks"] <= 12  # 1, 2, ..., 512 and the last one
         assert len(d._known) == 1024
 
-    def test_batches_stop_at_a_polynomial_degree(self, computed):
-        # (1 + t^30) / (1 / (1 - t)) is a stream with the bounds (31, 0, 0)
-        # of the polynomial 1 - t + t^30 - t^31; its second derivative,
-        # 870*t^28 - 930*t^29, has the numerator bound 29, where the batch
-        # of 16 that reaches its last term stops
-        d = S("1 + t^30").quotient(S("1").quotient(S("1 - t"))).derivative().derivative()
-        assert d._bound == (29, 0, 0) and not d.is_polynomial
+    def test_batches_stop_at_the_search_bound(self, computed):
+        # (1 - t + t^27 - t^28) / ((1 - t^2) / (1 + t)) is a stream equal to
+        # 1 + t^27, with the bounds (29, 2, 2); its slope order is searched
+        # on f from index 1 up to min(max(a, q), a + r) = 29, where the
+        # batch of 16 that reaches t^27 stops
+        f = S("1 - t + t^27 - t^28").quotient(S("1 - t^2").quotient(S("1 + t")))
+        assert f._bound == (29, 2, 2) and not f.is_polynomial
         computed.clear()
-        assert d.valuation_or_none() == 28
+        assert f.slope_order() == 26
         assert computed["walks"] == 5
-        assert len(d._known) == 30
+        assert len(f._known) == 30
 
     @pytest.mark.parametrize("num, order", [("1 + t^40", 39), ("1 - t^50", None), ("3 + 2*t", 0)])
     def test_a_second_slope_order_searches_nothing(self, monkeypatch, num, order):
@@ -922,9 +942,10 @@ class TestIdenticallyZero:
             d.valuation()
 
     def test_second_derivative_of_a_stream(self):
-        # t^2 / t is the stream t; its second derivative is zero, and from
-        # then on it is the zero polynomial
-        d2 = S("t^2").quotient(S("t")).derivative().derivative()
+        # (t^2 + t^3) / (t + t^2) is the stream t, and its slope over t the
+        # stream 1, whose slope order reads zero up to its bound; the second
+        # slope is then the zero polynomial
+        d2 = slope(slope(_stream("t^2 + t^3", "t + t^2"), S("t")), S("t"))
         assert d2.valuation_or_none() is None
         assert d2._bound == (-1, 0, 0)
         with pytest.raises(IndeterminateValuation, match="identically zero"):
@@ -1029,14 +1050,17 @@ def _rhead(f, n):
     return tuple(out)
 
 
+def _rderiv(f):
+    """(P'D - PD', D^2), the derivative of P/D."""
+    p, d = f
+    return _padd(_pmul(_pderiv(p), d), _pscale(_pmul(p, _pderiv(d)), -1)), _pmul(d, d)
+
+
 EXACT_OPERATIONS = {
     "mul": (lambda a, b: a * b, lambda f, g: (_pmul(f[0], g[0]), _pmul(f[1], g[1]))),
     "quotient": (lambda a, b: a.quotient(b), _rquotient),
-    "derivative": (
-        lambda a, b: a.derivative(),
-        lambda f, g: (_padd(_pmul(_pderiv(f[0]), f[1]), _pscale(_pmul(f[0], _pderiv(f[1])), -1)),
-                      _pmul(f[1], f[1])),
-    ),
+    "slope": (slope, lambda f, g: _rquotient(_rderiv(f), _rderiv(g))),
+    "derivative": (lambda a, b: a.derivative(), lambda f, g: _rderiv(f)),
     "recenter": (
         lambda a, b: a.recenter()[1],
         lambda f, g: (_padd(f[0], _pscale(f[1], -_rvalue_at_0(f))), f[1]),
@@ -1053,18 +1077,24 @@ small_polynomial = st.lists(st.sampled_from([F(1), F(-1), F(2), F(0), F(-1, 2)])
 
 def _expression(children):
     unary = st.tuples(st.sampled_from(["derivative", "recenter"]), children, st.none())
-    binary = st.tuples(st.sampled_from(["mul", "quotient"]), children, children)
+    binary = st.tuples(st.sampled_from(["mul", "quotient", "slope"]), children, children)
     return st.one_of(unary, binary)
 
 
 expressions = st.recursive(small_polynomial, _expression, max_leaves=8)
 
 
+# the refusal of a stream operand by an operation of polynomials only
+REFUSED = {"mul": "^the product of a stream is not computed$",
+           "derivative": "^the derivative of a stream is not computed$"}
+
+
 def _evaluate(tree, checked):
     """(exact series, (P, D)) of an expression, or None when it has a zero
-    denominator, a pole or a product with a stream operand, which is
+    denominator, a pole, or a product or derivative of a stream, which is
     refused; checks the degree bounds of every subexpression and appends it
-    to ``checked``."""
+    to ``checked``.  A slope checks the derivative bound rule inside its own
+    bounds."""
     if isinstance(tree, list):
         result = TruncatedSeries(tree), (_trim(tree), [F(1)])
     else:
@@ -1074,15 +1104,16 @@ def _evaluate(tree, checked):
         if a is None or b is None:
             return None
         (a, f), (b, g) = a, b
-        if name == "quotient":
-            vf, vg = _rval(f), _rval(g)
+        if name in ("quotient", "slope"):
+            vf, vg = (_rval(f), _rval(g)) if name == "quotient" else (
+                _rval(_rderiv(f)), _rval(_rderiv(g)))
             if vg is None or (vf is not None and vf < vg):
                 return None
-        if name == "mul" and not (a.is_polynomial and b.is_polynomial):
-            with pytest.raises(ValueError, match="^the product of a stream is not computed$"):
-                a * b
-            return None
         op, ref_op = EXACT_OPERATIONS[name]
+        if name in REFUSED and not (a.is_polynomial and b.is_polynomial):
+            with pytest.raises(ValueError, match=REFUSED[name]):
+                op(a, b)
+            return None
         result = op(a, b), ref_op(f, g)
     _check_bound(*result)
     checked.append(result)
@@ -1091,10 +1122,12 @@ def _evaluate(tree, checked):
 
 class TestExactZero:
     # one expression per bound rule that a random draw reaches rarely:
-    # a quotient by a stream, a second derivative and a recentering of a
-    # stream whose denominator outgrows its numerator
+    # a quotient by a stream, a second derivative (a slope over t of a
+    # slope over t) and a recentering of a stream whose denominator
+    # outgrows its numerator
     @example(("quotient", [F(1)], ("quotient", [F(1)], [F(1), F(1)])))
-    @example(("derivative", ("derivative", ("quotient", [F(1)], [F(1), F(1)]), None), None))
+    @example(("slope", ("slope", ("quotient", [F(1)], [F(1), F(1)]), [F(0), F(1)]),
+              [F(0), F(1)]))
     @example(("recenter", ("quotient", [F(1)], [F(1), F(1)]), None))
     # a quotient by a denominator of valuation 1, whose bounds (0, 1, 1)
     # are those of t/(t + t^2) = 1/(1 + t) in lowest terms
@@ -1102,7 +1135,7 @@ class TestExactZero:
     @given(expressions)
     @settings(max_examples=200, deadline=None)
     def test_chains_match_rational_reference(self, tree):
-        # products, quotients, derivatives and recenterings of small
+        # products, quotients, slopes, derivatives and recenterings of small
         # polynomials: None exactly for P = 0, otherwise the same index
         checked = []
         _evaluate(tree, checked)
@@ -1138,13 +1171,16 @@ class TestExactZero:
     @given(expressions)
     @settings(max_examples=200, deadline=None)
     def test_slope_order_is_the_valuation_of_the_derivative(self, tree):
-        # read off f itself, against f' built separately and the reference
+        # read off f itself, against the reference, and against f' built
+        # separately where f is a polynomial
         checked, again = [], []
         _evaluate(tree, checked)
         _evaluate(tree, again)
-        for (lazy, (p, d)), (other, _) in zip(checked, again):
-            ref = EXACT_OPERATIONS["derivative"][1]((p, d), None)
-            assert lazy.slope_order() == other.derivative().valuation_or_none() == _rval(ref), tree
+        for (lazy, f), (other, _) in zip(checked, again):
+            expect = _rval(_rderiv(f))
+            assert lazy.slope_order() == expect, tree
+            if other.is_polynomial:
+                assert other.derivative().valuation_or_none() == expect, tree
 
     @example([F(1)], [F(0), F(1)])
     @example([F(0), F(1)], [F(1)])
@@ -1156,24 +1192,26 @@ class TestExactZero:
     @given(expressions, expressions)
     @settings(max_examples=200, deadline=None)
     def test_slope_is_the_quotient_of_derivatives(self, f_tree, g_tree):
-        # f.slope(g) against f'.quotient(g'), each side built from scratch:
-        # the same outcome, bounds and valuation, and equal as series
-        built = [_evaluate(tree, []) for tree in (f_tree, g_tree, f_tree, g_tree)]
+        # the ratio kernel's f'/g' against (P'D - PD')/D^2 over the same of
+        # g: the exception the reference calls for, or its bounds, valuation
+        # and head, and, where f and g are polynomials, f'.quotient(g')
+        built = [_evaluate(tree, []) for tree in (f_tree, g_tree)]
         assume(None not in built)
-        (f, rf), (g, rg), (f2, _), (g2, _) = built
-        slope = _outcome(lambda: f.slope(g))
-        ref = _outcome(lambda: f2.derivative().quotient(g2.derivative()))
-        assert slope[0] == ref[0], (f_tree, g_tree)
-        if slope[0] == "raised":
-            assert slope == ref, (f_tree, g_tree)
+        (f, rf), (g, rg) = built
+        df, dg = _rderiv(rf), _rderiv(rg)
+        kind, s = _outcome(lambda: slope(f, g))
+        vf, vg = _rval(df), _rval(dg)
+        if vg is None or (vf is not None and vf < vg):
+            raised = IndeterminateValuation if vg is None else NegativeValuation
+            assert kind == "raised" and s[0] is raised, (f_tree, g_tree)
             return
-        (_, s), (_, d) = slope, ref
-        derivative = EXACT_OPERATIONS["derivative"][1]
-        assert s._bound == d._bound, (f_tree, g_tree)
-        exact = _rquotient(derivative(rf, None), derivative(rg, None))
+        exact = _rquotient(df, dg)
+        assert kind == "ok", (f_tree, g_tree)
         _check_bound(s, exact)
-        assert s.valuation_or_none() == d.valuation_or_none() == _rval(exact), (f_tree, g_tree)
-        assert s == d, (f_tree, g_tree)
+        assert s.valuation_or_none() == _rval(exact), (f_tree, g_tree)
+        assert s.prefix(6) == _rhead(exact, 6), (f_tree, g_tree)
+        if f.is_polynomial and g.is_polynomial:
+            assert s == f.derivative().quotient(g.derivative()), (f_tree, g_tree)
 
 
 class TestExactEquality:
@@ -1237,19 +1275,19 @@ class TestExactEquality:
             assert hash(f) == hash(g), (f_tree, g_tree)
 
 
-def _quotient_or_derivative(num, den, derive):
-    """num / den, a stream when den is not a single term, or its derivative,
-    whose zero constant term (when it has one) is read, not known."""
+def _quotient_or_slope(num, den, derive):
+    """num / den, a stream when den is not a single term, or its slope over
+    t, its derivative made by the ratio kernel."""
     s = TruncatedSeries(num).quotient(TruncatedSeries(den))
-    return s.derivative() if derive else s
+    return slope(s, S("t")) if derive else s
 
 
 # series with and without a constant term: term polynomials, quotients by a
-# denominator that does not vanish at 0 and their derivatives, and the
+# denominator that does not vanish at 0 and their slopes over t, and the
 # streams with a long gap after their lead
 tail_inputs = st.one_of(
     term_lists.map(TruncatedSeries.from_terms),
-    st.builds(_quotient_or_derivative, window, window.filter(lambda w: w and w[0]),
+    st.builds(_quotient_or_slope, window, window.filter(lambda w: w and w[0]),
               st.booleans()),
     start.filter(lambda s: s[1] is not None).map(lambda s: _start(*s)[0]),
 )
