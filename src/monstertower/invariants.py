@@ -10,13 +10,15 @@ proximity edges).
 
 from __future__ import annotations
 
-from .errors import MismatchReport, RemainderInvalid
+from operator import sub
+
+from .errors import MismatchReport
 from .puiseux import (
     PuiseuxCharacteristic,
+    _restricted_lambdas,
     front_chain,
     front_r_step,
     pc_from_word_back,
-    restrict_pc,
     word_from_pc,
 )
 from .records import Record, _new
@@ -51,9 +53,10 @@ class ProximityDiagram(Record):
         The sums are accumulated in one pass over the edges; an edge into
         an index that is not a vertex counts towards no sum."""
         m = self.mults
-        sums = [0] * len(m)
+        n = len(m)
+        sums = [0] * n
         for j, i in self.edges:
-            if 0 <= i < len(m):
+            if 0 <= i < n:
                 sums[i] += m[j]
         return sums[:-1] == list(m[:-1])
 
@@ -122,7 +125,7 @@ class VerticalOrders(Record):
 
 
 def _orders_from_multiplicities(m: tuple[int, ...]) -> VerticalOrders:
-    return VerticalOrders(tuple(m[j] - m[j + 1] for j in range(max(len(m) - 2, 0))))
+    return VerticalOrders(tuple(map(sub, m, m[1:-1])))
 
 
 def vertical_orders(word: RvtWord | str) -> VerticalOrders:
@@ -195,6 +198,10 @@ def invariant_panel(
     Every panel checks itself: the back recursion must agree with the front
     one, the proximity sums must balance, and when the direct restriction
     of the characteristic is defined it must match the Goursat-word route.
+    The direct restriction is read from ``puiseux._restricted_lambdas``, the
+    rule ``restrict_pc`` wraps, as entries or None, so no panel raises and
+    catches on its path.  A ``pc`` panel whose front chain gives back the
+    entries of ``pc`` returns ``pc`` itself as its characteristic.
     """
     if (word is None) == (pc is None):
         raise ValueError("give exactly one of word, pc")
@@ -203,32 +210,23 @@ def invariant_panel(
     else:
         w = word if isinstance(word, RvtWord) else RvtWord(str(word))
     multiplicities, lambdas, lifted = front_chain(w)
-    front = PuiseuxCharacteristic(lambdas)
+    if pc is not None and pc.lambdas == lambdas:
+        front = pc
+    else:
+        front = PuiseuxCharacteristic(lambdas)
     back = pc_from_word_back(w)
     if front != back:
         raise MismatchReport(f"recursions disagree on {w}: {front} vs {back}")
-    if pc is not None and front != pc:
+    if pc is not None and front is not pc:
         raise MismatchReport(f"CW({pc}) = {w} has characteristic {front}")
     goursat = w.goursat_word()
     restricted = front if goursat is w else PuiseuxCharacteristic(front_r_step(lifted))
-    try:
-        direct = restrict_pc(front)
-    except RemainderInvalid:
-        direct = None
-    if direct is not None and direct != restricted:
-        raise MismatchReport(
-            f"restriction mismatch on {w}: {direct} vs Goursat route {restricted}"
-        )
+    direct = _restricted_lambdas(front.lambdas)
+    if direct is not None and direct != restricted.lambdas:
+        raise MismatchReport(f"restriction mismatch on {w}: {PuiseuxCharacteristic(direct)} "
+                             f"vs Goursat route {restricted}")
     diagram = _build_proximity(w, multiplicities)
     if not diagram.check_sums():
         raise MismatchReport(f"proximity sums do not balance for {w}")
     orders = _orders_from_multiplicities(multiplicities)
-    return InvariantPanel(
-        word=w,
-        goursat_word=goursat,
-        pc=front,
-        restricted_pc=restricted,
-        proximity=diagram,
-        orders=orders,
-        restricted_orders=orders.restricted(),
-    )
+    return InvariantPanel(w, goursat, front, restricted, diagram, orders, orders.restricted())

@@ -50,27 +50,24 @@ class PuiseuxCharacteristic(Record):
     """[lambda_0; lambda_1, ..., lambda_g] with the usual invariants:
     strictly increasing, gcd 1, every entry past the first essential
     (not divisible by the gcd of its predecessors), and lambda_0 = 1
-    only for the trivial characteristic [1;]."""
+    only for the trivial characteristic [1;].  Entries are ints: integer
+    text and integral values are normalized, and an entry that int() would
+    truncate or cannot convert is refused, by name."""
 
     __slots__ = ()
     _fields = ("lambdas",)
 
     def __new__(cls, lambdas):
-        lam = tuple(map(int, lambdas))
-        # one pass over a valid characteristic: increasing, every entry
-        # essential, the running gcd reaching 1 only at the end
-        if lam == (1,):
+        if lambdas.__class__ is not tuple:
+            lambdas = tuple(lambdas)
+        try:
+            lam = tuple(map(int, lambdas))
+        except (TypeError, ValueError, OverflowError):
+            lam = None
+        if lam != lambdas:  # one comparison for a tuple of ints
+            lam = _integral_entries(lambdas)
+        if _is_valid(lam):
             return _new(cls, (lam,))
-        d = prev = lam[0] if lam else 0
-        if d > 1:
-            for x in lam[1:]:
-                if x <= prev or not x % d:
-                    break
-                prev = x
-                d = gcd(d, x)
-            else:
-                if d == 1:
-                    return _new(cls, (lam,))
         raise InvalidCharacteristic(_first_violation(lam))
 
     @property
@@ -90,6 +87,36 @@ class PuiseuxCharacteristic(Record):
 
     def __iter__(self):
         return iter(self.lambdas)
+
+
+def _integral_entries(values: tuple) -> tuple[int, ...]:
+    """The entries as ints: integer text and integral values keep their
+    value, and anything int() would truncate or cannot convert is refused
+    with an InvalidCharacteristic that names the entry."""
+    for x in values:
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidCharacteristic(f"entry {x!r} is not an integer") from None
+        if n != x and not isinstance(x, (str, bytes)):
+            raise InvalidCharacteristic(f"entry {x!r} is not an integer")
+    return tuple(map(int, values))
+
+
+def _is_valid(lam: tuple[int, ...]) -> bool:
+    """One pass over a valid characteristic: increasing, every entry
+    essential, the running gcd reaching 1 only at the end."""
+    if lam == (1,):
+        return True
+    d = prev = lam[0] if lam else 0
+    if d < 2:
+        return False
+    for x in lam[1:]:
+        if x <= prev or not x % d:
+            return False
+        prev = x
+        d = gcd(d, x)
+    return d == 1
 
 
 def _first_violation(lam: tuple[int, ...]) -> str:
@@ -145,11 +172,13 @@ def essential_characteristic(leading: int, exponents) -> PuiseuxCharacteristic:
     """Characteristic from a leading order and an exponent set, by the
     gcd-chain scan: an exponent is essential when the gcd of everything
     seen before it does not divide it."""
+    (leading,) = _integral_entries((leading,))
+    exponents = _integral_entries(tuple(exponents))
     if leading < 1:
         raise InvalidCharacteristic("leading order must be positive")
     out = [leading]
     d = leading
-    for e in sorted(set(int(x) for x in exponents)):
+    for e in sorted(set(exponents)):
         if d == 1:
             break
         if e % d:
@@ -430,16 +459,33 @@ def restrict_pc(pc: PuiseuxCharacteristic) -> PuiseuxCharacteristic:
     A remainder of 1 collapses to the trivial characteristic (the germ of a
     Goursat trivially-framed level).  A remainder that breaks the
     characteristic invariants is reported via RemainderInvalid rather than
-    repaired; the Goursat-word route stays available for those words.
+    repaired; the Goursat-word route stays available for those words.  The
+    rule itself is ``_restricted_lambdas``, which the invariant panel reads
+    directly, so a panel raises nothing where this raises.
     """
-    if is_restricted(pc):
+    lam = pc.lambdas
+    out = _restricted_lambdas(lam)
+    if out is lam:
         return pc
-    remainder = pc.lambdas[1] % pc.lambdas[0]
-    if remainder == 1:
+    if out == (1,):
         return TRIVIAL_PC
-    try:
-        return PuiseuxCharacteristic((remainder, *pc.lambdas[1:]))
-    except InvalidCharacteristic as exc:
-        raise RemainderInvalid(
-            f"remainder {remainder} of {pc} is not a valid leading entry: {exc}"
-        ) from exc
+    if out is not None:
+        return _new(PuiseuxCharacteristic, (out,))
+    remainder = lam[1] % lam[0]
+    cause = InvalidCharacteristic(_first_violation((remainder, *lam[1:])))
+    raise RemainderInvalid(
+        f"remainder {remainder} of {pc} is not a valid leading entry: {cause}"
+    ) from cause
+
+
+def _restricted_lambdas(lam: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The entries of the restriction of the valid characteristic ``lam``:
+    ``lam`` itself when it is already restricted, (1,) for a remainder of
+    1, and None when the remainder is not a valid leading entry."""
+    if len(lam) == 1 or lam[1] > 2 * lam[0]:
+        return lam
+    remainder = lam[1] % lam[0]
+    if remainder == 1:
+        return (1,)
+    out = (remainder, *lam[1:])
+    return out if _is_valid(out) else None

@@ -19,7 +19,12 @@ The list is:
   refusals are digested too;
 - every ``monstertower`` command of the CI workflow that needs no address
   space cap (``CI_COMMANDS``);
-- the known engine disagreements and covers (``KNOWN_FAULTS``).
+- the known engine disagreements and covers (``KNOWN_FAULTS``);
+- the word layer (``word_layer``): ``word``, ``proximity`` and
+  ``lift-preimages`` of every word of length at most ``WORD_MAX_LEN``, the
+  empty word included, and ``pc`` of each of their characteristics, in
+  every form the command has (text, JSON and, but for ``lift-preimages``,
+  DOT).
 
 Every ``MONSTERTOWER_*`` variable is unset and the terminal width is fixed
 at 80 columns while the commands run.  Left out: usage errors, whose wording
@@ -41,6 +46,7 @@ from random import Random
 from monstertower.cli import main
 from monstertower.corpus import DEFAULT_SEED, generate_corpus
 from monstertower.puiseux import pc_from_word_front
+from monstertower.words import enumerate_words
 
 DIGEST = Path(__file__).resolve().parent / "data" / "cli_sweep.txt"
 
@@ -165,6 +171,23 @@ KNOWN_FAULTS = (
 )
 
 
+WORD_MAX_LEN = 6
+WORD_FORMS = ((), ("--format", "json"), ("--format", "dot"))
+
+
+def word_layer() -> list[tuple[str, ...]]:
+    """Each word's ``word``, ``proximity`` and ``lift-preimages`` commands,
+    word by word in enumeration order, then ``pc`` of every characteristic
+    they have, in order of first appearance."""
+    words = [w.symbols for w in enumerate_words(WORD_MAX_LEN, min_len=0)]
+    out = [(command, w, *form) for w in words
+           for command, forms in (("word", WORD_FORMS), ("proximity", WORD_FORMS),
+                                  ("lift-preimages", WORD_FORMS[:2]))
+           for form in forms]
+    pcs = dict.fromkeys(str(pc_from_word_front(w)) for w in words)
+    return out + [("pc", pc, *form) for pc in pcs for form in WORD_FORMS]
+
+
 def chart_inputs(count: int, seed: int) -> list[str]:
     """``@level`` chart inputs: a path of length 1 to 6 that starts with o,
     r and n of one to three terms, and small constants on half of them."""
@@ -190,7 +213,7 @@ def commands() -> list[tuple[str, ...]]:
            for form in CORPUS_FORMS]
     out += [("curve", text, *form)
             for text in chart_inputs(300, CHART_SEED) for form in CHART_FORMS]
-    return out + list(CI_COMMANDS) + list(KNOWN_FAULTS)
+    return out + list(CI_COMMANDS) + list(KNOWN_FAULTS) + word_layer()
 
 
 def _shown(arg: str) -> str:

@@ -1,7 +1,7 @@
 """The committed CLI digest, replayed on a fixed sample of its commands.
 
 ``tests/cli_sweep.py --check`` reruns the whole digest; this replays about
-100 of its lines: every known fault (the engine disagreements and covers,
+160 of its lines: every known fault (the engine disagreements and covers,
 whose messages print the germ's series) and every 25th other command that
 neither enumerates nor runs the consistency suite, so a change of one
 output byte in the engines, the word layer or the formatting shows here

@@ -240,6 +240,46 @@ class TestPanel:
         invariant_panel(**{kind: arg})
         assert calls == validated
 
+    def test_a_seeded_restriction_fault_is_reported(self, monkeypatch):
+        # the Goursat route of RVTVV gives [3;11]; a wrong route tuple that
+        # is still a valid characteristic must fail the panel's own check
+        from monstertower import invariants
+        from monstertower.errors import MismatchReport
+
+        monkeypatch.setattr(invariants, "front_r_step", lambda lifted: (4, 11))
+        with pytest.raises(MismatchReport,
+                           match=r"^restriction mismatch on RVTVV: \[3;11\] "
+                                 r"vs Goursat route \[4;11\]$"):
+            invariant_panel(word="RVTVV")
+
+    def test_a_pc_panel_returns_its_characteristic(self):
+        pc = parse_pc("[27;63,83]")
+        assert invariant_panel(pc=pc).pc is pc
+
+    def test_panels_raise_nothing_on_their_path(self, monkeypatch):
+        # an invalid direct remainder is read as None, never raised and
+        # caught: no panel of a word of length <= 10 builds an exception
+        from monstertower.errors import InvalidCharacteristic, RemainderInvalid
+        from monstertower.puiseux import _restricted_lambdas
+
+        built = []
+
+        def recording(self, *args):
+            built.append((type(self).__name__, args))
+
+        words = list(enumerate_words(10, min_len=0))
+        invalid = sum(_restricted_lambdas(pc_from_word_front(w).lambdas) is None
+                      for w in words)
+        pcs = [pc_from_word_front(w) for w in words if w.is_critical()]
+        for cls in (RemainderInvalid, InvalidCharacteristic):
+            monkeypatch.setattr(cls, "__init__", recording)
+        for w in words:
+            invariant_panel(word=w)
+        for pc in pcs:
+            invariant_panel(pc=pc)
+        assert built == []
+        assert invalid > 1000
+
     def test_equals_panel_from_public_pieces(self):
         # reference: the panel assembled from one public call per invariant
         for w in enumerate_words(10, min_len=0):

@@ -1,5 +1,6 @@
 import re
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -108,6 +109,45 @@ class TestCharacteristicType:
         assert essential_characteristic(1, [7]) == TRIVIAL_PC
         with pytest.raises(InvalidCharacteristic):
             essential_characteristic(4, [6, 8])
+
+    @pytest.mark.parametrize(
+        "entries,shown",
+        [
+            ((2.5, 3), "2.5"),
+            ((2, 3.9), "3.9"),
+            ((Fraction(5, 2), 3), "Fraction(5, 2)"),
+            (("2.5", 3), "'2.5'"),
+            ((2, None), "None"),
+            ((float("inf"), 3), "inf"),
+        ],
+    )
+    def test_an_entry_that_is_not_an_integer_is_named(self, entries, shown):
+        # int() would truncate these or cannot convert them at all
+        with pytest.raises(InvalidCharacteristic,
+                           match=rf"^entry {re.escape(shown)} is not an integer$"):
+            PuiseuxCharacteristic(entries)
+
+    def test_essential_scan_refuses_a_fractional_exponent(self):
+        with pytest.raises(InvalidCharacteristic, match=r"^entry 6\.5 is not an integer$"):
+            essential_characteristic(4, [6.5, 7])
+        with pytest.raises(InvalidCharacteristic, match=r"^entry 4\.5 is not an integer$"):
+            essential_characteristic(4.5, [6, 7])
+
+    def test_integral_values_are_normalised(self):
+        assert PuiseuxCharacteristic((2.0, Fraction(3))).lambdas == (2, 3)
+        assert PuiseuxCharacteristic(iter(["4", 6, 7])).lambdas == (4, 6, 7)
+        assert essential_characteristic(4.0, [6.0, "7"]) == PC("[4;6,7]")
+
+    def test_a_tuple_of_ints_skips_the_entry_scan(self, monkeypatch):
+        # the panel path builds characteristics from tuples of ints: one
+        # comparison with their int() images accepts them
+        def scanned(values):
+            raise AssertionError(f"entries of {values} scanned one by one")
+
+        monkeypatch.setattr(puiseux, "_integral_entries", scanned)
+        assert str(PuiseuxCharacteristic((27, 63, 83))) == "[27;63,83]"
+        with pytest.raises(InvalidCharacteristic, match="inessential"):
+            PuiseuxCharacteristic((6, 9, 12))
 
 
 class TestFrontRecursion:
@@ -419,8 +459,12 @@ class TestRestriction:
         assert restrict_pc(PC("[2;3]")) == TRIVIAL_PC
 
     def test_invalid_remainder_reported(self):
-        with pytest.raises(RemainderInvalid):
+        with pytest.raises(RemainderInvalid) as info:
             restrict_pc(PC("[6;8,9]"))
+        assert str(info.value) == ("remainder 2 of [6;8,9] is not a valid leading entry: "
+                                   "8 is inessential in (2, 8, 9)")
+        assert isinstance(info.value.__cause__, InvalidCharacteristic)
+        assert str(info.value.__cause__) == "8 is inessential in (2, 8, 9)"
 
     def test_is_restricted(self):
         assert is_restricted(PC("[9;24,25]"))
@@ -436,6 +480,24 @@ class TestRestriction:
             except RemainderInvalid:
                 continue
             assert direct == pc_from_word_front(w.goursat_word())
+
+    def test_entries_agree_with_restrict_pc(self):
+        # the rule restrict_pc wraps, and the panel reads: the restricted
+        # entries, or None exactly where restrict_pc raises
+        invalid = 0
+        for w in enumerate_words(12):
+            if not w.is_critical():
+                continue
+            pc = pc_from_word_front(w)
+            entries = puiseux._restricted_lambdas(pc.lambdas)
+            if entries is None:
+                invalid += 1
+                message = rf"^remainder \d+ of {re.escape(str(pc))} is not a valid leading entry: "
+                with pytest.raises(RemainderInvalid, match=message):
+                    restrict_pc(pc)
+            else:
+                assert restrict_pc(pc).lambdas == entries
+        assert invalid > 0
 
     def test_outputs_are_valid_characteristics(self):
         for w in enumerate_words(10):
