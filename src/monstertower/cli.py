@@ -315,15 +315,17 @@ def _cmd_enumerate(args) -> int:
         return EXIT_INPUT
     words = list(enumerate_words(args.max_len))
     counts = {n: count_words(n) for n in range(1, args.max_len + 1)}
-    found = _run_word_checks(args.check, words)
-    failures = [f for name in args.check for f in found[name]]
+    found = _run_word_checks(args.check, words)  # a suite named twice runs once
+    failures = [f for suite in found.values() for f in suite]
+
+    def status(failed: list[str]) -> str:
+        return f"{len(failed)} failures" if failed else "ok"
 
     def text():
         lines = [f"valid nonempty words of length <= {args.max_len}: {len(words)}"]
         lines.extend(f"  length {n}: {c}" for n, c in counts.items())
-        if args.check:
-            lines.append(f"checks: {', '.join(args.check)} -> "
-                         f"{'ok' if not failures else f'{len(failures)} failures'}")
+        if found:
+            lines.append(f"checks: {', '.join(found)} -> {status(failures)}")
         lines.extend(f"  FAIL {f}" for f in failures)
         return "\n".join(lines)
 
@@ -332,14 +334,15 @@ def _cmd_enumerate(args) -> int:
         "counts": {str(n): c for n, c in counts.items()},
         "total": len(words),
         "words": [w.symbols for w in words],
-        "checks": {name: "ok" for name in args.check},
+        "checks": {name: status(suite) for name, suite in found.items()},
         "failures": failures,
     }, text)
     return EXIT_MISMATCH if failures else code
 
 
 def _run_word_checks(names, words) -> dict[str, list[str]]:
-    """The failures of each suite in ``names``, in word order.  The words are
+    """The failures of each suite in ``names``, in word order, keyed in the
+    order of first naming (a suite named twice runs once).  The words are
     walked once, a block at a time: the suites that read the front recursion
     share one ``front_chain`` per word, and each suite runs as its own loop
     over the block, which runs faster than one loop through every suite."""

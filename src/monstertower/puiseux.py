@@ -163,9 +163,7 @@ def parse_pc(text: str) -> PuiseuxCharacteristic:
     m = _PC_RE.fullmatch(text.strip())
     if m is None:
         raise ParseError(f"bad characteristic literal {text!r}")
-    head = int(m.group(1))
-    tail = [int(x) for x in m.group(2).replace(" ", "").split(",")] if m.group(2).strip() else []
-    return PuiseuxCharacteristic((head, *tail))
+    return PuiseuxCharacteristic((int(m.group(1)), *map(int, re.findall(r"\d+", m.group(2)))))
 
 
 def essential_characteristic(leading: int, exponents) -> PuiseuxCharacteristic:
@@ -246,18 +244,17 @@ def pc_from_word_front(word: RvtWord | str) -> PuiseuxCharacteristic:
 
 
 def classify_case(pc: PuiseuxCharacteristic) -> CaseTag:
-    """Which front block the characteristic forces: A iff lambda_1 > 2*lambda_0,
+    """Which front block the characteristic forces: A iff ``_is_restricted``,
     B when the gap divides lambda_0, C otherwise (with the matching tau)."""
-    if pc.is_trivial() or pc.g < 1:
+    lam = pc.lambdas
+    if len(lam) == 1:  # [1;], the one valid characteristic with g = 0
         raise TrivialCharacteristic("[1;] determines no leading case")
-    lam0, lam1 = pc.lambdas[0], pc.lambdas[1]
-    if lam1 > 2 * lam0:
+    if _is_restricted(lam):
         return CaseTag("A")
-    gap = lam1 - lam0
-    if lam0 % gap == 0:
-        return CaseTag("B", lam0 // gap - 2)
-    tau = (lam0 - 1) // gap - 1
-    return CaseTag("C", tau)
+    gap = lam[1] - lam[0]
+    if lam[0] % gap == 0:
+        return CaseTag("B", lam[0] // gap - 2)
+    return CaseTag("C", (lam[0] - 1) // gap - 1)
 
 
 def peel_case(pc: PuiseuxCharacteristic) -> tuple[CaseTag, PuiseuxCharacteristic]:
@@ -449,8 +446,13 @@ def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:
 
 
 def is_restricted(pc: PuiseuxCharacteristic) -> bool:
-    """lambda_1 > 2*lambda_0, vacuously true for [1;]."""
-    return pc.g == 0 or pc.lambdas[1] > 2 * pc.lambdas[0]
+    """lambda_1 > 2*lambda_0, vacuously true for [1;] (``_is_restricted``)."""
+    return _is_restricted(pc.lambdas)
+
+
+def _is_restricted(lam: tuple[int, ...]) -> bool:
+    """The restriction rule on the entries: lambda_1 > 2*lambda_0, or g = 0."""
+    return len(lam) == 1 or lam[1] > 2 * lam[0]
 
 
 def restrict_pc(pc: PuiseuxCharacteristic) -> PuiseuxCharacteristic:
@@ -482,10 +484,9 @@ def _restricted_lambdas(lam: tuple[int, ...]) -> tuple[int, ...] | None:
     """The entries of the restriction of the valid characteristic ``lam``:
     ``lam`` itself when it is already restricted, (1,) for a remainder of
     1, and None when the remainder is not a valid leading entry."""
-    if len(lam) == 1 or lam[1] > 2 * lam[0]:
+    if _is_restricted(lam):
         return lam
-    remainder = lam[1] % lam[0]
-    if remainder == 1:
+    out = (lam[1] % lam[0], *lam[1:])
+    if out[0] == 1:
         return (1,)
-    out = (remainder, *lam[1:])
     return out if _is_valid(out) else None

@@ -195,16 +195,14 @@ class TruncatedSeries:
       polynomial, a result whose operands' valuations fix it, or a series
       whose search found it; ``valuation_or_none`` then reads it without
       computing;
-    * ``_slope`` is val f' once ``slope_order`` has searched for it (None
-      when f' = 0), and -1 before;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
       coefficients need the first ``m + offset`` of that operand;
     * ``_extend(known, dens, m)`` computes up to m once the operands are ready.
 
     Leading zeros, and the zeros of a term polynomial, cost no arithmetic."""
 
-    __slots__ = ("_bound", "_zeros", "_exact", "_slope", "_terms", "_known", "_dens",
-                 "_operands", "_extend")
+    __slots__ = ("_bound", "_zeros", "_exact", "_terms", "_known", "_dens", "_operands",
+                 "_extend")
 
     def __init__(self, coefficients):
         self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)), [], [])
@@ -216,22 +214,14 @@ class TruncatedSeries:
         self._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
         self._zeros = terms[0][0] if terms else 0
         self._exact = bool(terms)
-        self._slope = -1
         self._operands = ()
         self._extend = None
 
     @classmethod
     def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
-        """A new polynomial with these terms, its slots set as
-        ``_polynomial`` sets them."""
+        """A new polynomial with these terms."""
         series = cls.__new__(cls)
-        series._terms, series._known, series._dens = terms, [], []
-        series._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
-        series._zeros = terms[0][0] if terms else 0
-        series._exact = bool(terms)
-        series._slope = -1
-        series._operands = ()
-        series._extend = None
+        series._polynomial(terms, [], [])
         return series
 
     @classmethod
@@ -242,7 +232,6 @@ class TruncatedSeries:
         series._bound = bound
         series._zeros = zeros
         series._exact = exact
-        series._slope = -1
         series._terms = None
         series._known = []
         series._dens = []
@@ -377,12 +366,9 @@ class TruncatedSeries:
         terms = self._terms
         if terms is not None:
             return terms[1][0] - 1 if len(terms) > 1 else None
-        if self._slope != -1:
-            return self._slope
         a, q, r = self._bound
         i = self._first_nonzero(max(self._zeros, 1), min(max(a, q), a + r) + 1)
-        self._slope = v = None if i is None else i - 1
-        return v
+        return None if i is None else i - 1
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; IndeterminateValuation for

@@ -12,24 +12,35 @@ Run from the repository root:
 The first form writes the digest; ``--check`` reruns every command and
 exits 1 naming the first command whose line differs from the committed one.
 
+The digest is the one owner of the CLI's expected output: no CI step
+repeats its commands or greps their output.  CI runs ``--check`` against
+the installed package, from outside the checkout, with no ``PYTHONPATH``;
+the script imports ``monstertower`` from wherever it is installed.  A
+change that moves an output regenerates the digest, and lists each changed
+line in CHANGES.md.
+
 The list is:
 - both corpora's first 60 curves, in the five forms of ``CORPUS_FORMS``;
 - 300 seeded ``@level`` chart inputs, in the three forms of ``CHART_FORMS``.
   They are drawn without asking the program which of them it accepts, so
   refusals are digested too;
-- every ``monstertower`` command of the CI workflow that needs no address
-  space cap (``CI_COMMANDS``);
+- the digest's own edge cases (``EDGE_COMMANDS``): malformed input, level
+  budgets, huge exponents and literals, chart data, double covers, long
+  words, and the README examples;
 - the known engine disagreements and covers (``KNOWN_FAULTS``);
 - the word layer (``word_layer``): ``word``, ``proximity`` and
   ``lift-preimages`` of every word of length at most ``WORD_MAX_LEN``, the
   empty word included, and ``pc`` of each of their characteristics, in
   every form the command has (text, JSON and, but for ``lift-preimages``,
-  DOT).
+  DOT);
+- the forms and exits the lists above miss (``FORM_COMMANDS``).
 
-Every ``MONSTERTOWER_*`` variable is unset and the terminal width is fixed
-at 80 columns while the commands run.  Left out: usage errors, whose wording
-is argparse's and varies with the Python version, and the CI inputs that
-run under ``ulimit -v`` (their answer is the cap's).
+Lines are only appended, so a new command moves no committed line.  Every
+``MONSTERTOWER_*`` variable is unset and the terminal width is fixed at 80
+columns while the commands run.  Left out: usage errors, whose wording is
+argparse's and varies with the Python version, and inputs that need an
+address-space cap (their answer is the cap's; ``tests/test_cli.py`` runs
+them under one).
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ CHART_FORMS = (
 )
 CHART_SEED = 36
 
-CI_COMMANDS = (
+EDGE_COMMANDS = (
     ("word", "RTV"),
     ("pc", "[4;6]"),
     ("pc", "[99999999999999999999;100000000000000000001]"),
@@ -188,6 +199,28 @@ def word_layer() -> list[tuple[str, ...]]:
     return out + [("pc", pc, *form) for pc in pcs for form in WORD_FORMS]
 
 
+# The forms and exits that the lists above miss: enumerate and check in JSON,
+# the exit 1 of each word command past its bound or on a malformed word, and
+# the DOT refusal of every command that has no DOT form.
+FORM_COMMANDS = (
+    ("enumerate", "6", "--check", "pc-agreement", "--format", "json"),
+    ("enumerate", "5", "--check", "pc-agreement", "--check", "round-trip",
+     "--check", "proximity-sum", "--check", "preimage-duality", "--format", "json"),
+    ("check", "--max-len", "4", "--corpus-size", "5", "--format", "json"),
+    ("enumerate", "15"),
+    ("enumerate", "15", "--format", "json"),
+    ("check", "--max-len", "15"),
+    ("lift-preimages", "RTV"),
+    ("lift-preimages", "RTV", "--format", "json"),
+    ("proximity", "RTV"),
+    ("proximity", "RTV", "--format", "json"),
+    ("lift-preimages", "RVT", "--format", "dot"),
+    ("enumerate", "3", "--format", "dot"),
+    ("curve", "x=t^5, y=t^7", "--engine", "both", "--format", "dot"),
+    ("curve", "x=t^5, y=t^7", "--engine", "blowup", "--format", "dot"),
+)
+
+
 def chart_inputs(count: int, seed: int) -> list[str]:
     """``@level`` chart inputs: a path of length 1 to 6 that starts with o,
     r and n of one to three terms, and small constants on half of them."""
@@ -213,7 +246,8 @@ def commands() -> list[tuple[str, ...]]:
            for form in CORPUS_FORMS]
     out += [("curve", text, *form)
             for text in chart_inputs(300, CHART_SEED) for form in CHART_FORMS]
-    return out + list(CI_COMMANDS) + list(KNOWN_FAULTS) + word_layer()
+    return (out + list(EDGE_COMMANDS) + list(KNOWN_FAULTS) + word_layer()
+            + list(FORM_COMMANDS))
 
 
 def _shown(arg: str) -> str:

@@ -324,8 +324,8 @@ class TestEnumerate:
 
     def test_failures_come_suite_by_suite(self, capsys, monkeypatch):
         # Forced failures in two suites over the 377 words of length <= 7:
-        # the lines come in --check order, a repeated suite repeats its
-        # lines, and each suite lists its words in enumeration order.
+        # the lines come in --check order, a repeated suite lists its lines
+        # once, and each suite lists its words in enumeration order.
         from monstertower import cli
         from monstertower.invariants import ProximityDiagram
         from monstertower.words import enumerate_words
@@ -343,7 +343,52 @@ class TestEnumerate:
             "--check", "pc-agreement", "--check", "proximity-sum", "--check", "round-trip",
         )
         assert code == 2
-        assert json.loads(out)["failures"] == sums + agreement + sums
+        assert json.loads(out)["failures"] == sums + agreement
+
+    @pytest.fixture
+    def round_trip_fails_on(self, monkeypatch):
+        """Patch the round-trip suite to fail on one word; returns the
+        blocks it was run on."""
+        from monstertower import cli
+
+        runs = []
+
+        def patch(symbols):
+            def suite(block, chains):
+                runs.append(block)
+                return [f"round-trip {w.symbols}" for w in block if w.symbols == symbols]
+
+            monkeypatch.setitem(cli.WORD_SUITES, "round-trip", suite)
+            return runs
+
+        return patch
+
+    def test_a_failing_suite_reads_its_own_failures(self, capsys, round_trip_fails_on):
+        round_trip_fails_on("RVT")
+        code, out, _ = run(capsys, "enumerate", "3", "--check", "round-trip",
+                           "--check", "pc-agreement", "--format", "json")
+        payload = json.loads(out)
+        assert code == 2
+        assert payload["checks"] == {"round-trip": "1 failures", "pc-agreement": "ok"}
+        assert payload["failures"] == ["round-trip RVT"]
+        code, out, _ = run(capsys, "enumerate", "3", "--check", "round-trip",
+                           "--check", "pc-agreement")
+        assert code == 2
+        assert out.endswith("checks: round-trip, pc-agreement -> 1 failures\n"
+                            "  FAIL round-trip RVT\n")
+
+    def test_a_suite_named_twice_runs_once(self, capsys, round_trip_fails_on):
+        runs = round_trip_fails_on("RV")
+        code, out, _ = run(capsys, "enumerate", "2", "--check", "round-trip",
+                           "--check", "round-trip")
+        assert code == 2 and len(runs) == 1
+        assert out.endswith("checks: round-trip -> 1 failures\n  FAIL round-trip RV\n")
+        code, out, _ = run(capsys, "enumerate", "2", "--check", "round-trip",
+                           "--check", "round-trip", "--format", "json")
+        payload = json.loads(out)
+        assert code == 2 and len(runs) == 2
+        assert payload["checks"] == {"round-trip": "1 failures"}
+        assert payload["failures"] == ["round-trip RV"]
 
 
 class TestCheck:

@@ -1,11 +1,15 @@
 """The committed CLI digest, replayed on a fixed sample of its commands.
 
-``tests/cli_sweep.py --check`` reruns the whole digest; this replays about
+``tests/cli_sweep.py`` owns the CLI's expected output: every byte of it, on
+every command that ``cli_sweep.commands()`` lists, is pinned by
+``tests/data/cli_sweep.txt``.  ``tests/cli_sweep.py --check`` reruns the
+whole digest (CI runs it against the installed package); this replays about
 160 of its lines: every known fault (the engine disagreements and covers,
 whose messages print the germ's series) and every 25th other command that
 neither enumerates nor runs the consistency suite, so a change of one
 output byte in the engines, the word layer or the formatting shows here
-too.
+too.  A last test reads the command list alone and checks that it reaches
+every command in every format.
 """
 
 import os
@@ -13,6 +17,7 @@ import os
 import pytest
 
 import cli_sweep
+from monstertower.cli import FORMATS, _HANDLERS, build_parser
 
 
 def sample():
@@ -40,3 +45,18 @@ def test_sampled_commands_match_the_digest(sweep_environment):
     changed = [(line, got) for argv, line in replayed
                if (got := cli_sweep.digest_line(argv)) != line]
     assert changed == []
+
+
+def test_every_command_appears_in_every_format():
+    # argv is parsed, not run: each subcommand in text, JSON and DOT (the
+    # DOT refusal of a command with no DOT form counts), and curve with
+    # each engine
+    parser, seen = build_parser(), set()
+    for argv in cli_sweep.commands():
+        args = parser.parse_args(argv)
+        seen.add((args.command, getattr(args, "format", "text")))
+        if args.command == "curve":
+            seen.add(("curve", "--engine", args.engine))
+    wanted = {(command, form) for command in _HANDLERS for form in FORMATS}
+    wanted |= {("curve", "--engine", engine) for engine in ("nash", "blowup", "both")}
+    assert wanted - seen == set()

@@ -483,13 +483,18 @@ class TestRestriction:
 
     def test_entries_agree_with_restrict_pc(self):
         # the rule restrict_pc wraps, and the panel reads: the restricted
-        # entries, or None exactly where restrict_pc raises
+        # entries, or None exactly where restrict_pc raises; is_restricted,
+        # case A of classify_case and the entries left as they are all
+        # read the one rule lambda_1 > 2*lambda_0
         invalid = 0
         for w in enumerate_words(12):
             if not w.is_critical():
                 continue
             pc = pc_from_word_front(w)
             entries = puiseux._restricted_lambdas(pc.lambdas)
+            restricted = pc.lambdas[1] > 2 * pc.lambdas[0]
+            assert is_restricted(pc) == (classify_case(pc).kind == "A") == restricted
+            assert (entries is pc.lambdas) == restricted
             if entries is None:
                 invalid += 1
                 message = rf"^remainder \d+ of {re.escape(str(pc))} is not a valid leading entry: "

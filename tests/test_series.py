@@ -915,20 +915,16 @@ class TestSearchCost:
         assert len(f._known) == 30
 
     @pytest.mark.parametrize("num, order", [("1 + t^40", 39), ("1 - t^50", None), ("3 + 2*t", 0)])
-    def test_a_second_slope_order_searches_nothing(self, monkeypatch, num, order):
-        # a nonzero constant term leaves val f' to a search from index 1,
-        # made once: the next read of the same series returns what it found
+    def test_a_second_slope_order_computes_nothing(self, computed, num, order):
+        # a nonzero constant term leaves val f' to a search from index 1;
+        # the next read of the same series rescans the prefix the first
+        # computed, with no walk and no new coefficient
         f = _stream(num, "1 - t^50")
-        searches = []
-        first_nonzero = TruncatedSeries._first_nonzero
-
-        def counting(self, start, end):
-            searches.append((start, end))
-            return first_nonzero(self, start, end)
-
-        monkeypatch.setattr(TruncatedSeries, "_first_nonzero", counting)
-        assert f.slope_order() == order and len(searches) == 1
-        assert f.slope_order() == order and len(searches) == 1
+        assert f.slope_order() == order
+        assert computed["walks"] and computed["coefficients"]
+        computed.clear()
+        assert f.slope_order() == order
+        assert computed["walks"] == computed["coefficients"] == 0
 
 
 class TestIdenticallyZero:
