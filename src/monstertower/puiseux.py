@@ -209,9 +209,7 @@ def front_chain(word: RvtWord | str) -> tuple[tuple[int, ...], ...]:
     meets V; anything else is an A step.  Each level is O(1) on the head and
     the tail stored minus a running offset: O(len(word)) time and memory.
     """
-    s = str(word)
-    if isinstance(word, str):
-        RvtWord(s)  # validate
+    s = word.symbols if isinstance(word, RvtWord) else RvtWord(str(word)).symbols
     mults = [1] * (len(s) + 1)
     head, tail, off, lifted = 1, [], 0, (1,)  # tail: last entry first
     last_v = s.rfind("V")

@@ -40,9 +40,11 @@ distinct factors of D have total degree <= r.  Each operation keeps D(0)
   is the quotient of the two derivatives, with v = val g'.
 
 Since P = f * D as power series, a stream whose coefficients 0..a all
-vanish is identically zero, so a valuation search answers None only for
-the zero series, and the series is the zero term polynomial from then on.
-No zero test depends on a window.
+vanish is identically zero.  Every stream is born knowing its valuation,
+and is never zero: the ratio kernel reads it off its operands, and the
+tail of a stream with f(0) != 0 searches f[1..max(a, q)] once, when it is
+made, and is the zero term polynomial when they all vanish.  A series
+never changes kind after it is made, and no zero test depends on a window.
 
 Every read is exact or given its length by the caller.  A polynomial's
 valuation, constant term, val f', exponent gcd and text are read off its
@@ -64,10 +66,9 @@ is thus O(terms plus the prefix read), and a prefix past the index range
 raises MemoryError.  A valuation that the operands fix costs no coefficient at
 all: val(f/g) = val f - val g, and in characteristic 0 val f' = val f - 1
 and val (f - f(0)) = val f when val f >= 1, so ``slope_order`` reads val f'
-off f and searches f only when val f is 0 or unknown, once per series.
-Such a series carries its valuation from construction.  An engine that has
-read both orders of a pair hands them to the ratio kernel (``_ratio``),
-which reads neither again.
+off f and searches f only when val f is 0, and ``valuation_or_none``
+computes nothing.  An engine that has read both orders of a pair hands
+them to the ratio kernel (``_ratio``), which reads neither again.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -189,31 +190,25 @@ class TruncatedSeries:
       denominators, a zero as 0/1;
     * ``_bound`` is (a, q, r), the degree bounds of the module docstring,
       (degree, 0, 0) for a term polynomial (-1 for zero);
-    * ``_zeros`` counts leading coefficients known to be zero from the
-      operands' valuations, so a constant term past them is 0 for free;
-    * ``_exact`` says that ``_zeros`` is the valuation: a nonzero term
-      polynomial, a result whose operands' valuations fix it, or a series
-      whose search found it; ``valuation_or_none`` then reads it without
-      computing;
+    * ``_zeros`` is the valuation, set when the series is made (0 for the
+      zero polynomial): a stream with ``_zeros`` 0 has a nonzero constant
+      term, and a constant term past the zeros is 0 for free;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
       coefficients need the first ``m + offset`` of that operand;
     * ``_extend(known, dens, m)`` computes up to m once the operands are ready.
 
     Leading zeros, and the zeros of a term polynomial, cost no arithmetic."""
 
-    __slots__ = ("_bound", "_zeros", "_exact", "_terms", "_known", "_dens", "_operands",
-                 "_extend")
+    __slots__ = ("_bound", "_zeros", "_terms", "_known", "_dens", "_operands", "_extend")
 
     def __init__(self, coefficients):
-        self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)), [], [])
+        self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)))
 
-    def _polynomial(self, terms: tuple, known: list[int], dens: list[int]) -> None:
-        """Make this series the polynomial with the given terms (``_terms``)
-        and dense prefix."""
-        self._terms, self._known, self._dens = terms, known, dens
+    def _polynomial(self, terms: tuple) -> None:
+        """Make this series the polynomial with the given terms (``_terms``)."""
+        self._terms, self._known, self._dens = terms, [], []
         self._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
         self._zeros = terms[0][0] if terms else 0
-        self._exact = bool(terms)
         self._operands = ()
         self._extend = None
 
@@ -221,17 +216,15 @@ class TruncatedSeries:
     def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
         """A new polynomial with these terms."""
         series = cls.__new__(cls)
-        series._polynomial(terms, [], [])
+        series._polynomial(terms)
         return series
 
     @classmethod
-    def _lazy(cls, bound, zeros: int, exact: bool, operands, extend) -> "TruncatedSeries":
-        if zeros > bound[0]:  # no room left for a nonzero term
-            return cls._of_terms(())
+    def _lazy(cls, bound, zeros: int, operands, extend) -> "TruncatedSeries":
+        """A new stream of valuation ``zeros``, not zero."""
         series = cls.__new__(cls)
         series._bound = bound
         series._zeros = zeros
-        series._exact = exact
         series._terms = None
         series._known = []
         series._dens = []
@@ -339,20 +332,12 @@ class TruncatedSeries:
 
     def valuation_or_none(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero
-        series.  The search ends past the numerator bound a, where a zero
-        read certifies zero."""
-        if self._exact:
-            return self._zeros
-        v = self._first_nonzero(self._zeros, self._bound[0] + 1)
-        if v is None:  # streams that read this one hold its prefix
-            self._polynomial((), self._known, self._dens)
-        else:
-            self._zeros, self._exact = v, True
-        return v
+        series, read off ``_zeros`` with no coefficient computed."""
+        return None if self._terms == () else self._zeros
 
     def slope_order(self) -> int | None:
         """val f', None when f' is identically zero.  It is v - 1 for free
-        when f's valuation v >= 1 is exact, and otherwise one less than the
+        when f's valuation v is 1 or more, and otherwise one less than the
         first nonzero index of f from 1, searched up to min(max(a, q), a + r).
 
         Proof that a zero read there certifies f' = 0.  f - f(0) = (P - f(0)
@@ -361,13 +346,13 @@ class TruncatedSeries:
         bound a + r - 1 and coefficient j equal to (j + 1) f[j + 1], so it
         is 0 if f[1..a + r] vanish.  A term polynomial with f(0) != 0, or
         zero, has the exponent of its next term, if any, less one."""
-        if self._exact and self._zeros:
+        if self._zeros:
             return self._zeros - 1
         terms = self._terms
         if terms is not None:
             return terms[1][0] - 1 if len(terms) > 1 else None
         a, q, r = self._bound
-        i = self._first_nonzero(max(self._zeros, 1), min(max(a, q), a + r) + 1)
+        i = self._first_nonzero(1, min(max(a, q), a + r) + 1)
         return None if i is None else i - 1
 
     def valuation(self) -> int:
@@ -510,7 +495,7 @@ class TruncatedSeries:
             x = (x[0] + x[2] - 1, x[1] + x[2], x[2])
             y = (y[0] + y[2] - 1, y[1] + y[2], y[2])
         bound = (x[0] + y[1] - vd, x[1] + y[0] - vd, x[2] + y[0] - vd)
-        return self._lazy(bound, vn - vd, True, ((self, lead), (den, lead)), extend)
+        return self._lazy(bound, vn - vd, ((self, lead), (den, lead)), extend)
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant),
@@ -521,22 +506,26 @@ class TruncatedSeries:
         """self - self(0), read with no Fraction: a series whose constant
         term is 0 is its own tail, the same object with its own bounds, so
         ``s._tail() is s`` says that s vanishes at t=0; any other tail is a
-        new series, a term polynomial's its terms past the first."""
+        new series, a term polynomial's its terms past the first.  A stream
+        with ``_zeros`` 0 has f(0) != 0, and its tail's valuation is searched
+        here, on f[1..max(a, q)], the tail's numerator bound: the zero term
+        polynomial when they all vanish, else a stream that carries it."""
         if self._zeros:
             return self
         terms = self._terms
         if terms is not None:  # the zero polynomial, or a first term at t^0
             return self._of_terms(terms[1:]) if terms else self
-        if not self._force(1)[0]:
-            return self
-        a, ad, bound = self._known, self._dens, self._bound
+        a, q, r = self._bound
+        v = self._first_nonzero(1, max(a, q) + 1)
+        if v is None:
+            return self._of_terms(())
+        fn, fd = self._known, self._dens
 
-        def extend(out, dens, m):  # index 0 is a known zero, filled in by _force
-            dens.extend(ad[len(out):m])
-            out.extend(a[len(out):m])
+        def extend(out, dens, m):  # indices below v are known zeros, filled in by _force
+            dens.extend(fd[len(out):m])
+            out.extend(fn[len(out):m])
 
-        bound = (max(bound[0], bound[1]), bound[1], bound[2])
-        return self._lazy(bound, 1, False, ((self, 0),), extend)
+        return self._lazy((max(a, q), q, r), v, ((self, 0),), extend)
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,

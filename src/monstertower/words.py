@@ -33,13 +33,16 @@ _SYMBOL_ORDER = {"R": 0, "V": 1, "T": 2}
 
 
 def validate_symbols(symbols: str) -> None:
-    # A valid word passes three C-level scans; anything else is diagnosed by
-    # the loop below, which names the first offending position.
+    # A valid word passes three C-level scans; anything else is diagnosed
+    # below: a value that is not a str by its type, a str by the loop, which
+    # names the first offending position.
     if isinstance(symbols, str) and (
         not symbols
         or (symbols[0] == "R" and "RT" not in symbols and _SYMBOLS.issuperset(symbols))
     ):
         return
+    if not isinstance(symbols, str):
+        raise InvalidSymbol(f"a word is a str of R, V, T; got {type(symbols).__name__}")
     for i, ch in enumerate(symbols):
         if ch not in ALPHABET:
             raise InvalidSymbol(f"symbol {ch!r} is not one of R, V, T", i)

@@ -18,6 +18,12 @@ from monstertower.errors import (
     RemainderInvalid,
     TrivialCharacteristic,
 )
+from monstertower.invariants import (
+    invariant_panel,
+    multiplicity_sequence,
+    proximity_diagram,
+    vertical_orders,
+)
 from monstertower.puiseux import (
     EPair,
     PuiseuxCharacteristic,
@@ -161,6 +167,16 @@ class TestFrontRecursion:
 
     def test_multiplicity_chain_word(self):
         assert str(pc_from_word_front("RVTVV")) == "[8;11]"
+
+    @pytest.mark.parametrize("value", [["R", "V"], 123, b"RVV"], ids=["list", "int", "bytes"])
+    def test_a_value_that_is_not_a_word_is_refused(self, value):
+        # every entry that takes a word validates whatever is not an RvtWord
+        # through its text, as RvtWord(str(value)) does
+        entries = [front_chain, pc_from_word_front, pc_from_word_back, multiplicity_sequence,
+                   proximity_diagram, vertical_orders, lambda w: invariant_panel(word=w)]
+        for entry in entries:
+            with pytest.raises(InvalidSymbol, match=r"^symbol .* \(at position 0\)$"):
+                entry(value)
 
     def test_four_word_family(self):
         for word, pc in FOUR_WORD_FAMILY.items():

@@ -202,8 +202,7 @@ class TestFromTerms:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_construction_from_coefficients(self, terms):
         new, old = TruncatedSeries.from_terms(terms), _old_from_terms(terms)
-        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_exact", "_operands",
-                     "_extend"):
+        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_operands", "_extend"):
             assert getattr(new, slot) == getattr(old, slot), slot
         # nonzero reduced terms in increasing exponent, and no dense prefix
         assert [e for e, _, _ in new._terms] == sorted({e for e, _, _ in new._terms})
@@ -625,8 +624,6 @@ def _every_computed_pair_reduced():
     def checking_lazy(cls, *args):
         series = lazy(cls, *args)
         extend = series._extend
-        if extend is None:  # the zero term polynomial, which computes nothing
-            return series
 
         def checking_extend(out, dens, m):
             before = len(out)
@@ -850,11 +847,16 @@ class TestValuationFromOperands:
         assert computed == {}
 
     def test_still_searches(self, computed):
-        series = _stream("2 + t^2").recenter()[1]
+        # the tail of a stream with f(0) != 0 searches its valuation when
+        # ``recenter`` makes it, and carries it from then on
+        f = _stream("2 + t^2")
+        computed.clear()
+        series = f.recenter()[1]
+        assert computed["force"] > 0
         computed.clear()
         v = series.valuation_or_none()
-        assert computed["force"] > 0
-        assert v == 1 == ref_valuation(series.prefix(64))
+        assert computed == {}
+        assert v == series._zeros == 1 == ref_valuation(series.prefix(64))
 
     @pytest.mark.parametrize(
         "num,den,expect",
@@ -893,14 +895,18 @@ class TestSearchCost:
 
     def test_zero_to_a_budget_of_1024(self, computed):
         # (1 + t^1023) / (1 + t^1023) is 1; the tail of its recentering has
-        # the numerator bound 1023, so a zero read covers 1,024 terms
+        # the numerator bound 1023, so a zero read of one[1..1023] certifies
+        # it zero, and ``recenter`` returns the zero term polynomial
         one = S("1 + t^1023").quotient(S("1 + t^1023"))
+        assert one._bound == (1023, 1023, 1023)
+        computed.clear()
         d = one.recenter()[1]
-        assert d._bound == (1023, 1023, 1023)
+        assert d.is_polynomial and d._terms == () and d._bound == (-1, 0, 0)
+        assert computed["walks"] <= 12  # 1, 2, ..., 512 and the last one
+        assert len(one._known) == 1024
         computed.clear()
         assert d.valuation_or_none() is None
-        assert computed["walks"] <= 12  # 1, 2, ..., 512 and the last one
-        assert len(d._known) == 1024
+        assert computed == {}
 
     def test_batches_stop_at_the_search_bound(self, computed):
         # (1 - t + t^27 - t^28) / ((1 - t^2) / (1 + t)) is a stream equal to
@@ -1307,9 +1313,48 @@ class TestTail:
             return
         assert tail is not series and recentered is not series
         assert tail.prefix(12) == recentered.prefix(12)
-        assert (tail._bound, tail._zeros, tail._exact) == (
-            recentered._bound, recentered._zeros, recentered._exact)
+        assert (tail._bound, tail._zeros) == (recentered._bound, recentered._zeros)
+        v = ref_valuation(series.prefix(max(a, q) + 1)[1:])
+        v = None if v is None else v + 1
         if series.is_polynomial:
             assert tail.is_polynomial and tail._terms == series._terms[1:]
+        elif tail.is_polynomial:  # f[1..max(a, q)] all vanish
+            assert tail._terms == () and v is None
         else:
-            assert (tail._bound, tail._zeros, tail._exact) == ((max(a, q), q, r), 1, False)
+            # a stream tail carries its valuation, read off f[1..]
+            assert (tail._bound, tail._zeros) == ((max(a, q), q, r), v)
+
+
+def _no_force(self, n):
+    raise AssertionError(f"forced {n} coefficients")
+
+
+class TestBornWithValuation:
+    """Every series knows its valuation when it is made: ``_zeros`` is the
+    valuation of each polynomial, ratio stream and tail, a zero series is
+    the zero term polynomial, and ``valuation_or_none`` forces nothing."""
+
+    # the tail of a constant stream, which is zero, and of a unit stream
+    @example(("quotient", [F(1), F(1)], [F(1), F(1)]))
+    @example(("quotient", [F(1), F(2)], [F(1), F(1)]))
+    @example(("slope", ("quotient", [F(1), F(-1)], [F(1), F(1)]), [F(0), F(1)]))
+    @given(expressions)
+    @settings(max_examples=200, deadline=None)
+    def test_zeros_is_the_valuation(self, tree):
+        # every subexpression f and its tail f - f(0), against the rational
+        # reference (P - f(0) D, D)
+        checked = []
+        _evaluate(tree, checked)
+        made = []
+        for lazy, (p, d) in checked:
+            tail = (_padd(p, _pscale(d, -_rvalue_at_0((p, d)))), d)
+            made += [(lazy, (p, d)), (lazy._tail(), tail)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TruncatedSeries, "_force", _no_force)
+            for lazy, ref in made:
+                v = _rval(ref)
+                assert lazy.valuation_or_none() == v, tree
+                if v is None:
+                    assert lazy._terms == (), tree
+                else:
+                    assert lazy._zeros == v, tree

@@ -64,6 +64,14 @@ class TestParse:
         with pytest.raises(InvalidSymbol):
             parse_word("RXV")
 
+    @pytest.mark.parametrize("value", [["R", "V"], ("R", "V"), b"RV", 7])
+    def test_a_value_that_is_not_a_str_is_refused(self, value):
+        # a sequence of valid symbols is not a word: its record would hold
+        # the sequence, which str() and the panel cannot print
+        name = type(value).__name__
+        with pytest.raises(InvalidSymbol, match=f"^a word is a str of R, V, T; got {name}$"):
+            RvtWord(value)
+
 
 def reference_validate(symbols):
     # the rule-by-rule loop that validate_symbols falls back to
