@@ -15,6 +15,14 @@ class ParseError(MonsterTowerError):
         super().__init__(message)
 
 
+def literal_text(value, kind: str) -> str:
+    """``value`` when it is a str: a parser refuses anything else by its
+    type, before reading it."""
+    if isinstance(value, str):
+        return value
+    raise ParseError(f"a {kind} literal is a str; got {type(value).__name__}")
+
+
 # -- word errors ------------------------------------------------------------
 
 class InvalidSymbol(ParseError):

@@ -15,14 +15,14 @@ from operator import sub
 from .errors import MismatchReport
 from .puiseux import (
     PuiseuxCharacteristic,
+    _back_lambdas,
     _restricted_lambdas,
     front_chain,
     front_r_step,
-    pc_from_word_back,
     word_from_pc,
 )
 from .records import Record, _new
-from .words import RvtWord
+from .words import RvtWord, _chain_edges
 
 
 def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
@@ -94,13 +94,9 @@ def _build_proximity(w: RvtWord, mults: tuple[int, ...]) -> ProximityDiagram:
     """Diagram of ``w`` with the multiplicity sequence ``mults`` of ``w``.
 
     p_j is proximate to p_(j-1), and to p_(o-2) when it lies on a V T^tau
-    chain started at position o; edges come out sorted."""
-    edges = []
-    for j, origin in enumerate(w.chain_origins()[1:], 1):
-        if origin is not None:
-            edges.append((j, origin - 2))
-        edges.append((j, j - 1))
-    return ProximityDiagram(w.symbols, mults, tuple(edges))
+    chain started at position o (``words._chain_edges``); edges come out
+    sorted."""
+    return ProximityDiagram(w.symbols, mults, _chain_edges(w.symbols))
 
 
 class VerticalOrders(Record):
@@ -195,13 +191,18 @@ def invariant_panel(
     the lifted word, so its characteristic is the front R step applied to
     the lifted word's.
 
-    Every panel checks itself: the back recursion must agree with the front
-    one, the proximity sums must balance, and when the direct restriction
-    of the characteristic is defined it must match the Goursat-word route.
-    The direct restriction is read from ``puiseux._restricted_lambdas``, the
-    rule ``restrict_pc`` wraps, as entries or None, so no panel raises and
-    catches on its path.  A ``pc`` panel whose front chain gives back the
-    entries of ``pc`` returns ``pc`` itself as its characteristic.
+    Every panel checks itself, and validates each characteristic it
+    returns once: the checks compare raw entries with it.  The back
+    recursion's entries must equal the front ones, the proximity sums must
+    balance, and when the direct restriction of the characteristic is
+    defined its entries must equal the Goursat-word route's.  The direct
+    restriction is read from ``puiseux._restricted_lambdas``, the rule
+    ``restrict_pc`` wraps, as entries or None, so no panel raises and
+    catches on its path; where it agrees with the route it is the
+    restricted characteristic, already valid, and the route is validated
+    only where the two differ or the rule is undefined.  A ``pc`` panel
+    whose front chain gives back the entries of ``pc`` returns ``pc``
+    itself as its characteristic.
     """
     if (word is None) == (pc is None):
         raise ValueError("give exactly one of word, pc")
@@ -214,14 +215,20 @@ def invariant_panel(
         front = pc
     else:
         front = PuiseuxCharacteristic(lambdas)
-    back = pc_from_word_back(w)
-    if front != back:
-        raise MismatchReport(f"recursions disagree on {w}: {front} vs {back}")
+    back = _back_lambdas(w.symbols.rstrip("R"))
+    if back != lambdas:
+        raise MismatchReport(f"recursions disagree on {w}: {front} vs "
+                             f"{PuiseuxCharacteristic(back)}")
     if pc is not None and front is not pc:
         raise MismatchReport(f"CW({pc}) = {w} has characteristic {front}")
     goursat = w.goursat_word()
-    restricted = front if goursat is w else PuiseuxCharacteristic(front_r_step(lifted))
-    direct = _restricted_lambdas(front.lambdas)
+    direct = _restricted_lambdas(lambdas)
+    if goursat is w:
+        restricted = front
+    else:
+        route = front_r_step(lifted)
+        restricted = (_new(PuiseuxCharacteristic, (direct,)) if direct == route
+                      else PuiseuxCharacteristic(route))
     if direct is not None and direct != restricted.lambdas:
         raise MismatchReport(f"restriction mismatch on {w}: {PuiseuxCharacteristic(direct)} "
                              f"vs Goursat route {restricted}")

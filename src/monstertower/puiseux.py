@@ -39,9 +39,10 @@ from .errors import (
     ParseError,
     RemainderInvalid,
     TrivialCharacteristic,
+    literal_text,
 )
 from .records import Record, _new
-from .words import RvtWord, _split_pq, is_entirely_critical
+from .words import RvtWord, _split_pq, _word_text, is_entirely_critical
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
 
@@ -87,6 +88,15 @@ class PuiseuxCharacteristic(Record):
 
     def __iter__(self):
         return iter(self.lambdas)
+
+
+def _entries(pc: PuiseuxCharacteristic) -> tuple[int, ...]:
+    """The entries of ``pc``; a value that is not a PuiseuxCharacteristic
+    is refused by its type."""
+    if isinstance(pc, PuiseuxCharacteristic):
+        return pc.lambdas
+    raise InvalidCharacteristic(f"expected a PuiseuxCharacteristic, got {type(pc).__name__}; "
+                                "parse text with parse_pc")
 
 
 def _integral_entries(values: tuple) -> tuple[int, ...]:
@@ -160,10 +170,11 @@ class CaseTag(Record):
 
 def parse_pc(text: str) -> PuiseuxCharacteristic:
     """Parse ``[27;63,83]``; the trivial characteristic is ``[1;]``."""
-    m = _PC_RE.fullmatch(text.strip())
+    m = _PC_RE.fullmatch(literal_text(text, "characteristic").strip())
     if m is None:
         raise ParseError(f"bad characteristic literal {text!r}")
-    return PuiseuxCharacteristic((int(m.group(1)), *map(int, re.findall(r"\d+", m.group(2)))))
+    head, tail = m.groups()  # int() strips the spaces the pattern allows
+    return PuiseuxCharacteristic((int(head), *map(int, tail.split(",") if tail else ())))
 
 
 def essential_characteristic(leading: int, exponents) -> PuiseuxCharacteristic:
@@ -244,7 +255,7 @@ def pc_from_word_front(word: RvtWord | str) -> PuiseuxCharacteristic:
 def classify_case(pc: PuiseuxCharacteristic) -> CaseTag:
     """Which front block the characteristic forces: A iff ``_is_restricted``,
     B when the gap divides lambda_0, C otherwise (with the matching tau)."""
-    lam = pc.lambdas
+    lam = _entries(pc)
     if len(lam) == 1:  # [1;], the one valid characteristic with g = 0
         raise TrivialCharacteristic("[1;] determines no leading case")
     if _is_restricted(lam):
@@ -273,13 +284,13 @@ def peel_case(pc: PuiseuxCharacteristic) -> tuple[CaseTag, PuiseuxCharacteristic
 # -- back-end recursion ---------------------------------------------------------
 
 
-def e_value(symbols: str) -> EPair:
+def e_value(symbols: RvtWord | str) -> EPair:
     """The E map on strings R^rho Q with Q entirely critical.
 
     E(empty) = [1;2]; prepending T or R sends [a;b] to [a;a+b], prepending V
     sends it to [b;a+b].
     """
-    s = str(symbols)
+    s = symbols if isinstance(symbols, str) else _word_text(symbols)
     first_v = s.find("V")
     head = s if first_v < 0 else s[:first_v]
     tail = "" if first_v < 0 else s[first_v:]
@@ -362,7 +373,7 @@ def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
     block or run far past any allocation, so building it fails at once.
     """
     try:
-        return RvtWord(_cw_string(pc.lambdas))
+        return RvtWord(_cw_string(_entries(pc)))
     except (OverflowError, MemoryError):
         _check_index_range(pc, length := cw_length(pc))
         raise MemoryError(f"CW({pc}) has {length} symbols") from None
@@ -399,7 +410,7 @@ def _cw_string(lam: tuple[int, ...]) -> str:
 def cw_length(pc: PuiseuxCharacteristic) -> int:
     """len(word_from_pc(pc)) without building the word: R^k and the T runs
     of each block, plus the V's between its runs."""
-    return sum(k + sum(runs) + len(runs) - 1 for k, runs in _cw_blocks(pc.lambdas))
+    return sum(k + sum(runs) + len(runs) - 1 for k, runs in _cw_blocks(_entries(pc)))
 
 
 def _check_index_range(pc: PuiseuxCharacteristic, length: int) -> None:
@@ -445,7 +456,7 @@ def word_from_pc_front_inverse(pc: PuiseuxCharacteristic) -> RvtWord:
 
 def is_restricted(pc: PuiseuxCharacteristic) -> bool:
     """lambda_1 > 2*lambda_0, vacuously true for [1;] (``_is_restricted``)."""
-    return _is_restricted(pc.lambdas)
+    return _is_restricted(_entries(pc))
 
 
 def _is_restricted(lam: tuple[int, ...]) -> bool:
@@ -463,7 +474,7 @@ def restrict_pc(pc: PuiseuxCharacteristic) -> PuiseuxCharacteristic:
     rule itself is ``_restricted_lambdas``, which the invariant panel reads
     directly, so a panel raises nothing where this raises.
     """
-    lam = pc.lambdas
+    lam = _entries(pc)
     out = _restricted_lambdas(lam)
     if out is lam:
         return pc

@@ -87,7 +87,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd
 
-from .errors import IndeterminateValuation, NegativeValuation, ParseError
+from .errors import IndeterminateValuation, NegativeValuation, ParseError, literal_text
 
 # a coefficient: an integer or a fraction p/q, spaces allowed around the /
 _COEFF = r"\d+(?:\s*/\s*\d+)?"
@@ -566,7 +566,7 @@ def parse_series(text: str) -> TruncatedSeries:
     ``+`` before a negative term is that term, as ``CurveSpec`` prints it.
     Whitespace is insignificant.  Example: ``7/5*t^2 + t^3 + -1/2*t^5``.
     """
-    stripped = text.strip()
+    stripped = literal_text(text, "series").strip()
     if not stripped:
         raise ParseError("empty series literal", 0)
     chunks = re.split(r"(?<!\^)(?=[+-])", stripped)  # a sign after ^ is in its term

@@ -53,6 +53,7 @@ from .errors import (
     MaxLevelExceeded,
     NonPrimitiveParameterization,
     ParseError,
+    literal_text,
 )
 from .invariants import VerticalOrders
 from .records import Record, _new
@@ -554,7 +555,7 @@ def parse_curve_trace(text: str) -> LiftTrace:
     rebuilt by integration, and the k-level check trace of the rebuild
     (``chart_data_trace``) is returned.  Fields are comma separated.
     """
-    body = text.strip()
+    body = literal_text(text, "curve").strip()
     if body.startswith("@level"):
         parts = body.split(None, 2)
         if len(parts) < 3:

@@ -6,11 +6,12 @@ stored without trailing R padding semantics attached; ``normalize`` trims
 trailing R's, which changes none of the invariants computed from a word.
 
 Three readings of a word that the other modules build on are made here and
-nowhere else: the V T^tau chain through each position (``chain_origins``,
-which gives the proximity edges and the level split), the Goursat word
-(``goursat_word``, R followed by the lifted word when the second symbol is
-V) and the split P R^rho Q of a critical word (``decompose``, and the back
-recursion of the Puiseux characteristic through ``_split_pq``).
+nowhere else: the V T^tau chain through each position (``_chain_edges``,
+which gives the proximity edges, and ``chain_origins``, read off them for
+the level split), the Goursat word (``goursat_word``, R followed by the
+lifted word when the second symbol is V) and the split P R^rho Q of a
+critical word (``decompose``, and the back recursion of the Puiseux
+characteristic through ``_split_pq``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     LevelOutOfRange,
     NotCritical,
     OrphanT,
+    literal_text,
 )
 from .records import Record, _new
 
@@ -42,7 +44,7 @@ def validate_symbols(symbols: str) -> None:
     ):
         return
     if not isinstance(symbols, str):
-        raise InvalidSymbol(f"a word is a str of R, V, T; got {type(symbols).__name__}")
+        raise _not_a_word(symbols)
     for i, ch in enumerate(symbols):
         if ch not in ALPHABET:
             raise InvalidSymbol(f"symbol {ch!r} is not one of R, V, T", i)
@@ -51,6 +53,18 @@ def validate_symbols(symbols: str) -> None:
     for i in range(1, len(symbols)):
         if symbols[i] == "T" and symbols[i - 1] not in "VT":
             raise OrphanT("T must immediately follow V or T", i)
+
+
+def _not_a_word(value) -> InvalidSymbol:
+    return InvalidSymbol(f"a word is a str of R, V, T; got {type(value).__name__}")
+
+
+def _word_text(symbols) -> str:
+    """The symbols of a word argument that is not a str (callers take a
+    str as it is): an RvtWord's, and anything else is refused by its type."""
+    if isinstance(symbols, RvtWord):
+        return symbols.symbols
+    raise _not_a_word(symbols)
 
 
 def lift_string(s: str) -> str:
@@ -64,15 +78,15 @@ def lift_string(s: str) -> str:
     return s
 
 
-def is_critical(symbols) -> bool:
+def is_critical(symbols: RvtWord | str) -> bool:
     """Last symbol is V or T."""
-    s = str(symbols)
+    s = symbols if isinstance(symbols, str) else _word_text(symbols)
     return bool(s) and s[-1] in "VT"
 
 
-def is_entirely_critical(symbols) -> bool:
+def is_entirely_critical(symbols: RvtWord | str) -> bool:
     """Every symbol is V or T (vacuously true for the empty string)."""
-    s = str(symbols)
+    s = symbols if isinstance(symbols, str) else _word_text(symbols)
     return all(ch in "VT" for ch in s)
 
 
@@ -169,10 +183,12 @@ class RvtWord(Record):
 
     def chain_origins(self) -> tuple[int | None, ...]:
         """For each position (1-indexed entries, index 0 unused as None):
-        the level at which the V/T chain through it started."""
-        origins: list[int | None] = [None]
-        for pos, ch in enumerate(self.symbols, 1):
-            origins.append(pos if ch == "V" else origins[-1] if ch == "T" else None)
+        the level at which the V/T chain through it started, read off the
+        chain edges (``_chain_edges``)."""
+        origins: list[int | None] = [None] * (len(self.symbols) + 1)
+        for j, i in _chain_edges(self.symbols):
+            if i != j - 1:
+                origins[j] = i + 2
         return tuple(origins)
 
     def split_at_level(self, k: int) -> tuple["RvtWord", "RvtWord"]:
@@ -196,17 +212,26 @@ class RvtWord(Record):
         return RvtWord(self.symbols[:k]), RvtWord("".join(tail))
 
 
+def _chain_edges(s: str) -> tuple[tuple[int, int], ...]:
+    """The V T^tau chain rule in one walk, as proximity edges sorted by
+    position: position j (1-indexed) gets (j, o - 2) when it lies on the
+    chain that a V at position o started, then (j, j - 1)."""
+    edges = []
+    origin = None
+    for j, ch in enumerate(s, 1):
+        origin = j if ch == "V" else origin if ch == "T" else None
+        if origin is not None:
+            edges.append((j, origin - 2))
+        edges.append((j, j - 1))
+    return tuple(edges)
+
+
 def _split_pq(s: str) -> tuple[int, int]:
     """Cut points (r, q) of a valid critical string s = P R^rho Q: Q = s[q:]
     is the maximal trailing V/T block, R^rho = s[r:q] the run before it and
     P = s[:r], empty or critical."""
-    q = len(s)
-    while q and s[q - 1] != "R":
-        q -= 1
-    r = q
-    while r and s[r - 1] == "R":
-        r -= 1
-    return r, q
+    q = len(s.rstrip("VT"))
+    return len(s[:q].rstrip("R")), q
 
 
 class WordDecomposition(Record):
@@ -231,7 +256,7 @@ class WordDecomposition(Record):
 
 def parse_word(text: str) -> RvtWord:
     """Parse a word literal: uppercase R/V/T, no separators."""
-    return RvtWord(text.strip())
+    return RvtWord(literal_text(text, "word").strip())
 
 
 def enumerate_words(max_len: int, min_len: int = 1):

@@ -252,6 +252,76 @@ class TestPanel:
                                  r"vs Goursat route \[4;11\]$"):
             invariant_panel(word="RVTVV")
 
+    def test_a_seeded_back_recursion_fault_is_reported(self, monkeypatch):
+        # the panel compares the back recursion's entries with the front
+        # ones; a wrong back tuple that is still a valid characteristic is
+        # built only to name it in the report
+        from monstertower import invariants
+        from monstertower.errors import MismatchReport
+
+        monkeypatch.setattr(invariants, "_back_lambdas", lambda s: (5, 11))
+        with pytest.raises(MismatchReport,
+                           match=r"^recursions disagree on RVTVV: \[8;11\] vs \[5;11\]$"):
+            invariant_panel(word="RVTVV")
+
+    def test_an_invalid_back_tuple_is_an_invalid_characteristic(self, monkeypatch):
+        from monstertower import invariants
+        from monstertower.errors import InvalidCharacteristic
+
+        monkeypatch.setattr(invariants, "_back_lambdas", lambda s: (4, 8))
+        with pytest.raises(InvalidCharacteristic, match=r"^8 is inessential in \(4, 8\)$"):
+            invariant_panel(word="RVTVV")
+
+    def test_an_invalid_goursat_route_is_an_invalid_characteristic(self, monkeypatch):
+        # the route differs from the direct restriction [3;11], so it is
+        # validated, and fails before the two are compared
+        from monstertower import invariants
+        from monstertower.errors import InvalidCharacteristic
+
+        monkeypatch.setattr(invariants, "front_r_step", lambda lifted: (4, 8))
+        with pytest.raises(InvalidCharacteristic, match=r"^8 is inessential in \(4, 8\)$"):
+            invariant_panel(word="RVTVV")
+
+    @pytest.mark.parametrize(
+        "kind,text,validated",
+        [
+            # the front entries only: the back entries equal them, and a
+            # second symbol R makes the characteristic its own restriction
+            ("word", "RRVTRRRVTTTV", 1),
+            # the front entries and the direct remainder, which the Goursat
+            # route then equals
+            ("word", "RVTTVRV", 2),
+            ("word", "RVTVV", 2),
+            # the front chain gives back the entries of pc, which is returned
+            ("pc", "[27;63,83]", 0),
+            # the remainder 2 is invalid, so the route is validated
+            ("pc", "[6;8,9]", 2),
+        ],
+    )
+    def test_characteristic_validations_per_panel(self, monkeypatch, kind, text, validated):
+        from monstertower import puiseux
+
+        calls = []
+        original = puiseux._is_valid
+
+        def counting(lam):
+            calls.append(lam)
+            return original(lam)
+
+        arg = RvtWord(text) if kind == "word" else parse_pc(text)
+        monkeypatch.setattr(puiseux, "_is_valid", counting)
+        invariant_panel(**{kind: arg})
+        assert len(calls) == validated, calls
+
+    def test_a_value_that_is_not_a_characteristic_is_refused(self):
+        from monstertower.errors import InvalidCharacteristic
+
+        for value in ("[3;7]", (3, 7)):
+            with pytest.raises(InvalidCharacteristic,
+                               match=r"^expected a PuiseuxCharacteristic, got \w+; "
+                                     r"parse text with parse_pc$"):
+                invariant_panel(pc=value)
+
     def test_a_pc_panel_returns_its_characteristic(self):
         pc = parse_pc("[27;63,83]")
         assert invariant_panel(pc=pc).pc is pc

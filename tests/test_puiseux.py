@@ -15,6 +15,7 @@ from monstertower.errors import (
     LeadingNonR,
     NotCoprime,
     OrphanT,
+    ParseError,
     RemainderInvalid,
     TrivialCharacteristic,
 )
@@ -71,6 +72,29 @@ class TestCharacteristicType:
     def test_parse_and_str(self):
         assert str(PC("[27;63,83]")) == "[27;63,83]"
         assert PC("[1;]") == TRIVIAL_PC
+
+    @pytest.mark.parametrize(
+        "text,expect",
+        [("[ 27 ; 63 , 83 ]", (27, 63, 83)), ("[1; ]", (1,)), (" [1;] ", (1,)),
+         ("[2;\t3]", (2, 3))],
+    )
+    def test_parse_allows_spaces_around_entries(self, text, expect):
+        assert parse_pc(text).lambdas == expect
+
+    def test_a_literal_that_is_not_a_str_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^a characteristic literal is a str; got int$"):
+            parse_pc(123)
+
+    @pytest.mark.parametrize("value", ["[3;7]", (3, 7)])
+    def test_a_value_that_is_not_a_characteristic_is_refused(self, value):
+        name = type(value).__name__
+        entries = [word_from_pc, cw_length, restrict_pc, is_restricted, classify_case,
+                   peel_case, word_from_pc_front_inverse]
+        for entry in entries:
+            with pytest.raises(InvalidCharacteristic,
+                               match=f"^expected a PuiseuxCharacteristic, got {name}; "
+                                     f"parse text with parse_pc$"):
+                entry(value)
 
     @pytest.mark.parametrize(
         "bad",
@@ -270,6 +294,15 @@ class TestEMap:
             e_value("RVRV")
         with pytest.raises(MalformedString):
             e_value("TV")
+
+    def test_a_word_record_is_read_through_its_symbols(self):
+        assert e_value(RvtWord("RVT")) == EPair(3, 7)
+
+    @pytest.mark.parametrize("value", [["V"], b"V", 7])
+    def test_a_value_that_is_not_a_word_is_refused(self, value):
+        name = type(value).__name__
+        with pytest.raises(InvalidSymbol, match=f"^a word is a str of R, V, T; got {name}$"):
+            e_value(value)
 
     def test_base_identity(self):
         # PC(R^rho Q) = E(R^(rho-1) Q) for entirely critical Q

@@ -334,6 +334,10 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_series(bad)
 
+    def test_a_literal_that_is_not_a_str_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^a series literal is a str; got int$"):
+            parse_series(123)
+
     @pytest.mark.parametrize(
         "bad,message",
         [

@@ -465,6 +465,11 @@ class TestErrors:
         with pytest.raises(NonPrimitiveParameterization, match="share the factor 2;"):
             CurveGerm.from_series(parse_series("t^2"), parse_series("t^4"))
 
+    def test_a_literal_that_is_not_a_str_is_a_parse_error(self):
+        for parse in (parse_curve, parse_curve_trace):
+            with pytest.raises(ParseError, match="^a curve literal is a str; got int$"):
+                parse(123)
+
     def test_max_level(self):
         with pytest.raises(MaxLevelExceeded):
             lift_trace(germ(QUINTIC), max_level=2)

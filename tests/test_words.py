@@ -20,6 +20,7 @@ from monstertower.words import (
     is_critical,
     is_entirely_critical,
     parse_word,
+    _split_pq,
     validate_symbols,
 )
 
@@ -71,6 +72,10 @@ class TestParse:
         name = type(value).__name__
         with pytest.raises(InvalidSymbol, match=f"^a word is a str of R, V, T; got {name}$"):
             RvtWord(value)
+
+    def test_a_literal_that_is_not_a_str_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^a word literal is a str; got int$"):
+            parse_word(123)
 
 
 def reference_validate(symbols):
@@ -231,6 +236,21 @@ class TestDecompose:
             if w.is_critical():
                 assert w.decompose().reconstruct() == w
 
+    def test_cut_points_match_the_two_loops(self):
+        def reference(s):
+            # the cut walked one character at a time
+            q = len(s)
+            while q and s[q - 1] != "R":
+                q -= 1
+            r = q
+            while r and s[r - 1] == "R":
+                r -= 1
+            return r, q
+
+        for w in enumerate_words(12):
+            if w.is_critical():
+                assert _split_pq(w.symbols) == reference(w.symbols), w.symbols
+
 
 class TestSplitAtLevel:
     def test_mid_chain_cut(self):
@@ -246,6 +266,18 @@ class TestSplitAtLevel:
     def test_out_of_range(self):
         with pytest.raises(LevelOutOfRange):
             parse_word("RV").split_at_level(3)
+
+    def test_chain_origins_match_the_walk_over_symbols(self):
+        def reference(s):
+            # the origin carried along the symbols: a V starts a chain, a T
+            # continues it, an R ends it
+            origins = [None]
+            for pos, ch in enumerate(s, 1):
+                origins.append(pos if ch == "V" else origins[-1] if ch == "T" else None)
+            return tuple(origins)
+
+        for w in enumerate_words(10, min_len=0):
+            assert w.chain_origins() == reference(w.symbols), w.symbols
 
     def test_splits_are_valid_words(self):
         for w in enumerate_words(8):
@@ -264,6 +296,19 @@ class TestPredicates:
     def test_empty(self):
         assert not is_critical("")
         assert is_entirely_critical("")
+
+    def test_a_word_record_is_read_through_its_symbols(self):
+        assert is_critical(RvtWord("RV")) and not is_critical(RvtWord("RVR"))
+        assert is_entirely_critical(RvtWord("")) and not is_entirely_critical(RvtWord("RV"))
+
+    @pytest.mark.parametrize("value", [["R", "V"], ("V",), b"RV", 7])
+    def test_a_value_that_is_not_a_word_is_refused(self, value):
+        # str() of these is no word: str(["R", "V"]) ends in "]", not V
+        name = type(value).__name__
+        for predicate in (is_critical, is_entirely_critical):
+            with pytest.raises(InvalidSymbol,
+                               match=f"^a word is a str of R, V, T; got {name}$"):
+                predicate(value)
 
 
 class TestCounting:
