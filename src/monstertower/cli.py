@@ -6,7 +6,10 @@ overrides MONSTERTOWER_FORMAT and MONSTERTOWER_MAX_LEVEL.  Series have an
 exact zero test, so no setting decides a valuation; --precision N is
 accepted and ignored.  Exit codes: 0 success, 1 input error (or output
 closed by the reader), 2 internal consistency mismatch, so CI can gate on
-the invariants.
+the invariants.  A refusal is raised, and ``main`` alone prints it: one
+line ``error: <message>`` for exit 1 (after the usage line, which the
+parser prints, for a usage error) and ``consistency mismatch: <message>``
+for exit 2.
 
 Every command is deterministic: identical invocations produce byte-identical
 output.  Rationals are serialized as "p/q" strings in JSON.
@@ -75,11 +78,11 @@ def _format(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors (exit 1), not consistency mismatches
+    # usage problems are input errors (exit 1), not consistency mismatches:
+    # the usage line is printed here, the message by main
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,9 +195,7 @@ def _cmd_pc(args) -> int:
     pc = parse_pc(args.text)
     length = cw_length(pc)
     if length > PC_WORD_BOUND:
-        print(f"error: CW({pc}) has {length} symbols, above the pc bound {PC_WORD_BOUND}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError(f"CW({pc}) has {length} symbols, above the pc bound {PC_WORD_BOUND}")
     panel = invariant_panel(pc=pc)
     return _emit(args, panel.to_json_dict, panel.to_text, panel.proximity.to_dot)
 
@@ -303,16 +304,9 @@ ENUMERATION_BOUND = 14
 PC_WORD_BOUND = 100_000
 
 
-def _over_enumeration_bound(max_len: int) -> bool:
-    if max_len > ENUMERATION_BOUND:
-        print(f"enumeration bound is {ENUMERATION_BOUND}", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_enumerate(args) -> int:
-    if _over_enumeration_bound(args.max_len):
-        return EXIT_INPUT
+    if args.max_len > ENUMERATION_BOUND:
+        raise ParseError(f"enumeration bound is {ENUMERATION_BOUND}")
     words = list(enumerate_words(args.max_len))
     counts = {n: count_words(n) for n in range(1, args.max_len + 1)}
     found = _run_word_checks(args.check, words)  # a suite named twice runs once
@@ -391,8 +385,8 @@ def _cmd_check(args) -> int:
     from .blowup import cross_check
     from .corpus import DEFAULT_SEED, generate_corpus
 
-    if _over_enumeration_bound(args.max_len):
-        return EXIT_INPUT
+    if args.max_len > ENUMERATION_BOUND:
+        raise ParseError(f"enumeration bound is {ENUMERATION_BOUND}")
     words = list(enumerate_words(args.max_len))
     found = _run_word_checks(WORD_SUITES, words)
     failures = [f for name in WORD_SUITES for f in found[name]]
@@ -442,13 +436,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _fill_defaults(args)
         if args.format == "dot" and not _has_dot_form(args):
-            print("no DOT form for this command", file=sys.stderr)
-            return EXIT_INPUT
+            raise ParseError("no DOT form for this command")
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
-    except SystemExit as exc:  # from the parser only
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except SystemExit:  # --help: the parser's one exit
+        return EXIT_OK
     except BrokenPipeError:
         # The reader closed the pipe (``| head``): stop without a traceback,
         # and point stdout at devnull so the flush at exit cannot fail again.

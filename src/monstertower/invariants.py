@@ -28,7 +28,7 @@ from .words import RvtWord, _chain_edges
 def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
     """Leading characteristic entries down the lift chain: entry j is the
     multiplicity of the j-fold lift, for j = 0..len(word)."""
-    w = word if isinstance(word, RvtWord) else RvtWord(str(word))
+    w = word if isinstance(word, RvtWord) else RvtWord(word)
     return front_chain(w)[0]
 
 
@@ -86,7 +86,7 @@ class ProximityDiagram(Record):
 
 
 def proximity_diagram(word: RvtWord | str) -> ProximityDiagram:
-    w = word if isinstance(word, RvtWord) else RvtWord(str(word))
+    w = word if isinstance(word, RvtWord) else RvtWord(word)
     return _build_proximity(w, multiplicity_sequence(w))
 
 
@@ -209,7 +209,7 @@ def invariant_panel(
     if word is None:
         w = word_from_pc(pc)
     else:
-        w = word if isinstance(word, RvtWord) else RvtWord(str(word))
+        w = word if isinstance(word, RvtWord) else RvtWord(word)
     multiplicities, lambdas, lifted = front_chain(w)
     if pc is not None and pc.lambdas == lambdas:
         front = pc

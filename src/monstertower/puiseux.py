@@ -220,7 +220,7 @@ def front_chain(word: RvtWord | str) -> tuple[tuple[int, ...], ...]:
     meets V; anything else is an A step.  Each level is O(1) on the head and
     the tail stored minus a running offset: O(len(word)) time and memory.
     """
-    s = word.symbols if isinstance(word, RvtWord) else RvtWord(str(word)).symbols
+    s = word.symbols if isinstance(word, RvtWord) else RvtWord(word).symbols
     mults = [1] * (len(s) + 1)
     head, tail, off, lifted = 1, [], 0, (1,)  # tail: last entry first
     last_v = s.rfind("V")
@@ -311,7 +311,7 @@ def _e_pair(s: str) -> tuple[int, int]:
 
 def pc_from_word_back(word: RvtWord | str) -> PuiseuxCharacteristic:
     """Back-end recursion via the decomposition W = P R^rho Q."""
-    s = word.symbols if isinstance(word, RvtWord) else RvtWord(str(word)).symbols
+    s = word.symbols if isinstance(word, RvtWord) else RvtWord(word).symbols
     return PuiseuxCharacteristic(_back_lambdas(s.rstrip("R")))
 
 

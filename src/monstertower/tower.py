@@ -42,7 +42,6 @@ both regularity tests: that order is the retained coordinate's.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
@@ -72,10 +71,9 @@ class CoordName(Record):
         return _new(cls, (base, order))
 
     def bump(self) -> "CoordName":
-        names = _BUMPED[self.__class__]
-        name = names.get(self)
+        name = _BUMPED.get(self)
         if name is None:
-            name = names[self] = type(self)(self.base, self.order + 1)
+            name = _BUMPED[self] = type(self)(self.base, self.order + 1)
         return name
 
     def __str__(self) -> str:
@@ -86,9 +84,10 @@ class CoordName(Record):
         return f"{self.base}^({self.order})"
 
 
-# per class, a name -> the shared name one order up; a class of its own keeps
-# CoordName and BlowupName, whose values hash alike, from meeting in a lookup
-_BUMPED: defaultdict[type, dict] = defaultdict(dict)
+# a name -> the shared name one order up.  A CoordName and a BlowupName with
+# equal fields hash alike but are not equal (records of two classes never
+# are), so one table serves both classes.
+_BUMPED: dict = {}
 _X, _Y = CoordName("x", 0), CoordName("y", 0)
 
 

@@ -9,8 +9,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/cli_sweep.py > tests/data/cli_sweep.txt
     PYTHONPATH=src python tests/cli_sweep.py --check
 
-The first form writes the digest; ``--check`` reruns every command and
-exits 1 naming the first command whose line differs from the committed one.
+The first form writes the digest; ``--check`` reruns every command, prints
+each command whose line differs from the committed one with both lines,
+then their count, and exits 1 if there is any.
 
 The digest is the one owner of the CLI's expected output: no CI step
 repeats its commands or greps their output.  CI runs ``--check`` against
@@ -33,7 +34,8 @@ The list is:
   empty word included, and ``pc`` of each of their characteristics, in
   every form the command has (text, JSON and, but for ``lift-preimages``,
   DOT);
-- the forms and exits the lists above miss (``FORM_COMMANDS``).
+- the forms and exits the lists above miss (``FORM_COMMANDS``);
+- each refusal of the curve and pc grammars (``GRAMMAR_REFUSALS``).
 
 Lines are only appended, so a new command moves no committed line.  Every
 ``MONSTERTOWER_*`` variable is unset and the terminal width is fixed at 80
@@ -220,6 +222,22 @@ FORM_COMMANDS = (
     ("curve", "x=t^5, y=t^7", "--engine", "blowup", "--format", "dot"),
 )
 
+# Each refusal of the curve and pc grammars: a bad chart path, level or
+# field list, a repeated or missing coordinate, and a cut characteristic.
+GRAMMAR_REFUSALS = (
+    ("curve", "@level 2 chart=ox, r=t, n=t"),
+    ("curve", "@level 1 chart=i, r=t, n=t"),
+    ("curve", "@level 2 chart=oi, r=t, n=t, constants=0,0"),
+    ("curve", "@level 2"),
+    ("curve", "@level x chart=o, r=t, n=t"),
+    ("curve", "@level 3 chart=oi, r=t, n=t"),
+    ("curve", "@level 2 chart=oi, r=t"),
+    ("curve", "x=t^2, t^3"),
+    ("curve", "x=t, x=t^2, y=t"),
+    ("curve", "x=t^2"),
+    ("pc", "[3;"),
+)
+
 
 def chart_inputs(count: int, seed: int) -> list[str]:
     """``@level`` chart inputs: a path of length 1 to 6 that starts with o,
@@ -247,7 +265,7 @@ def commands() -> list[tuple[str, ...]]:
     out += [("curve", text, *form)
             for text in chart_inputs(300, CHART_SEED) for form in CHART_FORMS]
     return (out + list(EDGE_COMMANDS) + list(KNOWN_FAULTS) + word_layer()
-            + list(FORM_COMMANDS))
+            + list(FORM_COMMANDS) + list(GRAMMAR_REFUSALS))
 
 
 def _shown(arg: str) -> str:
@@ -285,12 +303,16 @@ def check() -> int:
     if len(expected) != len(argvs):
         print(f"{DIGEST.name} has {len(expected)} lines, the sweep {len(argvs)} commands")
         return 1
+    changed = 0
     for argv, want in zip(argvs, expected):
         got = digest_line(argv)
         if got != want:
+            changed += 1
             print(f"changed: {' '.join(_shown(a) for a in argv)}\n"
                   f"  committed {want}\n  now       {got}")
-            return 1
+    if changed:
+        print(f"{changed} of {len(argvs)} commands changed")
+        return 1
     print(f"{len(argvs)} commands, all unchanged")
     return 0
 

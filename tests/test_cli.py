@@ -401,7 +401,7 @@ class TestCheck:
     def test_max_len_has_the_enumeration_bound(self, capsys):
         code, out, err = run(capsys, "check", "--max-len", "15")
         assert code == 1 and out == ""
-        assert err == "enumeration bound is 14\n"
+        assert err == "error: enumeration bound is 14\n"
 
     @pytest.mark.parametrize("argv,env", [(("--max-level", "1"), None), ((), "1")])
     def test_max_level_reaches_the_corpus(self, capsys, monkeypatch, argv, env):
@@ -554,7 +554,7 @@ class TestDotRefusedUpFront:
             monkeypatch.setenv("MONSTERTOWER_FORMAT", "dot")
         else:
             argv = ("--format", "dot", *argv)
-        assert run(capsys, *argv) == (1, "", "no DOT form for this command\n")
+        assert run(capsys, *argv) == (1, "", "error: no DOT form for this command\n")
 
 
 class TestOnlyTheAskedFormIsBuilt:
@@ -605,6 +605,16 @@ class TestInputValidation:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert f"error: argument {message}\n" in err
+
+    def test_usage_error_prints_the_usage_then_one_error_line(self, capsys):
+        code, out, err = run(capsys, "word")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: monstertower word ") and err.count("error: ") == 1
+        assert err.endswith("\nerror: the following arguments are required: text\n")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == "" and out.startswith("usage: monstertower ")
 
     @pytest.mark.parametrize("engine", ["both", "blowup"])
     def test_level_needs_the_nash_engine(self, capsys, engine):

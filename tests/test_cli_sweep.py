@@ -4,8 +4,9 @@
 every command that ``cli_sweep.commands()`` lists, is pinned by
 ``tests/data/cli_sweep.txt``.  ``tests/cli_sweep.py --check`` reruns the
 whole digest (CI runs it against the installed package); this replays about
-160 of its lines: every known fault (the engine disagreements and covers,
-whose messages print the germ's series) and every 25th other command that
+175 of its lines: every known fault (the engine disagreements and covers,
+whose messages print the germ's series), every refusal of the curve and pc
+grammars, and every 25th other command that
 neither enumerates nor runs the consistency suite, so a change of one
 output byte in the engines, the word layer or the formatting shows here
 too.  A last test reads the command list alone and checks that it reaches
@@ -24,11 +25,11 @@ def sample():
     lines = cli_sweep.DIGEST.read_text().splitlines()
     argvs = cli_sweep.commands()
     assert len(lines) == len(argvs)
-    faults = set(cli_sweep.KNOWN_FAULTS)
+    pinned = set(cli_sweep.KNOWN_FAULTS) | set(cli_sweep.GRAMMAR_REFUSALS)
     pairs = list(zip(argvs, lines))
     others = [(argv, line) for argv, line in pairs
-              if argv not in faults and not {"enumerate", "check"} & set(argv)]
-    return others[::25] + [(argv, line) for argv, line in pairs if argv in faults]
+              if argv not in pinned and not {"enumerate", "check"} & set(argv)]
+    return others[::25] + [(argv, line) for argv, line in pairs if argv in pinned]
 
 
 @pytest.fixture

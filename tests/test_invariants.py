@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monstertower import invariants
 from monstertower.invariants import (
     ProximityDiagram,
     invariant_panel,
@@ -12,8 +13,9 @@ from monstertower.invariants import (
     restricted_vertical_orders,
     vertical_orders,
 )
-from monstertower.puiseux import parse_pc, pc_from_word_front
+from monstertower.puiseux import parse_pc, pc_from_word_back, pc_from_word_front
 from monstertower.words import RvtWord, enumerate_words, parse_word
+from panel_sweep import conductor, noether_sum
 
 
 class TestMultiplicitySequence:
@@ -42,6 +44,39 @@ class TestMultiplicitySequence:
             assert len(m) == len(w) + 1
             assert all(a >= b for a, b in zip(m, m[1:]))
             assert m[-1] == 1
+
+
+class TestConductorIdentity:
+    """Noether's formula: the sum of m(m - 1) over the multiplicity sequence
+    is Zariski's conductor of the characteristic.  The characteristic comes
+    from the back recursion, which shares no code with the front walk that
+    gives the multiplicities."""
+
+    @staticmethod
+    def failures(words):
+        return [w.symbols for w in words
+                if noether_sum(multiplicity_sequence(w)) != conductor(pc_from_word_back(w))]
+
+    def test_worked_example(self):
+        # (8, 3, 3, 2, 1, 1): 56 + 6 + 6 + 2; [8;11]: (8 - 1) * 11 - 8 + 1
+        assert noether_sum(multiplicity_sequence("RVTVV")) == 70
+        assert conductor(parse_pc("[8;11]")) == 70
+        assert conductor(parse_pc("[1;]")) == 0
+
+    def test_every_critical_word_to_length_12(self):
+        words = [w for w in enumerate_words(12) if w.is_critical()]
+        assert len(words) == 28656 and self.failures(words) == []
+
+    def test_a_seeded_wrong_multiplicity_fails(self, monkeypatch):
+        front_chain = invariants.front_chain
+
+        def wrong(word):
+            mults, lambdas, lifted = front_chain(word)
+            return (mults[0], mults[1] + 1, *mults[2:]), lambdas, lifted
+
+        monkeypatch.setattr(invariants, "front_chain", wrong)
+        words = [w for w in enumerate_words(6) if w.is_critical()]
+        assert self.failures(words) == [w.symbols for w in words]
 
 
 class TestProximityDiagram:

@@ -2,6 +2,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from monstertower.invariants import (
     vertical_orders,
 )
 from monstertower.puiseux import (
+    CaseTag,
     EPair,
     PuiseuxCharacteristic,
     TRIVIAL_PC,
@@ -60,6 +62,9 @@ WORKED_CHAIN = {
     "RVTRRRVTTTV": "[27;36,56]",
     "RRVTRRRVTTTV": "[27;63,83]",
 }
+# every public entry that takes a word
+WORD_ENTRIES = (front_chain, pc_from_word_front, pc_from_word_back, multiplicity_sequence,
+                proximity_diagram, vertical_orders, lambda w: invariant_panel(word=w))
 FOUR_WORD_FAMILY = {
     "RRRRVRVRV": "[8;36,38,39]",
     "RVRRVRVRV": "[16;24,36,38,39]",
@@ -157,6 +162,11 @@ class TestCharacteristicType:
                            match=rf"^entry {re.escape(shown)} is not an integer$"):
             PuiseuxCharacteristic(entries)
 
+    @pytest.mark.parametrize("leading", [0, -2])
+    def test_essential_scan_refuses_a_leading_order_below_1(self, leading):
+        with pytest.raises(InvalidCharacteristic, match="^leading order must be positive$"):
+            essential_characteristic(leading, [3])
+
     def test_essential_scan_refuses_a_fractional_exponent(self):
         with pytest.raises(InvalidCharacteristic, match=r"^entry 6\.5 is not an integer$"):
             essential_characteristic(4, [6.5, 7])
@@ -192,15 +202,21 @@ class TestFrontRecursion:
     def test_multiplicity_chain_word(self):
         assert str(pc_from_word_front("RVTVV")) == "[8;11]"
 
-    @pytest.mark.parametrize("value", [["R", "V"], 123, b"RVV"], ids=["list", "int", "bytes"])
+    @pytest.mark.parametrize("value", [["R", "V"], 123, b"RVV", PurePosixPath("RVV")],
+                             ids=["list", "int", "bytes", "path"])
     def test_a_value_that_is_not_a_word_is_refused(self, value):
-        # every entry that takes a word validates whatever is not an RvtWord
-        # through its text, as RvtWord(str(value)) does
-        entries = [front_chain, pc_from_word_front, pc_from_word_back, multiplicity_sequence,
-                   proximity_diagram, vertical_orders, lambda w: invariant_panel(word=w)]
-        for entry in entries:
-            with pytest.raises(InvalidSymbol, match=r"^symbol .* \(at position 0\)$"):
+        # every entry that takes a word refuses by its type whatever is
+        # neither a str nor an RvtWord, as RvtWord does; str(value) is not
+        # read, so a path that prints as a word is refused too
+        name = type(value).__name__
+        for entry in WORD_ENTRIES:
+            with pytest.raises(InvalidSymbol, match=f"^a word is a str of R, V, T; got {name}$"):
                 entry(value)
+
+    def test_a_str_and_its_word_give_the_same(self):
+        for entry in WORD_ENTRIES:
+            for text in ("", "RVTVV", "RRVTRRRVTTTV", "RVRR"):
+                assert entry(text) == entry(RvtWord(text))
 
     def test_four_word_family(self):
         for word, pc in FOUR_WORD_FAMILY.items():
@@ -255,6 +271,11 @@ class TestCaseClassification:
     def test_trivial_rejected(self):
         with pytest.raises(TrivialCharacteristic):
             classify_case(TRIVIAL_PC)
+
+    def test_text(self):
+        assert str(CaseTag("A")) == "A"
+        assert str(CaseTag("B", 2)) == "B(tau=2)"
+        assert str(classify_case(PC("[28;36,38,39]"))) == "C(tau=2)"
 
     def test_peeling_matches_word_prefix(self):
         # the tag of PC(w) reflects how w actually begins, and peeling

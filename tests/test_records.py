@@ -151,6 +151,16 @@ def test_a_bumped_name_is_shared(name):
         name.base, name.order + 1)
 
 
+def test_names_of_two_classes_with_equal_fields_bump_apart():
+    # one table holds the bumped names of both classes: a CoordName and a
+    # BlowupName hash alike but are never equal, so neither lookup finds
+    # the other's name
+    coord, blow = CoordName("x", 11).bump(), BlowupName("x", 11).bump()
+    assert type(coord) is CoordName and type(blow) is BlowupName
+    assert coord is not blow and hash(coord) == hash(blow) and coord != blow
+    assert CoordName("x", 11).bump() is coord and BlowupName("x", 11).bump() is blow
+
+
 def test_a_lift_shares_its_names():
     # the Nash lift names its new coordinates by bumping, so two lifts of
     # one germ hold the same name objects

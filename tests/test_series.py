@@ -215,6 +215,11 @@ class TestFromTerms:
         with pytest.raises(ValueError, match="nonnegative"):
             TruncatedSeries.from_terms([(1, 2), (1, -1)])
 
+    def test_a_float_coefficient_is_read_exactly(self):
+        half = TruncatedSeries.from_terms([(0.5, 2)])
+        assert half == TruncatedSeries.from_terms([(F(1, 2), 2)])
+        assert half._terms == ((2, 1, 2),)
+
 
 class TestIntegrate:
     def test_double_integration_example(self):
@@ -1231,6 +1236,12 @@ class TestExactEquality:
         stream = S(num).quotient(S("1 - t^70"))
         assert stream.prefix(70) == S(num).prefix(70)
         assert stream != S(num) and S(num) != stream
+
+    @pytest.mark.parametrize("other", [1, F(1), "1", (1,), None])
+    def test_a_series_is_not_equal_to_a_non_series(self, other):
+        one = S("1")
+        assert not one == other and one != other
+        assert one.__eq__(other) is NotImplemented
 
     def test_stream_equal_to_a_polynomial(self):
         # (t^3 + t^4) / (t + t^2) is a stream with the bounds (3, 1) of

@@ -15,6 +15,7 @@ from monstertower.errors import (
 )
 from monstertower.words import (
     RvtWord,
+    WordDecomposition,
     count_words,
     enumerate_words,
     is_critical,
@@ -231,6 +232,12 @@ class TestDecompose:
         with pytest.raises(NotCritical):
             parse_word("RVR").decompose()
 
+    @pytest.mark.parametrize("block,message", [("VR", "entirely critical"),
+                                               ("TV", "begin with V")])
+    def test_a_block_that_is_not_a_critical_v_block_is_refused(self, block, message):
+        with pytest.raises(NotCritical, match=message):
+            WordDecomposition(RvtWord(""), 0, block)
+
     def test_reconstruction_everywhere(self):
         for w in enumerate_words(9):
             if w.is_critical():
@@ -300,6 +307,13 @@ class TestPredicates:
     def test_a_word_record_is_read_through_its_symbols(self):
         assert is_critical(RvtWord("RV")) and not is_critical(RvtWord("RVR"))
         assert is_entirely_critical(RvtWord("")) and not is_entirely_critical(RvtWord("RV"))
+
+    def test_the_methods_agree_with_the_functions(self):
+        # a nonempty word starts with R, so only the empty word is
+        # entirely critical
+        for w in enumerate_words(5, min_len=0):
+            assert w.is_critical() == is_critical(w.symbols)
+            assert w.is_entirely_critical() == is_entirely_critical(w.symbols) == (not w)
 
     @pytest.mark.parametrize("value", [["R", "V"], ("V",), b"RV", 7])
     def test_a_value_that_is_not_a_word_is_refused(self, value):
