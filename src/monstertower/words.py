@@ -12,6 +12,16 @@ the level split), the Goursat word (``goursat_word``, R followed by the
 lifted word when the second symbol is V) and the split P R^rho Q of a
 critical word (``decompose``, and the back recursion of the Puiseux
 characteristic through ``_split_pq``).
+
+A word is validated where it enters: ``RvtWord(str)`` and ``parse_word`` run
+``validate_symbols``, and so do the two maps that build a word from other
+data, ``puiseux.word_from_pc`` and an engine trace's ``word``.  A word the
+calculus derives from a valid word is valid by construction, and is built
+as a record directly (``_new``) without the validator: each word of
+``enumerate_words``, ``lift``, ``lift_preimages``, ``normalize``,
+``goursat_word``, both halves of ``split_at_level``, ``decompose``'s prefix
+and ``WordDecomposition.reconstruct``.  The tests run the validator over
+every such derivation to length 10.
 """
 
 from __future__ import annotations
@@ -125,7 +135,7 @@ class RvtWord(Record):
 
     def normalize(self) -> "RvtWord":
         """Trim trailing R's; the result is empty or critical."""
-        return RvtWord(self.symbols.rstrip("R"))
+        return _new(RvtWord, (self.symbols.rstrip("R"),))
 
     def goursat_word(self) -> "RvtWord":
         """Rewrite a second-position V chain to R's.
@@ -139,7 +149,7 @@ class RvtWord(Record):
         s = self.symbols
         if s[1:2] != "V":
             return self
-        return RvtWord("R" + lift_string(s))
+        return _new(RvtWord, ("R" + lift_string(s),))
 
     # -- lifting ----------------------------------------------------------------
 
@@ -151,7 +161,7 @@ class RvtWord(Record):
         """
         if not self.symbols:
             raise EmptyWord("cannot lift the empty word")
-        return RvtWord(lift_string(self.symbols))
+        return _new(RvtWord, (lift_string(self.symbols),))
 
     def lift_preimages(self) -> frozenset["RvtWord"]:
         """All words u with u.lift() == self.
@@ -167,7 +177,7 @@ class RvtWord(Record):
         out = set()
         for sigma in range(run + 1):
             replaced = ("V" + "T" * (sigma - 1)) if sigma else ""
-            out.add(RvtWord("R" + replaced + s[sigma:]))
+            out.add(_new(RvtWord, ("R" + replaced + s[sigma:],)))
         return frozenset(out)
 
     # -- decompositions -----------------------------------------------------------
@@ -179,7 +189,7 @@ class RvtWord(Record):
         if not is_critical(s):
             raise NotCritical(f"{s!r} does not end in V or T")
         r, q = _split_pq(s)
-        return WordDecomposition(prefix=RvtWord(s[:r]), rho=q - r, critical_block=s[q:])
+        return WordDecomposition(prefix=_new(RvtWord, (s[:r],)), rho=q - r, critical_block=s[q:])
 
     def chain_origins(self) -> tuple[int | None, ...]:
         """For each position (1-indexed entries, index 0 unused as None):
@@ -209,7 +219,7 @@ class RvtWord(Record):
                 tail.append(ch)
             else:
                 tail.append("R")
-        return RvtWord(self.symbols[:k]), RvtWord("".join(tail))
+        return _new(RvtWord, (self.symbols[:k],)), _new(RvtWord, ("".join(tail),))
 
 
 def _chain_edges(s: str) -> tuple[tuple[int, int], ...]:
@@ -235,8 +245,13 @@ def _split_pq(s: str) -> tuple[int, int]:
 
 
 class WordDecomposition(Record):
-    """P R^rho Q: the prefix P, empty or critical; rho, the number of R's
-    between P and Q; the block Q, entirely critical and beginning with V."""
+    """P R^rho Q: the prefix P, empty or critical; rho >= 1, the number of
+    R's between P and Q; the block Q, nonempty, entirely critical and
+    beginning with V.  Every other record is a NotCritical: it decomposes
+    no critical word.  A rho of 0 would join P's last V or T to Q (RV, 0,
+    V rebuilds RVV, which is ('', 1, VV)), and an empty Q rebuilds a word
+    that is not critical.  So reconstruct builds a valid word, and
+    decompose gives this record back."""
 
     __slots__ = ()
     _fields = ("prefix", "rho", "critical_block")
@@ -248,10 +263,14 @@ class WordDecomposition(Record):
             raise NotCritical("nonempty Q block must begin with V")
         if prefix.symbols and not prefix.is_critical():
             raise NotCritical("P must be empty or critical")
+        if not isinstance(rho, int) or rho < 1:
+            raise NotCritical(f"rho must be an int >= 1; got {rho!r}")
+        if not critical_block:
+            raise NotCritical("Q block must be nonempty")
         return _new(cls, (prefix, rho, critical_block))
 
     def reconstruct(self) -> RvtWord:
-        return RvtWord(self.prefix.symbols + "R" * self.rho + self.critical_block)
+        return _new(RvtWord, (self.prefix.symbols + "R" * self.rho + self.critical_block,))
 
 
 def parse_word(text: str) -> RvtWord:
@@ -262,15 +281,18 @@ def parse_word(text: str) -> RvtWord:
 def enumerate_words(max_len: int, min_len: int = 1):
     """Yield every valid word of length min_len..max_len in (length,
     R<V<T) order.  Each length extends the words of the one before, in
-    their order, by R, V and (after V or T) T, so it comes out in order."""
+    their order, by R, V and (after V or T) T, so it comes out in order.
+    The grammar builds only valid words (R first, R or V after any symbol,
+    T only after V or T), so each is built without the validator."""
     if min_len <= 0:
-        yield RvtWord("")
+        yield _new(RvtWord, ("",))
     level = ["R"]
     for n in range(1, max_len + 1):
         if n > 1:
             level = [w + c for w in level for c in ("RV" if w[-1] == "R" else "RVT")]
         if n >= min_len:
-            yield from map(RvtWord, level)
+            for s in level:
+                yield _new(RvtWord, (s,))
 
 
 def count_words(n: int) -> int:

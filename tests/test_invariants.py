@@ -253,9 +253,9 @@ class TestPanel:
         "kind,text,validated",
         [
             # an RvtWord is valid already; a second symbol R reuses it as
-            # the Goursat word, a V builds that word once
+            # the Goursat word, a V derives that word from it unvalidated
             ("word", "RRVTRRRVTTTV", []),
-            ("word", "RVTTVRV", ["RRRRVRV"]),
+            ("word", "RVTTVRV", []),
             # the CW map validates the one word it returns
             ("pc", "[27;63,83]", ["RRVTRRRVTTTV"]),
         ],

@@ -239,9 +239,31 @@ class TestDecompose:
             WordDecomposition(RvtWord(""), 0, block)
 
     def test_reconstruction_everywhere(self):
+        # both round trips: a critical word and its decomposition
         for w in enumerate_words(9):
             if w.is_critical():
-                assert w.decompose().reconstruct() == w
+                dec = w.decompose()
+                assert dec.reconstruct() == w
+                assert dec.reconstruct().decompose() == dec
+
+    @pytest.mark.parametrize(
+        "prefix,rho,block,message",
+        [
+            # RV R^-1 V would rebuild RVV, which is ('', 1, VV)
+            ("RV", -1, "V", r"^rho must be an int >= 1; got -1$"),
+            # and so would RV R^0 V: a rho of 0 joins P's V to Q
+            ("RV", 0, "V", r"^rho must be an int >= 1; got 0$"),
+            # with P empty, VT would be no word at all
+            ("", 0, "VT", r"^rho must be an int >= 1; got 0$"),
+            ("RV", 2.5, "V", r"^rho must be an int >= 1; got 2.5$"),
+            # RVRR is not critical
+            ("RV", 2, "", r"^Q block must be nonempty$"),
+        ],
+    )
+    def test_a_record_that_decomposes_no_critical_word_is_refused(
+            self, prefix, rho, block, message):
+        with pytest.raises(NotCritical, match=message):
+            WordDecomposition(RvtWord(prefix), rho, block)
 
     def test_cut_points_match_the_two_loops(self):
         def reference(s):
@@ -354,3 +376,66 @@ class TestCounting:
         assert len(words) == sum(count_words(n) for n in range(13))
         assert words == sorted(words, key=RvtWord.sort_key)
         assert len(set(words)) == len(words)
+        # built without the validator, which accepts each of them
+        for w in words:
+            validate_symbols(w.symbols)
+
+
+# The words each derivation builds from a word w (none where it does not
+# apply: lift of the empty word, decompose of a word that is not critical).
+DERIVATIONS = {
+    "lift": lambda w: [w.lift()] if w else [],
+    "lift_preimages": lambda w: list(w.lift_preimages()),
+    "normalize": lambda w: [w.normalize()],
+    "goursat_word": lambda w: [w.goursat_word()],
+    "split_at_level": lambda w: [half for k in range(len(w) + 1)
+                                 for half in w.split_at_level(k)],
+    "decompose_prefix": lambda w: [w.decompose().prefix] if w.is_critical() else [],
+    "reconstruct": lambda w: [w.decompose().reconstruct()] if w.is_critical() else [],
+}
+
+
+class TestTrustedDerivations:
+    """Enumeration and the word calculus build the words they derive
+    without the validator; these tests run it over what they build."""
+
+    @pytest.mark.parametrize("name", DERIVATIONS)
+    def test_every_derived_word_is_valid(self, name):
+        for w in enumerate_words(10, min_len=0):
+            for u in DERIVATIONS[name](w):
+                assert type(u) is RvtWord
+                validate_symbols(u.symbols)
+
+    @staticmethod
+    def _count(monkeypatch):
+        from monstertower import words
+
+        calls = []
+        original = words.validate_symbols
+
+        def counting(symbols):
+            calls.append(symbols)
+            return original(symbols)
+
+        monkeypatch.setattr(words, "validate_symbols", counting)
+        return calls
+
+    def test_enumeration_and_derivations_never_validate(self, monkeypatch):
+        trusted = [RvtWord(s) for s in ("", "R", "RVTTVRV", "RRVTRRRVTTTV", "RVRR")]
+        calls = self._count(monkeypatch)
+        assert len(list(enumerate_words(8))) == sum(map(count_words, range(1, 9)))
+        assert list(enumerate_words(0, min_len=0)) == trusted[:1]
+        for derive in DERIVATIONS.values():
+            for w in trusted:
+                derive(w)
+        assert calls == []
+
+    def test_each_entry_validates_once(self, monkeypatch):
+        from monstertower.puiseux import parse_pc, word_from_pc
+
+        pc = parse_pc("[27;63,83]")
+        calls = self._count(monkeypatch)
+        RvtWord("RVTV")
+        parse_word(" RVV ")
+        word_from_pc(pc)
+        assert calls == ["RVTV", "RVV", "RRVTRRRVTTTV"]
