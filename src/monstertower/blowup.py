@@ -12,19 +12,19 @@ step's quotient itself: a series that vanishes at the center is its own
 recentering, its tail (``TruncatedSeries._tail``), so the center test is
 the tail's identity and no constant term is made.  Every decision of a
 step reads the two valuations it has already read: the quotient takes
-them, and the regularity test reads the retained denominator's off the
-step's orders.
+them, and the step records them as its orders, the recentered orders a
+Nash step records too, off which ``Trace`` reads the multiplicities and
+the regularity test.
 
 Coordinates are a base letter and a blowup index (``y_1``), bumped into
 shared names as the Nash lift's are, and each step is one record
 allocation.  A germ is resolved once into a ``BlowupTrace``, run by the
 loop the Nash lift runs (``Trace.continued``); the engine supplies only
-``blowup_once`` as its step and its regularity test.  Word (the symbols
-read off the flags), chart path, order profile and multiplicities are
-views of its steps, and ``cross_check`` compares them against the Nash
-lift it is given or makes, reading each view of either trace once; the
-blowup word is compared as its string of symbols, which the Nash word has
-validated.
+``blowup_once`` as its step.  Word (the symbols read off the flags), chart
+path, order profile and multiplicities are views of its steps, and
+``cross_check`` compares them against the Nash lift it is given or makes,
+reading each view of either trace once; the blowup word is compared as
+its string of symbols, which the Nash word has validated.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParame
 from .invariants import multiplicity_sequence
 from .records import Record, _new
 from .series import TruncatedSeries
-from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, _least, lift_trace
+from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
 
 
 class BlowupName(CoordName):
@@ -62,23 +62,6 @@ class BlowupTrace(Trace):
         s = steps[-1]
         return blowup_once(s.retained, s.new_coord, level=s.level + 1,
                            a_name=s.retained_name, b_name=s.new_name, b_flag=s.chain_origin)
-
-    @staticmethod
-    def _is_regular(step: ChartStep) -> bool:
-        """Strict transform regular: nonsingular and transverse to every
-        exceptional divisor through its point.  The curve always meets the
-        newest divisor (the retained denominator's), so its order must be
-        1; a critical symbol means it also meets the inherited divisor,
-        whose order must then be 1.  The retained denominator's order is
-        the smaller of the step's deciding orders, read off ``orders``."""
-        if _least(step.orders) != 1:
-            return False
-        return step.symbol == "R" or step.new_coord.valuation_or_none() == 1
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """The multiplicity of each point is the smaller order of its
-        recentered pair; the regular point's is 1."""
-        return (*self._least_orders(), 1)
 
 
 def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,

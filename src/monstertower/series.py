@@ -42,9 +42,10 @@ distinct factors of D have total degree <= r.  Each operation keeps D(0)
 Since P = f * D as power series, a stream whose coefficients 0..a all
 vanish is identically zero.  Every stream is born knowing its valuation,
 and is never zero: the ratio kernel reads it off its operands, and the
-tail of a stream with f(0) != 0 searches f[1..max(a, q)] once, when it is
-made, and is the zero term polynomial when they all vanish.  A series
-never changes kind after it is made, and no zero test depends on a window.
+tail of a stream with f(0) != 0 is one more than its slope order, searched
+once when the tail is made, and is the zero term polynomial when f' = 0.
+A series never changes kind after it is made, and no zero test depends on
+a window.
 
 Every read is exact or given its length by the caller.  A polynomial's
 valuation, constant term, val f', exponent gcd and text are read off its
@@ -507,25 +508,26 @@ class TruncatedSeries:
         term is 0 is its own tail, the same object with its own bounds, so
         ``s._tail() is s`` says that s vanishes at t=0; any other tail is a
         new series, a term polynomial's its terms past the first.  A stream
-        with ``_zeros`` 0 has f(0) != 0, and its tail's valuation is searched
-        here, on f[1..max(a, q)], the tail's numerator bound: the zero term
-        polynomial when they all vanish, else a stream that carries it."""
+        with ``_zeros`` 0 has f(0) != 0, and its tail's valuation is its
+        slope order plus one, searched once by ``slope_order`` to the bound
+        it proves: the zero term polynomial when f' = 0, else a stream that
+        carries it."""
         if self._zeros:
             return self
         terms = self._terms
         if terms is not None:  # the zero polynomial, or a first term at t^0
             return self._of_terms(terms[1:]) if terms else self
-        a, q, r = self._bound
-        v = self._first_nonzero(1, max(a, q) + 1)
-        if v is None:
+        order = self.slope_order()
+        if order is None:
             return self._of_terms(())
+        a, q, r = self._bound
         fn, fd = self._known, self._dens
 
-        def extend(out, dens, m):  # indices below v are known zeros, filled in by _force
+        def extend(out, dens, m):  # indices below order + 1 are known zeros, filled by _force
             dens.extend(fd[len(out):m])
             out.extend(fn[len(out):m])
 
-        return self._lazy((max(a, q), q, r), v, ((self, 0),), extend)
+        return self._lazy((max(a, q), q, r), order + 1, ((self, 0),), extend)
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,

@@ -31,12 +31,13 @@ each level is the lift's own step, carrying the walk's polynomial as its
 new coordinate, so the lift goes on from polynomials.
 ``Trace``, the base of both engines' traces, holds the one step-until-regular
 loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
-it, and each engine supplies only its next step and its regularity test.
-The word, chart path, base point and order profile are views ``Trace``
-shares; data point, chart equations, multiplicities, vertical orders and
-curve words are views of the lift.  Both engines' multiplicities read the
-smaller present order of each step's deciding pair (``_least``), and so do
-both regularity tests: that order is the retained coordinate's.
+it, and each engine supplies only its next step.  A step records the
+orders of the pair it stepped from, val(r - r(0)) and val(n - n(0)), as a
+blowup does: the slope orders the letter compares, plus one.  So the word,
+chart path, base point, order profile, multiplicities and the regularity
+test are views ``Trace`` shares, the last two reading the smaller order
+of each step (``_least``), the retained coordinate's; data point, chart
+equations, vertical orders and curve words are views of the lift.
 """
 
 from __future__ import annotations
@@ -138,12 +139,13 @@ class CurveGerm(Record):
 class ChartStep(Record):
     """One step of either engine: its letter ("o" or "i"), the chart pair
     after it and its names, the symbol (R, V or T), the level of the
-    divisor whose chain is alive, and the two orders that decided the
-    letter.  A Nash step keeps a coordinate of the active pair and makes
-    the pair's slope its new one, decided by val(dr/dt), val(dn/dt); a
-    blowup keeps the recentered denominator, whose zero locus is its own
-    exceptional divisor, and makes the quotient, not recentered, its new
-    coordinate, decided by val(a), val(b - b(0))."""
+    divisor whose chain is alive, and the orders of the pair (r, n) it
+    stepped from, val(r - r(0)) and val(n - n(0)), None for a constant
+    one.  A Nash step keeps a coordinate of the active pair and makes the
+    pair's slope its new one; a blowup keeps the recentered denominator,
+    whose zero locus is its own exceptional divisor, and makes the
+    quotient, not recentered, its new coordinate.  In both the kept
+    coordinate is the one of smaller order."""
 
     __slots__ = ()
     _fields = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
@@ -164,8 +166,9 @@ class ChartStep(Record):
 
 
 def _least(orders: tuple[int | None, int | None]) -> int:
-    """The smaller present order of a step's deciding pair (a step has at
-    least one): the order of the coordinate the step retains."""
+    """The smaller present order of the pair a step stepped from (a step
+    has at least one): the order of the coordinate the step retains, and
+    the multiplicity of the point it stepped from."""
     a, b = orders
     return b if a is None or b is not None and b < a else a
 
@@ -173,22 +176,27 @@ def _least(orders: tuple[int | None, int | None]) -> int:
 class Trace(Record):
     """The steps of one engine's run on a germ and its regularization level
     (None while the run has not reached it), with what both engines share:
-    the one step-until-regular loop ``continued`` and the views read off the
-    steps (word, chart path, base point, order profile, JSON).  An engine
-    supplies only its next step (``_step``), its regularity test
-    (``_is_regular``), its budget message (``_budget``), its name and any
-    per-level JSON fields of its own.  The invariant views read only
-    ``steps[:regularization_level]``, so they work on any trace that reached
-    the regularization level.  Traces compare exactly: each pair of series
-    is read up to the bounds of its difference (``TruncatedSeries.__eq__``).
-    That is a few hundred terms on most lifts (e = 82 at level 7 of x=t^14,
-    y=14*t^18+14*t^19), but the deepest still read thousands (e = 10,822
-    at level 12 of x=t^12, y=t^30+t^61), so no command compares traces."""
+    the one step-until-regular loop ``continued``, the regularity test
+    ``_is_regular`` and the views read off the steps (word, chart path,
+    base point, order profile, multiplicities, JSON).  An engine supplies
+    only its next step (``_step``), its budget message (``_budget``), its
+    name and any per-level JSON fields of its own.  A germ that is not a
+    ``CurveGerm`` is refused when the trace is made.  The invariant views
+    read only ``steps[:regularization_level]``, so they work on any trace
+    that reached the regularization level.  Traces compare exactly: each
+    pair of series is read up to the bounds of its difference
+    (``TruncatedSeries.__eq__``).  That is a few hundred terms on most
+    lifts (e = 82 at level 7 of x=t^14, y=14*t^18+14*t^19), but the
+    deepest still read thousands (e = 10,822 at level 12 of x=t^12,
+    y=t^30+t^61), so no command compares traces."""
 
     __slots__ = ()
     _fields = ("germ", "steps", "regularization_level")
 
     def __new__(cls, germ: CurveGerm, steps: tuple, regularization_level: int | None = None):
+        if not isinstance(germ, CurveGerm):
+            raise ParseError(f"expected a CurveGerm, got {type(germ).__name__}; "
+                             "parse text with parse_curve")
         return _new(cls, (germ, steps, regularization_level))
 
     @property
@@ -209,10 +217,21 @@ class Trace(Record):
             raise MaxLevelExceeded(f"trace stops at level {len(self.steps)}, before regularity")
         return self.steps[: self.regularization_level]
 
-    def _least_orders(self) -> list[int]:
-        """The smaller present order of each step's deciding pair, up to
-        regularization."""
-        return [_least(s.orders) for s in self._regular_steps()]
+    def multiplicities(self) -> tuple[int, ...]:
+        """The multiplicity of each point, from the base germ to
+        regularization: the smaller order of the recentered pair each step
+        stepped from (``_least``); the regular point's is 1."""
+        return (*[_least(s.orders) for s in self._regular_steps()], 1)
+
+    @staticmethod
+    def _is_regular(step: ChartStep) -> bool:
+        """Regularity after a step: the retained coordinate, whose order is
+        the smaller of the step's (``_least``), has order 1, and so does
+        the new coordinate of a critical step (V or T), where the curve
+        meets the chain's divisor too.  That coordinate vanishes at t=0 in
+        both engines, so its valuation is its recentered order."""
+        return _least(step.orders) == 1 and (
+            step.symbol == "R" or step.new_coord.valuation_or_none() == 1)
 
     def order_profile(self) -> tuple[int | None, ...]:
         """Valuations of x, y and the new coordinate of every level up to
@@ -236,7 +255,12 @@ class Trace(Record):
         from a cut or a shorter run, gives a bit-identical trace.  The germ
         was checked when it was built, so no step makes a primitivity check
         of its own; a cover a step meets is named by the constant coordinate
-        that shows it."""
+        that shows it.  A ``levels`` or ``max_level`` that is not an int is
+        TypeError."""
+        if levels is not None and levels.__class__ is not int:
+            raise TypeError(f"levels must be an int; got {type(levels).__name__}")
+        if max_level.__class__ is not int:
+            raise TypeError(f"max_level must be an int; got {type(max_level).__name__}")
         if levels == len(self.steps):
             return self
         if levels is not None and levels < len(self.steps):
@@ -305,29 +329,10 @@ class LiftTrace(Trace):
             return lift_once(x, y, 1)
         return lift_once(y, x, 1, _Y, _X)
 
-    @staticmethod
-    def _is_regular(step: ChartStep) -> bool:
-        """Regularity after a chart step: the retained coordinate moves at
-        unit speed and the new coordinate either does too or carries no
-        chain.  The retained coordinate's slope order is the smaller of the
-        step's deciding orders, since the letter keeps the coordinate whose
-        derivative has the smaller order, so it is read off ``orders``."""
-        if _least(step.orders) != 0:
-            return False
-        return step.symbol == "R" or step.new_coord.slope_order() == 0
-
     @property
     def data_point(self) -> tuple[Fraction, ...]:
         """x0, y0, then the value of each new coordinate at t=0."""
         return (*self.germ.base_point, *(s.new_coord.constant_term() for s in self.steps))
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """Multiplicity of each lift: the smaller valuation of the recentered
-        active pair, level by level from the base germ to regularization.
-        In characteristic 0, val(f - f(0)) = val(df/dt) + 1, so each step's
-        deciding orders give the multiplicity of the pair it lifted; the
-        regular pair has multiplicity 1."""
-        return (*[v + 1 for v in self._least_orders()], 1)
 
     def vertical_orders(self) -> VerticalOrders:
         """Orders of vanishing of the divisor equations along the lift: at an
@@ -374,7 +379,9 @@ def lift_once(
     the pair; ties take the ordinary choice, since a vertical encounter
     forces strict inequality.  The new coordinate is the pair's slope,
     dn/dr or dr/dn, one series, made by the ratio kernel (``_ratio``) from the
-    two orders already read.
+    two orders already read.  The step records the pair's recentered
+    orders, val(r - r(0)) and val(n - n(0)): in characteristic 0 each is
+    its slope order plus one.
 
     A derivative with no valuation is identically zero, so its coordinate
     is constant.  Both constant is ConstantParameterization.  A constant
@@ -403,7 +410,8 @@ def lift_once(
         on_prolongation = chain_origin is not None and fresh.valuation_or_none() != 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
     kept_name, fresh_name, _ = _step_names(letter, retained_name, new_name)
-    return ChartStep(level, letter, kept, fresh, kept_name, fresh_name, symbol, chain, (vr, vn))
+    return ChartStep(level, letter, kept, fresh, kept_name, fresh_name, symbol, chain,
+                     (None if vr is None else vr + 1, None if vn is None else vn + 1))
 
 
 def _step_names(letter: str, retained: CoordName, new: CoordName):
@@ -505,14 +513,13 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
     if len(constants) != k + 2:
         raise ParseError(f"need {k + 2} constants for a level-{k} chart")
-    if (retained._tail().valuation_or_none() is None
-            and new_coord._tail().valuation_or_none() is None):
+    if retained.slope_order() is None and new_coord.slope_order() is None:
         raise ConstantParameterization("both active parameterizations are constant")
     cur_r, cur_n = retained, new_coord
     news = []  # N_k down to N_1
     for level in range(k, 0, -1):
         letter, r_name, deactivated, slot = plan[level - 1]
-        if cur_r._tail().valuation_or_none() is None:
+        if cur_r.slope_order() is None:
             raise ConstantParameterization(
                 f"integration variable {r_name} of d{deactivated} is constant at level {level}"
             )

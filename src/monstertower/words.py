@@ -247,11 +247,14 @@ def _split_pq(s: str) -> tuple[int, int]:
 class WordDecomposition(Record):
     """P R^rho Q: the prefix P, empty or critical; rho >= 1, the number of
     R's between P and Q; the block Q, nonempty, entirely critical and
-    beginning with V.  Every other record is a NotCritical: it decomposes
-    no critical word.  A rho of 0 would join P's last V or T to Q (RV, 0,
-    V rebuilds RVV, which is ('', 1, VV)), and an empty Q rebuilds a word
-    that is not critical.  So reconstruct builds a valid word, and
-    decompose gives this record back."""
+    beginning with V.  A prefix that is not an RvtWord is built into one,
+    so a str is validated and any other value refused by its type, and a
+    rho whose class is not int (a bool, a float) is refused.  Every other
+    record is a NotCritical: it decomposes no critical word.  A rho of 0
+    would join P's last V or T to Q (RV, 0, V rebuilds RVV, which is ('',
+    1, VV)), and an empty Q rebuilds a word that is not critical.  So
+    reconstruct builds a valid word, and decompose gives this record
+    back."""
 
     __slots__ = ()
     _fields = ("prefix", "rho", "critical_block")
@@ -261,9 +264,11 @@ class WordDecomposition(Record):
             raise NotCritical("Q block must be entirely critical")
         if critical_block and critical_block[0] != "V":
             raise NotCritical("nonempty Q block must begin with V")
+        if not isinstance(prefix, RvtWord):
+            prefix = RvtWord(prefix)
         if prefix.symbols and not prefix.is_critical():
             raise NotCritical("P must be empty or critical")
-        if not isinstance(rho, int) or rho < 1:
+        if rho.__class__ is not int or rho < 1:
             raise NotCritical(f"rho must be an int >= 1; got {rho!r}")
         if not critical_block:
             raise NotCritical("Q block must be nonempty")

@@ -6,20 +6,29 @@ Run from the repository root:  PYTHONPATH=src python tests/realization.py 12
 
 For every critical word up to the given length, both engines' normalized
 words must equal W, and the Nash, blowup and word-route multiplicities
-(``multiplicity_sequence(W)``) must agree.  Order profiles are not compared:
-at length 11 and 12 some germs carry a nonzero constant term in one Nash
-coordinate where the blowup one is zero (ROADMAP item 9).  Prints each
-difference and the count, and exits 1 if there is one.
+(``multiplicity_sequence(W)``) must agree.  The engines' order profiles
+must agree too, except on the known faults of ROADMAP item 9: at length 11
+and 12 some germs carry a nonzero constant term in one Nash coordinate
+where the blowup one is zero.  Those germs are the CLI digest's
+``_DISAGREEING_REALIZATIONS``, and the germs whose profiles disagree must
+be exactly the ones of them that the sweep reaches.  Prints each
+difference and each disagreeing germ, their counts, and exits 1 on any
+difference, a disagreement off that list included, or a listed germ whose
+profiles agree.
 """
 
 import sys
 
+from cli_sweep import _DISAGREEING_REALIZATIONS
 from monstertower.blowup import blowup_resolve
 from monstertower.invariants import multiplicity_sequence
 from monstertower.puiseux import pc_from_word_front
 from monstertower.series import TruncatedSeries
-from monstertower.tower import CurveGerm, lift_trace
+from monstertower.tower import CurveGerm, lift_trace, parse_curve
 from monstertower.words import enumerate_words
+
+# the germs, not their text: the digest prints a germ as it is typed
+KNOWN_PROFILE_DISAGREEMENTS = frozenset(parse_curve(text)[0] for text in _DISAGREEING_REALIZATIONS)
 
 
 def realization(word) -> CurveGerm:
@@ -33,10 +42,12 @@ def critical_words(max_len: int):
     return (w for w in enumerate_words(max_len) if w.is_critical())
 
 
-def differences(max_len: int) -> tuple[int, list[str]]:
-    """The number of critical words up to ``max_len``, and one line per
-    word whose realization the engines read differently from it."""
-    found, count = [], 0
+def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[CurveGerm]]:
+    """The number of critical words up to ``max_len``; one line per word
+    whose realization the engines read differently from it; the
+    realizations whose order profiles the engines read differently; and
+    the known ones among the realizations, both lists in sweep order."""
+    found, disagreeing, known, count = [], [], [], 0
     for w in critical_words(max_len):
         count += 1
         c = realization(w)
@@ -46,12 +57,22 @@ def differences(max_len: int) -> tuple[int, list[str]]:
         if words != (w, w) or not mults[0] == mults[1] == mults[2]:
             found.append(f"{w.symbols} {c}: words {words[0].symbols} {words[1].symbols}, "
                          f"multiplicities {mults}")
-    return count, found
+        if nash.order_profile() != blow.order_profile():
+            disagreeing.append(c)
+        if c in KNOWN_PROFILE_DISAGREEMENTS:
+            known.append(c)
+    return count, found, disagreeing, known
 
 
 if __name__ == "__main__":
-    count, found = differences(int(sys.argv[1]))
+    count, found, disagreeing, known = differences(int(sys.argv[1]))
     for line in found:
         print(line)
-    print(f"{count} critical words, {len(found)} differences")
-    sys.exit(1 if found else 0)
+    for c in disagreeing:
+        print(f"order profiles disagree on {c}{'' if c in known else ' (not a known fault)'}")
+    for c in known:
+        if c not in disagreeing:
+            print(f"order profiles agree on {c} (a known fault)")
+    print(f"{count} critical words, {len(found)} differences, "
+          f"{len(disagreeing)} order-profile disagreements ({len(known)} known)")
+    sys.exit(1 if found or disagreeing != known else 0)

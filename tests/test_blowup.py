@@ -336,11 +336,16 @@ class TestMismatch:
         assert out.count("  FAIL engine-equivalence ") == 3
 
 
+def recentered_order(series):
+    """val(f - f(0)), None when f is constant."""
+    return series.recenter()[1].valuation_or_none()
+
+
 def recentered_multiplicities(pairs):
     """Multiplicity of each point from its active pair: the smaller valuation
     of the two recentered series, skipping one that reads constant."""
     return tuple(
-        min(v for v in (s.recenter()[1].valuation_or_none() for s in pair) if v is not None)
+        min(v for v in map(recentered_order, pair) if v is not None)
         for pair in pairs
     )
 
@@ -411,10 +416,9 @@ def seeded_chart_inputs(count, seed):
 
 
 class TestRegularityFromSteps:
-    """Both engines' regularity tests read the retained coordinate's order
-    off the step: the smaller of its deciding orders is the slope order of
-    the Nash retained coordinate and the valuation of the blowup's retained
-    denominator, read again here from the series."""
+    """The regularity test reads the retained coordinate's order off the
+    step: the smaller of its orders is val(retained - retained(0)) in both
+    engines, read again here from the series."""
 
     @staticmethod
     def traces():
@@ -433,12 +437,28 @@ class TestRegularityFromSteps:
     def test_least_order_is_the_retained_order(self):
         differ, steps = [], 0
         for label, nash, blow in self.traces():
-            for engine, trace, order in (("nash", nash, TruncatedSeries.slope_order),
-                                         ("blowup", blow, TruncatedSeries.valuation_or_none)):
+            for engine, trace in (("nash", nash), ("blowup", blow)):
                 for s in trace.steps:
                     steps += 1
-                    if _least(s.orders) != order(s.retained):
+                    if _least(s.orders) != recentered_order(s.retained):
                         differ.append((engine, label, s.level))
+        assert differ == [] and steps > 20_000
+
+    def test_orders_are_the_recentered_orders_of_the_pair_stepped_from(self):
+        # the pair a step stepped from is the last step's, or the germ's at
+        # level 1, which the Nash lift orders by valuation (tie: x)
+        differ, steps = [], 0
+        for label, nash, blow in self.traces():
+            for engine, trace in (("nash", nash), ("blowup", blow)):
+                x, y = trace.germ.x, trace.germ.y
+                vx, vy = x.valuation_or_none(), y.valuation_or_none()
+                swap = engine == "nash" and (vx is None or vy is not None and vy < vx)
+                pair = (y, x) if swap else (x, y)
+                for s in trace.steps:
+                    steps += 1
+                    if s.orders != tuple(map(recentered_order, pair)):
+                        differ.append((engine, label, s.level))
+                    pair = (s.retained, s.new_coord)
         assert differ == [] and steps > 20_000
 
     def test_cross_check_reads_no_constant_term(self, monkeypatch):
@@ -489,7 +509,8 @@ class TestWideGerms:
         assert cross_check(c).ok
 
     def test_critical_words_are_realized(self):
-        # tests/realization.py sweeps to length 12, without the order profiles
+        # tests/realization.py sweeps to length 12, and pins the germs whose
+        # order profiles disagree there
         differ = []
         for w in critical_words(9):
             report = cross_check(realization(w))

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from monstertower.blowup import blowup_resolve
+from monstertower.blowup import blowup_resolve, cross_check
 from monstertower.corpus import generate_corpus
 from monstertower.errors import (
     ConstantParameterization,
@@ -90,6 +90,11 @@ class TestLiftOnce:
         step = lift_once(parse_series("t^5"), parse_series("t^7"), level=1)
         assert (step.chart_letter, step.symbol) == ("o", "R")
         assert step.new_coord == parse_series("7/5*t^2")
+
+    def test_orders_are_the_recentered_orders_of_the_pair(self):
+        # val(r - r(0)) and val(n - n(0)), as a blowup records them, not the
+        # slope orders (4, 6) the letter compares
+        assert lift_once(parse_series("t^5"), parse_series("t^7"), level=1).orders == (5, 7)
 
     def test_inverted_step(self):
         step = lift_once(
@@ -469,6 +474,20 @@ class TestErrors:
         for parse in (parse_curve, parse_curve_trace):
             with pytest.raises(ParseError, match="^a curve literal is a str; got int$"):
                 parse(123)
+
+    @pytest.mark.parametrize("engine", [lift_trace, blowup_resolve, cross_check])
+    def test_an_engine_refuses_a_value_that_is_not_a_germ(self, engine):
+        with pytest.raises(ParseError, match="^expected a CurveGerm, got str; "
+                                             "parse text with parse_curve$"):
+            engine(QUINTIC)
+
+    @pytest.mark.parametrize("option", ["levels", "max_level"])
+    def test_a_level_count_that_is_not_an_int_is_a_type_error(self, option):
+        # 2.5 levels once lifted 3
+        with pytest.raises(TypeError, match=f"^{option} must be an int; got float$"):
+            lift_trace(germ(QUINTIC), **{option: 2.5})
+        with pytest.raises(TypeError, match=f"^{option} must be an int; got float$"):
+            lift_trace(germ(QUINTIC)).continued(**{option: 2.5})
 
     def test_max_level(self):
         with pytest.raises(MaxLevelExceeded):

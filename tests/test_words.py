@@ -258,12 +258,31 @@ class TestDecompose:
             ("RV", 2.5, "V", r"^rho must be an int >= 1; got 2.5$"),
             # RVRR is not critical
             ("RV", 2, "", r"^Q block must be nonempty$"),
+            # a bool is an int to isinstance, but no count of R's
+            ("RV", True, "V", r"^rho must be an int >= 1; got True$"),
         ],
     )
     def test_a_record_that_decomposes_no_critical_word_is_refused(
             self, prefix, rho, block, message):
         with pytest.raises(NotCritical, match=message):
             WordDecomposition(RvtWord(prefix), rho, block)
+
+    def test_a_prefix_that_is_not_a_word_is_built_into_one(self):
+        # a str is validated as RvtWord(str) validates it, and the record
+        # holds the word
+        dec = WordDecomposition("RV", 1, "V")
+        assert dec == WordDecomposition(RvtWord("RV"), 1, "V") and dec.prefix == RvtWord("RV")
+        with pytest.raises(LeadingNonR):
+            WordDecomposition("VR", 1, "V")
+        with pytest.raises(NotCritical, match="^P must be empty or critical$"):
+            WordDecomposition("RVR", 1, "V")
+        # anything else is refused by its type, after the Q checks
+        for value in (["R", "V"], 12, b"RV"):
+            with pytest.raises(InvalidSymbol, match=rf"^a word is a str of R, V, T; "
+                                                    rf"got {type(value).__name__}$"):
+                WordDecomposition(value, 1, "V")
+        with pytest.raises(NotCritical, match="^nonempty Q block must begin with V$"):
+            WordDecomposition(12, 1, "TV")
 
     def test_cut_points_match_the_two_loops(self):
         def reference(s):
