@@ -32,7 +32,7 @@ from __future__ import annotations
 from .defaults import DEFAULT_MAX_LEVEL
 from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParameterization
 from .invariants import multiplicity_sequence
-from .records import Record, _new
+from .records import Record
 from .series import TruncatedSeries
 from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
 
@@ -120,10 +120,6 @@ class CrossCheckReport(Record):
 
     __slots__ = ()
     _fields = ("nash", "blowup", "word_multiplicities", "ok")
-
-    def __new__(cls, nash: LiftTrace, blowup: BlowupTrace,
-                word_multiplicities: tuple[int, ...], ok: bool):
-        return _new(cls, (nash, blowup, word_multiplicities, ok))
 
     def to_json_dict(self) -> dict:
         nash, blow = self.nash, self.blowup

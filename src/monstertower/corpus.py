@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .records import Record, _new
+from .records import Record
 from .series import TruncatedSeries
 from .tower import CurveGerm
 
@@ -31,9 +31,6 @@ class CurveSpec(Record):
 
     __slots__ = ()
     _fields = ("n", "terms")
-
-    def __new__(cls, n: int, terms: tuple[tuple[Fraction, int], ...]):
-        return _new(cls, (n, terms))
 
     def curve(self) -> CurveGerm:
         return CurveGerm.from_series(

@@ -40,9 +40,6 @@ class ProximityDiagram(Record):
     __slots__ = ()
     _fields = ("symbols", "mults", "edges")  # an edge (j, i): p_j proximate to p_i
 
-    def __new__(cls, symbols: str, mults: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
-        return _new(cls, (symbols, mults, edges))
-
     def multiplicities(self) -> tuple[int, ...]:
         return self.mults
 
@@ -138,12 +135,6 @@ class InvariantPanel(Record):
     __slots__ = ()
     _fields = ("word", "goursat_word", "pc", "restricted_pc", "proximity", "orders",
                "restricted_orders")
-
-    def __new__(cls, word: RvtWord, goursat_word: RvtWord, pc: PuiseuxCharacteristic,
-                restricted_pc: PuiseuxCharacteristic, proximity: ProximityDiagram,
-                orders: VerticalOrders, restricted_orders: VerticalOrders):
-        return _new(cls, (word, goursat_word, pc, restricted_pc, proximity, orders,
-                          restricted_orders))
 
     @property
     def multiplicities(self) -> tuple[int, ...]:

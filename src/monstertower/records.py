@@ -1,11 +1,12 @@
 """Base class of the package's immutable value records.
 
 A record is one tuple allocation.  A subclass names its fields in
-``_fields``, declares ``__slots__ = ()``, and writes a ``__new__`` that
-checks its arguments and builds the record with one ``_new`` call
-(``tuple.__new__``) on the field values in that order; each field is read
-through the C getter of ``collections.namedtuple`` fields.  The tuple is
-storage only: a record is not a sequence."""
+``_fields`` and declares ``__slots__ = ()``; ``Record.__new__`` builds it
+from its field values, by position and in that order.  Only a record that
+checks or defaults its values writes a ``__new__`` of its own, which builds
+the record with one ``_new`` call (``tuple.__new__``) on the values.  Each
+field is read through the C getter of ``collections.namedtuple`` fields.
+The tuple is storage only: a record is not a sequence."""
 
 try:
     from _collections import _tuplegetter
@@ -50,10 +51,18 @@ class Record(tuple):
     tuple protocol is blocked, so length, indexing, membership, ``+``,
     ``*`` and ordering fail as on a plain object, and a record is true.  A
     subclass that defines ``__iter__`` iterates, and membership then runs
-    through it; one that defines ``__len__`` defines ``__bool__`` with it."""
+    through it; one that defines ``__len__`` defines ``__bool__`` with it.
+    A record is built from one value per field, in ``_fields`` order; a
+    subclass that checks nothing writes no constructor."""
 
     __slots__ = ()
     _fields = ()
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} values "
+                            f"({', '.join(cls._fields)}), got {len(values)}")
+        return _new(cls, values)
 
     def __init_subclass__(cls):
         # a subclass that names no fields reads its base's

@@ -68,9 +68,6 @@ class CoordName(Record):
     __slots__ = ()
     _fields = ("base", "order")
 
-    def __new__(cls, base: str, order: int):
-        return _new(cls, (base, order))
-
     def bump(self) -> "CoordName":
         name = _BUMPED.get(self)
         if name is None:
@@ -92,11 +89,25 @@ _BUMPED: dict = {}
 _X, _Y = CoordName("x", 0), CoordName("y", 0)
 
 
+# the types of a base point's coordinates; a bool is not one
+_NUMBERS = frozenset((int, Fraction))
+
+
+def _require_series(name: str, s) -> TruncatedSeries:
+    """``s``, refused with ParseError naming its type if it is not a series."""
+    if not isinstance(s, TruncatedSeries):
+        raise ParseError(f"expected a TruncatedSeries for {name}, got {type(s).__name__}; "
+                         "parse text with parse_series")
+    return s
+
+
 class CurveGerm(Record):
     """Parameterized germ on the base surface; x and y are stored recentered
     (zero constant term) with the base point kept separately.
 
-    A germ is checked once, when it is built.  Its coordinates are
+    A germ is checked once, when it is built.  A coordinate that is not a
+    ``TruncatedSeries`` is ParseError, and a base point that is not a tuple
+    of two int or Fraction values is TypeError.  Its coordinates are
     polynomials, as the grammar, the corpus and chart data make them: a
     stream coordinate is ValueError, and so is one with a nonzero constant
     term (``from_series`` recenters).  Both coordinates constant is
@@ -109,7 +120,13 @@ class CurveGerm(Record):
 
     def __new__(cls, x: TruncatedSeries, y: TruncatedSeries,
                 base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
+        if (base_point.__class__ is not tuple or len(base_point) != 2
+                or not {base_point[0].__class__, base_point[1].__class__} <= _NUMBERS):
+            got = (f"({', '.join(type(c).__name__ for c in base_point)})"
+                   if base_point.__class__ is tuple else type(base_point).__name__)
+            raise TypeError(f"base_point must be a tuple of two int or Fraction values; got {got}")
         for name, s in (("x", x), ("y", y)):
+            _require_series(name, s)
             if not s.is_polynomial:
                 raise ValueError(f"{name} is a stream; a germ's coordinates are polynomials, "
                                  "built with parse_series or TruncatedSeries.from_terms")
@@ -128,8 +145,8 @@ class CurveGerm(Record):
 
     @staticmethod
     def from_series(x: TruncatedSeries, y: TruncatedSeries) -> "CurveGerm":
-        x0, x_tail = x.recenter()
-        y0, y_tail = y.recenter()
+        x0, x_tail = _require_series("x", x).recenter()
+        y0, y_tail = _require_series("y", y).recenter()
         return CurveGerm(x_tail, y_tail, (x0, y0))
 
     def __str__(self) -> str:
@@ -150,12 +167,6 @@ class ChartStep(Record):
     __slots__ = ()
     _fields = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
                "symbol", "chain_origin", "orders")
-
-    def __new__(cls, level: int, chart_letter: str, retained: TruncatedSeries,
-                new_coord: TruncatedSeries, retained_name: CoordName, new_name: CoordName,
-                symbol: str, chain_origin: int | None, orders: tuple[int | None, int | None]):
-        return _new(cls, (level, chart_letter, retained, new_coord, retained_name, new_name,
-                          symbol, chain_origin, orders))
 
     @property
     def deactivated(self) -> CoordName:
@@ -492,7 +503,9 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     polynomial: ``TruncatedSeries.integrate`` refuses a stream with
     ValueError.  IntegrationMismatch signals a path letter that conflicts
     with the valuations actually encountered; it names the path of the
-    rebuilt germ's lift to level k.  The letters are the whole check.
+    rebuilt germ's lift to level k.  The letters are the whole check.  A
+    ``retained`` or ``new_coord`` that is not a ``TruncatedSeries`` is
+    ParseError.
 
     Why a step may carry N_j.  At level j the walk integrates the
     coordinate that level deactivates, D = integral of N_j dR_j + c, where
@@ -513,9 +526,9 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
     if len(constants) != k + 2:
         raise ParseError(f"need {k + 2} constants for a level-{k} chart")
-    if retained.slope_order() is None and new_coord.slope_order() is None:
+    cur_r, cur_n = _require_series("r", retained), _require_series("n", new_coord)
+    if cur_r.slope_order() is None and cur_n.slope_order() is None:
         raise ConstantParameterization("both active parameterizations are constant")
-    cur_r, cur_n = retained, new_coord
     news = []  # N_k down to N_1
     for level in range(k, 0, -1):
         letter, r_name, deactivated, slot = plan[level - 1]

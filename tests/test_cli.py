@@ -13,6 +13,7 @@ from jsonschema import validate
 import monstertower
 from monstertower.cli import main
 from monstertower.corpus import generate_corpus
+from monstertower.words import RvtWord
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -77,6 +78,18 @@ class TestWordCommand:
         code, _, err = run(capsys, "word", "RTX")
         assert code == 1 and "error" in err
 
+    def test_unbalanced_proximity_sums_are_a_mismatch(self, capsys, monkeypatch):
+        # RVV's chain edge p_2 -> p_0 dropped: m_0 is no longer the sum of
+        # the multiplicities proximate to it
+        from monstertower import invariants
+
+        edges = invariants._chain_edges
+        monkeypatch.setattr(invariants, "_chain_edges",
+                            lambda symbols: tuple(e for e in edges(symbols) if e != (2, 0)))
+        code, out, err = run(capsys, "word", "RVV")
+        assert (code, out) == (2, "")
+        assert err == "consistency mismatch: proximity sums do not balance for RVV\n"
+
 
 class TestPcCommand:
     def test_cw_word(self, capsys):
@@ -101,6 +114,15 @@ class TestPcCommand:
         assert (code, out) == (1, "")
         assert err == (f"error: CW({huge}) has 50000000000000000001 symbols, "
                        "above the pc bound 100000\n")
+
+    def test_a_word_of_another_characteristic_is_a_mismatch(self, capsys, monkeypatch):
+        # the panel checks the characteristic of the word CW(pc) it builds
+        from monstertower import invariants
+
+        monkeypatch.setattr(invariants, "word_from_pc", lambda pc: RvtWord("RV"))
+        code, out, err = run(capsys, "pc", "[3;5]")
+        assert (code, out) == (2, "")
+        assert err == "consistency mismatch: CW([3;5]) = RV has characteristic [2;3]\n"
 
     def test_bound_admits_its_own_length(self, capsys, monkeypatch):
         from monstertower import cli
@@ -315,6 +337,11 @@ class TestEnumerate:
         assert payload["counts"] == {"1": 1, "2": 2, "3": 5, "4": 13}
         assert payload["total"] == 21
         assert payload["words"][:3] == ["R", "RR", "RV"]
+
+    def test_max_len_has_the_enumeration_bound(self, capsys):
+        code, out, err = run(capsys, "enumerate", "15")
+        assert code == 1 and out == ""
+        assert err == "error: enumeration bound is 14\n"
 
     def test_checks_pass(self, capsys):
         code, out, _ = run(

@@ -11,19 +11,24 @@ import re
 
 import pytest
 
-from monstertower.blowup import BlowupName, blowup_resolve, cross_check
-from monstertower.corpus import generate_corpus
+from monstertower.blowup import BlowupName, CrossCheckReport, blowup_resolve, cross_check
+from monstertower.corpus import CurveSpec, generate_corpus
 from monstertower.errors import (
     ConstantParameterization,
     InvalidCharacteristic,
     InvalidSymbol,
     NotCritical,
 )
-from monstertower.invariants import VerticalOrders, invariant_panel
+from monstertower.invariants import (
+    InvariantPanel,
+    ProximityDiagram,
+    VerticalOrders,
+    invariant_panel,
+)
 from monstertower.puiseux import CaseTag, EPair, PuiseuxCharacteristic, classify_case, e_value
 from monstertower.records import Record
 from monstertower.series import parse_series
-from monstertower.tower import CoordName, CurveGerm, lift_trace, parse_curve
+from monstertower.tower import ChartStep, CoordName, CurveGerm, Trace, lift_trace, parse_curve
 from monstertower.words import RvtWord, WordDecomposition
 
 MODULES = ("words", "puiseux", "invariants", "tower", "blowup", "corpus")
@@ -194,6 +199,39 @@ def test_defaults_and_normalisation():
     assert CaseTag("A").tau is None
     assert PuiseuxCharacteristic(["4", 6, 7]).lambdas == (4, 6, 7)
     assert CurveGerm(parse_series("t^2"), parse_series("t^3")).base_point == (0, 0)
+
+
+# the records that check nothing, built by Record.__new__; BlowupName
+# inherits CoordName's fields
+PASS_THROUGH = (CoordName, BlowupName, ChartStep, CrossCheckReport, ProximityDiagram,
+                InvariantPanel, CurveSpec)
+# the records that check or default their values, each with its own __new__
+CHECKED = (RvtWord, WordDecomposition, PuiseuxCharacteristic, CurveGerm, Trace,
+           VerticalOrders, CaseTag)
+
+
+@pytest.mark.parametrize("cls", PASS_THROUGH, ids=lambda cls: cls.__name__)
+def test_a_record_that_checks_nothing_has_no_constructor(cls):
+    assert "__new__" not in cls.__dict__ and cls.__new__ is Record.__new__
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_a_record_that_checks_keeps_its_constructor(cls):
+    assert "__new__" in cls.__dict__
+
+
+@pytest.mark.parametrize("cls", PASS_THROUGH, ids=lambda cls: cls.__name__)
+def test_a_wrong_number_of_values_is_a_type_error(cls):
+    n = len(cls._fields)
+    for values in ((0,) * (n - 1), (0,) * (n + 1)):
+        message = f"{cls.__name__} takes {n} values ({', '.join(cls._fields)}), got {len(values)}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls(*values)
+
+
+def test_a_record_takes_its_values_by_position_only():
+    with pytest.raises(TypeError):
+        CoordName(base="y", order=4)
 
 
 def test_constructor_checks_still_raise():

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 from math import factorial
@@ -480,6 +481,52 @@ class TestErrors:
         with pytest.raises(ParseError, match="^expected a CurveGerm, got str; "
                                              "parse text with parse_curve$"):
             engine(QUINTIC)
+
+    @pytest.mark.parametrize("build,args,name,got", [
+        (CurveGerm, ("t", "t^2"), "x", "str"),
+        (CurveGerm, (parse_series("t"), 2), "y", "int"),
+        (CurveGerm.from_series, ("t", parse_series("t")), "x", "str"),
+        (CurveGerm.from_series, (parse_series("t"), F(2)), "y", "Fraction"),
+        (curve_from_chart_data, ("oi", "t", "t"), "r", "str"),
+        (curve_from_chart_data, ("oi", parse_series("t"), None), "n", "NoneType"),
+    ], ids=["germ-x", "germ-y", "from_series-x", "from_series-y", "chart-r", "chart-n"])
+    def test_a_coordinate_that_is_not_a_series_is_a_parse_error(self, build, args, name, got):
+        with pytest.raises(ParseError, match=f"^expected a TruncatedSeries for {name}, got "
+                                             f"{got}; parse text with parse_series$"):
+            build(*args)
+
+    @pytest.mark.parametrize("point,got", [
+        ("ab", "str"), ([0, 0], "list"), ((0,), "(int)"), ((0, 0, 0), "(int, int, int)"),
+        ((True, 0), "(bool, int)"), ((0, 0.5), "(int, float)"),
+    ])
+    def test_a_base_point_that_is_not_two_numbers_is_a_type_error(self, point, got):
+        message = f"base_point must be a tuple of two int or Fraction values; got {got}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            CurveGerm(parse_series("t"), parse_series("t^3"), point)
+
+    def test_a_base_point_holds_ints_or_fractions(self):
+        c = CurveGerm(parse_series("t"), parse_series("t^3"), (1, F(-1, 2)))
+        assert c.base_point == (1, F(-1, 2))
+
+    def test_the_input_checks_run_once_per_germ_not_per_step(self, monkeypatch):
+        # a lift makes no check; a rebuild checks r and n, and the germ it
+        # rebuilds, the same number of times at any level
+        import monstertower.tower as tower
+
+        calls = []
+        original = tower._require_series
+        monkeypatch.setattr(tower, "_require_series",
+                            lambda name, s: calls.append(name) or original(name, s))
+        c = CurveGerm(parse_series("t^5"), parse_series("t^7"))
+        assert calls == ["x", "y"]
+        lift_trace(c, levels=6)
+        assert calls == ["x", "y"]
+        counts = []
+        for path in ("oio", "oioioio"):
+            calls.clear()
+            curve_from_chart_data(path, parse_series("t"), parse_series("t"))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] and calls[:2] == ["r", "n"]
 
     @pytest.mark.parametrize("option", ["levels", "max_level"])
     def test_a_level_count_that_is_not_an_int_is_a_type_error(self, option):
