@@ -7,7 +7,10 @@ embedded resolution by point blowups.
 
 Importing the package loads only ``errors``; every public name below is
 imported from its submodule on first use (PEP 562), so a word-layer caller
-never loads the series arithmetic or the engines.
+never loads the series arithmetic or the engines, and an engine caller
+loads ``words``, ``series``, ``tower``, ``blowup``, ``corpus``, ``records``,
+``errors`` and ``defaults``, never the characteristic or panel modules
+(``puiseux``, ``invariants``).
 """
 
 import importlib
@@ -20,8 +23,8 @@ _SUBMODULE_NAMES = {
     "defaults": ("DEFAULT_MAX_LEVEL",),
     "series": ("TruncatedSeries", "parse_series"),
     "words": (
-        "RvtWord", "WordDecomposition", "count_words", "enumerate_words", "is_critical",
-        "is_entirely_critical", "parse_word",
+        "RvtWord", "VerticalOrders", "WordDecomposition", "count_words", "enumerate_words",
+        "is_critical", "is_entirely_critical", "multiplicity_sequence", "parse_word",
     ),
     "puiseux": (
         "CaseTag", "EPair", "PuiseuxCharacteristic", "TRIVIAL_PC", "classify_case", "e_value",
@@ -30,9 +33,8 @@ _SUBMODULE_NAMES = {
         "word_from_pc_front_inverse",
     ),
     "invariants": (
-        "InvariantPanel", "ProximityDiagram", "VerticalOrders", "invariant_panel",
-        "multiplicity_sequence", "proximity_diagram", "restricted_vertical_orders",
-        "vertical_orders",
+        "InvariantPanel", "ProximityDiagram", "invariant_panel", "proximity_diagram",
+        "restricted_vertical_orders", "vertical_orders",
     ),
     "tower": (
         "ChartStep", "CurveGerm", "LiftTrace", "curve_from_chart_data", "lift_once",

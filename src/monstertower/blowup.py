@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from .defaults import DEFAULT_MAX_LEVEL
 from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParameterization
-from .invariants import multiplicity_sequence
 from .records import Record
 from .series import TruncatedSeries
 from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
+from .words import multiplicity_sequence
 
 
 class BlowupName(CoordName):

@@ -1,11 +1,14 @@
-"""Multiplicity sequences, proximity diagrams, vertical orders, and the
-aggregated invariant panel of a code word.
+"""Proximity diagrams, vertical orders, and the aggregated invariant panel
+of a code word.
 
 Everything here is driven by the word alone; the lifting engines recompute
 the same data geometrically and the two routes are cross-checked in the
 test suite.  Diagrams and sequences are truncated one position past the
 last stored symbol: all later data is forced (multiplicity 1, no extra
-proximity edges).
+proximity edges).  The multiplicity sequence and the ``VerticalOrders``
+record live in ``words``, beside the front walk that gives them, and are
+bound here: they are all the engines read, so an engine run loads neither
+this module nor ``puiseux``.
 """
 
 from __future__ import annotations
@@ -17,19 +20,11 @@ from .puiseux import (
     PuiseuxCharacteristic,
     _back_lambdas,
     _restricted_lambdas,
-    front_chain,
     front_r_step,
     word_from_pc,
 )
 from .records import Record, _new
-from .words import RvtWord, _chain_edges
-
-
-def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
-    """Leading characteristic entries down the lift chain: entry j is the
-    multiplicity of the j-fold lift, for j = 0..len(word)."""
-    w = word if isinstance(word, RvtWord) else RvtWord(word)
-    return front_chain(w)[0]
+from .words import RvtWord, VerticalOrders, _chain_edges, front_chain, multiplicity_sequence
 
 
 class ProximityDiagram(Record):
@@ -94,27 +89,6 @@ def _build_proximity(w: RvtWord, mults: tuple[int, ...]) -> ProximityDiagram:
     chain started at position o (``words._chain_edges``); edges come out
     sorted."""
     return ProximityDiagram(w.symbols, mults, _chain_edges(w.symbols))
-
-
-class VerticalOrders(Record):
-    """Intersection orders of the regularized lift with the divisors at
-    infinity, indexed by absolute tower level starting at first_level."""
-
-    __slots__ = ()
-    _fields = ("values", "first_level")
-
-    def __new__(cls, values: tuple[int, ...], first_level: int = 2):
-        return _new(cls, (values, first_level))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def restricted(self) -> "VerticalOrders":
-        """Orders from the next level on: the restricted vertical orders."""
-        return VerticalOrders(self.values[1:], self.first_level + 1)
-
-    def to_json_dict(self) -> dict:
-        return {"first_level": self.first_level, "values": list(self.values)}
 
 
 def _orders_from_multiplicities(m: tuple[int, ...]) -> VerticalOrders:

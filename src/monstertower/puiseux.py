@@ -9,6 +9,10 @@ Two independent recursions compute the characteristic of a word:
   trailing entirely-critical block) and combines PC(P) with the pair E(R^rho Q)
   computed by the auxiliary E map.
 
+The front walk itself (``front_chain``) lives in ``words`` and is bound
+here: the engines read its multiplicities, and so load none of this
+module.  The back recursion still shares no code with it.
+
 Both are implemented and cross-checked exhaustively in the test suite.  The
 inverse direction is available twice as well: the CW map built on the
 Euclidean word Euc(a, b), and a case-peeling inverse of the front-end
@@ -42,7 +46,7 @@ from .errors import (
     literal_text,
 )
 from .records import Record, _new
-from .words import RvtWord, _split_pq, _word_text, is_entirely_critical
+from .words import RvtWord, _split_pq, _word_text, front_chain, is_entirely_critical
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
 
@@ -207,43 +211,6 @@ def front_r_step(sub: tuple[int, ...]) -> tuple[int, ...]:
     """Front-end step for a word R W' whose lift W' starts with R: the raw
     characteristic of R W' from the raw characteristic ``sub`` of W'."""
     return (sub[0], *(x + sub[0] for x in sub[1:]))
-
-
-def front_chain(word: RvtWord | str) -> tuple[tuple[int, ...], ...]:
-    """``(multiplicities, lambdas, lifted)`` in one backward walk: the
-    leading characteristic entry of each j-fold lift, j = 0..len(word), and
-    the raw characteristics of the word and of its lifted word.
-
-    A lift drops the leading symbol and turns a V T^tau run into R's, so
-    lift level j reads its block at the word's own symbol j+1: a V opens a
-    B block when its T run ends the word or meets R, a C block when it
-    meets V; anything else is an A step.  Each level is O(1) on the head and
-    the tail stored minus a running offset: O(len(word)) time and memory.
-    """
-    s = word.symbols if isinstance(word, RvtWord) else RvtWord(word).symbols
-    mults = [1] * (len(s) + 1)
-    head, tail, off, lifted = 1, [], 0, (1,)  # tail: last entry first
-    last_v = s.rfind("V")
-    tau, closed = s.count("T", last_v), True  # the last V is followed by T^tau R*
-    for j in range(last_v - 1, -1, -1):
-        ch = s[j + 1]
-        if ch != "V":
-            off += head
-            if ch == "T":
-                tau += 1
-            else:
-                tau, closed = 0, True
-        elif closed:
-            off += head
-            tail.append((tau + 3) * head - off)
-            head *= tau + 2
-            tau, closed = 0, False
-        else:
-            head, off, tau = tail[-1] + off, off + head, 0
-        mults[j] = head
-        if j == 1:
-            lifted = (head, *[x + off for x in reversed(tail)])
-    return tuple(mults), (head, *[x + off for x in reversed(tail)]), lifted
 
 
 def pc_from_word_front(word: RvtWord | str) -> PuiseuxCharacteristic:

@@ -55,10 +55,9 @@ from .errors import (
     ParseError,
     literal_text,
 )
-from .invariants import VerticalOrders
 from .records import Record, _new
 from .series import _COEFF, TruncatedSeries, parse_series
-from .words import RvtWord
+from .words import RvtWord, VerticalOrders
 
 
 class CoordName(Record):
@@ -89,7 +88,8 @@ _BUMPED: dict = {}
 _X, _Y = CoordName("x", 0), CoordName("y", 0)
 
 
-# the types of a base point's coordinates; a bool is not one
+# the types of a base point's coordinates and of chart-data constants; a
+# bool is not one
 _NUMBERS = frozenset((int, Fraction))
 
 
@@ -99,6 +99,14 @@ def _require_series(name: str, s) -> TruncatedSeries:
         raise ParseError(f"expected a TruncatedSeries for {name}, got {type(s).__name__}; "
                          "parse text with parse_series")
     return s
+
+
+def _not_numbers(rule: str, values, containers: tuple) -> TypeError:
+    """TypeError for ``values`` breaking ``rule``: it names the type of each
+    entry of one of ``containers``, and else the type of ``values``."""
+    got = (f"({', '.join(type(c).__name__ for c in values)})"
+           if values.__class__ in containers else type(values).__name__)
+    return TypeError(f"{rule}; got {got}")
 
 
 class CurveGerm(Record):
@@ -122,9 +130,8 @@ class CurveGerm(Record):
                 base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
         if (base_point.__class__ is not tuple or len(base_point) != 2
                 or not {base_point[0].__class__, base_point[1].__class__} <= _NUMBERS):
-            got = (f"({', '.join(type(c).__name__ for c in base_point)})"
-                   if base_point.__class__ is tuple else type(base_point).__name__)
-            raise TypeError(f"base_point must be a tuple of two int or Fraction values; got {got}")
+            raise _not_numbers("base_point must be a tuple of two int or Fraction values",
+                               base_point, (tuple,))
         for name, s in (("x", x), ("y", y)):
             _require_series(name, s)
             if not s.is_polynomial:
@@ -504,8 +511,10 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     ValueError.  IntegrationMismatch signals a path letter that conflicts
     with the valuations actually encountered; it names the path of the
     rebuilt germ's lift to level k.  The letters are the whole check.  A
-    ``retained`` or ``new_coord`` that is not a ``TruncatedSeries`` is
-    ParseError.
+    ``path`` that is not a str, or a ``retained`` or ``new_coord`` that is
+    not a ``TruncatedSeries``, is ParseError; ``constants`` that are not a
+    list or tuple of int or Fraction values (a bool is neither) are
+    TypeError.
 
     Why a step may carry N_j.  At level j the walk integrates the
     coordinate that level deactivates, D = integral of N_j dR_j + c, where
@@ -519,11 +528,18 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     coordinate only on an all-``o`` path.  There the top pair is
     (r - r(0), n), and the base point is (r(0), ...).
     """
+    if not isinstance(path, str):
+        raise ParseError(f"expected a str chart path, got {type(path).__name__}")
     k = len(path)
     plan = _walk_names(path)
     if constants is None:
         constants = [Fraction(0)] * (k + 2)
-    constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
+    elif (constants.__class__ not in (list, tuple)
+          or not {c.__class__ for c in constants} <= _NUMBERS):
+        raise _not_numbers("constants must be a list or tuple of int or Fraction values",
+                           constants, (list, tuple))
+    else:
+        constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
     if len(constants) != k + 2:
         raise ParseError(f"need {k + 2} constants for a level-{k} chart")
     cur_r, cur_n = _require_series("r", retained), _require_series("n", new_coord)

@@ -22,6 +22,14 @@ as a record directly (``_new``) without the validator: each word of
 ``goursat_word``, both halves of ``split_at_level``, ``decompose``'s prefix
 and ``WordDecomposition.reconstruct``.  The tests run the validator over
 every such derivation to length 10.
+
+The front walk (``front_chain``), one backward pass that gives the
+multiplicity of every lift and the raw characteristics of the word and of
+its lifted word, lives here too, with the multiplicity sequence it yields
+and the ``VerticalOrders`` record.  Those are all the engines read of the
+word calculus, so a lift or a cross-check loads this module and never
+``puiseux`` or ``invariants``, which build the characteristic and the panel
+on the same walk.
 """
 
 from __future__ import annotations
@@ -310,3 +318,71 @@ def count_words(n: int) -> int:
         total = r + v + t
         r, v, t = total, total, v + t
     return r + v + t
+
+
+# -- the front walk -------------------------------------------------------------
+
+
+def front_chain(word: RvtWord | str) -> tuple[tuple[int, ...], ...]:
+    """``(multiplicities, lambdas, lifted)`` in one backward walk: the
+    leading characteristic entry of each j-fold lift, j = 0..len(word), and
+    the raw characteristics of the word and of its lifted word.
+
+    A lift drops the leading symbol and turns a V T^tau run into R's, so
+    lift level j reads its block at the word's own symbol j+1: a V opens a
+    B block when its T run ends the word or meets R, a C block when it
+    meets V; anything else is an A step.  Each level is O(1) on the head and
+    the tail stored minus a running offset: O(len(word)) time and memory.
+    """
+    s = word.symbols if isinstance(word, RvtWord) else RvtWord(word).symbols
+    mults = [1] * (len(s) + 1)
+    head, tail, off, lifted = 1, [], 0, (1,)  # tail: last entry first
+    last_v = s.rfind("V")
+    tau, closed = s.count("T", last_v), True  # the last V is followed by T^tau R*
+    for j in range(last_v - 1, -1, -1):
+        ch = s[j + 1]
+        if ch != "V":
+            off += head
+            if ch == "T":
+                tau += 1
+            else:
+                tau, closed = 0, True
+        elif closed:
+            off += head
+            tail.append((tau + 3) * head - off)
+            head *= tau + 2
+            tau, closed = 0, False
+        else:
+            head, off, tau = tail[-1] + off, off + head, 0
+        mults[j] = head
+        if j == 1:
+            lifted = (head, *[x + off for x in reversed(tail)])
+    return tuple(mults), (head, *[x + off for x in reversed(tail)]), lifted
+
+
+def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
+    """Leading characteristic entries down the lift chain: entry j is the
+    multiplicity of the j-fold lift, for j = 0..len(word)."""
+    w = word if isinstance(word, RvtWord) else RvtWord(word)
+    return front_chain(w)[0]
+
+
+class VerticalOrders(Record):
+    """Intersection orders of the regularized lift with the divisors at
+    infinity, indexed by absolute tower level starting at first_level."""
+
+    __slots__ = ()
+    _fields = ("values", "first_level")
+
+    def __new__(cls, values: tuple[int, ...], first_level: int = 2):
+        return _new(cls, (values, first_level))
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def restricted(self) -> "VerticalOrders":
+        """Orders from the next level on: the restricted vertical orders."""
+        return VerticalOrders(self.values[1:], self.first_level + 1)
+
+    def to_json_dict(self) -> dict:
+        return {"first_level": self.first_level, "values": list(self.values)}

@@ -1006,6 +1006,25 @@ class TestImportIsolation:
             f"monstertower.{m}" for m in loaded
         }
 
+    def test_an_engine_run_loads_no_characteristic_or_panel_code(self):
+        # the converse: a lift and a cross-check read the front walk, the
+        # multiplicities and VerticalOrders from words
+        run = (
+            "import sys; from monstertower import blowup, corpus, tower; "
+            "c = tower.parse_curve(str(corpus.generate_corpus(1)[0]))[0]; "
+            "trace = tower.lift_trace(c); assert blowup.cross_check(trace).ok; "
+            "trace.vertical_orders(); "
+            "print(*sorted(m for m in sys.modules if m.startswith('monstertower.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", run],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120, check=True,
+        )
+        modules = set(done.stdout.splitlines()[-1].split())
+        assert {"monstertower.words", "monstertower.blowup"} <= modules
+        assert {"monstertower.puiseux", "monstertower.invariants"} & modules == set()
+
 
 class TestClosedOutput:
     @pytest.mark.parametrize(

@@ -68,15 +68,18 @@ class TestConductorIdentity:
         assert len(words) == 28656 and self.failures(words) == []
 
     def test_a_seeded_wrong_multiplicity_fails(self, monkeypatch):
-        front_chain = invariants.front_chain
+        # multiplicity_sequence reads the front walk where both live, in words
+        from monstertower import words
+
+        front_chain = words.front_chain
 
         def wrong(word):
             mults, lambdas, lifted = front_chain(word)
             return (mults[0], mults[1] + 1, *mults[2:]), lambdas, lifted
 
-        monkeypatch.setattr(invariants, "front_chain", wrong)
-        words = [w for w in enumerate_words(6) if w.is_critical()]
-        assert self.failures(words) == [w.symbols for w in words]
+        monkeypatch.setattr(words, "front_chain", wrong)
+        critical = [w for w in enumerate_words(6) if w.is_critical()]
+        assert self.failures(critical) == [w.symbols for w in critical]
 
 
 class TestProximityDiagram:

@@ -374,7 +374,9 @@ class TestBackRecursionIndependence:
         def refuse(*args, **kwargs):
             raise AssertionError("the back recursion used the front recursion")
 
+        # the front walk lives in words and is bound in puiseux too
         monkeypatch.setattr(puiseux, "front_chain", refuse)
+        monkeypatch.setattr(words, "front_chain", refuse)
         monkeypatch.setattr(puiseux, "front_r_step", refuse)
         monkeypatch.setattr(words, "lift_string", refuse)
 

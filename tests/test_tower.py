@@ -21,6 +21,7 @@ from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import (
     CoordName,
     CurveGerm,
+    chart_data_trace,
     curve_from_chart_data,
     lift_once,
     lift_trace,
@@ -527,6 +528,33 @@ class TestErrors:
             curve_from_chart_data(path, parse_series("t"), parse_series("t"))
             counts.append(len(calls))
         assert counts[0] == counts[1] and calls[:2] == ["r", "n"]
+
+    @pytest.mark.parametrize("build", [curve_from_chart_data, chart_data_trace])
+    @pytest.mark.parametrize("path,got", [(5, "int"), (b"oi", "bytes"), (["o", "i"], "list")])
+    def test_a_chart_path_that_is_not_a_str_is_a_parse_error(self, build, path, got):
+        with pytest.raises(ParseError, match=f"^expected a str chart path, got {got}$"):
+            build(path, parse_series("t"), parse_series("t"))
+
+    @pytest.mark.parametrize("build", [curve_from_chart_data, chart_data_trace])
+    @pytest.mark.parametrize("constants,got", [
+        ([True, 0, 0, 0], "(bool, int, int, int)"),
+        ([1.5, 0, 0, 0], "(float, int, int, int)"),
+        (["1/2", 0, 0, 0], "(str, int, int, int)"),
+        ((0, 0, "a", 0), "(int, int, str, int)"),
+        (5, "int"),
+        ("0000", "str"),
+        (iter([0, 0, 0, 0]), "list_iterator"),
+    ], ids=["bool", "float", "fraction-text", "text", "int", "str", "iterator"])
+    def test_constants_that_are_not_numbers_are_a_type_error(self, build, constants, got):
+        message = f"constants must be a list or tuple of int or Fraction values; got {got}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build("oi", parse_series("t"), parse_series("t"), constants)
+
+    def test_chart_constants_hold_ints_or_fractions(self):
+        t = parse_series("t")
+        c = curve_from_chart_data("oi", t, t, (1, F(-1, 2), 0, 0))
+        assert c.base_point == (1, F(-1, 2))
+        assert c == curve_from_chart_data("oi", t, t, [F(1), F(-1, 2), F(0), F(0)])
 
     @pytest.mark.parametrize("option", ["levels", "max_level"])
     def test_a_level_count_that_is_not_an_int_is_a_type_error(self, option):
