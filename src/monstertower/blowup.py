@@ -16,21 +16,26 @@ them, and the step records them as its orders, the recentered orders a
 Nash step records too, off which ``Trace`` reads the multiplicities and
 the regularity test.
 
-Coordinates are a base letter and a blowup index (``y_1``), bumped into
-shared names as the Nash lift's are, and each step is one record
-allocation.  A germ is resolved once into a ``BlowupTrace``, run by the
-loop the Nash lift runs (``Trace.continued``); the engine supplies only
-``blowup_once`` as its step.  Word (the symbols read off the flags), chart
-path, order profile and multiplicities are views of its steps, and
-``cross_check`` compares them against the Nash lift it is given or makes,
-reading each view of either trace once; the blowup word is compared as
-its string of symbols, which the Nash word has validated.
+A step's letter means what a Nash step's does: ``o`` when it divides b by
+a, keeping the first coordinate of the pair, ``i`` when it divides a by
+b.  Each step is one record allocation and holds no names: coordinates
+are a base letter and a blowup index (``y_1``), named by the Nash lift's
+walk over the letters from (x_0, y_0).  A germ is resolved once into a
+``BlowupTrace``, run by the loop the Nash lift runs (``Trace.continued``),
+which also refuses a cover; the engine supplies only ``blowup_once`` as
+its step.  Word (the symbols read off the flags), order profile and
+multiplicities are views of its steps; its chart path is its standard
+charts, ``o`` where the new coordinate descends from y, read off the
+names.  ``cross_check`` compares the word, order profile and
+multiplicities against the Nash lift it is given or makes, reading each
+view of either trace once; the blowup word is compared as its string of
+symbols, which the Nash word has validated.
 """
 
 from __future__ import annotations
 
 from .defaults import DEFAULT_MAX_LEVEL
-from .errors import ConstantParameterization, MismatchReport, NonPrimitiveParameterization
+from .errors import ConstantParameterization, MismatchReport
 from .records import Record
 from .series import TruncatedSeries
 from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
@@ -46,6 +51,9 @@ class BlowupName(CoordName):
         return f"{self.base}_{self.order}"
 
 
+_FIRST_NAMES = (BlowupName("x", 0), BlowupName("y", 0))
+
+
 class BlowupTrace(Trace):
     """One resolution of a germ: ``continued`` blows up until the strict
     transform is regular, and every value is read off the steps."""
@@ -53,6 +61,12 @@ class BlowupTrace(Trace):
     __slots__ = ()
     _engine = "blowup"
     _budget = "no regular strict transform within {} blowups"
+    _cover = ("{n} is constant at blowup {level} while {r} has order {m}: "
+              "the germ is a cover of degree {m}")
+
+    @staticmethod
+    def _first_names() -> tuple[BlowupName, BlowupName]:
+        return _FIRST_NAMES
 
     def _step(self, steps: list[ChartStep]) -> ChartStep:
         """The blowup of the chart pair the last step kept or, before the
@@ -60,52 +74,45 @@ class BlowupTrace(Trace):
         if not steps:
             return blowup_once(self.germ.x, self.germ.y, level=1)
         s = steps[-1]
-        return blowup_once(s.retained, s.new_coord, level=s.level + 1,
-                           a_name=s.retained_name, b_name=s.new_name, b_flag=s.chain_origin)
+        return blowup_once(s.retained, s.new_coord, level=s.level + 1, b_flag=s.chain_origin)
+
+    @property
+    def chart_path(self) -> str:
+        """The standard chart of each blowup: ``o`` where the new coordinate
+        descends from y, ``i`` where it descends from x."""
+        return "".join(["o" if n.base == "y" else "i" for _, n, _ in self._names(self.steps)])
 
 
 def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
-                a_name: BlowupName = BlowupName("x", 0), b_name: BlowupName = BlowupName("y", 0),
                 b_flag: int | None = None) -> ChartStep:
     """Blow up the current point of the curve and restrict to the chart the
     strict transform passes through.  (a, b) is the pair after the previous
     blowup: a recentered, its flag ``level - 1`` (none on the base surface),
     and b unrecentered with the flag ``b_flag``.  b vanished at the center
     exactly when its tail is b itself, and the quotient is given the two
-    valuations the step read.
+    valuations the step read.  The letter is ``o`` when the step divides b
+    by a, and ``i`` when it divides a by b.
 
-    A constant b while val a = d > 1 makes every coordinate a function of a,
-    so the germ factors through a, of order d: NonPrimitiveParameterization
-    names the cover of degree d."""
+    Both coordinates constant after recentering is
+    ConstantParameterization.  A constant b while val a = d > 1 is a step
+    of orders (d, None), whose cover ``Trace`` refuses."""
     b_rec = b._tail()
     va = a.valuation_or_none()
     vb = b_rec.valuation_or_none()
-    if vb is None:
-        if va is None:
-            raise ConstantParameterization(
-                f"both coordinates {a_name} and {b_name} vanish identically "
-                f"after recentering at blowup {level}"
-            )
-        if va > 1:
-            raise NonPrimitiveParameterization(
-                f"{b_name} is constant at blowup {level} while {a_name} has order "
-                f"{va}: the germ is a cover of degree {va}"
-            )
+    if va is None and vb is None:
+        raise ConstantParameterization(
+            f"both coordinates vanish identically after recentering at blowup {level}")
     if va is not None and (vb is None or vb >= va):
-        denominator, denominator_name = a, a_name
-        quotient, new_name = b_rec._ratio(a, va, vb, 0), b_name.bump()
+        letter, denominator, quotient = "o", a, b_rec._ratio(a, va, vb, 0)
         inherited = b_flag if b_rec is b else None
     else:
-        denominator, denominator_name = b_rec, b_name
-        quotient, new_name = a._ratio(b_rec, vb, va, 0), a_name.bump()
+        letter, denominator, quotient = "i", b_rec, a._ratio(b_rec, vb, va, 0)
         inherited = level - 1 or None  # a's flag: a always vanishes at the center
     if inherited is not None and quotient.valuation_or_none() != 0:
         symbol = "V" if inherited == level - 1 else "T"
     else:
         symbol = "R"
-    letter = "o" if new_name.base == "y" else "i"
-    return ChartStep(level, letter, denominator, quotient, denominator_name, new_name, symbol,
-                     inherited, (va, vb))
+    return ChartStep(level, letter, denominator, quotient, symbol, inherited, (va, vb))
 
 
 def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTrace:

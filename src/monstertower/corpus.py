@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from .errors import wrong_type
 from .records import Record
 from .series import TruncatedSeries
 from .tower import CurveGerm
@@ -47,6 +48,10 @@ class CurveSpec(Record):
 
 
 def generate_corpus(count: int = 220, seed: int = DEFAULT_SEED) -> list[CurveSpec]:
+    """``count`` distinct curves drawn with ``seed``; a count or seed that
+    is not an int is TypeError."""
+    if count.__class__ is not int or seed.__class__ is not int:
+        raise wrong_type("count and seed must be ints", (count, seed), (tuple,))
     rng = random.Random(seed)
     out: list[CurveSpec] = []
     seen: set[tuple] = set()

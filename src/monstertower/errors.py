@@ -23,6 +23,15 @@ def literal_text(value, kind: str) -> str:
     raise ParseError(f"a {kind} literal is a str; got {type(value).__name__}")
 
 
+def wrong_type(rule: str, value, containers: tuple = ()) -> TypeError:
+    """TypeError for ``value`` breaking ``rule``: it names the type of each
+    entry of a ``value`` of one of ``containers``, and else the type of
+    ``value``.  The package refuses every wrongly typed argument with it."""
+    got = (f"({', '.join(type(c).__name__ for c in value)})"
+           if value.__class__ in containers else type(value).__name__)
+    return TypeError(f"{rule}; got {got}")
+
+
 # -- word errors ------------------------------------------------------------
 
 class InvalidSymbol(ParseError):

@@ -92,7 +92,7 @@ def _build_proximity(w: RvtWord, mults: tuple[int, ...]) -> ProximityDiagram:
 
 
 def _orders_from_multiplicities(m: tuple[int, ...]) -> VerticalOrders:
-    return VerticalOrders(tuple(map(sub, m, m[1:-1])))
+    return _new(VerticalOrders, (tuple(map(sub, m, m[1:-1])), 2))
 
 
 def vertical_orders(word: RvtWord | str) -> VerticalOrders:

@@ -44,6 +44,7 @@ from .errors import (
     RemainderInvalid,
     TrivialCharacteristic,
     literal_text,
+    wrong_type,
 )
 from .records import Record, _new
 from .words import RvtWord, _split_pq, _word_text, front_chain, is_entirely_critical
@@ -105,14 +106,14 @@ def _entries(pc: PuiseuxCharacteristic) -> tuple[int, ...]:
 
 def _integral_entries(values: tuple) -> tuple[int, ...]:
     """The entries as ints: integer text and integral values keep their
-    value, and anything int() would truncate or cannot convert is refused
-    with an InvalidCharacteristic that names the entry."""
+    value, and a bool, or anything int() would truncate or cannot convert,
+    is refused with an InvalidCharacteristic that names the entry."""
     for x in values:
         try:
             n = int(x)
         except (TypeError, ValueError, OverflowError):
             raise InvalidCharacteristic(f"entry {x!r} is not an integer") from None
-        if n != x and not isinstance(x, (str, bytes)):
+        if n != x and not isinstance(x, (str, bytes)) or x.__class__ is bool:
             raise InvalidCharacteristic(f"entry {x!r} is not an integer")
     return tuple(map(int, values))
 
@@ -160,12 +161,18 @@ EPair.__doc__ = "Coprime ordered pair produced by the E map; a < b always."
 
 
 class CaseTag(Record):
-    """Front-end recursion case: A, or B/C with the tangency count tau."""
+    """Front-end recursion case: A, or B/C with the tangency count tau.  A
+    kind that is not a str, or a tau that is neither None nor an int, is
+    TypeError."""
 
     __slots__ = ()
     _fields = ("kind", "tau")
 
     def __new__(cls, kind: str, tau: int | None = None):
+        if kind.__class__ is not str:
+            raise wrong_type("kind must be a str", kind)
+        if tau is not None and tau.__class__ is not int:
+            raise wrong_type("tau must be None or an int", tau)
         return _new(cls, (kind, tau))
 
     def __str__(self) -> str:
@@ -310,7 +317,9 @@ def _back_lambdas(s: str) -> tuple[int, ...]:
 def euclid(a: int, b: int) -> str:
     """Entirely-critical string of the slow Euclidean algorithm on (a, b):
     V then Euc(b-a, a) when b < 2a, T then Euc(a, b-a) when b > 2a,
-    empty at (1, 2)."""
+    empty at (1, 2).  An a or b that is not an int is TypeError."""
+    if a.__class__ is not int or b.__class__ is not int:
+        raise wrong_type("a and b must be ints", (a, b), (tuple,))
     if a < 1 or b < 1 or a >= b:
         raise BadOrder(f"need 0 < a < b, got ({a}, {b})")
     if gcd(a, b) != 1:

@@ -88,7 +88,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd
 
-from .errors import IndeterminateValuation, NegativeValuation, ParseError, literal_text
+from .errors import IndeterminateValuation, NegativeValuation, ParseError, literal_text, wrong_type
 
 # a coefficient: an integer or a fraction p/q, spaces allowed around the /
 _COEFF = r"\d+(?:\s*/\s*\d+)?"
@@ -100,13 +100,17 @@ _ZERO_BOUND = (-1, 0, 0)  # the zero polynomial
 def _sum_terms(terms) -> tuple:
     """The term tuple of the polynomial with these (coefficient, exponent)
     terms: terms that share an exponent are added, and those that sum to
-    zero are dropped."""
+    zero are dropped.  A term that is not an int or Fraction coefficient
+    and an int exponent (a bool is neither) is TypeError, and a negative
+    exponent ValueError."""
     sums = {}
     for coeff, exponent in terms:
+        if exponent.__class__ is not int or (coeff.__class__ is not int
+                                             and coeff.__class__ is not Fraction):
+            raise wrong_type("a term is an int or Fraction coefficient and an int exponent",
+                             (coeff, exponent), (tuple,))
         if exponent < 0:
             raise ValueError("exponents must be nonnegative")
-        if coeff.__class__ is not int and coeff.__class__ is not Fraction:
-            coeff = Fraction(coeff)
         if exponent in sums:
             coeff += sums[exponent]
         sums[exponent] = coeff
@@ -180,7 +184,8 @@ class TruncatedSeries:
     """Immutable exact power series, read through an exact zero test.
 
     ``TruncatedSeries(coefficients)`` is the polynomial with those
-    coefficients.  A polynomial holds its terms; a series made by a stream
+    coefficients, a list or tuple of int or Fraction values (anything else
+    is TypeError).  A polynomial holds its terms; a series made by a stream
     operation starts with no coefficients computed:
 
     * ``_terms`` is a term polynomial's tuple of nonzero terms
@@ -203,6 +208,8 @@ class TruncatedSeries:
     __slots__ = ("_bound", "_zeros", "_terms", "_known", "_dens", "_operands", "_extend")
 
     def __init__(self, coefficients):
+        if coefficients.__class__ is not list and coefficients.__class__ is not tuple:
+            raise wrong_type("coefficients must be a list or tuple", coefficients)
         self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)))
 
     def _polynomial(self, terms: tuple) -> None:
@@ -284,7 +291,9 @@ class TruncatedSeries:
 
     @staticmethod
     def from_terms(terms) -> "TruncatedSeries":
-        """The polynomial with the given (coefficient, exponent) terms."""
+        """The polynomial with the given (coefficient, exponent) terms: int or
+        Fraction coefficients and int exponents (anything else is
+        TypeError)."""
         return TruncatedSeries._of_terms(_sum_terms(terms))
 
     @staticmethod
@@ -299,7 +308,10 @@ class TruncatedSeries:
         return self._terms is not None
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
-        """Coefficients 0..n - 1, as Fractions; a negative n is refused."""
+        """Coefficients 0..n - 1, as Fractions; an n that is not an int is
+        TypeError, and a negative one ValueError."""
+        if n.__class__ is not int:
+            raise wrong_type("n must be an int", n)
         if n < 0:
             raise ValueError(f"prefix length {n} is negative")
         return tuple(map(Fraction, self._force(n)[:n], self._dens[:n]))

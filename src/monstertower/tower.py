@@ -18,12 +18,15 @@ none.
 The inverted choice is exactly an encounter with the divisor at infinity of
 the new level, so the code-word symbol there is V.  An ordinary step whose
 new coordinate vanishes at t=0 while a V/T chain is alive continues the
-chain with a T; everything else is an R.  Coordinates are named with the
-calculus convention x, y, y', x', x'', ... as the lift meets them (one rule,
-``_step_names``, for both letters) and carried as structured ``CoordName``s;
-a bumped name is shared, so a level makes no name of its own, and a step is
-one ``ChartStep``, the record both engines make (``records``), so a level
-costs its series.
+chain with a T; everything else is an R.  A step is one ``ChartStep``, the
+record both engines make (``records``), and holds only what the step
+decided: its letter, the pair after it, its symbol, its chain origin and
+its orders, so a level costs its series.  The letter means the same in
+both engines: ``o`` keeps the first coordinate of the pair and ``i`` the
+second.  A coordinate's name is a function of the chart path, so names are
+a view: one walk over the letters (``_name_walk``) names them with the
+calculus convention x, y, y', x', x'', ... as structured ``CoordName``s,
+for the chart equations, the JSON and the cover messages.
 A germ is lifted once into a ``LiftTrace``, which every reader continues.
 A germ given by chart data is rebuilt by integrating down its chart path,
 and that walk is its lift to the presented level (``chart_data_trace``):
@@ -31,7 +34,8 @@ each level is the lift's own step, carrying the walk's polynomial as its
 new coordinate, so the lift goes on from polynomials.
 ``Trace``, the base of both engines' traces, holds the one step-until-regular
 loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
-it, and each engine supplies only its next step.  A step records the
+it, and each engine supplies only its next step.  ``Trace`` also refuses a
+cover, in one place (``_stepped``), for both engines.  A step records the
 orders of the pair it stepped from, val(r - r(0)) and val(n - n(0)), as a
 blowup does: the slope orders the letter compares, plus one.  So the word,
 chart path, base point, order profile, multiplicities and the regularity
@@ -54,6 +58,7 @@ from .errors import (
     NonPrimitiveParameterization,
     ParseError,
     literal_text,
+    wrong_type,
 )
 from .records import Record, _new
 from .series import _COEFF, TruncatedSeries, parse_series
@@ -61,17 +66,10 @@ from .words import RvtWord, VerticalOrders
 
 
 class CoordName(Record):
-    """A base letter, "x" or "y", and its number of primes.  A bumped name
-    is shared: ``bump`` returns one name per class, base and order."""
+    """A base letter, "x" or "y", and its number of primes."""
 
     __slots__ = ()
     _fields = ("base", "order")
-
-    def bump(self) -> "CoordName":
-        name = _BUMPED.get(self)
-        if name is None:
-            name = _BUMPED[self] = type(self)(self.base, self.order + 1)
-        return name
 
     def __str__(self) -> str:
         if self.order == 0:
@@ -81,11 +79,21 @@ class CoordName(Record):
         return f"{self.base}^({self.order})"
 
 
-# a name -> the shared name one order up.  A CoordName and a BlowupName with
-# equal fields hash alike but are not equal (records of two classes never
-# are), so one table serves both classes.
-_BUMPED: dict = {}
 _X, _Y = CoordName("x", 0), CoordName("y", 0)
+
+
+def _name_walk(r: CoordName, n: CoordName, letters) -> list[tuple[CoordName, CoordName, CoordName]]:
+    """The (retained, new, deactivated) names after each chart step of
+    ``letters``, from the pair named (r, n): ``o`` keeps r and deactivates
+    n, ``i`` keeps n and deactivates r, and the new coordinate is the
+    deactivated name one order up.  A name is a function of the chart
+    path, so no step stores one."""
+    names = []
+    for letter in letters:
+        kept, gone = (r, n) if letter == "o" else (n, r)
+        r, n = kept, type(gone)(gone.base, gone.order + 1)
+        names.append((r, n, gone))
+    return names
 
 
 # the types of a base point's coordinates and of chart-data constants; a
@@ -99,14 +107,6 @@ def _require_series(name: str, s) -> TruncatedSeries:
         raise ParseError(f"expected a TruncatedSeries for {name}, got {type(s).__name__}; "
                          "parse text with parse_series")
     return s
-
-
-def _not_numbers(rule: str, values, containers: tuple) -> TypeError:
-    """TypeError for ``values`` breaking ``rule``: it names the type of each
-    entry of one of ``containers``, and else the type of ``values``."""
-    got = (f"({', '.join(type(c).__name__ for c in values)})"
-           if values.__class__ in containers else type(values).__name__)
-    return TypeError(f"{rule}; got {got}")
 
 
 class CurveGerm(Record):
@@ -130,7 +130,7 @@ class CurveGerm(Record):
                 base_point: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))):
         if (base_point.__class__ is not tuple or len(base_point) != 2
                 or not {base_point[0].__class__, base_point[1].__class__} <= _NUMBERS):
-            raise _not_numbers("base_point must be a tuple of two int or Fraction values",
+            raise wrong_type("base_point must be a tuple of two int or Fraction values",
                                base_point, (tuple,))
         for name, s in (("x", x), ("y", y)):
             _require_series(name, s)
@@ -161,26 +161,21 @@ class CurveGerm(Record):
 
 
 class ChartStep(Record):
-    """One step of either engine: its letter ("o" or "i"), the chart pair
-    after it and its names, the symbol (R, V or T), the level of the
-    divisor whose chain is alive, and the orders of the pair (r, n) it
-    stepped from, val(r - r(0)) and val(n - n(0)), None for a constant
-    one.  A Nash step keeps a coordinate of the active pair and makes the
-    pair's slope its new one; a blowup keeps the recentered denominator,
-    whose zero locus is its own exceptional divisor, and makes the
-    quotient, not recentered, its new coordinate.  In both the kept
-    coordinate is the one of smaller order."""
+    """One step of either engine, as the engine decided it: its letter, the
+    chart pair after it, the symbol (R, V or T), the level of the divisor
+    whose chain is alive, and the orders of the pair (r, n) it stepped
+    from, val(r - r(0)) and val(n - n(0)), None for a constant one.  The
+    letter means the same in both engines: ``o`` keeps r, the first
+    coordinate of the pair, and ``i`` keeps n.  A Nash step keeps a
+    coordinate of the active pair and makes the pair's slope its new one;
+    a blowup keeps the recentered denominator, whose zero locus is its own
+    exceptional divisor, and makes the quotient, not recentered, its new
+    coordinate.  In both the kept coordinate is the one of smaller order.
+    A step holds no names: ``Trace`` reads them off the letters."""
 
     __slots__ = ()
-    _fields = ("level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
-               "symbol", "chain_origin", "orders")
-
-    @property
-    def deactivated(self) -> CoordName:
-        """The name of the coordinate the step replaced, the one the new
-        name bumps (``_step_names``): the lift's deactivated coordinate,
-        the blowup's numerator."""
-        return type(self.new_name)(self.new_name.base, self.new_name.order - 1)
+    _fields = ("level", "chart_letter", "retained", "new_coord", "symbol", "chain_origin",
+               "orders")
 
 
 def _least(orders: tuple[int | None, int | None]) -> int:
@@ -195,13 +190,17 @@ class Trace(Record):
     """The steps of one engine's run on a germ and its regularization level
     (None while the run has not reached it), with what both engines share:
     the one step-until-regular loop ``continued``, the regularity test
-    ``_is_regular`` and the views read off the steps (word, chart path,
-    base point, order profile, multiplicities, JSON).  An engine supplies
-    only its next step (``_step``), its budget message (``_budget``), its
-    name and any per-level JSON fields of its own.  A germ that is not a
+    ``_is_regular``, the one cover rule (``_stepped``) and the views read
+    off the steps (word, chart path, base point, order profile,
+    multiplicities, names, JSON).  An engine supplies only its next step
+    (``_step``), the names of its first pair (``_first_names``), its
+    budget and cover messages (``_budget``, ``_cover``), its name and any
+    per-level JSON fields of its own.  A germ that is not a
     ``CurveGerm`` is refused when the trace is made.  The invariant views
     read only ``steps[:regularization_level]``, so they work on any trace
-    that reached the regularization level.  Traces compare exactly: each
+    that reached the regularization level.  Steps that are not a tuple,
+    or a regularization level that is neither None nor an int, are
+    TypeError.  Traces compare exactly: each
     pair of series is read up to the bounds of its difference
     (``TruncatedSeries.__eq__``).  That is a few hundred terms on most
     lifts (e = 82 at level 7 of x=t^14, y=14*t^18+14*t^19), but the
@@ -215,6 +214,10 @@ class Trace(Record):
         if not isinstance(germ, CurveGerm):
             raise ParseError(f"expected a CurveGerm, got {type(germ).__name__}; "
                              "parse text with parse_curve")
+        if steps.__class__ is not tuple:
+            raise wrong_type("steps must be a tuple", steps)
+        if regularization_level is not None and regularization_level.__class__ is not int:
+            raise wrong_type("regularization_level must be None or an int", regularization_level)
         return _new(cls, (germ, steps, regularization_level))
 
     @property
@@ -251,6 +254,26 @@ class Trace(Record):
         return _least(step.orders) == 1 and (
             step.symbol == "R" or step.new_coord.valuation_or_none() == 1)
 
+    def _names(self, steps) -> list[tuple[CoordName, CoordName, CoordName]]:
+        """The (retained, new, deactivated) names after each of ``steps``:
+        the name walk from the engine's first pair over their letters."""
+        return _name_walk(*self._first_names(), [s.chart_letter for s in steps])
+
+    def _stepped(self, steps: list) -> ChartStep:
+        """The engine's next step on ``steps``, unless it shows a cover: a
+        step from a pair whose second coordinate is constant while the
+        first has order m > 1 makes every coordinate a function of the
+        first, of order m in t, so the germ factors through it, and
+        NonPrimitiveParameterization names the cover of degree m and the
+        pair (``_cover``)."""
+        step = self._step(steps)
+        m, constant = step.orders
+        if constant is None and m > 1:
+            r, n = self._names(steps)[-1][:2] if steps else self._first_names()
+            raise NonPrimitiveParameterization(
+                self._cover.format(r=r, n=n, level=step.level, m=m, slope=m - 1))
+        return step
+
     def order_profile(self) -> tuple[int | None, ...]:
         """Valuations of x, y and the new coordinate of every level up to
         regularization.  None marks a coordinate that is identically zero."""
@@ -272,13 +295,12 @@ class Trace(Record):
         keeping it only if it is at most k.  A run re-made, or continued
         from a cut or a shorter run, gives a bit-identical trace.  The germ
         was checked when it was built, so no step makes a primitivity check
-        of its own; a cover a step meets is named by the constant coordinate
-        that shows it.  A ``levels`` or ``max_level`` that is not an int is
-        TypeError."""
+        of its own; a cover a step meets is refused by ``_stepped``.  A
+        ``levels`` or ``max_level`` that is not an int is TypeError."""
         if levels is not None and levels.__class__ is not int:
-            raise TypeError(f"levels must be an int; got {type(levels).__name__}")
+            raise wrong_type("levels must be an int", levels)
         if max_level.__class__ is not int:
-            raise TypeError(f"max_level must be an int; got {type(max_level).__name__}")
+            raise wrong_type("max_level must be an int", max_level)
         if levels == len(self.steps):
             return self
         if levels is not None and levels < len(self.steps):
@@ -287,7 +309,7 @@ class Trace(Record):
         steps, regular_at = list(self.steps), self.regularization_level
         while (len(steps) < levels if levels is not None
                else regular_at is None and len(steps) < max_level):
-            step = self._step(steps)
+            step = self._stepped(steps)
             steps.append(step)
             if regular_at is None and self._is_regular(step):
                 regular_at = step.level
@@ -296,29 +318,30 @@ class Trace(Record):
         return type(self)(self.germ, tuple(steps), regular_at)
 
     def to_json_dict(self) -> dict:
+        path = self.chart_path
         return {
             "engine": self._engine,
             "base_point": [str(c) for c in self.base_point],
             "levels": [
                 {
                     "level": s.level,
-                    "chart": s.chart_letter,
+                    "chart": letter,
                     "symbol": s.symbol,
-                    "new_coordinate": str(s.new_name),
+                    "new_coordinate": str(names[1]),
                     "valuation": s.new_coord.valuation_or_none(),
                     "constant_term": str(s.new_coord.constant_term()),
                     "chain_origin": s.chain_origin,
-                    **self._level_json(s),
+                    **self._level_json(*names),
                 }
-                for s in self.steps
+                for s, letter, names in zip(self.steps, path, self._names(self.steps))
             ],
             "word": self.word.symbols,
-            "chart_path": self.chart_path,
+            "chart_path": path,
             "regularization_level": self.regularization_level,
         }
 
     @staticmethod
-    def _level_json(s: ChartStep) -> dict:
+    def _level_json(retained: CoordName, new: CoordName, deactivated: CoordName) -> dict:
         return {}
 
 
@@ -327,25 +350,33 @@ class LiftTrace(Trace):
     trace grows, or is cut, by ``continued``, so a germ is lifted once
     however many levels its readers ask for.  Word, chart path, data point
     and chart equations cover every level lifted and name coordinates as
-    the lift did."""
+    the lift meets them, from (x, y) or, when the lift starts from y,
+    (y, x)."""
 
     __slots__ = ()
     _engine = "nash"
     _budget = "no regular lift within {} levels; the germ may be critical or the budget too small"
+    _cover = ("d{n}/dt vanishes identically at level {level} while d{r}/dt has order {slope}: "
+              "the germ is a cover of degree {m}")
+
+    def _y_first(self) -> bool:
+        """Whether the lift starts from (y, x): y has the smaller valuation
+        (tie: x)."""
+        vx, vy = self.germ.x.valuation_or_none(), self.germ.y.valuation_or_none()
+        return vx is None or vy is not None and vy < vx
+
+    def _first_names(self) -> tuple[CoordName, CoordName]:
+        return (_Y, _X) if self._y_first() else (_X, _Y)
 
     def _step(self, steps: list[ChartStep]) -> ChartStep:
         """The chart step on the active pair the last step kept or, before
         the first step, on the base pair, retaining whichever coordinate has
-        the smaller valuation (tie: x)."""
+        the smaller valuation (``_y_first``)."""
         if steps:
             s = steps[-1]
-            return lift_once(s.retained, s.new_coord, s.level + 1, s.retained_name, s.new_name,
-                             s.chain_origin)
+            return lift_once(s.retained, s.new_coord, s.level + 1, s.chain_origin)
         x, y = self.germ.x, self.germ.y
-        vx, vy = x.valuation_or_none(), y.valuation_or_none()
-        if vx is not None and (vy is None or vx <= vy):
-            return lift_once(x, y, 1)
-        return lift_once(y, x, 1, _Y, _X)
+        return lift_once(y, x, 1) if self._y_first() else lift_once(x, y, 1)
 
     @property
     def data_point(self) -> tuple[Fraction, ...]:
@@ -356,15 +387,15 @@ class LiftTrace(Trace):
         """Orders of vanishing of the divisor equations along the lift: at an
         inverted level the new coordinate cuts the divisor at infinity, so its
         valuation is the vertical order; ordinary levels contribute zero."""
-        return VerticalOrders(tuple(
+        return _new(VerticalOrders, (tuple(
             s.new_coord.valuation() if s.chart_letter == "i" else 0
             for s in self._regular_steps()[1:]
-        ))
+        ), 2))
 
     def chart_equations(self) -> list[str]:
         """Pfaffian equations of the focal bundle along the lift: one per
         level, d(deactivated) = new d(retained)."""
-        return [f"d{s.deactivated} = {s.new_name} d{s.retained_name}" for s in self.steps]
+        return [f"d{d} = {n} d{r}" for r, n, d in self._names(self.steps)]
 
     def curve_word(self, k: int = 0) -> RvtWord:
         """Code word of the germ lifted k times, of length r - k: the
@@ -374,11 +405,8 @@ class LiftTrace(Trace):
         return word.split_at_level(min(k, len(word)))[1]
 
     @staticmethod
-    def _level_json(s: ChartStep) -> dict:
-        return {
-            "retained_coordinate": str(s.retained_name),
-            "deactivated_coordinate": str(s.deactivated),
-        }
+    def _level_json(retained: CoordName, new: CoordName, deactivated: CoordName) -> dict:
+        return {"retained_coordinate": str(retained), "deactivated_coordinate": str(deactivated)}
 
     def to_json_dict(self) -> dict:
         return {**super().to_json_dict(), "data_point": [str(c) for c in self.data_point]}
@@ -388,8 +416,6 @@ def lift_once(
     retained: TruncatedSeries,
     new_coord: TruncatedSeries,
     level: int,
-    retained_name: CoordName = _X,
-    new_name: CoordName = _Y,
     chain_origin: int | None = None,
 ) -> ChartStep:
     """One chart step on the active pair (r, n).  The chart letter is decided
@@ -402,24 +428,15 @@ def lift_once(
     its slope order plus one.
 
     A derivative with no valuation is identically zero, so its coordinate
-    is constant.  Both constant is ConstantParameterization.  A constant
-    new coordinate while val(dr/dt) = m >= 1 makes every coordinate a
-    function of r, of order m + 1 in t, so the germ factors through r:
-    NonPrimitiveParameterization names the cover of degree m + 1.
+    is constant.  Both constant is ConstantParameterization.  A constant n
+    while val(dr/dt) = m >= 1 is a step of orders (m + 1, None), whose
+    cover ``Trace`` refuses.
     """
     vr = retained.slope_order()
     vn = new_coord.slope_order()
-    if vn is None:
-        if vr is None:
-            raise ConstantParameterization(
-                f"both active derivatives d{retained_name}/dt and d{new_name}/dt "
-                f"vanish identically at level {level}"
-            )
-        if vr >= 1:
-            raise NonPrimitiveParameterization(
-                f"d{new_name}/dt vanishes identically at level {level} while "
-                f"d{retained_name}/dt has order {vr}: the germ is a cover of degree {vr + 1}"
-            )
+    if vr is None and vn is None:
+        raise ConstantParameterization(
+            f"both active derivatives vanish identically at level {level}")
     if vr is None or (vn is not None and vr > vn):
         letter, kept, fresh = "i", new_coord, retained._ratio(new_coord, vn, vr, 1)
         symbol, chain = "V", level
@@ -427,18 +444,8 @@ def lift_once(
         letter, kept, fresh = "o", retained, new_coord._ratio(retained, vr, vn, 1)
         on_prolongation = chain_origin is not None and fresh.valuation_or_none() != 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
-    kept_name, fresh_name, _ = _step_names(letter, retained_name, new_name)
-    return ChartStep(level, letter, kept, fresh, kept_name, fresh_name, symbol, chain,
+    return ChartStep(level, letter, kept, fresh, symbol, chain,
                      (None if vr is None else vr + 1, None if vn is None else vn + 1))
-
-
-def _step_names(letter: str, retained: CoordName, new: CoordName):
-    """The (retained, new, deactivated) names after a chart step on the
-    active pair (r, n): ``o`` keeps r and deactivates n, ``i`` keeps n and
-    deactivates r; the new coordinate bumps the deactivated name."""
-    if letter == "o":
-        return retained, new.bump(), new
-    return new, retained.bump(), retained
 
 
 def lift_trace(
@@ -465,19 +472,17 @@ def lift_to_regularization(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> 
 
 def _walk_names(path: str) -> list[tuple[str, CoordName, CoordName, int]]:
     """Per level of a chart path: the letter, the retained and deactivated
-    names after the step, by the lift's own rule ``_step_names``, and the
-    data-point slot of the deactivated coordinate (x, y, then the new
+    names after the step, by the lift's own name walk (``_name_walk``), and
+    the data-point slot of the deactivated coordinate (x, y, then the new
     coordinate of each level).  Chart data is given in the chart family that
     retains x first, so the path starts with an ordinary choice."""
     if path and path[0] != "o":
         raise ParseError("chart paths start with an ordinary choice")
-    r, n = _X, _Y
-    slot = {r: 0, n: 1}
+    slot = {_X: 0, _Y: 1}
     plan = []
-    for level, letter in enumerate(path, 1):
+    for level, (letter, (r, n, deactivated)) in enumerate(zip(path, _name_walk(_X, _Y, path)), 1):
         if letter not in "oi":
             raise ParseError(f"chart letter {letter!r} is not o or i")
-        r, n, deactivated = _step_names(letter, r, n)
         slot[n] = level + 1
         plan.append((letter, r, deactivated, slot[deactivated]))
     return plan
@@ -500,7 +505,7 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     parameterizations, integrating one deactivated coordinate per level,
     and return its check trace: the rebuilt germ lifted k = len(path)
     levels, where a caller that needs more levels continues it.  The walk
-    down is that trace: each level is the lift's own step (``_step``) on
+    down is that trace: each level is the lift's own step (``_stepped``) on
     the steps below it, checked against the path's letter and stored with
     the walk's polynomial N_j as its new coordinate.
 
@@ -536,7 +541,7 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
         constants = [Fraction(0)] * (k + 2)
     elif (constants.__class__ not in (list, tuple)
           or not {c.__class__ for c in constants} <= _NUMBERS):
-        raise _not_numbers("constants must be a list or tuple of int or Fraction values",
+        raise wrong_type("constants must be a list or tuple of int or Fraction values",
                            constants, (list, tuple))
     else:
         constants = [c if c.__class__ is Fraction else Fraction(c) for c in constants]
@@ -560,12 +565,12 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
             cur_r, cur_n = d_series, cur_r
     trace, steps = LiftTrace(CurveGerm.from_series(cur_r, cur_n), ()), []
     for letter, new in zip(path, reversed(news)):
-        s = trace._step(steps)
+        s = trace._stepped(steps)
         if s.chart_letter != letter:
             lifted = LiftTrace(trace.germ, (*steps, s)).continued(levels=k).chart_path
             raise IntegrationMismatch(f"rebuilt curve lifts along {lifted!r}, not {path!r}")
-        steps.append(ChartStep(s.level, letter, s.retained, new, s.retained_name, s.new_name,
-                               s.symbol, s.chain_origin, s.orders))
+        steps.append(ChartStep(s.level, letter, s.retained, new, s.symbol, s.chain_origin,
+                               s.orders))
     regular_at = next((s.level for s in steps if trace._is_regular(s)), None)
     return LiftTrace(trace.germ, tuple(steps), regular_at)
 

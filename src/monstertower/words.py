@@ -42,11 +42,13 @@ from .errors import (
     NotCritical,
     OrphanT,
     literal_text,
+    wrong_type,
 )
 from .records import Record, _new
 
 ALPHABET = "RVT"
 _SYMBOLS = frozenset(ALPHABET)
+_INT = frozenset((int,))  # the class of a vertical order; a bool is not one
 
 # R before V before T: the order of sort_key, in which enumerate_words yields
 _SYMBOL_ORDER = {"R": 0, "V": 1, "T": 2}
@@ -292,11 +294,19 @@ def parse_word(text: str) -> RvtWord:
 
 
 def enumerate_words(max_len: int, min_len: int = 1):
-    """Yield every valid word of length min_len..max_len in (length,
-    R<V<T) order.  Each length extends the words of the one before, in
-    their order, by R, V and (after V or T) T, so it comes out in order.
-    The grammar builds only valid words (R first, R or V after any symbol,
-    T only after V or T), so each is built without the validator."""
+    """An iterator over every valid word of length min_len..max_len in
+    (length, R<V<T) order.  Each length extends the words of the one
+    before, in their order, by R, V and (after V or T) T, so it comes out
+    in order.  The grammar builds only valid words (R first, R or V after
+    any symbol, T only after V or T), so each is built without the
+    validator.  A length that is not an int is TypeError, raised by the
+    call, before any word is made."""
+    if max_len.__class__ is not int or min_len.__class__ is not int:
+        raise wrong_type("max_len and min_len must be ints", (max_len, min_len), (tuple,))
+    return _words(max_len, min_len)
+
+
+def _words(max_len: int, min_len: int):
     if min_len <= 0:
         yield _new(RvtWord, ("",))
     level = ["R"]
@@ -310,7 +320,10 @@ def enumerate_words(max_len: int, min_len: int = 1):
 
 def count_words(n: int) -> int:
     """Number of valid words of length exactly n, by the R/V/T state
-    recurrence implied by the two word rules; 0 for a negative n."""
+    recurrence implied by the two word rules; 0 for a negative n, and
+    TypeError for an n that is not an int."""
+    if n.__class__ is not int:
+        raise wrong_type("n must be an int", n)
     if n <= 0:
         return 1 if n == 0 else 0
     r, v, t = 1, 0, 0
@@ -369,12 +382,19 @@ def multiplicity_sequence(word: RvtWord | str) -> tuple[int, ...]:
 
 class VerticalOrders(Record):
     """Intersection orders of the regularized lift with the divisors at
-    infinity, indexed by absolute tower level starting at first_level."""
+    infinity, indexed by absolute tower level starting at first_level.
+    Values that are not a tuple of ints, or a first level that is not an
+    int, are TypeError; the orders the package derives are built without
+    the check (``_new``)."""
 
     __slots__ = ()
     _fields = ("values", "first_level")
 
     def __new__(cls, values: tuple[int, ...], first_level: int = 2):
+        if values.__class__ is not tuple or not {v.__class__ for v in values} <= _INT:
+            raise wrong_type("values must be a tuple of ints", values, (tuple,))
+        if first_level.__class__ is not int:
+            raise wrong_type("first_level must be an int", first_level)
         return _new(cls, (values, first_level))
 
     def __iter__(self):
@@ -382,7 +402,7 @@ class VerticalOrders(Record):
 
     def restricted(self) -> "VerticalOrders":
         """Orders from the next level on: the restricted vertical orders."""
-        return VerticalOrders(self.values[1:], self.first_level + 1)
+        return _new(VerticalOrders, (self.values[1:], self.first_level + 1))
 
     def to_json_dict(self) -> dict:
         return {"first_level": self.first_level, "values": list(self.values)}

@@ -11,10 +11,13 @@ must agree too, except on the known faults of ROADMAP item 9: at length 11
 and 12 some germs carry a nonzero constant term in one Nash coordinate
 where the blowup one is zero.  Those germs are the CLI digest's
 ``_DISAGREEING_REALIZATIONS``, and the germs whose profiles disagree must
-be exactly the ones of them that the sweep reaches.  Prints each
-difference and each disagreeing germ, their counts, and exits 1 on any
-difference, a disagreement off that list included, or a listed germ whose
-profiles agree.
+be exactly the ones of them that the sweep reaches.  Both engines' step
+letters must be equal everywhere, those germs included: a letter means
+the same in both (``o`` keeps the first coordinate of the pair).  Prints
+each difference, each disagreeing germ and each germ whose letters
+differ, their counts, and exits 1 on any difference, a disagreement off
+that list included, a listed germ whose profiles agree, or a letter
+difference.
 """
 
 import sys
@@ -42,12 +45,19 @@ def critical_words(max_len: int):
     return (w for w in enumerate_words(max_len) if w.is_critical())
 
 
-def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[CurveGerm]]:
+def letters(trace) -> str:
+    """The letters of a trace's steps, which mean the same in both engines."""
+    return "".join([s.chart_letter for s in trace.steps])
+
+
+def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[CurveGerm],
+                                       list[str]]:
     """The number of critical words up to ``max_len``; one line per word
     whose realization the engines read differently from it; the
-    realizations whose order profiles the engines read differently; and
-    the known ones among the realizations, both lists in sweep order."""
-    found, disagreeing, known, count = [], [], [], 0
+    realizations whose order profiles the engines read differently; the
+    known ones among the realizations, both lists in sweep order; and one
+    line per realization whose step letters differ between the engines."""
+    found, disagreeing, known, letter_diffs, count = [], [], [], [], 0
     for w in critical_words(max_len):
         count += 1
         c = realization(w)
@@ -61,12 +71,15 @@ def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[Cur
             disagreeing.append(c)
         if c in KNOWN_PROFILE_DISAGREEMENTS:
             known.append(c)
-    return count, found, disagreeing, known
+        if letters(nash) != letters(blow):
+            letter_diffs.append(f"step letters differ on {c}: nash {letters(nash)}, "
+                                f"blowup {letters(blow)}")
+    return count, found, disagreeing, known, letter_diffs
 
 
 if __name__ == "__main__":
-    count, found, disagreeing, known = differences(int(sys.argv[1]))
-    for line in found:
+    count, found, disagreeing, known, letter_diffs = differences(int(sys.argv[1]))
+    for line in (*found, *letter_diffs):
         print(line)
     for c in disagreeing:
         print(f"order profiles disagree on {c}{'' if c in known else ' (not a known fault)'}")
@@ -74,5 +87,6 @@ if __name__ == "__main__":
         if c not in disagreeing:
             print(f"order profiles agree on {c} (a known fault)")
     print(f"{count} critical words, {len(found)} differences, "
-          f"{len(disagreeing)} order-profile disagreements ({len(known)} known)")
-    sys.exit(1 if found or disagreeing != known else 0)
+          f"{len(disagreeing)} order-profile disagreements ({len(known)} known), "
+          f"{len(letter_diffs)} letter differences")
+    sys.exit(1 if found or disagreeing != known or letter_diffs else 0)

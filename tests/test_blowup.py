@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monstertower import blowup
-from monstertower.blowup import BlowupName, blowup_once, blowup_resolve, cross_check
+from monstertower.blowup import blowup_once, blowup_resolve, cross_check
 from monstertower.cli import main
 from monstertower.corpus import CurveSpec, generate_corpus
 from monstertower.errors import (
@@ -22,6 +22,7 @@ from monstertower.invariants import multiplicity_sequence
 from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import CurveGerm, _least, lift_trace, parse_curve, parse_curve_trace
 from monstertower.words import RvtWord
+from cli_sweep import _DISAGREEING_REALIZATIONS
 from conftest import agree_on_prefix
 from realization import critical_words, realization
 
@@ -70,24 +71,32 @@ def germ(text):
 def blowup_after(step):
     """``blowup_once`` on the chart pair a step keeps."""
     return blowup_once(step.retained, step.new_coord, level=step.level + 1,
-                       a_name=step.retained_name, b_name=step.new_name,
                        b_flag=step.chain_origin)
+
+
+def names(trace, steps=None):
+    """The (retained, new, deactivated) names after each step, as text:
+    the name walk over the letters, from (x_0, y_0)."""
+    return [tuple(map(str, n)) for n in trace._names(trace.steps if steps is None else steps)]
 
 
 class TestBlowupOnce:
     def test_first_quotient(self):
+        # y divided by x keeps x, the first coordinate: the letter o
         c = germ("x=t^5, y=t^7")
         step = blowup_once(c.x, c.y, level=1)
         assert step.new_coord == parse_series("t^2")
-        assert (str(step.new_name), step.symbol) == ("y_1", "R")
-        assert (str(step.retained_name), step.retained) == ("x_0", c.x)
-        assert step == blowup_resolve(c).steps[0]
+        assert (step.chart_letter, step.symbol, step.retained) == ("o", "R", c.x)
+        trace = blowup_resolve(c)
+        assert step == trace.steps[0]
+        assert names(trace)[0] == ("x_0", "y_1", "y_0")
 
     def test_full_coordinate_chain(self):
         # four blowups resolve the quintic; the fifth is made on the pair the
         # last step keeps
-        steps = blowup_resolve(germ("x=t^5, y=t^7")).steps
-        seen = [(str(step.new_name), step.new_coord) for step in (*steps, blowup_after(steps[-1]))]
+        trace = blowup_resolve(germ("x=t^5, y=t^7"))
+        steps = (*trace.steps, blowup_after(trace.steps[-1]))
+        seen = [(n, step.new_coord) for (_, n, _), step in zip(names(trace, steps), steps)]
         assert seen == [
             ("y_1", parse_series("t^2")),
             ("x_1", parse_series("t^3")),
@@ -103,7 +112,7 @@ class TestBlowupOnce:
         assert trace.steps[4].new_coord.constant_term() == 1
         assert trace.order_profile() == (15, 24, 9, 6, 3, 3, 0, 2, 1)
         assert trace.steps[4].new_coord.recenter() == (1, trace.steps[5].retained)
-        assert str(trace.steps[5].retained_name) == "x_3"
+        assert names(trace)[5][0] == "x_3"
 
     def test_each_step_blows_up_the_pair_before_it(self):
         # each step is built twice and compared exactly, but the last of
@@ -114,13 +123,14 @@ class TestBlowupOnce:
         for text, deep in (("x=t^15, y=t^24+t^25", 0), ("x=t^6+t^7, y=t^9+t^10", 0),
                            ("x=t^8+t^9, y=t^12+t^14+t^15", 0), ("x=t^14, y=14*t^18+14*t^19", 0),
                            ("x=t^12, y=t^30+t^61", 0), ("x=t^12, y=t^14+t^16+t^57", 1)):
-            steps = blowup_resolve(germ(text)).steps
+            trace = blowup_resolve(germ(text))
+            steps = trace.steps
             built, n = [blowup_after(s) for s in steps[:-1]], len(steps) - 1 - deep
             assert built[:n] == list(steps[1:n + 1])
             assert agree_on_prefix(built[n:], list(steps[n + 1:]), 64)
-            for s in steps:
+            for s, (r, new, _) in zip(steps, names(trace)):
                 assert s.retained.constant_term() == 0
-                assert {s.retained_name.base, s.new_name.base} == {"x", "y"}
+                assert {r[0], new[0]} == {"x", "y"}
 
 
 class TestBlowupResolve:
@@ -154,22 +164,51 @@ class TestBlowupResolve:
             blowup_resolve(germ("x=t^5, y=t^7"), max_level=2)
 
 
+def _letters_and_orders(trace):
+    return [(s.chart_letter, s.orders) for s in trace.steps]
+
+
+class TestOneMeaningOfTheLetter:
+    """A step's letter means the same in both engines: ``o`` keeps the first
+    coordinate of the pair and ``i`` the second, so the engines' chart
+    choices can be compared step by step."""
+
+    def test_the_engines_step_alike_on_both_corpora(self):
+        differ = [str(spec) for seed in (178212, 20230817)
+                  for spec in generate_corpus(220, seed)
+                  if _letters_and_orders(lift_trace(spec.curve()))
+                  != _letters_and_orders(blowup_resolve(spec.curve()))]
+        assert differ == []
+
+    @pytest.mark.parametrize("text", _DISAGREEING_REALIZATIONS)
+    def test_the_germs_of_item_9_take_the_same_letters(self, text):
+        # ROADMAP item 9: the engines choose the same chart at every level,
+        # but their recentered orders differ at one R level
+        nash, blow = lift_trace(germ(text)), blowup_resolve(germ(text))
+        assert [s.chart_letter for s in nash.steps] == [s.chart_letter for s in blow.steps]
+        differ = [n.level for n, b in zip(nash.steps, blow.steps) if n.orders != b.orders]
+        assert len(differ) == 1 and nash.word.symbols[differ[0] - 1] == "R"
+
+
 class TestConstantPair:
     """Coordinates that are exactly constant are certified constant."""
 
     def test_blowup_once(self):
-        message = (r"^both coordinates x_2 and y_1 vanish identically after recentering "
-                   r"at blowup 5$")
+        # no trace reaches a constant pair (a always moves), so a direct
+        # call names no coordinate
+        message = r"^both coordinates vanish identically after recentering at blowup 5$"
         with pytest.raises(ConstantParameterization, match=message):
-            blowup_once(parse_series("0"), parse_series("3"), level=5,
-                        a_name=BlowupName("x", 2), b_name=BlowupName("y", 1))
+            blowup_once(parse_series("0"), parse_series("3"), level=5)
 
     def test_constant_b_over_a_singular_a(self):
-        # b is constant while a has order 3: the pair factors through a
-        message = r"^y_1 is constant at blowup 5 while x_2 has order 3: the germ is a cover of degree 3$"
+        # b is constant while a has order 3: the pair factors through a.  The
+        # step records the orders (3, None), and a trace refuses the cover,
+        # naming the pair by the names its letters give
+        step = blowup_once(parse_series("t^3 + t^4"), parse_series("3"), level=5)
+        assert step.orders == (3, None)
+        message = r"^y_1 is constant at blowup 2 while x_0 has order 2: the germ is a cover of degree 2$"
         with pytest.raises(NonPrimitiveParameterization, match=message):
-            blowup_once(parse_series("t^3 + t^4"), parse_series("3"), level=5,
-                        a_name=BlowupName("x", 2), b_name=BlowupName("y", 1))
+            blowup_resolve(germ("x=t^2+t^3, y=2*t^2+2*t^3"))
 
 
 # Both double covers of x = t^2 + t^3: y = 2x and y = x^2.

@@ -28,7 +28,9 @@ from monstertower.invariants import (
 from monstertower.puiseux import CaseTag, EPair, PuiseuxCharacteristic, classify_case, e_value
 from monstertower.records import Record
 from monstertower.series import parse_series
-from monstertower.tower import ChartStep, CoordName, CurveGerm, Trace, lift_trace, parse_curve
+from monstertower.tower import (
+    ChartStep, CoordName, CurveGerm, Trace, _name_walk, lift_trace, parse_curve,
+)
 from monstertower.words import RvtWord, WordDecomposition
 
 MODULES = ("words", "puiseux", "invariants", "tower", "blowup", "corpus")
@@ -38,9 +40,8 @@ def _records() -> dict:
     """One record of every class, each built afresh by the code that makes
     it, keyed by its class name; the two engines' steps, both of class
     ``ChartStep``, are keyed by the engine that makes them, LiftStep and
-    BlowupStep.  A lift's coordinate names are shared values
-    (``CoordName.bump``), so the two name classes are built by their
-    constructors."""
+    BlowupStep.  A step holds no coordinate name, so the two name classes
+    are built by their constructors."""
     germ = parse_curve("x=t^4, y=t^6+t^7")[0]
     trace = lift_trace(germ)
     blow = blowup_resolve(germ)
@@ -146,33 +147,22 @@ def test_records_are_not_sequences(name):
     assert record != fields and fields != record and not record == fields
 
 
-@pytest.mark.parametrize("name", [CoordName("y", 0), BlowupName("x", 3), CoordName("x", 7)],
-                         ids=str)
-def test_a_bumped_name_is_shared(name):
-    assert name.bump() is name.bump()
-    assert name.bump() == type(name)(name.base, name.order + 1)
-    assert type(name)(name.base, name.order).bump() is name.bump()
-    assert name.bump() != (BlowupName if type(name) is CoordName else CoordName)(
-        name.base, name.order + 1)
-
-
 def test_names_of_two_classes_with_equal_fields_bump_apart():
-    # one table holds the bumped names of both classes: a CoordName and a
-    # BlowupName hash alike but are never equal, so neither lookup finds
-    # the other's name
-    coord, blow = CoordName("x", 11).bump(), BlowupName("x", 11).bump()
-    assert type(coord) is CoordName and type(blow) is BlowupName
-    assert coord is not blow and hash(coord) == hash(blow) and coord != blow
-    assert CoordName("x", 11).bump() is coord and BlowupName("x", 11).bump() is blow
+    # the name walk bumps a name within its class: a CoordName and a
+    # BlowupName with equal fields hash alike but are never equal
+    [(_, coord, _)] = _name_walk(CoordName("x", 11), CoordName("y", 11), "o")
+    [(_, blow, _)] = _name_walk(BlowupName("x", 11), BlowupName("y", 11), "o")
+    assert (coord, blow) == (CoordName("y", 12), BlowupName("y", 12))
+    assert hash(coord) == hash(blow) and coord != blow
 
 
 def test_a_lift_shares_its_names():
-    # the Nash lift names its new coordinates by bumping, so two lifts of
-    # one germ hold the same name objects
+    # a step holds no name: two lifts of one germ read the same names off
+    # their letters, each a CoordName
     first, second = (lift_trace(parse_curve("x=t^4, y=t^6+t^7")[0]) for _ in range(2))
-    for a, b in zip(first.steps, second.steps):
-        assert a.new_name is b.new_name and a.new_name == CoordName(a.new_name.base,
-                                                                     a.new_name.order)
+    assert first._names(first.steps) == second._names(second.steps)
+    for names in first._names(first.steps):
+        assert {type(n) for n in names} == {CoordName}
 
 
 def test_a_differing_field_breaks_equality():
@@ -258,8 +248,7 @@ def test_blowup_records_hold_steps_and_traces():
     records = _records()
     assert type(records["BlowupStep"]) is type(records["LiftStep"])
     assert records["BlowupStep"]._fields == (
-        "level", "chart_letter", "retained", "new_coord", "retained_name", "new_name",
-        "symbol", "chain_origin", "orders",
+        "level", "chart_letter", "retained", "new_coord", "symbol", "chain_origin", "orders",
     )
     assert records["BlowupTrace"]._fields == ("germ", "steps", "regularization_level")
     assert records["LiftTrace"]._fields == ("germ", "steps", "regularization_level")

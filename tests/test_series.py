@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 from fractions import Fraction as F
 from math import gcd
@@ -215,10 +216,32 @@ class TestFromTerms:
         with pytest.raises(ValueError, match="nonnegative"):
             TruncatedSeries.from_terms([(1, 2), (1, -1)])
 
-    def test_a_float_coefficient_is_read_exactly(self):
-        half = TruncatedSeries.from_terms([(0.5, 2)])
-        assert half == TruncatedSeries.from_terms([(F(1, 2), 2)])
-        assert half._terms == ((2, 1, 2),)
+    # a term is an int or Fraction coefficient and an int exponent; a bool,
+    # a float (even an integral one) and a str are refused, naming the type
+    @pytest.mark.parametrize("term, got", [
+        ((0.5, 2), "(float, int)"), ((1, 2.5), "(int, float)"), ((1, 2.0), "(int, float)"),
+        ((1, True), "(int, bool)"), (("1/2", 2), "(str, int)"), ((True, 2), "(bool, int)"),
+    ], ids=["float-coefficient", "float-exponent", "integral-float-exponent", "bool-exponent",
+            "str-coefficient", "bool-coefficient"])
+    def test_a_term_of_other_types_is_a_type_error(self, term, got):
+        message = f"a term is an int or Fraction coefficient and an int exponent; got {got}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            TruncatedSeries.from_terms([(1, 1), term])
+
+    @pytest.mark.parametrize("coefficients, got", [
+        ({1: 2}, "dict"), (b"RV", "bytes"), ("12", "str"), (range(3), "range"),
+    ], ids=["dict", "bytes", "str", "range"])
+    def test_coefficients_that_are_not_a_list_or_tuple_are_a_type_error(self, coefficients, got):
+        with pytest.raises(TypeError, match=f"^coefficients must be a list or tuple; got {got}$"):
+            TruncatedSeries(coefficients)
+
+    @pytest.mark.parametrize("coefficients, got", [
+        ([1.5, 2], "(float, int)"), (["R"], "(str, int)"), ([1, True], "(bool, int)"),
+    ], ids=["float", "str", "bool"])
+    def test_a_coefficient_that_is_not_an_int_or_fraction_is_a_type_error(self, coefficients,
+                                                                           got):
+        with pytest.raises(TypeError, match=re.escape(f"got {got}")):
+            TruncatedSeries(coefficients)
 
 
 class TestIntegrate:
@@ -1272,6 +1295,12 @@ class TestExactEquality:
         assert q.prefix(3) == (1, 1, 1)
         with pytest.raises(ValueError, match="prefix length -2 is negative"):
             q.prefix(-2)
+
+    @pytest.mark.parametrize("n, got", [(True, "bool"), (2.0, "float"), (F(2), "Fraction")],
+                             ids=["bool", "float", "Fraction"])
+    def test_a_prefix_length_that_is_not_an_int_is_a_type_error(self, n, got):
+        with pytest.raises(TypeError, match=f"^n must be an int; got {got}$"):
+            S("1 + t").prefix(n)
 
     @example(("quotient", [F(1), F(1)], [F(1), F(1)]), [F(1)])
     @example(("recenter", ("quotient", [F(1), F(2)], [F(1), F(1)]), None), [F(0), F(1)])

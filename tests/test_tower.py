@@ -19,7 +19,6 @@ from monstertower.errors import (
 )
 from monstertower.series import TruncatedSeries, parse_series
 from monstertower.tower import (
-    CoordName,
     CurveGerm,
     chart_data_trace,
     curve_from_chart_data,
@@ -99,24 +98,28 @@ class TestLiftOnce:
         assert lift_once(parse_series("t^5"), parse_series("t^7"), level=1).orders == (5, 7)
 
     def test_inverted_step(self):
-        step = lift_once(
-            parse_series("t^5"),
-            parse_series("7/5*t^2"),
-            level=2,
-            retained_name=CoordName("x", 0),
-            new_name=CoordName("y", 1),
-        )
+        # the step keeps the second coordinate of the pair; it names none
+        step = lift_once(parse_series("t^5"), parse_series("7/5*t^2"), level=2)
         assert (step.chart_letter, step.symbol) == ("i", "V")
-        assert step.new_coord == parse_series("25/14*t^3")
-        assert str(step.new_name) == "x'"
+        assert (step.retained, step.new_coord) == (parse_series("7/5*t^2"),
+                                                   parse_series("25/14*t^3"))
+
+    def test_a_constant_new_coordinate_is_a_step_the_trace_refuses(self):
+        # dn/dt = 0 while dr/dt has order 2: the step records the orders
+        # (3, None), and a trace, not the step, refuses the cover of degree 3
+        step = lift_once(parse_series("t^3 + t^4"), parse_series("3"), level=5)
+        assert (step.chart_letter, step.orders) == ("o", (3, None))
+        assert step.new_coord == TruncatedSeries.zero()
+        message = (r"^dy'/dt vanishes identically at level 2 while dx/dt has order 1: "
+                   r"the germ is a cover of degree 2$")
+        with pytest.raises(NonPrimitiveParameterization, match=message):
+            lift_trace(germ("x=t^2+t^3, y=2*t^2+2*t^3"))
 
     def test_tangency_step(self):
         step = lift_once(
             parse_series("7/5*t^2"),
             parse_series("25/14*t^3"),
             level=3,
-            retained_name=CoordName("y", 1),
-            new_name=CoordName("x", 1),
             chain_origin=2,
         )
         assert (step.chart_letter, step.symbol) == ("o", "T")
@@ -125,12 +128,13 @@ class TestLiftOnce:
 
 class TestQuinticGolden:
     def test_series_and_point(self):
+        # the names are read off the letters, from (x, y)
         trace = lift_trace(germ(QUINTIC), levels=5)
         expect = ["7/5*t^2", "25/14*t^3", "375/196*t", "2744/1875*t", "537824/703125"]
         names = ["y'", "x'", "x''", "y''", "y^(3)"]
-        for step, series, name in zip(trace.steps, expect, names):
+        for step, series in zip(trace.steps, expect):
             assert step.new_coord == parse_series(series)
-            assert str(step.new_name) == name
+        assert [str(n) for _, n, _ in trace._names(trace.steps)] == names
         assert trace.chart_path == "oioio"
         assert trace.word.symbols == "RVTVR"
         assert trace.data_point == (0, 0, 0, 0, 0, 0, F(537824, 703125))
@@ -578,16 +582,12 @@ class TestErrors:
         assert a == b
 
     def test_both_active_derivatives_zero(self):
-        # constant actives: both derivatives are exactly zero
-        message = r"^both active derivatives dx/dt and dy'/dt vanish identically at level 3$"
+        # constant actives: both derivatives are exactly zero.  No trace
+        # reaches this (its kept coordinate always moves), so a direct call
+        # names no coordinate
+        message = r"^both active derivatives vanish identically at level 3$"
         with pytest.raises(ConstantParameterization, match=message):
-            lift_once(
-                parse_series("2"),
-                parse_series("1/2"),
-                level=3,
-                retained_name=CoordName("x", 0),
-                new_name=CoordName("y", 1),
-            )
+            lift_once(parse_series("2"), parse_series("1/2"), level=3)
 
     def test_zero_integration_variable(self):
         # r = 0: dy = y' dx cannot be integrated against x
