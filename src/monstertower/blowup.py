@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from .defaults import DEFAULT_MAX_LEVEL
 from .errors import ConstantParameterization, MismatchReport
-from .records import Record
+from .records import Record, _new
 from .series import TruncatedSeries
 from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
 from .words import multiplicity_sequence
@@ -112,7 +112,7 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
         symbol = "V" if inherited == level - 1 else "T"
     else:
         symbol = "R"
-    return ChartStep(level, letter, denominator, quotient, symbol, inherited, (va, vb))
+    return _new(ChartStep, (level, letter, denominator, quotient, symbol, inherited, (va, vb)))
 
 
 def blowup_resolve(c: CurveGerm, max_level: int = DEFAULT_MAX_LEVEL) -> BlowupTrace:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .errors import MismatchReport
+from .errors import MismatchReport, wrong_type
 from .puiseux import (
     PuiseuxCharacteristic,
     _back_lambdas,
@@ -167,10 +167,11 @@ def invariant_panel(
     restricted characteristic, already valid, and the route is validated
     only where the two differ or the rule is undefined.  A ``pc`` panel
     whose front chain gives back the entries of ``pc`` returns ``pc``
-    itself as its characteristic.
+    itself as its characteristic.  Neither or both of ``word`` and ``pc``
+    is TypeError.
     """
     if (word is None) == (pc is None):
-        raise ValueError("give exactly one of word, pc")
+        raise wrong_type("give exactly one of word, pc", (word, pc), (tuple,))
     if word is None:
         w = word_from_pc(pc)
     else:

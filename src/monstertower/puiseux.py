@@ -191,7 +191,10 @@ def parse_pc(text: str) -> PuiseuxCharacteristic:
 def essential_characteristic(leading: int, exponents) -> PuiseuxCharacteristic:
     """Characteristic from a leading order and an exponent set, by the
     gcd-chain scan: an exponent is essential when the gcd of everything
-    seen before it does not divide it."""
+    seen before it does not divide it.  The exponents are a list, tuple,
+    set or frozenset (anything else is TypeError) of integral entries."""
+    if exponents.__class__ not in (list, tuple, set, frozenset):
+        raise wrong_type("exponents must be a list, tuple, set or frozenset", exponents)
     (leading,) = _integral_entries((leading,))
     exponents = _integral_entries(tuple(exponents))
     if leading < 1:

@@ -4,7 +4,9 @@ A record is one tuple allocation.  A subclass names its fields in
 ``_fields`` and declares ``__slots__ = ()``; ``Record.__new__`` builds it
 from its field values, by position and in that order.  Only a record that
 checks or defaults its values writes a ``__new__`` of its own, which builds
-the record with one ``_new`` call (``tuple.__new__``) on the values.  Each
+the record with one ``_new`` call (``tuple.__new__``) on the values; so
+does a hot path whose code fixes the arity, such as each engine's step,
+while every public construction keeps ``Record.__new__``'s arity check.  Each
 field is read through the C getter of ``collections.namedtuple`` fields.
 The tuple is storage only: a record is not a sequence."""
 

@@ -69,7 +69,11 @@ all: val(f/g) = val f - val g, and in characteristic 0 val f' = val f - 1
 and val (f - f(0)) = val f when val f >= 1, so ``slope_order`` reads val f'
 off f and searches f only when val f is 0, and ``valuation_or_none``
 computes nothing.  An engine that has read both orders of a pair hands
-them to the ratio kernel (``_ratio``), which reads neither again.
+them to the ratio kernel (``_ratio``), which reads neither again.  A
+stream holds only its operands, bounds, valuation and kernel until the
+first walk that computes it, when the kernel builds its recurrence, so a
+stream that no read reaches costs no more; and a zero that no term of the
+recurrence reaches costs no reduction: a sum of 0 is stored as 0/1.
 
 A search that must compute reads the coefficients in order but forces them
 in doubling batches of 1, 2, 4, ... capped at the end of the search, so one
@@ -85,6 +89,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from itertools import islice, repeat
 from math import gcd
 
@@ -169,6 +174,68 @@ def _fill(terms: tuple, known: list[int], dens: list[int], upto: int) -> None:
         dens[e] = d
 
 
+def _ratio_kernel(shift: int, numerator: tuple, denominator: tuple):
+    """The extend of the quotient recurrence of f / g (shift 0) or f' / g'
+    (shift 1), built from the operand pairs (f, lead) and (g, lead) by the
+    first walk that computes the stream, when g[lead] is known: index i of
+    an operand gives the term i - shift, its coefficient times i ** shift.
+    A coefficient whose sum is 0, most often one that no term reaches, is
+    0/1 with no scale and no gcd."""
+    (f, lead), (g, _) = numerator, denominator
+    nn, nd, dn, dd = f._known, f._dens, g._known, g._dens
+    # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
+    c = dn[lead] * lead ** shift
+    sn, sd = (-dd[lead], c) if c > 0 else (dd[lead], -c)
+    support = []  # (i, g[i] * i ** shift, dd[i]), g[i] != 0, lead < i < scanned
+    scanned = lead + 1
+
+    def extend(out, dens, m):
+        nonlocal scanned
+        for k in range(lead + len(out), lead + m):
+            while scanned <= k:
+                if dn[scanned]:
+                    support.append((scanned, dn[scanned] * scanned ** shift, dd[scanned]))
+                scanned += 1
+            acc, den_k = -nn[k], nd[k]
+            if shift and acc:
+                acc *= k
+            for i, x, y in support:
+                c = out[k - i]
+                if c:
+                    n, d = x * c, y * dens[k - i]
+                    if d == den_k:
+                        acc += n
+                    else:
+                        g = gcd(den_k, d)
+                        acc = acc * (d // g) + n * (den_k // g)
+                        den_k = den_k // g * d
+            if acc:
+                acc, den_k = acc * sn, den_k * sd
+                g = gcd(acc, den_k)
+                out.append(acc // g)
+                dens.append(den_k // g)
+            else:
+                out.append(0)
+                dens.append(1)
+
+    return extend
+
+
+_RATIO_KERNELS = (partial(_ratio_kernel, 0), partial(_ratio_kernel, 1))
+
+
+def _tail_kernel(operand: tuple):
+    """The extend of the tail f - f(0), which copies f's coefficients: the
+    indices below its valuation are known zeros, filled by ``_force``."""
+    fn, fd = operand[0]._known, operand[0]._dens
+
+    def extend(out, dens, m):
+        dens.extend(fd[len(out):m])
+        out.extend(fn[len(out):m])
+
+    return extend
+
+
 def _term_text(coeff: Fraction, exponent: int) -> str:
     if exponent == 0:
         return str(coeff)
@@ -201,11 +268,16 @@ class TruncatedSeries:
       term, and a constant term past the zeros is 0 for free;
     * ``_operands`` holds ``(series, offset)`` pairs: the first m
       coefficients need the first ``m + offset`` of that operand;
-    * ``_extend(known, dens, m)`` computes up to m once the operands are ready.
+    * ``_kernel`` is a stream's module-level kernel, ``_ratio_kernel`` of
+      its shift or ``_tail_kernel``, which builds ``_extend`` from the
+      operands; None for a term polynomial;
+    * ``_extend(known, dens, m)`` computes up to m once the operands are
+      ready; None until the first walk that computes the stream builds it.
 
     Leading zeros, and the zeros of a term polynomial, cost no arithmetic."""
 
-    __slots__ = ("_bound", "_zeros", "_terms", "_known", "_dens", "_operands", "_extend")
+    __slots__ = ("_bound", "_zeros", "_terms", "_known", "_dens", "_operands", "_kernel",
+                 "_extend")
 
     def __init__(self, coefficients):
         if coefficients.__class__ is not list and coefficients.__class__ is not tuple:
@@ -218,7 +290,7 @@ class TruncatedSeries:
         self._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
         self._zeros = terms[0][0] if terms else 0
         self._operands = ()
-        self._extend = None
+        self._kernel = self._extend = None
 
     @classmethod
     def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
@@ -228,8 +300,9 @@ class TruncatedSeries:
         return series
 
     @classmethod
-    def _lazy(cls, bound, zeros: int, operands, extend) -> "TruncatedSeries":
-        """A new stream of valuation ``zeros``, not zero."""
+    def _lazy(cls, bound, zeros: int, operands, kernel) -> "TruncatedSeries":
+        """A new stream of valuation ``zeros``, not zero, whose ``kernel``
+        builds its extend when it is first computed."""
         series = cls.__new__(cls)
         series._bound = bound
         series._zeros = zeros
@@ -237,7 +310,8 @@ class TruncatedSeries:
         series._known = []
         series._dens = []
         series._operands = operands
-        series._extend = extend
+        series._kernel = kernel
+        series._extend = None
         return series
 
     def _force(self, n: int) -> list[int]:
@@ -246,9 +320,11 @@ class TruncatedSeries:
         operands off an explicit stack, so that a chain of thousands of
         operations needs no recursion per ancestor.  A series with unready
         operands is pushed back marked, under them, and extended unchecked
-        when popped again: LIFO order has made them ready.  A term
-        polynomial writes its terms into its prefix.  MemoryError when n is
-        past the index range, where a list cannot be allocated at all."""
+        when popped again: LIFO order has made them ready.  A stream's
+        first extend is built by its kernel when its operands are first
+        ready.  A term polynomial writes its terms into its prefix.
+        MemoryError when n is past the index range, where a list cannot be
+        allocated at all."""
         known = self._known
         if len(known) >= n:
             return known
@@ -257,32 +333,36 @@ class TruncatedSeries:
         try:
             while stack:
                 series, want, marked = pop()
-                done, dens, extend = series._known, series._dens, series._extend
-                if marked:
-                    extend(done, dens, want)
-                elif len(done) >= want:
-                    continue
-                elif extend is None:
-                    # a term polynomial, twice as far as asked up to its last
-                    # term, so that a prefix read in growing batches is
-                    # filled a few times
-                    _fill(series._terms, done, dens,
-                          max(want, min(2 * want, series._bound[0] + 1)))
-                else:
+                done, dens = series._known, series._dens
+                if not marked:
+                    if len(done) >= want:
+                        continue
+                    if series._kernel is None:
+                        # a term polynomial, twice as far as asked up to its
+                        # last term, so that a prefix read in growing batches
+                        # is filled a few times
+                        _fill(series._terms, done, dens,
+                              max(want, min(2 * want, series._bound[0] + 1)))
+                        continue
                     if len(done) < series._zeros:
                         fill = min(want, series._zeros) - len(done)
                         dens.extend(repeat(1, fill))
                         done.extend(repeat(0, fill))
-                    if len(done) < want:
-                        ready = True
-                        for operand, offset in series._operands:
-                            if len(operand._known) < want + offset:
-                                if ready:
-                                    push((series, want, True))
-                                    ready = False
-                                push((operand, want + offset, False))
-                        if ready:
-                            extend(done, dens, want)
+                        if len(done) >= want:
+                            continue
+                    ready = True
+                    for operand, offset in series._operands:
+                        if len(operand._known) < want + offset:
+                            if ready:
+                                push((series, want, True))
+                                ready = False
+                            push((operand, want + offset, False))
+                    if not ready:
+                        continue
+                extend = series._extend
+                if extend is None:
+                    extend = series._extend = series._kernel(*series._operands)
+                extend(done, dens, want)
         except OverflowError:  # a length past the index range, so past memory too
             raise MemoryError(f"a prefix of {n} coefficients") from None
         return known
@@ -446,7 +526,8 @@ class TruncatedSeries:
         cd/cn, reduced by one gcd, and shifted down by vd, which the
         valuation check puts at or below every exponent.  Any other ratio
         is a stream whose bounds leave out the factor t^vd of both
-        numerators (module docstring)."""
+        numerators (module docstring), and whose recurrence
+        ``_ratio_kernel`` builds when it is first computed."""
         if vd is None:
             raise IndeterminateValuation("the denominator is identically zero")
         if vn is None:
@@ -472,43 +553,12 @@ class TruncatedSeries:
                     g = gcd(n, d)
                     out.append((e - lead, n // g, d // g))
             return self._of_terms(tuple(out))
-        nn, nd, dn, dd = self._known, self._dens, den._known, den._dens
-        support = []  # (i, den[i] * i ** shift, dd[i]), den[i] != 0, lead < i < scanned
-        scanned = lead + 1
-        sn = sd = 0  # set by the first extend, which has den[lead]
-
-        def extend(out, dens, m):
-            nonlocal scanned, sn, sd
-            if not sd:  # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
-                c = dn[lead] * lead ** shift
-                sn, sd = (-dd[lead], c) if c > 0 else (dd[lead], -c)
-            for k in range(lead + len(out), lead + m):
-                while scanned <= k:
-                    if dn[scanned]:
-                        support.append((scanned, dn[scanned] * scanned ** shift, dd[scanned]))
-                    scanned += 1
-                acc, den_k = -nn[k] * k ** shift, nd[k]
-                for i, x, y in support:
-                    c = out[k - i]
-                    if c:
-                        n, d = x * c, y * dens[k - i]
-                        if d == den_k:
-                            acc += n
-                        else:
-                            g = gcd(den_k, d)
-                            acc = acc * (d // g) + n * (den_k // g)
-                            den_k = den_k // g * d
-                acc, den_k = acc * sn, den_k * sd
-                g = gcd(acc, den_k)
-                out.append(acc // g)
-                dens.append(den_k // g)
-
         x, y = self._bound, den._bound
         if shift:  # the bounds of self' and den'
             x = (x[0] + x[2] - 1, x[1] + x[2], x[2])
             y = (y[0] + y[2] - 1, y[1] + y[2], y[2])
         bound = (x[0] + y[1] - vd, x[1] + y[0] - vd, x[2] + y[0] - vd)
-        return self._lazy(bound, vn - vd, ((self, lead), (den, lead)), extend)
+        return self._lazy(bound, vn - vd, ((self, lead), (den, lead)), _RATIO_KERNELS[shift])
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant),
@@ -533,13 +583,7 @@ class TruncatedSeries:
         if order is None:
             return self._of_terms(())
         a, q, r = self._bound
-        fn, fd = self._known, self._dens
-
-        def extend(out, dens, m):  # indices below order + 1 are known zeros, filled by _force
-            dens.extend(fd[len(out):m])
-            out.extend(fn[len(out):m])
-
-        return self._lazy((max(a, q), q, r), order + 1, ((self, 0),), extend)
+        return self._lazy((max(a, q), q, r), order + 1, ((self, 0),), _tail_kernel)
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,

@@ -171,7 +171,9 @@ class ChartStep(Record):
     a blowup keeps the recentered denominator, whose zero locus is its own
     exceptional divisor, and makes the quotient, not recentered, its new
     coordinate.  In both the kept coordinate is the one of smaller order.
-    A step holds no names: ``Trace`` reads them off the letters."""
+    A step holds no names: ``Trace`` reads them off the letters.  Each
+    engine builds its steps with one ``_new`` call, since the engine's
+    own code fixes their arity."""
 
     __slots__ = ()
     _fields = ("level", "chart_letter", "retained", "new_coord", "symbol", "chain_origin",
@@ -307,11 +309,12 @@ class Trace(Record):
             k, r = max(levels, 0), self.regularization_level
             return type(self)(self.germ, self.steps[:k], r if r is not None and r <= k else None)
         steps, regular_at = list(self.steps), self.regularization_level
+        stepped, is_regular, append = self._stepped, self._is_regular, steps.append
         while (len(steps) < levels if levels is not None
                else regular_at is None and len(steps) < max_level):
-            step = self._stepped(steps)
-            steps.append(step)
-            if regular_at is None and self._is_regular(step):
+            step = stepped(steps)
+            append(step)
+            if regular_at is None and is_regular(step):
                 regular_at = step.level
         if levels is None and (regular_at is None or regular_at > max_level):
             raise MaxLevelExceeded(self._budget.format(max_level))
@@ -444,8 +447,8 @@ def lift_once(
         letter, kept, fresh = "o", retained, new_coord._ratio(retained, vr, vn, 1)
         on_prolongation = chain_origin is not None and fresh.valuation_or_none() != 0
         symbol, chain = ("T", chain_origin) if on_prolongation else ("R", None)
-    return ChartStep(level, letter, kept, fresh, symbol, chain,
-                     (None if vr is None else vr + 1, None if vn is None else vn + 1))
+    return _new(ChartStep, (level, letter, kept, fresh, symbol, chain,
+                            (None if vr is None else vr + 1, None if vn is None else vn + 1)))
 
 
 def lift_trace(

@@ -48,9 +48,10 @@ def computed(monkeypatch):
     that had to compute, each a walk of the pending operands (``"walks"``),
     of the ``extend`` calls, one per pending series that a walk computes
     (``"extends"``), and of the coefficients that streams compute
-    (``"coefficients"``), counting from when the fixture is set up.  Leading
-    zeros known from the operands and the coefficients of a term polynomial
-    are filled in, not computed, and are not counted."""
+    (``"coefficients"``), counting from when the fixture is set up: each
+    stream's kernel wraps the extend it builds.  Leading zeros known from
+    the operands and the coefficients of a term polynomial are filled in,
+    not computed, and are not counted."""
     counts = Counter()
     force, lazy = TruncatedSeries._force, TruncatedSeries._lazy.__func__
 
@@ -62,15 +63,20 @@ def computed(monkeypatch):
 
     def counting_lazy(cls, *args):
         series = lazy(cls, *args)
-        extend = series._extend
+        kernel = series._kernel
 
-        def counting_extend(out, dens, m):
-            before = len(out)
-            counts["extends"] += 1
-            extend(out, dens, m)
-            counts["coefficients"] += len(out) - before
+        def counting_kernel(*operands):
+            extend = kernel(*operands)
 
-        series._extend = counting_extend
+            def counting_extend(out, dens, m):
+                before = len(out)
+                counts["extends"] += 1
+                extend(out, dens, m)
+                counts["coefficients"] += len(out) - before
+
+            return counting_extend
+
+        series._kernel = counting_kernel
         return series
 
     monkeypatch.setattr(TruncatedSeries, "_force", counting_force)

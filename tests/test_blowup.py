@@ -317,6 +317,24 @@ class TestCrossCheck:
         counts = (computed["force"], computed["extends"], computed["coefficients"])
         assert counts == COMPUTED[curve]
 
+    @pytest.mark.parametrize("seed, made, built", [(178212, 1899, 443), (20230817, 1682, 381)])
+    def test_streams_stay_inert_until_computed(self, monkeypatch, seed, made, built):
+        # a stream builds its extend on the first walk that computes it, so
+        # most streams of a corpus pass hold their operands and kernel only
+        streams, lazy = [], TruncatedSeries._lazy.__func__
+
+        def recording(cls, *args):
+            streams.append(lazy(cls, *args))
+            return streams[-1]
+
+        monkeypatch.setattr(TruncatedSeries, "_lazy", classmethod(recording))
+        for spec in generate_corpus(220, seed):
+            assert cross_check(spec.curve()).ok
+        assert len(streams) == made
+        assert sum(s._extend is not None for s in streams) == built
+        # an extend is built exactly where a coefficient past the valuation was
+        assert all((s._extend is not None) == (len(s._known) > s._zeros) for s in streams)
+
     def test_mismatch_raises_with_report(self):
         # sanity: cross_check raising is observable via a doctored comparison
         c = germ("x=t^5, y=t^7")

@@ -406,7 +406,7 @@ class TestPanel:
             assert invariant_panel(word=w).to_json_dict() == reference, w.symbols
 
     def test_requires_exactly_one_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             invariant_panel()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             invariant_panel(word="RV", pc=parse_pc("[2;3]"))

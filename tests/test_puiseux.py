@@ -173,6 +173,18 @@ class TestCharacteristicType:
         with pytest.raises(InvalidCharacteristic, match=r"^entry 4\.5 is not an integer$"):
             essential_characteristic(4.5, [6, 7])
 
+    @pytest.mark.parametrize("exponents, got", [(b"RV", "bytes"), ({4: 5}, "dict"),
+                                                (iter([4, 5]), "list_iterator"), ("45", "str")])
+    def test_essential_scan_refuses_an_exponent_collection_of_another_type(self, exponents, got):
+        # bytes once gave their byte values as exponents, and a dict its keys
+        message = rf"^exponents must be a list, tuple, set or frozenset; got {got}$"
+        with pytest.raises(TypeError, match=message):
+            essential_characteristic(3, exponents)
+
+    def test_essential_scan_takes_each_collection(self):
+        for exponents in ([4, 5], (4, 5), {4, 5}, frozenset({4, 5})):
+            assert essential_characteristic(3, exponents) == PC("[3;4]")
+
     def test_integral_values_are_normalised(self):
         assert PuiseuxCharacteristic((2.0, Fraction(3))).lambdas == (2, 3)
         assert PuiseuxCharacteristic(iter(["4", 6, 7])).lambdas == (4, 6, 7)

@@ -203,7 +203,8 @@ class TestFromTerms:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_construction_from_coefficients(self, terms):
         new, old = TruncatedSeries.from_terms(terms), _old_from_terms(terms)
-        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_operands", "_extend"):
+        for slot in ("_terms", "_known", "_dens", "_bound", "_zeros", "_operands", "_kernel",
+                     "_extend"):
             assert getattr(new, slot) == getattr(old, slot), slot
         # nonzero reduced terms in increasing exponent, and no dense prefix
         assert [e for e, _, _ in new._terms] == sorted({e for e, _, _ in new._terms})
@@ -655,16 +656,21 @@ def _every_computed_pair_reduced():
 
     def checking_lazy(cls, *args):
         series = lazy(cls, *args)
-        extend = series._extend
+        kernel = series._kernel
 
-        def checking_extend(out, dens, m):
-            before = len(out)
-            extend(out, dens, m)
-            assert len(out) == len(dens) == m
-            for num, den in zip(out[before:], dens[before:]):
-                _assert_reduced(num, den)
+        def checking_kernel(*operands):
+            extend = kernel(*operands)
 
-        series._extend = checking_extend
+            def checking_extend(out, dens, m):
+                before = len(out)
+                extend(out, dens, m)
+                assert len(out) == len(dens) == m
+                for num, den in zip(out[before:], dens[before:]):
+                    _assert_reduced(num, den)
+
+            return checking_extend
+
+        series._kernel = checking_kernel
         return series
 
     with pytest.MonkeyPatch.context() as patch:

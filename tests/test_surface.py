@@ -127,8 +127,6 @@ PINNED = {
     ("PuiseuxCharacteristic", "lambdas"):
         "any iterable of integer entries is taken (an iterator is tested), so a dict "
         "yields its keys",
-    ("essential_characteristic", "exponents"):
-        "any iterable is taken, so bytes yield their byte values as exponents",
     **{(name, p): "the per-step engine call checks no argument; a check would add work to "
                   "every step"
        for name, params in (("lift_once", ("retained", "new_coord", "level", "chain_origin")),
@@ -193,3 +191,13 @@ def test_each_wrong_value_is_refused_by_its_type(name, param):
         if outcome is not None:
             found[kind] = outcome
     assert found == {}
+
+
+@pytest.mark.parametrize("kwargs, got", [({}, "NoneType, NoneType"),
+                                         ({"word": "RVV", "pc": _PC}, "str, PuiseuxCharacteristic")],
+                         ids=["neither", "both"])
+def test_invariant_panel_takes_exactly_one_of_word_and_pc(kwargs, got):
+    # None is a documented value of each parameter alone, so the probe
+    # above leaves this refusal out
+    with pytest.raises(TypeError, match=rf"^give exactly one of word, pc; got \({got}\)$"):
+        monstertower.invariant_panel(**kwargs)
