@@ -18,9 +18,12 @@ the regularity test.
 
 A step's letter means what a Nash step's does: ``o`` when it divides b by
 a, keeping the first coordinate of the pair, ``i`` when it divides a by
-b.  Each step is one record allocation and holds no names: coordinates
-are a base letter and a blowup index (``y_1``), named by the Nash lift's
-walk over the letters from (x_0, y_0).  A germ is resolved once into a
+b.  Both engines step from the base pair (x, y), and the first blowup, on
+the base surface, is an R in either chart, as the Nash lift's level 1 is,
+so the engines' letters agree step by step on every germ.  Each step is
+one record allocation and holds no names: coordinates are a base letter
+and a blowup index (``y_1``), named by the Nash lift's walk over the
+letters from (x_0, y_0).  A germ is resolved once into a
 ``BlowupTrace``, run by the loop the Nash lift runs (``Trace.continued``),
 which also refuses a cover; the engine supplies only ``blowup_once`` as
 its step.  Word (the symbols read off the flags), order profile and
@@ -51,9 +54,6 @@ class BlowupName(CoordName):
         return f"{self.base}_{self.order}"
 
 
-_FIRST_NAMES = (BlowupName("x", 0), BlowupName("y", 0))
-
-
 class BlowupTrace(Trace):
     """One resolution of a germ: ``continued`` blows up until the strict
     transform is regular, and every value is read off the steps."""
@@ -64,9 +64,7 @@ class BlowupTrace(Trace):
     _cover = ("{n} is constant at blowup {level} while {r} has order {m}: "
               "the germ is a cover of degree {m}")
 
-    @staticmethod
-    def _first_names() -> tuple[BlowupName, BlowupName]:
-        return _FIRST_NAMES
+    _first_names = (BlowupName("x", 0), BlowupName("y", 0))
 
     def _step(self, steps: list[ChartStep]) -> ChartStep:
         """The blowup of the chart pair the last step kept or, before the

@@ -56,21 +56,18 @@ class PuiseuxCharacteristic(Record):
     """[lambda_0; lambda_1, ..., lambda_g] with the usual invariants:
     strictly increasing, gcd 1, every entry past the first essential
     (not divisible by the gcd of its predecessors), and lambda_0 = 1
-    only for the trivial characteristic [1;].  Entries are ints: integer
-    text and integral values are normalized, and an entry that int() would
-    truncate or cannot convert is refused, by name."""
+    only for the trivial characteristic [1;].  The entries come in a list
+    or tuple (``_integral_entries``): integer text and integral values are
+    normalized to ints, and a bool, or an entry that int() would truncate
+    or cannot convert, is refused, by name."""
 
     __slots__ = ()
     _fields = ("lambdas",)
 
     def __new__(cls, lambdas):
-        if lambdas.__class__ is not tuple:
-            lambdas = tuple(lambdas)
-        try:
-            lam = tuple(map(int, lambdas))
-        except (TypeError, ValueError, OverflowError):
-            lam = None
-        if lam != lambdas:  # one comparison for a tuple of ints
+        if lambdas.__class__ is tuple and {x.__class__ for x in lambdas} <= {int}:
+            lam = lambdas  # one set for a tuple of ints
+        else:
             lam = _integral_entries(lambdas)
         if _is_valid(lam):
             return _new(cls, (lam,))
@@ -104,16 +101,21 @@ def _entries(pc: PuiseuxCharacteristic) -> tuple[int, ...]:
                                 "parse text with parse_pc")
 
 
-def _integral_entries(values: tuple) -> tuple[int, ...]:
-    """The entries as ints: integer text and integral values keep their
-    value, and a bool, or anything int() would truncate or cannot convert,
-    is refused with an InvalidCharacteristic that names the entry."""
+def _integral_entries(values: list | tuple) -> tuple[int, ...]:
+    """The entries of a list or tuple as ints: integer text and integral
+    values keep their value.  Another container, or a bool entry, is
+    TypeError naming its type, and an entry that int() would truncate or
+    cannot convert is an InvalidCharacteristic that names it."""
+    if values.__class__ not in (list, tuple):
+        raise wrong_type("entries must be a list or tuple", values)
     for x in values:
+        if x.__class__ is bool:
+            raise wrong_type(f"entry {x!r} is not an integer", x)
         try:
             n = int(x)
         except (TypeError, ValueError, OverflowError):
             raise InvalidCharacteristic(f"entry {x!r} is not an integer") from None
-        if n != x and not isinstance(x, (str, bytes)) or x.__class__ is bool:
+        if n != x and not isinstance(x, (str, bytes)):
             raise InvalidCharacteristic(f"entry {x!r} is not an integer")
     return tuple(map(int, values))
 

@@ -15,18 +15,22 @@ the active pair by the ratio kernel ``TruncatedSeries._ratio``, which is
 handed the two orders; no derivative series is made, and a stream has
 none.
 
-The inverted choice is exactly an encounter with the divisor at infinity of
-the new level, so the code-word symbol there is V.  An ordinary step whose
-new coordinate vanishes at t=0 while a V/T chain is alive continues the
-chain with a T; everything else is an R.  A step is one ``ChartStep``, the
-record both engines make (``records``), and holds only what the step
-decided: its letter, the pair after it, its symbol, its chain origin and
-its orders, so a level costs its series.  The letter means the same in
-both engines: ``o`` keeps the first coordinate of the pair and ``i`` the
-second.  A coordinate's name is a function of the chart path, so names are
-a view: one walk over the letters (``_name_walk``) names them with the
-calculus convention x, y, y', x', x'', ... as structured ``CoordName``s,
-for the chart equations, the JSON and the cover messages.
+Both engines step from the base pair (x, y).  Past level 1 the inverted
+choice is exactly an encounter with the divisor at infinity of the new
+level, so the code-word symbol there is V; level 1 has no divisor, so its
+point is regular and an inverted first step is an R, as a blowup's is.  An
+ordinary step whose new coordinate vanishes at t=0 while a V/T chain is
+alive continues the chain with a T; everything else is an R.  A step is
+one ``ChartStep``, the record both engines make (``records``), and holds
+only what the step decided: its letter, the pair after it, its symbol, its
+chain origin and its orders, so a level costs its series.  The letter
+means the same in both engines: ``o`` keeps the first coordinate of the
+pair and ``i`` the second.  A coordinate's name is a function of the chart
+path, so names are a view: one walk over the letters from (x, y)
+(``_name_walk``) names them with the calculus convention x, y, y', x',
+x'', ... as structured ``CoordName``s, for the chart equations, the JSON
+and the cover messages.  Chart data walks from (x, y) too, so every lift's
+chart path is chart data.
 A germ is lifted once into a ``LiftTrace``, which every reader continues.
 A germ given by chart data is rebuilt by integrating down its chart path,
 and that walk is its lift to the presented level (``chart_data_trace``):
@@ -195,7 +199,7 @@ class Trace(Record):
     ``_is_regular``, the one cover rule (``_stepped``) and the views read
     off the steps (word, chart path, base point, order profile,
     multiplicities, names, JSON).  An engine supplies only its next step
-    (``_step``), the names of its first pair (``_first_names``), its
+    (``_step``), the names of its base pair (x, y) (``_first_names``), its
     budget and cover messages (``_budget``, ``_cover``), its name and any
     per-level JSON fields of its own.  A germ that is not a
     ``CurveGerm`` is refused when the trace is made.  The invariant views
@@ -259,19 +263,20 @@ class Trace(Record):
     def _names(self, steps) -> list[tuple[CoordName, CoordName, CoordName]]:
         """The (retained, new, deactivated) names after each of ``steps``:
         the name walk from the engine's first pair over their letters."""
-        return _name_walk(*self._first_names(), [s.chart_letter for s in steps])
+        return _name_walk(*self._first_names, [s.chart_letter for s in steps])
 
     def _stepped(self, steps: list) -> ChartStep:
         """The engine's next step on ``steps``, unless it shows a cover: a
-        step from a pair whose second coordinate is constant while the
-        first has order m > 1 makes every coordinate a function of the
-        first, of order m in t, so the germ factors through it, and
-        NonPrimitiveParameterization names the cover of degree m and the
-        pair (``_cover``)."""
+        step from a pair with one constant coordinate while the other has
+        order m > 1 makes every coordinate a function of the other, of
+        order m in t, so the germ factors through it, and
+        NonPrimitiveParameterization names the cover of degree m, the
+        constant coordinate as n and the other as r (``_cover``)."""
         step = self._step(steps)
-        m, constant = step.orders
-        if constant is None and m > 1:
-            r, n = self._names(steps)[-1][:2] if steps else self._first_names()
+        a, b = step.orders
+        if (a is None or b is None) and (m := a or b) > 1:
+            pair = self._names(steps)[-1][:2] if steps else self._first_names
+            n, r = pair if a is None else pair[::-1]
             raise NonPrimitiveParameterization(
                 self._cover.format(r=r, n=n, level=step.level, m=m, slope=m - 1))
         return step
@@ -353,8 +358,7 @@ class LiftTrace(Trace):
     trace grows, or is cut, by ``continued``, so a germ is lifted once
     however many levels its readers ask for.  Word, chart path, data point
     and chart equations cover every level lifted and name coordinates as
-    the lift meets them, from (x, y) or, when the lift starts from y,
-    (y, x)."""
+    the lift meets them, from (x, y)."""
 
     __slots__ = ()
     _engine = "nash"
@@ -362,24 +366,15 @@ class LiftTrace(Trace):
     _cover = ("d{n}/dt vanishes identically at level {level} while d{r}/dt has order {slope}: "
               "the germ is a cover of degree {m}")
 
-    def _y_first(self) -> bool:
-        """Whether the lift starts from (y, x): y has the smaller valuation
-        (tie: x)."""
-        vx, vy = self.germ.x.valuation_or_none(), self.germ.y.valuation_or_none()
-        return vx is None or vy is not None and vy < vx
-
-    def _first_names(self) -> tuple[CoordName, CoordName]:
-        return (_Y, _X) if self._y_first() else (_X, _Y)
+    _first_names = (_X, _Y)
 
     def _step(self, steps: list[ChartStep]) -> ChartStep:
         """The chart step on the active pair the last step kept or, before
-        the first step, on the base pair, retaining whichever coordinate has
-        the smaller valuation (``_y_first``)."""
-        if steps:
-            s = steps[-1]
-            return lift_once(s.retained, s.new_coord, s.level + 1, s.chain_origin)
-        x, y = self.germ.x, self.germ.y
-        return lift_once(y, x, 1) if self._y_first() else lift_once(x, y, 1)
+        the first step, on the base pair (x, y)."""
+        if not steps:
+            return lift_once(self.germ.x, self.germ.y, 1)
+        s = steps[-1]
+        return lift_once(s.retained, s.new_coord, s.level + 1, s.chain_origin)
 
     @property
     def data_point(self) -> tuple[Fraction, ...]:
@@ -424,16 +419,18 @@ def lift_once(
     """One chart step on the active pair (r, n).  The chart letter is decided
     by comparing val(dr/dt) with val(dn/dt), read off the slope orders of
     the pair; ties take the ordinary choice, since a vertical encounter
-    forces strict inequality.  The new coordinate is the pair's slope,
-    dn/dr or dr/dn, one series, made by the ratio kernel (``_ratio``) from the
-    two orders already read.  The step records the pair's recentered
+    forces strict inequality.  An inverted step past level 1 is a V whose
+    chain starts at its level; at level 1, which has no divisor, it is an
+    R with no chain, as a first blowup is.  The new coordinate is the
+    pair's slope, dn/dr or dr/dn, one series, made by the ratio kernel
+    (``_ratio``) from the two orders already read.  The step records the pair's recentered
     orders, val(r - r(0)) and val(n - n(0)): in characteristic 0 each is
     its slope order plus one.
 
     A derivative with no valuation is identically zero, so its coordinate
-    is constant.  Both constant is ConstantParameterization.  A constant n
-    while val(dr/dt) = m >= 1 is a step of orders (m + 1, None), whose
-    cover ``Trace`` refuses.
+    is constant.  Both constant is ConstantParameterization.  One constant
+    coordinate while the other's slope order is m >= 1 is a step of orders
+    (m + 1, None) or (None, m + 1), whose cover ``Trace`` refuses.
     """
     vr = retained.slope_order()
     vn = new_coord.slope_order()
@@ -442,7 +439,7 @@ def lift_once(
             f"both active derivatives vanish identically at level {level}")
     if vr is None or (vn is not None and vr > vn):
         letter, kept, fresh = "i", new_coord, retained._ratio(new_coord, vn, vr, 1)
-        symbol, chain = "V", level
+        symbol, chain = ("V", level) if level > 1 else ("R", None)
     else:
         letter, kept, fresh = "o", retained, new_coord._ratio(retained, vr, vn, 1)
         on_prolongation = chain_origin is not None and fresh.valuation_or_none() != 0
@@ -477,10 +474,8 @@ def _walk_names(path: str) -> list[tuple[str, CoordName, CoordName, int]]:
     """Per level of a chart path: the letter, the retained and deactivated
     names after the step, by the lift's own name walk (``_name_walk``), and
     the data-point slot of the deactivated coordinate (x, y, then the new
-    coordinate of each level).  Chart data is given in the chart family that
-    retains x first, so the path starts with an ordinary choice."""
-    if path and path[0] != "o":
-        raise ParseError("chart paths start with an ordinary choice")
+    coordinate of each level).  The walk starts from (x, y), as the lift
+    does, so a path may start with either letter."""
     slot = {_X: 0, _Y: 1}
     plan = []
     for level, (letter, (r, n, deactivated)) in enumerate(zip(path, _name_walk(_X, _Y, path)), 1):
@@ -510,7 +505,8 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     levels, where a caller that needs more levels continues it.  The walk
     down is that trace: each level is the lift's own step (``_stepped``) on
     the steps below it, checked against the path's letter and stored with
-    the walk's polynomial N_j as its new coordinate.
+    the walk's polynomial N_j as its new coordinate.  The lift steps from
+    (x, y), so ``path`` may start with either letter.
 
     ``constants`` supplies the integration constants in data-point order
     (x, y, then new coordinates); the entries at the two final active
@@ -532,9 +528,11 @@ def chart_data_trace(path: str, retained: TruncatedSeries, new_coord: TruncatedS
     recentering of the base point, so from the base up, while the letters
     agree, the lift's new coordinates are the walk's, and its retained
     coordinates, which the lift's step supplies, are too, with one
-    exception: the lift keeps x recentered, and x is the top retained
-    coordinate only on an all-``o`` path.  There the top pair is
-    (r - r(0), n), and the base point is (r(0), ...).
+    exception: the lift keeps x and y recentered, and one of them is the
+    top retained coordinate only on a path whose letters past the first
+    are all ``o`` (x after an ``o``, y after an ``i``).  There the top pair
+    is (r - r(0), n), and r(0) is that coordinate's entry of the base
+    point.
     """
     if not isinstance(path, str):
         raise ParseError(f"expected a str chart path, got {type(path).__name__}")

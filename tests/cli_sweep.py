@@ -139,6 +139,12 @@ EDGE_COMMANDS = (
      "--check", "proximity-sum", "--check", "preimage-duality"),
     ("check", "--max-len", "10", "--corpus-size", "60"),
     ("check", "--max-len", "8", "--corpus-size", "220", "--seed", "20230817"),
+    # y of the smaller valuation: both engines step from (x, y), so the
+    # first letter is i, and the chart path i... is chart data
+    ("curve", "x=t^7, y=t^5", "--format", "json"),
+    ("curve", "x=t^7, y=t^5", "--engine", "blowup", "--format", "json"),
+    ("curve", "x=0, y=t^2+t^3", "--engine", "blowup"),
+    ("curve", "@level 2 chart=io, r=t, n=t", "--format", "json"),
 )
 
 # ROADMAP item 9: the engines disagree on an R-level entry of the order
@@ -226,7 +232,7 @@ FORM_COMMANDS = (
 # field list, a repeated or missing coordinate, and a cut characteristic.
 GRAMMAR_REFUSALS = (
     ("curve", "@level 2 chart=ox, r=t, n=t"),
-    ("curve", "@level 1 chart=i, r=t, n=t"),
+    ("curve", "@level 1 chart=i, r=t, n=t"),  # chart data now: a path may start with i
     ("curve", "@level 2 chart=oi, r=t, n=t, constants=0,0"),
     ("curve", "@level 2"),
     ("curve", "@level x chart=o, r=t, n=t"),

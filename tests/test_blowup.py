@@ -24,7 +24,7 @@ from monstertower.tower import CurveGerm, _least, lift_trace, parse_curve, parse
 from monstertower.words import RvtWord
 from cli_sweep import _DISAGREEING_REALIZATIONS
 from conftest import agree_on_prefix
-from realization import critical_words, realization
+from realization import critical_words, realization, swapped
 
 
 # (forces, extend calls, coefficients computed) of a germ's construction and
@@ -164,20 +164,59 @@ class TestBlowupResolve:
             blowup_resolve(germ("x=t^5, y=t^7"), max_level=2)
 
 
+# Coefficients of either sign, integral or not.
+coefficients = st.builds(F, st.sampled_from([-9, -2, -1, 1, 3, 14]), st.integers(1, 6))
+
+
+@st.composite
+def wide_germs(draw):
+    """Germs wider than the corpus shape x = t^n: x has two to four
+    nonconstant terms, the base point is drawn (often nonzero), and the
+    coefficients are rational of either sign.  gcd(val x, val y) = 1, so the
+    germ is primitive."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 16).filter(lambda m: gcd(n, m) == 1))
+
+    def coordinate(valuation, min_extra):
+        extra = draw(st.sets(st.integers(valuation + 1, valuation + 12),
+                             min_size=min_extra, max_size=3))
+        terms = [(F(draw(st.integers(-3, 3)), 2), 0), (draw(coefficients), valuation)]
+        terms.extend((draw(coefficients), e) for e in sorted(extra))
+        return TruncatedSeries.from_terms(terms)
+
+    return CurveGerm.from_series(coordinate(n, 1), coordinate(m, 0))
+
+
 def _letters_and_orders(trace):
     return [(s.chart_letter, s.orders) for s in trace.steps]
 
 
+def _step_alike(c):
+    """Whether both engines take the same letter from the same orders at
+    every step of ``c``."""
+    return _letters_and_orders(lift_trace(c)) == _letters_and_orders(blowup_resolve(c))
+
+
 class TestOneMeaningOfTheLetter:
     """A step's letter means the same in both engines: ``o`` keeps the first
-    coordinate of the pair and ``i`` the second, so the engines' chart
-    choices can be compared step by step."""
+    coordinate of the pair and ``i`` the second, and both step from the
+    base pair (x, y), so the engines' chart choices can be compared step by
+    step on every germ, y of the smaller valuation included."""
 
     def test_the_engines_step_alike_on_both_corpora(self):
         differ = [str(spec) for seed in (178212, 20230817)
-                  for spec in generate_corpus(220, seed)
-                  if _letters_and_orders(lift_trace(spec.curve()))
-                  != _letters_and_orders(blowup_resolve(spec.curve()))]
+                  for spec in generate_corpus(220, seed) if not _step_alike(spec.curve())]
+        assert differ == []
+
+    @given(wide_germs())
+    @settings(max_examples=200, deadline=None)
+    def test_the_engines_step_alike_on_wide_germs(self, c):
+        assert _step_alike(c)
+
+    def test_the_engines_step_alike_on_swapped_realizations(self):
+        # x = sum t^b, y = t^n: y has the smaller valuation, so both
+        # engines' first step is inverted
+        differ = [w.symbols for w in critical_words(9) if not _step_alike(swapped(realization(w)))]
         assert differ == []
 
     @pytest.mark.parametrize("text", _DISAGREEING_REALIZATIONS)
@@ -209,6 +248,20 @@ class TestConstantPair:
         message = r"^y_1 is constant at blowup 2 while x_0 has order 2: the germ is a cover of degree 2$"
         with pytest.raises(NonPrimitiveParameterization, match=message):
             blowup_resolve(germ("x=t^2+t^3, y=2*t^2+2*t^3"))
+
+    @pytest.mark.parametrize("text, nash, blowup", [
+        ("x=0, y=t^2+t^3", "dx/dt vanishes identically at level 1 while dy/dt has order 1",
+         "x_0 is constant at blowup 1 while y_0 has order 2"),
+        ("x=t^2+t^3, y=0", "dy/dt vanishes identically at level 1 while dx/dt has order 1",
+         "y_0 is constant at blowup 1 while x_0 has order 2"),
+    ], ids=["x", "y"])
+    def test_a_constant_coordinate_is_named_at_level_1(self, text, nash, blowup):
+        # the cover rule reads either coordinate of the pair, so the step
+        # from (x, y) refuses the cover whichever coordinate is constant
+        for engine, message in ((lift_trace, nash), (blowup_resolve, blowup)):
+            with pytest.raises(NonPrimitiveParameterization,
+                               match=f"^{message}: the germ is a cover of degree 2$"):
+                engine(germ(text))
 
 
 # Both double covers of x = t^2 + t^3: y = 2x and y = x^2.
@@ -502,15 +555,12 @@ class TestRegularityFromSteps:
         assert differ == [] and steps > 20_000
 
     def test_orders_are_the_recentered_orders_of_the_pair_stepped_from(self):
-        # the pair a step stepped from is the last step's, or the germ's at
-        # level 1, which the Nash lift orders by valuation (tie: x)
+        # the pair a step stepped from is the last step's, or the germ's
+        # (x, y) at level 1
         differ, steps = [], 0
         for label, nash, blow in self.traces():
             for engine, trace in (("nash", nash), ("blowup", blow)):
-                x, y = trace.germ.x, trace.germ.y
-                vx, vy = x.valuation_or_none(), y.valuation_or_none()
-                swap = engine == "nash" and (vx is None or vy is not None and vy < vx)
-                pair = (y, x) if swap else (x, y)
+                pair = (trace.germ.x, trace.germ.y)
                 for s in trace.steps:
                     steps += 1
                     if s.orders != tuple(map(recentered_order, pair)):
@@ -534,29 +584,6 @@ class TestRegularityFromSteps:
         for c in germs:
             assert cross_check(c).ok
         assert calls == []
-
-
-# Coefficients of either sign, integral or not.
-coefficients = st.builds(F, st.sampled_from([-9, -2, -1, 1, 3, 14]), st.integers(1, 6))
-
-
-@st.composite
-def wide_germs(draw):
-    """Germs wider than the corpus shape x = t^n: x has two to four
-    nonconstant terms, the base point is drawn (often nonzero), and the
-    coefficients are rational of either sign.  gcd(val x, val y) = 1, so the
-    germ is primitive."""
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 16).filter(lambda m: gcd(n, m) == 1))
-
-    def coordinate(valuation, min_extra):
-        extra = draw(st.sets(st.integers(valuation + 1, valuation + 12),
-                             min_size=min_extra, max_size=3))
-        terms = [(F(draw(st.integers(-3, 3)), 2), 0), (draw(coefficients), valuation)]
-        terms.extend((draw(coefficients), e) for e in sorted(extra))
-        return TruncatedSeries.from_terms(terms)
-
-    return CurveGerm.from_series(coordinate(n, 1), coordinate(m, 0))
 
 
 class TestWideGerms:

@@ -187,7 +187,21 @@ class TestCharacteristicType:
 
     def test_integral_values_are_normalised(self):
         assert PuiseuxCharacteristic((2.0, Fraction(3))).lambdas == (2, 3)
-        assert PuiseuxCharacteristic(iter(["4", 6, 7])).lambdas == (4, 6, 7)
+        assert PuiseuxCharacteristic(["4", 6, 7]).lambdas == (4, 6, 7)
+
+    @pytest.mark.parametrize("entries, got", [({1: 2}, "dict"), (b"\x02\x03", "bytes"),
+                                              (iter([2, 3]), "list_iterator"), ("23", "str")])
+    def test_entries_come_in_a_list_or_tuple(self, entries, got):
+        # a dict once gave its keys, bytes their byte values, and an
+        # iterator was drained
+        with pytest.raises(TypeError, match=f"^entries must be a list or tuple; got {got}$"):
+            PuiseuxCharacteristic(entries)
+
+    @pytest.mark.parametrize("entries", [(True,), (2, True), [2, False, 3]])
+    def test_a_bool_entry_is_refused_by_its_type(self, entries):
+        # True == 1, so a bool once passed as the int it equals
+        with pytest.raises(TypeError, match=r"^entry (True|False) is not an integer; got bool$"):
+            PuiseuxCharacteristic(entries)
         assert essential_characteristic(4.0, [6.0, "7"]) == PC("[4;6,7]")
 
     def test_a_tuple_of_ints_skips_the_entry_scan(self, monkeypatch):

@@ -124,14 +124,10 @@ ACCEPTED = {
 
 # gaps left open, each pinned by a strict xfail
 PINNED = {
-    ("PuiseuxCharacteristic", "lambdas"):
-        "any iterable of integer entries is taken (an iterator is tested), so a dict "
-        "yields its keys",
-    **{(name, p): "the per-step engine call checks no argument; a check would add work to "
-                  "every step"
-       for name, params in (("lift_once", ("retained", "new_coord", "level", "chain_origin")),
-                            ("blowup_once", ("a", "b", "level", "b_flag")))
-       for p in params},
+    (name, p): "the per-step engine call checks no argument; a check would add work to every step"
+    for name, params in (("lift_once", ("retained", "new_coord", "level", "chain_origin")),
+                         ("blowup_once", ("a", "b", "level", "b_flag")))
+    for p in params
 }
 
 

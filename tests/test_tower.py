@@ -104,6 +104,15 @@ class TestLiftOnce:
         assert (step.retained, step.new_coord) == (parse_series("7/5*t^2"),
                                                    parse_series("25/14*t^3"))
 
+    def test_an_inverted_first_step_is_regular(self):
+        # level 1 has no divisor, so the step from (x, y) = (t^3, t^2) is an
+        # R with no chain, as the first blowup is, and the V comes at level 2
+        step = lift_once(parse_series("t^3"), parse_series("t^2"), level=1)
+        assert (step.chart_letter, step.symbol, step.chain_origin) == ("i", "R", None)
+        trace = lift_trace(germ("x=t^3, y=t^2"))
+        assert (trace.chart_path, trace.word.symbols) == ("ii", "RV")
+        assert trace.steps[1].chain_origin == 2
+
     def test_a_constant_new_coordinate_is_a_step_the_trace_refuses(self):
         # dn/dt = 0 while dr/dt has order 2: the step records the orders
         # (3, None), and a trace, not the step, refuses the cover of degree 3
@@ -625,10 +634,14 @@ class TestChartEquations:
     def test_two_levels(self):
         assert chart_germ_equations("oi") == ["dy = y' dx", "dx = x' dy'"]
 
-    def test_rejects_inverted_start(self):
-        # chart data is given in the chart family that retains x first
-        with pytest.raises(ParseError, match="start with an ordinary choice"):
-            parse_curve("@level 2 chart=io, r=t, n=t")
+    def test_an_inverted_start_is_chart_data(self):
+        # the lift steps from (x, y), so a path may start with i: the
+        # rebuilt germ's lift takes it, and the constants are its data point
+        c = germ("@level 2 chart=io, r=t, n=t")
+        assert str(c) == "x=1/6*t^3, y=t"
+        assert lift_trace(c, levels=2).chart_path == "io"
+        trace = parse_curve_trace("@level 3 chart=ioi, r=t, n=t, constants=1,2,0,0,0")
+        assert trace.chart_path == "ioi" and trace.data_point == (1, 2, 0, 0, 0)
 
 
 class TestCurveFromChartData:
