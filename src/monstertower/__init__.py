@@ -10,7 +10,10 @@ imported from its submodule on first use (PEP 562), so a word-layer caller
 never loads the series arithmetic or the engines, and an engine caller
 loads ``words``, ``series``, ``tower``, ``blowup``, ``corpus``, ``records``,
 ``errors`` and ``defaults``, never the characteristic or panel modules
-(``puiseux``, ``invariants``).
+(``puiseux``, ``invariants``).  The engines' step functions,
+``tower.lift_once`` and ``blowup.blowup_once``, run once per step and check
+no argument, so they are not public: a run is taken with ``lift_trace``,
+``blowup_resolve`` or ``continued``, which check theirs once.
 """
 
 import importlib
@@ -37,13 +40,10 @@ _SUBMODULE_NAMES = {
         "restricted_vertical_orders", "vertical_orders",
     ),
     "tower": (
-        "ChartStep", "CurveGerm", "LiftTrace", "curve_from_chart_data", "lift_once",
-        "lift_trace", "parse_curve",
+        "ChartStep", "CurveGerm", "LiftTrace", "curve_from_chart_data", "lift_trace",
+        "parse_curve",
     ),
-    "blowup": (
-        "BlowupName", "BlowupTrace", "CrossCheckReport",
-        "blowup_once", "blowup_resolve", "cross_check",
-    ),
+    "blowup": ("BlowupTrace", "CrossCheckReport", "blowup_resolve", "cross_check"),
     "corpus": ("CurveSpec", "generate_corpus"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

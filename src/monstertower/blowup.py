@@ -22,23 +22,24 @@ b.  Both engines step from the base pair (x, y), and the first blowup, on
 the base surface, is an R in either chart, as the Nash lift's level 1 is,
 so the engines' letters agree step by step on every germ.  Each step is
 one record allocation and holds no names: coordinates are a base letter
-and a blowup index (``y_1``), named by the Nash lift's walk over the
-letters from (x_0, y_0).  A germ is resolved once into a
-``BlowupTrace``, run by the loop the Nash lift runs (``Trace.continued``),
-which also refuses a cover; the engine supplies only ``blowup_once`` as
-its step.  Word (the symbols read off the flags), order profile and
-multiplicities are views of its steps; its chart path is its standard
-charts, ``o`` where the new coordinate descends from y, read off the
-names.  ``cross_check`` compares the word, order profile and
-multiplicities against the Nash lift it is given or makes, reading each
-view of either trace once; the blowup word is compared as its string of
+and a blowup index (``y_1``, a ``BlowupName``), named by the Nash lift's
+walk over the letters from (x_0, y_0), and reach callers only as text.
+A germ is resolved once into a ``BlowupTrace``, run by the loop the Nash
+lift runs (``Trace.continued``), which also refuses a cover; the engine
+supplies only ``blowup_once`` as its step, a kernel that checks no
+argument.  ``BlowupName`` and ``blowup_once`` are not public names.  Word
+(the symbols read off the flags), order profile and multiplicities are
+views of its steps; its chart path is its standard charts, ``o`` where
+the new coordinate descends from y, read off the names.  ``cross_check``
+compares the word, order profile and multiplicities against the Nash
+lift it is given or makes, reading each view of either trace once; the blowup word is compared as its string of
 symbols, which the Nash word has validated.
 """
 
 from __future__ import annotations
 
 from .defaults import DEFAULT_MAX_LEVEL
-from .errors import ConstantParameterization, MismatchReport
+from .errors import MismatchReport
 from .records import Record, _new
 from .series import TruncatedSeries
 from .tower import ChartStep, CoordName, CurveGerm, LiftTrace, Trace, lift_trace
@@ -91,15 +92,15 @@ def blowup_once(a: TruncatedSeries, b: TruncatedSeries, *, level: int,
     valuations the step read.  The letter is ``o`` when the step divides b
     by a, and ``i`` when it divides a by b.
 
-    Both coordinates constant after recentering is
-    ConstantParameterization.  A constant b while val a = d > 1 is a step
-    of orders (d, None), whose cover ``Trace`` refuses."""
+    This is the blowup engine's step, run once per step by
+    ``BlowupTrace``, and it checks no argument; it is not a public name.
+    No resolution reaches a pair with both constant: the germ refuses one,
+    and a step keeps its denominator, which has a valuation.  A constant b
+    while val a = d > 1 is a step of orders (d, None), whose cover
+    ``Trace`` refuses."""
     b_rec = b._tail()
     va = a.valuation_or_none()
     vb = b_rec.valuation_or_none()
-    if va is None and vb is None:
-        raise ConstantParameterization(
-            f"both coordinates vanish identically after recentering at blowup {level}")
     if va is not None and (vb is None or vb >= va):
         letter, denominator, quotient = "o", a, b_rec._ratio(a, va, vb, 0)
         inherited = b_flag if b_rec is b else None

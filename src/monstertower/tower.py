@@ -38,8 +38,11 @@ each level is the lift's own step, carrying the walk's polynomial as its
 new coordinate, so the lift goes on from polynomials.
 ``Trace``, the base of both engines' traces, holds the one step-until-regular
 loop: ``continued`` steps on from the last step or, with ``levels=k``, cuts
-it, and each engine supplies only its next step.  ``Trace`` also refuses a
-cover, in one place (``_stepped``), for both engines.  A step records the
+it, and each engine supplies only its next step, its kernel (``lift_once``
+here), which checks no argument and is not a public name.  No run reaches
+a pair with both coordinates constant: the germ refuses one, and a step
+keeps a coordinate that moves.  ``Trace`` also refuses a cover, in one
+place (``_stepped``), for both engines.  A step records the
 orders of the pair it stepped from, val(r - r(0)) and val(n - n(0)), as a
 blowup does: the slope orders the letter compares, plus one.  So the word,
 chart path, base point, order profile, multiplicities and the regularity
@@ -427,16 +430,17 @@ def lift_once(
     orders, val(r - r(0)) and val(n - n(0)): in characteristic 0 each is
     its slope order plus one.
 
-    A derivative with no valuation is identically zero, so its coordinate
-    is constant.  Both constant is ConstantParameterization.  One constant
-    coordinate while the other's slope order is m >= 1 is a step of orders
-    (m + 1, None) or (None, m + 1), whose cover ``Trace`` refuses.
+    This is the Nash engine's step, run once per step by ``LiftTrace``,
+    and it checks no argument; it is not a public name, and k steps are
+    ``lift_trace(c, levels=k)``.  A derivative with no valuation is
+    identically zero, so its coordinate is constant.  No lift reaches a
+    pair with both constant: the germ refuses one, and a step keeps a
+    coordinate whose slope order it read.  One constant coordinate while
+    the other's slope order is m >= 1 is a step of orders (m + 1, None) or
+    (None, m + 1), whose cover ``Trace`` refuses.
     """
     vr = retained.slope_order()
     vn = new_coord.slope_order()
-    if vr is None and vn is None:
-        raise ConstantParameterization(
-            f"both active derivatives vanish identically at level {level}")
     if vr is None or (vn is not None and vr > vn):
         letter, kept, fresh = "i", new_coord, retained._ratio(new_coord, vn, vr, 1)
         symbol, chain = ("V", level) if level > 1 else ("R", None)

@@ -15,10 +15,15 @@ the CLI digest's ``_DISAGREEING_REALIZATIONS`` and their swaps, and the
 germs whose profiles disagree must be exactly the ones of them that the
 sweep reaches.  Both engines' step letters must be equal everywhere, those
 germs included: both step from (x, y), and a letter means the same in
-both (``o`` keeps the first coordinate of the pair).  Prints each
-difference, each disagreeing germ and each germ whose letters differ,
-their counts, and exits 1 on any difference, a disagreement off that list
-included, a listed germ whose profiles agree, or a letter difference.
+both (``o`` keeps the first coordinate of the pair).  Every step past
+the first, in both engines, must record an order for its first
+coordinate, the one the step before kept: no run reaches a pair with
+both coordinates constant, which is why neither engine's step checks for
+one.  The check reads only recorded orders.  Prints each difference,
+each disagreeing germ, each germ whose letters differ and each step that
+kept a constant, their counts, and exits 1 on any difference, a
+disagreement off that list included, a listed germ whose profiles agree,
+a letter difference, or a step that kept a constant.
 """
 
 import sys
@@ -58,14 +63,15 @@ def letters(trace) -> str:
 
 
 def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[CurveGerm],
-                                       list[str]]:
+                                       list[str], list[str]]:
     """The number of critical words up to ``max_len``; one line per germ,
     a word's realization or its swap, that the engines read differently
     from the word; the germs whose order profiles the engines read
     differently; the known ones among the germs, both lists in sweep
-    order; and one line per germ whose step letters differ between the
-    engines."""
-    found, disagreeing, known, letter_diffs, count = [], [], [], [], 0
+    order; one line per germ whose step letters differ between the
+    engines; and one line per step past the first, of either engine,
+    whose first coordinate has no order."""
+    found, disagreeing, known, letter_diffs, constants, count = [], [], [], [], [], 0
     for w in critical_words(max_len):
         count += 1
         straight = realization(w)
@@ -83,12 +89,15 @@ def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[Cur
             if letters(nash) != letters(blow):
                 letter_diffs.append(f"step letters differ on {c}: nash {letters(nash)}, "
                                     f"blowup {letters(blow)}")
-    return count, found, disagreeing, known, letter_diffs
+            constants += [f"{engine} step {s.level} of {c} keeps a constant: orders {s.orders}"
+                          for engine, trace in (("nash", nash), ("blowup", blow))
+                          for s in trace.steps[1:] if s.orders[0] is None]
+    return count, found, disagreeing, known, letter_diffs, constants
 
 
 if __name__ == "__main__":
-    count, found, disagreeing, known, letter_diffs = differences(int(sys.argv[1]))
-    for line in (*found, *letter_diffs):
+    count, found, disagreeing, known, letter_diffs, constants = differences(int(sys.argv[1]))
+    for line in (*found, *letter_diffs, *constants):
         print(line)
     for c in disagreeing:
         print(f"order profiles disagree on {c}{'' if c in known else ' (not a known fault)'}")
@@ -97,5 +106,5 @@ if __name__ == "__main__":
             print(f"order profiles agree on {c} (a known fault)")
     print(f"{count} critical words, {2 * count} germs, {len(found)} differences, "
           f"{len(disagreeing)} order-profile disagreements ({len(known)} known), "
-          f"{len(letter_diffs)} letter differences")
-    sys.exit(1 if found or disagreeing != known or letter_diffs else 0)
+          f"{len(letter_diffs)} letter differences, {len(constants)} steps that kept a constant")
+    sys.exit(1 if found or disagreeing != known or letter_diffs or constants else 0)

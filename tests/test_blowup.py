@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monstertower import blowup
-from monstertower.blowup import blowup_once, blowup_resolve, cross_check
+from monstertower.blowup import BlowupTrace, blowup_once, blowup_resolve, cross_check
 from monstertower.cli import main
 from monstertower.corpus import CurveSpec, generate_corpus
 from monstertower.errors import (
-    ConstantParameterization,
+    IndeterminateValuation,
     MaxLevelExceeded,
     MismatchReport,
     MonsterTowerError,
@@ -20,7 +20,15 @@ from monstertower.errors import (
 )
 from monstertower.invariants import multiplicity_sequence
 from monstertower.series import TruncatedSeries, parse_series
-from monstertower.tower import CurveGerm, _least, lift_trace, parse_curve, parse_curve_trace
+from monstertower.tower import (
+    ChartStep,
+    CurveGerm,
+    LiftTrace,
+    _least,
+    lift_trace,
+    parse_curve,
+    parse_curve_trace,
+)
 from monstertower.words import RvtWord
 from cli_sweep import _DISAGREEING_REALIZATIONS
 from conftest import agree_on_prefix
@@ -229,15 +237,43 @@ class TestOneMeaningOfTheLetter:
         assert len(differ) == 1 and nash.word.symbols[differ[0] - 1] == "R"
 
 
-class TestConstantPair:
-    """Coordinates that are exactly constant are certified constant."""
+def _steps_keeping_a_constant(nash, blow):
+    """(engine, level) of each step past the first of either trace whose
+    first coordinate, the one the step before kept, has no order."""
+    return [(engine, s.level) for engine, trace in (("nash", nash), ("blowup", blow))
+            for s in trace.steps[1:] if s.orders[0] is None]
 
-    def test_blowup_once(self):
-        # no trace reaches a constant pair (a always moves), so a direct
-        # call names no coordinate
-        message = r"^both coordinates vanish identically after recentering at blowup 5$"
-        with pytest.raises(ConstantParameterization, match=message):
-            blowup_once(parse_series("0"), parse_series("3"), level=5)
+
+class TestConstantPair:
+    """Coordinates that are exactly constant are certified constant, and no
+    run reaches a pair with both constant: the germ refuses one, and every
+    step keeps a coordinate whose order it read, so the first coordinate of
+    every pair past the base pair moves."""
+
+    def test_every_kept_coordinate_moves(self):
+        # both corpora, the realizations and the seeded chart data
+        found, steps = [], 0
+        for label, nash, blow in TestRegularityFromSteps.traces():
+            steps += len(nash.steps) + len(blow.steps)
+            found += [(label, *f) for f in _steps_keeping_a_constant(nash, blow)]
+        assert found == [] and steps > 20_000
+
+    @given(wide_germs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_kept_coordinate_moves_on_wide_germs(self, c):
+        assert _steps_keeping_a_constant(lift_trace(c), blowup_resolve(c)) == []
+
+    @pytest.mark.parametrize("trace, pair", [
+        (LiftTrace, ("2", "1/2")), (LiftTrace, ("0", "3")),
+        # a blowup keeps its recentered denominator, so its constant is 0
+        (BlowupTrace, ("0", "3")), (BlowupTrace, ("0", "0")),
+    ], ids=["nash", "nash-zero", "blowup", "blowup-zero"])
+    def test_a_hand_built_constant_pair_is_refused_by_the_ratio_kernel(self, trace, pair):
+        # no run reaches this pair, so no step checks for it: the kernel
+        # refuses the step's zero denominator
+        last = ChartStep(1, "o", *map(parse_series, pair), "R", None, (2, 3))
+        with pytest.raises(IndeterminateValuation, match="^the denominator is identically zero$"):
+            trace(germ("x=t^2, y=t^3"), (last,)).continued()
 
     def test_constant_b_over_a_singular_a(self):
         # b is constant while a has order 3: the pair factors through a.  The

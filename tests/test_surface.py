@@ -9,8 +9,8 @@ not substituted.  Each call must raise a ``MonsterTowerError``, or a
 ``TypeError`` whose message names the refused type (the value's, or an
 entry's); nothing else is allowed, and neither is an answer, unless
 ``ACCEPTED`` lists the value with its reason.  An iterator that is
-returned is drained, so a refusal made only on iteration is a gap.  The
-gaps still open are pinned in ``PINNED``, each a strict xfail.
+returned is drained, so a refusal made only on iteration is a gap, and
+every gap fails.
 """
 
 import inspect
@@ -83,14 +83,10 @@ SURFACE = {
                   "regularization_level": (None, OPTIONAL_INT)},
     "curve_from_chart_data": {"path": ("o", STR), "retained": (_T, ANY), "new_coord": (_T2, ANY),
                               "constants": (None, {"None"})},
-    "lift_once": {"retained": (_T2, ANY), "new_coord": (_T3, ANY), "level": (1, INT),
-                  "chain_origin": (None, OPTIONAL_INT)},
     "lift_trace": {"c": (_GERM, ANY), "levels": (None, OPTIONAL_INT), "max_level": (64, INT)},
     "parse_curve": {"text": ("x=t^2, y=t^3", STR), "precision": (None, {"None"})},
     "BlowupTrace": {"germ": (_GERM, ANY), "steps": ((), ANY),
                     "regularization_level": (None, OPTIONAL_INT)},
-    "blowup_once": {"a": (_T2, ANY), "b": (_T3, ANY), "level": (1, INT),
-                    "b_flag": (None, OPTIONAL_INT)},
     "blowup_resolve": {"c": (_GERM, ANY), "max_level": (64, INT)},
     "cross_check": {"c": (_GERM, ANY), "max_level": (64, INT)},
     "generate_corpus": {"count": (2, INT), "seed": (1, INT)},
@@ -108,7 +104,6 @@ NOT_PROBED = {
     "InvariantPanel": "a record that checks nothing",
     "ProximityDiagram": "a record that checks nothing",
     "ChartStep": "a record that checks nothing",
-    "BlowupName": "a record that checks nothing",
     "CrossCheckReport": "a record that checks nothing",
     "CurveSpec": "a record that checks nothing",
     "EPair": "a NamedTuple pair (a, b) that e_value builds from a checked word",
@@ -121,15 +116,6 @@ ACCEPTED = {
     **{("parse_curve", "precision", kind): "ignored; kept for bench/run.py until ROADMAP item 1"
        for kind in WRONG if kind != "None"},
 }
-
-# gaps left open, each pinned by a strict xfail
-PINNED = {
-    (name, p): "the per-step engine call checks no argument; a check would add work to every step"
-    for name, params in (("lift_once", ("retained", "new_coord", "level", "chain_origin")),
-                         ("blowup_once", ("a", "b", "level", "b_flag")))
-    for p in params
-}
-
 
 def _outcome(name: str, param: str, value) -> str | None:
     """None when the call refuses ``value`` as the probe requires, "returned"
@@ -153,28 +139,18 @@ def _outcome(name: str, param: str, value) -> str | None:
     return "returned"
 
 
-def _cases():
-    for name, params in SURFACE.items():
-        for param in params:
-            reason = PINNED.get((name, param))
-            marks = (pytest.mark.xfail(strict=True, reason=f"ROADMAP item 24: {reason}")
-                     if reason else ())
-            yield pytest.param(name, param, marks=marks, id=f"{name}.{param}")
-
-
 def test_the_probe_walks_the_lazy_map():
     names = set(monstertower.__all__)
-    assert len(names) == 49
+    assert len(names) == 46
     assert set(SURFACE) | set(NOT_PROBED) == names and not set(SURFACE) & set(NOT_PROBED)
     for name, params in SURFACE.items():
         assert list(inspect.signature(getattr(monstertower, name)).parameters) == list(params), name
     for name, param, _ in ACCEPTED:
         assert param in SURFACE[name]
-    for name, param in PINNED:
-        assert param in SURFACE[name]
 
 
-@pytest.mark.parametrize("name, param", _cases())
+@pytest.mark.parametrize("name, param", [pytest.param(name, param, id=f"{name}.{param}")
+                                          for name, params in SURFACE.items() for param in params])
 def test_each_wrong_value_is_refused_by_its_type(name, param):
     documented = SURFACE[name][param][1]
     found = {}

@@ -238,8 +238,9 @@ class TestWordConsistency:
         assert trace.curve_word(0) == full.split_at_level(0)[1]
 
     def test_curve_words_match_the_split(self):
-        # curve_word reads chain origins off the steps; split_at_level
-        # re-scans the full word and is the reference
+        # curve_word splits the regular word (split_at_level); a lift stops
+        # at its regularization level, so the full word's split is the
+        # reference
         germs = [spec.curve() for seed in (178212, 20230817)
                  for spec in generate_corpus(60, seed)]
         germs += [germ(text) for text in DEEP_LIFT_GERMS]
@@ -589,14 +590,6 @@ class TestErrors:
         a = lift_trace(germ(QUINTIC))
         b = lift_trace(germ(QUINTIC))
         assert a == b
-
-    def test_both_active_derivatives_zero(self):
-        # constant actives: both derivatives are exactly zero.  No trace
-        # reaches this (its kept coordinate always moves), so a direct call
-        # names no coordinate
-        message = r"^both active derivatives vanish identically at level 3$"
-        with pytest.raises(ConstantParameterization, match=message):
-            lift_once(parse_series("2"), parse_series("1/2"), level=3)
 
     def test_zero_integration_variable(self):
         # r = 0: dy = y' dx cannot be integrated against x
