@@ -81,7 +81,9 @@ that reads k coefficients walks the chain of pending operands O(log k)
 times, not k, and each walk hands every operand a block of coefficients.  It
 computes fewer than 2k coefficients of the searched series; its operands
 may compute up to the same overshoot, which a deeper search often reads
-anyway.
+anyway.  A walk is one loop over an explicit stack of (series, length)
+pairs, each taking the same path: a series whose operands are not yet
+ready is pushed back under them and checked again when it comes off.
 """
 
 from __future__ import annotations
@@ -282,87 +284,80 @@ class TruncatedSeries:
     def __init__(self, coefficients):
         if coefficients.__class__ is not list and coefficients.__class__ is not tuple:
             raise wrong_type("coefficients must be a list or tuple", coefficients)
-        self._polynomial(_sum_terms((c, i) for i, c in enumerate(coefficients)))
+        self._write(_sum_terms((c, i) for i, c in enumerate(coefficients)), None, 0, (), None)
 
-    def _polynomial(self, terms: tuple) -> None:
-        """Make this series the polynomial with the given terms (``_terms``)."""
-        self._terms, self._known, self._dens = terms, [], []
-        self._bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
-        self._zeros = terms[0][0] if terms else 0
-        self._operands = ()
-        self._kernel = self._extend = None
+    def _write(self, terms, bound, zeros: int, operands, kernel) -> "TruncatedSeries":
+        """Write every slot and return the series, with nothing computed: a
+        polynomial has its terms, its bound and valuation read off them,
+        and no operands or kernel; a stream has no terms, and the given
+        bound, valuation, operands and kernel."""
+        if terms is not None:
+            bound = (terms[-1][0], 0, 0) if terms else _ZERO_BOUND
+            zeros = terms[0][0] if terms else 0
+        self._terms, self._bound, self._zeros = terms, bound, zeros
+        self._known, self._dens = [], []
+        self._operands, self._kernel, self._extend = operands, kernel, None
+        return self
 
     @classmethod
     def _of_terms(cls, terms: tuple) -> "TruncatedSeries":
         """A new polynomial with these terms."""
-        series = cls.__new__(cls)
-        series._polynomial(terms)
-        return series
+        return cls.__new__(cls)._write(terms, None, 0, (), None)
 
     @classmethod
     def _lazy(cls, bound, zeros: int, operands, kernel) -> "TruncatedSeries":
         """A new stream of valuation ``zeros``, not zero, whose ``kernel``
         builds its extend when it is first computed."""
-        series = cls.__new__(cls)
-        series._bound = bound
-        series._zeros = zeros
-        series._terms = None
-        series._known = []
-        series._dens = []
-        series._operands = operands
-        series._kernel = kernel
-        series._extend = None
-        return series
+        return cls.__new__(cls)._write(None, bound, zeros, operands, kernel)
 
     def _force(self, n: int) -> list[int]:
         """Compute the first n coefficients and return the computed
         numerators (``_dens`` holds their denominators), working pending
         operands off an explicit stack, so that a chain of thousands of
-        operations needs no recursion per ancestor.  A series with unready
-        operands is pushed back marked, under them, and extended unchecked
-        when popped again: LIFO order has made them ready.  A stream's
-        first extend is built by its kernel when its operands are first
-        ready.  A term polynomial writes its terms into its prefix.
-        MemoryError when n is past the index range, where a list cannot be
-        allocated at all."""
+        operations needs no recursion per ancestor.  Every entry is a
+        series and the length it needs, and takes the same path: a series
+        with unready operands is pushed back under them, and when it comes
+        off the stack again LIFO order has made them ready, so the same
+        checks pass and it extends.  A stream's first extend is built by
+        its kernel when its operands are first ready.  A term polynomial
+        writes its terms into its prefix.  MemoryError when n is past the
+        index range, where a list cannot be allocated at all."""
         known = self._known
         if len(known) >= n:
             return known
-        stack = [(self, n, False)]
+        stack = [(self, n)]
         pop, push = stack.pop, stack.append
         try:
             while stack:
-                series, want, marked = pop()
+                series, want = pop()
                 done, dens = series._known, series._dens
-                if not marked:
+                if len(done) >= want:
+                    continue
+                if series._kernel is None:
+                    # a term polynomial, twice as far as asked up to its
+                    # last term, so that a prefix read in growing batches
+                    # is filled a few times
+                    _fill(series._terms, done, dens,
+                          max(want, min(2 * want, series._bound[0] + 1)))
+                    continue
+                if len(done) < series._zeros:
+                    fill = min(want, series._zeros) - len(done)
+                    dens.extend(repeat(1, fill))
+                    done.extend(repeat(0, fill))
                     if len(done) >= want:
                         continue
-                    if series._kernel is None:
-                        # a term polynomial, twice as far as asked up to its
-                        # last term, so that a prefix read in growing batches
-                        # is filled a few times
-                        _fill(series._terms, done, dens,
-                              max(want, min(2 * want, series._bound[0] + 1)))
-                        continue
-                    if len(done) < series._zeros:
-                        fill = min(want, series._zeros) - len(done)
-                        dens.extend(repeat(1, fill))
-                        done.extend(repeat(0, fill))
-                        if len(done) >= want:
-                            continue
-                    ready = True
-                    for operand, offset in series._operands:
-                        if len(operand._known) < want + offset:
-                            if ready:
-                                push((series, want, True))
-                                ready = False
-                            push((operand, want + offset, False))
-                    if not ready:
-                        continue
-                extend = series._extend
-                if extend is None:
-                    extend = series._extend = series._kernel(*series._operands)
-                extend(done, dens, want)
+                ready = True
+                for operand, offset in series._operands:
+                    if len(operand._known) < want + offset:
+                        if ready:
+                            push((series, want))
+                            ready = False
+                        push((operand, want + offset))
+                if ready:
+                    extend = series._extend
+                    if extend is None:
+                        extend = series._extend = series._kernel(*series._operands)
+                    extend(done, dens, want)
         except OverflowError:  # a length past the index range, so past memory too
             raise MemoryError(f"a prefix of {n} coefficients") from None
         return known

@@ -169,9 +169,15 @@ class CurveGerm(Record):
 
 class ChartStep(Record):
     """One step of either engine, as the engine decided it: its letter, the
-    chart pair after it, the symbol (R, V or T), the level of the divisor
-    whose chain is alive, and the orders of the pair (r, n) it stepped
-    from, val(r - r(0)) and val(n - n(0)), None for a constant one.  The
+    chart pair after it, the symbol (R, V or T), its chain origin, and the
+    orders of the pair (r, n) it stepped from, val(r - r(0)) and val(n -
+    n(0)), None for a constant one.  The chain origin is not the same
+    value in both engines: a Nash step records the level where the V/T
+    chain through it started (``RvtWord.chain_origins`` of the trace's
+    word at the step's level, None on an R step), and a blowup step its
+    new coordinate's divisor flag, the blowup whose exceptional divisor
+    that coordinate cuts out, which on a V or T step is the chain origin
+    less one and which an R step may carry too.  The
     letter means the same in both engines: ``o`` keeps r, the first
     coordinate of the pair, and ``i`` keeps n.  A Nash step keeps a
     coordinate of the active pair and makes the pair's slope its new one;
@@ -277,7 +283,7 @@ class Trace(Record):
         constant coordinate as n and the other as r (``_cover``)."""
         step = self._step(steps)
         a, b = step.orders
-        if (a is None or b is None) and (m := a or b) > 1:
+        if (a is None or b is None) and (m := _least(step.orders)) > 1:
             pair = self._names(steps)[-1][:2] if steps else self._first_names
             n, r = pair if a is None else pair[::-1]
             raise NonPrimitiveParameterization(

@@ -19,11 +19,16 @@ both (``o`` keeps the first coordinate of the pair).  Every step past
 the first, in both engines, must record an order for its first
 coordinate, the one the step before kept: no run reaches a pair with
 both coordinates constant, which is why neither engine's step checks for
-one.  The check reads only recorded orders.  Prints each difference,
-each disagreeing germ, each germ whose letters differ and each step that
-kept a constant, their counts, and exits 1 on any difference, a
-disagreement off that list included, a listed germ whose profiles agree,
-a letter difference, or a step that kept a constant.
+one.  The check reads only recorded orders.  Every Nash step's
+``chain_origin`` must be the chain origin of its level in the Nash word
+(``RvtWord.chain_origins``), and every blowup V or T step's, its new
+coordinate's divisor flag, that origin in the blowup word less one; this
+check reads recorded fields and one ``chain_origins()`` per trace.  Prints
+each difference, each disagreeing germ, each germ whose letters differ,
+each step that kept a constant and each chain-origin violation, their
+counts, and exits 1 on any difference, a disagreement off that list
+included, a listed germ whose profiles agree, a letter difference, a step
+that kept a constant, or a chain-origin violation.
 """
 
 import sys
@@ -62,16 +67,34 @@ def letters(trace) -> str:
     return "".join([s.chart_letter for s in trace.steps])
 
 
+def origin_violations(nash, blow, c: CurveGerm) -> list[str]:
+    """One line per step of ``c``'s traces whose recorded ``chain_origin``
+    breaks its relation to its own engine's word: a Nash step's is the
+    chain origin of its level, a blowup V or T step's that origin less
+    one.  A blowup R step may carry a flag and is not checked."""
+    origins = nash.word.chain_origins()
+    lines = [f"nash step {s.level} of {c} has chain origin {s.chain_origin}, "
+             f"the word's is {origins[s.level]}"
+             for s in nash.steps if s.chain_origin != origins[s.level]]
+    origins = blow.word.chain_origins()
+    return lines + [f"blowup step {s.level} of {c} has flag {s.chain_origin}, "
+                    f"the word's chain origin is {origins[s.level]}"
+                    for s in blow.steps
+                    if s.symbol != "R" and s.chain_origin != origins[s.level] - 1]
+
+
 def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[CurveGerm],
-                                       list[str], list[str]]:
+                                       list[str], list[str], list[str]]:
     """The number of critical words up to ``max_len``; one line per germ,
     a word's realization or its swap, that the engines read differently
     from the word; the germs whose order profiles the engines read
     differently; the known ones among the germs, both lists in sweep
     order; one line per germ whose step letters differ between the
-    engines; and one line per step past the first, of either engine,
-    whose first coordinate has no order."""
-    found, disagreeing, known, letter_diffs, constants, count = [], [], [], [], [], 0
+    engines; one line per step past the first, of either engine, whose
+    first coordinate has no order; and one line per chain-origin
+    violation (``origin_violations``)."""
+    found, disagreeing, known, letter_diffs, constants, origins = [], [], [], [], [], []
+    count = 0
     for w in critical_words(max_len):
         count += 1
         straight = realization(w)
@@ -92,12 +115,14 @@ def differences(max_len: int) -> tuple[int, list[str], list[CurveGerm], list[Cur
             constants += [f"{engine} step {s.level} of {c} keeps a constant: orders {s.orders}"
                           for engine, trace in (("nash", nash), ("blowup", blow))
                           for s in trace.steps[1:] if s.orders[0] is None]
-    return count, found, disagreeing, known, letter_diffs, constants
+            origins += origin_violations(nash, blow, c)
+    return count, found, disagreeing, known, letter_diffs, constants, origins
 
 
 if __name__ == "__main__":
-    count, found, disagreeing, known, letter_diffs, constants = differences(int(sys.argv[1]))
-    for line in (*found, *letter_diffs, *constants):
+    count, found, disagreeing, known, letter_diffs, constants, origins = differences(
+        int(sys.argv[1]))
+    for line in (*found, *letter_diffs, *constants, *origins):
         print(line)
     for c in disagreeing:
         print(f"order profiles disagree on {c}{'' if c in known else ' (not a known fault)'}")
@@ -106,5 +131,6 @@ if __name__ == "__main__":
             print(f"order profiles agree on {c} (a known fault)")
     print(f"{count} critical words, {2 * count} germs, {len(found)} differences, "
           f"{len(disagreeing)} order-profile disagreements ({len(known)} known), "
-          f"{len(letter_diffs)} letter differences, {len(constants)} steps that kept a constant")
-    sys.exit(1 if found or disagreeing != known or letter_diffs or constants else 0)
+          f"{len(letter_diffs)} letter differences, {len(constants)} steps that kept a constant, "
+          f"{len(origins)} chain-origin violations")
+    sys.exit(1 if found or disagreeing != known or letter_diffs or constants or origins else 0)

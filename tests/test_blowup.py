@@ -275,6 +275,15 @@ class TestConstantPair:
         with pytest.raises(IndeterminateValuation, match="^the denominator is identically zero$"):
             trace(germ("x=t^2, y=t^3"), (last,)).continued()
 
+    @pytest.mark.parametrize("pair", [("2", "1/2"), ("3", "0")], ids=["constant", "zero"])
+    def test_a_hand_built_constant_blowup_pair_ends_in_a_tower_error(self, pair):
+        # the next step records an order of 0 beside a constant: the cover
+        # rule reads the present order as 0, not as absent, so the run goes
+        # on and ends in a diagnosis, not a comparison with None
+        last = ChartStep(1, "o", *map(parse_series, pair), "R", None, (2, 3))
+        with pytest.raises(MonsterTowerError):
+            BlowupTrace(germ("x=t^2, y=t^3"), (last,)).continued()
+
     def test_constant_b_over_a_singular_a(self):
         # b is constant while a has order 3: the pair factors through a.  The
         # step records the orders (3, None), and a trace refuses the cover,
@@ -602,6 +611,23 @@ class TestRegularityFromSteps:
                     if s.orders != tuple(map(recentered_order, pair)):
                         differ.append((engine, label, s.level))
                     pair = (s.retained, s.new_coord)
+        assert differ == [] and steps > 20_000
+
+    def test_chain_origins_are_read_off_each_engines_word(self):
+        # a Nash step records the level where the V/T chain through it
+        # started (None on an R step); a blowup V or T step records its new
+        # coordinate's divisor flag, one less, and a blowup R step may
+        # carry a flag too.  Each engine is checked against its own word
+        differ, steps = [], 0
+        for label, nash, blow in self.traces():
+            origins = nash.word.chain_origins()
+            differ += [("nash", label, s.level) for s in nash.steps
+                       if s.chain_origin != origins[s.level]]
+            origins = blow.word.chain_origins()
+            critical = [s for s in blow.steps if s.symbol != "R"]
+            differ += [("blowup", label, s.level) for s in critical
+                       if s.chain_origin != origins[s.level] - 1]
+            steps += len(nash.steps) + len(critical)
         assert differ == [] and steps > 20_000
 
     def test_cross_check_reads_no_constant_term(self, monkeypatch):

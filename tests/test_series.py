@@ -1,4 +1,5 @@
 import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 from math import gcd
@@ -969,6 +970,16 @@ class TestSearchCost:
         computed.clear()
         assert f.slope_order() == order
         assert computed["walks"] == computed["coefficients"] == 0
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # 1 / (1 + t)^N, one quotient per factor: the walk keeps the chain
+        # of pending operands on its own stack, so a chain three times the
+        # recursion limit computes 1, -N, N(N + 1)/2 with no RecursionError
+        n = 3 * sys.getrecursionlimit()
+        f, one_plus_t = S("1"), S("1 + t")
+        for _ in range(n):
+            f = f.quotient(one_plus_t)
+        assert f.prefix(3) == (1, -n, n * (n + 1) // 2)
 
 
 class TestIdenticallyZero:
