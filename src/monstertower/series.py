@@ -60,10 +60,10 @@ bounds and reads no coefficient.
 Stream coefficients are computed when read, from the front (McIlroy,
 "Power series, power serious", 1999; van der Hoeven, "Relax, but don't be
 too lazy", 2002), so the engines, which read valuations and tails, pay
-only for the leading terms they decide on.  A stream reads its operands
-through their dense prefixes, and a polynomial writes its terms into one,
-zeros between them, at most twice as far as such a read reaches.  Memory
-is thus O(terms plus the prefix read), and a prefix past the index range
+only for the leading terms they decide on.  A stream reads a stream
+operand through its dense prefix and a polynomial through its terms, so a
+quotient by a polynomial costs its terms, not its degree; only a read of
+the polynomial itself fills a dense prefix, and a prefix past the index range
 raises MemoryError.  A valuation that the operands fix costs no coefficient at
 all: val(f/g) = val f - val g, and in characteristic 0 val f' = val f - 1
 and val (f - f(0)) = val f when val f >= 1, so ``slope_order`` reads val f'
@@ -176,41 +176,50 @@ def _fill(terms: tuple, known: list[int], dens: list[int], upto: int) -> None:
         dens[e] = d
 
 
-def _ratio_kernel(shift: int, numerator: tuple, denominator: tuple):
+def _ratio_kernel(shift: int, f, g, lead: int):
     """The extend of the quotient recurrence of f / g (shift 0) or f' / g'
-    (shift 1), built from the operand pairs (f, lead) and (g, lead) by the
-    first walk that computes the stream, when g[lead] is known: index i of
+    (shift 1), built by the first walk that computes the stream: index i of
     an operand gives the term i - shift, its coefficient times i ** shift.
-    A coefficient whose sum is 0, most often one that no term reaches, is
-    0/1 with no scale and no gcd."""
-    (f, lead), (g, _) = numerator, denominator
-    nn, nd, dn, dd = f._known, f._dens, g._known, g._dens
-    # (num - sum) / lead as (sum - num) * sn / sd with sd > 0
-    c = dn[lead] * lead ** shift
-    sn, sd = (-dd[lead], c) if c > 0 else (dd[lead], -c)
-    support = []  # (i, g[i] * i ** shift, dd[i]), g[i] != 0, lead < i < scanned
+    A stream is read off the prefix its walk computed, a term polynomial off
+    its terms: f[k] is looked up among them, and g's terms past lead join
+    the support once, here, where a stream g's join as an extend scans it.
+    A sum of 0, most often one that no term reaches, is 0/1 with no gcd."""
+    nn, nd, dn, dd, terms = f._known, f._dens, g._known, g._dens, g._terms
+    nums = None if f._terms is None else {e: (n, d) for e, n, d in f._terms}
+    # g[lead], and the support: (i, g[i] * i ** shift, g's denominator at i), lead < i
+    cn, cd = (dn[lead], dd[lead]) if terms is None else terms[bisect_left(terms, (lead,))][1:]
+    support = [] if terms is None else [(e, n * e ** shift, d) for e, n, d in terms if e > lead]
     scanned = lead + 1
+    # (num - sum) / lead as (num - sum) * sn / sd with sd > 0
+    c = cn * lead ** shift
+    sn, sd = (cd, c) if c > 0 else (-cd, -c)
 
     def extend(out, dens, m):
         nonlocal scanned
+        if terms is None:
+            for i in range(scanned, lead + m):
+                if dn[i]:
+                    support.append((i, dn[i] * i ** shift, dd[i]))
+            scanned = lead + m
         for k in range(lead + len(out), lead + m):
-            while scanned <= k:
-                if dn[scanned]:
-                    support.append((scanned, dn[scanned] * scanned ** shift, dd[scanned]))
-                scanned += 1
-            acc, den_k = -nn[k], nd[k]
+            if nums is None:
+                acc, den_k = nn[k], nd[k]
+            else:
+                acc, den_k = nums.get(k, (0, 1))
             if shift and acc:
                 acc *= k
             for i, x, y in support:
+                if i > k:
+                    break
                 c = out[k - i]
                 if c:
+                    # over the lcm of the denominators, most often d itself
                     n, d = x * c, y * dens[k - i]
-                    if d == den_k:
-                        acc += n
-                    else:
+                    q, r = divmod(d, den_k)
+                    if r:
                         g = gcd(den_k, d)
-                        acc = acc * (d // g) + n * (den_k // g)
-                        den_k = den_k // g * d
+                        q, n = d // g, n * (den_k // g)
+                    acc, den_k = acc * q - n, den_k * q
             if acc:
                 acc, den_k = acc * sn, den_k * sd
                 g = gcd(acc, den_k)
@@ -223,13 +232,10 @@ def _ratio_kernel(shift: int, numerator: tuple, denominator: tuple):
     return extend
 
 
-_RATIO_KERNELS = (partial(_ratio_kernel, 0), partial(_ratio_kernel, 1))
-
-
-def _tail_kernel(operand: tuple):
-    """The extend of the tail f - f(0), which copies f's coefficients: the
-    indices below its valuation are known zeros, filled by ``_force``."""
-    fn, fd = operand[0]._known, operand[0]._dens
+def _tail_kernel(f):
+    """The extend of the tail f - f(0) of a stream f, which copies f's
+    coefficients: those below its valuation are zeros that ``_force`` fills."""
+    fn, fd = f._known, f._dens
 
     def extend(out, dens, m):
         dens.extend(fd[len(out):m])
@@ -261,25 +267,24 @@ class TruncatedSeries:
       ``(exponent, numerator, denominator)``, in increasing exponent, each
       coefficient reduced; None for a series made by a stream operation;
     * ``_known`` and ``_dens`` are the dense prefix computed or filled in so
-      far, which stream operations read: coprime numerators and positive
-      denominators, a zero as 0/1;
+      far: coprime numerators and positive denominators, a zero as 0/1; a
+      polynomial's is filled only when the polynomial itself is read;
     * ``_bound`` is (a, q, r), the degree bounds of the module docstring,
       (degree, 0, 0) for a term polynomial (-1 for zero);
     * ``_zeros`` is the valuation, set when the series is made (0 for the
       zero polynomial): a stream with ``_zeros`` 0 has a nonzero constant
       term, and a constant term past the zeros is 0 for free;
-    * ``_operands`` holds ``(series, offset)`` pairs: the first m
-      coefficients need the first ``m + offset`` of that operand;
-    * ``_kernel`` is a stream's module-level kernel, ``_ratio_kernel`` of
-      its shift or ``_tail_kernel``, which builds ``_extend`` from the
-      operands; None for a term polynomial;
+    * ``_operands`` holds a stream's ``(stream, offset)`` pairs: the first
+      m coefficients need the first ``m + offset`` of that operand, which
+      its walk computes first; a polynomial operand is read off its terms;
+    * ``_kernel()`` builds ``_extend``: ``_ratio_kernel`` or
+      ``_tail_kernel`` bound to a stream's operands; None for a polynomial;
     * ``_extend(known, dens, m)`` computes up to m once the operands are
       ready; None until the first walk that computes the stream builds it.
 
     Leading zeros, and the zeros of a term polynomial, cost no arithmetic."""
 
-    __slots__ = ("_bound", "_zeros", "_terms", "_known", "_dens", "_operands", "_kernel",
-                 "_extend")
+    __slots__ = ("_bound", "_zeros", "_terms", "_known", "_dens", "_operands", "_kernel", "_extend")
 
     def __init__(self, coefficients):
         if coefficients.__class__ is not list and coefficients.__class__ is not tuple:
@@ -306,45 +311,38 @@ class TruncatedSeries:
 
     @classmethod
     def _lazy(cls, bound, zeros: int, operands, kernel) -> "TruncatedSeries":
-        """A new stream of valuation ``zeros``, not zero, whose ``kernel``
+        """A new stream of valuation ``zeros``, not zero, whose ``kernel()``
         builds its extend when it is first computed."""
         return cls.__new__(cls)._write(None, bound, zeros, operands, kernel)
 
     def _force(self, n: int) -> list[int]:
         """Compute the first n coefficients and return the computed
-        numerators (``_dens`` holds their denominators), working pending
-        operands off an explicit stack, so that a chain of thousands of
-        operations needs no recursion per ancestor.  Every entry is a
-        series and the length it needs, and takes the same path: a series
-        with unready operands is pushed back under them, and when it comes
-        off the stack again LIFO order has made them ready, so the same
-        checks pass and it extends.  A stream's first extend is built by
-        its kernel when its operands are first ready.  A term polynomial
-        writes its terms into its prefix.  MemoryError when n is past the
-        index range, where a list cannot be allocated at all."""
+        numerators (``_dens`` holds their denominators).  A term polynomial
+        writes its terms into its prefix; a stream works its pending stream
+        operands off an explicit stack, so a chain of thousands of operations
+        needs no recursion per ancestor: a stream with unready operands is
+        pushed back under them, and when it comes off again LIFO order has made
+        them ready, so it extends, its first extend built by its kernel.
+        MemoryError when n is past the index range."""
         known = self._known
         if len(known) >= n:
             return known
         stack = [(self, n)]
         pop, push = stack.pop, stack.append
         try:
+            if self._kernel is None:
+                _fill(self._terms, known, self._dens, n)
+                return known
             while stack:
                 series, want = pop()
-                done, dens = series._known, series._dens
-                if len(done) >= want:
+                done = series._known
+                if (have := len(done)) >= want:
                     continue
-                if series._kernel is None:
-                    # a term polynomial, twice as far as asked up to its
-                    # last term, so that a prefix read in growing batches
-                    # is filled a few times
-                    _fill(series._terms, done, dens,
-                          max(want, min(2 * want, series._bound[0] + 1)))
-                    continue
-                if len(done) < series._zeros:
-                    fill = min(want, series._zeros) - len(done)
-                    dens.extend(repeat(1, fill))
-                    done.extend(repeat(0, fill))
-                    if len(done) >= want:
+                if have < series._zeros:
+                    fill = min(want, series._zeros)
+                    series._dens.extend(repeat(1, fill - have))
+                    done.extend(repeat(0, fill - have))
+                    if fill >= want:
                         continue
                 ready = True
                 for operand, offset in series._operands:
@@ -356,8 +354,8 @@ class TruncatedSeries:
                 if ready:
                     extend = series._extend
                     if extend is None:
-                        extend = series._extend = series._kernel(*series._operands)
-                    extend(done, dens, want)
+                        extend = series._extend = series._kernel()
+                    extend(done, series._dens, want)
         except OverflowError:  # a length past the index range, so past memory too
             raise MemoryError(f"a prefix of {n} coefficients") from None
         return known
@@ -553,7 +551,9 @@ class TruncatedSeries:
             x = (x[0] + x[2] - 1, x[1] + x[2], x[2])
             y = (y[0] + y[2] - 1, y[1] + y[2], y[2])
         bound = (x[0] + y[1] - vd, x[1] + y[0] - vd, x[2] + y[0] - vd)
-        return self._lazy(bound, vn - vd, ((self, lead), (den, lead)), _RATIO_KERNELS[shift])
+        operands = ((self, lead),) if terms is None else ()  # the streams, which a walk computes
+        operands += ((den, lead),) if den_terms is None else ()
+        return self._lazy(bound, vn - vd, operands, partial(_ratio_kernel, shift, self, den, lead))
 
     def recenter(self) -> tuple[Fraction, "TruncatedSeries"]:
         """Split off the value at t=0: returns (constant, self - constant),
@@ -578,7 +578,7 @@ class TruncatedSeries:
         if order is None:
             return self._of_terms(())
         a, q, r = self._bound
-        return self._lazy((max(a, q), q, r), order + 1, ((self, 0),), _tail_kernel)
+        return self._lazy((max(a, q), q, r), order + 1, ((self, 0),), partial(_tail_kernel, self))
 
     def integrate(self, wrt: "TruncatedSeries", constant=Fraction(0)) -> "TruncatedSeries":
         """Solve d(result)/dt = self * d(wrt)/dt with result(0) = constant,

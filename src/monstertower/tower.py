@@ -280,12 +280,17 @@ class Trace(Record):
         order m > 1 makes every coordinate a function of the other, of
         order m in t, so the germ factors through it, and
         NonPrimitiveParameterization names the cover of degree m, the
-        constant coordinate as n and the other as r (``_cover``)."""
+        constant coordinate as n and the other as r (``_cover``).  An
+        order of 0 beside the constant one, which only a hand-built blowup
+        pair records, makes both constant: ConstantParameterization."""
         step = self._step(steps)
         a, b = step.orders
-        if (a is None or b is None) and (m := _least(step.orders)) > 1:
+        if (a is None or b is None) and (m := _least(step.orders)) != 1:
             pair = self._names(steps)[-1][:2] if steps else self._first_names
             n, r = pair if a is None else pair[::-1]
+            if not m:
+                raise ConstantParameterization(
+                    f"{r} and {n} are both constant at level {step.level}")
             raise NonPrimitiveParameterization(
                 self._cover.format(r=r, n=n, level=step.level, m=m, slope=m - 1))
         return step

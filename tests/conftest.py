@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import monstertower.series
 from monstertower import tower
 from monstertower.records import Record
 from monstertower.series import TruncatedSeries
@@ -47,13 +48,17 @@ def computed(monkeypatch):
     """Counts of ``TruncatedSeries._force`` calls (``"force"``), of those
     that had to compute, each a walk of the pending operands (``"walks"``),
     of the ``extend`` calls, one per pending series that a walk computes
-    (``"extends"``), and of the coefficients that streams compute
-    (``"coefficients"``), counting from when the fixture is set up: each
-    stream's kernel wraps the extend it builds.  Leading zeros known from
-    the operands and the coefficients of a term polynomial are filled in,
-    not computed, and are not counted."""
+    (``"extends"``), of the coefficients that streams compute
+    (``"coefficients"``), and of the dense prefix fills of term polynomials
+    (``"fills"``), counting from when the fixture is set up: each stream's
+    kernel wraps the extend it builds.  Leading zeros known from the
+    operands and the coefficients of a term polynomial are filled in, not
+    computed, and are not counted as coefficients; a polynomial fills its
+    prefix only when it is itself read, since a stream reads a polynomial
+    operand off its terms."""
     counts = Counter()
     force, lazy = TruncatedSeries._force, TruncatedSeries._lazy.__func__
+    fill = monstertower.series._fill
 
     def counting_force(self, n):
         counts["force"] += 1
@@ -65,8 +70,8 @@ def computed(monkeypatch):
         series = lazy(cls, *args)
         kernel = series._kernel
 
-        def counting_kernel(*operands):
-            extend = kernel(*operands)
+        def counting_kernel():
+            extend = kernel()
 
             def counting_extend(out, dens, m):
                 before = len(out)
@@ -79,6 +84,11 @@ def computed(monkeypatch):
         series._kernel = counting_kernel
         return series
 
+    def counting_fill(terms, known, dens, upto):
+        counts["fills"] += 1
+        fill(terms, known, dens, upto)
+
     monkeypatch.setattr(TruncatedSeries, "_force", counting_force)
+    monkeypatch.setattr(monstertower.series, "_fill", counting_fill)
     monkeypatch.setattr(TruncatedSeries, "_lazy", classmethod(counting_lazy))
     return counts

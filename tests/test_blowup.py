@@ -12,6 +12,7 @@ from monstertower.blowup import BlowupTrace, blowup_once, blowup_resolve, cross_
 from monstertower.cli import main
 from monstertower.corpus import CurveSpec, generate_corpus
 from monstertower.errors import (
+    ConstantParameterization,
     IndeterminateValuation,
     MaxLevelExceeded,
     MismatchReport,
@@ -277,11 +278,12 @@ class TestConstantPair:
 
     @pytest.mark.parametrize("pair", [("2", "1/2"), ("3", "0")], ids=["constant", "zero"])
     def test_a_hand_built_constant_blowup_pair_ends_in_a_tower_error(self, pair):
-        # the next step records an order of 0 beside a constant: the cover
-        # rule reads the present order as 0, not as absent, so the run goes
-        # on and ends in a diagnosis, not a comparison with None
+        # the next step records an order of 0 beside a constant, so both
+        # coordinates are constant: the cover rule refuses the pair at that
+        # step, naming it, instead of stepping into the level budget
         last = ChartStep(1, "o", *map(parse_series, pair), "R", None, (2, 3))
-        with pytest.raises(MonsterTowerError):
+        message = "^x_0 and y_1 are both constant at level 2$"
+        with pytest.raises(ConstantParameterization, match=message):
             BlowupTrace(germ("x=t^2, y=t^3"), (last,)).continued()
 
     def test_constant_b_over_a_singular_a(self):
@@ -410,15 +412,19 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("curve", COMPUTED)
     def test_coefficients_computed(self, computed, curve):
-        # the germ's recentered x and y are counted too
+        # the germ's recentered x and y are counted too; a stream reads a
+        # polynomial operand off its terms, so no polynomial fills a prefix
         assert cross_check(germ(curve)).ok
         counts = (computed["force"], computed["extends"], computed["coefficients"])
-        assert counts == COMPUTED[curve]
+        assert counts == COMPUTED[curve] and computed["fills"] == 0
 
     @pytest.mark.parametrize("seed, made, built", [(178212, 1899, 443), (20230817, 1682, 381)])
-    def test_streams_stay_inert_until_computed(self, monkeypatch, seed, made, built):
+    def test_streams_stay_inert_until_computed(self, monkeypatch, computed, seed, made, built):
         # a stream builds its extend on the first walk that computes it, so
-        # most streams of a corpus pass hold their operands and kernel only
+        # most streams of a corpus pass hold their operands and kernel only;
+        # and it reads a polynomial operand off its terms, so no polynomial
+        # fills a prefix (reading them through dense prefixes would make 962
+        # fills of 6,699 coefficients over both corpora)
         streams, lazy = [], TruncatedSeries._lazy.__func__
 
         def recording(cls, *args):
@@ -432,6 +438,7 @@ class TestCrossCheck:
         assert sum(s._extend is not None for s in streams) == built
         # an extend is built exactly where a coefficient past the valuation was
         assert all((s._extend is not None) == (len(s._known) > s._zeros) for s in streams)
+        assert computed["fills"] == 0 and computed["coefficients"] > 0
 
     def test_mismatch_raises_with_report(self):
         # sanity: cross_check raising is observable via a doctored comparison

@@ -615,6 +615,15 @@ class TestOnlyTheAskedFormIsBuilt:
             json.loads(out)
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+NASH_BUDGET = ("error: no regular lift within 64 levels; the germ may be critical "
+               "or the budget too small\n")
+BLOWUP_BUDGET = "error: no regular strict transform within 64 blowups\n"
+
+
 class TestInputValidation:
     @pytest.mark.parametrize(
         "argv,message",
@@ -677,12 +686,12 @@ class TestInputValidation:
             # a sign after ^ stays in its term, which is named whole
             ("x=t^-2, y=t^3", "bad series term 't^-2' (at position 0)"),
             ("x=t^2, y=t^3 - t^-2", "bad series term '- t^-2' (at position 4)"),
-            # a polynomial stores its terms, so a huge exponent is read off
-            # them; a lift that must fill a dense prefix past the index range
-            # cannot allocate it
+            # a polynomial stores its terms, and a slope over a two-term x is
+            # a stream that reads x and y off them, so the germ [N; N + 1]
+            # lifts without a prefix of its N leading zeros up to the budget
             ("x=t^99999999999999999999+t^100000000000000000000, "
              "y=t^99999999999999999999+t^100000000000000000001",
-             "the input is too large for memory"),
+             "no regular lift within 64 levels; the germ may be critical or the budget too small"),
             # a slope over a monomial x is divided term by term, so the germ
             # [N; N + 1], N = 10^20 - 1, lifts without a prefix up to the budget
             ("x=t^99999999999999999999, y=t^99999999999999999999+t^100000000000000000000",
@@ -707,32 +716,46 @@ class TestInputValidation:
         "curve,outcome",
         [
             # three terms, whatever their exponents
-            ("x=t^2, y=t^3+t^400000000", (0, "regularization level   2\n", "")),
+            ("x=t^2, y=t^3+t^400000000", ("nash", 0, "regularization level   2\n", "")),
             # over a monomial x each slope is divided term by term: the germ
             # [N; N + 1] needs N levels, past the budget
-            ("x=t^400000000, y=t^400000000+t^400000001",
-             (1, "", "error: no regular lift within 64 levels; the germ may be critical "
-                     "or the budget too small\n")),
-            # x' has two terms, so the lift's slope is a stream that reads a
-            # dense prefix of about 4 * 10^8 coefficients, about 6.4 GB
-            ("x=t^400000000+t^400000001, y=t^400000000+t^400000002",
-             (1, "", "error: the input is too large for memory\n")),
+            ("x=t^400000000, y=t^400000000+t^400000001", ("nash", 1, "", NASH_BUDGET)),
+            # x' has two terms, so the lift's slope is a stream, which reads x
+            # and y off their terms: no prefix of the N leading zeros, which
+            # at N = 4 * 10^8 would take about 6.4 GB
+            *[(f"x=t^{n}+t^{n + 1}, y=t^{n}+t^{n + 2}",
+               (engine, 1, "", BLOWUP_BUDGET if engine == "blowup" else NASH_BUDGET))
+              for n in (4 * 10**8, 10**6, 10**20 - 1) for engine in ("nash", "blowup", "both")],
         ],
     )
     def test_huge_exponents_under_a_memory_cap(self, curve, outcome):
         # The real input runs in a child whose address space is capped at
-        # 1 GiB, so an allocation that large fails there.
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
+        # 1 GiB, so an allocation that large fails there.  The child times
+        # main() and reads its own peak RSS, which must stay under 1 s and
+        # 50 MiB: the germ costs its terms, not its exponents.
+        engine, code, line, err = outcome
         done = subprocess.run(
-            [sys.executable, "-c", ENTRY, "curve", curve],
+            [sys.executable, "-c", MEASURED_ENTRY, "curve", curve, "--engine", engine],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
-            timeout=120, check=False, preexec_fn=cap_address_space,
+            timeout=120, check=False, preexec_fn=_cap_address_space,
         )
-        code, line, err = outcome
         assert (done.returncode, done.stderr) == (code, err)
-        assert line in done.stdout if line else done.stdout == ""
+        out, _, measured = done.stdout[:-1].rpartition("\n")
+        assert line in out if line else out == ""
+        seconds, kib = measured.split()
+        assert float(seconds) < 1 and int(kib) < 50 * 1024
+
+    def test_a_read_past_a_memory_cap_is_a_memory_error(self):
+        # a read that itself goes past memory: the dense prefix of
+        # t^400000000 up to its term, about 6.4 GB, in a child capped at 1 GiB
+        read = "from monstertower.series import parse_series; " \
+               "parse_series('t^400000000').prefix(400000001)"
+        done = subprocess.run(
+            [sys.executable, "-c", read], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120, check=False,
+            preexec_fn=_cap_address_space,
+        )
+        assert done.returncode == 1 and done.stderr.endswith("\nMemoryError\n")
 
     def test_a_huge_exponent_is_read_off_its_term(self, capsys):
         code, out, err = run(capsys, "curve", "x=t^99999999999999999999, y=t")
@@ -977,6 +1000,15 @@ class TestChartDataLetters:
 
 
 ENTRY = "import sys; from monstertower.cli import main; sys.exit(main())"
+# the same, with a last stdout line: the seconds main() took and the peak
+# RSS of the process in KiB, its VmHWM, since on Linux ru_maxrss keeps the
+# peak from before exec, that of the forked test process
+MEASURED_ENTRY = (
+    "import sys, time; from monstertower.cli import main; "
+    "t = time.perf_counter(); code = main(); seconds = time.perf_counter() - t; "
+    "peak = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
+    "print(seconds, *peak); sys.exit(code)"
+)
 SRC = str(Path(monstertower.__file__).resolve().parents[1])
 ENGINES = ("series", "tower", "blowup", "corpus")
 LOADED_AFTER = (

@@ -659,8 +659,8 @@ def _every_computed_pair_reduced():
         series = lazy(cls, *args)
         kernel = series._kernel
 
-        def checking_kernel(*operands):
-            extend = kernel(*operands)
+        def checking_kernel():
+            extend = kernel()
 
             def checking_extend(out, dens, m):
                 before = len(out)
@@ -1318,6 +1318,14 @@ class TestExactEquality:
     def test_a_prefix_length_that_is_not_an_int_is_a_type_error(self, n, got):
         with pytest.raises(TypeError, match=f"^n must be an int; got {got}$"):
             S("1 + t").prefix(n)
+
+    def test_a_prefix_past_the_index_range_is_a_memory_error(self):
+        # a read that itself goes past memory: no list that long can be
+        # allocated at all, so the fill writes nothing
+        s = S("t^99999999999999999999")
+        with pytest.raises(MemoryError, match="^a prefix of 100000000000000000000 coefficients$"):
+            s.prefix(10**20)
+        assert s._known == [] == s._dens
 
     @example(("quotient", [F(1), F(1)], [F(1), F(1)]), [F(1)])
     @example(("recenter", ("quotient", [F(1), F(2)], [F(1), F(1)]), None), [F(0), F(1)])

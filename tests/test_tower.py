@@ -849,19 +849,27 @@ class TestOnDemandCoefficients:
         assert c.y.exponent_gcd() == 1 and str(c.y) == "t^3 + t^10000000000"
 
     def test_prefix_fill_makes_no_temporary(self):
-        # x' has two terms, so the first slope is a stream that reads a
-        # dense prefix of about 10^6 coefficients of x and y, about 30 MiB;
-        # each fill extends the prefix in place, so the peak is what the
-        # lift keeps
+        # x' has two terms, so the first slope is a stream; it reads x and y
+        # off their terms, so the lift keeps no prefix of their 10^6 leading
+        # zeros, which would take about 30 MiB
         c = germ("x=t^1000000+t^1000001, y=t^1000000+t^1000002")
         tracemalloc.start()
         try:
             trace = lift_trace(c, levels=2)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20 and len(trace.steps) == 2
+        # a read of the polynomial itself (``prefix`` forces it) fills its
+        # dense prefix in place, so the peak is what the fill keeps
+        tracemalloc.start()
+        try:
+            c.x._force(2 * 10**6)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept > 20 * 2**20 and len(trace.steps) == 2
-        assert peak - kept < 2**20
+        assert kept > 20 * 2**20 and peak - kept < 2**20
+        assert c.x._known[999999:1000003] == [0, 1, 1, 0] and c.x.prefix(2) == (0, 0)
 
     def test_steps_over_a_monomial_x_are_polynomials(self):
         # each ordinary step divides by x' = 7 * t^6 term by term, so the lift
