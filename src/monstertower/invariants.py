@@ -19,6 +19,7 @@ from .errors import MismatchReport, wrong_type
 from .puiseux import (
     PuiseuxCharacteristic,
     _back_lambdas,
+    _is_valid,
     _restricted_lambdas,
     front_r_step,
     word_from_pc,
@@ -42,15 +43,16 @@ class ProximityDiagram(Record):
         """Proximity sum rule: each multiplicity is the sum of the
         multiplicities proximate to it (checkable below the last vertex).
 
-        The sums are accumulated in one pass over the edges; an edge into
-        an index that is not a vertex counts towards no sum."""
+        The sums are accumulated in one pass over the edges, below the
+        last vertex only; an edge into the last vertex, or into an index
+        that is not a vertex, counts towards no sum."""
         m = self.mults
-        n = len(m)
-        sums = [0] * n
+        last = len(m) - 1
+        sums = [0] * last
         for j, i in self.edges:
-            if 0 <= i < n:
+            if 0 <= i < last:
                 sums[i] += m[j]
-        return sums[:-1] == list(m[:-1])
+        return sums == [*m[:last]]
 
     def _vertices(self):
         """(index, symbol, multiplicity) per vertex; the germ has no symbol."""
@@ -157,7 +159,9 @@ def invariant_panel(
     the lifted word's.
 
     Every panel checks itself, and validates each characteristic it
-    returns once: the checks compare raw entries with it.  The back
+    returns once: the checks compare raw entries with it.  The front
+    walk's entries are ints by construction, so the front characteristic
+    is validated by ``puiseux._is_valid`` alone.  The back
     recursion's entries must equal the front ones, the proximity sums must
     balance, and when the direct restriction of the characteristic is
     defined its entries must equal the Goursat-word route's.  The direct
@@ -179,8 +183,10 @@ def invariant_panel(
     multiplicities, lambdas, lifted = front_chain(w)
     if pc is not None and pc.lambdas == lambdas:
         front = pc
+    elif _is_valid(lambdas):
+        front = _new(PuiseuxCharacteristic, (lambdas,))
     else:
-        front = PuiseuxCharacteristic(lambdas)
+        front = PuiseuxCharacteristic(lambdas)  # raises, naming the broken rule
     back = _back_lambdas(w.symbols.rstrip("R"))
     if back != lambdas:
         raise MismatchReport(f"recursions disagree on {w}: {front} vs "

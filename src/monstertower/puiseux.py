@@ -19,10 +19,12 @@ Euclidean word Euc(a, b), and a case-peeling inverse of the front-end
 recursion.
 
 Each map is one loop, so no input is too deep for the interpreter's
-recursion limit: the back recursion cuts its blocks off the end in one
-walk, the front inverse peels down to [1;] and then rebuilds, and the CW
-map is one walk over the blocks of the word (``_cw_blocks``), which
-``cw_length`` reads too, to measure a word without building it.  Both
+recursion limit: the back recursion reads its blocks in one scan from the
+end of the word (its own reading of the split that ``RvtWord.decompose``
+makes with ``words._split_pq``), the front inverse peels down to [1;] and
+then rebuilds, and the CW map is one walk over the pieces R^n V T^t of
+the word (``_cw_pieces``), which ``cw_length`` reads too, to measure a
+word without building it, and ``euclid`` reads for its one block.  Both
 inverses refuse a word longer than the longest string with an
 OverflowError that names its length.
 """
@@ -47,7 +49,7 @@ from .errors import (
     wrong_type,
 )
 from .records import Record, _new
-from .words import RvtWord, _split_pq, _word_text, front_chain, is_entirely_critical
+from .words import RvtWord, _word_text, front_chain, is_entirely_critical
 
 _PC_RE = re.compile(r"\[\s*(\d+)\s*;\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]")
 
@@ -297,22 +299,26 @@ def pc_from_word_back(word: RvtWord | str) -> PuiseuxCharacteristic:
 def _back_lambdas(s: str) -> tuple[int, ...]:
     """Raw characteristic of a valid word that is empty or critical.
 
-    Cuts s = P R^rho Q (``_split_pq``) block by block off the end.  Read
-    from the first block, with E(Q) = (a, b): PC(R^rho Q) is
-    (a, b + (rho-1)*a), and each later block scales the characteristic by
-    a and appends a*lambda_last + b + (rho-2)*a.  So lambda_0 is the
-    product of the a's, and lambda_j - lambda_(j-1) is b + (rho-2)*a of
-    block j times the a's of the blocks after it: the walk from the end
-    carries that product.  Prepending R^k to Q sends E(Q) to (a, b + k*a),
-    so one pass over Q gives both pairs a block needs.
+    Reads s = P R^rho Q block by block in one scan from the end, carrying
+    E(Q) = (a, b) over the V's and T's of Q and the length rho of the R
+    run before it; a V or T before that run closes the block, and so does
+    the V the scan reads before the word.  Read from the first block:
+    PC(R^rho Q) is (a, b + (rho-1)*a), and each later block scales the
+    characteristic by a and appends a*lambda_last + b + (rho-2)*a.  So
+    lambda_0 is the product of the a's, and lambda_j - lambda_(j-1) is
+    b + (rho-2)*a of block j times the a's of the blocks after it: the
+    scan carries that product.  The blocks are those of ``_split_pq``,
+    which the scan does not call.
     """
-    scale, gaps = 1, []
-    while s:
-        r, q = _split_pq(s)
-        a, b = _e_pair(s[q:])
-        gaps.append(scale * (b + (q - r - 2) * a))
-        scale *= a
-        s = s[:r]
+    scale, gaps, a, b, rho = 1, [], 1, 2, 0
+    for ch in reversed("V" + s):
+        if ch == "R":
+            rho += 1
+            continue
+        if rho:
+            gaps.append(scale * (b + (rho - 2) * a))
+            scale, a, b, rho = scale * a, 1, 2, 0
+        a, b = (b, a + b) if ch == "V" else (a, a + b)
     return (*accumulate(reversed(gaps), initial=scale),)
 
 
@@ -322,24 +328,15 @@ def _back_lambdas(s: str) -> tuple[int, ...]:
 def euclid(a: int, b: int) -> str:
     """Entirely-critical string of the slow Euclidean algorithm on (a, b):
     V then Euc(b-a, a) when b < 2a, T then Euc(a, b-a) when b > 2a,
-    empty at (1, 2).  An a or b that is not an int is TypeError."""
+    empty at (1, 2).  It is CW([b; a+b]) past its leading RV (the one
+    block of ``_cw_pieces``).  An a or b that is not an int is TypeError."""
     if a.__class__ is not int or b.__class__ is not int:
         raise wrong_type("a and b must be ints", (a, b), (tuple,))
     if a < 1 or b < 1 or a >= b:
         raise BadOrder(f"need 0 < a < b, got ({a}, {b})")
     if gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) = {gcd(a, b)}")
-    return "V".join("T" * k for k in _euclid_runs(a, b))
-
-
-def _euclid_runs(a: int, b: int):
-    """T run lengths of Euc(a, b), a V after each but the last: b = q*a + r
-    with a > 1 gives q - 1 T's, V, Euc(r, a); Euc(1, b) is b - 2 T's."""
-    while a > 1:
-        q, r = divmod(b, a)
-        yield q - 1
-        a, b = r, a
-    yield b - 2
+    return _cw_string((b, a + b))[2:]
 
 
 def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
@@ -360,38 +357,39 @@ def word_from_pc(pc: PuiseuxCharacteristic) -> RvtWord:
         raise MemoryError(f"CW({pc}) has {length} symbols") from None
 
 
-def _cw_blocks(lam: tuple[int, ...]):
-    """The blocks of CW(lam) for a valid characteristic, last block first:
-    each is R^k then its Euclidean word, given as ``(k, runs)`` with runs
-    the T run lengths (a V between consecutive runs).
+def _cw_pieces(lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    """CW(lam) of a valid characteristic as its pieces R^n V T^t, one per
+    V, in order: ``(n, t)``.
 
-    Dividing all but the last entry by their gcd leaves a valid
-    characteristic whose CW is the word before the last block, so the
-    walk divides by the running prefix gcds instead of rebuilding entries.
-    The first block is R^(i+1) then Euc(lambda_0, lambda_1) past its
-    leading run T^i: runs (0, *rest).
+    Block m (m = 1..g) is R^(k+1) V Euc(r, a), with a = e_(m-1)/e_m,
+    e_m = gcd(lambda_0..lambda_m), and k + 1, r the quotient and
+    remainder of (lambda_m - lambda_(m-1))/e_m + a by a.  Euc(r, a) is
+    read inline: a = q*r + r' with r > 1 gives q - 1 T's, V, Euc(r', r),
+    and Euc(1, a) is a - 2 T's.  So a block is one R run and its V T^t
+    pieces, and the walk divides by the running gcd instead of rebuilding
+    entries.
     """
-    gcds = [*accumulate(lam, gcd)]
-    for m in range(len(lam) - 1, 1, -1):
-        d = gcds[m]
-        a = gcds[m - 1] // d
-        diff = (lam[m] - lam[m - 1]) // d
-        yield diff // a + 1, [*_euclid_runs(a, diff % a + a)]
-    if len(lam) > 1:
-        first, *rest = _euclid_runs(lam[0] // gcds[1], lam[1] // gcds[1])
-        yield first + 1, [0, *rest]
+    pieces, d = [], lam[0]
+    for prev, x in zip(lam, lam[1:]):
+        e = gcd(d, x)
+        a, d = d // e, e
+        n, r = divmod((x - prev) // e + a, a)
+        while r > 1:
+            pieces.append((n, a // r - 1))
+            n, a, r = 0, r, a % r
+        pieces.append((n, a - 2))
+    return pieces
 
 
 def _cw_string(lam: tuple[int, ...]) -> str:
     """CW of a valid characteristic, as a string."""
-    return "".join(reversed(["R" * k + "V".join(["T" * n for n in runs])
-                             for k, runs in _cw_blocks(lam)]))
+    return "".join(["R" * n + "V" + "T" * t for n, t in _cw_pieces(lam)])
 
 
 def cw_length(pc: PuiseuxCharacteristic) -> int:
-    """len(word_from_pc(pc)) without building the word: R^k and the T runs
-    of each block, plus the V's between its runs."""
-    return sum(k + sum(runs) + len(runs) - 1 for k, runs in _cw_blocks(_entries(pc)))
+    """len(word_from_pc(pc)) without building the word: the R's, V and
+    T's of each piece."""
+    return sum(n + 1 + t for n, t in _cw_pieces(_entries(pc)))
 
 
 def _check_index_range(pc: PuiseuxCharacteristic, length: int) -> None:

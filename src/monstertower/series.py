@@ -485,8 +485,9 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The product of two term polynomials, computed at once, term by
         term; a stream operand is refused with ValueError before anything
-        is computed, since neither engine multiplies streams."""
-        if self._terms is None or other._terms is None:
+        is computed, since neither engine multiplies streams, and a factor
+        that is not a series by its type (``_require_series``)."""
+        if _require_series("other", other)._terms is None or self._terms is None:
             raise ValueError("the product of a stream is not computed")
         return self._of_terms(_product(self._terms, other._terms))
 
@@ -504,8 +505,9 @@ class TruncatedSeries:
     def quotient(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Exact series quotient self / den, a stream unless both are
         polynomials and den is a single term c * t^m; needs val(den) <=
-        val(self), and a zero numerator is accepted."""
-        vd = den.valuation_or_none()
+        val(self), and a zero numerator is accepted.  A den that is not a
+        series is refused by its type (``_require_series``)."""
+        vd = _require_series("den", den).valuation_or_none()
         return self._ratio(den, vd, None if vd is None else self.valuation_or_none(), 0)
 
     def _ratio(self, den, vd: int | None, vn: int | None, shift: int) -> "TruncatedSeries":
@@ -586,14 +588,22 @@ class TruncatedSeries:
         reduced against e + 1 alone.  The integrand and the variable must be
         polynomials, and so is the integral; a stream is refused with
         ValueError before anything is computed, since its integral is not
-        rational in general and would carry no degree bound."""
-        if wrt._terms == ():
+        rational in general and would carry no degree bound.  A wrt that is
+        not a series, or a constant that is not an int or Fraction, is
+        refused by its type."""
+        try:
+            wrt_terms = wrt._terms
+        except AttributeError:  # refused where the read fails: a valid call checks nothing
+            _require_series("wrt", wrt)
+            raise
+        if wrt_terms == ():
             raise IndeterminateValuation("the integration variable is identically zero")
-        if self._terms is None or wrt._terms is None:
+        if self._terms is None or wrt_terms is None:
             raise ValueError("the integrand is not a polynomial")
-        c = constant if constant.__class__ is Fraction else Fraction(constant)
-        terms = [(0, c.numerator, c.denominator)] if c else []
-        for e, n, d in _product(self._terms, _derivative(wrt._terms)):
+        if constant.__class__ is not Fraction and constant.__class__ is not int:
+            raise wrong_type("constant must be an int or Fraction", constant)
+        terms = [(0, constant.numerator, constant.denominator)] if constant else []
+        for e, n, d in _product(self._terms, _derivative(wrt_terms)):
             h = gcd(n, e + 1)
             terms.append((e + 1, n // h, d * ((e + 1) // h)))
         return self._of_terms(tuple(terms))
@@ -609,6 +619,14 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self})"
+
+
+def _require_series(name: str, s) -> TruncatedSeries:
+    """``s``, refused with ParseError naming its type if it is not a series."""
+    if not isinstance(s, TruncatedSeries):
+        raise ParseError(f"expected a TruncatedSeries for {name}, got {type(s).__name__}; "
+                         "parse text with parse_series")
+    return s
 
 
 def parse_series(text: str) -> TruncatedSeries:

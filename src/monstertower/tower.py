@@ -68,7 +68,7 @@ from .errors import (
     wrong_type,
 )
 from .records import Record, _new
-from .series import _COEFF, TruncatedSeries, parse_series
+from .series import _COEFF, TruncatedSeries, _require_series, parse_series
 from .words import RvtWord, VerticalOrders
 
 
@@ -106,14 +106,6 @@ def _name_walk(r: CoordName, n: CoordName, letters) -> list[tuple[CoordName, Coo
 # the types of a base point's coordinates and of chart-data constants; a
 # bool is not one
 _NUMBERS = frozenset((int, Fraction))
-
-
-def _require_series(name: str, s) -> TruncatedSeries:
-    """``s``, refused with ParseError naming its type if it is not a series."""
-    if not isinstance(s, TruncatedSeries):
-        raise ParseError(f"expected a TruncatedSeries for {name}, got {type(s).__name__}; "
-                         "parse text with parse_series")
-    return s
 
 
 class CurveGerm(Record):
@@ -412,7 +404,9 @@ class LiftTrace(Trace):
     def curve_word(self, k: int = 0) -> RvtWord:
         """Code word of the germ lifted k times, of length r - k: the
         regular word split at level k (``RvtWord.split_at_level``), empty
-        past r."""
+        past r.  A k that is not an int is TypeError."""
+        if k.__class__ is not int:
+            raise wrong_type("k must be an int", k)
         word = RvtWord("".join([s.symbol for s in self._regular_steps()]))
         return word.split_at_level(min(k, len(word)))[1]
 

@@ -5,13 +5,14 @@ word starts with R, and every T immediately follows a V or a T.  Words are
 stored without trailing R padding semantics attached; ``normalize`` trims
 trailing R's, which changes none of the invariants computed from a word.
 
-Three readings of a word that the other modules build on are made here and
+Two readings of a word that the other modules build on are made here and
 nowhere else: the V T^tau chain through each position (``_chain_edges``,
 which gives the proximity edges, and ``chain_origins``, read off them for
-the level split), the Goursat word (``goursat_word``, R followed by the
-lifted word when the second symbol is V) and the split P R^rho Q of a
-critical word (``decompose``, and the back recursion of the Puiseux
-characteristic through ``_split_pq``).
+the level split) and the Goursat word (``goursat_word``, R followed by the
+lifted word when the second symbol is V).  The split P R^rho Q of a
+critical word is made here for ``decompose`` (``_split_pq``); the back
+recursion of the Puiseux characteristic reads the same blocks in its own
+scan from the end, and the tests hold the two readings equal.
 
 A word is validated where it enters: ``RvtWord(str)`` and ``parse_word`` run
 ``validate_symbols``, and so do the two maps that build a word from other
@@ -217,8 +218,11 @@ class RvtWord(Record):
         Returns (point word, curve word): the first k symbols, and the rest
         with every symbol whose chain started at level <= k+1 replaced by R.
         Chains are tracked by origin position, so a cut landing inside a
-        V T^tau chain replaces exactly the symbols of that chain.
+        V T^tau chain replaces exactly the symbols of that chain.  A k
+        that is not an int is TypeError.
         """
+        if k.__class__ is not int:
+            raise wrong_type("k must be an int", k)
         if k < 0 or k > len(self.symbols):
             raise LevelOutOfRange(f"level {k} outside word of length {len(self.symbols)}")
         origins = self.chain_origins()

@@ -8,7 +8,8 @@ self-checks through, and its multiplicities must satisfy the conductor
 identity with its characteristic; for every critical W,
 ``invariant_panel(pc=P)`` on the characteristic P of the first panel must
 run through too and give back the word W.  Exits 1 naming the first
-failure; otherwise prints the counts and the seconds taken.
+failure; otherwise prints the counts, the seconds spent in word panels and
+in pc panels, and the seconds taken.
 
 The conductor identity is Noether's formula for 2 delta: the sum of
 m(m - 1) over the multiplicity sequence equals Zariski's conductor of the
@@ -40,16 +41,21 @@ def noether_sum(multiplicities) -> int:
     return sum(m * (m - 1) for m in multiplicities)
 
 
-def first_failure(max_len: int) -> tuple[int, int, str | None]:
+def first_failure(max_len: int, seconds: dict) -> tuple[int, int, str | None]:
     """The numbers of word and pc panels built, and a line naming the first
     panel that raised, broke the conductor identity or whose pc panel gave
-    another word (None if none)."""
+    another word (None if none).  The time of each panel call is added to
+    ``seconds["word"]`` or ``seconds["pc"]``."""
     words = pcs = 0
+    clock = time.perf_counter
     for w in enumerate_words(max_len, min_len=0):
+        start = clock()
         try:
             panel = invariant_panel(word=w)
         except Exception as exc:
             return words, pcs, f"word {w.symbols or '(empty)'}: {type(exc).__name__}: {exc}"
+        finally:
+            seconds["word"] += clock() - start
         words += 1
         total, c = noether_sum(panel.multiplicities), conductor(panel.pc)
         if total != c:
@@ -58,10 +64,13 @@ def first_failure(max_len: int) -> tuple[int, int, str | None]:
                                 f"{panel.pc} is {c}")
         if not w.is_critical():
             continue
+        start = clock()
         try:
             back = invariant_panel(pc=panel.pc).word
         except Exception as exc:
             return words, pcs, f"pc {panel.pc} of {w.symbols}: {type(exc).__name__}: {exc}"
+        finally:
+            seconds["pc"] += clock() - start
         pcs += 1
         if back != w:
             return words, pcs, f"pc {panel.pc} of {w.symbols}: panel word {back.symbols}"
@@ -70,8 +79,10 @@ def first_failure(max_len: int) -> tuple[int, int, str | None]:
 
 if __name__ == "__main__":
     start = time.perf_counter()
-    words, pcs, failure = first_failure(int(sys.argv[1]))
+    seconds = {"word": 0.0, "pc": 0.0}
+    words, pcs, failure = first_failure(int(sys.argv[1]), seconds)
     if failure is not None:
         print(failure)
         sys.exit(1)
-    print(f"{words} word panels, {pcs} pc panels, {time.perf_counter() - start:.1f} s")
+    print(f"{words} word panels ({seconds['word']:.1f} s), {pcs} pc panels "
+          f"({seconds['pc']:.1f} s), {time.perf_counter() - start:.1f} s")

@@ -337,7 +337,7 @@ class TestPanel:
         ],
     )
     def test_characteristic_validations_per_panel(self, monkeypatch, kind, text, validated):
-        from monstertower import puiseux
+        from monstertower import invariants, puiseux
 
         calls = []
         original = puiseux._is_valid
@@ -347,7 +347,10 @@ class TestPanel:
             return original(lam)
 
         arg = RvtWord(text) if kind == "word" else parse_pc(text)
+        # the panel validates its front characteristic with the rule itself,
+        # bound in invariants, and every other one through the record
         monkeypatch.setattr(puiseux, "_is_valid", counting)
+        monkeypatch.setattr(invariants, "_is_valid", counting)
         invariant_panel(**{kind: arg})
         assert len(calls) == validated, calls
 

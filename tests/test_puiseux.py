@@ -1,6 +1,7 @@
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from pathlib import PurePosixPath
 
@@ -46,7 +47,7 @@ from monstertower.puiseux import (
     word_from_pc,
     word_from_pc_front_inverse,
 )
-from monstertower.words import RvtWord, enumerate_words, lift_string
+from monstertower.words import RvtWord, _split_pq, enumerate_words, lift_string
 
 
 def PC(text):
@@ -388,6 +389,23 @@ class TestBackRecursion:
         for w in enumerate_words(10):
             assert pc_from_word_front(w) == pc_from_word_back(w)
 
+    def test_scan_matches_the_block_cut_to_length_12(self):
+        # the oracle cuts s = P R^rho Q off the end with the split that
+        # RvtWord.decompose makes, and reads E(Q) by a second walk over Q
+        def block_cut(s):
+            scale, gaps = 1, []
+            while s:
+                r, q = _split_pq(s)
+                a, b = puiseux._e_pair(s[q:])
+                gaps.append(scale * (b + (q - r - 2) * a))
+                scale *= a
+                s = s[:r]
+            return (*accumulate(reversed(gaps), initial=scale),)
+
+        for w in enumerate_words(12, min_len=0):
+            s = w.symbols.rstrip("R")
+            assert puiseux._back_lambdas(s) == block_cut(s), w
+
 
 class TestBackRecursionIndependence:
     """The back recursion is the panel's check on the front one, so it must
@@ -440,6 +458,18 @@ class TestEuclid:
         for k in range(1, 6):
             assert euclid(fib[k + 1], fib[k + 2]) == "V" * k
 
+    def test_matches_the_slow_recursion(self):
+        # the definition, one subtraction a step
+        def slow(a, b):
+            if (a, b) == (1, 2):
+                return ""
+            return "V" + slow(b - a, a) if b < 2 * a else "T" + slow(a, b - a)
+
+        for b in range(2, 60):
+            for a in range(1, b):
+                if gcd(a, b) == 1:
+                    assert euclid(a, b) == slow(a, b), (a, b)
+
     def test_errors(self):
         with pytest.raises(NotCoprime):
             euclid(4, 6)
@@ -469,6 +499,14 @@ class TestWordFromPC:
         for w in enumerate_words(10):
             if w.is_critical():
                 assert word_from_pc(pc_from_word_front(w)) == w
+
+    def test_cw_matches_the_front_inverse_to_length_11(self):
+        # length 11: the peeling inverse alone takes about 2 s at length 12
+        for w in enumerate_words(11):
+            if w.is_critical():
+                pc = pc_from_word_front(w)
+                inverse = word_from_pc_front_inverse(pc).normalize().symbols
+                assert puiseux._cw_string(pc.lambdas) == inverse, w
 
     def test_pc_of_output(self):
         for w in enumerate_words(9):

@@ -10,7 +10,9 @@ not substituted.  Each call must raise a ``MonsterTowerError``, or a
 entry's); nothing else is allowed, and neither is an answer, unless
 ``ACCEPTED`` lists the value with its reason.  An iterator that is
 returned is drained, so a refusal made only on iteration is a gap, and
-every gap fails.
+every gap fails.  The public methods that take arguments, and the ``*``
+operator, are probed the same way (``METHODS``), on a receiver built
+from valid values.
 """
 
 import inspect
@@ -24,7 +26,7 @@ import monstertower
 from monstertower.errors import MonsterTowerError
 from monstertower.puiseux import parse_pc
 from monstertower.series import parse_series
-from monstertower.tower import parse_curve
+from monstertower.tower import lift_trace, parse_curve
 from monstertower.words import RvtWord
 
 # the fixed table of wrong values, by kind
@@ -92,6 +94,22 @@ SURFACE = {
     "generate_corpus": {"count": (2, INT), "seed": (1, INT)},
 }
 
+_TRACE = lift_trace(_GERM)
+
+# "Class.method" -> (the method bound to a receiver, {parameter: (a valid
+# value, the kinds it documents)}), in signature order; the * operator is
+# probed as the product of a polynomial and its other factor
+METHODS = {
+    "RvtWord.split_at_level": (RvtWord("RVT").split_at_level, {"k": (1, INT)}),
+    "LiftTrace.curve_word": (_TRACE.curve_word, {"k": (1, INT)}),
+    "Trace.continued": (_TRACE.continued, {"levels": (None, OPTIONAL_INT), "max_level": (64, INT)}),
+    "TruncatedSeries.prefix": (_T.prefix, {"n": (3, INT)}),
+    "TruncatedSeries.quotient": (_T3.quotient, {"den": (_T, ANY)}),
+    "TruncatedSeries.integrate": (_T.integrate, {"wrt": (_T2, ANY),
+                                                 "constant": (1, INT | {"Fraction"})}),
+    "TruncatedSeries.__mul__": (lambda other: _T * other, {"other": (_T2, ANY)}),
+}
+
 # callables that take exactly one of their parameters, the others None
 ONE_OF = {"invariant_panel"}
 
@@ -117,13 +135,12 @@ ACCEPTED = {
        for kind in WRONG if kind != "None"},
 }
 
-def _outcome(name: str, param: str, value) -> str | None:
-    """None when the call refuses ``value`` as the probe requires, "returned"
-    when it answers, and else a description of the wrong outcome."""
-    kwargs = {p: None if name in ONE_OF else valid for p, (valid, _) in SURFACE[name].items()}
-    kwargs[param] = value
+def _outcome(call, kwargs: dict, value) -> str | None:
+    """None when ``call(**kwargs)``, one of whose arguments is ``value``,
+    refuses it as the probe requires, "returned" when it answers, and else
+    a description of the wrong outcome."""
     try:
-        result = getattr(monstertower, name)(**kwargs)
+        result = call(**kwargs)
         if inspect.isgenerator(result):
             list(islice(result, 1000))
     except MonsterTowerError:
@@ -147,22 +164,39 @@ def test_the_probe_walks_the_lazy_map():
         assert list(inspect.signature(getattr(monstertower, name)).parameters) == list(params), name
     for name, param, _ in ACCEPTED:
         assert param in SURFACE[name]
+    for name, (method, params) in METHODS.items():
+        assert list(inspect.signature(method).parameters) == list(params), name
+
+
+def _wrong_outcomes(name: str, param: str, call, params: dict) -> dict:
+    """The wrong outcome of each kind of WRONG that ``param`` does not
+    document, the other parameters taking their valid values."""
+    found = {}
+    for kind, value in WRONG.items():
+        if kind in params[param][1]:
+            continue
+        kwargs = {p: None if name in ONE_OF else valid for p, (valid, _) in params.items()}
+        kwargs[param] = value
+        outcome = _outcome(call, kwargs, value)
+        if (name, param, kind) in ACCEPTED:
+            outcome = None if outcome == "returned" else f"listed as accepted, but {outcome}"
+        if outcome is not None:
+            found[kind] = outcome
+    return found
 
 
 @pytest.mark.parametrize("name, param", [pytest.param(name, param, id=f"{name}.{param}")
                                           for name, params in SURFACE.items() for param in params])
 def test_each_wrong_value_is_refused_by_its_type(name, param):
-    documented = SURFACE[name][param][1]
-    found = {}
-    for kind, value in WRONG.items():
-        if kind in documented:
-            continue
-        outcome = _outcome(name, param, value)
-        if (name, param, kind) in ACCEPTED:
-            outcome = None if outcome == "returned" else f"listed as accepted, but {outcome}"
-        if outcome is not None:
-            found[kind] = outcome
-    assert found == {}
+    assert _wrong_outcomes(name, param, getattr(monstertower, name), SURFACE[name]) == {}
+
+
+@pytest.mark.parametrize("name, param", [pytest.param(name, param, id=f"{name}.{param}")
+                                          for name, (_, params) in METHODS.items()
+                                          for param in params])
+def test_each_method_refuses_each_wrong_value_by_its_type(name, param):
+    method, params = METHODS[name]
+    assert _wrong_outcomes(name, param, method, params) == {}
 
 
 @pytest.mark.parametrize("kwargs, got", [({}, "NoneType, NoneType"),
